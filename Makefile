@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race fuzz smoke bench
+.PHONY: check lint fmt vet build test race benchcheck fuzz smoke bench benchmark
 
-check: build lint test race
+check: build lint test race benchcheck
 
 # Static analysis: gofmt, go vet, and sparselint (internal/lint — the
 # repo-specific hot-path/locking/ownership/ctx/determinism analyzers).
@@ -34,6 +34,13 @@ test:
 race:
 	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
 
+# The repository benchmark is a nested module (benchmark/go.mod), which the
+# root `go vet ./...` and `go test ./...` do not descend into; its tests
+# include a -quick pass over all four workloads.
+benchcheck:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Short fuzz session for the MatrixMarket parser (regression seeds always run
 # as part of `make test`).
 fuzz:
@@ -51,3 +58,8 @@ smoke:
 bench:
 	./scripts/bench.sh
 
+# The repository benchmark (BENCHMARK.json): all four workloads, end-to-end
+# metrics with their regression bounds. See benchmark/README.md for flags
+# (`./benchmark/run.sh -workload serve-repeat -trace 1`, `--twice`, ...).
+benchmark:
+	./benchmark/run.sh

@@ -8,24 +8,25 @@ import (
 	"sparsetask/internal/server"
 )
 
-// fpCache memoizes matrix fingerprints per MatrixSpec. The fingerprint is a
-// pure function of the spec (server.SpecFingerprint) but computing it
+// fpCache memoizes matrix fingerprints per matrix identity. The fingerprint
+// is a pure function of the spec (server.SpecFingerprint) but computing it
 // materializes the matrix — far too expensive per request — while serving
 // traffic re-submits a small working set of specs: the same LRU shape the
-// shard-side plan cache exploits. MatrixSpec is comparable (strings and an
-// int64), so it keys the map directly.
+// shard-side caches exploit. Entries are keyed by MatrixSpec.Identity — a
+// short digest — rather than the spec itself, which for an inline matrix
+// would pin the whole MatrixMarket document in the router's heap.
 type fpCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	items map[server.MatrixSpec]*list.Element
+	items map[string]*list.Element
 
 	hits, misses atomic.Int64
 }
 
 type fpEntry struct {
-	key server.MatrixSpec
-	fp  uint64
+	id string
+	fp uint64
 }
 
 func newFPCache(capacity int) *fpCache {
@@ -35,7 +36,7 @@ func newFPCache(capacity int) *fpCache {
 	return &fpCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[server.MatrixSpec]*list.Element),
+		items: make(map[string]*list.Element),
 	}
 }
 
@@ -43,8 +44,9 @@ func newFPCache(capacity int) *fpCache {
 // caching it on miss. The matrix build runs outside the lock so concurrent
 // misses don't serialize; a racing double-compute is idempotent.
 func (c *fpCache) fingerprint(spec server.MatrixSpec) (uint64, error) {
+	id := spec.Identity()
 	c.mu.Lock()
-	if el, ok := c.items[spec]; ok {
+	if el, ok := c.items[id]; ok {
 		c.ll.MoveToFront(el)
 		fp := el.Value.(*fpEntry).fp
 		c.mu.Unlock()
@@ -58,12 +60,12 @@ func (c *fpCache) fingerprint(spec server.MatrixSpec) (uint64, error) {
 	}
 	c.misses.Add(1)
 	c.mu.Lock()
-	if _, ok := c.items[spec]; !ok {
-		c.items[spec] = c.ll.PushFront(&fpEntry{key: spec, fp: fp})
+	if _, ok := c.items[id]; !ok {
+		c.items[id] = c.ll.PushFront(&fpEntry{id: id, fp: fp})
 		for c.ll.Len() > c.cap {
 			el := c.ll.Back()
 			c.ll.Remove(el)
-			delete(c.items, el.Value.(*fpEntry).key)
+			delete(c.items, el.Value.(*fpEntry).id)
 		}
 	}
 	c.mu.Unlock()

@@ -46,7 +46,7 @@ type Config struct {
 	// submission spills from its first-choice shard to the second rendezvous
 	// choice. Default 0.75.
 	SpillFraction float64
-	// FingerprintCacheSize bounds the spec→fingerprint LRU. Default 256.
+	// FingerprintCacheSize bounds the identity→fingerprint LRU. Default 256.
 	FingerprintCacheSize int
 	// Client overrides the HTTP client used for probing and proxying
 	// (default: 10s timeout).
@@ -342,6 +342,13 @@ type MetricsSnapshot struct {
 		QueueCapacity    int   `json:"queue_capacity"`
 		CoalescedBatches int64 `json:"coalesced_batches"`
 		BatchedJobs      int64 `json:"batched_jobs"`
+		// Operator* sum the shards' identity-keyed operator caches: lookups
+		// that found a built matrix, matrices actually built, and what the
+		// fleet holds against its combined byte budget.
+		OperatorHits          int64 `json:"operator_hits"`
+		OperatorBuilds        int64 `json:"operator_builds"`
+		OperatorBytes         int64 `json:"operator_bytes"`
+		OperatorCapacityBytes int64 `json:"operator_capacity_bytes"`
 	} `json:"totals"`
 	Shards      []ShardStatus                     `json:"shards"`
 	ShardDetail map[string]server.MetricsSnapshot `json:"shard_detail"`
@@ -397,6 +404,10 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		snap.Totals.QueueCapacity += ms.Queue.Capacity
 		snap.Totals.CoalescedBatches += ms.Batching.CoalescedBatches
 		snap.Totals.BatchedJobs += ms.Batching.BatchedJobs
+		snap.Totals.OperatorHits += ms.OperatorCache.Hits
+		snap.Totals.OperatorBuilds += ms.OperatorCache.Builds
+		snap.Totals.OperatorBytes += ms.OperatorCache.Bytes
+		snap.Totals.OperatorCapacityBytes += ms.OperatorCache.CapacityBytes
 	}
 	writeJSON(w, http.StatusOK, snap)
 }

@@ -122,8 +122,8 @@ func TestCoalescePCGBatch(t *testing.T) {
 			t.Errorf("job %d precond = %q, want ic0", i, v.Result.Precond)
 		}
 	}
-	if n := e.metrics.Factorizations.Load(); n != 1 {
-		t.Errorf("factorizations = %d, want 1 (batch shares the factors)", n)
+	if _, f := e.operators.Stats(); f.Factorizations != 1 {
+		t.Errorf("factorizations = %d, want 1 (batch shares the factors)", f.Factorizations)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCoalesceDistinctMatricesNeverCross(t *testing.T) {
 		}
 		if v.Result.BatchID != "" {
 			spec := byID[v.ID]
-			batches[v.Result.BatchID] = append(batches[v.Result.BatchID], spec.Matrix.identity())
+			batches[v.Result.BatchID] = append(batches[v.Result.BatchID], spec.Matrix.Identity())
 		}
 	}
 	for id, idents := range batches {

@@ -24,10 +24,11 @@ type Config struct {
 	RTWorkers int
 	// PlanCacheSize bounds the autotune plan LRU. Default 128.
 	PlanCacheSize int
-	// FactorCacheSize bounds the pcg preconditioner-factorization LRU.
-	// Default 32 (factors hold two CSR copies of the matrix's lower
-	// triangle, so the default is deliberately smaller than the plan cache).
-	FactorCacheSize int
+	// OperatorCacheBytes is the byte budget of the operator cache: the LRU,
+	// keyed by matrix identity, that holds each matrix's COO, tiled storage
+	// per block size, and (for pcg) IC(0) factors and level analyses.
+	// Default 256 MiB.
+	OperatorCacheBytes int64
 	// Topo names the machine-topology profile every backend runtime is built
 	// with ("flat", "auto", "broadwell", "epyc"). Unknown or empty names fall
 	// back to flat; cmd/solverd validates the flag before it gets here. The
@@ -55,8 +56,8 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 128
 	}
-	if c.FactorCacheSize <= 0 {
-		c.FactorCacheSize = 32
+	if c.OperatorCacheBytes <= 0 {
+		c.OperatorCacheBytes = 256 << 20
 	}
 	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 1
@@ -79,17 +80,17 @@ var (
 )
 
 // Engine is solverd's transport-agnostic core: the bounded admission queue,
-// the batch coalescer, the worker pool, the autotune plan and IC(0) factor
-// caches, and the per-(backend,workers) runtime instances. It knows nothing
+// the batch coalescer, the worker pool, the autotune plan cache, the operator
+// cache, and the per-(backend,workers) runtime instances. It knows nothing
 // about HTTP — Server wraps it in handlers, and tests or alternative
 // transports can drive Submit/JobByID/Cancel/Drain directly.
 type Engine struct {
-	cfg     Config
-	topo    topo.Topology
-	metrics *Metrics
-	plans   *PlanCache
-	factors *FactorCache
-	queue   chan *Job
+	cfg       Config
+	topo      topo.Topology
+	metrics   *Metrics
+	plans     *PlanCache
+	operators *OperatorCache
+	queue     chan *Job
 	// batches carries dispatcher groups to the pool; nil unless coalescing
 	// is enabled (CoalesceMax > 1).
 	batches chan []*Job
@@ -121,7 +122,7 @@ func NewEngine(cfg Config) *Engine {
 		topo:       tp,
 		metrics:    &Metrics{},
 		plans:      NewPlanCache(cfg.PlanCacheSize),
-		factors:    NewFactorCache(cfg.FactorCacheSize),
+		operators:  NewOperatorCache(cfg.OperatorCacheBytes),
 		queue:      make(chan *Job, cfg.QueueSize),
 		jobs:       make(map[string]*Job),
 		baseCtx:    ctx,
@@ -208,10 +209,11 @@ type coalesceKey struct {
 // at all. Only cg and pcg solve against a right-hand side, and the batched
 // iteration has no per-column deadline, so jobs with DeadlineMS keep the
 // single-job path. The matrix is keyed by *identity* (generator coordinates
-// or MM document hash, see MatrixSpec.identity), not structural fingerprint:
-// two generator seeds share a sparsity pattern — and hence a fingerprint —
-// while holding different values, and must never share a solve.
-func coalesceKeyFor(spec JobSpec) (coalesceKey, bool) {
+// or MM document digest, see MatrixSpec.Identity), not structural
+// fingerprint: two generator seeds share a sparsity pattern — and hence a
+// fingerprint — while holding different values, and must never share a solve.
+func coalesceKeyFor(job *Job) (coalesceKey, bool) {
+	spec := job.Spec
 	if spec.Solver != "cg" && spec.Solver != "pcg" {
 		return coalesceKey{}, false
 	}
@@ -223,7 +225,7 @@ func coalesceKeyFor(spec JobSpec) (coalesceKey, bool) {
 		backend: spec.Backend,
 		workers: spec.Workers,
 		block:   spec.Block,
-		matrix:  spec.Matrix.identity(),
+		matrix:  job.identity,
 	}, true
 }
 
@@ -247,7 +249,7 @@ func (e *Engine) dispatch() {
 				return
 			}
 		}
-		key, batchable := coalesceKeyFor(job.Spec)
+		key, batchable := coalesceKeyFor(job)
 		if !batchable {
 			e.batches <- []*Job{job}
 			continue
@@ -263,7 +265,7 @@ func (e *Engine) dispatch() {
 					closed = true
 					break collect
 				}
-				if nkey, nb := coalesceKeyFor(next.Spec); nb && nkey == key {
+				if nkey, nb := coalesceKeyFor(next); nb && nkey == key {
 					group = append(group, next)
 				} else {
 					pending = next
@@ -284,8 +286,11 @@ func (e *Engine) dispatch() {
 
 // Submit registers and enqueues a job. It returns ErrDraining during
 // shutdown and an error wrapping ErrQueueFull when the admission queue is at
-// capacity.
+// capacity. The matrix identity is computed here, once and outside the engine
+// lock (for an inline matrix it digests the whole document), and carried on
+// the job for the coalescer and the operator cache.
 func (e *Engine) Submit(spec JobSpec) (*Job, error) {
+	identity := spec.Matrix.Identity()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
@@ -295,6 +300,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	job := &Job{
 		ID:        fmt.Sprintf("job-%d", e.seq),
 		Spec:      spec,
+		identity:  identity,
 		state:     StateQueued,
 		submitted: time.Now(),
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sparsetask/internal/autotune"
-	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
@@ -77,7 +76,7 @@ func (e *Engine) execute(job *Job) {
 	e.metrics.QueueWait.Observe(start.Sub(job.submitted))
 	e.metrics.QueueWaitKind.Observe(job.Spec.Solver, start.Sub(job.submitted))
 
-	res, err := e.run(ctx, job.Spec)
+	res, err := e.run(ctx, job)
 
 	fin := time.Now()
 	job.mu.Lock()
@@ -243,6 +242,9 @@ func (e *Engine) runBatchJobs(group []*Job) {
 			res.BatchID = batchID
 			res.BatchSize = len(jobs)
 			res.BatchIndex = i
+			if i > 0 { // only the first member can have built the operator
+				res.MatrixSource = "cache"
+			}
 			j.state = StateDone
 			j.result = &res
 			e.metrics.Done.Add(1)
@@ -252,62 +254,87 @@ func (e *Engine) runBatchJobs(group []*Job) {
 	}
 }
 
-// runBatch materializes the shared matrix, plan, and (for pcg) factors once,
-// then solves every member's right-hand side in one width-k program. The
-// members agree on solver, backend, workers, block, and matrix identity (the
-// coalesce key), differing only in their RHS seeds. The returned JobResult
-// holds the batch-invariant fields each member's result is copied from.
+// materialized is a job's operator resolved to one tiling: what run and
+// runBatch need to construct a solver, and where each piece came from.
+type materialized struct {
+	op           *operator
+	plan         Plan
+	mat          sparse.Matrix
+	planSource   string
+	matrixSource string
+}
+
+// materialize is the front half of every job: identity lookup in the
+// operator cache (a miss generates or parses the matrix and scans it, once,
+// however many jobs are waiting on it), plan lookup by the operator's
+// structural fingerprint, and the operator's storage at the plan's block
+// size. On repeat traffic all three are cache hits and the job pays only its
+// solve.
+func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
+	start := time.Now()
+	op, built, err := e.operators.get(job.identity, &job.Spec.Matrix)
+	if err != nil {
+		return nil, fmt.Errorf("matrix: %w", err)
+	}
+	m := &materialized{op: op, matrixSource: "cache"}
+	if built {
+		m.matrixSource = "built"
+	}
+	m.plan, m.planSource = e.resolvePlan(job.Spec, op, workers)
+	e.metrics.PlanStage.Observe(time.Since(start))
+	if m.mat, err = op.storageFor(m.plan.Block); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// result starts a JobResult with the fields every solver kind reports.
+func (m *materialized) result() *JobResult {
+	return &JobResult{
+		MatrixRows:   m.op.coo.Rows,
+		MatrixNNZ:    m.op.coo.NNZ(),
+		Block:        m.plan.Block,
+		BlockCount:   m.plan.BlockCount,
+		SymStorage:   m.op.stats.Symmetric,
+		PlanSource:   m.planSource,
+		MatrixSource: m.matrixSource,
+	}
+}
+
+// rhsSeed is the job's solver seed with the default applied.
+func rhsSeed(spec JobSpec) int64 {
+	if spec.Seed == 0 {
+		return defaultJobSeed
+	}
+	return spec.Seed
+}
+
+// runBatch materializes the shared operator once, then solves every
+// member's right-hand side in one width-k program. The members agree on
+// solver, backend, workers, block, and matrix identity (the coalesce key),
+// differing only in their RHS seeds. The returned JobResult holds the
+// batch-invariant fields each member's result is copied from.
 func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColResult, *JobResult, error) {
 	spec := jobs[0].Spec
-	planStart := time.Now()
-	coo, err := spec.Matrix.buildMatrix()
-	if err != nil {
-		return nil, nil, fmt.Errorf("matrix: %w", err)
-	}
-	csr := coo.ToCSR()
-	stats := sparse.ComputeStats(csr)
 	workers := e.effectiveWorkers(spec)
-	plan, source, err := e.resolvePlan(spec, coo, stats, workers)
-	e.metrics.PlanStage.Observe(time.Since(planStart))
+	m, err := e.materialize(jobs[0], workers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("plan: %w", err)
+		return nil, nil, err
 	}
-	var mat sparse.Matrix
-	if stats.Symmetric {
-		sym, err := coo.ToSymCSB(plan.Block)
-		if err != nil {
-			return nil, nil, fmt.Errorf("symcsb: %w", err)
-		}
-		mat = sym
-	} else {
-		mat = coo.ToCSB(plan.Block)
-	}
-	rows := coo.Rows
 	rtm := e.runtimeFor(spec.Backend, workers)
 
 	k := len(jobs)
 	bs := make([][]float64, k)
 	for i, j := range jobs {
-		seed := j.Spec.Seed
-		if seed == 0 {
-			seed = defaultJobSeed
-		}
-		bs[i] = solver.RandomRHS(rows, seed)
+		bs[i] = solver.RandomRHS(m.op.coo.Rows, rhsSeed(j.Spec))
 	}
-	shared := &JobResult{
-		MatrixRows: rows,
-		MatrixNNZ:  coo.NNZ(),
-		Block:      plan.Block,
-		BlockCount: plan.BlockCount,
-		PlanSource: source,
-		SymStorage: stats.Symmetric,
-	}
+	shared := m.result()
 
 	solveStart := time.Now()
 	var results []solver.BatchColResult
 	switch spec.Solver {
 	case "cg":
-		c, err := solver.NewBatchCG(mat, k)
+		c, err := solver.NewBatchCG(m.mat, k)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -316,15 +343,11 @@ func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColRe
 			return nil, nil, err
 		}
 	case "pcg":
-		f, fsource, err := e.resolveFactors(csr, stats)
+		ic, low, up, fsource, err := m.op.preconditioner(m.plan.Block)
 		if err != nil {
 			return nil, nil, err
 		}
-		low, up, analysed := f.LevelsFor(plan.Block)
-		if analysed {
-			e.metrics.LevelAnalyses.Add(1)
-		}
-		c, err := solver.NewBatchPCG(mat, f.M, k, low, up)
+		c, err := solver.NewBatchPCG(m.mat, ic, k, low, up)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -332,7 +355,7 @@ func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColRe
 		if err != nil {
 			return nil, nil, err
 		}
-		shared.Precond = f.M.Kind.String()
+		shared.Precond = ic.Kind.String()
 		shared.FactorSource = fsource
 	default:
 		return nil, nil, fmt.Errorf("solver %q is not batchable", spec.Solver)
@@ -341,49 +364,18 @@ func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColRe
 	return results, shared, nil
 }
 
-// run materializes the matrix, resolves a tiling plan, and solves. The
-// matrix's structural stats are computed once here and feed both the plan key
-// and the storage choice: symmetric matrices are stored as SymCSB (lower
-// triangle + diagonal) and solved through the symmetry-exploiting kernels.
-func (e *Engine) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	planStart := time.Now()
-	coo, err := spec.Matrix.buildMatrix()
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %w", err)
-	}
-	csr := coo.ToCSR()
-	stats := sparse.ComputeStats(csr)
+// run materializes the job's operator and solves.
+func (e *Engine) run(ctx context.Context, job *Job) (*JobResult, error) {
+	spec := job.Spec
 	workers := e.effectiveWorkers(spec)
-	plan, source, err := e.resolvePlan(spec, coo, stats, workers)
-	e.metrics.PlanStage.Observe(time.Since(planStart))
+	m, err := e.materialize(job, workers)
 	if err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
+		return nil, err
 	}
-	var mat sparse.Matrix
-	if stats.Symmetric {
-		sym, err := coo.ToSymCSB(plan.Block)
-		if err != nil {
-			return nil, fmt.Errorf("symcsb: %w", err)
-		}
-		mat = sym
-	} else {
-		mat = coo.ToCSB(plan.Block)
-	}
-	rows := coo.Rows
+	mat, rows := m.mat, m.op.coo.Rows
 	rtm := e.runtimeFor(spec.Backend, workers)
-
-	seed := spec.Seed
-	if seed == 0 {
-		seed = defaultJobSeed
-	}
-	res := &JobResult{
-		MatrixRows: rows,
-		MatrixNNZ:  coo.NNZ(),
-		Block:      plan.Block,
-		BlockCount: plan.BlockCount,
-		PlanSource: source,
-		SymStorage: stats.Symmetric,
-	}
+	seed := rhsSeed(spec)
+	res := m.result()
 
 	solveStart := time.Now()
 	switch spec.Solver {
@@ -444,15 +436,11 @@ func (e *Engine) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 		res.Residual = relres
 		res.Converged = true
 	case "pcg":
-		f, source, err := e.resolveFactors(csr, stats)
+		ic, low, up, fsource, err := m.op.preconditioner(m.plan.Block)
 		if err != nil {
 			return nil, err
 		}
-		low, up, analysed := f.LevelsFor(plan.Block)
-		if analysed {
-			e.metrics.LevelAnalyses.Add(1)
-		}
-		c, err := solver.NewPCGWithLevels(mat, f.M, low, up)
+		c, err := solver.NewPCGWithLevels(mat, ic, low, up)
 		if err != nil {
 			return nil, err
 		}
@@ -464,8 +452,8 @@ func (e *Engine) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 		res.Iterations = iters
 		res.Residual = relres
 		res.Converged = true
-		res.Precond = f.M.Kind.String()
-		res.FactorSource = source
+		res.Precond = ic.Kind.String()
+		res.FactorSource = fsource
 	default:
 		return nil, fmt.Errorf("unknown solver %q", spec.Solver)
 	}
@@ -502,24 +490,24 @@ type runtimeKey struct {
 // under the matrix's structural fingerprint. Matrices too small to tune get
 // a single-tile fallback (also cached, so they only pay the failed sweep
 // once).
-func (e *Engine) resolvePlan(spec JobSpec, coo *sparse.COO, stats sparse.Stats, workers int) (Plan, string, error) {
-	rows := coo.Rows
+func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, string) {
+	rows := op.coo.Rows
 	if spec.Block > 0 {
 		return Plan{
 			Block:      spec.Block,
 			BlockCount: (rows + spec.Block - 1) / spec.Block,
-		}, "request", nil
+		}, "request"
 	}
 	key := PlanKey{
-		Fingerprint: stats.Fingerprint(),
+		Fingerprint: op.fp,
 		Solver:      spec.Solver,
 		Backend:     spec.Backend,
 		Workers:     workers,
 		Topo:        e.topo.Name,
-		SymStorage:  stats.Symmetric,
+		SymStorage:  op.stats.Symmetric,
 	}
 	if p, ok := e.plans.Get(key); ok {
-		return p, "cache", nil
+		return p, "cache"
 	}
 
 	sv := autotune.Lanczos // cg and pcg share Lanczos's SpMV-dominated kernel mix
@@ -527,35 +515,13 @@ func (e *Engine) resolvePlan(spec JobSpec, coo *sparse.COO, stats sparse.Stats, 
 		sv = autotune.LOBPCG
 	}
 	e.metrics.AutotuneSweeps.Add(1)
-	res, err := autotune.Tune(rows, autotune.GraphEvaluator(coo, sv, workers, tuneFlopsPerNs, tuneOverheadNs))
+	res, err := autotune.Tune(rows, autotune.GraphEvaluator(op.coo, sv, workers, tuneFlopsPerNs, tuneOverheadNs))
 	if err != nil {
 		p := Plan{Block: rows, BlockCount: 1}
 		e.plans.Put(key, p)
-		return p, "fallback", nil
+		return p, "fallback"
 	}
 	p := Plan{Block: res.Block, BlockCount: res.BlockCount, Bin: res.Bin}
 	e.plans.Put(key, p)
-	return p, "autotune", nil
-}
-
-// resolveFactors returns the preconditioner for a pcg job: a factor-cache hit
-// under the matrix's structural fingerprint, or a fresh IC(0) factorization
-// (Jacobi on breakdown) that is then cached. Unlike the plan key, the factor
-// key is the fingerprint alone — the factors depend only on the matrix, so
-// they are shared across backends, worker counts, and tilings. The
-// fingerprint hashes the symmetry bit, so symmetric-storage jobs never share
-// factors with a general matrix that merely collides structurally.
-func (e *Engine) resolveFactors(csr *sparse.CSR, stats sparse.Stats) (*Factorization, string, error) {
-	fp := stats.Fingerprint()
-	if f, ok := e.factors.Get(fp); ok {
-		return f, "cache", nil
-	}
-	e.metrics.Factorizations.Add(1)
-	m, err := precond.Factorize(csr)
-	if err != nil {
-		return nil, "", fmt.Errorf("ic0: %w", err)
-	}
-	f := NewFactorization(m)
-	e.factors.Put(fp, f)
-	return f, "computed", nil
+	return p, "autotune"
 }

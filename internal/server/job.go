@@ -2,9 +2,12 @@
 // the transport-agnostic core: it admits sparse-solver jobs into a bounded
 // FIFO queue, coalesces same-matrix cg/pcg jobs into multi-RHS batched
 // solves, executes them on a worker pool over the exec-mode runtimes
-// (internal/rt), and memoizes autotuned block sizes and IC(0) factors in
-// fingerprint-keyed LRU caches. Server is the thin HTTP/JSON skin over it,
-// serving /jobs, /metrics, and /healthz.
+// (internal/rt), and amortizes per-matrix work across repeat traffic through
+// two LRU caches: autotuned block sizes keyed by the matrix's structural
+// fingerprint, and operators — the built matrix, its tiled storage, and its
+// IC(0) factors with their level analyses — keyed by the matrix's value
+// identity. Server is the thin HTTP/JSON skin over it, serving /jobs,
+// /metrics, and /healthz.
 //
 // The subsystem is the first step from the paper's offline evaluation toward
 // the ROADMAP's production north star: the paper shows runtime and block
@@ -195,8 +198,13 @@ type JobResult struct {
 	// or "jacobi" when the factorization hit a non-positive pivot.
 	Precond string `json:"precond,omitempty"`
 	// FactorSource records where a pcg job's factorization came from:
-	// "cache" (factor-cache hit, levels memoized too) or "computed".
+	// "cache" (the matrix's cached operator already held factors) or
+	// "computed".
 	FactorSource string `json:"factor_source,omitempty"`
+	// MatrixSource records where the job's operator came from: "built" (this
+	// job generated or parsed the matrix and scanned it) or "cache" (an
+	// earlier job, or a sibling in the same coalesced batch, already had).
+	MatrixSource string `json:"matrix_source"`
 	// BatchID, BatchSize, and BatchIndex identify the multi-RHS coalesced
 	// batch the job executed in; set only when the dispatcher merged >= 2
 	// jobs. BatchIndex is the job's column in the batched solve (the first
@@ -210,6 +218,8 @@ type JobResult struct {
 type Job struct {
 	ID   string
 	Spec JobSpec
+	// identity is Spec.Matrix.Identity(), computed once at submission.
+	identity string
 
 	mu        sync.Mutex
 	state     State

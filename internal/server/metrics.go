@@ -217,16 +217,13 @@ type Metrics struct {
 	PlanMisses     atomic.Int64
 	AutotuneSweeps atomic.Int64 // six-trial block-size searches actually run
 
-	Factorizations atomic.Int64 // IC(0) factorizations actually run (pcg misses)
-	LevelAnalyses  atomic.Int64 // triangular level analyses actually run
-
 	CoalescedBatches atomic.Int64 // dispatcher groups that merged >= 2 jobs
 	BatchedJobs      atomic.Int64 // jobs executed via a multi-RHS batched solve
 
 	QueueWait     Histogram        // submit → execution start
 	QueueWaitKind HistogramSet     // queue wait broken out by solver kind
 	BatchSizes    SizeHistogramSet // dispatcher group sizes by solver kind
-	PlanStage     Histogram        // matrix build + fingerprint + plan lookup/tune
+	PlanStage     Histogram        // operator lookup (or build + scan) + plan lookup/tune
 	Solve         Histogram        // solver execution proper
 	Total         Histogram        // submit → terminal state
 }
@@ -254,19 +251,9 @@ type MetricsSnapshot struct {
 		Capacity       int   `json:"capacity"`
 		AutotuneSweeps int64 `json:"autotune_sweeps"`
 	} `json:"plan_cache"`
-	FactorCache struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Size      int   `json:"size"`
-		Capacity  int   `json:"capacity"`
-		// Factorizations counts IC(0) numeric factorizations actually run;
-		// LevelAnalyses counts triangular level analyses actually run. Both
-		// stay flat on repeat traffic for a cached matrix.
-		Factorizations int64 `json:"factorizations"`
-		LevelAnalyses  int64 `json:"level_analyses"`
-	} `json:"factor_cache"`
-	Batching struct {
+	FactorCache   FactorCacheSnapshot   `json:"factor_cache"`
+	OperatorCache OperatorCacheSnapshot `json:"operator_cache"`
+	Batching      struct {
 		// Enabled reports whether the dispatcher coalescer is active
 		// (CoalesceMax > 1); Max and WindowMS echo its configuration.
 		Enabled  bool    `json:"enabled"`
@@ -302,4 +289,36 @@ type MetricsSnapshot struct {
 		// executed in their preferred domain (1.0 when nothing carried one).
 		DomainLocalShare float64 `json:"domain_local_share"`
 	} `json:"topology"`
+}
+
+// FactorCacheSnapshot is the pcg view of the operator cache: factors live on
+// the matrix's operator, so a hit is a pcg job whose operator already held
+// them, a miss one that had to factorize, Size the resident operators holding
+// factors, and Evictions the evicted operators that held them. Capacity is
+// always 0: factors are bounded by the operator cache's byte budget, not by a
+// count of their own.
+type FactorCacheSnapshot struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Size      int   `json:"size"`
+	Capacity  int   `json:"capacity"`
+	// Factorizations counts IC(0) numeric factorizations actually run;
+	// LevelAnalyses counts triangular level analyses actually run. Both
+	// stay flat on repeat traffic for a cached matrix.
+	Factorizations int64 `json:"factorizations"`
+	LevelAnalyses  int64 `json:"level_analyses"`
+}
+
+// OperatorCacheSnapshot reports the identity-keyed LRU of built matrices.
+// Builds counts matrices actually generated or parsed — concurrent misses on
+// one identity share a build — and stays flat on repeat traffic.
+type OperatorCacheSnapshot struct {
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Builds        int64 `json:"builds"`
+	Evictions     int64 `json:"evictions"`
+	Size          int   `json:"size"` // resident operators
+	Bytes         int64 `json:"bytes"`
+	CapacityBytes int64 `json:"capacity_bytes"`
 }

@@ -145,14 +145,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.PlanCache.Capacity = s.cfg.PlanCacheSize
 	snap.PlanCache.AutotuneSweeps = m.AutotuneSweeps.Load()
 
-	fhits, fmisses, fevictions := s.factors.Stats()
-	snap.FactorCache.Hits = fhits
-	snap.FactorCache.Misses = fmisses
-	snap.FactorCache.Evictions = fevictions
-	snap.FactorCache.Size = s.factors.Len()
-	snap.FactorCache.Capacity = s.cfg.FactorCacheSize
-	snap.FactorCache.Factorizations = m.Factorizations.Load()
-	snap.FactorCache.LevelAnalyses = m.LevelAnalyses.Load()
+	snap.OperatorCache, snap.FactorCache = s.operators.Stats()
 
 	snap.Latency.QueueWait = m.QueueWait.Snapshot()
 	snap.Latency.QueueWaitByKind = m.QueueWaitKind.Snapshot()

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sparsetask/internal/precond"
 )
 
 // diag4 is a 4x4 diagonal matrix with spectrum {1, 2, 3, 4}: small enough to
@@ -345,9 +343,8 @@ func TestPlanCacheHitSkipsAutotune(t *testing.T) {
 
 // TestPCGFactorCacheReuse is the serving-layer acceptance test for the
 // preconditioner cache: the first pcg job against a matrix factorizes and
-// analyses levels; a repeat job with the same structural fingerprint reuses
-// both; a repeat at a different tiling reuses the factors but analyses the
-// new block size once.
+// analyses levels; a repeat job on the same matrix reuses both; a repeat at a
+// different tiling reuses the factors but analyses the new block size once.
 func TestPCGFactorCacheReuse(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 2})
 	mm := spdTridiagMM(24)
@@ -375,9 +372,16 @@ func TestPCGFactorCacheReuse(t *testing.T) {
 		t.Fatalf("first job did not converge: %+v", first.Result)
 	}
 
+	if first.Result.MatrixSource != "built" {
+		t.Errorf("first matrix_source = %q, want built", first.Result.MatrixSource)
+	}
+
 	second := runJob(`"block":8`)
 	if second.Result.FactorSource != "cache" {
 		t.Errorf("repeat factor_source = %q, want cache", second.Result.FactorSource)
+	}
+	if second.Result.MatrixSource != "cache" {
+		t.Errorf("repeat matrix_source = %q, want cache", second.Result.MatrixSource)
 	}
 	if second.Result.Iterations != first.Result.Iterations {
 		t.Errorf("cached factors changed convergence: %d vs %d iterations",
@@ -395,6 +399,11 @@ func TestPCGFactorCacheReuse(t *testing.T) {
 	if m.FactorCache.Hits != 1 || m.FactorCache.Misses != 1 || m.FactorCache.Size != 1 {
 		t.Errorf("factor cache hits/misses/size = %d/%d/%d, want 1/1/1",
 			m.FactorCache.Hits, m.FactorCache.Misses, m.FactorCache.Size)
+	}
+
+	if oc := m.OperatorCache; oc.Builds != 1 || oc.Hits != 1 || oc.Misses != 1 || oc.Size != 1 ||
+		oc.Bytes <= 0 || oc.Bytes > oc.CapacityBytes {
+		t.Errorf("operator cache = %+v, want 1 build, 1 hit, 1 miss, 1 entry within budget", oc)
 	}
 
 	// A different tiling shares the factors but needs its own level analysis.
@@ -572,40 +581,6 @@ func TestPlanCacheLRU(t *testing.T) {
 	c.Put(k(1), Plan{Block: 11}) // refresh in place
 	if p, _ := c.Get(k(1)); p.Block != 11 {
 		t.Errorf("refreshed plan block = %d, want 11", p.Block)
-	}
-}
-
-func TestFactorCacheLRU(t *testing.T) {
-	c := NewFactorCache(2)
-	f := func() *Factorization { return NewFactorization(&precond.IC0{Kind: precond.KindJacobi}) }
-	c.Put(1, f())
-	c.Put(2, f())
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("Get(1) missed")
-	}
-	c.Put(3, f()) // evicts 2 (1 was refreshed by the Get)
-	if _, ok := c.Get(2); ok {
-		t.Error("fingerprint 2 survived eviction; LRU order is wrong")
-	}
-	if _, ok := c.Get(1); !ok {
-		t.Error("fingerprint 1 evicted despite being most recently used")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
-	}
-	hits, misses, evictions := c.Stats()
-	if hits != 2 || misses != 1 || evictions != 1 {
-		t.Errorf("stats = %d/%d/%d, want 2/1/1", hits, misses, evictions)
-	}
-}
-
-// A Jacobi factorization has no triangular structure: LevelsFor must return
-// nils without counting an analysis, at any block size.
-func TestFactorizationJacobiHasNoLevels(t *testing.T) {
-	f := NewFactorization(&precond.IC0{Kind: precond.KindJacobi, Rows: 4, DiagInv: []float64{1, 1, 1, 1}})
-	low, up, analysed := f.LevelsFor(2)
-	if low != nil || up != nil || analysed {
-		t.Fatalf("Jacobi LevelsFor = %v/%v/%v, want nil/nil/false", low, up, analysed)
 	}
 }
 

@@ -73,8 +73,12 @@ func (a *COO) Sort() { sort.Stable(cooSorter{a}) }
 
 // Compact sorts the entries and merges duplicates by summing their values.
 // Entries that sum to exactly zero are kept (structural nonzeros).
+//
+// An already compact matrix is left untouched — not even rewritten in place —
+// so once a COO has been compacted, the conversions that compact their input
+// first (ToCSR, ToCSB, ToSymCSB) only read it and may run concurrently on it.
 func (a *COO) Compact() {
-	if len(a.V) == 0 {
+	if a.isCompact() {
 		return
 	}
 	a.Sort()
@@ -90,6 +94,17 @@ func (a *COO) Compact() {
 	a.I = a.I[:w+1]
 	a.J = a.J[:w+1]
 	a.V = a.V[:w+1]
+}
+
+// isCompact reports whether the entries are strictly increasing in
+// (row, col) order: sorted, with no duplicates left to merge.
+func (a *COO) isCompact() bool {
+	for k := 1; k < len(a.V); k++ {
+		if a.I[k] < a.I[k-1] || (a.I[k] == a.I[k-1] && a.J[k] <= a.J[k-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Symmetrize makes the matrix symmetric the way the paper does for the

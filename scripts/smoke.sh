@@ -6,8 +6,10 @@
 #  2. scale-out: start two solverd shards plus the solverfront router, push
 #     four identical-matrix cg jobs through the router, and require that
 #     (a) every one landed on the same shard (fingerprint-stable rendezvous
-#     assignment) and (b) at least two carry a batch_size in their result,
-#     proving the shard's coalescer merged them into one multi-RHS solve.
+#     assignment), (b) at least two carry a batch_size in their result,
+#     proving the shard's coalescer merged them into one multi-RHS solve, and
+#     (c) the 2nd-4th report matrix_source "cache": the shard built the
+#     matrix once and served the rest from its operator cache.
 #
 # Used manually and as the serving-layer acceptance check; see README.md.
 set -eu
@@ -100,8 +102,11 @@ fi
 echo "smoke: all 4 same-matrix jobs routed to shard '$SHARDS'"
 
 # (b) batch coalescing end to end: wait for every job, count batched results.
+# (c) operator cache end to end: only the first job may have built the matrix.
 BATCHED=0
+N=0
 for id in $IDS; do
+    N=$((N + 1))
     i=0
     while :; do
         OUT=$(curl -s "http://127.0.0.1:$PF/jobs/$id")
@@ -122,12 +127,22 @@ for id in $IDS; do
     case "$OUT" in
     *'"batch_size"'*) BATCHED=$((BATCHED + 1)) ;;
     esac
+    if [ "$N" -ge 2 ]; then
+        case "$OUT" in
+        *'"matrix_source": "cache"'*) ;;
+        *)
+            echo "smoke: same-matrix job $N ($id) did not reuse the cached matrix: $OUT" >&2
+            exit 1
+            ;;
+        esac
+    fi
 done
 if [ "$BATCHED" -lt 2 ]; then
     echo "smoke: only $BATCHED/4 results were coalesced (want >= 2)" >&2
     exit 1
 fi
 echo "smoke: $BATCHED/4 jobs ran inside a coalesced multi-RHS batch"
+echo "smoke: jobs 2-4 reported matrix_source \"cache\""
 
 echo "--- router /metrics ---"
 curl -s "http://127.0.0.1:$PF/metrics"
