@@ -31,8 +31,10 @@ test:
 # drivers, preconditioner, and topology layer are the concurrency hot spots;
 # they must also pass under the race detector (the hierarchical steal paths
 # in sched and rt, and the level-scheduled triangular wavefronts, especially).
+# sparse is here for one guarantee the engine leans on: conversions of an
+# already compact COO only read it, so concurrent jobs may share one.
 race:
-	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
+	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sparse/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
 
 # The repository benchmark is a nested module (benchmark/go.mod), which the
 # root `go vet ./...` and `go test ./...` do not descend into; its tests
@@ -52,8 +54,8 @@ smoke:
 
 # Performance baseline: kernel microbenches (incl. the symmetric-storage
 # pairs, roofline-graded against the calibrated triad peak), per-backend
-# solver runs, and a short serving-layer load run; updates BENCH_PR8.json
-# (baseline preserved, seeded from the BENCH_PR6.json trajectory on first
+# solver runs, and a short serving-layer load run; updates BENCH_PR9.json
+# (baseline preserved, seeded from the BENCH_PR8.json trajectory on first
 # run). Not part of `check` — run it when touching hot paths.
 bench:
 	./scripts/bench.sh

@@ -8,10 +8,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/bench"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/kernels"
@@ -209,6 +212,112 @@ func BenchmarkGraphBuild(b *testing.B) {
 		}
 		if l.Graph() == nil {
 			b.Fatal("no graph")
+		}
+	}
+}
+
+// ---- first-sight cost: what a cold serving job pays before its solve ----
+
+// coldMatrix is a matrix of the size first-sight serving traffic carries
+// (the top of the serve-cold range: ~25 k stored entries).
+func coldMatrix() *sparse.COO { return matgen.SPDLaplacian(5000, 1) }
+
+// BenchmarkTuneCold measures one §5.4 sweep as solverd's resolvePlan runs it,
+// and reports how many of the six candidates it evaluated and pruned.
+func BenchmarkTuneCold(b *testing.B) {
+	coo := coldMatrix()
+	coo.Compact()
+	for _, sv := range []struct {
+		name string
+		sv   autotune.Solver
+	}{{"lanczos", autotune.Lanczos}, {"lobpcg", autotune.LOBPCG}} {
+		for _, w := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/w=%d", sv.name, w), func(b *testing.B) {
+				var res autotune.Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					res, err = autotune.Tune(coo.Rows, autotune.GraphEvaluator(coo, sv.sv, w, 1.0, 500.0))
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(res.Trials)), "trials")
+				b.ReportMetric(float64(len(res.Pruned)), "pruned")
+			})
+		}
+	}
+}
+
+// BenchmarkCOOCompact measures sort + duplicate merge on the two input orders
+// Compact meets: a generator's (row by row, each entry followed by its mirror
+// image in some other row) and an edge list's (random, with repeated edges).
+func BenchmarkCOOCompact(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		src  *sparse.COO
+	}{
+		{"fem3d-65k", mirrored(matgen.FEM3D(28, 28, 28, 3, 27, 1))},
+		{"rmat-16k", shuffled(matgen.RMAT(1<<14, 16, 0.57, 1))},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.SetBytes(int64(m.src.NNZ()) * 16)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				coo := m.src.Clone()
+				b.StartTimer()
+				coo.Compact()
+			}
+		})
+	}
+}
+
+// mirrored re-emits a symmetric matrix the way the generators do before they
+// compact: the lower triangle in row order, each off-diagonal entry followed
+// by its mirror image.
+func mirrored(a *sparse.COO) *sparse.COO {
+	out := sparse.NewCOO(a.Rows, a.Cols, a.NNZ())
+	for k := range a.V {
+		if i, j := a.I[k], a.J[k]; j <= i {
+			out.Append(i, j, a.V[k])
+			if i != j {
+				out.Append(j, i, a.V[k])
+			}
+		}
+	}
+	return out
+}
+
+// shuffled returns the matrix with every entry split in two and the halves
+// dealt out in a seeded random order.
+func shuffled(a *sparse.COO) *sparse.COO {
+	out := sparse.NewCOO(a.Rows, a.Cols, 2*a.NNZ())
+	for k := range a.V {
+		out.Append(a.I[k], a.J[k], a.V[k]/2)
+		out.Append(a.I[k], a.J[k], a.V[k]/2)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(out.NNZ(), func(x, y int) {
+		out.I[x], out.I[y] = out.I[y], out.I[x]
+		out.J[x], out.J[y] = out.J[y], out.J[x]
+		out.V[x], out.V[y] = out.V[y], out.V[x]
+	})
+	return out
+}
+
+// BenchmarkReadMatrixMarket measures the parse of an inline job's document
+// (25 k entries, ~600 KB), which a cold job pays twice: router and shard.
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	var doc bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&doc, coldMatrix()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sparse.ReadMatrixMarket(bytes.NewReader(doc.Bytes())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,7 +6,9 @@
 //
 // Evaluation can run against the discrete-event simulator (deterministic,
 // machine-model-driven — the default) or against any user-supplied evaluator
-// (e.g. wall-clock runs of the real runtimes on the host).
+// (e.g. wall-clock runs of the real runtimes on the host). An evaluator that
+// can bound a candidate's cost from below lets the search skip the candidates
+// that cannot win, without changing the winner.
 package autotune
 
 import (
@@ -46,10 +48,17 @@ const (
 	LOBPCG
 )
 
-// Evaluator measures the cost of executing one solver iteration when the
-// matrix is tiled at the given block count. Lower is better. An error marks
-// the candidate infeasible (it is skipped).
-type Evaluator func(blockCount int) (float64, error)
+// Evaluator scores candidate block counts.
+type Evaluator struct {
+	// Cost measures the cost of executing one solver iteration when the
+	// matrix is tiled at the given block count. Lower is better. An error
+	// marks the candidate infeasible (it is skipped).
+	Cost func(blockCount int) (float64, error)
+	// Bound, when set, returns a value Cost(blockCount) cannot come in under,
+	// for far less than Cost costs. Tune skips a candidate whose bound is no
+	// better than the best cost seen so far: it could not have won.
+	Bound func(blockCount int) float64
+}
 
 // Result reports a tuning run.
 type Result struct {
@@ -59,6 +68,8 @@ type Result struct {
 	Cost       float64 // evaluator cost at the winner
 	// Trials records every evaluated (blockCount, cost) pair in bin order.
 	Trials []Trial
+	// Pruned records the candidates skipped on their bound, in bin order.
+	Pruned []Pruned
 }
 
 // Trial is one evaluated candidate.
@@ -69,8 +80,20 @@ type Trial struct {
 	Err        error
 }
 
+// Pruned is one candidate Tune did not evaluate: Bound was already no better
+// than the cost of the winner so far.
+type Pruned struct {
+	Bin        string
+	BlockCount int
+	Bound      float64
+}
+
 // Tune runs the six-bin search with the given evaluator for a matrix with
-// `rows` rows. Block counts that exceed rows are skipped.
+// `rows` rows. Block counts that exceed rows are skipped. The search is
+// branch-and-bound over the bins, and exact: a candidate is skipped only when
+// its lower bound shows it cannot cost strictly less than the incumbent, which
+// is what it would have needed to replace it (ties keep the coarser bin), so
+// the winner is the exhaustive sweep's.
 func Tune(rows int, eval Evaluator) (Result, error) {
 	if rows <= 0 {
 		return Result{}, fmt.Errorf("autotune: rows must be positive, got %d", rows)
@@ -81,7 +104,13 @@ func Tune(rows int, eval Evaluator) (Result, error) {
 		if bc > rows {
 			continue
 		}
-		cost, err := eval(bc)
+		if eval.Bound != nil && res.Cost >= 0 {
+			if lb := eval.Bound(bc); lb >= res.Cost {
+				res.Pruned = append(res.Pruned, Pruned{Bin: bin.Label, BlockCount: bc, Bound: lb})
+				continue
+			}
+		}
+		cost, err := eval.Cost(bc)
 		res.Trials = append(res.Trials, Trial{Bin: bin.Label, BlockCount: bc, Cost: cost, Err: err})
 		if err != nil {
 			continue
@@ -99,29 +128,28 @@ func Tune(rows int, eval Evaluator) (Result, error) {
 	return res, nil
 }
 
+// iterationGraph builds the solver's per-iteration TDG over the matrix cut
+// into blockCount tiles per dimension. Only what a cost model reads is built:
+// tile occupancy (no tile contents), the program and its graph (no store).
+func iterationGraph(coo *sparse.COO, sv Solver, blockCount int) (*graph.TDG, error) {
+	tiles := coo.TileSkeleton((coo.Rows + blockCount - 1) / blockCount)
+	switch sv {
+	case Lanczos:
+		return solver.LanczosGraph(tiles, 10)
+	case LOBPCG:
+		return solver.LOBPCGGraph(tiles, 8)
+	}
+	return nil, fmt.Errorf("autotune: unknown solver %d", sv)
+}
+
 // SimEvaluator returns an Evaluator that builds the solver's per-iteration
 // TDG at each candidate block count and measures one warm iteration on the
 // discrete-event simulator with the given machine model and policy factory.
 func SimEvaluator(coo *sparse.COO, sv Solver, mach machine.Model, pol func(machine.Model) sim.Policy) Evaluator {
-	return func(blockCount int) (float64, error) {
-		block := (coo.Rows + blockCount - 1) / blockCount
-		csb := coo.ToCSB(block)
-		var g *graph.TDG
-		switch sv {
-		case Lanczos:
-			l, err := solver.NewLanczos(csb, 10)
-			if err != nil {
-				return 0, err
-			}
-			g = l.Graph()
-		case LOBPCG:
-			l, err := solver.NewLOBPCG(csb, 8)
-			if err != nil {
-				return 0, err
-			}
-			g = l.Graph()
-		default:
-			return 0, fmt.Errorf("autotune: unknown solver %d", sv)
+	return Evaluator{Cost: func(blockCount int) (float64, error) {
+		g, err := iterationGraph(coo, sv, blockCount)
+		if err != nil {
+			return 0, err
 		}
 		p := pol(mach)
 		s := sim.New(mach, true)
@@ -134,38 +162,50 @@ func SimEvaluator(coo *sparse.COO, sv Solver, mach machine.Model, pol func(machi
 			return 0, err
 		}
 		return float64(r.MakespanNs), nil
-	}
+	}}
 }
+
+// boundSlack is the relative margin GraphEvaluator's bound keeps below the
+// work floor: floor and graph sum the same terms in different orders, and
+// rounding must not lift the bound over a cost it equals on paper.
+const boundSlack = 1e-9
 
 // GraphEvaluator returns an Evaluator that scores candidates analytically
 // without simulation: estimated makespan = max(work/w, span) under the flop
 // cost model plus per-task overhead on w workers. Orders of magnitude
 // cheaper than simulation; useful as a pre-filter or when no machine model
 // applies.
+//
+// Its Bound is work/w over graph.WorkFloor: the flops no tiling changes plus
+// the overhead of the tasks every tiling must emit. Per-task overhead is what
+// sinks the fine bins, and the floor knows their task counts from the solver's
+// call list alone — no tiling, no graph.
 func GraphEvaluator(coo *sparse.COO, sv Solver, workers int, flopsPerNs, overheadNs float64) Evaluator {
-	return func(blockCount int) (float64, error) {
-		block := (coo.Rows + blockCount - 1) / blockCount
-		csb := coo.ToCSB(block)
-		var g *graph.TDG
-		switch sv {
-		case Lanczos:
-			l, err := solver.NewLanczos(csb, 10)
-			if err != nil {
-				return 0, err
-			}
-			g = l.Graph()
-		case LOBPCG:
-			l, err := solver.NewLOBPCG(csb, 8)
-			if err != nil {
-				return 0, err
-			}
-			g = l.Graph()
-		default:
-			return 0, fmt.Errorf("autotune: unknown solver %d", sv)
+	ev := Evaluator{Cost: func(blockCount int) (float64, error) {
+		g, err := iterationGraph(coo, sv, blockCount)
+		if err != nil {
+			return 0, err
 		}
 		b := g.ComputeBounds(func(t *graph.Task) float64 {
 			return float64(t.Flops)/flopsPerNs + overheadNs
 		})
 		return b.LowerBound(workers), nil
+	}}
+	if coo.Rows <= 0 {
+		return ev
 	}
+	// The solver's call list is the same at every tiling, so the graph of the
+	// untiled matrix — a dozen tasks — supplies the program the floor walks.
+	probe, err := iterationGraph(coo, sv, 1)
+	if err != nil {
+		return ev // Cost fails the same way on every candidate
+	}
+	nnz := int64(coo.NNZ()) // compacted by the probe
+	ev.Bound = func(blockCount int) float64 {
+		block := (coo.Rows + blockCount - 1) / blockCount
+		flops, tasks := graph.WorkFloor(probe.Prog, (coo.Rows+block-1)/block, nnz)
+		work := float64(flops)/flopsPerNs + overheadNs*float64(tasks)
+		return (1 - boundSlack) * work / float64(workers)
+	}
+	return ev
 }

@@ -12,9 +12,9 @@ import (
 
 func TestTunePicksMinimum(t *testing.T) {
 	// Synthetic U-curve with minimum at block count 45 (bin 32-63).
-	res, err := Tune(100000, func(bc int) (float64, error) {
+	res, err := Tune(100000, Evaluator{Cost: func(bc int) (float64, error) {
 		return math.Abs(float64(bc) - 50), nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestTunePicksMinimum(t *testing.T) {
 
 func TestTuneSkipsInfeasible(t *testing.T) {
 	calls := 0
-	res, err := Tune(100000, func(bc int) (float64, error) {
+	res, err := Tune(100000, Evaluator{Cost: func(bc int) (float64, error) {
 		calls++
 		if bc < 100 {
 			return 0, errors.New("infeasible")
 		}
 		return float64(bc), nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestTuneSkipsInfeasible(t *testing.T) {
 
 func TestTuneSmallMatrixSkipsLargeBins(t *testing.T) {
 	seen := map[int]bool{}
-	if _, err := Tune(100, func(bc int) (float64, error) {
+	if _, err := Tune(100, Evaluator{Cost: func(bc int) (float64, error) {
 		seen[bc] = true
 		return 1, nil
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if seen[181] || seen[362] {
@@ -63,10 +63,10 @@ func TestTuneSmallMatrixSkipsLargeBins(t *testing.T) {
 }
 
 func TestTuneAllInfeasibleErrors(t *testing.T) {
-	if _, err := Tune(1000, func(int) (float64, error) { return 0, errors.New("no") }); err == nil {
+	if _, err := Tune(1000, Evaluator{Cost: func(int) (float64, error) { return 0, errors.New("no") }}); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := Tune(0, nil); err == nil {
+	if _, err := Tune(0, Evaluator{}); err == nil {
 		t.Fatal("expected error for zero rows")
 	}
 }

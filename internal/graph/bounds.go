@@ -1,5 +1,7 @@
 package graph
 
+import "sparsetask/internal/program"
+
 // Bounds are scheduling lower bounds for executing the TDG on w workers with
 // the given per-task cost function, from the two classic arguments:
 //
@@ -69,4 +71,52 @@ func (g *TDG) Parallelism() float64 {
 		return 0
 	}
 	return b.Work / b.Span
+}
+
+// WorkFloor returns flops and a task count that no expansion of p's calls can
+// undercut when the row space is cut into np partitions and the sparse operand
+// holds nnz entries — whatever the tile occupancy, so it needs no matrix. It
+// mirrors the expand* functions: every call but the sparse product has a
+// task count and flop total fixed by np alone, and a sparse product does its
+// 2·nnz·n flops in at least one task per row block (a tile, or the zeroing
+// task of a row block without tiles). Under a cost model that charges each
+// task its flops plus a fixed overhead, the floor is a lower bound on
+// ComputeBounds(...).Work; calls whose floor is not known contribute nothing.
+func WorkFloor(p *program.Program, np int, nnz int64) (flops, tasks int64) {
+	m, parts := int64(p.M), int64(np)
+	for i := range p.Calls {
+		c := &p.Calls[i]
+		n := int64(p.Op(c.Out).Cols)
+		switch c.Kind {
+		case program.CSpMM:
+			flops += 2 * nnz * n
+			tasks += parts
+		case program.CGemm:
+			flops += 2 * m * int64(p.Op(c.A).Cols) * n
+			tasks += parts
+		case program.CGemmT:
+			kn := int64(p.Op(c.A).Cols) * int64(p.Op(c.B).Cols)
+			flops += 2*m*kn + parts*kn
+			tasks += parts + 1
+		case program.CAxpby, program.CColAxpby:
+			flops += 3 * m * n
+			tasks += parts
+		case program.CScaleInv, program.CCopy, program.CDiagScale:
+			flops += m * n
+			tasks += parts
+		case program.CDot:
+			flops += 2*m*int64(p.Op(c.A).Cols) + parts
+			tasks += parts + 1
+		case program.CColDot:
+			w := int64(p.Op(c.A).Cols)
+			flops += 2*m*w + parts*w
+			tasks += parts + 1
+		case program.CSmall:
+			flops++
+			tasks++
+		case program.CSpTrsv:
+			tasks += parts
+		}
+	}
+	return flops, tasks
 }

@@ -172,15 +172,12 @@ func (r *Router) candidates(fp uint64) []*shardState {
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	// body is the request as the client sent it: having validated it, the
+	// router forwards those bytes rather than re-encoding the spec it decoded
+	// (an inline matrix makes that spec most of a megabyte).
+	spec, body, status, err := server.ReadJobSpec(w, req)
+	if err != nil {
+		writeError(w, status, err)
 		return
 	}
 	fp, err := r.fps.fingerprint(spec.Matrix)
@@ -198,11 +195,6 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// Primary plus one fallback: bounded tail latency, and affinity decays
 		// fast past the second choice anyway.
 		cands = cands[:2]
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
 	}
 	primary := Rank(r.names, fp)[0]
 	var lastStatus int
@@ -342,6 +334,11 @@ type MetricsSnapshot struct {
 		QueueCapacity    int   `json:"queue_capacity"`
 		CoalescedBatches int64 `json:"coalesced_batches"`
 		BatchedJobs      int64 `json:"batched_jobs"`
+		// Autotune* sum the shards' block-size searches: sweeps run, and the
+		// candidates they evaluated and skipped on their bound.
+		AutotuneSweeps int64 `json:"autotune_sweeps"`
+		AutotuneTrials int64 `json:"autotune_trials"`
+		AutotunePruned int64 `json:"autotune_pruned"`
 		// Operator* sum the shards' identity-keyed operator caches: lookups
 		// that found a built matrix, matrices actually built, and what the
 		// fleet holds against its combined byte budget.
@@ -404,6 +401,9 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		snap.Totals.QueueCapacity += ms.Queue.Capacity
 		snap.Totals.CoalescedBatches += ms.Batching.CoalescedBatches
 		snap.Totals.BatchedJobs += ms.Batching.BatchedJobs
+		snap.Totals.AutotuneSweeps += ms.PlanCache.AutotuneSweeps
+		snap.Totals.AutotuneTrials += ms.PlanCache.AutotuneTrials
+		snap.Totals.AutotunePruned += ms.PlanCache.AutotunePruned
 		snap.Totals.OperatorHits += ms.OperatorCache.Hits
 		snap.Totals.OperatorBuilds += ms.OperatorCache.Builds
 		snap.Totals.OperatorBytes += ms.OperatorCache.Bytes

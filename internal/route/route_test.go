@@ -1,9 +1,11 @@
 package route
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,6 +78,7 @@ func TestRankDeterministicAndStableUnderRemoval(t *testing.T) {
 type fakeShard struct {
 	mu       sync.Mutex
 	submits  int
+	lastBody []byte // the most recent POST /jobs body, as received
 	depth    int
 	capacity int
 	status   int
@@ -94,7 +97,12 @@ func newFakeShard(t *testing.T) *fakeShard {
 		fmt.Fprintf(w, `{"status":"ok","workers":2,"queue":{"depth":%d,"capacity":%d}}`, d, c)
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("fake shard: read body: %v", err)
+		}
 		f.mu.Lock()
+		f.lastBody = body
 		f.submits++
 		n, st := f.submits, f.status
 		f.mu.Unlock()
@@ -123,6 +131,12 @@ func (f *fakeShard) submitted() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.submits
+}
+
+func (f *fakeShard) received() []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lastBody
 }
 
 func newTestRouter(t *testing.T, cfg Config) *Router {
@@ -308,6 +322,60 @@ func TestBackpressureRetryThen429(t *testing.T) {
 	}
 }
 
+// The router validates a submission and then forwards the bytes it read, not
+// a re-encoding of what it decoded; what fails validation never leaves it.
+func TestSubmitForwardsClientBytesVerbatim(t *testing.T) {
+	shard := newFakeShard(t)
+	r := newTestRouter(t, Config{Shards: []Shard{{Name: "only", URL: shard.srv.URL}}})
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/jobs", "application/json", body)
+		if err != nil {
+			t.Fatalf("POST /jobs: %v", err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Field order, spacing, escapes and a zero-valued field that Marshal would
+	// write differently or drop.
+	doc, err := json.Marshal(tridiagMM(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := "{ \"matrix\" : {\"mm\":" + strings.ReplaceAll(string(doc), `\n`, `\u000a`) + "},\n\t\"seed\": 0, \"backend\":\"bsp\", \"solver\":\"\\u0063g\" }\n"
+	if status := post(strings.NewReader(body)); status != http.StatusAccepted {
+		t.Fatalf("status %d, want 202", status)
+	}
+	if got := string(shard.received()); got != body {
+		t.Fatalf("shard received\n%q\nclient sent\n%q", got, body)
+	}
+
+	// Rejections happen at the router: the shard sees no second submission.
+	rejected := map[string]struct {
+		body io.Reader
+		want int
+	}{
+		"unknown field": {strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"suite":"inline1"},"rhs":[1]}`), http.StatusBadRequest},
+		"invalid spec":  {strings.NewReader(`{"solver":"qr","backend":"bsp","matrix":{"suite":"inline1"}}`), http.StatusBadRequest},
+		"not json":      {strings.NewReader(`solver=cg`), http.StatusBadRequest},
+		"oversized": {io.MultiReader(
+			strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"mm":"`),
+			bytes.NewReader(bytes.Repeat([]byte{'1'}, server.MaxJobBodyBytes)),
+			strings.NewReader(`"}}`)), http.StatusRequestEntityTooLarge},
+	}
+	for name, c := range rejected {
+		if status := post(c.body); status != c.want {
+			t.Errorf("%s: status %d, want %d", name, status, c.want)
+		}
+	}
+	if n := shard.submitted(); n != 1 {
+		t.Fatalf("shard saw %d submissions, want only the valid one", n)
+	}
+}
+
 func TestNoHealthyShard503(t *testing.T) {
 	dead := httptest.NewServer(http.NewServeMux())
 	url := dead.URL
@@ -451,6 +519,18 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	}
 	if len(ms.ShardDetail) != 2 {
 		t.Fatalf("shard detail for %d shards, want 2", len(ms.ShardDetail))
+	}
+	// One sweep per matrix, wherever it landed; every candidate of a sweep is
+	// either a trial or pruned.
+	var sweeps, candidates int64
+	for _, d := range ms.ShardDetail {
+		sweeps += d.PlanCache.AutotuneSweeps
+		candidates += d.PlanCache.AutotuneTrials + d.PlanCache.AutotunePruned
+	}
+	if got := ms.Totals; got.AutotuneSweeps != int64(len(mats)) || got.AutotuneSweeps != sweeps ||
+		got.AutotuneTrials < sweeps || got.AutotuneTrials+got.AutotunePruned != candidates {
+		t.Fatalf("totals report %d sweeps, %d trials, %d pruned; shards ran %d sweeps over %d candidates",
+			got.AutotuneSweeps, got.AutotuneTrials, got.AutotunePruned, sweeps, candidates)
 	}
 	if h, m, _ := r.fps.stats(); h+m != int64(len(ids)) || m != int64(len(mats)) {
 		t.Fatalf("fingerprint cache hits=%d misses=%d, want misses=%d and hits+misses=%d",

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sparsetask/internal/autotune"
+	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
@@ -242,8 +243,9 @@ func (e *Engine) runBatchJobs(group []*Job) {
 			res.BatchID = batchID
 			res.BatchSize = len(jobs)
 			res.BatchIndex = i
-			if i > 0 { // only the first member can have built the operator
+			if i > 0 { // only the first member can have built the operator, or paid for any stage
 				res.MatrixSource = "cache"
+				res.Timings = nil
 			}
 			j.state = StateDone
 			j.result = &res
@@ -262,7 +264,15 @@ type materialized struct {
 	mat          sparse.Matrix
 	planSource   string
 	matrixSource string
+	// timings is where the job's time went, stage by stage; firstSight says
+	// some stage before the solve did its work instead of finding it cached,
+	// which is when the result reports them.
+	timings    Timings
+	firstSight bool
 }
+
+// sinceMS is the time since start in milliseconds.
+func sinceMS(start time.Time) float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
 
 // materialize is the front half of every job: identity lookup in the
 // operator cache (a miss generates or parses the matrix and scans it, once,
@@ -280,12 +290,38 @@ func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
 	if built {
 		m.matrixSource = "built"
 	}
+	m.timings.LoadMS = sinceMS(start)
+	planStart := time.Now()
 	m.plan, m.planSource = e.resolvePlan(job.Spec, op, workers)
+	m.timings.PlanMS = sinceMS(planStart)
 	e.metrics.PlanStage.Observe(time.Since(start))
+	convertStart := time.Now()
 	if m.mat, err = op.storageFor(m.plan.Block); err != nil {
 		return nil, err
 	}
+	m.timings.ConvertMS = sinceMS(convertStart)
+	m.firstSight = built || m.planSource == "autotune" || m.planSource == "fallback"
 	return m, nil
+}
+
+// preconditioner is the operator's, timed: a pcg job that had to factorize is
+// a first-sight job even when matrix and plan were cached.
+func (m *materialized) preconditioner() (*precond.IC0, *precond.Levels, *precond.Levels, string, error) {
+	start := time.Now()
+	ic, low, up, source, err := m.op.preconditioner(m.plan.Block)
+	m.timings.FactorMS = sinceMS(start)
+	m.firstSight = m.firstSight || source == "computed"
+	return ic, low, up, source, err
+}
+
+// reportTimings closes the solve stage and attaches the timings to the result
+// of a first-sight job. Repeat traffic reports none: its stages are lookups.
+func (m *materialized) reportTimings(solveStart time.Time, res *JobResult) {
+	if m.firstSight {
+		t := m.timings
+		t.SolveMS = sinceMS(solveStart)
+		res.Timings = &t
+	}
 }
 
 // result starts a JobResult with the fields every solver kind reports.
@@ -343,7 +379,7 @@ func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColRe
 			return nil, nil, err
 		}
 	case "pcg":
-		ic, low, up, fsource, err := m.op.preconditioner(m.plan.Block)
+		ic, low, up, fsource, err := m.preconditioner()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -361,6 +397,7 @@ func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColRe
 		return nil, nil, fmt.Errorf("solver %q is not batchable", spec.Solver)
 	}
 	e.metrics.Solve.Observe(time.Since(solveStart))
+	m.reportTimings(solveStart, shared)
 	return results, shared, nil
 }
 
@@ -436,7 +473,7 @@ func (e *Engine) run(ctx context.Context, job *Job) (*JobResult, error) {
 		res.Residual = relres
 		res.Converged = true
 	case "pcg":
-		ic, low, up, fsource, err := m.op.preconditioner(m.plan.Block)
+		ic, low, up, fsource, err := m.preconditioner()
 		if err != nil {
 			return nil, err
 		}
@@ -458,6 +495,7 @@ func (e *Engine) run(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, fmt.Errorf("unknown solver %q", spec.Solver)
 	}
 	e.metrics.Solve.Observe(time.Since(solveStart))
+	m.reportTimings(solveStart, res)
 	return res, nil
 }
 
@@ -486,8 +524,9 @@ type runtimeKey struct {
 }
 
 // resolvePlan picks the CSB tiling: an explicit request wins, then the plan
-// cache, then a fresh §5.4 six-trial autotune sweep whose result is cached
-// under the matrix's structural fingerprint. Matrices too small to tune get
+// cache, then a fresh §5.4 six-bin autotune sweep — which evaluates only the
+// bins its cost bound cannot rule out — whose result is cached under the
+// matrix's structural fingerprint. Matrices too small to tune get
 // a single-tile fallback (also cached, so they only pay the failed sweep
 // once).
 func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, string) {
@@ -516,6 +555,8 @@ func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, str
 	}
 	e.metrics.AutotuneSweeps.Add(1)
 	res, err := autotune.Tune(rows, autotune.GraphEvaluator(op.coo, sv, workers, tuneFlopsPerNs, tuneOverheadNs))
+	e.metrics.AutotuneTrials.Add(int64(len(res.Trials)))
+	e.metrics.AutotunePruned.Add(int64(len(res.Pruned)))
 	if err != nil {
 		p := Plan{Block: rows, BlockCount: 1}
 		e.plans.Put(key, p)

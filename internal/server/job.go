@@ -192,7 +192,7 @@ type JobResult struct {
 	SymStorage bool `json:"sym_storage,omitempty"`
 	// PlanSource records where the tiling came from: "request" (explicit
 	// block in the spec), "cache" (plan-cache hit), "autotune" (fresh
-	// six-trial sweep), or "fallback" (matrix too small to tune).
+	// six-bin sweep), or "fallback" (matrix too small to tune).
 	PlanSource string `json:"plan_source"`
 	// Precond names the preconditioner a pcg job actually applied: "ic0",
 	// or "jacobi" when the factorization hit a non-positive pivot.
@@ -212,6 +212,26 @@ type JobResult struct {
 	BatchID    string `json:"batch_id,omitempty"`
 	BatchSize  int    `json:"batch_size,omitempty"`
 	BatchIndex int    `json:"batch_index,omitempty"`
+	// Timings is set on a first-sight job — one that built its matrix, swept
+	// for its plan, or factorized — and says what each stage cost it. A job
+	// served from the caches reports none.
+	Timings *Timings `json:"timings,omitempty"`
+}
+
+// Timings splits a first-sight job's run into its stages, in milliseconds.
+// The stages run back to back, so they sum to the run time less bookkeeping.
+type Timings struct {
+	// LoadMS: operator lookup — on a miss, generating or parsing the matrix,
+	// compacting it, and the CSR scan behind its stats and fingerprint.
+	LoadMS float64 `json:"load_ms"`
+	// PlanMS: plan lookup, or the autotune sweep.
+	PlanMS float64 `json:"plan_ms"`
+	// ConvertMS: tiling the matrix at the plan's block size.
+	ConvertMS float64 `json:"convert_ms"`
+	// FactorMS: IC(0) factorization and level analyses (pcg only).
+	FactorMS float64 `json:"factor_ms"`
+	// SolveMS: solver construction and iterations.
+	SolveMS float64 `json:"solve_ms"`
 }
 
 // Job is one tracked solve. All mutable fields are guarded by mu.

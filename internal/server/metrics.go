@@ -215,7 +215,9 @@ type Metrics struct {
 
 	PlanHits       atomic.Int64
 	PlanMisses     atomic.Int64
-	AutotuneSweeps atomic.Int64 // six-trial block-size searches actually run
+	AutotuneSweeps atomic.Int64 // six-bin block-size searches actually run
+	AutotuneTrials atomic.Int64 // candidates those searches evaluated (tiled + graph built)
+	AutotunePruned atomic.Int64 // candidates they skipped on their lower bound
 
 	CoalescedBatches atomic.Int64 // dispatcher groups that merged >= 2 jobs
 	BatchedJobs      atomic.Int64 // jobs executed via a multi-RHS batched solve
@@ -250,6 +252,11 @@ type MetricsSnapshot struct {
 		Size           int   `json:"size"`
 		Capacity       int   `json:"capacity"`
 		AutotuneSweeps int64 `json:"autotune_sweeps"`
+		// AutotuneTrials and AutotunePruned split the candidates of those
+		// sweeps into evaluated and skipped-on-bound; they sum to at most six
+		// per sweep.
+		AutotuneTrials int64 `json:"autotune_trials"`
+		AutotunePruned int64 `json:"autotune_pruned"`
 	} `json:"plan_cache"`
 	FactorCache   FactorCacheSnapshot   `json:"factor_cache"`
 	OperatorCache OperatorCacheSnapshot `json:"operator_cache"`

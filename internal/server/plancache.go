@@ -26,7 +26,7 @@ type PlanKey struct {
 	SymStorage bool
 }
 
-// Plan is the memoized outcome of the §5.4 six-trial autotune sweep.
+// Plan is the memoized outcome of the §5.4 six-bin autotune sweep.
 type Plan struct {
 	Block      int    // CSB block size in rows
 	BlockCount int    // per-dimension tile count the tuner picked

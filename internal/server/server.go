@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"sparsetask/internal/rt"
@@ -54,16 +56,40 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+// MaxJobBodyBytes caps a POST /jobs body, on solverd and on the router alike.
+// The body is held whole — an inline matrix is one JSON string — so without a
+// cap a client sizes the server's memory before Validate has seen a byte.
+// 32 MiB is about a million inline MatrixMarket entries.
+const MaxJobBodyBytes = 32 << 20
+
+// ReadJobSpec reads a POST /jobs body, capped at MaxJobBodyBytes, and decodes
+// and validates the spec in it. It returns the bytes as the client sent them,
+// which is what the router forwards to a shard. On failure status is the HTTP
+// status to answer with: 413 for an oversized body, 400 otherwise.
+func ReadJobSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, body []byte, status int, err error) {
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return spec, nil, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit)
+		}
+		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
-		return
+		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
 	}
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		return spec, nil, http.StatusBadRequest, err
+	}
+	return spec, body, http.StatusOK, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, _, status, err := ReadJobSpec(w, r)
+	if err != nil {
+		writeError(w, status, err)
 		return
 	}
 	job, err := s.Submit(spec)
@@ -144,6 +170,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.PlanCache.Size = s.plans.Len()
 	snap.PlanCache.Capacity = s.cfg.PlanCacheSize
 	snap.PlanCache.AutotuneSweeps = m.AutotuneSweeps.Load()
+	snap.PlanCache.AutotuneTrials = m.AutotuneTrials.Load()
+	snap.PlanCache.AutotunePruned = m.AutotunePruned.Load()
 
 	snap.OperatorCache, snap.FactorCache = s.operators.Stats()
 

@@ -74,15 +74,37 @@ type Lanczos struct {
 // NewLanczos builds the solver and its single-iteration TDG. A *sparse.SymCSB
 // matrix routes the SpMV through the symmetry-exploiting kernels.
 func NewLanczos(a sparse.Matrix, k int) (*Lanczos, error) {
+	l, w, err := planLanczos(a, k)
+	if err != nil {
+		return nil, err
+	}
+	l.st = program.NewStore(l.prog)
+	w.attach(l.st)
+	return l, nil
+}
+
+// LanczosGraph builds the single-iteration TDG NewLanczos(a, k) would run,
+// without the operand store: what a cost model needs of the solver. It reads
+// only a's tile occupancy, so a sparse.COO.TileSkeleton will do for a.
+func LanczosGraph(a sparse.Matrix, k int) (*graph.TDG, error) {
+	l, _, err := planLanczos(a, k)
+	if err != nil {
+		return nil, err
+	}
+	return l.g, nil
+}
+
+// planLanczos is NewLanczos up to, not including, the operand store.
+func planLanczos(a sparse.Matrix, k int) (*Lanczos, matWiring, error) {
 	if k < 1 {
-		return nil, errors.New("solver: Lanczos needs k >= 1")
+		return nil, matWiring{}, errors.New("solver: Lanczos needs k >= 1")
 	}
 	rows, cols := a.Dims()
 	if rows != cols {
-		return nil, fmt.Errorf("solver: Lanczos needs a square matrix, got %dx%d", rows, cols)
+		return nil, matWiring{}, fmt.Errorf("solver: Lanczos needs a square matrix, got %dx%d", rows, cols)
 	}
 	if k > rows {
-		return nil, fmt.Errorf("solver: k=%d exceeds matrix dimension %d", k, rows)
+		return nil, matWiring{}, fmt.Errorf("solver: k=%d exceeds matrix dimension %d", k, rows)
 	}
 	l := &Lanczos{A: a, K: k, Tol: 1e-10}
 	// Full capacity up front so per-iteration appends never reallocate.
@@ -92,7 +114,7 @@ func NewLanczos(a sparse.Matrix, k int) (*Lanczos, error) {
 	l.prog = p
 	w, err := wireMatrix(p, a)
 	if err != nil {
-		return nil, err
+		return nil, w, err
 	}
 	l.opA = w.op
 	l.opQ = p.Vec("q", 1)
@@ -115,14 +137,11 @@ func NewLanczos(a sparse.Matrix, k int) (*Lanczos, error) {
 	p.ScaleInv(l.opQn, l.opZ, l.opBt)
 
 	opt := graph.DefaultOptions()
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	l.g, err = graph.Build(p, w.graphInputs(&opt), opt)
 	if err != nil {
-		return nil, err
+		return nil, w, err
 	}
-	l.g = g
-	l.st = program.NewStore(p)
-	w.attach(l.st)
-	return l, nil
+	return l, w, nil
 }
 
 // Graph exposes the per-iteration TDG (for the simulator and analysis).

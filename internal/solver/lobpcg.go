@@ -71,15 +71,37 @@ func WithJacobiPreconditioner() Option {
 // A *sparse.SymCSB matrix routes the SpMM through the symmetry-exploiting
 // kernels (LOBPCG requires symmetry anyway, so this is the natural storage).
 func NewLOBPCG(a sparse.Matrix, n int, opts ...Option) (*LOBPCG, error) {
+	l, w, err := planLOBPCG(a, n, opts)
+	if err != nil {
+		return nil, err
+	}
+	l.st = program.NewStore(l.prog)
+	w.attach(l.st)
+	l.ws = newRRWorkspace(n)
+	return l, nil
+}
+
+// LOBPCGGraph builds the single-iteration TDG NewLOBPCG(a, n) would run,
+// without the operand store or the Rayleigh–Ritz workspace (see LanczosGraph).
+func LOBPCGGraph(a sparse.Matrix, n int) (*graph.TDG, error) {
+	l, _, err := planLOBPCG(a, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return l.g, nil
+}
+
+// planLOBPCG is NewLOBPCG up to, not including, the state a run needs.
+func planLOBPCG(a sparse.Matrix, n int, opts []Option) (*LOBPCG, matWiring, error) {
 	if n < 1 {
-		return nil, errors.New("solver: LOBPCG needs block width >= 1")
+		return nil, matWiring{}, errors.New("solver: LOBPCG needs block width >= 1")
 	}
 	rows, cols := a.Dims()
 	if rows != cols {
-		return nil, fmt.Errorf("solver: LOBPCG needs a square matrix, got %dx%d", rows, cols)
+		return nil, matWiring{}, fmt.Errorf("solver: LOBPCG needs a square matrix, got %dx%d", rows, cols)
 	}
 	if 3*n > rows {
-		return nil, fmt.Errorf("solver: block width %d too large for dimension %d", n, rows)
+		return nil, matWiring{}, fmt.Errorf("solver: block width %d too large for dimension %d", n, rows)
 	}
 	l := &LOBPCG{A: a, N: n, Tol: 1e-8, MaxIter: 100}
 	for _, o := range opts {
@@ -89,7 +111,7 @@ func NewLOBPCG(a sparse.Matrix, n int, opts ...Option) (*LOBPCG, error) {
 	l.prog = p
 	w, err := wireMatrix(p, a)
 	if err != nil {
-		return nil, err
+		return nil, w, err
 	}
 	l.opA = w.op
 	l.opPsi = p.Vec("Psi", n)
@@ -174,15 +196,11 @@ func NewLOBPCG(a sparse.Matrix, n int, opts ...Option) (*LOBPCG, error) {
 	p.Copy(l.opHQ, l.opHQN)
 
 	opt := graph.DefaultOptions()
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	l.g, err = graph.Build(p, w.graphInputs(&opt), opt)
 	if err != nil {
-		return nil, err
+		return nil, w, err
 	}
-	l.g = g
-	l.st = program.NewStore(p)
-	w.attach(l.st)
-	l.ws = newRRWorkspace(n)
-	return l, nil
+	return l, w, nil
 }
 
 // Graph exposes the per-iteration TDG.

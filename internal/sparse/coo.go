@@ -9,9 +9,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // COO is a coordinate-format sparse matrix. Entries may be unsorted and may
@@ -48,28 +49,42 @@ func (a *COO) Append(i, j int32, v float64) {
 	a.V = append(a.V, v)
 }
 
-type cooSorter struct{ a *COO }
-
-func (s cooSorter) Len() int { return len(s.a.V) }
-func (s cooSorter) Less(x, y int) bool {
-	a := s.a
-	if a.I[x] != a.I[y] {
-		return a.I[x] < a.I[y]
-	}
-	return a.J[x] < a.J[y]
-}
-func (s cooSorter) Swap(x, y int) {
-	a := s.a
-	a.I[x], a.I[y] = a.I[y], a.I[x]
-	a.J[x], a.J[y] = a.J[y], a.J[x]
-	a.V[x], a.V[y] = a.V[y], a.V[x]
-}
-
 // Sort orders entries by (row, col). The sort is stable so that duplicate
 // entries merge in insertion order; Compact then sums mirrored duplicate
 // pairs in the same order, keeping symmetric inputs exactly symmetric under
 // floating-point addition.
-func (a *COO) Sort() { sort.Stable(cooSorter{a}) }
+//
+// It is a counting sort by row — linear in entries plus rows — and then a
+// stable sort of each row's columns that the scatter did not leave in order.
+func (a *COO) Sort() {
+	start := make([]int, a.Rows+1)
+	for _, i := range a.I {
+		start[i+1]++
+	}
+	for r := 0; r < a.Rows; r++ {
+		start[r+1] += start[r]
+	}
+	type colVal struct {
+		j int32
+		v float64
+	}
+	row := make([]colVal, len(a.V))
+	next := append([]int(nil), start[:a.Rows]...)
+	for k, i := range a.I {
+		row[next[i]] = colVal{a.J[k], a.V[k]}
+		next[i]++
+	}
+	byCol := func(x, y colVal) int { return cmp.Compare(x.j, y.j) }
+	for r := 0; r < a.Rows; r++ {
+		lo, hi := start[r], start[r+1]
+		if !slices.IsSortedFunc(row[lo:hi], byCol) {
+			slices.SortStableFunc(row[lo:hi], byCol)
+		}
+		for p := lo; p < hi; p++ {
+			a.I[p], a.J[p], a.V[p] = int32(r), row[p].j, row[p].v
+		}
+	}
+}
 
 // Compact sorts the entries and merges duplicates by summing their values.
 // Entries that sum to exactly zero are kept (structural nonzeros).

@@ -58,11 +58,15 @@ func (a *CSB) BlockDim(bi, bj int) (int, int) {
 	return r, c
 }
 
-// ToCSB converts a COO matrix to CSB with the given tile size. The COO input
-// is compacted first. Panics if block <= 0.
-func (a *COO) ToCSB(block int) *CSB {
+// TileSkeleton returns the tiling of the matrix at the given tile size with
+// no entries in it: dimensions and BlkPtr as ToCSB would compute them, and
+// nil RI, CI and V. That is everything tile occupancy (BlockNNZ,
+// NonEmptyBlocks) and task-graph expansion read, for the price of one
+// counting pass; the kernels cannot run on it. The COO input is compacted
+// first. Panics if block <= 0.
+func (a *COO) TileSkeleton(block int) *CSB {
 	if block <= 0 {
-		panic("sparse: ToCSB requires block > 0")
+		panic("sparse: tiling requires block > 0")
 	}
 	a.Compact()
 	nbr := (a.Rows + block - 1) / block
@@ -71,11 +75,7 @@ func (a *COO) ToCSB(block int) *CSB {
 		Rows: a.Rows, Cols: a.Cols,
 		Block: block, NBR: nbr, NBC: nbc,
 		BlkPtr: make([]int64, nbr*nbc+1),
-		RI:     make([]int32, len(a.V)),
-		CI:     make([]int32, len(a.V)),
-		V:      make([]float64, len(a.V)),
 	}
-	// Count entries per tile.
 	for k := range a.V {
 		bi := int(a.I[k]) / block
 		bj := int(a.J[k]) / block
@@ -84,10 +84,21 @@ func (a *COO) ToCSB(block int) *CSB {
 	for k := 0; k < nbr*nbc; k++ {
 		c.BlkPtr[k+1] += c.BlkPtr[k]
 	}
+	return c
+}
+
+// ToCSB converts a COO matrix to CSB with the given tile size. The COO input
+// is compacted first. Panics if block <= 0.
+func (a *COO) ToCSB(block int) *CSB {
+	c := a.TileSkeleton(block)
+	nbc := c.NBC
+	c.RI = make([]int32, len(a.V))
+	c.CI = make([]int32, len(a.V))
+	c.V = make([]float64, len(a.V))
 	// Scatter. COO is sorted by (row, col), so entries land in each tile in
 	// (local row, local col) order automatically.
-	next := make([]int64, nbr*nbc)
-	copy(next, c.BlkPtr[:nbr*nbc])
+	next := make([]int64, len(c.BlkPtr)-1)
+	copy(next, c.BlkPtr)
 	for k := range a.V {
 		bi := int(a.I[k]) / block
 		bj := int(a.J[k]) / block

@@ -2,10 +2,13 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // MatrixMarket I/O. Supports the "matrix coordinate real/pattern/integer
@@ -23,11 +26,17 @@ const (
 	MaxEntries = 1 << 28 // declared-nnz ceiling for the entry-reading loop
 )
 
+// maxLine is the longest MatrixMarket line the parser accepts.
+const maxLine = 1 << 20
+
 // ReadMatrixMarket parses a MatrixMarket coordinate stream into COO.
 // Symmetric inputs are expanded to full storage.
+//
+// Entry lines are tokenized in the scanner's buffer: the per-entry cost is the
+// three strconv calls, and the parse allocates the COO arrays plus a constant.
 func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
 	}
@@ -46,14 +55,15 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	default:
 		return nil, fmt.Errorf("sparse: unsupported MatrixMarket symmetry %q", sym)
 	}
+	pattern, symmetric := field == "pattern", sym == "symmetric"
 
 	// Skip comments, find the size line.
 	var rows, cols, nnz int
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		if first, _ := nextField(sc.Bytes()); len(first) == 0 || first[0] == '%' {
 			continue
 		}
+		line := strings.TrimSpace(sc.Text())
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("sparse: bad MatrixMarket size line %q: %v", line, err)
 		}
@@ -73,12 +83,12 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	if nnz < 0 || nnz > MaxEntries {
 		return nil, fmt.Errorf("sparse: MatrixMarket entry count %d exceeds the %d limit", nnz, MaxEntries)
 	}
-	if sym == "symmetric" && rows != cols {
+	if symmetric && rows != cols {
 		return nil, fmt.Errorf("sparse: symmetric MatrixMarket matrix must be square, got %dx%d", rows, cols)
 	}
 
 	hint := nnz
-	if sym == "symmetric" {
+	if symmetric {
 		hint = 2 * nnz
 	}
 	// Cap the pre-allocation further: entries are appended anyway, so even an
@@ -90,31 +100,28 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	a := NewCOO(rows, cols, hint)
 	read := 0
 	for read < nnz && sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		fi, rest := nextField(sc.Bytes())
+		if len(fi) == 0 || fi[0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
-		want := 3
-		if field == "pattern" {
-			want = 2
+		fj, rest := nextField(rest)
+		fv, _ := nextField(rest)
+		if len(fj) == 0 || (!pattern && len(fv) == 0) {
+			return nil, fmt.Errorf("sparse: short MatrixMarket entry %q", bytes.TrimSpace(sc.Bytes()))
 		}
-		if len(f) < want {
-			return nil, fmt.Errorf("sparse: short MatrixMarket entry %q", line)
-		}
-		i64, err := strconv.ParseInt(f[0], 10, 32)
+		i64, err := strconv.ParseInt(string(fi), 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("sparse: bad row index %q: %v", f[0], err)
+			return nil, fmt.Errorf("sparse: bad row index %q: %v", fi, err)
 		}
-		j64, err := strconv.ParseInt(f[1], 10, 32)
+		j64, err := strconv.ParseInt(string(fj), 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("sparse: bad col index %q: %v", f[1], err)
+			return nil, fmt.Errorf("sparse: bad col index %q: %v", fj, err)
 		}
 		v := 1.0
-		if field != "pattern" {
-			v, err = strconv.ParseFloat(f[2], 64)
+		if !pattern {
+			v, err = strconv.ParseFloat(string(fv), 64)
 			if err != nil {
-				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
+				return nil, fmt.Errorf("sparse: bad value %q: %v", fv, err)
 			}
 		}
 		if i64 < 1 || i64 > int64(rows) || j64 < 1 || j64 > int64(cols) {
@@ -122,7 +129,7 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 		}
 		i, j := int32(i64-1), int32(j64-1) // MatrixMarket is 1-based
 		a.Append(i, j, v)
-		if sym == "symmetric" && i != j {
+		if symmetric && i != j {
 			a.Append(j, i, v)
 		}
 		read++
@@ -134,6 +141,49 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 		return nil, fmt.Errorf("sparse: MatrixMarket declared %d entries, found %d", nnz, read)
 	}
 	return a, nil
+}
+
+// nextField splits the first whitespace-delimited field off b, returning it
+// and what follows; the field is empty when b holds only whitespace. White
+// space is what strings.Fields takes it to be, and both results alias b.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if n := wideSpaceLen(b[i:]); n > 0 {
+			i += n
+		} else {
+			break
+		}
+	}
+	j := i
+	for j < len(b) {
+		if c := b[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+		} else if wideSpaceLen(b[j:]) > 0 {
+			break
+		}
+		j++
+	}
+	return b[i:j], b[j:]
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// wideSpaceLen returns the byte length of the non-ASCII white-space character
+// b starts with (no-break space, next line, ...), 0 if it starts with
+// anything else.
+func wideSpaceLen(b []byte) int {
+	if r, n := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
 }
 
 // WriteMatrixMarket writes the matrix in "coordinate real general" form.

@@ -9,7 +9,10 @@
 #     assignment), (b) at least two carry a batch_size in their result,
 #     proving the shard's coalescer merged them into one multi-RHS solve, and
 #     (c) the 2nd-4th report matrix_source "cache": the shard built the
-#     matrix once and served the rest from its operator cache.
+#     matrix once and served the rest from its operator cache. Then a
+#     first-sight lanczos job must report plan_source "autotune" and say what
+#     the sweep cost it (timings.plan_ms), and its repeat plan_source "cache"
+#     and no timings.
 #
 # Used manually and as the serving-layer acceptance check; see README.md.
 set -eu
@@ -36,6 +39,39 @@ wait_healthy() {
         i=$((i + 1))
         if [ "$i" -ge 50 ]; then
             echo "smoke: $2 never became healthy" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
+# submit <url> <spec>: POST a job, print its id; fails the script when refused.
+submit() {
+    ID=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "$1/jobs" |
+        sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+    if [ -z "$ID" ]; then
+        echo "smoke: submit to $1 failed: $2" >&2
+        exit 1
+    fi
+    echo "$ID"
+}
+
+# wait_done <url> <id>: poll until the job is done and leave its view in OUT;
+# fails the script when the job fails or never finishes.
+wait_done() {
+    i=0
+    while :; do
+        OUT=$(curl -s "$1/jobs/$2")
+        case "$OUT" in
+        *'"state": "done"'*) return ;;
+        *'"state": "failed"'* | *'"state": "canceled"'*)
+            echo "smoke: job $2 did not succeed: $OUT" >&2
+            exit 1
+            ;;
+        esac
+        i=$((i + 1))
+        if [ "$i" -ge 300 ]; then
+            echo "smoke: job $2 never finished: $OUT" >&2
             exit 1
         fi
         sleep 0.1
@@ -83,13 +119,9 @@ wait_healthy "http://127.0.0.1:$PF/healthz" solverfront
 
 SPEC='{"solver":"cg","backend":"deepsparse","matrix":{"suite":"inline1","preset":"tiny","seed":7}}'
 IDS=""
+FRONT="http://127.0.0.1:$PF"
 for i in 1 2 3 4; do
-    ID=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$SPEC" \
-        "http://127.0.0.1:$PF/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
-    if [ -z "$ID" ]; then
-        echo "smoke: router submit $i failed" >&2
-        exit 1
-    fi
+    ID=$(submit "$FRONT" "$SPEC")
     IDS="$IDS $ID"
 done
 
@@ -107,23 +139,7 @@ BATCHED=0
 N=0
 for id in $IDS; do
     N=$((N + 1))
-    i=0
-    while :; do
-        OUT=$(curl -s "http://127.0.0.1:$PF/jobs/$id")
-        case "$OUT" in
-        *'"state": "done"'*) break ;;
-        *'"state": "failed"'* | *'"state": "canceled"'*)
-            echo "smoke: job $id did not succeed: $OUT" >&2
-            exit 1
-            ;;
-        esac
-        i=$((i + 1))
-        if [ "$i" -ge 300 ]; then
-            echo "smoke: job $id never finished: $OUT" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+    wait_done "$FRONT" "$id"
     case "$OUT" in
     *'"batch_size"'*) BATCHED=$((BATCHED + 1)) ;;
     esac
@@ -143,6 +159,33 @@ if [ "$BATCHED" -lt 2 ]; then
 fi
 echo "smoke: $BATCHED/4 jobs ran inside a coalesced multi-RHS batch"
 echo "smoke: jobs 2-4 reported matrix_source \"cache\""
+
+# (d) first sight vs repeat: the first lanczos job on a matrix sweeps for its
+# plan and reports what each stage cost; the second finds everything cached.
+EIG='{"solver":"lanczos","backend":"deepsparse","matrix":{"suite":"inline1","preset":"tiny","seed":11},"k":4}'
+FIRST=$(submit "$FRONT" "$EIG") # an assignment, so that set -e sees a refusal
+wait_done "$FRONT" "$FIRST"
+case "$OUT" in
+*'"plan_source": "autotune"'*'"plan_ms"'*) ;;
+*)
+    echo "smoke: first-sight job did not report plan_source autotune with timings.plan_ms: $OUT" >&2
+    exit 1
+    ;;
+esac
+REPEAT=$(submit "$FRONT" "$EIG")
+wait_done "$FRONT" "$REPEAT"
+case "$OUT" in
+*'"timings"'*)
+    echo "smoke: repeat job reported timings, so some stage was not cached: $OUT" >&2
+    exit 1
+    ;;
+*'"plan_source": "cache"'*) ;;
+*)
+    echo "smoke: repeat job did not report plan_source cache: $OUT" >&2
+    exit 1
+    ;;
+esac
+echo "smoke: first-sight job swept (plan_source \"autotune\", timings.plan_ms), its repeat hit the plan cache"
 
 echo "--- router /metrics ---"
 curl -s "http://127.0.0.1:$PF/metrics"
