@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race benchcheck fuzz smoke bench benchmark
+.PHONY: check lint fmt vet build test race benchcheck benchsmoke fuzz smoke bench benchmark
 
-check: build lint test race benchcheck
+check: build lint test race benchcheck benchsmoke
 
 # Static analysis: gofmt, go vet, and sparselint (internal/lint — the
 # repo-specific hot-path/locking/ownership/ctx/determinism analyzers).
@@ -42,6 +42,12 @@ race:
 benchcheck:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# The fine-grain benchmarks of the root bench_test.go (one CG solve per
+# backend and worker count, and the empty-task executor replay), one
+# iteration each, so they cannot rot.
+benchsmoke:
+	$(GO) test -run '^$$' -bench 'FineGrain|ExecutorTask' -benchtime 1x .
 
 # Short fuzz session for the MatrixMarket parser (regression seeds always run
 # as part of `make test`).

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sparsetask/internal/autotune"
@@ -21,6 +22,7 @@ import (
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/program"
 	"sparsetask/internal/rt"
+	"sparsetask/internal/sched"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
 )
@@ -213,6 +215,86 @@ func BenchmarkGraphBuild(b *testing.B) {
 		if l.Graph() == nil {
 			b.Fatal("no graph")
 		}
+	}
+}
+
+// ---- fine grain: what the scheduler costs when tasks are sub-microsecond ----
+
+// fineGrainCG is the solve-finegrain workload's solver: CG on a cache-resident
+// 16 384-row SPD Laplacian tiled 128 per dimension, so an iteration is a few
+// hundred tasks of well under a microsecond each.
+func fineGrainCG(b *testing.B) (*solver.CG, []float64) {
+	b.Helper()
+	const rows, tiles = 16384, 128
+	a, err := matgen.SPDLaplacian(rows, 1).ToSymCSB(rows / tiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := solver.NewCG(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c, solver.RandomRHS(rows, 1)
+}
+
+// fineGrainWorkers is one worker and the machine's parallelism.
+func fineGrainWorkers() []int {
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		return []int{1, p}
+	}
+	return []int{1}
+}
+
+// BenchmarkFineGrainCG runs that solve to convergence on every backend at one
+// worker and at GOMAXPROCS, and reports the wall time of a solve, the tasks of
+// one iteration's graph, and for regent the tasks that paid dependence
+// analysis in the last iteration.
+func BenchmarkFineGrainCG(b *testing.B) {
+	c, rhs := fineGrainCG(b)
+	for _, w := range fineGrainWorkers() {
+		opt := rt.Options{Workers: w}
+		for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
+			b.Run(fmt.Sprintf("%s/w=%d", r.Name(), w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := c.Solve(context.Background(), r, rhs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/solve")
+				b.ReportMetric(float64(len(c.Graph().Tasks)), "tasks")
+				if rg, ok := r.(*rt.Regent); ok {
+					b.ReportMetric(float64(rg.LastAnalyzed), "analyzed")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkExecutorTaskOverhead replays the shape of that iteration's graph
+// through sched.Executor with an empty task body (the Task Bench measurement)
+// and reports what is left: scheduler nanoseconds per task.
+func BenchmarkExecutorTaskOverhead(b *testing.B) {
+	c, _ := fineGrainCG(b)
+	g := c.Graph()
+	indeg := make([]int32, len(g.Tasks))
+	for i := range g.Tasks {
+		indeg[i] = int32(len(g.Tasks[i].Deps))
+	}
+	succs := func(i int32) []int32 { return g.Tasks[i].Succs }
+	for _, w := range fineGrainWorkers() {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			ex := sched.NewExecutor(len(g.Tasks), indeg, succs, g.Roots, func(int, int32) {},
+				sched.Options{Workers: w, Discipline: sched.LIFO})
+			defer ex.Close()
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ex.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
+		})
 	}
 }
 

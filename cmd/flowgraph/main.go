@@ -77,6 +77,10 @@ func main() {
 		fatal(fmt.Errorf("unknown solver %q", *solverName))
 	}
 
+	// The simulator models the paper's frameworks, none of which fuses
+	// tasks: render the graph the solver's fused one was derived from.
+	g = g.Source()
+
 	pol := v.Policy(mach, p.OverheadScale())
 	s := sim.New(mach, true)
 	s.PlaceFirstTouch(g, pol.Workers())

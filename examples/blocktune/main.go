@@ -24,7 +24,7 @@ func buildLOBPCGGraph(coo *sparse.COO, blockCount int) *graph.TDG {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return l.Graph()
+	return l.Graph().Source() // the simulator models the paper's frameworks: no task fusion
 }
 
 func main() {

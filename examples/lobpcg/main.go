@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g := l.Graph()
+		g := l.Graph().Source() // the simulator models the paper's frameworks: no task fusion
 		pol := v.Policy(mach, preset.OverheadScale())
 		s := sim.New(mach, true)
 		s.PlaceFirstTouch(g, pol.Workers())

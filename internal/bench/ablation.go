@@ -83,8 +83,8 @@ func runAblation(cfg *Config) (*Report, error) {
 		},
 	}
 
-	// Task fusion: an extension ablation — fusing elementwise chains trims
-	// scheduling overhead without losing parallelism.
+	// Task fusion: an extension ablation — graph.Build's output against the
+	// partition-local group fusion every solver now iterates on.
 	{
 		mach, err := scaledMachine("broadwell", cfg.Preset)
 		if err != nil {

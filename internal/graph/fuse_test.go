@@ -70,9 +70,11 @@ func TestFuseDoesNotCrossPartitions(t *testing.T) {
 	}
 }
 
-func TestFuseDoesNotFuseSharedProducers(t *testing.T) {
-	// Y feeds TWO consumers: neither may fuse with the producer (parallelism
-	// would be lost).
+func TestFuseGroupsSiblingConsumers(t *testing.T) {
+	// Y feeds two consumers on its own partition. They could run side by
+	// side, but only with each other — the rule trades that for one dispatch
+	// per partition: everything the second consumer waits for is in the
+	// group.
 	m, block, n := 16, 8, 2
 	p := program.New(m, block)
 	X := p.Vec("X", n)
@@ -87,8 +89,66 @@ func TestFuseDoesNotFuseSharedProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Fuse(g)
+	if len(f.Tasks) != p.NP {
+		t.Fatalf("%d tasks after fusion, want one per partition (%d)", len(f.Tasks), p.NP)
+	}
+	for i := range f.Tasks {
+		if len(f.Tasks[i].Parts) != 3 {
+			t.Fatalf("task %d has %d parts, want 3", i, len(f.Tasks[i].Parts))
+		}
+	}
+}
+
+func TestFuseStopsAtCrossPartitionInput(t *testing.T) {
+	// W[p] needs Z[p] = Σ_q A(p,q)·Y[q]: tile tasks that come after the group
+	// holding COPY[p] and are no members of it. AXPBY[p] must open a new
+	// group, and with nothing following it nothing fuses at all.
+	m, block, n := 32, 8, 2
+	p := program.New(m, block)
+	A := p.Sparse("A")
+	X := p.Vec("X", n)
+	Y := p.Vec("Y", n)
+	Z := p.Vec("Z", n)
+	W := p.Vec("W", n)
+	p.Copy(Y, X)
+	p.SpMM(Z, A, Y)
+	p.Axpby(W, 1, Z, 1, Y)
+	g, err := Build(p, map[program.OperandID]*sparse.CSB{A: denseCSB(m, block, 9)}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Fuse(g)
 	if len(f.Tasks) != len(g.Tasks) {
-		t.Fatalf("fusion across a shared producer: %d -> %d tasks", len(g.Tasks), len(f.Tasks))
+		t.Fatalf("fusion across an SpMM: %d -> %d tasks", len(g.Tasks), len(f.Tasks))
+	}
+}
+
+func TestFuseJoinsAcrossAReduction(t *testing.T) {
+	// The CG pattern: s = XᵀX; Y = X/s; W = Y + X. SCALE[p] waits for the
+	// reduction, which waits for DOTp[q] of every q — so DOTp[p] cannot take
+	// SCALE[p] in. But AXPBY[p]'s inputs (SCALE[p], and X[p]'s readers
+	// DOTp[p] and SCALE[p]) all precede or sit in SCALE[p]'s group.
+	m, block := 32, 8
+	p := program.New(m, block)
+	X := p.Vec("X", 1)
+	Y := p.Vec("Y", 1)
+	s := p.Scalar("s")
+	p.Dot(s, X, X)
+	p.ScaleInv(Y, X, s)
+	p.Axpby(X, 1, Y, 1, X)
+	g, err := Build(p, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Fuse(g)
+	// NP DOTp, one DOTr, NP fused SCALE·AXPBY.
+	if want := 2*p.NP + 1; len(f.Tasks) != want {
+		t.Fatalf("%d tasks after fusion, want %d", len(f.Tasks), want)
+	}
+	for i := range f.Tasks {
+		if tk := &f.Tasks[i]; tk.Kind == TScaleInv && len(tk.Parts) != 2 {
+			t.Fatalf("SCALE[%d] has %d parts, want SCALE·AXPBY", tk.P, len(tk.Parts))
+		}
 	}
 }
 

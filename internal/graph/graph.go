@@ -179,12 +179,12 @@ type Task struct {
 	// output (-1 when the task has no single home, e.g. global reductions).
 	// Tasks sharing a key touch the same X/Y vector panels and matrix tile
 	// row, so schedulers co-locating equal keys convert CSB blocking into
-	// cache reuse. Stamped at build time; fused tasks keep the chain head's
+	// cache reuse. Stamped at build time; fused tasks keep the group head's
 	// key (fusion never crosses partitions).
 	Affinity int32
 	// Parts is non-empty for fused tasks (see Fuse): the constituent
-	// elementwise kernels, executed back-to-back. Kind/Call/P describe the
-	// chain head.
+	// per-partition kernels, executed back-to-back. Kind/Call/P describe the
+	// group head.
 	Parts []Part
 }
 
@@ -203,6 +203,11 @@ type TDG struct {
 	Roots []int32
 	// NumEdges counts dependency edges.
 	NumEdges int
+	// Unfused is the Build output a fused graph descends from (nil on a Build
+	// output). Both describe the same program over the same store, so a
+	// runtime may plan over either: BSP keeps its kernel-boundary barriers by
+	// planning over Unfused.
+	Unfused *TDG
 }
 
 // Options control TDG expansion.

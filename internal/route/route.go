@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sparsetask/internal/sched"
 	"sparsetask/internal/server"
 )
 
@@ -346,6 +347,10 @@ type MetricsSnapshot struct {
 		OperatorBuilds        int64 `json:"operator_builds"`
 		OperatorBytes         int64 `json:"operator_bytes"`
 		OperatorCapacityBytes int64 `json:"operator_capacity_bytes"`
+		// Scheduler sums the shards' executor counters: where tasks were
+		// acquired and placed, and what idle workers did (failed steals,
+		// spin rounds, parks, wakes).
+		Scheduler sched.LocalityStats `json:"scheduler"`
 	} `json:"totals"`
 	Shards      []ShardStatus                     `json:"shards"`
 	ShardDetail map[string]server.MetricsSnapshot `json:"shard_detail"`
@@ -408,6 +413,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		snap.Totals.OperatorBuilds += ms.OperatorCache.Builds
 		snap.Totals.OperatorBytes += ms.OperatorCache.Bytes
 		snap.Totals.OperatorCapacityBytes += ms.OperatorCache.CapacityBytes
+		snap.Totals.Scheduler.Add(ms.Topology.Locality)
 	}
 	writeJSON(w, http.StatusOK, snap)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sparsetask/internal/sched"
 	"sparsetask/internal/server"
 )
 
@@ -562,5 +563,50 @@ func TestEndToEndTwoEngines(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET /jobs/%s: status %d, want 404", bad, resp.StatusCode)
 		}
+	}
+
+	// The scheduler counters of the shards add up in the totals, the idle
+	// protocol's (steal_fails, spins, parks, wakes) with the locality ones.
+	// The jobs so far ran on bsp, which keeps none: send one through a
+	// stealing backend first.
+	spec := cgSpec(mats[0], 9)
+	spec.Backend = "deepsparse"
+	v, status := postSpec(t, front, spec)
+	if status != http.StatusAccepted {
+		t.Fatalf("deepsparse job: status %d", status)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(front.URL + "/jobs/" + v.ID)
+		if err != nil {
+			t.Fatalf("GET %s: %v", v.ID, err)
+		}
+		var jv server.JobView
+		err = json.NewDecoder(resp.Body).Decode(&jv)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode %s: %v", v.ID, err)
+		}
+		if jv.State == server.StateDone {
+			break
+		}
+		if jv.State == server.StateFailed || jv.State == server.StateCanceled || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s: %s", v.ID, jv.State, jv.Error)
+		}
+	}
+	resp, err = http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	ms = MetricsSnapshot{}
+	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
+		t.Fatalf("decode /metrics: %v", err)
+	}
+	resp.Body.Close()
+	var scheduler sched.LocalityStats
+	for _, d := range ms.ShardDetail {
+		scheduler.Add(d.Topology.Locality)
+	}
+	if scheduler.Tasks() == 0 || ms.Totals.Scheduler != scheduler {
+		t.Fatalf("totals report scheduler counters %+v, shards sum to %+v", ms.Totals.Scheduler, scheduler)
 	}
 }

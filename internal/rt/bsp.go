@@ -8,6 +8,7 @@ import (
 
 	"sparsetask/internal/graph"
 	"sparsetask/internal/program"
+	"sparsetask/internal/sched"
 )
 
 // BSP is the bulk-synchronous baseline: each kernel (program call) executes
@@ -121,26 +122,45 @@ func bspTrsvLevels(g *graph.TDG, ids []int32) []bspCallPlan {
 	return levels
 }
 
-// bspPrepared executes a prebuilt plan. With one worker the chains run
-// inline on the calling goroutine (a barrier over one worker is a no-op), so
-// a steady-state run spawns no goroutines and allocates nothing.
+// bspPrepared executes a prebuilt plan with a team that outlives the run
+// (sched.Team): Run's caller is worker 0 and nw-1 helpers wait for the next
+// superstep, so a barrier is a store on the way in and a counter on the way
+// out instead of a goroutine fork and join. With one worker there is no team
+// at all: the chains run inline on the calling goroutine. Either way a
+// steady-state run allocates nothing.
 type bspPrepared struct {
 	plan []bspCallPlan
 	body func(int, int32)
 	nw   int
+	team *sched.Team
+
+	// The superstep in flight, published to the helpers by the round.
+	cur *bspCallPlan
+	ctx context.Context
+
+	panicMu  sync.Mutex
+	panicVal any // first task panic of the superstep, re-raised by Run
 }
 
-// Prepare implements Preparer: the per-call chain grouping is computed once
-// and reused by every PreparedRun.Run.
+// Prepare implements Preparer: the per-call chain grouping is computed once,
+// the helpers are started once, and every PreparedRun.Run reuses both. The
+// plan is laid over the graph Build produced even when g is fused — BSP is
+// the baseline whose barriers sit at kernel boundaries, and fusing across
+// them would erase what it is a baseline for. Same program, same store: the
+// result is bit-identical either way.
 func (r *BSP) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
-	return &bspPrepared{
+	g = g.Source()
+	p := &bspPrepared{
 		plan: buildBSPPlan(g),
 		body: taskBody(g, st, r.opt.Recorder, r.epoch),
 		nw:   r.opt.workers(),
 	}
+	p.team = sched.NewTeam(p.nw, p.runChains)
+	return p
 }
 
-func (p *bspPrepared) Close() {}
+// Close dismisses the helpers and returns once they have exited.
+func (p *bspPrepared) Close() { p.team.Close() }
 
 // Run executes the plan once. Cancellation is observed at the chain/barrier
 // granularity: workers stop picking up chains, the current barrier drains,
@@ -165,10 +185,7 @@ func (p *bspPrepared) Run(ctx context.Context) error {
 				}
 			}
 		} else {
-			// Kept out of line so its escaping locals (WaitGroup, panic
-			// capture, goroutine closure) are only allocated when the
-			// parallel branch actually runs.
-			p.runParallel(ctx, cp)
+			p.superstep(ctx, cp)
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -182,39 +199,47 @@ func (p *bspPrepared) Run(ctx context.Context) error {
 	return nil
 }
 
-// runParallel executes one call's chains across the worker count with a
-// closing barrier. Static round-robin chain assignment: worker w owns chains
-// w, w+nw, w+2nw, ... — OpenMP static-for semantics, so a single heavy chain
-// (skewed nonzeros) stalls the barrier, the paper's BSP load-imbalance
-// pathology.
+// superstep executes one call's chains across the team with a closing
+// barrier. Static round-robin chain assignment: worker w owns chains w, w+nw,
+// w+2nw, ... — OpenMP static-for semantics, so a single heavy chain (skewed
+// nonzeros) stalls the barrier, the paper's BSP load-imbalance pathology.
 //
-//sparselint:coldcall forks one goroutine batch per parallel superstep; fork+join is the BSP barrier overhead the paper measures, not hidden allocation
-func (p *bspPrepared) runParallel(ctx context.Context, cp *bspCallPlan) {
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	for w := 0; w < p.nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					panicOnce.Do(func() { panicVal = rec })
-				}
-			}()
-			for k := w; k < len(cp.chains); k += p.nw {
-				if ctx.Err() != nil {
-					return
-				}
-				for _, id := range cp.chains[k] {
-					p.body(w, id)
-				}
-			}
-		}(w)
+//sparselint:hotpath
+func (p *bspPrepared) superstep(ctx context.Context, cp *bspCallPlan) {
+	p.cur, p.ctx = cp, ctx
+	p.team.Round() // returns at the BSP barrier
+	if p.panicVal != nil {
+		v := p.panicVal
+		p.panicVal = nil
+		panic(v)
 	}
-	wg.Wait() // the BSP barrier
-	if panicVal != nil {
-		panic(panicVal)
+}
+
+// runChains executes worker w's share of the current superstep. A panicking
+// task is recorded, not propagated: every worker must still reach the
+// barrier, and Run re-raises the panic on the caller's goroutine after it.
+//
+//sparselint:hotpath
+func (p *bspPrepared) runChains(w int) {
+	defer p.recoverTask()
+	cp, ctx := p.cur, p.ctx
+	for k := w; k < len(cp.chains); k += p.nw {
+		if ctx.Err() != nil {
+			return
+		}
+		for _, id := range cp.chains[k] {
+			p.body(w, id)
+		}
+	}
+}
+
+func (p *bspPrepared) recoverTask() {
+	if rec := recover(); rec != nil {
+		p.panicMu.Lock()
+		if p.panicVal == nil {
+			p.panicVal = rec
+		}
+		p.panicMu.Unlock()
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 //
 //   - index launches: calls marked IndexLaunch are analyzed as one batch, so
 //     per-task analysis is skipped after the first task of the call;
-//   - dynamic tracing: when enabled, re-executions of an already-analyzed
-//     TDG replay the memoized analysis at a fraction of the cost.
+//   - dynamic tracing: when enabled, a prepared run analyses on its first
+//     execution and replays the memoized analysis on every later one.
 //
 // The serial analysis pipeline is the mechanism behind the paper's
 // observation that Regent degrades sharply as task counts grow (§5.4,
@@ -36,14 +36,20 @@ type Regent struct {
 	epoch time.Time
 	acc   sched.LocalityAccumulator
 
-	mu       sync.Mutex
-	analyzed map[*graph.TDG]bool
-
+	mu sync.Mutex
 	// LastAnalyzed counts tasks that paid full analysis in the most recent
 	// Run, for tests and the ablation benches. Guarded by mu during Run;
 	// read it only after Run returns.
 	LastAnalyzed int
 }
+
+// regentPoll is how many Spin rounds (about a microsecond) a worker polls its
+// queue before blocking on it. While the pipeline analyses, tasks arrive a
+// microsecond or two apart, so a short poll catches the next one without a
+// goroutine wake-up on the pipeline's critical path; but the team shares its
+// processors with the pipeline (nw workers plus the caller), so a worker that
+// spun its full budget would hold a processor a peer needs.
+const regentPoll = 32
 
 // defaultAnalysisCost is the spin-loop iteration count per analyzed task.
 // Calibrated so analysis is on the order of a microsecond per task: invisible
@@ -53,240 +59,384 @@ const defaultAnalysisCost = 600
 
 // NewRegent returns the Regent-style runtime.
 func NewRegent(opt Options) *Regent {
-	return &Regent{opt: opt, epoch: time.Now(), analyzed: make(map[*graph.TDG]bool)}
+	return &Regent{opt: opt, epoch: time.Now()}
 }
 
 // Name implements Runtime.
 func (r *Regent) Name() string { return "regent" }
 
-// Locality implements LocalityReporter: lifetime counters across completed
-// multi-domain runs (flat runs use one shared queue and count nothing).
+// Locality implements LocalityReporter: lifetime counters across the
+// multi-domain teams this runtime has dismissed (flat runs use one shared
+// queue and count nothing).
 func (r *Regent) Locality() sched.LocalityStats { return r.acc.Snapshot() }
 
-// Run implements Runtime. Cancellation stops both the analysis pipeline and
-// the workers at task granularity.
+// Run implements Runtime: a one-shot Prepare + Run, so it always analyses —
+// the dynamic-tracing memo lives in the prepared run. Cancellation stops both
+// the analysis pipeline and the workers at task granularity.
 func (r *Regent) Run(ctx context.Context, g *graph.TDG, st *program.Store) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	nw := r.opt.workers()
-	body := taskBody(g, st, r.opt.Recorder, r.epoch)
-	n := len(g.Tasks)
-	if n == 0 {
-		return ctx.Err()
-	}
-	cost := r.opt.AnalysisCost
-	if cost <= 0 {
-		cost = defaultAnalysisCost
-	}
-	replay := false
-	if r.opt.DynamicTracing {
-		r.mu.Lock()
-		replay = r.analyzed[g]
-		r.analyzed[g] = true
-		r.mu.Unlock()
-	}
+	p := r.Prepare(g, st)
+	defer p.Close()
+	return p.Run(ctx)
+}
+
+// regentPrepared binds the runtime to one (TDG, store) pair. Dependency
+// counters, the ready queues and the worker team are built once and reset per
+// Run; Run's caller is the analysis pipeline — the -ll:util core — walking the
+// tasks in program order while the workers drain what it issues. With
+// DynamicTracing the first complete Run analyses and every later Run of this
+// handle replays.
+//
+// A run that ends short (cancellation, a panicking task) dismisses the team
+// and drains the queues; the next Run raises a fresh one.
+type regentPrepared struct {
+	r    *Regent
+	g    *graph.TDG
+	body func(int, int32)
+	nw   int
+	nd   int
+	cost int
+	// full marks the tasks that pay dependence analysis when the graph is
+	// analysed: everything but the later tasks of an index launch.
+	full    []bool
+	homeDom func(int32) int // nil when nd <= 1
 
 	// remain[i] = deps + 1: the extra count is released by the analysis
 	// pipeline when the task is issued, so no task starts before its
 	// program-order analysis completes — Legion semantics.
-	remain := make([]atomic.Int32, n)
-	for i := range g.Tasks {
-		remain[i].Store(int32(len(g.Tasks[i].Deps)) + 1)
-	}
+	remain []atomic.Int32
+	done   atomic.Int64 // tasks left in the current run
 
 	// Ready-task distribution. Flat topology: one shared FIFO — the classic
 	// Legion ready queue. Multi-domain: one FIFO per locality domain plus a
 	// token semaphore; release enqueues to the task's home domain *before*
 	// signalling the token, so a worker that holds a token is guaranteed a
 	// task currently sits in some queue (its scan retries until it finds
-	// one). Every channel is buffered to n, so release never blocks.
-	nd := r.opt.Topo.DomainCount(nw)
-	homeDom := g.DomainAffinity(nd) // nil when nd <= 1
-	var release func(id int32)
-	var ready chan int32     // flat path
-	var readyD []chan int32  // multi-domain path
-	var tokens chan struct{} // multi-domain path
-	if nd <= 1 {
-		ready = make(chan int32, n)
-		release = func(id int32) {
-			if remain[id].Add(-1) == 0 {
-				ready <- id
-			}
+	// one). Every channel is buffered to the task count, so release never
+	// blocks.
+	ready  chan int32
+	readyD []chan int32
+	tokens chan int32 // a token's value means nothing; the type lets recv serve both
+	// fin carries one token per completed run, from the worker that ran the
+	// last task.
+	fin chan struct{}
+
+	traced  bool // a complete analysis of g is memoized (DynamicTracing)
+	running bool // the team is up
+	// halted tells the workers the run is dead; quit, closed with it, wakes
+	// the ones blocked on a queue.
+	halted   atomic.Bool
+	quit     chan struct{}
+	quitOnce *sync.Once
+	panicMu  sync.Mutex
+	panicVal any
+	wg       sync.WaitGroup
+}
+
+// Prepare implements Preparer.
+func (r *Regent) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
+	n := len(g.Tasks)
+	nw := r.opt.workers()
+	p := &regentPrepared{
+		r: r, g: g, nw: nw,
+		body:   taskBody(g, st, r.opt.Recorder, r.epoch),
+		nd:     r.opt.Topo.DomainCount(nw),
+		cost:   r.opt.AnalysisCost,
+		full:   make([]bool, n),
+		remain: make([]atomic.Int32, n),
+		fin:    make(chan struct{}, 1),
+	}
+	if p.cost <= 0 {
+		p.cost = defaultAnalysisCost
+	}
+	// Index launches are analysed once, with their first task: the tasks of a
+	// call marked IndexLaunch, and the fused groups Fuse produced from one
+	// sequence of calls over the partitions.
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		p.full[i] = true
+		if i == 0 {
+			continue
 		}
+		prev := &g.Tasks[i-1]
+		if len(t.Parts) > 1 {
+			p.full[i] = !sameCalls(prev.Parts, t.Parts)
+		} else if g.Prog.Calls[t.Call].IndexLaunch && prev.Call == t.Call {
+			p.full[i] = false
+		}
+	}
+	if p.nd <= 1 {
+		p.ready = make(chan int32, n)
 	} else {
-		readyD = make([]chan int32, nd)
-		for d := range readyD {
-			readyD[d] = make(chan int32, n)
+		p.homeDom = g.DomainAffinity(p.nd)
+		p.readyD = make([]chan int32, p.nd)
+		for d := range p.readyD {
+			p.readyD[d] = make(chan int32, n)
 		}
-		tokens = make(chan struct{}, n)
-		release = func(id int32) {
-			if remain[id].Add(-1) == 0 {
-				d := homeDom(id)
-				if d < 0 {
-					d = int(id) % nd // keyless tasks spread round-robin
-				}
-				readyD[d] <- id
-				tokens <- struct{}{}
-			}
-		}
+		p.tokens = make(chan int32, n)
 	}
+	return p
+}
 
-	// Analysis pipeline: one goroutine, program order — the -ll:util core.
-	// It reports its full-analysis count over the channel so Run never reads
-	// a variable the goroutine may still be writing (workers can exit early
-	// on panic or cancellation while analysis is mid-flight).
-	analysisDone := make(chan int, 1)
-	go func() {
-		var sink uint64
-		analyzedCount := 0
-		lastCall := int32(-1)
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			t := &g.Tasks[i]
-			c := &g.Prog.Calls[t.Call]
-			full := true
-			if c.IndexLaunch && t.Call == lastCall {
-				full = false // batch-analyzed with the first task of the launch
-			}
-			if replay {
-				full = false // dynamic tracing: memoized replay
-			}
-			if full {
-				// Dependence analysis: hash over the task's region set,
-				// repeated to model Legion's region-tree walk.
-				work := cost * (1 + len(t.Reads) + len(t.Writes))
-				for k := 0; k < work; k++ {
-					sink = sink*0x9E3779B97F4A7C15 + uint64(t.ID) + uint64(k)
-				}
-				analyzedCount++
-			}
-			lastCall = t.Call
-			release(t.ID)
+// sameCalls reports whether two fused groups run the same sequence of calls.
+func sameCalls(a, b []graph.Part) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Call != b[k].Call {
+			return false
 		}
-		_ = sink
-		analysisDone <- analyzedCount
-	}()
+	}
+	return true
+}
 
-	var done atomic.Int64
-	done.Store(int64(n))
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	finished := make(chan struct{})
-	var closeOnce sync.Once
-	var panicMu sync.Mutex
-	var panicVal any
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			closeOnce.Do(func() { close(finished) })
-		})
-		defer stop()
+// Close dismisses the team and folds its locality counters into the runtime.
+func (p *regentPrepared) Close() { p.dismiss() }
+
+// start raises the worker team.
+//
+//sparselint:coldcall runs on a handle's first Run and after a run that ended short, never in steady state
+func (p *regentPrepared) start() {
+	p.halted.Store(false)
+	p.quit = make(chan struct{})
+	p.quitOnce = new(sync.Once)
+	p.running = true
+	p.wg.Add(p.nw)
+	for w := 0; w < p.nw; w++ {
+		go p.worker(w)
 	}
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = rec
-					}
-					panicMu.Unlock()
-					closeOnce.Do(func() { close(finished) })
-				}
-			}()
-			exec := func(id int32) bool {
-				body(w, id)
-				for _, s := range g.Tasks[id].Succs {
-					release(s)
-				}
-				if done.Add(-1) == 0 {
-					closeOnce.Do(func() { close(finished) })
-					return false
-				}
-				return true
-			}
-			if nd <= 1 {
-				for {
-					select {
-					case id := <-ready:
-						if !exec(id) {
-							return
-						}
-					case <-finished:
-						return
-					}
-				}
-			}
-			// Multi-domain: consume a token, then locate its task — own
-			// domain's queue first, the others only when home is dry.
-			dw := w * nd / nw
-			var ls sched.LocalityStats
-			defer func() { r.acc.Add(ls) }()
-			for {
-				select {
-				case <-tokens:
-					var id int32
-					found := false
-					for !found {
-						for k := 0; k < nd; k++ {
-							d := (dw + k) % nd
-							select {
-							case id = <-readyD[d]:
-								found = true
-								if k == 0 {
-									ls.Domain++
-								} else {
-									ls.Remote++
-									ls.StealsRemote++
-								}
-							default:
-							}
-							if found {
-								break
-							}
-						}
-						if found {
-							break
-						}
-						// Another token holder raced us to the queues; the
-						// queue-before-token invariant says a task for this
-						// token exists (or its enqueue is in flight) — retry.
-						select {
-						case <-finished:
-							return
-						default:
-							runtime.Gosched()
-						}
-					}
-					if d := homeDom(id); d < 0 {
-						ls.AffinityNone++
-					} else if d == dw {
-						ls.AffinityLocal++
-					} else {
-						ls.AffinityRemote++
-					}
-					if !exec(id) {
-						return
-					}
-				case <-finished:
-					return
-				}
-			}
-		}(w)
+}
+
+// halt tells every worker to stop at its next task boundary.
+func (p *regentPrepared) halt() {
+	p.halted.Store(true)
+	p.quitOnce.Do(func() { close(p.quit) })
+}
+
+// dismiss stops the team, waits for it, and empties the queues of whatever a
+// dead run left behind.
+//
+//sparselint:coldcall runs on Close and after a run that ended short
+func (p *regentPrepared) dismiss() {
+	if !p.running {
+		return
 	}
-	wg.Wait()
-	la := <-analysisDone // analysis loop is finite: ctx check or full walk
-	r.mu.Lock()
-	r.LastAnalyzed = la
-	r.mu.Unlock()
-	if panicVal != nil {
-		panic(panicVal)
+	p.halt()
+	p.wg.Wait()
+	p.running = false
+	for _, q := range append([]chan int32{p.ready}, p.readyD...) {
+		for len(q) > 0 {
+			<-q
+		}
 	}
-	if done.Load() != 0 {
+	for len(p.tokens) > 0 {
+		<-p.tokens
+	}
+	for len(p.fin) > 0 {
+		<-p.fin
+	}
+}
+
+// release drops one count of task id and enqueues it when none is left.
+//
+//sparselint:hotpath
+func (p *regentPrepared) release(id int32) {
+	if p.remain[id].Add(-1) != 0 {
+		return
+	}
+	if p.nd <= 1 {
+		p.ready <- id
+		return
+	}
+	d := p.homeDom(id)
+	if d < 0 {
+		d = int(id) % p.nd // keyless tasks spread round-robin
+	}
+	p.readyD[d] <- id
+	p.tokens <- 0
+}
+
+// Run executes the graph once: the caller analyses and issues the tasks in
+// program order, then waits for the workers to finish the tail.
+//
+//sparselint:hotpath
+func (p *regentPrepared) Run(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := len(p.g.Tasks)
+	if err := ctx.Err(); err != nil || n == 0 {
+		return err
+	}
+	if !p.running {
+		p.start()
+	}
+	for i := range p.g.Tasks {
+		p.remain[i].Store(int32(len(p.g.Tasks[i].Deps)) + 1)
+	}
+	p.done.Store(int64(n))
+
+	// Analysis pipeline: program order, one task at a time.
+	replay := p.r.opt.DynamicTracing && p.traced
+	var sink uint64
+	analysed, issued := 0, 0
+	for ; issued < n; issued++ {
+		if p.halted.Load() || ctx.Err() != nil {
+			break
+		}
+		t := &p.g.Tasks[issued]
+		if p.full[issued] && !replay {
+			// Dependence analysis: hash over the task's region set, repeated
+			// to model Legion's region-tree walk.
+			work := p.cost * (1 + len(t.Reads) + len(t.Writes))
+			for k := 0; k < work; k++ {
+				sink = sink*0x9E3779B97F4A7C15 + uint64(t.ID) + uint64(k)
+			}
+			analysed++
+		}
+		p.release(t.ID)
+	}
+	_ = sink
+
+	// The tail: the workers are at most a few tasks behind the pipeline.
+	complete := false
+	if issued == n {
+		for i := 0; p.done.Load() != 0 && sched.Spin(i); i++ {
+		}
+		select {
+		case <-p.fin:
+			complete = true
+		case <-ctx.Done():
+		case <-p.quit:
+		}
+	}
+	p.r.mu.Lock()
+	p.r.LastAnalyzed = analysed
+	p.r.mu.Unlock()
+	if !complete {
+		p.dismiss() // in-flight tasks finish; nothing new starts
+		if p.panicVal != nil {
+			v := p.panicVal
+			p.panicVal = nil
+			panic(v)
+		}
 		return ctx.Err()
 	}
+	p.traced = true
 	return nil
+}
+
+// exec runs one task, releases its successors and reports the end of the run.
+//
+//sparselint:hotpath
+func (p *regentPrepared) exec(w int, id int32) {
+	p.body(w, id)
+	for _, s := range p.g.Tasks[id].Succs {
+		p.release(s)
+	}
+	if p.done.Add(-1) == 0 {
+		p.fin <- struct{}{}
+	}
+}
+
+// recoverTask turns a panicking task into a dead run: the first panic is kept
+// for Run to re-raise on the caller's goroutine.
+func (p *regentPrepared) recoverTask() {
+	if rec := recover(); rec != nil {
+		p.panicMu.Lock()
+		if p.panicVal == nil {
+			p.panicVal = rec
+		}
+		p.panicMu.Unlock()
+		p.halt()
+	}
+}
+
+// worker is the persistent body of team member w. Between tasks — and between
+// runs — it polls its queue for a bounded spin, then blocks on it.
+func (p *regentPrepared) worker(w int) {
+	defer p.wg.Done()
+	defer p.recoverTask()
+	if p.nd <= 1 {
+		for {
+			id, ok := p.recv(p.ready)
+			if !ok {
+				return
+			}
+			p.exec(w, id)
+		}
+	}
+	// Multi-domain: consume a token, then locate its task — own domain's
+	// queue first, the others only when home is dry.
+	dw := w * p.nd / p.nw
+	var ls sched.LocalityStats
+	defer func() { p.r.acc.Add(ls) }()
+	for {
+		if _, ok := p.recv(p.tokens); !ok {
+			return
+		}
+		var id int32
+		found := false
+		for !found {
+			for k := 0; k < p.nd && !found; k++ {
+				select {
+				case id = <-p.readyD[(dw+k)%p.nd]:
+					found = true
+					if k == 0 {
+						ls.Domain++
+					} else {
+						ls.Remote++
+						ls.StealsRemote++
+					}
+				default:
+				}
+			}
+			if found {
+				break
+			}
+			// Another token holder raced us to the queues; the
+			// queue-before-token invariant says a task for this token exists
+			// (or its enqueue is in flight) — retry.
+			if p.halted.Load() {
+				return
+			}
+			runtime.Gosched()
+		}
+		if d := p.homeDom(id); d < 0 {
+			ls.AffinityNone++
+		} else if d == dw {
+			ls.AffinityLocal++
+		} else {
+			ls.AffinityRemote++
+		}
+		p.exec(w, id)
+	}
+}
+
+// recv takes the next element of one of the team's queues — a ready task of
+// the flat queue, a token of the multi-domain semaphore — polling for a
+// bounded spin before it blocks. It reports false once the team is told to
+// stop.
+//
+//sparselint:hotpath
+func (p *regentPrepared) recv(q chan int32) (v int32, ok bool) {
+	for i := 0; ; i++ {
+		if p.halted.Load() {
+			return v, false
+		}
+		select {
+		case v = <-q:
+			return v, true
+		default:
+		}
+		if i >= regentPoll || !sched.Spin(i) {
+			break
+		}
+	}
+	select {
+	case v = <-q:
+		return v, !p.halted.Load()
+	case <-p.quit:
+		return v, false
+	}
 }

@@ -237,14 +237,30 @@ func TestRegentDynamicTracing(t *testing.T) {
 	g, mk := testProblem(t, 40, 8, 2, 5)
 	r := NewRegent(Options{Workers: 2, AnalysisCost: 10, DynamicTracing: true})
 	st := mk()
-	r.Run(context.Background(), g, st)
+	// The memo lives in the prepared run: its first Run analyses, later ones
+	// replay.
+	pr := PrepareRun(r, g, st)
+	defer pr.Close()
+	if err := pr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	first := r.LastAnalyzed
-	r.Run(context.Background(), g, st)
+	if err := pr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if r.LastAnalyzed != 0 {
 		t.Errorf("replay analyzed %d tasks, want 0 (memoized)", r.LastAnalyzed)
 	}
 	if first == 0 {
 		t.Error("first run analyzed 0 tasks")
+	}
+	// Runtime.Run is one-shot: nothing is retained between calls, so a graph
+	// it has run before is analysed again.
+	oneShot := mk()
+	r.Run(context.Background(), g, oneShot)
+	r.Run(context.Background(), g, oneShot)
+	if r.LastAnalyzed != first {
+		t.Errorf("one-shot rerun analyzed %d tasks, want %d", r.LastAnalyzed, first)
 	}
 	// Numerics must still match two sequential iterations.
 	ref := mk()
@@ -432,7 +448,6 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 	// sequential reference for every job.
 	const jobs = 6
 	for _, r := range allRuntimes(Options{Workers: 2}) {
-		// Regent with tracing exercises its shared analyzed-map state too.
 		graphs := make([]*graph.TDG, jobs)
 		refs := make([]*program.Store, jobs)
 		stores := make([]*program.Store, jobs)
@@ -460,7 +475,8 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 			storesEqual(t, fmt.Sprintf("%s-job%d", r.Name(), j), refs[j], stores[j])
 		}
 	}
-	// Regent's per-TDG memoization state under concurrent reuse.
+	// Regent with tracing on: the memo is per prepared run, so concurrent
+	// one-shot runs share nothing but LastAnalyzed.
 	r := NewRegent(Options{Workers: 2, DynamicTracing: true, AnalysisCost: 10})
 	g, mk := testProblem(t, 40, 8, 2, 200)
 	var wg sync.WaitGroup
@@ -468,9 +484,6 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Distinct graphs per goroutine would be the server pattern; the
-			// same graph from many goroutines additionally stresses the
-			// analyzed-map bookkeeping, so build a private problem per job.
 			g2, mk2 := testProblem(t, 30, 6, 2, 201)
 			if err := r.Run(context.Background(), g2, mk2()); err != nil {
 				t.Error(err)

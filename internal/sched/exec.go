@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,20 +72,31 @@ func RunGraph(ctx context.Context, n int, indeg []int32, succs func(int32) []int
 
 // Executor is a reusable dependency-graph executor: all scheduler state —
 // deques, domain inboxes, dependency counters, ready-task routing buffers,
-// per-worker PRNG and counter state, and (for Workers > 1) the worker
+// per-worker PRNG and counter state, and (for Workers > 1) the helper
 // goroutines themselves — is allocated once at construction and reused by
 // every Run. A steady-state Run with an uncancellable context performs no
 // heap allocations.
 //
 // Run executes the graph once and must not be called concurrently with
-// itself; Close releases the worker pool. With one worker the graph runs
-// inline on the calling goroutine and no pool exists at all.
+// itself; Close releases the helpers. Run's caller is worker 0 of a Team: with
+// one worker the graph runs inline and no goroutine exists at all, with more
+// the nw-1 helpers outlive the run, spinning briefly for the next one before
+// they park, so back-to-back iterations cross no futex.
+//
+// Nothing shared is written on the per-task path. A worker counts the tasks
+// it ran in its own padded block and folds the count into total only when it
+// runs dry; total reaching zero is the end of the run. A worker that made
+// tasks ready looks at the gate's waiter count and takes its lock only when
+// somebody is, or is about to be, parked (see Gate for why no wake-up is
+// lost). A worker with nothing to do spins a bounded number of rounds
+// (Spin) before it parks.
 //
 // When Options.Topo has more than one domain, workers acquire tasks
 // hierarchically: own deque, then the domain inbox, then same-domain victims,
-// and only then remote domains (deques with a steal-half burst, then remote
-// inboxes). Work conservation is preserved — affinity routing biases where a
-// task runs, never whether it runs.
+// and only then remote domains (deques, then remote inboxes). A steal from a
+// long deque migrates up to half of it (at most stealBurst) in one go. Work
+// conservation is preserved — affinity routing biases where a task runs,
+// never whether it runs.
 type Executor struct {
 	n     int
 	nw    int
@@ -104,30 +116,38 @@ type Executor struct {
 	deques []*Deque
 	inbox  []inbox // per-domain cross-domain routing queue
 	remain []atomic.Int32
-	ready  [][]int32 // per-worker newly-ready routing buffer
-	rng    []paddedRng
-	stats  []workerStats
+	ws     []worker
 
-	total    atomic.Int64 // tasks left to execute
-	executed atomic.Int64 // tasks actually run (diverges from n on cancel)
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sleep    int    // workers currently parked mid-run
-	version  uint64 // bumped on every wake-worthy event
-	panicVal any    // first task panic, re-raised by Run
+	// total is the number of tasks not yet folded in by the worker that ran
+	// them; <= 0 ends the run (zero: complete; haltedTotal: cancel or panic).
+	// Written when a worker runs dry, polled by everyone.
+	total atomic.Int64
+	// team is the caller (worker 0) and the nw-1 helpers; a run is one round.
+	team *Team
+	// gate parks a worker that has been without work for its spin budget.
+	gate Gate
 
-	gen    uint64 // bumped to start a run (pool mode)
-	active int    // workers still inside the current run (pool mode)
-	closed bool
-	wg     sync.WaitGroup
+	haltDone atomic.Bool // the cancellation hook of the current run has finished
+	panicMu  sync.Mutex
+	panicVal any // first task panic, re-raised by Run
 }
 
-// paddedRng is a per-worker xorshift64* state, padded to its own cache line
-// so victim selection never bounces a shared line (and never takes the
-// global math/rand lock).
-type paddedRng struct {
-	s uint64
-	_ [56]byte
+// haltedTotal is what halt stores into total: far enough below zero that the
+// folds of tasks still in flight cannot bring it back up.
+const haltedTotal = math.MinInt64 / 2
+
+// worker is one worker's private block: its counters, its victim-selection
+// PRNG (xorshift64*, so stealing never takes the global math/rand lock) and
+// its newly-ready routing buffer, padded so neighbouring workers never share
+// a cache line. Written only by the owning worker during a run; reading is
+// safe once Run has returned (the helpers' check-out orders the writes).
+type worker struct {
+	workerStats
+	ran    int64 // tasks executed in the current run
+	folded int64 // of those, already subtracted from total
+	rng    uint64
+	ready  []int32
+	_      [48]byte
 }
 
 // inbox is a per-domain FIFO for cross-domain affinity routing. The Chase–Lev
@@ -187,8 +207,8 @@ const (
 
 // NewExecutor builds a reusable executor over a fixed graph shape. indeg is
 // copied; succs must be pure and stable across runs. With opt.Workers != 1
-// (or 0 on a multicore host) persistent worker goroutines are started
-// immediately and parked until Run.
+// (or 0 on a multicore host) the helper goroutines are started immediately
+// and wait for Run.
 func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32, exec func(worker int, task int32), opt Options) *Executor {
 	nw := opt.Workers
 	if nw <= 0 {
@@ -223,9 +243,7 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 		deques:   make([]*Deque, nw),
 		inbox:    make([]inbox, ndom),
 		remain:   make([]atomic.Int32, n),
-		ready:    make([][]int32, nw),
-		rng:      make([]paddedRng, nw),
-		stats:    make([]workerStats, nw),
+		ws:       make([]worker, nw),
 	}
 	w := 0
 	for d, c := range counts {
@@ -238,20 +256,14 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 	}
 	for i := 0; i < nw; i++ {
 		e.deques[i] = NewDeque()
-		e.ready[i] = make([]int32, 0, 16)
+		e.ws[i].ready = make([]int32, 0, 16)
 		// splitmix64 seeding: distinct non-zero stream per worker.
 		z := uint64(i+1) * 0x9E3779B97F4A7C15
 		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		e.rng[i].s = z ^ (z >> 31) | 1
+		e.ws[i].rng = z ^ (z >> 31) | 1
 	}
-	e.cond = sync.NewCond(&e.mu)
-	if e.nw > 1 {
-		e.wg.Add(e.nw)
-		for w := 0; w < e.nw; w++ {
-			go e.workerLoop(w)
-		}
-	}
+	e.team = NewTeam(e.nw, e.runWorker)
 	return e
 }
 
@@ -262,9 +274,10 @@ func (e *Executor) Domains() int { return e.ndom }
 // Workers returns the resolved worker count.
 func (e *Executor) Workers() int { return e.nw }
 
-// Run executes the graph once. It is not safe for concurrent use; iterative
-// callers invoke it once per iteration with a barrier between calls (which
-// the return provides). Panics raised by task bodies are re-raised here.
+// Run executes the graph once, taking part as worker 0. It is not safe for
+// concurrent use; iterative callers invoke it once per iteration with a
+// barrier between calls (which the return provides). Panics raised by task
+// bodies are re-raised here.
 func (e *Executor) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -275,11 +288,52 @@ func (e *Executor) Run(ctx context.Context) error {
 	if e.n == 0 {
 		return nil
 	}
-	// Reset run state. No worker is active here, so plain writes are fine.
+	e.reset()
+	// Cancellation shuts the run down exactly like a panic, minus the
+	// re-panic: workers observe total <= 0 and drain out.
+	var stop func() bool
+	if ctx.Done() != nil {
+		e.haltDone.Store(false)
+		//lint:ignore sparselint/hotpathalloc one cancellation hook per Run, not per task; the uncancellable steady-state run allocates nothing
+		stop = context.AfterFunc(ctx, func() {
+			e.halt()
+			e.haltDone.Store(true)
+		})
+	}
+
+	// The helpers leave within a task of total dropping to zero, so the
+	// round's closing wait is almost always a short spin.
+	e.team.Round()
+	if stop != nil && !stop() {
+		// The hook has started: let it finish, so it cannot halt a later run.
+		for !e.haltDone.Load() {
+			runtime.Gosched()
+		}
+	}
+
+	if e.panicVal != nil {
+		panic(e.panicVal)
+	}
+	var executed int64
+	for i := range e.ws {
+		executed += e.ws[i].ran
+	}
+	if executed != int64(e.n) {
+		// The only non-panic way to stop short is cancellation.
+		return ctx.Err()
+	}
+	return nil
+}
+
+// reset rewinds every piece of run state and seeds the roots. No worker is
+// active between runs, so plain writes are fine.
+func (e *Executor) reset() {
 	for i := range e.remain {
 		e.remain[i].Store(e.indeg[i])
 	}
-	e.executed.Store(0)
+	for i := range e.ws {
+		e.ws[i].ran, e.ws[i].folded = 0, 0
+	}
 	e.total.Store(int64(e.n))
 	e.panicVal = nil
 	for _, d := range e.deques {
@@ -290,8 +344,10 @@ func (e *Executor) Run(ctx context.Context) error {
 	}
 	// Distribute roots across workers so execution starts balanced; with
 	// affinity, round-robin inside the preferred domain (directly onto the
-	// workers' deques — safe here, no worker is running yet). The stealing
-	// protocol handles the rest.
+	// workers' deques — safe here, no worker is running yet). The cursors
+	// restart with the run, so every run places its roots identically. The
+	// stealing protocol handles the rest.
+	clear(e.rootrr)
 	for k, t := range e.order {
 		w := k % e.nw
 		if e.aff != nil {
@@ -305,118 +361,45 @@ func (e *Executor) Run(ctx context.Context) error {
 		//lint:ignore sparselint/dequeowner root seeding happens before any worker starts; no owner exists yet
 		e.deques[w].Push(t)
 	}
-	// Cancellation shuts the pool down exactly like a panic, minus the
-	// re-panic: workers observe total <= 0 and drain out.
-	if ctx.Done() != nil {
-		//lint:ignore sparselint/hotpathalloc one cancellation hook per Run, not per task; the uncancellable steady-state run allocates nothing
-		stop := context.AfterFunc(ctx, func() { e.halt() })
-		defer stop()
-	}
-
-	if e.nw == 1 {
-		// Single worker: run inline on the calling goroutine — no pool, no
-		// parking, no wake traffic.
-		e.runWorker(0)
-	} else {
-		e.mu.Lock()
-		e.gen++
-		e.active = e.nw
-		e.cond.Broadcast()
-		for e.active > 0 {
-			e.cond.Wait()
-		}
-		e.mu.Unlock()
-	}
-
-	if e.panicVal != nil {
-		panic(e.panicVal)
-	}
-	if e.executed.Load() != int64(e.n) {
-		// The only non-panic way to stop short is cancellation.
-		return ctx.Err()
-	}
-	return nil
 }
 
-// Close stops the persistent workers. The Executor must not be used after.
-func (e *Executor) Close() {
-	if e.nw == 1 {
-		return
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.wg.Wait()
-}
-
-// workerLoop is the persistent body of pool worker w: park until a run
-// starts, participate, report completion, repeat.
-func (e *Executor) workerLoop(w int) {
-	defer e.wg.Done()
-	var lastGen uint64
-	for {
-		e.mu.Lock()
-		for !e.closed && e.gen == lastGen {
-			e.cond.Wait()
-		}
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		lastGen = e.gen
-		e.mu.Unlock()
-		e.runWorker(w)
-		e.mu.Lock()
-		e.active--
-		if e.active == 0 {
-			e.cond.Broadcast() // wake Run's completion wait
-		}
-		e.mu.Unlock()
-	}
-}
+// Close stops the helpers and returns once they have exited. The Executor
+// must not be used after.
+func (e *Executor) Close() { e.team.Close() }
 
 // abort records the first panic and releases every worker.
 func (e *Executor) abort(v any) {
-	e.mu.Lock()
+	e.panicMu.Lock()
 	if e.panicVal == nil {
 		e.panicVal = v
 	}
-	e.version++
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.total.Store(0) // workers observe <= 0 and exit
+	e.panicMu.Unlock()
+	e.halt()
 }
 
-// halt releases every worker without recording a panic (cancellation path).
+// halt ends the run short (cancellation, or abort's panic path): workers
+// observe total <= 0 at their next task boundary and leave.
 func (e *Executor) halt() {
-	e.mu.Lock()
-	e.version++
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.total.Store(0)
+	e.total.Store(haltedTotal)
+	e.gate.Notify()
 }
 
 // rngNext advances worker w's private xorshift64 stream.
 //
 //sparselint:hotpath
 func (e *Executor) rngNext(w int) uint64 {
-	s := e.rng[w].s
+	s := e.ws[w].rng
 	s ^= s << 13
 	s ^= s >> 7
 	s ^= s << 17
-	e.rng[w].s = s
+	e.ws[w].rng = s
 	return s
 }
 
 // take acquires the next task for worker w, hierarchically: own deque, own
 // domain (inbox, then same-domain victims), then remote domains (victim
-// deques with a steal-half burst, then remote inboxes). The returned tier
-// says which level supplied the task.
+// deques, then remote inboxes). The returned tier says which level supplied
+// the task.
 //
 //sparselint:hotpath
 func (e *Executor) take(w int) (int32, int, bool) {
@@ -433,6 +416,7 @@ func (e *Executor) take(w int) (int32, int, bool) {
 	if e.nw == 1 {
 		return 0, 0, false
 	}
+	ws := &e.ws[w]
 	myDom := e.domOf[w]
 	// Own domain: the inbox holds tasks other domains routed here — they are
 	// the reason this domain exists, so drain it before stealing.
@@ -451,18 +435,18 @@ func (e *Executor) take(w int) (int32, int, bool) {
 				continue
 			}
 			if t, ok := e.deques[v].Steal(); ok {
-				e.stats[w].stealsDom++
+				ws.stealsDom++
+				e.stealHalf(w, v)
 				return t, tierDomain, true
 			}
+			ws.stealFails++
 		}
 	}
 	if e.ndom == 1 {
 		return 0, 0, false
 	}
-	// Remote domains, starting at a random one: victims' deques with a
-	// steal-half burst (migrate up to half the victim's visible queue onto
-	// our own deque so siblings find follow-on work locally), then the remote
-	// inbox as a last resort.
+	// Remote domains, starting at a random one: victims' deques, then the
+	// remote inbox as a last resort.
 	dstart := int(e.rngNext(w) % uint64(e.ndom))
 	for dk := 0; dk < e.ndom; dk++ {
 		d := (dstart + dk) % e.ndom
@@ -470,33 +454,40 @@ func (e *Executor) take(w int) (int32, int, bool) {
 			continue
 		}
 		for v := e.domStart[d]; v < e.domEnd[d]; v++ {
-			t, ok := e.deques[v].Steal()
-			if !ok {
-				continue
+			if t, ok := e.deques[v].Steal(); ok {
+				ws.stealsRem++
+				e.stealHalf(w, v)
+				return t, tierRemote, true
 			}
-			e.stats[w].stealsRem++
-			burst := e.deques[v].Size() / 2
-			if burst > stealBurst {
-				burst = stealBurst
-			}
-			for i := 0; i < burst; i++ {
-				u, ok2 := e.deques[v].Steal()
-				if !ok2 {
-					break
-				}
-				// Migrated tasks were already published in the victim's
-				// deque, so no wake is needed: any parked worker rescans via
-				// the wake that published them.
-				e.deques[w].Push(u)
-			}
-			return t, tierRemote, true
+			ws.stealFails++
 		}
 		if t, ok := e.inbox[d].get(); ok {
-			e.stats[w].stealsRem++
+			ws.stealsRem++
 			return t, tierRemote, true
 		}
 	}
 	return 0, 0, false
+}
+
+// stealHalf follows a successful steal from victim v: it migrates up to half
+// of what v's deque still shows (at most stealBurst) onto w's own deque, so
+// one trip to a long queue pays for many tasks and siblings find follow-on
+// work locally. Migrated tasks were already published in the victim's deque,
+// so no wake is needed.
+//
+//sparselint:hotpath
+func (e *Executor) stealHalf(w, v int) {
+	burst := e.deques[v].Size() / 2
+	if burst > stealBurst {
+		burst = stealBurst
+	}
+	for i := 0; i < burst; i++ {
+		u, ok := e.deques[v].Steal()
+		if !ok {
+			return
+		}
+		e.deques[w].Push(u)
+	}
 }
 
 // route places a newly ready task (respecting affinity) without waking
@@ -517,28 +508,11 @@ func (e *Executor) route(w int, t int32) {
 	e.deques[w].Push(t)
 }
 
-func (e *Executor) wake() {
-	e.mu.Lock()
-	e.version++
-	if e.sleep > 0 {
-		e.cond.Broadcast()
-	}
-	e.mu.Unlock()
-}
-
-// finish wakes every parked worker after the last task so they can exit.
-func (e *Executor) finish() {
-	e.mu.Lock()
-	e.version++
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
 // recoverAbort is runWorker's deferred panic backstop: a panicking task must
-// not kill the worker silently (the pool would deadlock waiting for its
-// tasks), so capture the first panic, shut the run down, and let Run re-panic
-// on the caller's goroutine. A named method rather than a closure so the
-// worker entry path stays allocation-free.
+// not kill the worker silently (the run would wait for its tasks forever), so
+// capture the first panic, shut the run down, and let Run re-panic on the
+// caller's goroutine. A named method rather than a closure so the worker
+// entry path stays allocation-free.
 func (e *Executor) recoverAbort() {
 	if r := recover(); r != nil {
 		e.abort(r)
@@ -553,93 +527,95 @@ func (e *Executor) recoverAbort() {
 //sparselint:ownerloop
 func (e *Executor) runWorker(w int) {
 	defer e.recoverAbort()
-	spins := 0
-	for {
-		if e.total.Load() <= 0 {
-			return
-		}
-		t, tier, ok := e.take(w)
-		if !ok {
-			spins++
-			if spins < 4 {
-				runtime.Gosched()
-				continue
-			}
-			// Park until new work arrives or everything finishes.
-			e.mu.Lock()
-			v := e.version
-			for {
-				if e.total.Load() <= 0 {
-					e.mu.Unlock()
-					return
-				}
-				if e.version != v {
-					break // new work was submitted; rescan
-				}
-				e.sleep++
-				e.cond.Wait()
-				e.sleep--
-			}
-			e.mu.Unlock()
-			spins = 0
+	ws := &e.ws[w]
+	idle := 0
+	for e.total.Load() > 0 {
+		if t, tier, ok := e.take(w); ok {
+			idle = 0
+			e.runChain(w, t, tier)
 			continue
 		}
-		spins = 0
-		if e.runChain(w, t, tier) {
-			return // last task of the run executed here
+		// Dry: fold what this worker ran into total. Zero means it ran the
+		// run's last task — release whoever is parked.
+		if done := ws.ran - ws.folded; done > 0 {
+			ws.folded = ws.ran
+			if e.total.Add(-done) == 0 {
+				e.gate.Notify()
+				return
+			}
+			continue
 		}
+		ws.spins++
+		if !Spin(idle) {
+			e.park(w)
+			idle = -1
+		}
+		idle++
 	}
+}
+
+// park puts worker w to sleep until new work is published or the run ends.
+// It announces itself, looks once more — at total and at every queue — and
+// only then sleeps, so a task published concurrently is either found here or
+// its producer finds the announcement.
+//
+//sparselint:coldcall reached only after the spin budget ran out; sleeping is the point
+func (e *Executor) park(w int) {
+	key := e.gate.prepare()
+	if e.total.Load() <= 0 {
+		e.gate.cancel()
+		return
+	}
+	if t, tier, ok := e.take(w); ok {
+		e.gate.cancel()
+		e.runChain(w, t, tier)
+		return
+	}
+	e.ws[w].parks++
+	e.gate.wait(key)
 }
 
 // runChain executes task t and then chains depth-first through successors it
 // enables: under LIFO the just-enabled successor that would be popped next is
 // run inline, skipping the deque round-trip and wake; the remaining ready
-// tasks are routed in one batch with a single wake. Returns true when the
-// run's last task executed here.
+// tasks are routed in one batch with a single wake. It returns when there is
+// nothing to chain into, or the run was halted.
 //
 //sparselint:hotpath
-func (e *Executor) runChain(w int, t int32, tier int) bool {
-	st := &e.stats[w]
+func (e *Executor) runChain(w int, t int32, tier int) {
+	ws := &e.ws[w]
 	myDom := e.domOf[w]
 	for {
 		switch tier {
 		case tierLocal:
-			st.local++
+			ws.local++
 		case tierDomain:
-			st.domain++
+			ws.domain++
 		default:
-			st.remote++
+			ws.remote++
 		}
 		if e.aff != nil {
 			if d := e.aff(t); d < 0 {
-				st.affNon++
+				ws.affNon++
 			} else if d%e.ndom == myDom {
-				st.affLocal++
+				ws.affLocal++
 			} else {
-				st.affRem++
+				ws.affRem++
 			}
 		}
 		e.exec(w, t)
-		e.executed.Add(1)
-		nr := e.ready[w][:0]
+		ws.ran++
+		nr := ws.ready[:0]
 		for _, s := range e.succs(t) {
 			if e.remain[s].Add(-1) == 0 {
 				nr = append(nr, s)
 			}
 		}
-		e.ready[w] = nr // keep grown capacity for reuse
-		if rem := e.total.Add(-1); rem <= 0 {
-			// rem == 0: this was the run's last task — wake parked workers.
-			// rem < 0: the run was halted (cancel/panic) while this task was
-			// in flight; halt already woke everyone. Either way, stop here
-			// rather than chaining into a dead run.
-			if rem == 0 {
-				e.finish()
-			}
-			return true
-		}
-		if len(nr) == 0 {
-			return false
+		ws.ready = nr // keep grown capacity for reuse
+		if len(nr) == 0 || e.total.Load() <= 0 {
+			// Nothing enabled, or the run was halted (cancel/panic) while this
+			// task was in flight: do not chain into a dead run.
+			return
 		}
 		// Inline fast path: under LIFO, the last-routed successor is exactly
 		// the task Pop would return next — run it directly, provided affinity
@@ -663,10 +639,12 @@ func (e *Executor) runChain(w int, t int32, tier int) bool {
 			for _, s := range nr {
 				e.route(w, s)
 			}
-			e.wake()
+			if e.gate.Notify() {
+				ws.wakes++
+			}
 		}
 		if next < 0 {
-			return false
+			return
 		}
 		t = next
 		tier = tierLocal

@@ -17,6 +17,14 @@ import "sync/atomic"
 //     AffinityLocal (executed where its affinity key maps), AffinityRemote
 //     (executed elsewhere: work conservation won over placement), and
 //     AffinityNone (tasks with no affinity key, e.g. global reductions).
+//
+// Four more counters say what workers did when they had nothing to run:
+// StealFails (a victim's deque probed and found empty, or the race for its
+// top lost), Spins (rounds of the bounded busy-wait), Parks (times a worker
+// went to sleep once its spin budget ran out) and Wakes (ready sets whose
+// producer found somebody parked and woke them). Parks and Wakes near zero
+// with Spins high is the fine-grain steady state; Parks tracking the run
+// count means iterations are far enough apart for the helpers to sleep.
 type LocalityStats struct {
 	Local  int64 `json:"local"`
 	Domain int64 `json:"domain"`
@@ -28,6 +36,11 @@ type LocalityStats struct {
 	AffinityLocal  int64 `json:"affinity_local"`
 	AffinityRemote int64 `json:"affinity_remote"`
 	AffinityNone   int64 `json:"affinity_none"`
+
+	StealFails int64 `json:"steal_fails"`
+	Spins      int64 `json:"spins"`
+	Parks      int64 `json:"parks"`
+	Wakes      int64 `json:"wakes"`
 }
 
 // Tasks returns the total executions counted.
@@ -54,6 +67,10 @@ func (s *LocalityStats) Add(o LocalityStats) {
 	s.AffinityLocal += o.AffinityLocal
 	s.AffinityRemote += o.AffinityRemote
 	s.AffinityNone += o.AffinityNone
+	s.StealFails += o.StealFails
+	s.Spins += o.Spins
+	s.Parks += o.Parks
+	s.Wakes += o.Wakes
 }
 
 // LocalityAccumulator aggregates LocalityStats across executors with atomic
@@ -63,6 +80,8 @@ type LocalityAccumulator struct {
 	local, domain, remote    atomic.Int64
 	stealsDom, stealsRem     atomic.Int64
 	affLocal, affRem, affNon atomic.Int64
+	stealFails, spins        atomic.Int64
+	parks, wakes             atomic.Int64
 }
 
 // Add folds a snapshot into the accumulator.
@@ -75,6 +94,10 @@ func (a *LocalityAccumulator) Add(s LocalityStats) {
 	a.affLocal.Add(s.AffinityLocal)
 	a.affRem.Add(s.AffinityRemote)
 	a.affNon.Add(s.AffinityNone)
+	a.stealFails.Add(s.StealFails)
+	a.spins.Add(s.Spins)
+	a.parks.Add(s.Parks)
+	a.wakes.Add(s.Wakes)
 }
 
 // Snapshot returns the accumulated totals.
@@ -88,17 +111,21 @@ func (a *LocalityAccumulator) Snapshot() LocalityStats {
 		AffinityLocal:  a.affLocal.Load(),
 		AffinityRemote: a.affRem.Load(),
 		AffinityNone:   a.affNon.Load(),
+		StealFails:     a.stealFails.Load(),
+		Spins:          a.spins.Load(),
+		Parks:          a.parks.Load(),
+		Wakes:          a.wakes.Load(),
 	}
 }
 
-// workerStats is one worker's private counter block, sized to a cache line so
-// neighbouring workers never share one. Written only by the owning worker
-// during a run; reading is safe once Run has returned (the run-completion
-// handshake orders the writes).
+// workerStats is the counter half of a worker's private block (see worker,
+// which pads it): cumulative over runs until ResetStats.
 type workerStats struct {
 	local, domain, remote    int64
 	stealsDom, stealsRem     int64
 	affLocal, affRem, affNon int64
+	stealFails, spins        int64
+	parks, wakes             int64
 }
 
 // Stats aggregates the per-worker locality counters. Call it between runs
@@ -106,8 +133,8 @@ type workerStats struct {
 // graph would race with the workers' counter writes.
 func (e *Executor) Stats() LocalityStats {
 	var s LocalityStats
-	for i := range e.stats {
-		w := &e.stats[i]
+	for i := range e.ws {
+		w := &e.ws[i].workerStats
 		s.Local += w.local
 		s.Domain += w.domain
 		s.Remote += w.remote
@@ -116,6 +143,10 @@ func (e *Executor) Stats() LocalityStats {
 		s.AffinityLocal += w.affLocal
 		s.AffinityRemote += w.affRem
 		s.AffinityNone += w.affNon
+		s.StealFails += w.stealFails
+		s.Spins += w.spins
+		s.Parks += w.parks
+		s.Wakes += w.wakes
 	}
 	return s
 }
@@ -123,7 +154,7 @@ func (e *Executor) Stats() LocalityStats {
 // ResetStats zeroes the locality counters. Same concurrency contract as
 // Stats: only between runs.
 func (e *Executor) ResetStats() {
-	for i := range e.stats {
-		e.stats[i] = workerStats{}
+	for i := range e.ws {
+		e.ws[i].workerStats = workerStats{}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -492,6 +493,22 @@ func TestTopologyConfigAndMetrics(t *testing.T) {
 	}
 	if s := m.Topology.DomainLocalShare; s < 0 || s > 1 {
 		t.Errorf("domain_local_share = %v out of range", s)
+	}
+	// The idle-protocol counters ride along: four workers on a graph this
+	// small cannot all be busy all the time.
+	if l := m.Topology.Locality; l.StealFails+l.Spins == 0 {
+		t.Errorf("no failed steal or spin round counted over %d tasks on 4 workers: %+v", l.Tasks(), l)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, key := range []string{`"steal_fails"`, `"spins"`, `"parks"`, `"wakes"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Errorf("/metrics does not export %s", key)
+		}
 	}
 
 	// Unknown profile names degrade to flat rather than failing the server.

@@ -117,32 +117,68 @@ func TestCGSteadyIterationAllocs(t *testing.T) {
 	}
 }
 
-// The BSP backend's prepared form runs chains inline with one worker; it
-// must be allocation-free as well (it is the nil-runtime default).
+// The BSP backend's prepared form must be allocation-free as well: with one
+// worker it runs the chains inline (it is the nil-runtime default), with two
+// its persistent team crosses a barrier per kernel without forking anything.
 func TestBSPPreparedSteadyIterationAllocs(t *testing.T) {
 	a := laplacian1D(600).ToCSB(64)
-	l, err := NewLanczos(a, 48)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range allocWorkerCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := NewLanczos(a, 48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.initState(1)
+			pr := rt.PrepareRun(rt.NewBSP(rt.Options{Workers: tc.workers}), l.g, l.st)
+			defer pr.Close()
+			ctx := context.Background()
+			var res Result
+			it := 0
+			step := func() {
+				it++
+				stop, err := l.iterate(ctx, pr, it, &res)
+				if err != nil || stop {
+					t.Fatalf("iteration %d ended early: stop=%v err=%v", it, stop, err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Fatalf("steady-state BSP-prepared iteration allocates %.0f times, want 0", allocs)
+			}
+		})
 	}
-	l.initState(1)
-	pr := rt.PrepareRun(rt.NewBSP(rt.Options{Workers: 1}), l.g, l.st)
-	defer pr.Close()
-	ctx := context.Background()
-	var res Result
-	it := 0
-	step := func() {
-		it++
-		stop, err := l.iterate(ctx, pr, it, &res)
-		if err != nil || stop {
-			t.Fatalf("iteration %d ended early: stop=%v err=%v", it, stop, err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Fatalf("steady-state BSP-prepared iteration allocates %.0f times, want 0", allocs)
+}
+
+// Regent's prepared form keeps its dependency counters, ready queue and
+// worker team across runs; the caller is the analysis pipeline. Nothing is
+// rebuilt per iteration.
+func TestRegentPreparedSteadyIterationAllocs(t *testing.T) {
+	a := laplacian1D(600).ToCSB(64)
+	b := RandomRHS(600, 3)
+	for _, tc := range allocWorkerCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCG(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.initState(b)
+			pr := rt.PrepareRun(rt.NewRegent(rt.Options{Workers: tc.workers, AnalysisCost: 1}), c.g, c.st)
+			defer pr.Close()
+			ctx := context.Background()
+			step := func() {
+				if _, err := c.iterate(ctx, pr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Fatalf("steady-state Regent-prepared iteration allocates %.0f times, want 0", allocs)
+			}
+		})
 	}
 }
 

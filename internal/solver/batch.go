@@ -231,7 +231,7 @@ func NewBatchCG(a sparse.Matrix, k int) (*BatchCG, error) {
 	p.ColAxpby(c.opP, c.opR, c.opBeta, 1, c.opP)
 
 	opt := graph.DefaultOptions()
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	g, err := w.buildGraph(p, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +447,7 @@ func NewBatchPCG(a sparse.Matrix, m *precond.IC0, k int, lower, upper *precond.L
 	// P = Z + β∘P.
 	p.ColAxpby(c.opP, c.opZ, c.opBeta, 1, c.opP)
 
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	g, err := w.buildGraph(p, opt)
 	if err != nil {
 		return nil, err
 	}

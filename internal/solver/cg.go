@@ -124,7 +124,7 @@ func NewCG(a sparse.Matrix) (*CG, error) {
 	p.Axpby(c.opP, 1, c.opR, 1, c.opBP)
 
 	opt := graph.DefaultOptions()
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	g, err := w.buildGraph(p, opt)
 	if err != nil {
 		return nil, err
 	}

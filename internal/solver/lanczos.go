@@ -74,7 +74,7 @@ type Lanczos struct {
 // NewLanczos builds the solver and its single-iteration TDG. A *sparse.SymCSB
 // matrix routes the SpMV through the symmetry-exploiting kernels.
 func NewLanczos(a sparse.Matrix, k int) (*Lanczos, error) {
-	l, w, err := planLanczos(a, k)
+	l, w, err := planLanczos(a, k, matWiring.buildGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +83,12 @@ func NewLanczos(a sparse.Matrix, k int) (*Lanczos, error) {
 	return l, nil
 }
 
-// LanczosGraph builds the single-iteration TDG NewLanczos(a, k) would run,
+// LanczosGraph builds the single-iteration TDG of NewLanczos(a, k) as
+// graph.Build expands it — the unfused source of the graph the solver runs —
 // without the operand store: what a cost model needs of the solver. It reads
 // only a's tile occupancy, so a sparse.COO.TileSkeleton will do for a.
 func LanczosGraph(a sparse.Matrix, k int) (*graph.TDG, error) {
-	l, _, err := planLanczos(a, k)
+	l, _, err := planLanczos(a, k, matWiring.expandGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func LanczosGraph(a sparse.Matrix, k int) (*graph.TDG, error) {
 }
 
 // planLanczos is NewLanczos up to, not including, the operand store.
-func planLanczos(a sparse.Matrix, k int) (*Lanczos, matWiring, error) {
+func planLanczos(a sparse.Matrix, k int, build graphBuilder) (*Lanczos, matWiring, error) {
 	if k < 1 {
 		return nil, matWiring{}, errors.New("solver: Lanczos needs k >= 1")
 	}
@@ -137,7 +138,7 @@ func planLanczos(a sparse.Matrix, k int) (*Lanczos, matWiring, error) {
 	p.ScaleInv(l.opQn, l.opZ, l.opBt)
 
 	opt := graph.DefaultOptions()
-	l.g, err = graph.Build(p, w.graphInputs(&opt), opt)
+	l.g, err = build(w, p, opt)
 	if err != nil {
 		return nil, w, err
 	}

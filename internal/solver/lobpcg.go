@@ -71,7 +71,7 @@ func WithJacobiPreconditioner() Option {
 // A *sparse.SymCSB matrix routes the SpMM through the symmetry-exploiting
 // kernels (LOBPCG requires symmetry anyway, so this is the natural storage).
 func NewLOBPCG(a sparse.Matrix, n int, opts ...Option) (*LOBPCG, error) {
-	l, w, err := planLOBPCG(a, n, opts)
+	l, w, err := planLOBPCG(a, n, opts, matWiring.buildGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -81,10 +81,11 @@ func NewLOBPCG(a sparse.Matrix, n int, opts ...Option) (*LOBPCG, error) {
 	return l, nil
 }
 
-// LOBPCGGraph builds the single-iteration TDG NewLOBPCG(a, n) would run,
-// without the operand store or the Rayleigh–Ritz workspace (see LanczosGraph).
+// LOBPCGGraph builds the single-iteration TDG of NewLOBPCG(a, n) as
+// graph.Build expands it, without the operand store or the Rayleigh–Ritz
+// workspace (see LanczosGraph).
 func LOBPCGGraph(a sparse.Matrix, n int) (*graph.TDG, error) {
-	l, _, err := planLOBPCG(a, n, nil)
+	l, _, err := planLOBPCG(a, n, nil, matWiring.expandGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +93,7 @@ func LOBPCGGraph(a sparse.Matrix, n int) (*graph.TDG, error) {
 }
 
 // planLOBPCG is NewLOBPCG up to, not including, the state a run needs.
-func planLOBPCG(a sparse.Matrix, n int, opts []Option) (*LOBPCG, matWiring, error) {
+func planLOBPCG(a sparse.Matrix, n int, opts []Option, build graphBuilder) (*LOBPCG, matWiring, error) {
 	if n < 1 {
 		return nil, matWiring{}, errors.New("solver: LOBPCG needs block width >= 1")
 	}
@@ -196,7 +197,7 @@ func planLOBPCG(a sparse.Matrix, n int, opts []Option) (*LOBPCG, matWiring, erro
 	p.Copy(l.opHQ, l.opHQN)
 
 	opt := graph.DefaultOptions()
-	l.g, err = graph.Build(p, w.graphInputs(&opt), opt)
+	l.g, err = build(w, p, opt)
 	if err != nil {
 		return nil, w, err
 	}

@@ -52,6 +52,27 @@ func (w matWiring) graphInputs(opt *graph.Options) map[program.OperandID]*sparse
 	return map[program.OperandID]*sparse.CSB{w.op: w.gen}
 }
 
+// graphBuilder turns a solver's program into the task graph it hands out:
+// buildGraph for a solver that will run, expandGraph for a cost model.
+type graphBuilder func(w matWiring, p *program.Program, opt graph.Options) (*graph.TDG, error)
+
+// expandGraph expands p over the wired matrix: graph.Build's output, the
+// graph the block-size cost model prices (its constants are calibrated to it).
+func (w matWiring) expandGraph(p *program.Program, opt graph.Options) (*graph.TDG, error) {
+	return graph.Build(p, w.graphInputs(&opt), opt)
+}
+
+// buildGraph expands p and fuses its partition-local groups: every solver
+// iterates on the fused graph, whose Unfused field keeps graph.Build's output
+// for the backends and ablations that want it.
+func (w matWiring) buildGraph(p *program.Program, opt graph.Options) (*graph.TDG, error) {
+	g, err := w.expandGraph(p, opt)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Fuse(g), nil
+}
+
 // attach binds the matrix storage to the run's store.
 func (w matWiring) attach(st *program.Store) {
 	if w.sym != nil {

@@ -152,7 +152,7 @@ func NewPCGWithLevels(a sparse.Matrix, m *precond.IC0, lower, upper *precond.Lev
 	p.ScaleInv(c.opBP, c.opP, c.opBetaInv).MarkIndexLaunch()
 	p.Axpby(c.opP, 1, c.opZ, 1, c.opBP)
 
-	g, err := graph.Build(p, w.graphInputs(&opt), opt)
+	g, err := w.buildGraph(p, opt)
 	if err != nil {
 		return nil, err
 	}
