@@ -44,10 +44,10 @@ benchcheck:
 	$(GO) -C benchmark test ./...
 
 # The fine-grain benchmarks of the root bench_test.go (one CG solve per
-# backend and worker count, and the empty-task executor replay), one
-# iteration each, so they cannot rot.
+# backend and worker count, the same driver at widths 1, 4 and 8, and the
+# empty-task executor replay), one iteration each, so they cannot rot.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'FineGrain|ExecutorTask' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'FineGrain|KrylovWidths|ExecutorTask' -benchtime 1x .
 
 # Short fuzz session for the MatrixMarket parser (regression seeds always run
 # as part of `make test`).

@@ -220,20 +220,28 @@ func BenchmarkGraphBuild(b *testing.B) {
 
 // ---- fine grain: what the scheduler costs when tasks are sub-microsecond ----
 
-// fineGrainCG is the solve-finegrain workload's solver: CG on a cache-resident
-// 16 384-row SPD Laplacian tiled 128 per dimension, so an iteration is a few
+// fineGrainMatrix is the solve-finegrain workload's matrix: a cache-resident
+// 16 384-row SPD Laplacian tiled 128 per dimension, so a CG iteration is a few
 // hundred tasks of well under a microsecond each.
-func fineGrainCG(b *testing.B) (*solver.CG, []float64) {
+func fineGrainMatrix(b *testing.B) *sparse.SymCSB {
 	b.Helper()
 	const rows, tiles = 16384, 128
 	a, err := matgen.SPDLaplacian(rows, 1).ToSymCSB(rows / tiles)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return a
+}
+
+// fineGrainCG is that workload's solver and right-hand side.
+func fineGrainCG(b *testing.B) (*solver.CG, []float64) {
+	b.Helper()
+	a := fineGrainMatrix(b)
 	c, err := solver.NewCG(a)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rows, _ := a.Dims()
 	return c, solver.RandomRHS(rows, 1)
 }
 
@@ -268,6 +276,45 @@ func BenchmarkFineGrainCG(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkKrylovWidths runs the one CG driver on the fine-grain matrix at
+// widths 1, 4 and 8 under deepsparse at GOMAXPROCS: a solve's wall time, and
+// that time per column — width-1 parity with what single-RHS CG used to cost
+// and the amortisation a batch buys, side by side. Under regent at k = 1 it
+// reports the tasks that paid dependence analysis in the last iteration.
+func BenchmarkKrylovWidths(b *testing.B) {
+	a := fineGrainMatrix(b)
+	rows, _ := a.Dims()
+	solve := func(b *testing.B, r rt.Runtime, k int) {
+		c, err := solver.NewBatchCG(a, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bs := make([][]float64, k)
+		for j := range bs {
+			bs[j] = solver.RandomRHS(rows, int64(j+1))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Solve(context.Background(), r, bs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ms := float64(b.Elapsed().Milliseconds()) / float64(b.N)
+		b.ReportMetric(ms, "ms/solve")
+		b.ReportMetric(ms/float64(k), "ms/column")
+	}
+	for _, k := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("deepsparse/k=%d", k), func(b *testing.B) {
+			solve(b, rt.NewDeepSparse(rt.Options{}), k)
+		})
+	}
+	b.Run("regent/k=1", func(b *testing.B) {
+		rg := rt.NewRegent(rt.Options{})
+		solve(b, rg, 1)
+		b.ReportMetric(float64(rg.LastAnalyzed), "analyzed")
+	})
 }
 
 // BenchmarkExecutorTaskOverhead replays the shape of that iteration's graph

@@ -284,8 +284,12 @@ func TestFusePropertiesOnSolverGraphs(t *testing.T) {
 		}
 	}
 
-	// solve-finegrain's CG: per partition, SCALE·SCALE·AXPBY·AXPBY·DOTp·DOTp
-	// become one task and SCALE·AXPBY another.
+	// solve-finegrain's CG, the width-1 program of the one Krylov driver: per
+	// partition, CAXPBY·CAXPBY·CDOTp (the x and r updates and rᵀr) become one
+	// task and the trailing CAXPBY (p = r + β·p) stays its own. Before the
+	// single-RHS recurrence was deleted this pinned 1412/2687 -> 644/1791:
+	// that program applied α and β as ScaleInv into scratch vectors followed by
+	// Axpby (four more partitioned calls) and took a separate Norm.
 	fine, err := matgen.SPDLaplacian(16384, 1).ToSymCSB(128)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +299,7 @@ func TestFusePropertiesOnSolverGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := c.Graph()
-	if got, want := [4]int{len(f.Unfused.Tasks), f.Unfused.NumEdges, len(f.Tasks), f.NumEdges}, [4]int{1412, 2687, 644, 1791}; got != want {
+	if got, want := [4]int{len(f.Unfused.Tasks), f.Unfused.NumEdges, len(f.Tasks), f.NumEdges}, [4]int{899, 2047, 643, 1663}; got != want {
 		t.Errorf("fine-grained CG: tasks/edges before and after fusion %v, want %v", got, want)
 	}
 }

@@ -291,6 +291,17 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		n := p.Op(c.A).Cols
 		part := st.Partial(int(t.Call), int(t.P))
 		part = part[:n]
+		if n == 1 {
+			// One column: one accumulator in row order, the summation order of
+			// any single column of the loop below, without its row re-slicing.
+			b = b[:len(a)]
+			var s float64
+			for i, av := range a {
+				s += av * b[i]
+			}
+			part[0] = s
+			break
+		}
 		zero(part)
 		rows := len(a) / n
 		for i := 0; i < rows; i++ {
@@ -325,6 +336,17 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		n := p.Op(c.Out).Cols
 		be := c.Beta
 		coef = coef[:n]
+		if n == 1 {
+			// One column: the loop below with its inner loop of one unrolled
+			// away; be·coef is the same product it forms per element.
+			s := be * coef[0]
+			a = a[:len(out)]
+			b = b[:len(out)]
+			for i := range out {
+				out[i] = a[i] + s*b[i]
+			}
+			break
+		}
 		rows := len(out) / n
 		for i := 0; i < rows; i++ {
 			row := out[i*n : i*n+n]

@@ -324,3 +324,56 @@ func TestFusedRandomTopoOrdersAgree(t *testing.T) {
 		}
 	}
 }
+
+// colKernels builds the program CDOT(dot, a, b) ; CAXPBY(out, a, coef, beta, b)
+// at width n over m rows and returns its graph, store and operand ids.
+func colKernels(t *testing.T, m, block, n int, beta float64) (*graph.TDG, *program.Store, [5]program.OperandID) {
+	t.Helper()
+	p := program.New(m, block)
+	a, b, out := p.Vec("a", n), p.Vec("b", n), p.Vec("out", n)
+	dot, coef := p.Small("dot", 1, n), p.Small("coef", 1, n)
+	p.ColDot(dot, a, b)
+	p.ColAxpby(out, a, coef, beta, b)
+	g, err := graph.Build(p, nil, graph.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, program.NewStore(p), [5]program.OperandID{a, b, out, dot, coef}
+}
+
+// The width-1 bodies of TColDotPart and TColAxpby are the generic loop with
+// its inner loop of one removed: on every column j of a k-wide operand pair
+// the generic loop must produce, bit for bit, what the width-1 body produces
+// on that column alone. Partition lengths 1, odd, even and a ragged last
+// partition (a partition is never empty: program.New rejects m = 0), Beta =
+// ±1, and a zero coefficient (the retired-column case).
+func TestWidthOneColumnKernelsMatchGenericLoop(t *testing.T) {
+	const k = 3
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{1, 2, 7, 8, 9, 33} {
+		for _, beta := range []float64{1, -1} {
+			gk, stk, idk := colKernels(t, m, 4, k, beta)
+			fillRand(rng, stk.Vec[idk[0]])
+			fillRand(rng, stk.Vec[idk[1]])
+			copy(stk.Small[idk[4]], []float64{rng.NormFloat64(), 0, -rng.Float64()})
+			RunSequential(gk, stk)
+			for j := 0; j < k; j++ {
+				g1, st1, id1 := colKernels(t, m, 4, 1, beta)
+				for i := 0; i < m; i++ {
+					st1.Vec[id1[0]][i] = stk.Vec[idk[0]][i*k+j]
+					st1.Vec[id1[1]][i] = stk.Vec[idk[1]][i*k+j]
+				}
+				st1.Small[id1[4]][0] = stk.Small[idk[4]][j]
+				RunSequential(g1, st1)
+				if got, want := st1.Small[id1[3]][0], stk.Small[idk[3]][j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("m=%d beta=%v column %d: width-1 dot %v, generic loop %v", m, beta, j, got, want)
+				}
+				for i := 0; i < m; i++ {
+					if got, want := st1.Vec[id1[2]][i], stk.Vec[idk[2]][i*k+j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("m=%d beta=%v column %d: width-1 out[%d] = %v, generic loop %v", m, beta, j, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}

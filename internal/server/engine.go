@@ -14,7 +14,8 @@ import (
 // Config sizes the engine (and the Server that wraps it).
 type Config struct {
 	// QueueSize bounds the FIFO admission queue; a full queue rejects new
-	// jobs with ErrQueueFull (HTTP 429). Default 64.
+	// jobs with ErrQueueFull (HTTP 429). The dispatcher holds one more job (or
+	// one open group) off the queue while the pool is busy. Default 64.
 	QueueSize int
 	// Workers is the pool size — how many jobs (or batches) execute
 	// concurrently. Default 2.
@@ -35,10 +36,9 @@ type Config struct {
 	// profile is part of the plan-cache key and reported on /metrics.
 	Topo string
 	// CoalesceMax caps how many same-matrix cg/pcg jobs the dispatcher may
-	// merge into one multi-RHS batched solve. Values <= 1 disable coalescing
-	// entirely: the pool consumes the admission queue directly, exactly as
-	// before the coalescer existed. Default 1 (disabled); cmd/solverd
-	// defaults its -coalesce flag to 8.
+	// merge into one multi-RHS batched solve. Values <= 1 disable coalescing:
+	// the dispatcher hands every job to the pool as a group of one. Default 1
+	// (disabled); cmd/solverd defaults its -coalesce flag to 8.
 	CoalesceMax int
 	// CoalesceWindow is how long the dispatcher holds a batchable job open
 	// waiting for same-matrix arrivals before dispatching the group. Only
@@ -91,9 +91,8 @@ type Engine struct {
 	plans     *PlanCache
 	operators *OperatorCache
 	queue     chan *Job
-	// batches carries dispatcher groups to the pool; nil unless coalescing
-	// is enabled (CoalesceMax > 1).
-	batches chan []*Job
+	// groups carries dispatcher groups to the pool.
+	groups chan []*Job
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -108,8 +107,8 @@ type Engine struct {
 	workers    sync.WaitGroup
 }
 
-// NewEngine starts the worker pool (and, when coalescing is enabled, the
-// dispatcher) and returns a ready engine.
+// NewEngine starts the dispatcher and the worker pool and returns a ready
+// engine.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	tp, err := topo.ByName(cfg.Topo)
@@ -124,27 +123,18 @@ func NewEngine(cfg Config) *Engine {
 		plans:      NewPlanCache(cfg.PlanCacheSize),
 		operators:  NewOperatorCache(cfg.OperatorCacheBytes),
 		queue:      make(chan *Job, cfg.QueueSize),
+		groups:     make(chan []*Job),
 		jobs:       make(map[string]*Job),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	if e.coalescing() {
-		e.batches = make(chan []*Job)
-		e.workers.Add(cfg.Workers + 1)
-		go e.dispatch()
-		for i := 0; i < cfg.Workers; i++ {
-			go e.batchWorker()
-		}
-	} else {
-		e.workers.Add(cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			go e.worker()
-		}
+	e.workers.Add(cfg.Workers + 1)
+	go e.dispatch()
+	for i := 0; i < cfg.Workers; i++ {
+		go e.poolWorker()
 	}
 	return e
 }
-
-func (e *Engine) coalescing() bool { return e.cfg.CoalesceMax > 1 }
 
 // Config returns the engine's resolved (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -177,19 +167,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// worker drains the admission queue directly (coalescing disabled).
-func (e *Engine) worker() {
+// poolWorker runs dispatcher groups until dispatch closes the channel.
+func (e *Engine) poolWorker() {
 	defer e.workers.Done()
-	for job := range e.queue {
-		e.execute(job)
-	}
-}
-
-// batchWorker drains dispatcher groups until dispatch closes the channel.
-func (e *Engine) batchWorker() {
-	defer e.workers.Done()
-	for group := range e.batches {
-		e.executeBatch(group)
+	for group := range e.groups {
+		e.runGroup(group)
 	}
 }
 
@@ -229,56 +211,52 @@ func coalesceKeyFor(job *Job) (coalesceKey, bool) {
 	}, true
 }
 
-// dispatch is the batch coalescer: it sits between the admission queue and
-// the pool, grouping consecutive batchable jobs that share a coalesceKey into
-// one multi-RHS solve. A group closes when it reaches CoalesceMax, when the
+// dispatch sits between the admission queue and the pool and hands the pool
+// groups: consecutive batchable jobs that share a coalesceKey become one
+// multi-RHS solve. A group closes when it reaches CoalesceMax, when the
 // CoalesceWindow expires, or when a non-matching job arrives (which then
 // seeds the next group — grouping never reorders the queue). Non-batchable
-// jobs pass through as singleton groups immediately.
+// jobs, and every job when CoalesceMax is 1, pass through as groups of one
+// immediately, without arming the window.
 func (e *Engine) dispatch() {
 	defer e.workers.Done()
+	defer close(e.groups)
 	var pending *Job
 	for {
 		job := pending
 		pending = nil
 		if job == nil {
 			var ok bool
-			job, ok = <-e.queue
-			if !ok {
-				close(e.batches)
+			if job, ok = <-e.queue; !ok {
 				return
 			}
 		}
-		key, batchable := coalesceKeyFor(job)
-		if !batchable {
-			e.batches <- []*Job{job}
-			continue
-		}
 		group := []*Job{job}
-		timer := time.NewTimer(e.cfg.CoalesceWindow)
 		closed := false
-	collect:
-		for len(group) < e.cfg.CoalesceMax {
-			select {
-			case next, ok := <-e.queue:
-				if !ok {
-					closed = true
+		if key, batchable := coalesceKeyFor(job); batchable && e.cfg.CoalesceMax > 1 {
+			timer := time.NewTimer(e.cfg.CoalesceWindow)
+		collect:
+			for len(group) < e.cfg.CoalesceMax {
+				select {
+				case next, ok := <-e.queue:
+					if !ok {
+						closed = true
+						break collect
+					}
+					if nkey, nb := coalesceKeyFor(next); nb && nkey == key {
+						group = append(group, next)
+					} else {
+						pending = next
+						break collect
+					}
+				case <-timer.C:
 					break collect
 				}
-				if nkey, nb := coalesceKeyFor(next); nb && nkey == key {
-					group = append(group, next)
-				} else {
-					pending = next
-					break collect
-				}
-			case <-timer.C:
-				break collect
 			}
+			timer.Stop()
 		}
-		timer.Stop()
-		e.batches <- group
+		e.groups <- group
 		if closed {
-			close(e.batches)
 			return
 		}
 	}
@@ -336,10 +314,10 @@ func (e *Engine) Views() []JobView {
 }
 
 // Cancel cancels a job: queued jobs flip to canceled immediately (the pool
-// and the dispatcher skip them), running jobs get their context cancelled —
-// for a batched job that means registering a member vote; the shared solve
-// aborts once every member has voted (see batchCancel) — and reach canceled
-// once the runtime unwinds. Terminal jobs are left alone.
+// and the dispatcher skip them); a running job registers its vote with its
+// group — the shared solve aborts once every member has voted (see
+// groupCancel), at once for a job that runs alone — and reaches canceled when
+// the group finishes. Terminal jobs are left alone.
 func (e *Engine) Cancel(j *Job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -54,59 +54,13 @@ func (e *Engine) effectiveWorkers(spec JobSpec) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// execute runs one dequeued job through plan + solve and records metrics.
-func (e *Engine) execute(job *Job) {
-	job.mu.Lock()
-	if job.state != StateQueued { // cancelled while queued
-		job.mu.Unlock()
-		return
-	}
-	start := time.Now()
-	job.state = StateRunning
-	job.started = start
-	ctx := e.baseCtx
-	var cancel context.CancelFunc
-	if job.Spec.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	job.cancel = cancel
-	job.mu.Unlock()
-	defer cancel()
-	e.metrics.QueueWait.Observe(start.Sub(job.submitted))
-	e.metrics.QueueWaitKind.Observe(job.Spec.Solver, start.Sub(job.submitted))
-
-	res, err := e.run(ctx, job)
-
-	fin := time.Now()
-	job.mu.Lock()
-	job.finished = fin
-	job.cancel = nil
-	switch {
-	case err == nil:
-		job.state = StateDone
-		job.result = res
-		e.metrics.Done.Add(1)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		job.state = StateCanceled
-		job.err = err.Error()
-		e.metrics.Canceled.Add(1)
-	default:
-		job.state = StateFailed
-		job.err = err.Error()
-		e.metrics.Failed.Add(1)
-	}
-	job.mu.Unlock()
-	e.metrics.Total.Observe(fin.Sub(job.submitted))
-}
-
-// batchCancel aggregates DELETE requests across a batch's members. The
-// shared solve context is cancelled only once every live member has asked —
-// the multi-RHS iteration cannot abandon one column mid-run, and a retired
-// column costs almost nothing — but members that asked are still marked
-// canceled when the batch completes, so a DELETE is never silently ignored.
-type batchCancel struct {
+// groupCancel aggregates DELETE requests across a group's members. The shared
+// solve context is cancelled only once every live member has asked — the
+// multi-RHS iteration cannot abandon one column mid-run, and a retired column
+// costs almost nothing — but members that asked are still marked canceled
+// when the group completes, so a DELETE is never silently ignored. A job that
+// runs alone is a group of one: its vote is the whole quorum.
+type groupCancel struct {
 	mu        sync.Mutex
 	armed     bool
 	total     int
@@ -116,101 +70,90 @@ type batchCancel struct {
 
 // request registers one member's cancellation vote. Callers hold j.mu, so
 // request must not touch any job's mutex.
-func (bc *batchCancel) request(j *Job) {
-	bc.mu.Lock()
-	bc.requested[j] = true
-	fire := bc.armed && len(bc.requested) >= bc.total
-	bc.mu.Unlock()
+func (gc *groupCancel) request(j *Job) {
+	gc.mu.Lock()
+	gc.requested[j] = true
+	fire := gc.armed && len(gc.requested) >= gc.total
+	gc.mu.Unlock()
 	if fire {
-		bc.cancel()
+		gc.cancel()
 	}
 }
 
-// arm sets the member count once the batch's live set is known. Votes cast
+// arm sets the member count once the group's live set is known. Votes cast
 // before arming (between a member's claim and arm) are honored here.
-func (bc *batchCancel) arm(n int) {
-	bc.mu.Lock()
-	bc.armed = true
-	bc.total = n
-	fire := n > 0 && len(bc.requested) >= n
-	bc.mu.Unlock()
+func (gc *groupCancel) arm(n int) {
+	gc.mu.Lock()
+	gc.armed = true
+	gc.total = n
+	fire := n > 0 && len(gc.requested) >= n
+	gc.mu.Unlock()
 	if fire {
-		bc.cancel()
+		gc.cancel()
 	}
 }
 
 // requestedFor reports whether a member voted to cancel.
-func (bc *batchCancel) requestedFor(j *Job) bool {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return bc.requested[j]
+func (gc *groupCancel) requestedFor(j *Job) bool {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return gc.requested[j]
 }
 
-// executeBatch runs one dispatcher group. Singleton groups (and groups
-// reduced to one live member by cancel-while-queued) take the exact
-// single-job path; larger groups run as one multi-RHS batched solve.
-func (e *Engine) executeBatch(group []*Job) {
-	live := 0
-	for _, j := range group {
-		if j.StateNow() == StateQueued {
-			live++
-		}
-	}
-	if live <= 1 {
-		if live == 1 {
-			e.metrics.BatchSizes.Observe(group[0].Spec.Solver, 1)
-		}
-		for _, j := range group {
-			e.execute(j)
-		}
-		return
-	}
-	e.runBatchJobs(group)
-}
-
-// runBatchJobs claims a group's still-queued members, runs them as one
-// batched solve, and distributes the per-column outcomes.
-func (e *Engine) runBatchJobs(group []*Job) {
+// runGroup is the one path from queued to a terminal state: it claims a
+// dispatcher group's still-queued members, runs them as one solve, and
+// distributes the per-member outcomes. A job that was not coalesced — every
+// lanczos or lobpcg job, every job with a deadline, a cg/pcg job nobody joined
+// — is a group of one through the same code, and its result carries no batch
+// fields.
+func (e *Engine) runGroup(group []*Job) {
 	start := time.Now()
-	ctx, cancel := context.WithCancel(e.baseCtx)
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if d := group[0].Spec.DeadlineMS; d > 0 { // never coalesced: the group is this job
+		ctx, cancel = context.WithTimeout(e.baseCtx, time.Duration(d)*time.Millisecond)
+	} else {
+		ctx, cancel = context.WithCancel(e.baseCtx)
+	}
 	defer cancel()
-	bc := &batchCancel{requested: make(map[*Job]bool), cancel: cancel}
+	gc := &groupCancel{requested: make(map[*Job]bool), cancel: cancel}
 
 	jobs := make([]*Job, 0, len(group))
 	for _, j := range group {
 		j.mu.Lock()
-		if j.state != StateQueued { // cancelled between dispatch and claim
+		if j.state != StateQueued { // cancelled while queued or held by the dispatcher
 			j.mu.Unlock()
 			continue
 		}
 		j.state = StateRunning
 		j.started = start
 		member := j
-		j.cancel = func() { bc.request(member) }
+		j.cancel = func() { gc.request(member) }
 		j.mu.Unlock()
 		e.metrics.QueueWait.Observe(start.Sub(j.submitted))
 		e.metrics.QueueWaitKind.Observe(j.Spec.Solver, start.Sub(j.submitted))
 		jobs = append(jobs, j)
 	}
-	bc.arm(len(jobs))
+	gc.arm(len(jobs))
 	if len(jobs) == 0 {
 		return
 	}
 	e.metrics.BatchSizes.Observe(jobs[0].Spec.Solver, len(jobs))
+	var batchID string
 	if len(jobs) >= 2 {
 		e.metrics.CoalescedBatches.Add(1)
 		e.metrics.BatchedJobs.Add(int64(len(jobs)))
+		e.mu.Lock()
+		e.batchSeq++
+		batchID = fmt.Sprintf("batch-%d", e.batchSeq)
+		e.mu.Unlock()
 	}
-	e.mu.Lock()
-	e.batchSeq++
-	batchID := fmt.Sprintf("batch-%d", e.batchSeq)
-	e.mu.Unlock()
 
-	results, shared, err := e.runBatch(ctx, jobs)
-	// Classify the batch-level outcome once, before the per-job loop: the
+	results, failures, err := e.solve(ctx, jobs)
+	// Classify the group-level outcome once, before the per-job loop: the
 	// error is shared by every member, and the loop is not the place to
 	// decide what it means.
-	batchCanceled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	canceled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 
 	fin := time.Now()
 	for i, j := range jobs {
@@ -218,7 +161,11 @@ func (e *Engine) runBatchJobs(group []*Job) {
 		j.finished = fin
 		j.cancel = nil
 		switch {
-		case batchCanceled:
+		case gc.requestedFor(j): // whether or not its vote stopped the solve
+			j.state = StateCanceled
+			j.err = "canceled while running"
+			e.metrics.Canceled.Add(1)
+		case canceled: // deadline, or the engine shutting down
 			j.state = StateCanceled
 			j.err = err.Error()
 			e.metrics.Canceled.Add(1)
@@ -226,29 +173,19 @@ func (e *Engine) runBatchJobs(group []*Job) {
 			j.state = StateFailed
 			j.err = err.Error()
 			e.metrics.Failed.Add(1)
-		case bc.requestedFor(j):
-			j.state = StateCanceled
-			j.err = "canceled while batched"
-			e.metrics.Canceled.Add(1)
-		case !results[i].Converged:
+		case failures[i] != nil:
 			j.state = StateFailed
-			j.err = fmt.Sprintf("%s did not converge after %d iterations (relres %.3e)",
-				j.Spec.Solver, results[i].Iterations, results[i].RelRes)
+			j.err = failures[i].Error()
 			e.metrics.Failed.Add(1)
 		default:
-			res := *shared
-			res.Iterations = results[i].Iterations
-			res.Residual = results[i].RelRes
-			res.Converged = true
-			res.BatchID = batchID
-			res.BatchSize = len(jobs)
-			res.BatchIndex = i
-			if i > 0 { // only the first member can have built the operator, or paid for any stage
-				res.MatrixSource = "cache"
-				res.Timings = nil
+			res := results[i]
+			if len(jobs) >= 2 {
+				res.BatchID = batchID
+				res.BatchSize = len(jobs)
+				res.BatchIndex = i
 			}
 			j.state = StateDone
-			j.result = &res
+			j.result = res
 			e.metrics.Done.Add(1)
 		}
 		j.mu.Unlock()
@@ -256,8 +193,8 @@ func (e *Engine) runBatchJobs(group []*Job) {
 	}
 }
 
-// materialized is a job's operator resolved to one tiling: what run and
-// runBatch need to construct a solver, and where each piece came from.
+// materialized is a job's operator resolved to one tiling: what solve
+// needs to construct a solver, and where each piece came from.
 type materialized struct {
 	op           *operator
 	plan         Plan
@@ -345,158 +282,123 @@ func rhsSeed(spec JobSpec) int64 {
 	return spec.Seed
 }
 
-// runBatch materializes the shared operator once, then solves every
-// member's right-hand side in one width-k program. The members agree on
-// solver, backend, workers, block, and matrix identity (the coalesce key),
-// differing only in their RHS seeds. The returned JobResult holds the
-// batch-invariant fields each member's result is copied from.
-func (e *Engine) runBatch(ctx context.Context, jobs []*Job) ([]solver.BatchColResult, *JobResult, error) {
+// solve materializes the group's shared operator once and solves: an
+// eigensolver job alone, cg and pcg members as the columns of one width-k
+// program — k = 1 included, so a job's iterations and residual are the same
+// bits whatever group it landed in. The members agree on solver, backend,
+// workers, block, and matrix identity (the coalesce key), differing only in
+// their RHS seeds. It returns one result or one failure per member, or the
+// error they all share.
+func (e *Engine) solve(ctx context.Context, jobs []*Job) ([]*JobResult, []error, error) {
 	spec := jobs[0].Spec
 	workers := e.effectiveWorkers(spec)
 	m, err := e.materialize(jobs[0], workers)
 	if err != nil {
 		return nil, nil, err
 	}
+	rows := m.op.coo.Rows
 	rtm := e.runtimeFor(spec.Backend, workers)
-
-	k := len(jobs)
-	bs := make([][]float64, k)
-	for i, j := range jobs {
-		bs[i] = solver.RandomRHS(m.op.coo.Rows, rhsSeed(j.Spec))
-	}
 	shared := m.result()
 
 	solveStart := time.Now()
-	var results []solver.BatchColResult
+	var cols []solver.BatchColResult
 	switch spec.Solver {
-	case "cg":
-		c, err := solver.NewBatchCG(m.mat, k)
+	case "lanczos", "lobpcg":
+		r, err := solveEigen(ctx, spec, m.mat, rows, rtm)
 		if err != nil {
 			return nil, nil, err
 		}
-		results, err = c.Solve(ctx, rtm, bs)
+		shared.Eigenvalues = r.Eigenvalues
+		shared.Iterations = r.Iterations
+		shared.Residual = r.Residual
+		shared.Converged = r.Converged
+	case "cg":
+		c, err := solver.NewBatchCG(m.mat, len(jobs))
 		if err != nil {
+			return nil, nil, err
+		}
+		if cols, err = c.Solve(ctx, rtm, rightHandSides(jobs, rows)); err != nil {
 			return nil, nil, err
 		}
 	case "pcg":
 		ic, low, up, fsource, err := m.preconditioner()
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := solver.NewBatchPCG(m.mat, ic, k, low, up)
-		if err != nil {
-			return nil, nil, err
-		}
-		results, err = c.Solve(ctx, rtm, bs)
 		if err != nil {
 			return nil, nil, err
 		}
 		shared.Precond = ic.Kind.String()
 		shared.FactorSource = fsource
+		c, err := solver.NewBatchPCG(m.mat, ic, len(jobs), low, up)
+		if err != nil {
+			return nil, nil, err
+		}
+		if cols, err = c.Solve(ctx, rtm, rightHandSides(jobs, rows)); err != nil {
+			return nil, nil, err
+		}
 	default:
-		return nil, nil, fmt.Errorf("solver %q is not batchable", spec.Solver)
+		return nil, nil, fmt.Errorf("unknown solver %q", spec.Solver)
 	}
 	e.metrics.Solve.Observe(time.Since(solveStart))
 	m.reportTimings(solveStart, shared)
-	return results, shared, nil
+	if cols == nil {
+		return []*JobResult{shared}, []error{nil}, nil
+	}
+
+	results := make([]*JobResult, len(jobs))
+	failures := make([]error, len(jobs))
+	for i, col := range cols {
+		if err := col.Err(); err != nil {
+			failures[i] = fmt.Errorf("%s: %w", spec.Solver, err)
+			continue
+		}
+		res := *shared
+		res.Iterations = col.Iterations
+		res.Residual = col.RelRes
+		res.Converged = true
+		if i > 0 { // only the first member can have built the operator, or paid for any stage
+			res.MatrixSource = "cache"
+			res.Timings = nil
+		}
+		results[i] = &res
+	}
+	return results, failures, nil
 }
 
-// run materializes the job's operator and solves.
-func (e *Engine) run(ctx context.Context, job *Job) (*JobResult, error) {
-	spec := job.Spec
-	workers := e.effectiveWorkers(spec)
-	m, err := e.materialize(job, workers)
-	if err != nil {
-		return nil, err
+// rightHandSides is each member's seeded right-hand side, in group order.
+func rightHandSides(jobs []*Job, rows int) [][]float64 {
+	bs := make([][]float64, len(jobs))
+	for i, j := range jobs {
+		bs[i] = solver.RandomRHS(rows, rhsSeed(j.Spec))
 	}
-	mat, rows := m.mat, m.op.coo.Rows
-	rtm := e.runtimeFor(spec.Backend, workers)
-	seed := rhsSeed(spec)
-	res := m.result()
+	return bs
+}
 
-	solveStart := time.Now()
-	switch spec.Solver {
-	case "lanczos":
-		k := spec.K
-		if k <= 0 {
-			k = defaultSolverK
-		}
+// solveEigen runs a lanczos or lobpcg job.
+func solveEigen(ctx context.Context, spec JobSpec, mat sparse.Matrix, rows int, rtm rt.Runtime) (solver.Result, error) {
+	k := spec.K
+	if k <= 0 {
+		k = defaultSolverK
+	}
+	if spec.Solver == "lanczos" {
 		if k > rows {
 			k = rows
 		}
 		l, err := solver.NewLanczos(mat, k)
 		if err != nil {
-			return nil, err
+			return solver.Result{}, err
 		}
-		r, err := l.Run(ctx, rtm, seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Eigenvalues = r.Eigenvalues
-		res.Iterations = r.Iterations
-		res.Residual = r.Residual
-		res.Converged = r.Converged
-	case "lobpcg":
-		k := spec.K
-		if k <= 0 {
-			k = defaultSolverK
-		}
-		if 3*k > rows {
-			k = rows / 3
-			if k < 1 {
-				return nil, fmt.Errorf("matrix with %d rows too small for lobpcg", rows)
-			}
-		}
-		l, err := solver.NewLOBPCG(mat, k)
-		if err != nil {
-			return nil, err
-		}
-		r, err := l.Run(ctx, rtm, seed, spec.Iters)
-		if err != nil {
-			return nil, err
-		}
-		res.Eigenvalues = r.Eigenvalues
-		res.Iterations = r.Iterations
-		res.Residual = r.Residual
-		res.Converged = r.Converged
-	case "cg":
-		c, err := solver.NewCG(mat)
-		if err != nil {
-			return nil, err
-		}
-		b := solver.RandomRHS(rows, seed)
-		_, relres, iters, err := c.Solve(ctx, rtm, b)
-		if err != nil {
-			return nil, fmt.Errorf("cg after %d iterations (relres %.3e): %w", iters, relres, err)
-		}
-		res.Iterations = iters
-		res.Residual = relres
-		res.Converged = true
-	case "pcg":
-		ic, low, up, fsource, err := m.preconditioner()
-		if err != nil {
-			return nil, err
-		}
-		c, err := solver.NewPCGWithLevels(mat, ic, low, up)
-		if err != nil {
-			return nil, err
-		}
-		b := solver.RandomRHS(rows, seed)
-		_, relres, iters, err := c.Solve(ctx, rtm, b)
-		if err != nil {
-			return nil, fmt.Errorf("pcg after %d iterations (relres %.3e): %w", iters, relres, err)
-		}
-		res.Iterations = iters
-		res.Residual = relres
-		res.Converged = true
-		res.Precond = ic.Kind.String()
-		res.FactorSource = fsource
-	default:
-		return nil, fmt.Errorf("unknown solver %q", spec.Solver)
+		return l.Run(ctx, rtm, rhsSeed(spec))
 	}
-	e.metrics.Solve.Observe(time.Since(solveStart))
-	m.reportTimings(solveStart, res)
-	return res, nil
+	if 3*k > rows {
+		k = rows / 3
+		if k < 1 {
+			return solver.Result{}, fmt.Errorf("matrix with %d rows too small for lobpcg", rows)
+		}
+	}
+	l, err := solver.NewLOBPCG(mat, k)
+	if err != nil {
+		return solver.Result{}, err
+	}
+	return l.Run(ctx, rtm, rhsSeed(spec), spec.Iters)
 }
 
 // runtimeFor returns the shared Runtime instance for a backend, or an

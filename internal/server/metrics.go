@@ -261,7 +261,7 @@ type MetricsSnapshot struct {
 	FactorCache   FactorCacheSnapshot   `json:"factor_cache"`
 	OperatorCache OperatorCacheSnapshot `json:"operator_cache"`
 	Batching      struct {
-		// Enabled reports whether the dispatcher coalescer is active
+		// Enabled reports whether the dispatcher may merge jobs
 		// (CoalesceMax > 1); Max and WindowMS echo its configuration.
 		Enabled  bool    `json:"enabled"`
 		Max      int     `json:"max"`
@@ -271,7 +271,7 @@ type MetricsSnapshot struct {
 		CoalescedBatches int64 `json:"coalesced_batches"`
 		BatchedJobs      int64 `json:"batched_jobs"`
 		// SizeByKind is the exact dispatcher group-size distribution per
-		// solver kind (empty while coalescing is disabled).
+		// solver kind (all ones while coalescing is disabled).
 		SizeByKind map[string]SizeHistogramSnapshot `json:"size_by_kind"`
 	} `json:"batching"`
 	Latency struct {

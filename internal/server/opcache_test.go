@@ -57,13 +57,20 @@ func suiteSpec(solver string, seed int64) JobSpec {
 }
 
 // suiteAsMM renders the inline1/tiny matrix of the given generator seed as a
-// MatrixMarket document (%.17g, so the values round-trip exactly).
+// MatrixMarket document.
 func suiteAsMM(t *testing.T, seed int64) string {
 	t.Helper()
 	coo, err := (&MatrixSpec{Suite: "inline1", Seed: seed}).buildMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cooMM(t, coo)
+}
+
+// cooMM renders a matrix as a MatrixMarket document (%.17g, so the values
+// round-trip exactly).
+func cooMM(t *testing.T, coo *sparse.COO) string {
+	t.Helper()
 	coo.Compact()
 	var b strings.Builder
 	if err := sparse.WriteMatrixMarket(&b, coo); err != nil {

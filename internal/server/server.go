@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	snap.Batching.Enabled = s.coalescing()
+	snap.Batching.Enabled = s.cfg.CoalesceMax > 1
 	snap.Batching.Max = s.cfg.CoalesceMax
 	snap.Batching.WindowMS = float64(s.cfg.CoalesceWindow.Microseconds()) / 1000
 	snap.Batching.CoalescedBatches = m.CoalescedBatches.Load()

@@ -234,12 +234,25 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("blocker reached %s, want running", v.State)
 	}
 
-	queued, status := postJob(t, ts, mmSpec("cg", "bsp", ""))
+	// The dispatcher takes one job off the queue and holds it until the pool
+	// has a free worker; the next one fills the queue; the one after is
+	// refused.
+	held, status := postJob(t, ts, mmSpec("cg", "bsp", ""))
 	if status != http.StatusAccepted {
 		t.Fatalf("second job status = %d, want 202", status)
 	}
+	for deadline := time.Now().Add(10 * time.Second); getMetrics(t, ts).Queue.Depth != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never took the second job off the queue")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	queued, status := postJob(t, ts, mmSpec("cg", "bsp", ""))
+	if status != http.StatusAccepted {
+		t.Fatalf("third job status = %d, want 202", status)
+	}
 	if _, status := postJob(t, ts, mmSpec("cg", "bsp", "")); status != http.StatusTooManyRequests {
-		t.Fatalf("third job status = %d, want 429", status)
+		t.Fatalf("fourth job status = %d, want 429", status)
 	}
 
 	m := getMetrics(t, ts)
@@ -249,15 +262,18 @@ func TestQueueFullRejects(t *testing.T) {
 	if m.Queue.Depth != 1 || m.Queue.Capacity != 1 {
 		t.Errorf("queue depth/cap = %d/%d, want 1/1", m.Queue.Depth, m.Queue.Capacity)
 	}
-	if m.Jobs.Running != 1 || m.Jobs.Queued != 1 {
-		t.Errorf("running/queued = %d/%d, want 1/1", m.Jobs.Running, m.Jobs.Queued)
+	if m.Jobs.Running != 1 || m.Jobs.Queued != 2 {
+		t.Errorf("running/queued = %d/%d, want 1/2", m.Jobs.Running, m.Jobs.Queued)
 	}
 
-	// Cancel the queued job first (exercises cancel-while-queued), then the
-	// running blocker (exercises mid-solve context cancellation).
-	cancelJob(t, ts, queued.ID)
-	if v := getJob(t, ts, queued.ID); v.State != StateCanceled {
-		t.Errorf("queued job state after cancel = %s, want canceled", v.State)
+	// Cancel the waiting jobs first (exercises cancel-while-queued, in the
+	// queue and in the dispatcher's hand), then the running blocker (exercises
+	// mid-solve context cancellation).
+	for _, id := range []string{queued.ID, held.ID} {
+		cancelJob(t, ts, id)
+		if v := getJob(t, ts, id); v.State != StateCanceled {
+			t.Errorf("job %s state after cancel = %s, want canceled", id, v.State)
+		}
 	}
 	cancelJob(t, ts, blocker.ID)
 	if v, _ := waitState(t, ts, blocker.ID, StateCanceled, 10*time.Second); v.State != StateCanceled {
@@ -265,11 +281,11 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 
 	m = getMetrics(t, ts)
-	if m.Jobs.Canceled != 2 {
-		t.Errorf("canceled = %d, want 2", m.Jobs.Canceled)
+	if m.Jobs.Canceled != 3 {
+		t.Errorf("canceled = %d, want 3", m.Jobs.Canceled)
 	}
-	if m.Jobs.Submitted != 2 {
-		t.Errorf("submitted = %d, want 2", m.Jobs.Submitted)
+	if m.Jobs.Submitted != 3 {
+		t.Errorf("submitted = %d, want 3", m.Jobs.Submitted)
 	}
 }
 

@@ -2,11 +2,11 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
-	"sparsetask/internal/sparse"
 )
 
 // These are the allocation-regression gates for the zero-allocation solver
@@ -89,31 +89,50 @@ func TestLOBPCGSteadyIterationAllocs(t *testing.T) {
 	}
 }
 
-func TestCGSteadyIterationAllocs(t *testing.T) {
-	a := laplacian1D(600).ToCSB(64)
-	b := RandomRHS(600, 3)
-	for _, tc := range allocWorkerCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCG(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.initState(b)
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
-			defer pr.Close()
-			ctx := context.Background()
-			step := func() {
-				if _, err := c.iterate(ctx, pr); err != nil {
-					t.Fatal(err)
+// The one CG/PCG driver at k = 1 (what CG and PCG are) and at k = 4, with and
+// without the level-scheduled triangular solves, on every backend's prepared
+// path: BSP's persistent team, the two stealing executors, and Regent, whose
+// prepared form keeps its dependency counters, ready queue and worker team
+// across runs while the caller is the analysis pipeline. It replaces the
+// per-driver TestCG/PCG/BatchCG/BatchPCG/RegentPrepared…SteadyIterationAllocs.
+func TestKrylovSteadyIterationAllocs(t *testing.T) {
+	coo := laplacian2D(24)
+	n := coo.Rows
+	ic, err := precond.Factorize(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := coo.ToCSB(32)
+	for _, k := range []int{1, 4} {
+		for _, m := range []*precond.IC0{nil, ic} {
+			for _, tc := range allocWorkerCases() {
+				opt := rt.Options{Workers: tc.workers, AnalysisCost: 1}
+				for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
+					t.Run(fmt.Sprintf("k=%d/pcg=%v/%s/%s", k, m != nil, r.Name(), tc.name), func(t *testing.T) {
+						c, err := newKrylov("test", a, m, k, nil, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						c.initState(batchRHS(n, k, 3))
+						pr := rt.PrepareRun(r, c.g, c.st)
+						defer pr.Close()
+						ctx := context.Background()
+						step := func() {
+							c.state.it++
+							if _, err := c.iterate(ctx, pr); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for i := 0; i < 8; i++ {
+							step()
+						}
+						if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+							t.Fatalf("steady-state iteration allocates %.0f times, want 0", allocs)
+						}
+					})
 				}
 			}
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state CG iteration allocates %.0f times, want 0", allocs)
-			}
-		})
+		}
 	}
 }
 
@@ -149,76 +168,4 @@ func TestBSPPreparedSteadyIterationAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// Regent's prepared form keeps its dependency counters, ready queue and
-// worker team across runs; the caller is the analysis pipeline. Nothing is
-// rebuilt per iteration.
-func TestRegentPreparedSteadyIterationAllocs(t *testing.T) {
-	a := laplacian1D(600).ToCSB(64)
-	b := RandomRHS(600, 3)
-	for _, tc := range allocWorkerCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCG(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.initState(b)
-			pr := rt.PrepareRun(rt.NewRegent(rt.Options{Workers: tc.workers, AnalysisCost: 1}), c.g, c.st)
-			defer pr.Close()
-			ctx := context.Background()
-			step := func() {
-				if _, err := c.iterate(ctx, pr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state Regent-prepared iteration allocates %.0f times, want 0", allocs)
-			}
-		})
-	}
-}
-
-// PCG adds the level-scheduled triangular solves to the iteration; they must
-// be allocation-free too (range-form substitution over preallocated factors).
-func TestPCGSteadyIterationAllocs(t *testing.T) {
-	coo := laplacian1D(600)
-	m, err := precondFactorize(t, coo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := coo.ToCSB(64)
-	b := RandomRHS(600, 3)
-	for _, tc := range allocWorkerCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewPCG(a, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.initState(b)
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
-			defer pr.Close()
-			ctx := context.Background()
-			step := func() {
-				if _, err := c.iterate(ctx, pr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state PCG iteration allocates %.0f times, want 0", allocs)
-			}
-		})
-	}
-}
-
-// precondFactorize is a tiny helper keeping the alloc test's imports local.
-func precondFactorize(t *testing.T, coo *sparse.COO) (*precond.IC0, error) {
-	t.Helper()
-	return precond.Factorize(coo.ToCSR())
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 )
 
@@ -40,70 +39,6 @@ func TestBatchCGSolvesLaplacian(t *testing.T) {
 		}
 		if r.Iterations > n {
 			t.Fatalf("column %d took %d iterations for n=%d", j, r.Iterations, n)
-		}
-	}
-}
-
-// TestBatchCGMatchesSingleRHS: every column of a batched solve must agree
-// with an independent single-RHS CG solve of the same system at 1e-12. The
-// matrix is well conditioned (strongly diagonally dominant) so solver-level
-// agreement transfers to the solutions.
-func TestBatchCGMatchesSingleRHS(t *testing.T) {
-	m, k := 120, 4
-	coo := randomSPD(m, 7)
-	bs := batchRHS(m, k, 11)
-	bc, err := NewBatchCG(coo.ToCSB(16), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc.Tol = 1e-13
-	res, err := bc.Solve(context.Background(), rt.NewDeepSparse(rt.Options{Workers: 3}), bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < k; j++ {
-		cg, err := NewCG(coo.ToCSB(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cg.Tol = 1e-13
-		x, _, _, err := cg.Solve(context.Background(), nil, bs[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if math.Abs(res[j].X[i]-x[i]) > 1e-12*(1+math.Abs(x[i])) {
-				t.Fatalf("column %d: x[%d] = %v, single-RHS %v (diff %g)",
-					j, i, res[j].X[i], x[i], math.Abs(res[j].X[i]-x[i]))
-			}
-		}
-	}
-}
-
-// TestBatchCGColumnIndependence: the batched arithmetic of column j depends
-// only on b_j — swapping the *other* columns of the batch must leave column
-// j's solution bit-identical (each fixed-width kernel body processes columns
-// independently in a fixed order).
-func TestBatchCGColumnIndependence(t *testing.T) {
-	m, k := 150, 4
-	coo := laplacian1D(m)
-	shared := RandomRHS(m, 42)
-	solve := func(bs [][]float64) []float64 {
-		c, err := NewBatchCG(coo.ToCSB(32), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Solve(context.Background(), rt.NewDeepSparse(rt.Options{Workers: 2}), bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0].X
-	}
-	a := solve([][]float64{shared, RandomRHS(m, 1), RandomRHS(m, 2), RandomRHS(m, 3)})
-	b := solve([][]float64{shared, RandomRHS(m, 9), RandomRHS(m, 8), RandomRHS(m, 7)})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("x[%d] differs bitwise across batch compositions", i)
 		}
 	}
 }
@@ -221,70 +156,13 @@ func TestBatchCGValidation(t *testing.T) {
 	}
 }
 
-// TestBatchPCGMatchesSingleRHS: the batched IC(0)-preconditioned solve (with
-// width-k triangular solves) must agree with independent single-RHS PCG
-// solves.
-func TestBatchPCGMatchesSingleRHS(t *testing.T) {
-	coo := laplacian2D(16)
-	n := coo.Rows
-	k := 4
-	csr := coo.ToCSR()
-	m, err := precond.Factorize(csr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind != precond.KindIC0 {
-		t.Fatalf("expected IC0, got %v", m.Kind)
-	}
-	bs := batchRHS(n, k, 5)
-	bc, err := NewBatchPCG(coo.ToCSB(32), m, k, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc.Tol = 1e-12
-	res, err := bc.Solve(context.Background(), rt.NewDeepSparse(rt.Options{Workers: 3}), bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < k; j++ {
-		if !res[j].Converged {
-			t.Fatalf("column %d did not converge", j)
-		}
-		if got := residual(csr, res[j].X, bs[j]); got > 1e-9 {
-			t.Fatalf("column %d true residual %g", j, got)
-		}
-		pc, err := NewPCG(coo.ToCSB(32), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc.Tol = 1e-12
-		x, _, _, err := pc.Solve(context.Background(), nil, bs[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if math.Abs(res[j].X[i]-x[i]) > 1e-8*(1+math.Abs(x[i])) {
-				t.Fatalf("column %d: x[%d] = %v, single-RHS PCG %v", j, i, res[j].X[i], x[i])
-			}
-		}
-	}
-}
-
 // TestBatchPCGJacobiFallback: a batched solve against a Jacobi-kind
 // preconditioner routes through the width-k DiagScale path.
 func TestBatchPCGJacobiFallback(t *testing.T) {
 	m := 80
 	coo := randomSPD(m, 37)
 	csr := coo.ToCSR()
-	dinv := make([]float64, m)
-	for i := 0; i < m; i++ {
-		for p := csr.RowPtr[i]; p < csr.RowPtr[i+1]; p++ {
-			if int(csr.ColIdx[p]) == i {
-				dinv[i] = 1 / csr.V[p]
-			}
-		}
-	}
-	jac := &precond.IC0{Kind: precond.KindJacobi, Rows: m, DiagInv: dinv}
+	jac := jacobiOf(csr)
 	k := 3
 	bs := batchRHS(m, k, 41)
 	c, err := NewBatchPCG(coo.ToCSB(16), jac, k, nil, nil)
@@ -302,68 +180,5 @@ func TestBatchPCGJacobiFallback(t *testing.T) {
 		if got := residual(csr, res[j].X, bs[j]); got > 1e-8 {
 			t.Fatalf("column %d residual %g", j, got)
 		}
-	}
-}
-
-func TestBatchCGSteadyIterationAllocs(t *testing.T) {
-	a := laplacian1D(600).ToCSB(64)
-	bs := batchRHS(600, 4, 3)
-	for _, tc := range allocWorkerCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewBatchCG(a, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.initState(bs)
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
-			defer pr.Close()
-			ctx := context.Background()
-			step := func() {
-				c.state.it++
-				if _, err := c.iterate(ctx, pr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state BatchCG iteration allocates %.0f times, want 0", allocs)
-			}
-		})
-	}
-}
-
-func TestBatchPCGSteadyIterationAllocs(t *testing.T) {
-	coo := laplacian2D(24)
-	n := coo.Rows
-	m, err := precond.Factorize(coo.ToCSR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := batchRHS(n, 4, 3)
-	for _, tc := range allocWorkerCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewBatchPCG(coo.ToCSB(32), m, 4, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.initState(bs)
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
-			defer pr.Close()
-			ctx := context.Background()
-			step := func() {
-				c.state.it++
-				if _, err := c.iterate(ctx, pr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state BatchPCG iteration allocates %.0f times, want 0", allocs)
-			}
-		})
 	}
 }

@@ -3,12 +3,10 @@ package solver
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"sparsetask/internal/blas"
-	"sparsetask/internal/graph"
-	"sparsetask/internal/program"
+	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
 )
@@ -19,182 +17,59 @@ import (
 // motivates task parallelism for "the solution of systems of linear
 // equations" alongside eigenproblems; CG is the canonical such solver and
 // exercises the same SpMV/DOT/AXPBY kernel mix as Lanczos with an even
-// shorter critical path.
-//
-// Per-iteration program (fixed shape; scalar recurrences run as small steps):
-//
-//	q      = A·p          (SpMV)
-//	pq     = pᵀ·q         (DOT)
-//	α      = rr/pq        (small step)
-//	x     += α·p          (AXPBY, via scalar-bearing small trick below)
-//	r     -= α·q
-//	rrNew  = rᵀ·r         (DOT)
-//	β      = rrNew/rr     (small step)
-//	p      = r + β·p
-//
-// AXPBY coefficients in the program IR are static, so the α/β-dependent
-// updates use the DiagScale-style pattern: a width-1 coefficient vector is
-// broadcast by a small step and applied per block. To keep the kernel mix
-// faithful without adding bespoke kernels, the scalar multiplies are folded
-// into ScaleInv and Axpby by maintaining scaled copies.
-type CG struct {
-	A sparse.Matrix
-	// Tol is the convergence threshold on ‖r‖/‖b‖.
-	Tol     float64
-	MaxIter int
-
-	prog *program.Program
-	g    *graph.TDG
-	st   *program.Store
-
-	opA, opX, opP, opQ, opR program.OperandID
-	opAP                    program.OperandID // α·p
-	opAQ                    program.OperandID // α·q
-	opBP                    program.OperandID // β·p
-	opPQ, opRR, opRRN       program.OperandID // scalars
-	opAlphaInv, opBetaInv   program.OperandID // scalars used via ScaleInv
-	opRnorm                 program.OperandID
-}
+// shorter critical path. It is the batched driver at k = 1.
+type CG struct{ *krylov }
 
 // NewCG builds the solver and its single-iteration TDG. A *sparse.SymCSB
 // matrix routes the SpMV through the symmetry-exploiting kernels.
 func NewCG(a sparse.Matrix) (*CG, error) {
-	rows, cols := a.Dims()
-	if rows != cols {
-		return nil, fmt.Errorf("solver: CG needs a square matrix, got %dx%d", rows, cols)
-	}
-	c := &CG{A: a, Tol: 1e-10, MaxIter: 10 * rows}
-	p := program.New(rows, a.BlockSize())
-	c.prog = p
-	w, err := wireMatrix(p, a)
+	c, err := newKrylov("CG", a, nil, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	c.opA = w.op
-	c.opX = p.Vec("x", 1)
-	c.opP = p.Vec("p", 1)
-	c.opQ = p.Vec("q", 1)
-	c.opR = p.Vec("r", 1)
-	c.opAP = p.Vec("alpha_p", 1)
-	c.opAQ = p.Vec("alpha_q", 1)
-	c.opBP = p.Vec("beta_p", 1)
-	c.opPQ = p.Scalar("pq")
-	c.opRR = p.Scalar("rr")
-	c.opRRN = p.Scalar("rr_new")
-	c.opAlphaInv = p.Scalar("alpha_inv")
-	c.opBetaInv = p.Scalar("beta_inv")
-	c.opRnorm = p.Scalar("rnorm")
-
-	// q = A·p ; pq = pᵀq.
-	w.spmm(p, c.opQ, c.opP)
-	p.Dot(c.opPQ, c.opP, c.opQ)
-	// α = rr/pq computed as its inverse so ScaleInv can apply it:
-	// alpha_inv = pq/rr.
-	p.SmallStep("alpha", func(st *program.Store) {
-		rr := st.Scalars[c.opRR]
-		pq := st.Scalars[c.opPQ]
-		if rr == 0 {
-			st.Scalars[c.opAlphaInv] = 0 // converged; updates become zero
-		} else {
-			st.Scalars[c.opAlphaInv] = pq / rr
-		}
-	}, []program.OperandID{c.opRR, c.opPQ}, []program.OperandID{c.opAlphaInv})
-	// alpha_p = p/alpha_inv = α·p ; alpha_q = q/alpha_inv = α·q.
-	p.ScaleInv(c.opAP, c.opP, c.opAlphaInv).MarkIndexLaunch()
-	p.ScaleInv(c.opAQ, c.opQ, c.opAlphaInv).MarkIndexLaunch()
-	// x += α·p ; r -= α·q.
-	p.Axpby(c.opX, 1, c.opX, 1, c.opAP)
-	p.Axpby(c.opR, 1, c.opR, -1, c.opAQ)
-	// rr_new = rᵀr and the residual norm for convergence.
-	p.Dot(c.opRRN, c.opR, c.opR)
-	p.Norm(c.opRnorm, c.opR)
-	// β = rr_new/rr, applied as beta_inv = rr/rr_new via ScaleInv; then
-	// p = r + β·p and the rr recurrence advances.
-	p.SmallStep("beta", func(st *program.Store) {
-		rrn := st.Scalars[c.opRRN]
-		rr := st.Scalars[c.opRR]
-		if rrn == 0 {
-			st.Scalars[c.opBetaInv] = 0
-		} else {
-			st.Scalars[c.opBetaInv] = rr / rrn
-		}
-		st.Scalars[c.opRR] = rrn
-	}, []program.OperandID{c.opRR, c.opRRN}, []program.OperandID{c.opBetaInv, c.opRR})
-	p.ScaleInv(c.opBP, c.opP, c.opBetaInv).MarkIndexLaunch()
-	p.Axpby(c.opP, 1, c.opR, 1, c.opBP)
-
-	opt := graph.DefaultOptions()
-	g, err := w.buildGraph(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.g = g
-	c.st = program.NewStore(p)
-	w.attach(c.st)
-	return c, nil
+	return &CG{c}, nil
 }
-
-// Graph exposes the per-iteration TDG.
-func (c *CG) Graph() *graph.TDG { return c.g }
-
-// Program exposes the per-iteration program.
-func (c *CG) Program() *program.Program { return c.prog }
 
 // Solve runs CG for the right-hand side b under the given runtime (nil =
 // sequential BSP) and returns the solution, the final relative residual, and
-// the iteration count. Cancelling ctx aborts the solve mid-iteration and
-// returns the context's error.
+// the iteration count; a breakdown or a solve that does not converge within
+// MaxIter returns them with an error. Cancelling ctx aborts the solve
+// mid-iteration and returns the context's error.
 func (c *CG) Solve(ctx context.Context, r rt.Runtime, b []float64) ([]float64, float64, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m, _ := c.A.Dims()
-	if len(b) != m {
-		return nil, 0, 0, fmt.Errorf("solver: CG rhs has length %d, want %d", len(b), m)
-	}
-	if r == nil {
-		r = rt.NewBSP(rt.Options{Workers: 1})
-	}
-	bn := blas.Nrm2(b)
-	if bn == 0 {
-		return make([]float64, m), 0, 0, nil
-	}
-	c.initState(b)
-	pr := rt.PrepareRun(r, c.g, c.st)
-	defer pr.Close()
-	var relres float64
-	for it := 1; it <= c.MaxIter; it++ {
-		rnorm, err := c.iterate(ctx, pr)
-		if err != nil {
-			return nil, relres, it - 1, err
-		}
-		relres = rnorm / bn
-		if relres < c.Tol {
-			x := append([]float64(nil), c.st.Vec[c.opX]...)
-			return x, relres, it, nil
-		}
-	}
-	x := append([]float64(nil), c.st.Vec[c.opX]...)
-	return x, relres, c.MaxIter, errors.New("solver: CG did not converge")
+	return c.solveOne(ctx, r, b)
 }
 
-// initState seeds the CG state: x0 = 0, r0 = p0 = b, rr = r0ᵀr0.
-func (c *CG) initState(b []float64) {
-	zero(c.st.Vec[c.opX])
-	copy(c.st.Vec[c.opR], b)
-	copy(c.st.Vec[c.opP], b)
-	c.st.Scalars[c.opRR] = blas.Dot(b, b)
+// PCG solves A·x = b with the preconditioned conjugate gradient method. The
+// preconditioner application z = M⁻¹·r runs *inside* the per-iteration task
+// graph: for an IC(0) factorization it is two level-scheduled triangular
+// solves (CSpTrsv calls whose tasks form the factor's level DAG — irregular,
+// with a deep critical path), and for the Jacobi fallback a single DiagScale
+// call. Everything else is CG's kernel mix, so one PCG iteration interleaves
+// regular wide ranks (SpMV, AXPBY, DOT) with the skewed triangular
+// wavefronts. It is the batched driver at k = 1.
+type PCG struct{ *krylov }
+
+// NewPCG builds the solver and its single-iteration TDG, deriving the
+// triangular level structure by scanning the factors.
+func NewPCG(a sparse.Matrix, m *precond.IC0) (*PCG, error) {
+	return NewPCGWithLevels(a, m, nil, nil)
 }
 
-// iterate executes one CG iteration (one full graph run) and returns the
-// residual norm it measured. Steady-state calls perform no heap allocations.
-//
-//sparselint:hotpath
-func (c *CG) iterate(ctx context.Context, pr rt.PreparedRun) (float64, error) {
-	if err := pr.Run(ctx); err != nil {
-		return 0, err
+// NewPCGWithLevels is NewPCG with memoized level analyses for the forward
+// and backward factors (precond.Levels at the CSB block size). solverd's
+// operator cache passes these so a repeat solve skips the level re-analysis;
+// nil lowers/uppers fall back to scanning.
+func NewPCGWithLevels(a sparse.Matrix, m *precond.IC0, lower, upper *precond.Levels) (*PCG, error) {
+	c, err := newPreconditioned("PCG", a, m, 1, lower, upper)
+	if err != nil {
+		return nil, err
 	}
-	return c.st.Scalars[c.opRnorm], nil
+	return &PCG{c}, nil
+}
+
+// Solve runs PCG for the right-hand side b (see CG.Solve).
+func (c *PCG) Solve(ctx context.Context, r rt.Runtime, b []float64) ([]float64, float64, int, error) {
+	return c.solveOne(ctx, r, b)
 }
 
 // CGReference is a plain sequential CG on CSR for validation.
@@ -225,6 +100,41 @@ func CGReference(a *sparse.CSR, b []float64, tol float64, maxIter int) ([]float6
 		}
 	}
 	return x, maxIter, errors.New("solver: reference CG did not converge")
+}
+
+// PCGReference is a plain sequential PCG on CSR for validation, using the
+// preconditioner's serial Apply.
+func PCGReference(a *sparse.CSR, m *precond.IC0, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+	n := a.Rows
+	x := make([]float64, n)
+	r := append([]float64(nil), b...)
+	z := make([]float64, n)
+	y := make([]float64, n)
+	q := make([]float64, n)
+	m.Apply(z, y, r)
+	p := append([]float64(nil), z...)
+	rz := blas.Dot(r, z)
+	bn := blas.Nrm2(b)
+	if bn == 0 {
+		return x, 0, nil
+	}
+	for it := 1; it <= maxIter; it++ {
+		a.SpMV(q, p)
+		alpha := rz / blas.Dot(p, q)
+		blas.Axpy(alpha, p, x)
+		blas.Axpy(-alpha, q, r)
+		if blas.Nrm2(r)/bn < tol {
+			return x, it, nil
+		}
+		m.Apply(z, y, r)
+		rzn := blas.Dot(r, z)
+		beta := rzn / rz
+		rz = rzn
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return x, maxIter, errors.New("solver: reference PCG did not converge")
 }
 
 // RandomRHS returns a deterministic random right-hand side for examples and

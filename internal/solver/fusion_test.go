@@ -43,7 +43,7 @@ func fusionCases(t *testing.T, a sparse.Matrix, ic *precond.IC0, rows int) []fus
 		}
 		return out, err
 	}
-	return []fusionCase{
+	cases := []fusionCase{
 		{"lanczos", func(r rt.Runtime, unfused bool) ([]float64, error) {
 			l, err := NewLanczos(a, 20)
 			if err != nil {
@@ -60,41 +60,21 @@ func fusionCases(t *testing.T, a sparse.Matrix, ic *precond.IC0, rows int) []fus
 			source(&l.g, unfused)
 			return eig(l.Run(ctx, r, 7, 6))
 		}},
-		{"cg", func(r rt.Runtime, unfused bool) ([]float64, error) {
-			c, err := NewCG(a)
-			if err != nil {
-				return nil, err
-			}
-			source(&c.g, unfused)
-			x, relres, it, err := c.Solve(ctx, r, rhs[0])
-			return append(x, relres, float64(it)), err
-		}},
-		{"pcg", func(r rt.Runtime, unfused bool) ([]float64, error) {
-			c, err := NewPCG(a, ic)
-			if err != nil {
-				return nil, err
-			}
-			source(&c.g, unfused)
-			x, relres, it, err := c.Solve(ctx, r, rhs[0])
-			return append(x, relres, float64(it)), err
-		}},
-		{"batchcg", func(r rt.Runtime, unfused bool) ([]float64, error) {
-			c, err := NewBatchCG(a, len(rhs))
-			if err != nil {
-				return nil, err
-			}
-			source(&c.g, unfused)
-			return cols(c.Solve(ctx, r, rhs))
-		}},
-		{"batchpcg", func(r rt.Runtime, unfused bool) ([]float64, error) {
-			c, err := NewBatchPCG(a, ic, len(rhs), nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			source(&c.g, unfused)
-			return cols(c.Solve(ctx, r, rhs))
-		}},
 	}
+	// The one CG/PCG driver, at the width CG and PCG run it and at a batch's.
+	for _, k := range []int{1, 3} {
+		for _, m := range []*precond.IC0{nil, ic} {
+			cases = append(cases, fusionCase{fmt.Sprintf("krylov k=%d pcg=%v", k, m != nil), func(r rt.Runtime, unfused bool) ([]float64, error) {
+				c, err := newKrylov("test", a, m, k, nil, nil)
+				if err != nil {
+					return nil, err
+				}
+				source(&c.g, unfused)
+				return cols(c.Solve(ctx, r, rhs[:k]))
+			}})
+		}
+	}
+	return cases
 }
 
 // TestFusedSolversBitIdentical is the bit-identity statement of graph fusion:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
 	"sparsetask/internal/topo"
@@ -116,7 +117,7 @@ func TestSolversSymmetricMatchesGeneral(t *testing.T) {
 // differs. The solve must converge to the reference solution.
 func TestPCGSymmetricStorage(t *testing.T) {
 	coo := laplacian1D(300)
-	m, err := precondFactorize(t, coo)
+	m, err := precond.Factorize(coo.ToCSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSymmetricSteadyIterationAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				rows, _ := sym.Dims()
-				c.initState(RandomRHS(rows, 3))
+				c.initState([][]float64{RandomRHS(rows, 3)})
 				pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
 				defer pr.Close()
 				ctx := context.Background()
