@@ -45,9 +45,11 @@ benchcheck:
 
 # The fine-grain benchmarks of the root bench_test.go (one CG solve per
 # backend and worker count, the same driver at widths 1, 4 and 8, and the
-# empty-task executor replay), one iteration each, so they cannot rot.
+# empty-task executor replay) and its kernel benchmarks (the IC(0)
+# substitution pair against its CSR oracle, the dense kernels at LOBPCG's
+# shapes), one iteration each, so they cannot rot.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'FineGrain|KrylovWidths|ExecutorTask' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'FineGrain|KrylovWidths|ExecutorTask|TrsvPair|GemmShapes' -benchtime 1x .
 
 # Short fuzz session for the MatrixMarket parser (regression seeds always run
 # as part of `make test`).

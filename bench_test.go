@@ -17,9 +17,11 @@ import (
 
 	"sparsetask/internal/autotune"
 	"sparsetask/internal/bench"
+	"sparsetask/internal/blas"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/kernels"
 	"sparsetask/internal/matgen"
+	"sparsetask/internal/precond"
 	"sparsetask/internal/program"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sched"
@@ -341,6 +343,123 @@ func BenchmarkExecutorTaskOverhead(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
+		})
+	}
+}
+
+// ---- kernels the coarse-tiled solves live in ----
+
+// BenchmarkTrsvPair times one IC(0) application — the forward and the
+// backward substitution — on the solve-stream pcg matrix (a 256×256 grid in
+// natural order: three entries per factor row, one dependency chain) and on a
+// 27-point FEM factor (no chain, ~13 entries per row), 32 tiles/dim: the CSR
+// oracles against the task kernel run over all blocks in order at widths 1, 4
+// and 8, in ns per row and column. build is what the kernel's storage costs
+// once per (factor, block size) — the level analyses of both directions —
+// beside the factorization it rides on.
+func BenchmarkTrsvPair(b *testing.B) {
+	for _, mc := range []struct {
+		name string
+		coo  *sparse.COO
+	}{
+		{"spdlap-65536", matgen.SPDLaplacian(65536, 1)},
+		{"fem3d-8000", matgen.FEM3D(20, 20, 20, 1, 27, 1)},
+	} {
+		a := mc.coo.ToCSR()
+		ic, err := precond.Factorize(a)
+		if err != nil || ic.Kind != precond.KindIC0 {
+			b.Fatalf("%s: factorize: %v (%v)", mc.name, err, ic.Kind)
+		}
+		rows := a.Rows
+		block := (rows + 31) / 32
+		low, up := precond.AnalyzeLower(ic.L, block), precond.AnalyzeUpper(ic.U, block)
+		if low.Err != nil || up.Err != nil {
+			b.Fatal(low.Err, up.Err)
+		}
+		b.Run(mc.name+"/factorize", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := precond.Factorize(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms")
+		})
+		b.Run(mc.name+"/build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				precond.AnalyzeLower(ic.L, block)
+				precond.AnalyzeUpper(ic.U, block)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms")
+		})
+		rhs := solver.RandomRHS(rows, 1)
+		b.Run(mc.name+"/oracle", func(b *testing.B) {
+			y, z := make([]float64, rows), make([]float64, rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ic.L.LowerSolve(y, rhs)
+				ic.U.UpperSolve(z, y)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
+		for _, w := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/kernel/w=%d", mc.name, w), func(b *testing.B) {
+				r := make([]float64, rows*w)
+				for i := range r {
+					r[i] = rhs[i/w]
+				}
+				y, z := make([]float64, rows*w), make([]float64, rows*w)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for bi := 0; bi < low.NB; bi++ {
+						if w == 1 {
+							low.Tri.SolveBlock(y, r, bi)
+						} else {
+							low.Tri.SolveBlockN(y, r, w, bi)
+						}
+					}
+					for bi := up.NB - 1; bi >= 0; bi-- {
+						if w == 1 {
+							up.Tri.SolveBlock(z, y, bi)
+						} else {
+							up.Tri.SolveBlockN(z, y, w, bi)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows)/float64(w), "ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkGemmShapes times the dense kernels at LOBPCG's shapes on the
+// solve-stream matrix (row bands of 2058): XTY = (2058×m)ᵀ·(2058×8) and
+// XY = (2058×m)·(m×8) for m = 8 and 24.
+func BenchmarkGemmShapes(b *testing.B) {
+	const rows, n = 2058, 8
+	fill := func(len int, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		v := make([]float64, len)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for _, m := range []int{8, 24} {
+		tall, thin, small := fill(rows*m, 1), fill(rows*n, 2), fill(m*n, 3)
+		flops := 2 * float64(rows*m*n)
+		b.Run(fmt.Sprintf("XTY/%dx%dx%d", rows, m, n), func(b *testing.B) {
+			c := make([]float64, m*n)
+			for i := 0; i < b.N; i++ {
+				blas.GemmTN(1, tall, rows, m, thin, n, 0, c)
+			}
+			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+		b.Run(fmt.Sprintf("XY/%dx%dx%d", rows, m, n), func(b *testing.B) {
+			c := make([]float64, rows*n)
+			for i := 0; i < b.N; i++ {
+				blas.Gemm(1, tall, rows, m, small, n, 0, c)
+			}
+			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 		})
 	}
 }

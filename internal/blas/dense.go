@@ -105,29 +105,25 @@ func gemmN1(alpha float64, a []float64, m, k int, b []float64, beta float64, c [
 	}
 }
 
-// gemmTiled is the m,n >= 4 Gemm path: 4×4 register tiles of C accumulated
+// gemmTiled is the m,n >= 4 Gemm path: 2×4 register tiles of C accumulated
 // across the whole k loop, so each C element is loaded and stored once
-// instead of read-modified-written k times. Each element is a plain
-// ascending-p sum followed by alpha·s + beta·c — the naive reference
-// rounding, element for element.
+// instead of read-modified-written k times. The tile is 2×4 because its
+// eight accumulators, four B values and one A value fit the sixteen XMM
+// registers; a 4×4 tile needs 21 and spills inside the k loop. Each element
+// is a plain ascending-p sum followed by alpha·s + beta·c — the naive
+// reference rounding, element for element.
 //
 //sparselint:hotpath
 func gemmTiled(alpha float64, a []float64, m, k int, b []float64, n int, beta float64, c []float64) {
 	i := 0
-	for ; i+4 <= m; i += 4 {
+	for ; i+2 <= m; i += 2 {
 		a0r := a[(i+0)*k : (i+0)*k+k]
 		a1r := a[(i+1)*k : (i+1)*k+k]
-		a2r := a[(i+2)*k : (i+2)*k+k]
-		a3r := a[(i+3)*k : (i+3)*k+k]
 		a1r = a1r[:len(a0r)]
-		a2r = a2r[:len(a0r)]
-		a3r = a3r[:len(a0r)]
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
 			for p := range a0r {
 				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
 				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
@@ -141,28 +137,19 @@ func gemmTiled(alpha float64, a []float64, m, k int, b []float64, n int, beta fl
 				c11 += av * b1
 				c12 += av * b2
 				c13 += av * b3
-				av = a2r[p]
-				c20 += av * b0
-				c21 += av * b1
-				c22 += av * b2
-				c23 += av * b3
-				av = a3r[p]
-				c30 += av * b0
-				c31 += av * b1
-				c32 += av * b2
-				c33 += av * b3
 			}
-			storeTile4(c, i, j, n, alpha, beta, c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33)
+			storeRow4(c, (i+0)*n+j, alpha, beta, c00, c01, c02, c03)
+			storeRow4(c, (i+1)*n+j, alpha, beta, c10, c11, c12, c13)
 		}
 		for ; j < n; j++ {
-			for u := 0; u < 4; u++ {
-				au := a[(i+u)*k : (i+u)*k+k]
-				var s float64
-				for p := range au {
-					s += au[p] * b[p*n+j]
-				}
-				storeScaled(c, (i+u)*n+j, alpha, beta, s)
+			var s0, s1 float64
+			for p := range a0r {
+				bv := b[p*n+j]
+				s0 += a0r[p] * bv
+				s1 += a1r[p] * bv
 			}
+			storeScaled(c, (i+0)*n+j, alpha, beta, s0)
+			storeScaled(c, (i+1)*n+j, alpha, beta, s1)
 		}
 	}
 	for ; i < m; i++ {
@@ -193,27 +180,14 @@ func storeScaled(c []float64, idx int, alpha, beta, s float64) {
 	}
 }
 
-// storeTile4 writes one 4×4 accumulator tile back to C at (i, j).
+// storeRow4 writes four adjacent accumulators of one C row back at idx.
 //
 //sparselint:hotpath
-func storeTile4(c []float64, i, j, n int, alpha, beta float64,
-	c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33 float64) {
-	storeScaled(c, (i+0)*n+j+0, alpha, beta, c00)
-	storeScaled(c, (i+0)*n+j+1, alpha, beta, c01)
-	storeScaled(c, (i+0)*n+j+2, alpha, beta, c02)
-	storeScaled(c, (i+0)*n+j+3, alpha, beta, c03)
-	storeScaled(c, (i+1)*n+j+0, alpha, beta, c10)
-	storeScaled(c, (i+1)*n+j+1, alpha, beta, c11)
-	storeScaled(c, (i+1)*n+j+2, alpha, beta, c12)
-	storeScaled(c, (i+1)*n+j+3, alpha, beta, c13)
-	storeScaled(c, (i+2)*n+j+0, alpha, beta, c20)
-	storeScaled(c, (i+2)*n+j+1, alpha, beta, c21)
-	storeScaled(c, (i+2)*n+j+2, alpha, beta, c22)
-	storeScaled(c, (i+2)*n+j+3, alpha, beta, c23)
-	storeScaled(c, (i+3)*n+j+0, alpha, beta, c30)
-	storeScaled(c, (i+3)*n+j+1, alpha, beta, c31)
-	storeScaled(c, (i+3)*n+j+2, alpha, beta, c32)
-	storeScaled(c, (i+3)*n+j+3, alpha, beta, c33)
+func storeRow4(c []float64, idx int, alpha, beta float64, s0, s1, s2, s3 float64) {
+	storeScaled(c, idx+0, alpha, beta, s0)
+	storeScaled(c, idx+1, alpha, beta, s1)
+	storeScaled(c, idx+2, alpha, beta, s2)
+	storeScaled(c, idx+3, alpha, beta, s3)
 }
 
 // GemmTN computes C = alpha·Aᵀ·B + beta·C where A is k×m (so Aᵀ is m×k),
@@ -289,26 +263,26 @@ func GemmTN(alpha float64, a []float64, k, m int, b []float64, n int, beta float
 	}
 }
 
-// gemmTNTiled is the m,n >= 4 GemmTN path: 4×4 register tiles of C held in
-// registers across the whole (long, k-deep) accumulation loop. Both the A and
-// B rows are contiguous in this orientation, so each p step is eight
-// sequential loads feeding sixteen multiply-adds with no C traffic at all.
-// Per-element rounding equals the naive reference (ascending-p sum, then
-// alpha·s + beta·c).
+// gemmTNTiled is the m,n >= 4 GemmTN path: 2×4 register tiles of C (see
+// gemmTiled for the shape) held in registers across the whole (long, k-deep)
+// accumulation loop. Both the A and B rows are contiguous in this
+// orientation, so each p step is six sequential loads feeding eight
+// multiply-adds with no C traffic at all; the row offsets advance by addition
+// rather than being recomputed from p. Per-element rounding equals the naive
+// reference (ascending-p sum, then alpha·s + beta·c).
 //
 //sparselint:hotpath
 func gemmTNTiled(alpha float64, a []float64, k, m int, b []float64, n int, beta float64, c []float64) {
 	i := 0
-	for ; i+4 <= m; i += 4 {
+	for ; i+2 <= m; i += 2 {
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
+			ao, bo := i, j
 			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
-				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
+				ap := a[ao : ao+2 : ao+2]
+				bp := b[bo : bo+4 : bo+4]
 				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 				av := ap[0]
 				c00 += av * b0
@@ -320,33 +294,22 @@ func gemmTNTiled(alpha float64, a []float64, k, m int, b []float64, n int, beta 
 				c11 += av * b1
 				c12 += av * b2
 				c13 += av * b3
-				av = ap[2]
-				c20 += av * b0
-				c21 += av * b1
-				c22 += av * b2
-				c23 += av * b3
-				av = ap[3]
-				c30 += av * b0
-				c31 += av * b1
-				c32 += av * b2
-				c33 += av * b3
+				ao += m
+				bo += n
 			}
-			storeTile4(c, i, j, n, alpha, beta, c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33)
+			storeRow4(c, (i+0)*n+j, alpha, beta, c00, c01, c02, c03)
+			storeRow4(c, (i+1)*n+j, alpha, beta, c10, c11, c12, c13)
 		}
 		for ; j < n; j++ {
-			var s0, s1, s2, s3 float64
+			var s0, s1 float64
 			for p := 0; p < k; p++ {
 				bv := b[p*n+j]
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
+				ap := a[p*m+i : p*m+i+2 : p*m+i+2]
 				s0 += ap[0] * bv
 				s1 += ap[1] * bv
-				s2 += ap[2] * bv
-				s3 += ap[3] * bv
 			}
 			storeScaled(c, (i+0)*n+j, alpha, beta, s0)
 			storeScaled(c, (i+1)*n+j, alpha, beta, s1)
-			storeScaled(c, (i+2)*n+j, alpha, beta, s2)
-			storeScaled(c, (i+3)*n+j, alpha, beta, s3)
 		}
 	}
 	for ; i < m; i++ {

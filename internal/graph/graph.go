@@ -215,15 +215,12 @@ type Options struct {
 	// SkipEmpty omits tasks for empty CSB tiles (paper Fig. 6 optimization;
 	// on by default in all experiments, toggled off for the ablation).
 	SkipEmpty bool
-	// Tris supplies the CSR factor behind each OpTri operand referenced by a
-	// CSpTrsv call; the factor's sparsity determines the level-DAG edges.
-	Tris map[program.OperandID]*sparse.CSR
-	// TriDeps optionally memoizes the per-block dependency lists of each
-	// factor (precond.Levels.BlockDeps, computed once per matrix and cached
-	// by solverd alongside the factorization). When present for an operand,
-	// expansion skips re-scanning the factor's rows; the lists must match
-	// the program block size.
-	TriDeps map[program.OperandID][][]int32
+	// Tris supplies the factor behind each OpTri operand referenced by a
+	// CSpTrsv call, in the block substitution layout at the program's block
+	// size (precond.Levels.Tri, computed once per matrix and cached by
+	// solverd alongside the factorization); its per-block dependency lists
+	// are the level-DAG edges.
+	Tris map[program.OperandID]*sparse.BlockTri
 	// Syms supplies the SymCSB matrix behind each OpSymSparse operand
 	// referenced by a CSpMMSym call; its cached SymSchedule drives the
 	// wave/accumulator task emission. Symmetric expansion always skips
@@ -662,40 +659,32 @@ func (b *builder) expandDiagScale(ci int32, c *program.Call) {
 // descending for the backward), and each task *reads* the output blocks its
 // rows reference, so the generic RAW machinery reproduces the factor's level
 // DAG — the irregular, deep-critical-path graph shape the level-scheduled
-// incomplete-Cholesky literature targets. Cross-block dependency lists come
-// either from opt.TriDeps (memoized precond.Levels) or a direct scan of the
-// factor's rows; both yield identical sorted lists.
+// incomplete-Cholesky literature targets. Cross-block dependency lists are
+// the factor layout's own (sparse.BlockTri.Deps).
 func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 	p := b.g.Prog
-	tri, ok := b.opt.Tris[c.A]
-	if !ok {
-		return fmt.Errorf("no CSR factor attached for operand %d (Options.Tris)", c.A)
+	tri := b.opt.Tris[c.A]
+	if tri == nil {
+		return fmt.Errorf("no factor attached for operand %d (Options.Tris)", c.A)
 	}
-	if tri.Rows != p.M || tri.Cols != p.M {
-		return fmt.Errorf("factor is %dx%d, program rows %d", tri.Rows, tri.Cols, p.M)
+	if tri.Rows != p.M || tri.Block != p.Block {
+		return fmt.Errorf("factor layout is %d rows in blocks of %d, program has %d in blocks of %d", tri.Rows, tri.Block, p.M, p.Block)
 	}
-	memo := b.opt.TriDeps[c.A]
-	if memo != nil && len(memo) != p.NP {
-		return fmt.Errorf("memoized level deps cover %d blocks, program has %d", len(memo), p.NP)
+	if tri.Upper != c.Upper {
+		return fmt.Errorf("factor layout of operand %d has Upper=%v, its solve Upper=%v", c.A, tri.Upper, c.Upper)
 	}
 	n := int64(p.Op(c.Out).Cols)
-	var scratch []int32
 	for k := 0; k < p.NP; k++ {
 		bi := k
 		if c.Upper {
 			bi = p.NP - 1 - k
 		}
 		rlo := bi * p.Block
-		rhi := rlo + p.PartRows(bi)
-		nnz := tri.RowPtr[rhi] - tri.RowPtr[rlo]
-		var deps []int32
-		if memo != nil {
-			deps = memo[bi]
-		} else {
-			deps = blockDeps(tri, bi, p.Block, c.Upper, scratch[:0])
-			scratch = deps
-		}
-		rows := int64(rhi - rlo)
+		rows := int64(p.PartRows(bi))
+		// The factor's entries in the block: strictly-triangular ones plus
+		// one diagonal per row.
+		nnz := tri.Ptr[rlo+int(rows)] - tri.Ptr[rlo] + rows
+		deps := tri.Deps[bi]
 		reads := make([]Ref, 0, len(deps)+2)
 		reads = append(reads,
 			Ref{TriRegion(c.A, bi), nnz * 12}, // 8B value + 4B column index
@@ -710,52 +699,6 @@ func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 		}, reads, []Ref{{VecRegion(c.Out, bi), rows * n * 8}})
 	}
 	return nil
-}
-
-// blockDeps scans the factor rows of block bi and returns the sorted list of
-// other blocks whose solution entries they reference (the same computation
-// precond.Levels memoizes). dst is reused scratch.
-func blockDeps(tri *sparse.CSR, bi, block int, upper bool, dst []int32) []int32 {
-	rlo := bi * block
-	rhi := rlo + block
-	if rhi > tri.Rows {
-		rhi = tri.Rows
-	}
-	deps := dst
-	for i := rlo; i < rhi; i++ {
-		for p := tri.RowPtr[i]; p < tri.RowPtr[i+1]; p++ {
-			c := int(tri.ColIdx[p])
-			if upper {
-				if c <= i {
-					continue
-				}
-			} else if c >= i {
-				continue
-			}
-			j := int32(c / block)
-			if int(j) == bi {
-				continue
-			}
-			found := false
-			for _, d := range deps {
-				if d == j {
-					found = true
-					break
-				}
-			}
-			if !found {
-				deps = append(deps, j)
-			}
-		}
-	}
-	// Insertion sort: lists are short (bounded by block bandwidth) and the
-	// result must be deterministic.
-	for i := 1; i < len(deps); i++ {
-		for j := i; j > 0 && deps[j] < deps[j-1]; j-- {
-			deps[j], deps[j-1] = deps[j-1], deps[j]
-		}
-	}
-	return deps
 }
 
 func (b *builder) expandCopy(ci int32, c *program.Call) {

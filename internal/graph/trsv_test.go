@@ -21,6 +21,15 @@ func bidiagonalLower(n int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
+func mustBlockTri(t *testing.T, a *sparse.CSR, block int, upper bool) *sparse.BlockTri {
+	t.Helper()
+	tri, err := sparse.NewBlockTri(a, block, upper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tri
+}
+
 func TestExpandSpTrsvChain(t *testing.T) {
 	n := 12
 	l := bidiagonalLower(n)
@@ -29,7 +38,7 @@ func TestExpandSpTrsvChain(t *testing.T) {
 	opB := p.Vec("b", 1)
 	opY := p.Vec("y", 1)
 	p.SpTrsvLower(opY, opL, opB)
-	g, err := Build(p, nil, Options{SkipEmpty: true, Tris: map[program.OperandID]*sparse.CSR{opL: l}})
+	g, err := Build(p, nil, Options{SkipEmpty: true, Tris: map[program.OperandID]*sparse.BlockTri{opL: mustBlockTri(t, l, 3, false)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +88,27 @@ func TestExpandSpTrsvMissingFactor(t *testing.T) {
 	}
 }
 
+// TestExpandSpTrsvMismatchedLayout: a layout cut at another block size, or
+// built for the other substitution direction, is refused by Build rather than
+// expanded into a graph whose edges belong to a different solve.
+func TestExpandSpTrsvMismatchedLayout(t *testing.T) {
+	l := bidiagonalLower(8)
+	p := program.New(8, 2)
+	opL := p.Tri("L")
+	opB := p.Vec("b", 1)
+	opY := p.Vec("y", 1)
+	p.SpTrsvLower(opY, opL, opB)
+	for name, tri := range map[string]*sparse.BlockTri{
+		"block":     mustBlockTri(t, l, 4, false),
+		"direction": mustBlockTri(t, l.Transpose(), 2, true),
+	} {
+		opt := Options{SkipEmpty: true, Tris: map[program.OperandID]*sparse.BlockTri{opL: tri}}
+		if _, err := Build(p, nil, opt); err == nil {
+			t.Fatalf("%s mismatch: expected an error", name)
+		}
+	}
+}
+
 // TestLevelHistogramBuckets: a deep chain graph must render as a capped,
 // bucketed histogram, never one line per level.
 func TestLevelHistogramBuckets(t *testing.T) {
@@ -89,7 +119,7 @@ func TestLevelHistogramBuckets(t *testing.T) {
 	opB := p.Vec("b", 1)
 	opY := p.Vec("y", 1)
 	p.SpTrsvLower(opY, opL, opB)
-	g, err := Build(p, nil, Options{SkipEmpty: true, Tris: map[program.OperandID]*sparse.CSR{opL: l}})
+	g, err := Build(p, nil, Options{SkipEmpty: true, Tris: map[program.OperandID]*sparse.BlockTri{opL: mustBlockTri(t, l, 1, false)}})
 	if err != nil {
 		t.Fatal(err)
 	}

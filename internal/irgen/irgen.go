@@ -11,6 +11,7 @@
 package irgen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,7 +30,7 @@ type Case struct {
 	Opt  graph.Options
 
 	sym  map[program.OperandID]*sparse.SymCSB
-	tri  map[program.OperandID]*sparse.CSR
+	tri  map[program.OperandID]*sparse.BlockTri
 	vecs map[program.OperandID][]float64 // initial contents, vec and small alike
 	scal map[program.OperandID]float64
 }
@@ -48,7 +49,7 @@ func (c *Case) NewStore() *program.Store {
 		st.SetSymSparse(id, a)
 	}
 	for id, a := range c.tri {
-		st.SetTri(id, a)
+		st.SetBlockTri(id, a)
 	}
 	for id, v := range c.vecs {
 		if c.Prog.Op(id).Kind == program.OpVec {
@@ -91,7 +92,7 @@ func Random(seed int64) *Case {
 	block := 5 + rng.Intn(13)
 	m := block*(2+rng.Intn(8)) + rng.Intn(block) // a ragged last partition more often than not
 	n := 1 + rng.Intn(3)
-	coo := randomSPD(rng, m, rng.Intn(2) == 0)
+	coo := RandomSPD(rng, m, rng.Intn(2) == 0)
 
 	p := program.New(m, block)
 	c := &Case{
@@ -99,7 +100,7 @@ func Random(seed int64) *Case {
 		Mats: map[program.OperandID]*sparse.CSB{},
 		Opt:  graph.DefaultOptions(),
 		sym:  map[program.OperandID]*sparse.SymCSB{},
-		tri:  map[program.OperandID]*sparse.CSR{},
+		tri:  map[program.OperandID]*sparse.BlockTri{},
 		vecs: map[program.OperandID][]float64{},
 		scal: map[program.OperandID]float64{},
 	}
@@ -115,8 +116,12 @@ func Random(seed int64) *Case {
 	}
 	opL, opU := program.OperandID(-1), program.OperandID(-1)
 	if ic, err := precond.Factorize(coo.ToCSR()); err == nil && ic.Kind == precond.KindIC0 {
+		low, up := precond.AnalyzeLower(ic.L, block), precond.AnalyzeUpper(ic.U, block)
+		if err := errors.Join(low.Err, up.Err); err != nil {
+			panic(fmt.Sprintf("irgen: IC(0) factors refused: %v", err))
+		}
 		opL, opU = p.Tri("L"), p.Tri("U")
-		c.tri[opL], c.tri[opU] = ic.L, ic.U
+		c.tri[opL], c.tri[opU] = low.Tri, up.Tri
 	}
 
 	fill := func(id program.OperandID, len int) {
@@ -223,11 +228,11 @@ func Random(seed int64) *Case {
 	return c
 }
 
-// randomSPD returns a strictly diagonally dominant symmetric matrix, so IC(0)
+// RandomSPD returns a strictly diagonally dominant symmetric matrix, so IC(0)
 // always succeeds. banded keeps the off-diagonals near the diagonal (the
 // symmetric storage's wave schedule); otherwise a few dense rows are added
 // (its accumulator fallback).
-func randomSPD(rng *rand.Rand, m int, banded bool) *sparse.COO {
+func RandomSPD(rng *rand.Rand, m int, banded bool) *sparse.COO {
 	coo := sparse.NewCOO(m, m, 8*m)
 	sum := make([]float64, m)
 	add := func(i, j int) {

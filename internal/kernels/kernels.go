@@ -191,23 +191,12 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		tri := st.TriM[c.A]
 		x := st.Vec[c.Out]
 		b := st.Vec[c.B]
-		n := p.Op(c.Out).Cols
-		lo := int(t.P) * p.Block
-		hi := lo + p.PartRows(int(t.P))
-		// Out and B are full-length vectors; the range forms read
-		// earlier/later entries of x that dependency-predecessor tasks wrote.
-		if n == 1 {
-			if c.Upper {
-				tri.UpperSolveRange(x, b, lo, hi)
-			} else {
-				tri.LowerSolveRange(x, b, lo, hi)
-			}
+		// Out and B are full-length vectors; the block's rows read entries
+		// of x that dependency-predecessor tasks wrote.
+		if n := p.Op(c.Out).Cols; n == 1 {
+			tri.SolveBlock(x, b, int(t.P))
 		} else {
-			if c.Upper {
-				tri.UpperSolveRangeN(x, b, n, lo, hi)
-			} else {
-				tri.LowerSolveRangeN(x, b, n, lo, hi)
-			}
+			tri.SolveBlockN(x, b, n, int(t.P))
 		}
 
 	case graph.TSymTile:

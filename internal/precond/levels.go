@@ -8,16 +8,25 @@ import "sparsetask/internal/sparse"
 // is one rank of independent tasks; the graph package turns BlockDeps into
 // TDG edges so the substitution runs wavefront-parallel on the task runtimes.
 //
-// The analysis follows the ilu_solve level-scheduling exemplar, lifted from
-// single rows to row blocks so task granularity matches the rest of the
-// system (and so affinity stamps compose with the topology layer).
+// The analysis follows the ilu_solve level-scheduling exemplar twice over:
+// across blocks, lifted from single rows to row blocks so task granularity
+// matches the rest of the system (and so affinity stamps compose with the
+// topology layer); and inside each block, where Tri stores the block's rows
+// level by level so the task's kernel streams them.
 type Levels struct {
-	Block     int       // rows per block (last block may be short)
-	NB        int       // number of row blocks
+	Block int // rows per block (last block may be short)
+	NB    int // number of row blocks
+	// Tri is the factor in the substitution layout the TTrsv tasks solve on,
+	// built by the same pass that finds BlockDeps (which alias Tri.Deps).
+	Tri       *sparse.BlockTri
 	BlockDeps [][]int32 // per-block sorted list of prerequisite blocks (excl. self)
 	LevelOf   []int32   // per-block level, 0-based
 	NumLevels int
 	Widths    []int // blocks per level; len NumLevels
+	// Err is why the factor cannot be solved (sparse.NewBlockTri's
+	// validation); the analysis is empty then, and the PCG constructors and
+	// solverd's operator cache refuse such levels with this error.
+	Err error
 }
 
 // AnalyzeLower computes the level structure of the forward solve with the
@@ -35,45 +44,17 @@ func AnalyzeUpper(u *sparse.CSR, block int) *Levels {
 }
 
 func analyze(a *sparse.CSR, block int, upper bool) *Levels {
-	n := a.Rows
-	nb := (n + block - 1) / block
+	tri, err := sparse.NewBlockTri(a, block, upper)
+	if err != nil {
+		return &Levels{Block: block, Err: err}
+	}
+	nb := tri.NB
 	lv := &Levels{
 		Block:     block,
 		NB:        nb,
-		BlockDeps: make([][]int32, nb),
+		Tri:       tri,
+		BlockDeps: tri.Deps,
 		LevelOf:   make([]int32, nb),
-	}
-	// mark[j] == bi+1 records that block j is already a dependency of bi,
-	// so each dependency is emitted once regardless of how many entries
-	// reference it.
-	mark := make([]int32, nb)
-	for bi := 0; bi < nb; bi++ {
-		rlo := bi * block
-		rhi := rlo + block
-		if rhi > n {
-			rhi = n
-		}
-		var deps []int32
-		for i := rlo; i < rhi; i++ {
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				c := int(a.ColIdx[p])
-				if upper {
-					if c <= i {
-						continue
-					}
-				} else if c >= i {
-					continue
-				}
-				j := int32(c / block)
-				if int(j) == bi || mark[j] == int32(bi)+1 {
-					continue
-				}
-				mark[j] = int32(bi) + 1
-				deps = append(deps, j)
-			}
-		}
-		sortInt32(deps)
-		lv.BlockDeps[bi] = deps
 	}
 	// Levels must be assigned in dependency order: ascending blocks for the
 	// forward solve, descending for the backward solve (whose deps point at
@@ -116,15 +97,4 @@ func (lv *Levels) MaxWidth() int {
 		}
 	}
 	return m
-}
-
-// sortInt32 is an insertion sort: dependency lists are short (bounded by the
-// factor's row bandwidth in blocks), and avoiding sort.Slice keeps the
-// analysis allocation-light and trivially deterministic.
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -18,9 +18,10 @@ type Store struct {
 	// SymM holds the SymCSB matrices behind OpSymSparse operands. Like
 	// SparseM it is populated before execution and read-only afterwards.
 	SymM map[OperandID]*sparse.SymCSB
-	// TriM holds the CSR triangular factors behind OpTri operands. Like
-	// SparseM it is populated before execution and read-only afterwards.
-	TriM map[OperandID]*sparse.CSR
+	// TriM holds the triangular factors behind OpTri operands in the block
+	// substitution layout the TTrsv kernel solves on. Like SparseM it is
+	// populated before execution and read-only afterwards.
+	TriM map[OperandID]*sparse.BlockTri
 	// Vec, Small and Scalars are indexed by OperandID; entries for operands
 	// of other kinds are nil/unused.
 	Vec     [][]float64
@@ -46,7 +47,7 @@ func NewStore(p *Program) *Store {
 		P:        p,
 		SparseM:  make(map[OperandID]*sparse.CSB),
 		SymM:     make(map[OperandID]*sparse.SymCSB),
-		TriM:     make(map[OperandID]*sparse.CSR),
+		TriM:     make(map[OperandID]*sparse.BlockTri),
 		Vec:      make([][]float64, len(p.Ops)),
 		Small:    make([][]float64, len(p.Ops)),
 		Scalars:  make([]float64, len(p.Ops)),
@@ -154,18 +155,61 @@ func (st *Store) SymAcc(callIdx, g int) []float64 {
 	return b
 }
 
-// SetTri attaches the CSR factor for a triangular operand. The factor must
-// be square with the program's row dimension; row-block boundaries come from
-// the program block size.
-func (st *Store) SetTri(id OperandID, a *sparse.CSR) {
+// SetBlockTri attaches the factor for a triangular operand in its block
+// substitution layout (precond.Levels.Tri: built once per factor and block
+// size, shared by every store that solves with it). The layout must match the
+// program's rows and block size and the direction of the CSpTrsv calls that
+// use the operand.
+func (st *Store) SetBlockTri(id OperandID, t *sparse.BlockTri) {
 	o := st.P.Op(id)
 	if o.Kind != OpTri {
+		panic(fmt.Sprintf("program: SetBlockTri on %s operand %s", o.Kind, o.Name))
+	}
+	if t.Rows != st.P.M || t.Block != st.P.Block {
+		panic(fmt.Sprintf("program: factor layout is %d rows in blocks of %d, program has %d in blocks of %d",
+			t.Rows, t.Block, st.P.M, st.P.Block))
+	}
+	if upper, used := st.triDirection(id); used && upper != t.Upper {
+		panic(fmt.Sprintf("program: factor layout of %s has Upper=%v, its solve Upper=%v", o.Name, t.Upper, upper))
+	}
+	st.TriM[id] = t
+}
+
+// SetTri attaches a bare CSR factor for a triangular operand, deriving the
+// substitution layout on the spot (an O(rows + nnz) pass — callers that solve
+// with one factor more than once build it once and use SetBlockTri). The
+// direction is that of the program's CSpTrsv calls on the operand; an operand
+// no call solves with is left unbound. A factor the kernel cannot solve
+// (sparse.NewBlockTri's validation) panics here, as a shape mismatch does.
+func (st *Store) SetTri(id OperandID, a *sparse.CSR) {
+	if o := st.P.Op(id); o.Kind != OpTri {
 		panic(fmt.Sprintf("program: SetTri on %s operand %s", o.Kind, o.Name))
 	}
-	if a.Rows != st.P.M || a.Cols != st.P.M {
-		panic(fmt.Sprintf("program: factor is %dx%d, program rows %d", a.Rows, a.Cols, st.P.M))
+	upper, used := st.triDirection(id)
+	if !used {
+		return
 	}
-	st.TriM[id] = a
+	t, err := sparse.NewBlockTri(a, st.P.Block, upper)
+	if err != nil {
+		panic(fmt.Sprintf("program: SetTri: %v", err))
+	}
+	st.SetBlockTri(id, t)
+}
+
+// triDirection reports the substitution direction of the CSpTrsv calls that
+// solve with operand id, and whether any does.
+func (st *Store) triDirection(id OperandID) (upper, used bool) {
+	for i := range st.P.Calls {
+		c := &st.P.Calls[i]
+		if c.Kind != CSpTrsv || c.A != id {
+			continue
+		}
+		if used && c.Upper != upper {
+			panic(fmt.Sprintf("program: operand %s is solved with in both directions", st.P.Op(id).Name))
+		}
+		upper, used = c.Upper, true
+	}
+	return upper, used
 }
 
 // VecPart returns the slice of vec operand id covering row partition part.

@@ -57,15 +57,22 @@ func trsvProblem(t *testing.T, grid, block int, withMemo bool) (*graph.TDG, func
 	p.SpTrsvLower(opY, opL, opB)
 	p.SpTrsvUpper(opZ, opU, opY)
 
+	// The graph takes the factors in their block substitution layout: the one
+	// a memoized level analysis carries, or one built from the bare CSR.
+	var low, up *sparse.BlockTri
+	if withMemo {
+		low, up = precond.AnalyzeLower(m.L, block).Tri, precond.AnalyzeUpper(m.U, block).Tri
+	} else {
+		if low, err = sparse.NewBlockTri(m.L, block, false); err != nil {
+			t.Fatal(err)
+		}
+		if up, err = sparse.NewBlockTri(m.U, block, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 	opt := graph.Options{
 		SkipEmpty: true,
-		Tris:      map[program.OperandID]*sparse.CSR{opL: m.L, opU: m.U},
-	}
-	if withMemo {
-		opt.TriDeps = map[program.OperandID][][]int32{
-			opL: precond.AnalyzeLower(m.L, block).BlockDeps,
-			opU: precond.AnalyzeUpper(m.U, block).BlockDeps,
-		}
+		Tris:      map[program.OperandID]*sparse.BlockTri{opL: low, opU: up},
 	}
 	g, err := graph.Build(p, nil, opt)
 	if err != nil {
@@ -132,9 +139,9 @@ func TestTrsvAllBackendsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrsvMemoizedLevelsMatchScan: building the graph from memoized
-// precond.Levels block deps must produce the same dependency structure as
-// scanning the factor during expansion — the property the server's
+// TestTrsvMemoizedLevelsMatchScan: building the graph from the layout a
+// memoized precond.Levels carries must produce the same dependency structure
+// as building it from the bare factor — the property the server's
 // factorization cache relies on.
 func TestTrsvMemoizedLevelsMatchScan(t *testing.T) {
 	ga, _, _ := trsvProblem(t, 13, 7, false)

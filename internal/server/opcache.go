@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,9 @@ func (op *operator) preconditioner(block int) (m *precond.IC0, lower, upper *pre
 		lp = levelPair{
 			lower: precond.AnalyzeLower(op.ic.L, block),
 			upper: precond.AnalyzeUpper(op.ic.U, block),
+		}
+		if err := errors.Join(lp.lower.Err, lp.upper.Err); err != nil {
+			return nil, nil, nil, "", fmt.Errorf("ic0 levels: %w", err)
 		}
 		op.levels[block] = lp
 		c.charge(op, levelsBytes(lp.lower)+levelsBytes(lp.upper), false)
@@ -285,8 +289,12 @@ func ic0Bytes(m *precond.IC0) int64 {
 	return csrBytes(m.L) + csrBytes(m.U) + 8*int64(len(m.DiagInv))
 }
 
+// levelsBytes charges a level analysis with the substitution layout it
+// carries (BlockDeps are the layout's Deps, counted once).
 func levelsBytes(lv *precond.Levels) int64 {
-	n := 24*int64(len(lv.BlockDeps)) + 4*int64(len(lv.LevelOf)) + 8*int64(len(lv.Widths))
+	t := lv.Tri
+	n := 24*int64(len(lv.BlockDeps)) + 4*int64(len(lv.LevelOf)) + 8*int64(len(lv.Widths)) +
+		4*int64(len(t.Row)) + 8*int64(len(t.Ptr)) + 12*int64(len(t.Val)) + 8*int64(len(t.Diag))
 	for _, deps := range lv.BlockDeps {
 		n += 4 * int64(len(deps))
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sparsetask/internal/matgen"
+	"sparsetask/internal/precond"
 	"sparsetask/internal/sparse"
 )
 
@@ -462,5 +463,93 @@ func TestIdentity(t *testing.T) {
 			t.Errorf("specs %d and %d share identity %q", j, i, id(s))
 		}
 		seen[id(s)] = i
+	}
+}
+
+// liveSliceBytes sums len × element size over every slice reachable from v
+// through pointers, structs, maps, interfaces and slices of slices, counting a
+// backing array once however many headers alias it.
+func liveSliceBytes(v reflect.Value, seen map[uintptr]bool) int64 {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return liveSliceBytes(v.Elem(), seen)
+	case reflect.Struct:
+		var n int64
+		for i := 0; i < v.NumField(); i++ {
+			n += liveSliceBytes(v.Field(i), seen)
+		}
+		return n
+	case reflect.Map:
+		var n int64
+		for it := v.MapRange(); it.Next(); {
+			n += liveSliceBytes(it.Value(), seen)
+		}
+		return n
+	case reflect.Slice:
+		if v.Len() == 0 || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		n := int64(v.Len()) * int64(v.Type().Elem().Size())
+		if k := v.Type().Elem().Kind(); k == reflect.Slice || k == reflect.Struct || k == reflect.Pointer {
+			for i := 0; i < v.Len(); i++ {
+				n += liveSliceBytes(v.Index(i), seen)
+			}
+		}
+		return n
+	}
+	return 0
+}
+
+// The LRU bound means bytes only if an entry is charged what it holds. After
+// pcg jobs at two block sizes the operator's charge is the sum of its live
+// slices — matrix, both tilings, factors, and per block size the level
+// analyses with the substitution layouts they carry — and a repeat job at a
+// held block size analyses and builds nothing.
+func TestOperatorChargeEqualsLiveSlices(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 2})
+	tuned := solve(t, e, suiteSpec("pcg", 1))
+	spec := suiteSpec("pcg", 1)
+	spec.Block = tuned.Block / 2
+	solve(t, e, spec)
+	_, f := e.operators.Stats()
+	if f.LevelAnalyses != 2 || f.Factorizations != 1 {
+		t.Fatalf("two block sizes: %d level analyses, %d factorizations, want 2, 1", f.LevelAnalyses, f.Factorizations)
+	}
+
+	op, _, err := e.operators.get(spec.Matrix.Identity(), &spec.Matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.ic.Kind != precond.KindIC0 || len(op.levels) != 2 {
+		t.Fatalf("operator holds %s factors and %d level pairs, want ic0 and 2", op.ic.Kind, len(op.levels))
+	}
+	seen := map[uintptr]bool{}
+	var live int64
+	for _, part := range []any{op.coo, op.storage, op.ic, op.levels} {
+		live += liveSliceBytes(reflect.ValueOf(part), seen)
+	}
+	st, _ := e.operators.Stats()
+	if st.Size != 1 || st.Bytes != live {
+		t.Errorf("cache charges %d bytes for %d entries; the operator's live slices are %d bytes", st.Bytes, st.Size, live)
+	}
+	for _, lp := range op.levels {
+		for _, lv := range []*precond.Levels{lp.lower, lp.upper} {
+			if got, want := levelsBytes(lv), liveSliceBytes(reflect.ValueOf(lv), map[uintptr]bool{}); got != want {
+				t.Errorf("levelsBytes = %d, the analysis and its layout hold %d", got, want)
+			}
+		}
+	}
+
+	// Repeat jobs at both held block sizes: served from the entry as it is.
+	solve(t, e, spec)
+	solve(t, e, suiteSpec("pcg", 1))
+	again, f2 := e.operators.Stats()
+	if f2.LevelAnalyses != 2 || f2.Factorizations != 1 || again.Bytes != st.Bytes {
+		t.Errorf("repeat jobs: %d level analyses, %d factorizations, %d bytes; want 2, 1, %d",
+			f2.LevelAnalyses, f2.Factorizations, again.Bytes, st.Bytes)
 	}
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -191,7 +192,9 @@ type krylov struct {
 // newKrylov builds the driver and its single-iteration TDG for k right-hand
 // sides. A *sparse.SymCSB matrix routes the SpMM through the
 // symmetry-exploiting kernels; lower/upper optionally carry the factors'
-// memoized level analyses (precond.Levels at the matrix's block size).
+// memoized level analyses (precond.Levels at the matrix's block size), whose
+// substitution layouts the solves then share; without them the factors are
+// analysed here. A factor the triangular kernel cannot solve is an error.
 func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper *precond.Levels) (*krylov, error) {
 	rows, cols := a.Dims()
 	if rows != cols {
@@ -268,13 +271,16 @@ func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper
 		c.opY = p.Vec("y", k)
 		p.SpTrsvLower(c.opY, opL, c.opR)
 		p.SpTrsvUpper(c.opZ, opU, c.opY)
-		opt.Tris = map[program.OperandID]*sparse.CSR{opL: m.L, opU: m.U}
-		if lower != nil && upper != nil && lower.Block == a.BlockSize() && upper.Block == a.BlockSize() {
-			opt.TriDeps = map[program.OperandID][][]int32{
-				opL: lower.BlockDeps,
-				opU: upper.BlockDeps,
-			}
+		if lower == nil || lower.Block != a.BlockSize() {
+			lower = precond.AnalyzeLower(m.L, a.BlockSize())
 		}
+		if upper == nil || upper.Block != a.BlockSize() {
+			upper = precond.AnalyzeUpper(m.U, a.BlockSize())
+		}
+		if err := errors.Join(lower.Err, upper.Err); err != nil {
+			return nil, fmt.Errorf("solver: %s preconditioner: %w", name, err)
+		}
+		opt.Tris = map[program.OperandID]*sparse.BlockTri{opL: lower.Tri, opU: upper.Tri}
 	default:
 		opD = p.Vec("dinv", 1)
 		p.DiagScale(c.opZ, opD, c.opR).MarkIndexLaunch()
@@ -324,8 +330,8 @@ func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper
 	switch {
 	case m == nil:
 	case m.Kind == precond.KindIC0:
-		c.st.SetTri(opL, m.L)
-		c.st.SetTri(opU, m.U)
+		c.st.SetBlockTri(opL, opt.Tris[opL])
+		c.st.SetBlockTri(opU, opt.Tris[opU])
 	default:
 		copy(c.st.Vec[opD], m.DiagInv)
 	}

@@ -57,8 +57,8 @@ func NewPCG(a sparse.Matrix, m *precond.IC0) (*PCG, error) {
 
 // NewPCGWithLevels is NewPCG with memoized level analyses for the forward
 // and backward factors (precond.Levels at the CSB block size). solverd's
-// operator cache passes these so a repeat solve skips the level re-analysis;
-// nil lowers/uppers fall back to scanning.
+// operator cache passes these so a repeat solve skips the analysis and shares
+// the factors' substitution layouts; nil levels are analysed here.
 func NewPCGWithLevels(a sparse.Matrix, m *precond.IC0, lower, upper *precond.Levels) (*PCG, error) {
 	c, err := newPreconditioned("PCG", a, m, 1, lower, upper)
 	if err != nil {

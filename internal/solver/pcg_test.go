@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sparsetask/internal/matgen"
@@ -264,6 +265,43 @@ func TestPCGMemoizedLevels(t *testing.T) {
 	for i := range x1 {
 		if x1[i] != x2[i] {
 			t.Fatalf("memoized solve differs at %d", i)
+		}
+	}
+}
+
+// TestPCGRefusesUnsolvableFactor: a factor the triangular kernel cannot solve
+// (here: a row of L that lost its diagonal, and U with a zeroed one) fails the
+// constructor with an error naming the row — with analysed levels handed in,
+// with none, and for the batch form — instead of iterating on ±Inf.
+func TestPCGRefusesUnsolvableFactor(t *testing.T) {
+	coo := laplacian2D(6)
+	csb := coo.ToCSB(8)
+	factor := func() *precond.IC0 {
+		m, err := precond.Factorize(coo.ToCSR())
+		if err != nil || m.Kind != precond.KindIC0 {
+			t.Fatalf("factorize: %v kind=%v", err, m.Kind)
+		}
+		return m
+	}
+	noDiag := factor()
+	noDiag.L.ColIdx[noDiag.L.RowPtr[8]-1] = 6 // row 7's diagonal becomes a second (7, 6)
+	zeroDiag := factor()
+	zeroDiag.U.V[zeroDiag.U.RowPtr[20]] = 0 // U's rows lead with the diagonal
+	for _, tc := range []struct {
+		name, want string
+		m          *precond.IC0
+	}{
+		{"missing diagonal in L", "row 7 stores 0 diagonal entries", noDiag},
+		{"zero diagonal in U", "row 20 has diagonal 0", zeroDiag},
+	} {
+		low, up := precond.AnalyzeLower(tc.m.L, csb.Block), precond.AnalyzeUpper(tc.m.U, csb.Block)
+		_, errPlain := NewPCG(csb, tc.m)
+		_, errMemo := NewPCGWithLevels(csb, tc.m, low, up)
+		_, errBatch := NewBatchPCG(csb, tc.m, 4, nil, nil)
+		for how, err := range map[string]error{"NewPCG": errPlain, "NewPCGWithLevels": errMemo, "NewBatchPCG": errBatch} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: error %v, want one containing %q", tc.name, how, err, tc.want)
+			}
 		}
 	}
 }

@@ -2,134 +2,57 @@ package sparse
 
 import "fmt"
 
-// Triangular-solve kernels over CSR factors. These are the row-range bodies
-// of the level-scheduled TRSV tasks (package graph expands one task per row
-// block; package kernels calls the range forms) plus the whole-matrix serial
-// references the parallel paths are validated against.
+// Whole-matrix serial triangular solves over CSR factors: the oracles the
+// block-granular substitution (BlockTri, the storage the TTrsv tasks solve
+// on) is validated against, and what the serial reference solvers and
+// IC0.Apply run.
 //
-// Both forms assume the factor stores its diagonal explicitly: every row i
-// must contain an entry with column i. Rows are scanned in CSR order, so the
-// floating-point accumulation order is a pure function of the factor — the
-// property the cross-topology determinism tests pin down.
+// Rows are scanned in CSR order, so the floating-point accumulation order is
+// a pure function of the factor — the property BlockTri preserves and the
+// cross-topology determinism tests pin down. Both assume what NewBlockTri
+// checks: every row stores its diagonal, and nothing on the wrong side of it.
 
-// LowerSolveRange performs forward substitution for rows [lo, hi) of the
-// lower-triangular system L·x = b: x[i] = (b[i] − Σ_{j<i} L(i,j)·x[j]) / L(i,i).
-// x and b are full-length vectors; entries x[j] for j < lo must already hold
-// the solution of earlier rows (the level schedule guarantees this via task
-// dependencies). x and b may alias only when x == b.
-//
-//sparselint:hotpath
-func (a *CSR) LowerSolveRange(x, b []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := b[i]
-		d := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c := int(a.ColIdx[p])
-			if c == i {
-				d = a.V[p]
-			} else if c < i {
-				s -= a.V[p] * x[c]
-			}
-		}
-		x[i] = s / d
-	}
-}
-
-// UpperSolveRange performs backward substitution for rows [lo, hi) of the
-// upper-triangular system U·x = b: x[i] = (b[i] − Σ_{j>i} U(i,j)·x[j]) / U(i,i).
-// Rows are processed in descending order; entries x[j] for j >= hi must
-// already hold the solution of later rows.
-//
-//sparselint:hotpath
-func (a *CSR) UpperSolveRange(x, b []float64, lo, hi int) {
-	for i := hi - 1; i >= lo; i-- {
-		s := b[i]
-		d := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c := int(a.ColIdx[p])
-			if c == i {
-				d = a.V[p]
-			} else if c > i {
-				s -= a.V[p] * x[c]
-			}
-		}
-		x[i] = s / d
-	}
-}
-
-// LowerSolveRangeN is the width-n forward substitution: x and b are
-// row-major m×n blocks and each of the n columns is solved against its own
-// right-hand side. The per-column accumulation order matches the width-1 form
-// row for row, so column j of the batched solve is bit-identical to a width-1
-// solve of column j.
-//
-//sparselint:hotpath
-func (a *CSR) LowerSolveRangeN(x, b []float64, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		xr := x[i*n : i*n+n]
-		br := b[i*n : i*n+n]
-		d := 0.0
-		copy(xr, br)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c := int(a.ColIdx[p])
-			if c == i {
-				d = a.V[p]
-			} else if c < i {
-				v := a.V[p]
-				xc := x[c*n : c*n+n]
-				for j, xv := range xc {
-					xr[j] -= v * xv
-				}
-			}
-		}
-		for j := range xr {
-			xr[j] /= d
-		}
-	}
-}
-
-// UpperSolveRangeN is the width-n backward substitution (see
-// LowerSolveRangeN).
-//
-//sparselint:hotpath
-func (a *CSR) UpperSolveRangeN(x, b []float64, n, lo, hi int) {
-	for i := hi - 1; i >= lo; i-- {
-		xr := x[i*n : i*n+n]
-		br := b[i*n : i*n+n]
-		d := 0.0
-		copy(xr, br)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c := int(a.ColIdx[p])
-			if c == i {
-				d = a.V[p]
-			} else if c > i {
-				v := a.V[p]
-				xc := x[c*n : c*n+n]
-				for j, xv := range xc {
-					xr[j] -= v * xv
-				}
-			}
-		}
-		for j := range xr {
-			xr[j] /= d
-		}
-	}
-}
-
-// LowerSolve is the whole-matrix serial forward substitution reference.
+// LowerSolve performs forward substitution on the lower-triangular system
+// L·x = b: x[i] = (b[i] − Σ_{j<i} L(i,j)·x[j]) / L(i,i), rows ascending.
+// x and b may alias only when x == b.
 func (a *CSR) LowerSolve(x, b []float64) {
 	if len(x) != a.Rows || len(b) != a.Rows {
 		panic(fmt.Sprintf("sparse: LowerSolve shape mismatch: A is %dx%d, x %d, b %d", a.Rows, a.Cols, len(x), len(b)))
 	}
-	a.LowerSolveRange(x, b, 0, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		s := b[i]
+		d := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			c := int(a.ColIdx[p])
+			if c == i {
+				d = a.V[p]
+			} else if c < i {
+				s -= a.V[p] * x[c]
+			}
+		}
+		x[i] = s / d
+	}
 }
 
-// UpperSolve is the whole-matrix serial backward substitution reference.
+// UpperSolve performs backward substitution on the upper-triangular system
+// U·x = b: x[i] = (b[i] − Σ_{j>i} U(i,j)·x[j]) / U(i,i), rows descending.
 func (a *CSR) UpperSolve(x, b []float64) {
 	if len(x) != a.Rows || len(b) != a.Rows {
 		panic(fmt.Sprintf("sparse: UpperSolve shape mismatch: A is %dx%d, x %d, b %d", a.Rows, a.Cols, len(x), len(b)))
 	}
-	a.UpperSolveRange(x, b, 0, a.Rows)
+	for i := a.Rows - 1; i >= 0; i-- {
+		s := b[i]
+		d := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			c := int(a.ColIdx[p])
+			if c == i {
+				d = a.V[p]
+			} else if c > i {
+				s -= a.V[p] * x[c]
+			}
+		}
+		x[i] = s / d
+	}
 }
 
 // Transpose returns Aᵀ in CSR with every row's columns in ascending order —

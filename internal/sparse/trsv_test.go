@@ -50,48 +50,6 @@ func TestLowerUpperSolveInverse(t *testing.T) {
 	}
 }
 
-// TestSolveRangeComposition: solving in arbitrary range chunks in dependency
-// order must be bit-identical to the whole-matrix solve — the property the
-// level-scheduled task decomposition relies on.
-func TestSolveRangeComposition(t *testing.T) {
-	n := 157
-	l := randomLower(n, 23)
-	u := l.Transpose()
-	b := make([]float64, n)
-	rng := rand.New(rand.NewSource(9))
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	whole := make([]float64, n)
-	l.LowerSolve(whole, b)
-	chunked := make([]float64, n)
-	for lo := 0; lo < n; lo += 13 {
-		hi := lo + 13
-		if hi > n {
-			hi = n
-		}
-		l.LowerSolveRange(chunked, b, lo, hi)
-	}
-	for i := range whole {
-		if whole[i] != chunked[i] {
-			t.Fatalf("lower chunked solve differs at %d: %v vs %v", i, chunked[i], whole[i])
-		}
-	}
-	u.UpperSolve(whole, b)
-	for hi := n; hi > 0; hi -= 13 {
-		lo := hi - 13
-		if lo < 0 {
-			lo = 0
-		}
-		u.UpperSolveRange(chunked, b, lo, hi)
-	}
-	for i := range whole {
-		if whole[i] != chunked[i] {
-			t.Fatalf("upper chunked solve differs at %d: %v vs %v", i, chunked[i], whole[i])
-		}
-	}
-}
-
 func TestTransposeRoundTrip(t *testing.T) {
 	l := randomLower(60, 7)
 	tt := l.Transpose().Transpose()
