@@ -47,9 +47,10 @@ benchcheck:
 # backend and worker count, the same driver at widths 1, 4 and 8, and the
 # empty-task executor replay) and its kernel benchmarks (the IC(0)
 # substitution pair against its CSR oracle, the dense kernels at LOBPCG's
-# shapes), one iteration each, so they cannot rot.
+# shapes, whole-matrix SpMM on both sparse formats at widths 1–8), one
+# iteration each, so they cannot rot.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'FineGrain|KrylovWidths|ExecutorTask|TrsvPair|GemmShapes' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'FineGrain|KrylovWidths|ExecutorTask|TrsvPair|GemmShapes|SpMMWidths' -benchtime 1x .
 
 # Short fuzz session for the MatrixMarket parser (regression seeds always run
 # as part of `make test`).

@@ -23,6 +23,7 @@ import (
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/precond"
 	"sparsetask/internal/program"
+	"sparsetask/internal/roofline"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sched"
 	"sparsetask/internal/solver"
@@ -461,6 +462,106 @@ func BenchmarkGemmShapes(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 		})
+	}
+}
+
+// BenchmarkSpMMWidths times one whole-matrix multiply Y = A·X per operation,
+// general CSB and SymCSB, at the widths LOBPCG and coalesced cg/pcg batches
+// run: the solve-stream FEM matrix and the serve-repeat linear matrices at 32
+// tiles/dim, the solve-stream Laplacian (runs of one to three entries), and a
+// KKT matrix at 8 tiles/dim, where the symmetric storage takes its
+// accumulator fallback and the benchmark runs that kernel pair. Width 1 times
+// the SpMV bodies, which is what every width-1 task runs. It reports ns per
+// stored entry and GB/s by the roofline byte models.
+func BenchmarkSpMMWidths(b *testing.B) {
+	suite := func(name string) *sparse.COO {
+		s, err := matgen.SpecByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s.Build(matgen.Small, 1)
+	}
+	for _, mc := range []struct {
+		name  string
+		coo   func() *sparse.COO
+		tiles int
+	}{
+		{"fem3d-28", func() *sparse.COO { return matgen.FEM3D(28, 28, 28, 3, 27, 1) }, 32},
+		{"inline1-small", func() *sparse.COO { return suite("inline1") }, 32},
+		{"Bump_2911-small", func() *sparse.COO { return suite("Bump_2911") }, 32},
+		{"spdlap-65536", func() *sparse.COO { return matgen.SPDLaplacian(65536, 1) }, 32},
+		{"kkt-8", func() *sparse.COO { return matgen.KKT(8, 1) }, 8},
+	} {
+		coo := mc.coo()
+		block := (coo.Rows + mc.tiles - 1) / mc.tiles
+		csb := coo.ToCSB(block)
+		sym, err := coo.ToSymCSB(block)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+			x := make([]float64, coo.Rows*n)
+			for i := range x {
+				x[i] = float64(i%7) * 0.1
+			}
+			y, acc := make([]float64, len(x)), make([]float64, len(x))
+			report := func(b *testing.B, stored int, bytes int64) {
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns/float64(stored), "ns/entry")
+				b.ReportMetric(roofline.AttainedGBps(bytes, ns), "GB/s")
+			}
+			b.Run(fmt.Sprintf("%s/csb/n=%d", mc.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if n == 1 {
+						csb.SpMV(y, x)
+					} else {
+						csb.SpMM(y, x, n)
+					}
+				}
+				report(b, csb.NNZ(), roofline.SpMMBytes(coo.Rows, coo.Cols, csb.NNZ(), n))
+			})
+			b.Run(fmt.Sprintf("%s/symcsb/n=%d", mc.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					switch {
+					case sym.Sched.Fallback:
+						fallbackSymSpMM(sym, y, acc, x, n)
+					case n == 1:
+						sym.SpMV(y, x)
+					default:
+						sym.SpMM(y, x, n)
+					}
+				}
+				report(b, sym.NNZ(), roofline.SymSpMMBytes(coo.Rows, coo.Cols, sym.NNZ(), n))
+			})
+		}
+	}
+}
+
+// fallbackSymSpMM is SymCSB's accumulator fallback run sequentially:
+// off-diagonal tiles as the direct half into y and the transposed half into
+// one accumulator, diagonal tiles whole, the accumulator folded into y at the
+// end.
+func fallbackSymSpMM(a *sparse.SymCSB, y, acc, x []float64, n int) {
+	clear(y)
+	clear(acc)
+	for bi := 0; bi < a.NBR; bi++ {
+		for bj := 0; bj < bi; bj++ {
+			if n == 1 {
+				a.BlockSymSpMVDirect(y, x, bi, bj)
+				a.BlockSymSpMVTrans(acc, x, bi, bj)
+			} else {
+				a.BlockSymSpMMDirect(y, x, n, bi, bj)
+				a.BlockSymSpMMTrans(acc, x, n, bi, bj)
+			}
+		}
+		if n == 1 {
+			a.BlockSymSpMV(y, x, bi, bi)
+		} else {
+			a.BlockSymSpMM(y, x, n, bi, bi)
+		}
+	}
+	for i := range y {
+		y[i] += acc[i]
 	}
 }
 

@@ -91,6 +91,25 @@ func dotRows(l *sparse.CSR, i, j int) float64 {
 	return s
 }
 
+// A NaN pivot is a breakdown like a negative one: the reader now refuses such
+// a document, so the fuzz seed that carried it no longer reaches Factorize,
+// and this holds the factorization to it directly.
+func TestFactorizeNaNPivotFallsBackToJacobi(t *testing.T) {
+	coo := sparse.NewCOO(3, 3, 5)
+	coo.Append(0, 0, math.NaN())
+	coo.Append(1, 0, 1)
+	coo.Append(0, 1, 1)
+	coo.Append(1, 1, 4)
+	coo.Append(2, 2, 4)
+	m, err := Factorize(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != KindJacobi || m.BreakdownRow != 0 {
+		t.Fatalf("kind %v, breakdown row %d: want a Jacobi fallback at row 0", m.Kind, m.BreakdownRow)
+	}
+}
+
 // TestFactorizeBreakdownFallsBackToJacobi feeds a symmetric matrix with an
 // indefinite leading structure: IC(0) hits a non-positive pivot and must
 // return a Jacobi preconditioner instead of NaNs.

@@ -178,18 +178,18 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// (an inline matrix makes that spec most of a megabyte).
 	spec, body, status, err := server.ReadJobSpec(w, req)
 	if err != nil {
-		writeError(w, status, err)
+		server.WriteError(w, status, err)
 		return
 	}
 	fp, err := r.fps.fingerprint(spec.Matrix)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("matrix: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("matrix: %w", err))
 		return
 	}
 	cands := r.candidates(fp)
 	if len(cands) == 0 {
 		r.unrouteable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, errors.New("no healthy shard"))
+		server.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy shard"))
 		return
 	}
 	if len(cands) > 2 {
@@ -231,7 +231,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.unrouteable.Add(1)
-	writeError(w, http.StatusServiceUnavailable, errors.New("no shard reachable"))
+	server.WriteError(w, http.StatusServiceUnavailable, errors.New("no shard reachable"))
 }
 
 // handleList fans GET /jobs out to every shard and merges the results, job
@@ -263,7 +263,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	for _, vs := range views {
 		merged = append(merged, vs...)
 	}
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // shardJob splits a namespaced job ID "shard:id" into its shard and the
@@ -284,12 +284,12 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, method strin
 	id := req.PathValue("id")
 	s, local, err := r.shardJob(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		server.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	status, body, err := r.proxy(req.Context(), method, s, "/jobs/"+local, nil)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", s.name, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", s.name, err))
 		return
 	}
 	if status != http.StatusOK {
@@ -415,7 +415,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		snap.Totals.OperatorCapacityBytes += ms.OperatorCache.CapacityBytes
 		snap.Totals.Scheduler.Add(ms.Topology.Locality)
 	}
-	writeJSON(w, http.StatusOK, snap)
+	server.WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleHealth reports ok while at least one shard is placeable.
@@ -438,7 +438,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		body["status"] = "unavailable"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	server.WriteJSON(w, code, body)
 }
 
 // proxy performs one round trip to a shard and returns the status and body.
@@ -471,24 +471,11 @@ func (r *Router) proxy(ctx context.Context, method string, s *shardState, path s
 func (r *Router) writePrefixedView(w http.ResponseWriter, status int, shard string, body []byte) {
 	var v server.JobView
 	if err := json.Unmarshal(body, &v); err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad job view: %w", shard, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: bad job view: %w", shard, err))
 		return
 	}
 	v.ID = shard + ":" + v.ID
-	writeJSON(w, status, v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	//lint:ignore sparselint/errflow status line is already on the wire; an encode failure here has no channel back to the client
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	server.WriteJSON(w, status, v)
 }
 
 func writeRaw(w http.ResponseWriter, status int, body []byte) {

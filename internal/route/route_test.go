@@ -355,6 +355,10 @@ func TestSubmitForwardsClientBytesVerbatim(t *testing.T) {
 	}
 
 	// Rejections happen at the router: the shard sees no second submission.
+	nanDoc, err := json.Marshal("%%MatrixMarket matrix coordinate real symmetric\n4 4 4\n1 1 2\n2 2 2\n3 3 nan\n4 4 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rejected := map[string]struct {
 		body io.Reader
 		want int
@@ -362,6 +366,7 @@ func TestSubmitForwardsClientBytesVerbatim(t *testing.T) {
 		"unknown field": {strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"suite":"inline1"},"rhs":[1]}`), http.StatusBadRequest},
 		"invalid spec":  {strings.NewReader(`{"solver":"qr","backend":"bsp","matrix":{"suite":"inline1"}}`), http.StatusBadRequest},
 		"not json":      {strings.NewReader(`solver=cg`), http.StatusBadRequest},
+		"non-finite":    {strings.NewReader(`{"solver":"lanczos","backend":"bsp","k":1,"matrix":{"mm":` + string(nanDoc) + `}}`), http.StatusBadRequest},
 		"oversized": {io.MultiReader(
 			strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"mm":"`),
 			bytes.NewReader(bytes.Repeat([]byte{'1'}, server.MaxJobBodyBytes)),

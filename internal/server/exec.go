@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -308,6 +309,9 @@ func (e *Engine) solve(ctx context.Context, jobs []*Job) ([]*JobResult, []error,
 		if err != nil {
 			return nil, nil, err
 		}
+		if err := finiteEigen(r); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", spec.Solver, err)
+		}
 		shared.Eigenvalues = r.Eigenvalues
 		shared.Iterations = r.Iterations
 		shared.Residual = r.Residual
@@ -399,6 +403,21 @@ func solveEigen(ctx context.Context, spec JobSpec, mat sparse.Matrix, rows int, 
 		return solver.Result{}, err
 	}
 	return l.Run(ctx, rtm, rhsSeed(spec), spec.Iters)
+}
+
+// finiteEigen refuses an eigen result with a NaN or infinite eigenvalue or
+// residual: finite input can still overflow, and such a result is no answer —
+// nor can JSON carry it.
+func finiteEigen(r solver.Result) error {
+	for i, v := range r.Eigenvalues {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite eigenvalue %d (%v)", i, v)
+		}
+	}
+	if math.IsNaN(r.Residual) || math.IsInf(r.Residual, 0) {
+		return fmt.Errorf("non-finite residual (%v)", r.Residual)
+	}
+	return nil
 }
 
 // runtimeFor returns the shared Runtime instance for a backend, or an

@@ -43,17 +43,29 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Drain gracefully shuts the engine down (see Engine.Drain).
 func (s *Server) Drain(ctx context.Context) error { return s.Engine.Drain(ctx) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as indented JSON, on solverd and on the
+// router alike. v is encoded before the status line is written, so a value
+// JSON cannot carry (a NaN, say) is a 500 with an error body, never the
+// status asked for with an empty one.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		//lint:ignore sparselint/errflow a map of strings always encodes
+		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	//lint:ignore sparselint/errflow status line is already on the wire; an encode failure here has no channel back to the client
-	_ = enc.Encode(v)
+	//lint:ignore sparselint/errflow status line is already on the wire; a short write has no channel back to the client
+	_, _ = w.Write(buf.Bytes())
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError answers with status and {"error": err}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // MaxJobBodyBytes caps a POST /jobs body, on solverd and on the router alike.
@@ -89,39 +101,39 @@ func ReadJobSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, body []b
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, _, status, err := ReadJobSpec(w, r)
 	if err != nil {
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	job, err := s.Submit(spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrQueueFull):
-			writeError(w, http.StatusTooManyRequests, err)
+			WriteError(w, http.StatusTooManyRequests, err)
 		default:
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.View())
+	WriteJSON(w, http.StatusAccepted, job.View())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Views())
+	WriteJSON(w, http.StatusOK, s.Views())
 }
 
 func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) *Job {
 	job := s.JobByID(r.PathValue("id"))
 	if job == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 	}
 	return job
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if job := s.jobByID(w, r); job != nil {
-		writeJSON(w, http.StatusOK, job.View())
+		WriteJSON(w, http.StatusOK, job.View())
 	}
 }
 
@@ -131,7 +143,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Cancel(job)
-	writeJSON(w, http.StatusOK, job.View())
+	WriteJSON(w, http.StatusOK, job.View())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -193,7 +205,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	snap.Topology.Locality = loc
 	snap.Topology.DomainLocalShare = loc.DomainLocalShare()
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleHealth reports liveness plus the queue occupancy the scale-out
@@ -205,13 +217,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	queue := map[string]int{"depth": len(s.queue), "capacity": cap(s.queue)}
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining",
 			"queue":  queue,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"workers":  s.cfg.Workers,
 		"topology": s.topo.String(),

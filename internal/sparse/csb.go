@@ -152,83 +152,18 @@ func (a *CSB) BlockSpMV(y, x []float64, bi, bj int) {
 
 // BlockSpMM computes Y[tile bi] += A(bi,bj) · X[tile bj] for one tile, where
 // X and Y are dense row-major vector blocks with n columns. This is the unit
-// of work of one SpMM task.
-//
-// The LOBPCG block widths get dedicated paths: n==1 degenerates to SpMV, and
-// n∈{2,4,8} use fixed-width bodies whose row updates compile to constant
-// offsets with a single bounds check per entry. Column updates within an
-// entry are independent outputs, so unrolling them is bit-identical to the
-// scalar loop. The generic path handles every other width.
+// of work of one SpMM task. n == 1 is BlockSpMV; wider blocks run on the
+// row-run engine (rowrun.go).
 //
 //sparselint:hotpath
 func (a *CSB) BlockSpMM(y, x []float64, n, bi, bj int) {
-	k := a.BlockIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
+	if n == 1 {
+		a.BlockSpMV(y, x, bi, bj)
 		return
 	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := y[bi*a.Block*n:]
-	xs := x[bj*a.Block*n:]
-	switch n {
-	case 1:
-		for p := range v {
-			ys[ri[p]] += v[p] * xs[ci[p]]
-		}
-	case 2:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*2:][:2]
-			xj := xs[int(ci[p])*2:][:2]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-		}
-	case 4:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*4:][:4]
-			xj := xs[int(ci[p])*4:][:4]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-		}
-	case 8:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*8:][:8]
-			xj := xs[int(ci[p])*8:][:8]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-			yi[4] += vv * xj[4]
-			yi[5] += vv * xj[5]
-			yi[6] += vv * xj[6]
-			yi[7] += vv * xj[7]
-		}
-	default:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*n:][:n]
-			xj := xs[int(ci[p])*n:][:n]
-			xj = xj[:len(yi)]
-			c := 0
-			for ; c+4 <= len(yi); c += 4 {
-				yi[c] += vv * xj[c]
-				yi[c+1] += vv * xj[c+1]
-				yi[c+2] += vv * xj[c+2]
-				yi[c+3] += vv * xj[c+3]
-			}
-			for ; c < len(yi); c++ {
-				yi[c] += vv * xj[c]
-			}
-		}
-	}
+	k := a.BlockIndex(bi, bj)
+	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
+	spmmDirect(y[bi*a.Block*n:], x[bj*a.Block*n:], a.V[lo:hi], a.RI[lo:hi], a.CI[lo:hi], n)
 }
 
 // SpMV computes y = A·x sequentially by streaming tiles in row-major order.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,12 +156,38 @@ func TestTileSkeletonIsToCSBWithoutEntries(t *testing.T) {
 	}
 }
 
+// nonFiniteErr matches the one error the reader has that the reference parser
+// does not: a NaN or infinite value, refused where the reference took it.
+var nonFiniteErr = regexp.MustCompile(`^sparse: non-finite value ("[^"]*") at MatrixMarket entry \(\d+,\d+\)$`)
+
+func hasNonFinite(a *COO) bool {
+	return slices.ContainsFunc(a.V, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+}
+
 // checkAgainstReferenceParser holds ReadMatrixMarket to the parser it
-// replaced on one document: the same matrix, or the same error.
+// replaced on one document: the same matrix, or the same error — except that
+// a non-finite value is refused. Then the quoted value must parse as one, and
+// the reference must have accepted a matrix holding one or failed further on.
 func checkAgainstReferenceParser(t *testing.T, doc string) {
 	t.Helper()
 	got, gotErr := ReadMatrixMarket(strings.NewReader(doc))
 	want, wantErr := referenceReadMatrixMarket(strings.NewReader(doc))
+	if gotErr != nil {
+		if m := nonFiniteErr.FindStringSubmatch(gotErr.Error()); m != nil {
+			text, err := strconv.Unquote(m[1])
+			v, perr := strconv.ParseFloat(text, 64)
+			if err != nil || perr != nil || !(math.IsNaN(v) || math.IsInf(v, 0)) {
+				t.Fatalf("%v: the value is not a non-finite number\ndocument: %.200q", gotErr, doc)
+			}
+			if wantErr == nil && !hasNonFinite(want) {
+				t.Fatalf("%v, but the reference parser read only finite values\ndocument: %.200q", gotErr, doc)
+			}
+			return
+		}
+	}
+	if gotErr == nil && hasNonFinite(got) {
+		t.Fatalf("accepted a non-finite value\ndocument: %.200q", doc)
+	}
 	switch {
 	case gotErr != nil || wantErr != nil:
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -276,7 +304,7 @@ func randomMMDocument(rng *rand.Rand) string {
 		fmt.Fprintf(&b, "%% generated%s%s", eol, eol)
 	}
 	fmt.Fprintf(&b, "%s%d%s%d%s%d%s%s", pad(), rows, sep(), cols, sep(), nnz, pad(), eol)
-	defect := rng.Intn(8) // 0..3 pick a defect, the rest are clean
+	defect := rng.Intn(9) // 0..4 pick a defect, the rest are clean
 	at := -1
 	if nnz > 0 {
 		at = rng.Intn(nnz)
@@ -309,6 +337,8 @@ func randomMMDocument(rng *rand.Rand) string {
 			switch {
 			case k == at && defect == 3:
 				v = "1.5.2"
+			case k == at && defect == 4:
+				v = []string{"nan", "-Inf", "infinity", "NaN", "+INF"}[rng.Intn(5)]
 			case field == "integer":
 				v = strconv.Itoa(rng.Intn(200) - 100)
 			case rng.Intn(3) == 0:

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Equivalence gates for the register-blocked CSB kernels: every specialized
-// path (the 4×-unrolled SpMV entry loop, the fixed-width SpMM bodies for
-// n∈{1,2,4,8}, and the generic column-unrolled path) must agree with a naive
-// COO triple-loop reference to 1e-12 relative error across asymmetric shapes,
-// blocks larger than the matrix, empty tiles, and randomized fuzz shapes.
+// Equivalence gates for the register-blocked CSB kernels: every path (the
+// 4×-unrolled SpMV entry loop and the row-run engine's 8-, 4-, 3-, 2- and
+// 1-column passes) must agree with a naive COO triple-loop reference to 1e-12
+// relative error across asymmetric shapes, blocks larger than the matrix,
+// empty tiles, and randomized fuzz shapes.
 
 // relEq is the shared 1e-12 relative comparison.
 func relEq(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(a)+math.Abs(b)) }

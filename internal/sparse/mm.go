@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -126,6 +127,11 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 		}
 		if i64 < 1 || i64 > int64(rows) || j64 < 1 || j64 > int64(cols) {
 			return nil, fmt.Errorf("sparse: MatrixMarket entry (%d,%d) outside %dx%d", i64, j64, rows, cols)
+		}
+		// strconv accepts nan, inf and infinity in any case; no solver can use
+		// them, and a NaN eigenvalue cannot even be written back as JSON.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sparse: non-finite value %q at MatrixMarket entry (%d,%d)", fv, i64, j64)
 		}
 		i, j := int32(i64-1), int32(j64-1) // MatrixMarket is 1-based
 		a.Append(i, j, v)

@@ -82,6 +82,26 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 	}
 }
 
+// A non-finite value is refused in whatever spelling strconv accepts, with
+// the entry named; finite neighbours and the symmetric expansion change
+// nothing about that.
+func TestReadMatrixMarketRefusesNonFinite(t *testing.T) {
+	for _, v := range []string{"nan", "NaN", "-Inf", "+inf", "INF", "infinity", "-Infinity", "iNfInItY", "nAn"} {
+		for _, sym := range []string{"general", "symmetric"} {
+			doc := "%%MatrixMarket matrix coordinate real " + sym + "\n4 4 3\n1 1 2\n3 3 " + v + "\n4 4 1\n"
+			_, err := ReadMatrixMarket(strings.NewReader(doc))
+			want := `sparse: non-finite value "` + v + `" at MatrixMarket entry (3,3)`
+			if err == nil || err.Error() != want {
+				t.Errorf("%s %s: err %v, want %q", sym, v, err, want)
+			}
+		}
+	}
+	// An overflowing literal was already a range error, and stays one.
+	if _, err := ReadMatrixMarket(strings.NewReader(mmHead + "1 1 1\n1 1 1e999\n")); err == nil || !strings.Contains(err.Error(), "bad value") {
+		t.Errorf("1e999: err %v, want a bad value", err)
+	}
+}
+
 func TestMatrixMarketRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := randomCOO(rng, 25, 19, 0.15)

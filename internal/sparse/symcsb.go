@@ -427,202 +427,35 @@ func (a *SymCSB) BlockSymSpMVTrans(acc, x []float64, bi, bj int) {
 	}
 }
 
-// BlockSymSpMM is BlockSymSpMV over n-column row-major vector blocks. The
-// LOBPCG widths n∈{2,4,8} get fixed-width bodies whose row updates compile
-// to constant offsets (column updates within an entry are independent
-// outputs, so unrolling them is bit-identical to the scalar loop); n==1
-// degenerates to SpMV and the generic path handles other widths.
+// BlockSymSpMM is BlockSymSpMV over n-column row-major vector blocks: n == 1
+// is BlockSymSpMV, wider blocks run the direct and then the transposed half
+// on the row-run engine (rowrun.go). On a diagonal tile every transposed
+// addition into a row comes from a later row's entries (entries are stored
+// with c <= r, in row order), so applying the whole direct half first leaves
+// each element's additions in the order the entry-by-entry loop made them.
 //
 //sparselint:hotpath
 func (a *SymCSB) BlockSymSpMM(y, x []float64, n, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
+	if n == 1 {
+		a.BlockSymSpMV(y, x, bi, bj)
 		return
 	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	if bi == bj {
-		ys := y[bi*a.Block*n:]
-		xs := x[bi*a.Block*n:]
-		switch n {
-		case 1:
-			for p := range v {
-				r, c := ri[p], ci[p]
-				vv := v[p]
-				ys[r] += vv * xs[c]
-				if r != c {
-					ys[c] += vv * xs[r]
-				}
-			}
-		case 2:
-			for p := range v {
-				r, c := int(ri[p]), int(ci[p])
-				vv := v[p]
-				yi := ys[r*2:]
-				xj := xs[c*2:]
-				yi[0] += vv * xj[0]
-				yi[1] += vv * xj[1]
-				if r != c {
-					yc := ys[c*2:]
-					xr := xs[r*2:]
-					yc[0] += vv * xr[0]
-					yc[1] += vv * xr[1]
-				}
-			}
-		case 4:
-			for p := range v {
-				r, c := int(ri[p]), int(ci[p])
-				vv := v[p]
-				yi := ys[r*4:]
-				xj := xs[c*4:]
-				yi[0] += vv * xj[0]
-				yi[1] += vv * xj[1]
-				yi[2] += vv * xj[2]
-				yi[3] += vv * xj[3]
-				if r != c {
-					yc := ys[c*4:]
-					xr := xs[r*4:]
-					yc[0] += vv * xr[0]
-					yc[1] += vv * xr[1]
-					yc[2] += vv * xr[2]
-					yc[3] += vv * xr[3]
-				}
-			}
-		case 8:
-			for p := range v {
-				r, c := int(ri[p]), int(ci[p])
-				vv := v[p]
-				yi := ys[r*8:][:8]
-				xj := xs[c*8:][:8]
-				yi[0] += vv * xj[0]
-				yi[1] += vv * xj[1]
-				yi[2] += vv * xj[2]
-				yi[3] += vv * xj[3]
-				yi[4] += vv * xj[4]
-				yi[5] += vv * xj[5]
-				yi[6] += vv * xj[6]
-				yi[7] += vv * xj[7]
-				if r != c {
-					yc := ys[c*8:][:8]
-					xr := xs[r*8:][:8]
-					yc[0] += vv * xr[0]
-					yc[1] += vv * xr[1]
-					yc[2] += vv * xr[2]
-					yc[3] += vv * xr[3]
-					yc[4] += vv * xr[4]
-					yc[5] += vv * xr[5]
-					yc[6] += vv * xr[6]
-					yc[7] += vv * xr[7]
-				}
-			}
-		default:
-			for p := range v {
-				r, c := int(ri[p]), int(ci[p])
-				vv := v[p]
-				symSpMMRow(ys[r*n:][:n], xs[c*n:], vv)
-				if r != c {
-					symSpMMRow(ys[c*n:][:n], xs[r*n:], vv)
-				}
-			}
-		}
-		return
-	}
-	yd := y[bi*a.Block*n:]
-	yt := y[bj*a.Block*n:]
-	xd := x[bj*a.Block*n:]
-	xt := x[bi*a.Block*n:]
-	switch n {
-	case 1:
-		for p := range v {
-			yd[ri[p]] += v[p] * xd[ci[p]]
-			yt[ci[p]] += v[p] * xt[ri[p]]
-		}
-	case 2:
-		for p := range v {
-			r, c := int(ri[p]), int(ci[p])
-			vv := v[p]
-			yi := yd[r*2:]
-			xj := xd[c*2:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yc := yt[c*2:]
-			xr := xt[r*2:]
-			yc[0] += vv * xr[0]
-			yc[1] += vv * xr[1]
-		}
-	case 4:
-		for p := range v {
-			r, c := int(ri[p]), int(ci[p])
-			vv := v[p]
-			yi := yd[r*4:]
-			xj := xd[c*4:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-			yc := yt[c*4:]
-			xr := xt[r*4:]
-			yc[0] += vv * xr[0]
-			yc[1] += vv * xr[1]
-			yc[2] += vv * xr[2]
-			yc[3] += vv * xr[3]
-		}
-	case 8:
-		for p := range v {
-			r, c := int(ri[p]), int(ci[p])
-			vv := v[p]
-			yi := yd[r*8:][:8]
-			xj := xd[c*8:][:8]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-			yi[4] += vv * xj[4]
-			yi[5] += vv * xj[5]
-			yi[6] += vv * xj[6]
-			yi[7] += vv * xj[7]
-			yc := yt[c*8:][:8]
-			xr := xt[r*8:][:8]
-			yc[0] += vv * xr[0]
-			yc[1] += vv * xr[1]
-			yc[2] += vv * xr[2]
-			yc[3] += vv * xr[3]
-			yc[4] += vv * xr[4]
-			yc[5] += vv * xr[5]
-			yc[6] += vv * xr[6]
-			yc[7] += vv * xr[7]
-		}
-	default:
-		for p := range v {
-			r, c := int(ri[p]), int(ci[p])
-			vv := v[p]
-			symSpMMRow(yd[r*n:][:n], xd[c*n:], vv)
-			symSpMMRow(yt[c*n:][:n], xt[r*n:], vv)
-		}
-	}
+	v, ri, ci := a.tile(bi, bj)
+	b := a.Block * n
+	spmmDirect(y[bi*b:], x[bj*b:], v, ri, ci, n)
+	spmmTrans(y[bj*b:], x[bi*b:], v, ri, ci, n, bi == bj)
 }
 
 // BlockSymSpMMDirect is the n-column direct half: Y[bi] += T·X[bj].
 //
 //sparselint:hotpath
 func (a *SymCSB) BlockSymSpMMDirect(y, x []float64, n, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
+	if n == 1 {
+		a.BlockSymSpMVDirect(y, x, bi, bj)
 		return
 	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := y[bi*a.Block*n:]
-	xs := x[bj*a.Block*n:]
-	symSpMMScatter(ys, xs, v, ri, ci, n)
+	v, ri, ci := a.tile(bi, bj)
+	spmmDirect(y[bi*a.Block*n:], x[bj*a.Block*n:], v, ri, ci, n)
 }
 
 // BlockSymSpMMTrans is the n-column transposed half into a full-height
@@ -630,86 +463,19 @@ func (a *SymCSB) BlockSymSpMMDirect(y, x []float64, n, bi, bj int) {
 //
 //sparselint:hotpath
 func (a *SymCSB) BlockSymSpMMTrans(acc, x []float64, n, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
+	if n == 1 {
+		a.BlockSymSpMVTrans(acc, x, bi, bj)
 		return
 	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := acc[bj*a.Block*n:]
-	xs := x[bi*a.Block*n:]
-	symSpMMScatter(ys, xs, v, ci, ri, n)
+	v, ri, ci := a.tile(bi, bj)
+	spmmTrans(acc[bj*a.Block*n:], x[bi*a.Block*n:], v, ri, ci, n, false)
 }
 
-// symSpMMScatter streams one tile's entries scattering v[p]·xs[ci[p]·n:]
-// rows onto ys[ri[p]·n:] rows — the shared body of the direct and transposed
-// (swap ri/ci) halves, with the same fixed-width cases as CSB.BlockSpMM.
-//
-//sparselint:hotpath
-func symSpMMScatter(ys, xs []float64, v []float64, ri, ci []int32, n int) {
-	switch n {
-	case 1:
-		for p := range v {
-			ys[ri[p]] += v[p] * xs[ci[p]]
-		}
-	case 2:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*2:]
-			xj := xs[int(ci[p])*2:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-		}
-	case 4:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*4:]
-			xj := xs[int(ci[p])*4:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-		}
-	case 8:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*8:][:8]
-			xj := xs[int(ci[p])*8:][:8]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-			yi[4] += vv * xj[4]
-			yi[5] += vv * xj[5]
-			yi[6] += vv * xj[6]
-			yi[7] += vv * xj[7]
-		}
-	default:
-		for p := range v {
-			symSpMMRow(ys[int(ri[p])*n:][:n], xs[int(ci[p])*n:], v[p])
-		}
-	}
-}
-
-// symSpMMRow computes yi += vv·xj over one n-wide row (generic width path).
-//
-//sparselint:hotpath
-func symSpMMRow(yi, xj []float64, vv float64) {
-	xj = xj[:len(yi)]
-	c := 0
-	for ; c+4 <= len(yi); c += 4 {
-		yi[c] += vv * xj[c]
-		yi[c+1] += vv * xj[c+1]
-		yi[c+2] += vv * xj[c+2]
-		yi[c+3] += vv * xj[c+3]
-	}
-	for ; c < len(yi); c++ {
-		yi[c] += vv * xj[c]
-	}
+// tile returns the stored entries of tile (bi, bj), bj <= bi.
+func (a *SymCSB) tile(bi, bj int) (v []float64, ri, ci []int32) {
+	k := a.TileIndex(bi, bj)
+	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
+	return a.V[lo:hi], a.RI[lo:hi], a.CI[lo:hi]
 }
 
 // SpMV computes y = A·x sequentially by streaming stored tiles in (bi-major,
