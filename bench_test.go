@@ -10,10 +10,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"sparsetask/internal/autotune"
 	"sparsetask/internal/bench"
@@ -24,8 +29,10 @@ import (
 	"sparsetask/internal/precond"
 	"sparsetask/internal/program"
 	"sparsetask/internal/roofline"
+	"sparsetask/internal/route"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sched"
+	"sparsetask/internal/server"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
 )
@@ -655,7 +662,7 @@ func shuffled(a *sparse.COO) *sparse.COO {
 }
 
 // BenchmarkReadMatrixMarket measures the parse of an inline job's document
-// (25 k entries, ~600 KB), which a cold job pays twice: router and shard.
+// (25 k entries, ~730 KB), which a cold job pays once, at shard admission.
 func BenchmarkReadMatrixMarket(b *testing.B) {
 	var doc bytes.Buffer
 	if err := sparse.WriteMatrixMarket(&doc, coldMatrix()); err != nil {
@@ -668,6 +675,105 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 		if _, err := sparse.ReadMatrixMarket(bytes.NewReader(doc.Bytes())); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInlineSubmit times POST /jobs of one inline document — a 15 k-entry
+// SPD Laplacian, inside the serve-cold size range — through a router to one
+// real shard, up to the 202: the router's decode, header read and forward,
+// and the shard's decode and admission, which finds the document's operator
+// cached. That is the path route.hop_ms prices. Each job is a one-step
+// Lanczos, so the shard's worker keeps up; a 429 is retried inside the
+// operation. The shard keeps every job's document in its job table, so the
+// cluster is rebuilt, and its cache warmed, every 64 jobs outside the timer.
+func BenchmarkInlineSubmit(b *testing.B) {
+	var doc strings.Builder
+	if err := sparse.WriteMatrixMarket(&doc, matgen.SPDLaplacian(3000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(server.JobSpec{Solver: "lanczos", Backend: "bsp", K: 1, Matrix: server.MatrixSpec{MM: doc.String()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func(url string) int {
+		resp, err := http.Post(url+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var stop func()
+	defer func() { stop() }()
+	var front string
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			b.StopTimer()
+			if stop != nil {
+				stop()
+			}
+			front, stop = inlineSubmitCluster(b)
+			if status := post(front); status != http.StatusAccepted {
+				b.Fatalf("warm-up POST: status %d", status)
+			}
+			b.StartTimer()
+		}
+		for status := post(front); status != http.StatusAccepted; status = post(front) {
+			if status != http.StatusTooManyRequests {
+				b.Fatalf("POST /jobs: status %d", status)
+			}
+		}
+	}
+	b.StopTimer()
+}
+
+// inlineSubmitCluster starts a router over one solverd shard and returns the
+// router's URL and a function that stops both.
+func inlineSubmitCluster(b *testing.B) (string, func()) {
+	srv := server.New(server.Config{Workers: 1, RTWorkers: 1})
+	shard := httptest.NewServer(srv.Handler())
+	r, err := route.New(route.Config{Shards: []route.Shard{{Name: "s0", URL: shard.URL}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.ProbeNow(context.Background()) // the first POST must find the shard healthy
+	front := httptest.NewServer(r.Handler())
+	return front.URL, func() {
+		front.Close()
+		r.Close()
+		shard.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			b.Error(err)
+		}
+	}
+}
+
+// BenchmarkSymEig times LOBPCG's Rayleigh–Ritz eigensolve as the solver runs
+// it, SymEigInto into preallocated buffers, on SPD Gram matrices XᵀX of a
+// random 4n×n X; n = 24 is the subspace of a block of 8. internal/blas's
+// BenchmarkJacobiOracle times the Jacobi method it replaced on the same
+// inputs.
+func BenchmarkSymEig(b *testing.B) {
+	for _, n := range []int{12, 24, 48} {
+		rng := rand.New(rand.NewSource(1))
+		x := make([]float64, 4*n*n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		a := make([]float64, n*n)
+		blas.GemmTN(1, x, 4*n, n, x, n, 0, a)
+		work, vals, vecs := make([]float64, n*n), make([]float64, n), make([]float64, n*n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := blas.SymEigInto(a, n, work, vals, vecs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -53,7 +53,7 @@ func TestTridiagEigMatchesJacobi(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		jac, _, err := SymTriEig(d, e)
+		jac, _, err := referenceSymEigJacobi(denseTridiag(d, e), n)
 		if err != nil {
 			return false
 		}

@@ -8,13 +8,13 @@ import (
 	"sparsetask/internal/server"
 )
 
-// fpCache memoizes matrix fingerprints per matrix identity. The fingerprint
-// is a pure function of the spec (server.SpecFingerprint) but computing it
-// materializes the matrix — far too expensive per request — while serving
-// traffic re-submits a small working set of specs: the same LRU shape the
-// shard-side caches exploit. Entries are keyed by MatrixSpec.Identity — a
-// short digest — rather than the spec itself, which for an inline matrix
-// would pin the whole MatrixMarket document in the router's heap.
+// fpCache memoizes suite matrices' fingerprints per matrix identity. The
+// fingerprint is a pure function of the spec (server.SpecFingerprint) but
+// computing it generates the matrix — far too expensive per request — while
+// serving traffic re-submits a small working set of specs: the same LRU shape
+// the shard-side caches exploit. Entries are keyed by MatrixSpec.Identity, a
+// short string. Inline matrices never come here: they are placed by their
+// header (headerKey).
 type fpCache struct {
 	mu    sync.Mutex
 	cap   int

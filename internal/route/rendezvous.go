@@ -6,14 +6,14 @@ import (
 	"sort"
 )
 
-// Rank orders shard names for a matrix fingerprint by rendezvous
+// Rank orders shard names for a matrix's placement key by rendezvous
 // (highest-random-weight) hashing: each shard scores
-// FNV-1a(name ‖ fingerprint) and shards rank by descending score. The
-// ranking is a pure function of (names, fingerprint) — the router keeps no
+// FNV-1a(name ‖ key) and shards rank by descending score. The
+// ranking is a pure function of (names, key) — the router keeps no
 // placement state — so a restarted router, or a second router instance in
 // front of the same fleet, sends every matrix to the same shard and its
-// warm plan/factor caches. Removing a shard remaps only the fingerprints
-// that ranked it first (every other fingerprint's ranking is unchanged with
+// warm plan/factor caches. Removing a shard remaps only the keys
+// that ranked it first (every other key's ranking is unchanged with
 // the loser deleted) — the stability property modulo hashing lacks. Ties
 // break toward the lexically smaller name so the order is total.
 func Rank(names []string, fp uint64) []string {

@@ -1,11 +1,12 @@
 // Package route implements solverfront's scale-out serving layer: one HTTP
-// front end over N solverd shards. Placement is fingerprint-affinity
-// routing — a job's matrix is fingerprinted (structure hash, the same key
-// the shard-side plan and factor caches use) and rendezvous-hashed to a
-// shard, so repeat traffic for a matrix keeps landing where its autotuned
-// plan, IC(0) factors, and batch-coalescing peers already are. The router
-// holds no placement table: Rank is a pure function, so restarts and
-// replicas agree. A queue-depth spill heuristic demotes an overloaded
+// front end over N solverd shards. Placement is affinity routing — a job's
+// matrix gets a placement key (for an inline document, a hash of its
+// MatrixMarket header; for a suite matrix, its structural fingerprint, the
+// key the shard-side plan cache uses) that is rendezvous-hashed to a shard,
+// so repeat traffic for a matrix keeps landing where its autotuned plan, its
+// operator and IC(0) factors, and its batch-coalescing peers already are.
+// The router holds no placement table: Rank is a pure function, so restarts
+// and replicas agree. A queue-depth spill heuristic demotes an overloaded
 // primary to its second rendezvous choice, and a one-hop retry turns a
 // shard's 429 into a fallback attempt before backpressure reaches the
 // client.
@@ -17,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -26,6 +28,7 @@ import (
 
 	"sparsetask/internal/sched"
 	"sparsetask/internal/server"
+	"sparsetask/internal/sparse"
 )
 
 // Shard names one solverd instance behind the router.
@@ -47,7 +50,8 @@ type Config struct {
 	// submission spills from its first-choice shard to the second rendezvous
 	// choice. Default 0.75.
 	SpillFraction float64
-	// FingerprintCacheSize bounds the identity→fingerprint LRU. Default 256.
+	// FingerprintCacheSize bounds the identity→fingerprint LRU that places
+	// suite matrices. Default 256.
 	FingerprintCacheSize int
 	// Client overrides the HTTP client used for probing and proxying
 	// (default: 10s timeout).
@@ -145,20 +149,22 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// Assign returns the shard name a fingerprint routes to, before health or
+// Assign returns the shard name a placement key routes to, before health or
 // spill adjustments — the stable rendezvous placement.
-func (r *Router) Assign(fp uint64) string {
-	return Rank(r.names, fp)[0]
+func (r *Router) Assign(key uint64) string {
+	return Rank(r.names, key)[0]
 }
 
-// candidates returns placeable shards in placement order for a fingerprint:
+// candidates returns placeable shards in placement order for a placement
+// key, and the key's first rendezvous choice whether placeable or not:
 // rendezvous rank, with the primary demoted behind the runner-up once its
 // queue occupancy crosses SpillFraction — but only when the runner-up is
 // strictly less loaded, so a uniformly saturated fleet doesn't ping-pong
 // jobs away from their warm caches for nothing.
-func (r *Router) candidates(fp uint64) []*shardState {
-	out := make([]*shardState, 0, len(r.shards))
-	for _, n := range Rank(r.names, fp) {
+func (r *Router) candidates(key uint64) (out []*shardState, primary string) {
+	rank := Rank(r.names, key)
+	out = make([]*shardState, 0, len(r.shards))
+	for _, n := range rank {
 		if s := r.byName[n]; s.placeable() {
 			out = append(out, s)
 		}
@@ -169,7 +175,34 @@ func (r *Router) candidates(fp uint64) []*shardState {
 			out[0], out[1] = out[1], out[0]
 		}
 	}
-	return out
+	return out, rank[0]
+}
+
+// placementKey is what a job's matrix is rendezvous-hashed by. An inline
+// matrix is placed by its MatrixMarket header alone (headerKey), so the
+// router never parses a document the shard will parse anyway; a header it
+// refuses never reaches a shard. A suite matrix is placed by its structural
+// fingerprint, memoized per identity.
+func (r *Router) placementKey(m server.MatrixSpec) (uint64, error) {
+	if m.MM == "" {
+		return r.fps.fingerprint(m)
+	}
+	h, err := sparse.ReadMatrixMarketHeader(strings.NewReader(m.MM))
+	if err != nil {
+		return 0, err
+	}
+	return headerKey(h), nil
+}
+
+// headerKey hashes what an inline document's banner and size line declare.
+// Identical documents share it, and so does one structure re-sent with new
+// values, so both land where the operator and plan caches are warm. Two
+// encodings of one structure (symmetric and general) may land apart, which
+// costs the second shard one autotune sweep.
+func headerKey(h sparse.MMHeader) uint64 {
+	f := fnv.New64a()
+	f.Write([]byte(fmt.Sprintf("mm:%s:%s:%d:%d:%d", h.Field, h.Symmetry, h.Rows, h.Cols, h.NNZ)))
+	return f.Sum64()
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
@@ -181,12 +214,12 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, status, err)
 		return
 	}
-	fp, err := r.fps.fingerprint(spec.Matrix)
+	key, err := r.placementKey(spec.Matrix)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("matrix: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: %w", server.ErrBadMatrix, err))
 		return
 	}
-	cands := r.candidates(fp)
+	cands, primary := r.candidates(key)
 	if len(cands) == 0 {
 		r.unrouteable.Add(1)
 		server.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy shard"))
@@ -197,7 +230,6 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// fast past the second choice anyway.
 		cands = cands[:2]
 	}
-	primary := Rank(r.names, fp)[0]
 	var lastStatus int
 	var lastBody []byte
 	for _, s := range cands {

@@ -15,6 +15,7 @@ import (
 
 	"sparsetask/internal/sched"
 	"sparsetask/internal/server"
+	"sparsetask/internal/sparse"
 )
 
 // tridiagMM renders an SPD tridiagonal [-1 4 -1] MatrixMarket document; the
@@ -40,6 +41,16 @@ func cgSpec(mm string, seed int64) server.JobSpec {
 		Matrix:  server.MatrixSpec{MM: mm},
 		Seed:    seed,
 	}
+}
+
+// inlineKey is the placement key of an inline document: its header's.
+func inlineKey(t *testing.T, mm string) uint64 {
+	t.Helper()
+	h, err := sparse.ReadMatrixMarketHeader(strings.NewReader(mm))
+	if err != nil {
+		t.Fatalf("ReadMatrixMarketHeader: %v", err)
+	}
+	return headerKey(h)
 }
 
 func TestRankDeterministicAndStableUnderRemoval(t *testing.T) {
@@ -188,47 +199,49 @@ func TestRoutingDeterministicAcrossRestarts(t *testing.T) {
 	a, b := newFakeShard(t), newFakeShard(t)
 	cfg := Config{Shards: []Shard{{Name: "s0", URL: a.srv.URL}, {Name: "s1", URL: b.srv.URL}}}
 
-	mm := tridiagMM(24)
-	fp, err := server.SpecFingerprint(server.MatrixSpec{MM: mm})
+	suite := server.MatrixSpec{Suite: "inline1", Preset: "tiny"}
+	suiteFP, err := server.SpecFingerprint(suite)
 	if err != nil {
 		t.Fatalf("SpecFingerprint: %v", err)
 	}
+	mm := tridiagMM(24)
+	for _, c := range []struct {
+		what   string
+		matrix server.MatrixSpec
+		key    uint64
+	}{
+		{"inline", server.MatrixSpec{MM: mm}, inlineKey(t, mm)},
+		{"suite", suite, suiteFP},
+	} {
+		spec := func(seed int64) server.JobSpec {
+			return server.JobSpec{Solver: "cg", Backend: "bsp", Matrix: c.matrix, Seed: seed}
+		}
+		r1 := newTestRouter(t, cfg)
+		ts1 := httptest.NewServer(r1.Handler())
+		want := r1.Assign(c.key)
+		for i := 0; i < 4; i++ {
+			v, status := postSpec(t, ts1, spec(int64(i+1)))
+			if status != http.StatusAccepted {
+				t.Fatalf("%s submit %d: status %d", c.what, i, status)
+			}
+			if got := shardOf(t, v); got != want {
+				t.Fatalf("%s submit %d landed on %s, rendezvous says %s", c.what, i, got, want)
+			}
+		}
+		ts1.Close()
 
-	r1 := newTestRouter(t, cfg)
-	ts1 := httptest.NewServer(r1.Handler())
-	defer ts1.Close()
-	want := r1.Assign(fp)
-	var first string
-	for i := 0; i < 4; i++ {
-		v, status := postSpec(t, ts1, cgSpec(mm, int64(i+1)))
+		// A fresh router over the same fleet — a restart — must agree without
+		// any shared state.
+		r2 := newTestRouter(t, cfg)
+		ts2 := httptest.NewServer(r2.Handler())
+		v, status := postSpec(t, ts2, spec(99))
+		ts2.Close()
 		if status != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, status)
+			t.Fatalf("%s restart submit: status %d", c.what, status)
 		}
-		got := shardOf(t, v)
-		if got != want {
-			t.Fatalf("submit %d landed on %s, rendezvous says %s", i, got, want)
+		if got := shardOf(t, v); got != want {
+			t.Fatalf("restarted router placed the %s matrix on %s, original used %s", c.what, got, want)
 		}
-		if first == "" {
-			first = got
-		} else if got != first {
-			t.Fatalf("same matrix split across shards: %s then %s", first, got)
-		}
-	}
-
-	// A fresh router over the same fleet — a restart — must agree without
-	// any shared state.
-	r2 := newTestRouter(t, cfg)
-	ts2 := httptest.NewServer(r2.Handler())
-	defer ts2.Close()
-	if r2.Assign(fp) != want {
-		t.Fatalf("restarted router assigns %s, want %s", r2.Assign(fp), want)
-	}
-	v, status := postSpec(t, ts2, cgSpec(mm, 99))
-	if status != http.StatusAccepted {
-		t.Fatalf("restart submit: status %d", status)
-	}
-	if got := shardOf(t, v); got != first {
-		t.Fatalf("restarted router placed the matrix on %s, original used %s", got, first)
 	}
 }
 
@@ -243,11 +256,7 @@ func TestSpillToSecondChoiceWhenPrimaryDeep(t *testing.T) {
 	defer ts.Close()
 
 	mm := tridiagMM(16)
-	fp, err := server.SpecFingerprint(server.MatrixSpec{MM: mm})
-	if err != nil {
-		t.Fatalf("SpecFingerprint: %v", err)
-	}
-	primary := r.Assign(fp)
+	primary := r.Assign(inlineKey(t, mm))
 	shards := map[string]*fakeShard{"s0": a, "s1": b}
 	second := "s0"
 	if primary == "s0" {
@@ -291,11 +300,7 @@ func TestBackpressureRetryThen429(t *testing.T) {
 	defer ts.Close()
 
 	mm := tridiagMM(20)
-	fp, err := server.SpecFingerprint(server.MatrixSpec{MM: mm})
-	if err != nil {
-		t.Fatalf("SpecFingerprint: %v", err)
-	}
-	primary := r.Assign(fp)
+	primary := r.Assign(inlineKey(t, mm))
 	shards := map[string]*fakeShard{"s0": a, "s1": b}
 	second := "s0"
 	if primary == "s0" {
@@ -355,9 +360,15 @@ func TestSubmitForwardsClientBytesVerbatim(t *testing.T) {
 	}
 
 	// Rejections happen at the router: the shard sees no second submission.
-	nanDoc, err := json.Marshal("%%MatrixMarket matrix coordinate real symmetric\n4 4 4\n1 1 2\n2 2 2\n3 3 nan\n4 4 2\n")
-	if err != nil {
-		t.Fatal(err)
+	// The router reads an inline matrix's banner and size line only, so those
+	// are the matrix errors it refuses; what is wrong with an entry is the
+	// shard's to find.
+	mmBody := func(doc string) io.Reader {
+		mm, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.NewReader(`{"solver":"lanczos","backend":"bsp","k":1,"matrix":{"mm":` + string(mm) + `}}`)
 	}
 	rejected := map[string]struct {
 		body io.Reader
@@ -366,7 +377,11 @@ func TestSubmitForwardsClientBytesVerbatim(t *testing.T) {
 		"unknown field": {strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"suite":"inline1"},"rhs":[1]}`), http.StatusBadRequest},
 		"invalid spec":  {strings.NewReader(`{"solver":"qr","backend":"bsp","matrix":{"suite":"inline1"}}`), http.StatusBadRequest},
 		"not json":      {strings.NewReader(`solver=cg`), http.StatusBadRequest},
-		"non-finite":    {strings.NewReader(`{"solver":"lanczos","backend":"bsp","k":1,"matrix":{"mm":` + string(nanDoc) + `}}`), http.StatusBadRequest},
+		"trailing data": {strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"suite":"inline1"}}{"solver":"qr"}`), http.StatusBadRequest},
+		"banner":        {mmBody("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n"), http.StatusBadRequest},
+		"size line":     {mmBody("%%MatrixMarket matrix coordinate real general\n2 two 1\n1 1 1\n"), http.StatusBadRequest},
+		"over MaxDim":   {mmBody(fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n%d 1 1\n1 1 1\n", sparse.MaxDim+1)), http.StatusBadRequest},
+		"not square":    {mmBody("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1\n"), http.StatusBadRequest},
 		"oversized": {io.MultiReader(
 			strings.NewReader(`{"solver":"cg","backend":"bsp","matrix":{"mm":"`),
 			bytes.NewReader(bytes.Repeat([]byte{'1'}, server.MaxJobBodyBytes)),
@@ -409,28 +424,11 @@ func TestNoHealthyShard503(t *testing.T) {
 }
 
 // TestEndToEndTwoEngines drives the router against two REAL server engines:
-// jobs route by fingerprint, complete, and are addressable back through the
+// jobs route by placement key, complete, and are addressable back through the
 // router's namespaced IDs; /jobs merges both shards; /metrics aggregates.
 func TestEndToEndTwoEngines(t *testing.T) {
-	mkShard := func() (*server.Server, *httptest.Server) {
-		s := server.New(server.Config{
-			QueueSize:      32,
-			Workers:        2,
-			RTWorkers:      2,
-			CoalesceMax:    4,
-			CoalesceWindow: 20 * time.Millisecond,
-		})
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = s.Drain(ctx)
-		})
-		return s, ts
-	}
-	_, tsA := mkShard()
-	_, tsB := mkShard()
+	cfg := server.Config{QueueSize: 32, Workers: 2, RTWorkers: 2, CoalesceMax: 4, CoalesceWindow: 20 * time.Millisecond}
+	tsA, tsB := newEngineShard(t, cfg), newEngineShard(t, cfg)
 
 	r := newTestRouter(t, Config{
 		Shards: []Shard{{Name: "left", URL: tsA.URL}, {Name: "right", URL: tsB.URL}},
@@ -459,44 +457,15 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	}
 
 	// Every job reaches a terminal state through the router's GET.
-	deadline := time.Now().Add(30 * time.Second)
 	for _, id := range ids {
-		for {
-			resp, err := http.Get(front.URL + "/jobs/" + id)
-			if err != nil {
-				t.Fatalf("GET /jobs/%s: %v", id, err)
-			}
-			var v server.JobView
-			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-				t.Fatalf("decode %s: %v", id, err)
-			}
-			resp.Body.Close()
-			if v.State == server.StateDone {
-				if v.Result == nil || !v.Result.Converged {
-					t.Fatalf("job %s done but not converged: %+v", id, v.Result)
-				}
-				break
-			}
-			if v.State == server.StateFailed || v.State == server.StateCanceled {
-				t.Fatalf("job %s ended %s: %s", id, v.State, v.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s still %s at deadline", id, v.State)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if v := waitDone(t, front, id); v.Result == nil || !v.Result.Converged {
+			t.Fatalf("job %s done but not converged: %+v", id, v.Result)
 		}
 	}
 
 	// The merged listing shows all jobs with namespaced IDs.
-	resp, err := http.Get(front.URL + "/jobs")
-	if err != nil {
-		t.Fatalf("GET /jobs: %v", err)
-	}
 	var all []server.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		t.Fatalf("decode /jobs: %v", err)
-	}
-	resp.Body.Close()
+	getJSON(t, front.URL+"/jobs", &all)
 	listed := map[string]bool{}
 	for _, v := range all {
 		listed[v.ID] = true
@@ -508,15 +477,8 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	}
 
 	// Aggregated metrics see the whole fleet.
-	resp, err = http.Get(front.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
 	var ms MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
-		t.Fatalf("decode /metrics: %v", err)
-	}
-	resp.Body.Close()
+	getJSON(t, front.URL+"/metrics", &ms)
 	if ms.Totals.Done < int64(len(ids)) {
 		t.Fatalf("aggregated done = %d, want >= %d", ms.Totals.Done, len(ids))
 	}
@@ -538,9 +500,10 @@ func TestEndToEndTwoEngines(t *testing.T) {
 		t.Fatalf("totals report %d sweeps, %d trials, %d pruned; shards ran %d sweeps over %d candidates",
 			got.AutotuneSweeps, got.AutotuneTrials, got.AutotunePruned, sweeps, candidates)
 	}
-	if h, m, _ := r.fps.stats(); h+m != int64(len(ids)) || m != int64(len(mats)) {
-		t.Fatalf("fingerprint cache hits=%d misses=%d, want misses=%d and hits+misses=%d",
-			h, m, len(mats), len(ids))
+	// Inline matrices are placed by their header: the router never built one
+	// to fingerprint it.
+	if h, m, size := r.fps.stats(); h != 0 || m != 0 || size != 0 {
+		t.Fatalf("fingerprint cache hits=%d misses=%d size=%d after inline traffic only, want 0, 0, 0", h, m, size)
 	}
 
 	// Cancel through the router resolves the namespaced ID (terminal job:
@@ -580,33 +543,9 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("deepsparse job: status %d", status)
 	}
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		resp, err := http.Get(front.URL + "/jobs/" + v.ID)
-		if err != nil {
-			t.Fatalf("GET %s: %v", v.ID, err)
-		}
-		var jv server.JobView
-		err = json.NewDecoder(resp.Body).Decode(&jv)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode %s: %v", v.ID, err)
-		}
-		if jv.State == server.StateDone {
-			break
-		}
-		if jv.State == server.StateFailed || jv.State == server.StateCanceled || time.Now().After(deadline) {
-			t.Fatalf("job %s is %s: %s", v.ID, jv.State, jv.Error)
-		}
-	}
-	resp, err = http.Get(front.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
+	waitDone(t, front, v.ID)
 	ms = MetricsSnapshot{}
-	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
-		t.Fatalf("decode /metrics: %v", err)
-	}
-	resp.Body.Close()
+	getJSON(t, front.URL+"/metrics", &ms)
 	var scheduler sched.LocalityStats
 	for _, d := range ms.ShardDetail {
 		scheduler.Add(d.Topology.Locality)

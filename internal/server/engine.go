@@ -68,8 +68,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Admission errors returned by Engine.Submit. The HTTP skin maps them to 503
-// and 429; other transports (internal/route proxies them verbatim) do the
+// Admission errors returned by Engine.Submit. The HTTP skin maps them to 503,
+// 429 and 400; other transports (internal/route proxies them verbatim) do the
 // same mapping on their side.
 var (
 	// ErrDraining rejects submissions while the engine is shutting down.
@@ -77,6 +77,10 @@ var (
 	// ErrQueueFull rejects submissions when the admission queue is at
 	// capacity — the backpressure signal the router's spill logic keys off.
 	ErrQueueFull = errors.New("queue full")
+	// ErrBadMatrix rejects a submission whose inline matrix does not parse;
+	// the error wraps the parser's, which names the line or entry at fault.
+	// The HTTP skin maps it to 400.
+	ErrBadMatrix = errors.New("bad matrix")
 )
 
 // Engine is solverd's transport-agnostic core: the bounded admission queue,
@@ -262,26 +266,36 @@ func (e *Engine) dispatch() {
 	}
 }
 
-// Submit registers and enqueues a job. It returns ErrDraining during
-// shutdown and an error wrapping ErrQueueFull when the admission queue is at
+// Submit registers and enqueues a job. It returns an error wrapping
+// ErrBadMatrix when an inline matrix does not parse, ErrDraining during
+// shutdown, and an error wrapping ErrQueueFull when the admission queue is at
 // capacity. The matrix identity is computed here, once and outside the engine
 // lock (for an inline matrix it digests the whole document), and carried on
 // the job for the coalescer and the operator cache.
+//
+// An inline matrix is parsed here too, also outside the lock, into the
+// operator cache, so that no job exists for a document that does not parse. A
+// refusal after the build (queue full, draining) leaves the operator cached
+// for the retry. The work is bounded by MaxJobBodyBytes, like the decode
+// before it; a suite matrix, whose generation cost no request bounds, is
+// built by the worker that runs the job.
 func (e *Engine) Submit(spec JobSpec) (*Job, error) {
-	identity := spec.Matrix.Identity()
+	job := &Job{Spec: spec, identity: spec.Matrix.Identity(), state: StateQueued}
+	if spec.Matrix.MM != "" {
+		adm, err := e.lookupOperator(job)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadMatrix, err)
+		}
+		job.admitted = adm
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
 		return nil, ErrDraining
 	}
 	e.seq++
-	job := &Job{
-		ID:        fmt.Sprintf("job-%d", e.seq),
-		Spec:      spec,
-		identity:  identity,
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
+	job.ID = fmt.Sprintf("job-%d", e.seq)
+	job.submitted = time.Now()
 	select {
 	case e.queue <- job:
 	default:
@@ -325,6 +339,7 @@ func (e *Engine) Cancel(j *Job) {
 	case StateQueued:
 		j.state = StateCanceled
 		j.err = "canceled while queued"
+		j.admitted = nil
 		j.finished = time.Now()
 		e.metrics.Canceled.Add(1)
 		e.metrics.Total.Observe(j.finished.Sub(j.submitted))

@@ -161,6 +161,7 @@ func (e *Engine) runGroup(group []*Job) {
 		j.mu.Lock()
 		j.finished = fin
 		j.cancel = nil
+		j.admitted = nil
 		switch {
 		case gc.requestedFor(j): // whether or not its vote stopped the solve
 			j.state = StateCanceled
@@ -212,23 +213,38 @@ type materialized struct {
 // sinceMS is the time since start in milliseconds.
 func sinceMS(start time.Time) float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
 
-// materialize is the front half of every job: identity lookup in the
-// operator cache (a miss generates or parses the matrix and scans it, once,
-// however many jobs are waiting on it), plan lookup by the operator's
-// structural fingerprint, and the operator's storage at the plan's block
-// size. On repeat traffic all three are cache hits and the job pays only its
-// solve.
-func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
+// lookupOperator is the identity lookup in the operator cache: a miss
+// generates or parses the matrix and scans it, once, however many jobs are
+// waiting on it.
+func (e *Engine) lookupOperator(job *Job) (*admission, error) {
 	start := time.Now()
 	op, built, err := e.operators.get(job.identity, &job.Spec.Matrix)
 	if err != nil {
-		return nil, fmt.Errorf("matrix: %w", err)
+		return nil, err
 	}
+	return &admission{op: op, built: built, loadMS: sinceMS(start)}, nil
+}
+
+// materialize is the front half of every job: the operator (looked up at
+// admission for an inline matrix, here for a suite one), plan lookup by the
+// operator's structural fingerprint, and the operator's storage at the plan's
+// block size. On repeat traffic all three are cache hits and the job pays
+// only its solve.
+func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
+	start := time.Now()
+	adm := job.admitted
+	var err error
+	if adm == nil {
+		if adm, err = e.lookupOperator(job); err != nil {
+			return nil, fmt.Errorf("matrix: %w", err)
+		}
+	}
+	op := adm.op
 	m := &materialized{op: op, matrixSource: "cache"}
-	if built {
+	if adm.built {
 		m.matrixSource = "built"
 	}
-	m.timings.LoadMS = sinceMS(start)
+	m.timings.LoadMS = adm.loadMS
 	planStart := time.Now()
 	m.plan, m.planSource = e.resolvePlan(job.Spec, op, workers)
 	m.timings.PlanMS = sinceMS(planStart)
@@ -238,7 +254,7 @@ func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
 		return nil, err
 	}
 	m.timings.ConvertMS = sinceMS(convertStart)
-	m.firstSight = built || m.planSource == "autotune" || m.planSource == "fallback"
+	m.firstSight = adm.built || m.planSource == "autotune" || m.planSource == "fallback"
 	return m, nil
 }
 

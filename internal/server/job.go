@@ -15,7 +15,7 @@
 // across repeat traffic instead of re-deriving it per request — and the
 // batch coalescer amortizes the matrix stream itself, turning k queued
 // solves into one SpMM-driven iteration. internal/route scales the same API
-// across N engines with fingerprint-affinity routing.
+// across N engines with affinity routing.
 package server
 
 import (
@@ -218,11 +218,13 @@ type JobResult struct {
 	Timings *Timings `json:"timings,omitempty"`
 }
 
-// Timings splits a first-sight job's run into its stages, in milliseconds.
-// The stages run back to back, so they sum to the run time less bookkeeping.
+// Timings splits a first-sight job's work into its stages, in milliseconds.
+// The stages run back to back, so they sum to the run time less bookkeeping —
+// plus, for an inline matrix, the load, which admission ran before the queue.
 type Timings struct {
 	// LoadMS: operator lookup — on a miss, generating or parsing the matrix,
-	// compacting it, and the CSR scan behind its stats and fingerprint.
+	// compacting it, and the CSR scan behind its stats and fingerprint. An
+	// inline matrix is looked up at admission, before the job is queued.
 	LoadMS float64 `json:"load_ms"`
 	// PlanMS: plan lookup, or the autotune sweep.
 	PlanMS float64 `json:"plan_ms"`
@@ -240,6 +242,10 @@ type Job struct {
 	Spec JobSpec
 	// identity is Spec.Matrix.Identity(), computed once at submission.
 	identity string
+	// admitted is an inline matrix's operator as Submit built or found it,
+	// and dropped once the job is terminal. Suite matrices are generated in
+	// the worker and never set it.
+	admitted *admission
 
 	mu        sync.Mutex
 	state     State
@@ -249,6 +255,15 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc // set while running
+}
+
+// admission is one operator lookup — run by Submit for an inline matrix, by
+// the worker for a suite one: the operator, whether this lookup built it, and
+// what the lookup cost.
+type admission struct {
+	op     *operator
+	built  bool
+	loadMS float64
 }
 
 // JobView is the JSON representation served on /jobs endpoints.

@@ -225,7 +225,7 @@ type Metrics struct {
 	QueueWait     Histogram        // submit → execution start
 	QueueWaitKind HistogramSet     // queue wait broken out by solver kind
 	BatchSizes    SizeHistogramSet // dispatcher group sizes by solver kind
-	PlanStage     Histogram        // operator lookup (or build + scan) + plan lookup/tune
+	PlanStage     Histogram        // worker-side operator lookup (a suite build + scan) + plan lookup/tune
 	Solve         Histogram        // solver execution proper
 	Total         Histogram        // submit → terminal state
 }

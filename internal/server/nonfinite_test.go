@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,7 @@ import (
 )
 
 // A NaN or infinite number must never reach a result: the parser refuses it
-// in a matrix, the engine refuses a non-finite eigen result, and the
+// in a matrix at admission, the engine refuses a non-finite eigen result, and the
 // JSON writer turns whatever slips through into a 500 instead of an empty 200.
 
 // symMM4 is a 4×4 symmetric MatrixMarket document: diag(a, b, c, d) with a
@@ -30,19 +31,27 @@ func eigenSpec(solver, mm string) JobSpec {
 	return s
 }
 
+// The engine parses an inline matrix at admission, so a document with a
+// non-finite value fails the submission itself: Submit returns the parser's
+// text, solverd answers 400 with it, and no job is ever registered.
 func TestNonFiniteMatrixFailsTheJob(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 2})
+	s, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 2})
 	mm := symMM4("2", "2", "nan", "2", "-1")
+	want := `bad matrix: sparse: non-finite value "nan" at MatrixMarket entry (3,3)`
 	for _, solver := range []string{"lanczos", "lobpcg", "cg"} {
-		j, err := e.Submit(eigenSpec(solver, mm))
-		if err != nil {
-			t.Fatal(err)
+		j, err := s.Submit(eigenSpec(solver, mm))
+		if j != nil || !errors.Is(err, ErrBadMatrix) || err.Error() != want {
+			t.Errorf("%s: Submit = %v, %v; want no job and %q", solver, j, err, want)
 		}
-		v := waitTerminal(t, j, 30*time.Second)
-		want := `matrix: sparse: non-finite value "nan" at MatrixMarket entry (3,3)`
-		if v.State != StateFailed || v.Error != want {
-			t.Errorf("%s: %s %q, want failed %q", solver, v.State, v.Error, want)
+		if status, msg := postForError(t, ts, mmSpecFor(mm, solver, "deepsparse", `"k":1`)); status != http.StatusBadRequest || msg != want {
+			t.Errorf("%s: POST /jobs: %d %q, want 400 %q", solver, status, msg, want)
 		}
+	}
+	if views := s.Views(); len(views) != 0 {
+		t.Errorf("%d jobs registered for refused documents", len(views))
+	}
+	if m := getMetrics(t, ts); m.Jobs.Submitted != 0 || m.Jobs.Failed != 0 {
+		t.Errorf("submitted %d, failed %d; want 0 and 0", m.Jobs.Submitted, m.Jobs.Failed)
 	}
 }
 
@@ -110,15 +119,17 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 }
 
-// One shard job on a NaN matrix does not take GET /jobs down with it: the
-// list still answers 200 with every job, the failed one with its reason.
+// One shard job whose result overflows does not take GET /jobs down with
+// it: the list still answers 200 with every job, the failed ones with their
+// reasons.
 func TestListJobsSurvivesNonFiniteJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 2})
+	overflow := symMM4("1e300", "2e300", "3e300", "4e300", "1e300")
 	var ids []string
 	for _, spec := range []string{
 		mmSpec("cg", "bsp", ""),
-		mmSpecFor(symMM4("2", "2", "nan", "2", "-1"), "lanczos", "bsp", `"k":1`),
-		mmSpecFor(symMM4("2", "2", "NaN", "2", "-1"), "lobpcg", "bsp", `"k":1,"iters":3`),
+		mmSpecFor(overflow, "lanczos", "bsp", `"k":1`),
+		mmSpecFor(overflow, "lobpcg", "bsp", `"k":1,"iters":3`),
 		mmSpec("lanczos", "bsp", `"k":2`),
 	} {
 		v, status := postJob(t, ts, spec)
@@ -129,7 +140,7 @@ func TestListJobsSurvivesNonFiniteJob(t *testing.T) {
 	}
 	for i, id := range ids {
 		v, _ := waitState(t, ts, id, StateDone, 30*time.Second)
-		if failed := i == 1 || i == 2; failed != (v.State == StateFailed) || (failed && !strings.Contains(v.Error, "non-finite value")) {
+		if failed := i == 1 || i == 2; failed != (v.State == StateFailed) || (failed && !strings.Contains(v.Error, ": non-finite ")) {
 			t.Errorf("job %s: %s %q", id, v.State, v.Error)
 		}
 	}

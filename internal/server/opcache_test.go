@@ -199,52 +199,94 @@ func TestInlineAndSuiteMatricesNeverShare(t *testing.T) {
 	}
 }
 
-// N concurrent submissions of one unseen matrix build it exactly once: the
-// first worker to look it up loads it, the rest wait on that load.
+// N concurrent submissions of one unseen matrix build it exactly once,
+// whether the build runs in a worker (a suite matrix) or at admission (an
+// inline document): the first lookup loads it, the rest wait on that load.
 func TestConcurrentMissesBuildOnce(t *testing.T) {
 	const n = 8
-	e := newTestEngine(t, Config{Workers: 4, RTWorkers: 1})
-	jobs := make([]*Job, n)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Alternate tilings so workers also race to add storage.
-			spec := suiteSpec("lanczos", 3)
-			spec.Block = 64 << (i % 2)
-			j, err := e.Submit(spec)
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
+	for _, m := range []MatrixSpec{{Suite: "inline1", Preset: "tiny", Seed: 3}, {MM: suiteAsMM(t, 3)}} {
+		e := newTestEngine(t, Config{Workers: 4, RTWorkers: 1})
+		jobs := make([]*Job, n)
+		var wg sync.WaitGroup
+		for i := range jobs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Alternate tilings so workers also race to add storage.
+				spec := suiteSpec("lanczos", 3)
+				spec.Matrix = m
+				spec.Block = 64 << (i % 2)
+				j, err := e.Submit(spec)
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				jobs[i] = j
+			}(i)
+		}
+		wg.Wait()
+		built := 0
+		var first [2]*JobResult
+		for i, j := range jobs {
+			if j == nil {
+				t.FailNow()
 			}
-			jobs[i] = j
-		}(i)
+			v := waitTerminal(t, j, 60*time.Second)
+			if v.State != StateDone {
+				t.Fatalf("job %d ended %s: %s", i, v.State, v.Error)
+			}
+			if v.Result.MatrixSource == "built" {
+				built++
+			}
+			tiling := i % 2
+			if first[tiling] == nil {
+				first[tiling] = v.Result
+			}
+			sameNumbers(t, "concurrent job", v.Result, first[tiling])
+		}
+		st, _ := e.operators.Stats()
+		if built != 1 || st.Builds != 1 || st.Misses != 1 || st.Hits != n-1 || st.Size != 1 {
+			t.Errorf("%+v: %d jobs reported built; cache %d builds, %d misses, %d hits, %d entries; want 1, 1, 1, %d, 1",
+				m.Identity(), built, st.Builds, st.Misses, st.Hits, st.Size, n-1)
+		}
 	}
-	wg.Wait()
-	built := 0
-	var first [2]*JobResult
-	for i, j := range jobs {
-		if j == nil {
-			t.FailNow()
+}
+
+// A submission refused after its document was parsed — here by a full queue —
+// leaves the operator cached: the retry finds it, and reports the cache as
+// its matrix source.
+func TestRefusedSubmissionLeavesOperatorCached(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueSize: 1, RTWorkers: 1})
+	blocker := JobSpec{Solver: "lobpcg", Backend: "deepsparse", Iters: 500000, Matrix: MatrixSpec{MM: diag4}}
+	var waiting []*Job
+	for i := 0; i < 3; i++ { // one running, one in the dispatcher's hand, one queued
+		j, err := e.Submit(blocker)
+		if err != nil {
+			t.Fatalf("blocker %d: %v", i, err)
 		}
-		v := waitTerminal(t, j, 60*time.Second)
-		if v.State != StateDone {
-			t.Fatalf("job %d ended %s: %s", i, v.State, v.Error)
+		waiting = append(waiting, j)
+		for deadline := time.Now().Add(10 * time.Second); i < 2 && len(e.queue) != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the dispatcher never took a job off the queue")
+			}
 		}
-		if v.Result.MatrixSource == "built" {
-			built++
-		}
-		tiling := i % 2
-		if first[tiling] == nil {
-			first[tiling] = v.Result
-		}
-		sameNumbers(t, "concurrent job", v.Result, first[tiling])
 	}
-	st, _ := e.operators.Stats()
-	if built != 1 || st.Builds != 1 || st.Misses != 1 || st.Hits != n-1 || st.Size != 1 {
-		t.Errorf("%d jobs reported built; cache %d builds, %d misses, %d hits, %d entries; want 1, 1, 1, %d, 1",
-			built, st.Builds, st.Misses, st.Hits, st.Size, n-1)
+	spec := cgSpec(spdTridiagMM(40), 1)
+	if j, err := e.Submit(spec); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit into a full queue: %v, %v; want ErrQueueFull", j, err)
+	}
+	if st, _ := e.operators.Stats(); st.Builds != 2 || st.Size != 2 {
+		t.Errorf("after the refusal: %d builds, %d entries; want 2 and 2 (blockers' matrix and the refused one)", st.Builds, st.Size)
+	}
+	for i := len(waiting) - 1; i >= 0; i-- {
+		e.Cancel(waiting[i])
+		waitTerminal(t, waiting[i], 30*time.Second)
+	}
+	if res := solve(t, e, spec); res.MatrixSource != "cache" {
+		t.Errorf("retry after the refusal: matrix_source %q, want cache", res.MatrixSource)
+	}
+	if st, _ := e.operators.Stats(); st.Builds != 2 || e.metrics.Submitted.Load() != 4 || e.metrics.Rejected.Load() != 1 {
+		t.Errorf("%d builds, %d submitted, %d rejected; want 2, 4, 1", st.Builds, e.metrics.Submitted.Load(), e.metrics.Rejected.Load())
 	}
 }
 

@@ -92,6 +92,11 @@ func ReadJobSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, body []b
 	if err := dec.Decode(&spec); err != nil {
 		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
 	}
+	// A second value after the spec would be ignored silently, and the router
+	// forwards the body as sent: only JSON white space may follow.
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: trailing data %.32q after the spec", rest)
+	}
 	if err := spec.Validate(); err != nil {
 		return spec, nil, http.StatusBadRequest, err
 	}
@@ -107,6 +112,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Submit(spec)
 	if err != nil {
 		switch {
+		case errors.Is(err, ErrBadMatrix):
+			WriteError(w, http.StatusBadRequest, err)
 		case errors.Is(err, ErrDraining):
 			WriteError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrQueueFull):

@@ -82,6 +82,22 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) {
 	resp.Body.Close()
 }
 
+// postForError submits a body that should be refused, and returns the status
+// and the error the response carries.
+func postForError(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	return resp.StatusCode, e.Error
+}
+
 // waitState polls until the job reaches want or any terminal state, recording
 // every state observed along the way.
 func waitState(t *testing.T, ts *httptest.Server, id string, want State, timeout time.Duration) (JobView, map[State]bool) {
@@ -196,6 +212,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"solver":"cg","backend":"bsp","matrix":{"suite":"nosuch"}}`,   // unknown suite
 		`{"solver":"cg","backend":"bsp","matrix":{"mm":"x"},"k":-1}`,    // negative k
 		`{"solver":"cg","backend":"bsp","matrix":{"mm":"x"},"bogus":1}`, // unknown field
+		`{"solver":"cg","backend":"bsp","matrix":{"mm":"x"}}`,           // matrix does not parse
 	}
 	for _, c := range cases {
 		if _, status := postJob(t, ts, c); status != http.StatusBadRequest {
@@ -209,6 +226,24 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// Nothing but white space may follow the spec: a second object would be
+// dropped unvalidated, and the router forwards the body as the client sent it.
+func TestSubmitRefusesTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := `{"solver":"cg","backend":"bsp","matrix":{"suite":"inline1"}}`
+	for _, body := range []string{spec + ` trailing garbage`, spec + `{"solver":"qr"}`, spec + "\n}"} {
+		if status, msg := postForError(t, ts, body); status != http.StatusBadRequest || !strings.HasPrefix(msg, "bad job spec: trailing data ") {
+			t.Errorf("%q: status %d, error %q; want 400 naming the trailing data", body, status, msg)
+		}
+	}
+	if m := getMetrics(t, ts); m.Jobs.Submitted != 0 {
+		t.Errorf("%d jobs submitted from bodies with trailing data", m.Jobs.Submitted)
+	}
+	if _, status := postJob(t, ts, spec+" \r\n\t\n"); status != http.StatusAccepted {
+		t.Errorf("spec followed by white space: status %d, want 202", status)
 	}
 }
 

@@ -30,33 +30,50 @@ const (
 // maxLine is the longest MatrixMarket line the parser accepts.
 const maxLine = 1 << 20
 
-// ReadMatrixMarket parses a MatrixMarket coordinate stream into COO.
-// Symmetric inputs are expanded to full storage.
-//
-// Entry lines are tokenized in the scanner's buffer: the per-entry cost is the
-// three strconv calls, and the parse allocates the COO arrays plus a constant.
-func ReadMatrixMarket(r io.Reader) (*COO, error) {
+// MMHeader is what a MatrixMarket document declares ahead of its entries:
+// the banner's field and symmetry, lower-cased, and the size line. Rows, Cols
+// and NNZ are within MaxDim and MaxEntries, and a symmetric matrix is square.
+type MMHeader struct {
+	Field    string // real, integer or pattern
+	Symmetry string // general or symmetric
+	Rows     int
+	Cols     int
+	NNZ      int // declared entries (for symmetric, the stored triangle)
+}
+
+// ReadMatrixMarketHeader reads a MatrixMarket stream's banner and size line
+// and stops there: the entries are neither read nor checked. It refuses
+// exactly the headers ReadMatrixMarket refuses, with the same errors.
+func ReadMatrixMarketHeader(r io.Reader) (MMHeader, error) {
+	return readMMHeader(mmScanner(r))
+}
+
+func mmScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLine)
+	return sc
+}
+
+// readMMHeader consumes the banner, any comment lines and the size line.
+func readMMHeader(sc *bufio.Scanner) (MMHeader, error) {
 	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
+		return MMHeader{}, fmt.Errorf("sparse: empty MatrixMarket stream")
 	}
 	header := strings.Fields(strings.ToLower(sc.Text()))
 	if len(header) < 5 || header[0] != "%%matrixmarket" || header[1] != "matrix" || header[2] != "coordinate" {
-		return nil, fmt.Errorf("sparse: unsupported MatrixMarket header %q", sc.Text())
+		return MMHeader{}, fmt.Errorf("sparse: unsupported MatrixMarket header %q", sc.Text())
 	}
 	field, sym := header[3], header[4]
 	switch field {
 	case "real", "integer", "pattern":
 	default:
-		return nil, fmt.Errorf("sparse: unsupported MatrixMarket field %q", field)
+		return MMHeader{}, fmt.Errorf("sparse: unsupported MatrixMarket field %q", field)
 	}
 	switch sym {
 	case "general", "symmetric":
 	default:
-		return nil, fmt.Errorf("sparse: unsupported MatrixMarket symmetry %q", sym)
+		return MMHeader{}, fmt.Errorf("sparse: unsupported MatrixMarket symmetry %q", sym)
 	}
-	pattern, symmetric := field == "pattern", sym == "symmetric"
 
 	// Skip comments, find the size line.
 	var rows, cols, nnz int
@@ -66,27 +83,43 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 		}
 		line := strings.TrimSpace(sc.Text())
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("sparse: bad MatrixMarket size line %q: %v", line, err)
+			return MMHeader{}, fmt.Errorf("sparse: bad MatrixMarket size line %q: %v", line, err)
 		}
 		break
 	}
 	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("sparse: bad MatrixMarket dimensions %dx%d", rows, cols)
+		return MMHeader{}, fmt.Errorf("sparse: bad MatrixMarket dimensions %dx%d", rows, cols)
 	}
 	// The size line is untrusted input: it sizes index arrays, CSR/CSB
 	// structure allocations, and entry loops everywhere downstream, so a
 	// hostile header must not get past this point. MaxDim bounds what the
-	// int32-indexed kernels can address anyway; MaxEntries bounds the entry
-	// loop and the pre-allocation below.
+	// int32-indexed kernels can address anyway; MaxEntries bounds
+	// ReadMatrixMarket's entry loop and pre-allocation.
 	if rows > MaxDim || cols > MaxDim {
-		return nil, fmt.Errorf("sparse: MatrixMarket dimensions %dx%d exceed the %d limit", rows, cols, MaxDim)
+		return MMHeader{}, fmt.Errorf("sparse: MatrixMarket dimensions %dx%d exceed the %d limit", rows, cols, MaxDim)
 	}
 	if nnz < 0 || nnz > MaxEntries {
-		return nil, fmt.Errorf("sparse: MatrixMarket entry count %d exceeds the %d limit", nnz, MaxEntries)
+		return MMHeader{}, fmt.Errorf("sparse: MatrixMarket entry count %d exceeds the %d limit", nnz, MaxEntries)
 	}
-	if symmetric && rows != cols {
-		return nil, fmt.Errorf("sparse: symmetric MatrixMarket matrix must be square, got %dx%d", rows, cols)
+	if sym == "symmetric" && rows != cols {
+		return MMHeader{}, fmt.Errorf("sparse: symmetric MatrixMarket matrix must be square, got %dx%d", rows, cols)
 	}
+	return MMHeader{Field: field, Symmetry: sym, Rows: rows, Cols: cols, NNZ: nnz}, nil
+}
+
+// ReadMatrixMarket parses a MatrixMarket coordinate stream into COO.
+// Symmetric inputs are expanded to full storage.
+//
+// Entry lines are tokenized in the scanner's buffer: the per-entry cost is the
+// three strconv calls, and the parse allocates the COO arrays plus a constant.
+func ReadMatrixMarket(r io.Reader) (*COO, error) {
+	sc := mmScanner(r)
+	h, err := readMMHeader(sc)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols, nnz := h.Rows, h.Cols, h.NNZ
+	pattern, symmetric := h.Field == "pattern", h.Symmetry == "symmetric"
 
 	hint := nnz
 	if symmetric {

@@ -102,6 +102,33 @@ func TestReadMatrixMarketRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// The header reader stops at the size line: what is wrong further on is the
+// parser's to find, while a bad banner or size line is refused by both.
+func TestReadMatrixMarketHeader(t *testing.T) {
+	for _, entries := range []string{"1 1 nan\n2 2 1\n", "9 9 1\n2 2 1\n", "1 1\n2 2 1\n", "1 1 1\n", ""} {
+		doc := "%%MatrixMarket matrix coordinate Real Symmetric\n% comment\n\n3 3 2\n" + entries
+		h, err := ReadMatrixMarketHeader(strings.NewReader(doc))
+		if want := (MMHeader{Field: "real", Symmetry: "symmetric", Rows: 3, Cols: 3, NNZ: 2}); err != nil || h != want {
+			t.Errorf("entries %q: header %+v, %v; want %+v", entries, h, err, want)
+		}
+		if _, err := ReadMatrixMarket(strings.NewReader(doc)); err == nil {
+			t.Errorf("entries %q: the parser accepted them", entries)
+		}
+	}
+	for _, doc := range []string{
+		"",
+		"%%MatrixMarket matrix array real general\n2 2\n",
+		"%%MatrixMarket matrix coordinate real general\n2 x 1\n",
+		"%%MatrixMarket matrix coordinate real general\n134217729 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n1 1 268435457\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n",
+	} {
+		if h, err := ReadMatrixMarketHeader(strings.NewReader(doc)); err == nil {
+			t.Errorf("%q: accepted as %+v", doc, h)
+		}
+	}
+}
+
 func TestMatrixMarketRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := randomCOO(rng, 25, 19, 0.15)

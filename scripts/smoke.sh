@@ -12,7 +12,10 @@
 #     matrix once and served the rest from its operator cache. Then a
 #     first-sight lanczos job must report plan_source "autotune" and say what
 #     the sweep cost it (timings.plan_ms), and its repeat plan_source "cache"
-#     and no timings.
+#     and no timings. Last, inline documents: one with a NaN entry must be
+#     refused with a 400 that names the entry (the shard parses it at
+#     admission, the router relays the verdict), and two with one header but
+#     different values must land on one shard and both finish.
 #
 # Used manually and as the serving-layer acceptance check; see README.md.
 set -eu
@@ -186,6 +189,32 @@ case "$OUT" in
     ;;
 esac
 echo "smoke: first-sight job swept (plan_source \"autotune\", timings.plan_ms), its repeat hit the plan cache"
+
+# (e) inline documents: the router places them by header and the shard parses
+# them once, at admission. A bad entry is a 400 naming it, no job created.
+MMHEAD='%%MatrixMarket matrix coordinate real general\n3 3 7\n'
+mmspec() {
+    printf '{"solver":"cg","backend":"bsp","matrix":{"mm":"%s%s"}}' "$MMHEAD" "$1"
+}
+NAN=$(mmspec '1 1 4\n1 2 -1\n2 1 -1\n2 2 nan\n2 3 -1\n3 2 -1\n3 3 4\n')
+CODE=$(curl -s -o "$BIN/nan.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$NAN" "$FRONT/jobs")
+case "$CODE $(cat "$BIN/nan.json")" in
+'400 '*'non-finite value'*'MatrixMarket entry (2,2)'*) ;;
+*)
+    echo "smoke: NaN document: want 400 naming entry (2,2), got $CODE $(cat "$BIN/nan.json")" >&2
+    exit 1
+    ;;
+esac
+echo "smoke: NaN inline document refused with 400 naming entry (2,2)"
+ONE=$(submit "$FRONT" "$(mmspec '1 1 4\n1 2 -1\n2 1 -1\n2 2 4\n2 3 -1\n3 2 -1\n3 3 4\n')")
+TWO=$(submit "$FRONT" "$(mmspec '1 1 5\n1 2 -1\n2 1 -1\n2 2 5\n2 3 -1\n3 2 -1\n3 3 5\n')")
+if [ "${ONE%%:*}" != "${TWO%%:*}" ]; then
+    echo "smoke: one header, two shards: $ONE and $TWO" >&2
+    exit 1
+fi
+wait_done "$FRONT" "$ONE"
+wait_done "$FRONT" "$TWO"
+echo "smoke: two inline documents with one header ran on shard '${ONE%%:*}'"
 
 echo "--- router /metrics ---"
 curl -s "http://127.0.0.1:$PF/metrics"
