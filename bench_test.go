@@ -813,7 +813,3 @@ func (testingDiscard) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkAblation(b *testing.B) {
 	runExperiment(b, "ablation", "nlpkkt160", "twitter7")
 }
-
-func BenchmarkFutureWorkDistributed(b *testing.B) {
-	runExperiment(b, "futurework", "nlpkkt240")
-}

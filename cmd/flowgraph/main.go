@@ -35,6 +35,12 @@ func main() {
 		tsvPath     = flag.String("tsv", "", "also write the raw trace as TSV to this file")
 	)
 	flag.Parse()
+	if *iters < 1 {
+		fatal(fmt.Errorf("-iters %d: need at least one iteration to trace", *iters))
+	}
+	if *cols < 1 {
+		fatal(fmt.Errorf("-cols %d: the timeline needs at least one column", *cols))
+	}
 
 	p, err := matgen.PresetByName(*preset)
 	if err != nil {

@@ -30,10 +30,18 @@ func TestAllExperimentsRegistered(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	for _, want := range []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "heuristic", "pcg", "symm", "batch", "headline"} {
-		if !ids[want] {
-			t.Errorf("missing experiment %s", want)
+	// Exactly the paper's evaluation: Table 1, Figs. 3 and 5-14, the §5.4
+	// sweep, the §5.1 ablations, the §5.2 locality comparison and the
+	// headline summary. Adding or dropping an experiment must edit this list.
+	want := []string{"table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "heuristic", "locality", "ablation", "headline"}
+	for _, id := range want {
+		if !ids[id] {
+			t.Errorf("missing experiment %s", id)
 		}
+		delete(ids, id)
+	}
+	for id := range ids {
+		t.Errorf("unexpected experiment %s", id)
 	}
 	if _, err := ByID("nope"); err == nil {
 		t.Error("ByID accepted unknown id")
@@ -279,123 +287,6 @@ func TestAblation(t *testing.T) {
 	// ablation must not show them losing.
 	if g := r.Metrics["geomean/ds-depthfirst"]; g < 0.97 {
 		t.Errorf("depth-first bias geomean %v, should not lose to FIFO", g)
-	}
-}
-
-func TestFutureWorkHPXDistWins(t *testing.T) {
-	r, err := runFutureWork(tinyCfg("nlpkkt240"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The asynchronous model must clearly win where communication dominates:
-	// LOBPCG's many kernels mean many MPI barriers per iteration. (At tiny
-	// scale, latency-bound Lanczos can cross over at low node counts —
-	// fine-grained messaging has real costs — so only its 8-node point is
-	// asserted.)
-	for _, nodes := range []int{2, 4, 8} {
-		if ratio := r.Metrics[fmtRatioKey(LOBPCG, nodes)]; ratio > 1.0 {
-			t.Errorf("lobpcg at %d nodes: hpx/mpi ratio %v > 1", nodes, ratio)
-		}
-	}
-	if ratio := r.Metrics[fmtRatioKey(Lanczos, 8)]; ratio > 1.0 {
-		t.Errorf("lanczos at 8 nodes: hpx/mpi ratio %v > 1", ratio)
-	}
-}
-
-func fmtRatioKey(k SolverKind, nodes int) string {
-	if k == Lanczos {
-		return "ratio/lanczos/" + itoa(nodes)
-	}
-	return "ratio/lobpcg/" + itoa(nodes)
-}
-
-func itoa(n int) string {
-	switch n {
-	case 1:
-		return "1"
-	case 2:
-		return "2"
-	case 4:
-		return "4"
-	case 8:
-		return "8"
-	}
-	return "?"
-}
-
-func TestPCGExperiment(t *testing.T) {
-	r, err := runPCG(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows, want 3 sizes at tiny preset", len(r.Rows))
-	}
-	// The preconditioner's payoff grows with problem size; even at the tiny
-	// preset's largest size the iteration ratio must clearly beat 2x (the
-	// acceptance 3x is asserted at n=100k in internal/solver).
-	if ratio := r.Metrics["ratio_at_max_n"]; ratio < 2 {
-		t.Errorf("PCG iteration ratio %v at max size, want >= 2", ratio)
-	}
-	for k, v := range r.Metrics {
-		if strings.HasPrefix(k, "levels/") && v < 2 {
-			t.Errorf("%s = %v, want a multi-level forward solve", k, v)
-		}
-	}
-}
-
-func TestBatchExperiment(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Iterations = 30 // pinned throughput mode: fast and convergence-free
-	r, err := runBatch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows, want 3 sizes at tiny preset", len(r.Rows))
-	}
-	// The sequential baseline is the same width-k program at k = 1 (one CAXPBY
-	// pass per update, where the deleted single-RHS driver made a ScaleInv and
-	// an Axpby pass), so what the batch saves is the matrix stream and the
-	// per-solve set-up. That is a clear win where those dominate, at the
-	// smallest size; on this 5-point stencil it narrows toward parity as the
-	// vector work, which does not amortize over columns, takes over (1.26x at
-	// the largest size against the old baseline, 1.0-1.15x against this one:
-	// below what a wall-clock test on a shared box can pin, so there the
-	// assertion is only that batching does not lose).
-	if ratio := r.Metrics["agg_speedup/"+r.Rows[0][0]]; ratio < 1.2 {
-		t.Errorf("batched aggregate speedup %v at the smallest size, want >= 1.2", ratio)
-	}
-	if ratio := r.Metrics["agg_speedup_at_max_n"]; ratio < 0.8 {
-		t.Errorf("batched aggregate speedup %v at max size: batching lost", ratio)
-	}
-}
-
-func TestSymmExperiment(t *testing.T) {
-	cfg := tinyCfg("nlpkkt160")
-	cfg.Iterations = 4
-	r, err := runSymm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 SPD Laplacian sizes + nlpkkt160 (both schedule modes appear: the
-	// banded Laplacians color into waves, the tiny KKT falls back to
-	// accumulators).
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows, want 4:\n%+v", len(r.Rows), r.Rows)
-	}
-	for k, v := range r.Metrics {
-		// Stored entries are the lower triangle plus diagonal: strictly more
-		// than half the full nnz, approaching 0.5 as nnz/row grows. The tiny
-		// 5-point Laplacians (~5 nnz/row) sit near the 0.6 worst case; the
-		// PR-8 ~0.55 acceptance bound is asserted on the denser bench
-		// matrices in BENCH_PR8.json.
-		if strings.HasPrefix(k, "bytes_ratio/") && (v <= 0.5 || v > 0.62) {
-			t.Errorf("%s = %v, want in (0.5, 0.62]", k, v)
-		}
-		if strings.HasPrefix(k, "spmv_speedup/") && v <= 0 {
-			t.Errorf("%s = %v, want > 0", k, v)
-		}
 	}
 }
 

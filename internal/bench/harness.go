@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"sparsetask/internal/cachesim"
@@ -172,12 +171,8 @@ func All() []Experiment {
 		{"fig13", "Fig. 13", "LOBPCG execution flow graph (nlpkkt240 analog)", runFig13},
 		{"fig14", "Fig. 14", "performance profiles of block-count bins (LOBPCG)", runFig14},
 		{"heuristic", "§5.4", "block-size sweep: tasking overhead vs parallelism", runHeuristic},
-		{"pcg", "§4+", "IC(0)-preconditioned CG vs CG: iterations and level-DAG shape", runPCG},
-		{"batch", "§4+", "multi-RHS batched CG vs sequential single-RHS solves (coalescer payoff)", runBatch},
-		{"symm", "§5+", "symmetric (SymCSB) vs general storage: speedup and streamed matrix bytes", runSymm},
 		{"locality", "§5.2", "hierarchical vs uniform-random stealing: locality and LLC misses", runLocality},
 		{"ablation", "§5.1", "scheduling ablations: HPX NUMA hints, Regent tracing, depth-first bias", runAblation},
-		{"futurework", "§6", "distributed memory: hpx-dist vs mpi+omp over 1-8 nodes", runFutureWork},
 		{"headline", "Abstract", "headline speedups and cache-miss reductions", runHeadline},
 	}
 }
@@ -422,14 +417,4 @@ func geoMean(vs []float64) float64 {
 		s += math.Log(v)
 	}
 	return math.Exp(s / float64(len(vs)))
-}
-
-// sortedKeys returns map keys sorted, for deterministic metric printing.
-func sortedKeys(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -186,10 +186,14 @@ func (r *Recorder) WriteTSV(w io.Writer) error {
 
 // RenderASCII draws a coarse per-worker timeline (one row per worker, one
 // column per time bucket, letter = kernel most active in that bucket) — a
-// terminal rendition of the paper's execution flow graphs.
+// terminal rendition of the paper's execution flow graphs. A timeline needs
+// at least one column; cols < 1 is an error.
 func (r *Recorder) RenderASCII(w io.Writer, cols int) error {
+	if cols < 1 {
+		return fmt.Errorf("trace: timeline width %d, want at least 1 column", cols)
+	}
 	span := r.Span()
-	if span == 0 || cols <= 0 {
+	if span == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}

@@ -112,4 +112,12 @@ func TestRenderASCII(t *testing.T) {
 	if !strings.Contains(empty.String(), "empty") {
 		t.Fatal("empty trace should say so")
 	}
+	// A recording that is not empty cannot be drawn in fewer than one
+	// column: that is a caller error, not an empty trace.
+	for _, cols := range []int{0, -1} {
+		var b bytes.Buffer
+		if err := sampleRecorder().RenderASCII(&b, cols); err == nil || b.Len() != 0 {
+			t.Errorf("cols %d: err %v, rendered %q; want an error and no output", cols, err, b.String())
+		}
+	}
 }
