@@ -33,8 +33,12 @@ test:
 # in sched and rt, and the level-scheduled triangular wavefronts, especially).
 # sparse is here for one guarantee the engine leans on: conversions of an
 # already compact COO only read it, so concurrent jobs may share one.
+# sparselint runs its analyzers concurrently over shared ASTs and one call
+# graph; TestDirectiveValidation runs the full set at once. The -run filter
+# keeps the whole-module load of TestRepoIsClean out of the race build.
 race:
 	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sparse/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
+	$(GO) test -race -run 'TestDirectiveValidation|TestAnalyzerFixtures' ./internal/lint/
 
 # The repository benchmark is a nested module (benchmark/go.mod), which the
 # root `go vet ./...` and `go test ./...` do not descend into; its tests

@@ -167,24 +167,15 @@ func walkBlocks(body *ast.BlockStmt, loop *ast.ForStmt, visit func([]ast.Stmt, *
 		case *ast.SelectStmt:
 			walk(s.Body, loop)
 		case *ast.CaseClause:
-			visit(s.Body, loop)
-			for _, c := range s.Body {
-				walk(c, loop)
-			}
+			walk(&ast.BlockStmt{List: s.Body}, loop)
 		case *ast.CommClause:
-			visit(s.Body, loop)
-			for _, c := range s.Body {
-				walk(c, loop)
-			}
+			walk(&ast.BlockStmt{List: s.Body}, loop)
 		case *ast.LabeledStmt:
 			walk(s.Stmt, loop)
 		}
 	}
 	walk(body, loop)
 }
-
-// A CaseClause is not a Stmt-holding BlockStmt, so walkBlocks handles it
-// explicitly above; switch bodies arrive as BlockStmts of CaseClauses.
 
 // constOffsetAccess is one s[iv+c] (or s[iv], c=0) occurrence.
 type constOffsetAccess struct {
@@ -408,8 +399,6 @@ func isSliceExprType(info *types.Info, e ast.Expr) bool {
 	switch t.Underlying().(type) {
 	case *types.Slice, *types.Array:
 		return true
-	case *types.Pointer:
-		return false
 	}
 	return false
 }

@@ -10,10 +10,11 @@ import (
 // plain expressions (conditions, case expressions) and simple statements
 // (assignments, sends, go/defer, returns) — never composite statements, so a
 // transfer function can walk a node without re-entering nested control flow.
-// Two wrapper nodes mark spots where the surrounding construct matters to an
-// analyzer: rangeBind (the per-iteration key/value binding of a range loop)
-// and loopCond (a for-loop condition, which is a resource sink for taint when
-// the bound is untrusted).
+// Three wrapper nodes mark spots where the surrounding construct matters to an
+// analyzer: rangeBind (the per-iteration key/value binding of a range loop),
+// loopCond (a for-loop condition, which is a resource sink for taint when
+// the bound is untrusted) and selectOp (a select head, and each comm clause's
+// send or receive, which only fires once ready).
 
 // CFGEdge is one successor edge. When Cond is non-nil the edge is taken
 // exactly when Cond evaluates to true (Negated false) or false (Negated
@@ -63,6 +64,20 @@ type loopCond struct {
 
 func (l *loopCond) Pos() token.Pos { return l.Cond.Pos() }
 func (l *loopCond) End() token.Pos { return l.Cond.End() }
+
+// selectOp wraps one piece of a select statement. With Comm nil it is the
+// head, where the goroutine waits for a ready clause — which can block only
+// when HasDefault is false. With Comm set it is that clause's send or
+// receive, evaluated on the clause's path and never blocking on its own.
+// Either way the node spans the whole select.
+type selectOp struct {
+	Select     *ast.SelectStmt
+	HasDefault bool
+	Comm       ast.Stmt
+}
+
+func (s *selectOp) Pos() token.Pos { return s.Select.Pos() }
+func (s *selectOp) End() token.Pos { return s.Select.End() }
 
 // cfgCtx is one enclosing breakable construct (for/switch/select), with the
 // continue target when it is a loop.
@@ -155,6 +170,16 @@ func (b *cfgBuilder) findCtx(label string, needContinue bool) *cfgCtx {
 		}
 	}
 	return nil
+}
+
+// isPanicStmt reports whether s calls panic, which ends its path.
+func isPanicStmt(s *ast.ExprStmt) bool {
+	call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 func containsGoStmt(n ast.Node) bool {
@@ -263,10 +288,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.buildClauses(label, false, s.Body.List)
 	case *ast.SelectStmt:
 		label := b.takeLabel()
+		hasDefault := selectHasDefault(s)
+		b.add(&selectOp{Select: s, HasDefault: hasDefault})
 		head := b.cur
-		if head == nil {
-			head = b.newBlock()
-		}
 		after := b.newBlock()
 		b.ctxs = append(b.ctxs, cfgCtx{label: label, breakTo: after})
 		for _, c := range s.Body.List {
@@ -277,7 +301,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			blk := b.newBlock()
 			b.edge(head, blk, nil, false)
 			b.cur = blk
-			b.stmt(cc.Comm)
+			if cc.Comm != nil {
+				b.add(&selectOp{Select: s, HasDefault: hasDefault, Comm: cc.Comm})
+			}
 			for _, st := range cc.Body {
 				b.stmt(st)
 			}
@@ -289,48 +315,37 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s)
 		b.jump(b.g.Exit)
 	case *ast.BranchStmt:
+		label := ""
+		if s.Label != nil {
+			label = s.Label.Name
+		}
+		var target *CFGBlock
 		switch s.Tok {
 		case token.BREAK:
-			label := ""
-			if s.Label != nil {
-				label = s.Label.Name
-			}
 			if c := b.findCtx(label, false); c != nil {
-				b.jump(c.breakTo)
-			} else {
-				b.cur = nil
+				target = c.breakTo
 			}
 		case token.CONTINUE:
-			label := ""
-			if s.Label != nil {
-				label = s.Label.Name
-			}
 			if c := b.findCtx(label, true); c != nil {
-				b.jump(c.continueTo)
-			} else {
-				b.cur = nil
+				target = c.continueTo
 			}
 		case token.GOTO:
-			if s.Label != nil {
-				b.jump(b.labelBlock(s.Label.Name))
-			} else {
-				b.cur = nil
-			}
+			target = b.labelBlock(label)
 		case token.FALLTHROUGH:
-			if n := len(b.fallthroughs); n > 0 && b.fallthroughs[n-1] != nil {
-				b.jump(b.fallthroughs[n-1])
-			} else {
-				b.cur = nil
+			if n := len(b.fallthroughs); n > 0 {
+				target = b.fallthroughs[n-1]
 			}
 		}
+		if target != nil {
+			b.jump(target)
+		}
+		b.cur = nil
 	case *ast.ExprStmt:
 		b.add(s)
 		// A panic statement terminates the path, which keeps facts on the
 		// surviving branch of `if bad { panic(...) }` precise.
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				b.jump(b.g.Exit)
-			}
+		if isPanicStmt(s) {
+			b.jump(b.g.Exit)
 		}
 	default:
 		// Simple statements: assignments, declarations, inc/dec, send,

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -20,7 +19,7 @@ var ctxFirstScope = []string{"internal/rt", "internal/sched", "internal/server",
 func ctxFirstAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "ctxfirst",
-		Doc:  "blocking exported APIs in rt/sched/server take context.Context first and propagate it",
+		Doc:  "blocking exported APIs in rt/sched/server/route take context.Context first and propagate it",
 	}
 	a.Run = func(pass *Pass) {
 		for _, pkg := range pass.Prog.Pkgs {
@@ -166,66 +165,25 @@ func exportedReceiver(fn *ast.FuncDecl, info *types.Info) bool {
 	return true
 }
 
-// blockingBody reports whether body contains an operation that can block:
-// channel send/receive, select without default, time.Sleep, WaitGroup.Wait,
-// or Cond.Wait. Func literals are skipped — goroutines the function spawns
-// block on their own schedule, not the caller's.
-func blockingBody(info *types.Info, body *ast.BlockStmt) bool {
-	return blockingNode(info, body)
-}
-
-// blockingStmt is blockingBody for a single statement (a select clause body
-// member).
-func blockingStmt(info *types.Info, s ast.Stmt) bool {
-	return blockingNode(info, s)
-}
-
-func blockingNode(info *types.Info, root ast.Node) bool {
+// blockingBody reports whether root contains an operation that can block
+// (blockingOp). Func literals are skipped — goroutines the function spawns
+// block on their own schedule, not the caller's — and so are the comm ops of
+// a select with a default (`case ch <- v:`), which only fire when ready; the
+// clause bodies are still walked.
+func blockingBody(info *types.Info, root ast.Node) bool {
 	blocking := false
 	ast.Inspect(root, func(n ast.Node) bool {
-		if blocking {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.SendStmt:
-			blocking = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				blocking = true
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				blocking = true
-				return false
-			}
-			// A select with a default never blocks, and neither do its comm
-			// operations (`case ch <- v:` / `case v := <-ch:`) — they only
-			// fire when ready. Walk the clause bodies but skip the comms.
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					for _, s := range cc.Body {
-						if blockingStmt(info, s) {
-							blocking = true
-						}
-					}
-				}
+		case *ast.CommClause:
+			for _, s := range n.Body {
+				blocking = blocking || blockingBody(info, s)
 			}
 			return false
-		case *ast.CallExpr:
-			switch funcFullName(calleeFunc(info, n)) {
-			case "time.Sleep", "(*sync.WaitGroup).Wait", "(*sync.Cond).Wait":
-				blocking = true
-			}
 		}
-		return true
+		blocking = blocking || blockingOp(info, n) != notBlocking
+		return !blocking
 	})
 	return blocking
 }

@@ -1,13 +1,18 @@
 package lint
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 // The dataflow engine: a forward worklist solver over the CFG of one
 // function. An analysis supplies an abstract state (flowState) and two
 // operations (flowTransfers); the solver computes the fixpoint of block
-// entry states. Both lattices used here (taint marks, error-check facts) are
-// finite per function, so the fixpoint terminates; an iteration cap guards
-// against a non-monotone transfer bug turning into a hang.
+// entry states. Every lattice used here (held locks, taint marks,
+// error-check facts) is finite per function, so the fixpoint terminates; a
+// step cap turns a non-monotone transfer bug into a "did not converge"
+// finding instead of a hang. The clients are lockdiscipline, taint and
+// errflow, and funcBodies is the walk they share.
 
 // flowState is one analysis' abstract state at a program point.
 type flowState interface {
@@ -28,8 +33,10 @@ type flowTransfers interface {
 }
 
 // solveForward runs the worklist algorithm and returns the entry state of
-// every reachable block. The returned map never contains unreachable blocks.
-func solveForward(g *CFG, tr flowTransfers, entry flowState) map[*CFGBlock]flowState {
+// every reachable block (the map never contains unreachable blocks), and
+// whether a fixpoint was reached within the step cap. When it was not, the
+// states are partial and must not be reported from.
+func solveForward(g *CFG, tr flowTransfers, entry flowState) (map[*CFGBlock]flowState, bool) {
 	in := map[*CFGBlock]flowState{g.Entry: entry}
 	work := []*CFGBlock{g.Entry}
 	queued := map[*CFGBlock]bool{g.Entry: true}
@@ -39,7 +46,7 @@ func solveForward(g *CFG, tr flowTransfers, entry flowState) map[*CFGBlock]flowS
 		work = work[1:]
 		queued[blk] = false
 		if steps++; steps > limit {
-			break
+			return in, false
 		}
 		out := in[blk].clone()
 		for _, n := range blk.Nodes {
@@ -64,7 +71,7 @@ func solveForward(g *CFG, tr flowTransfers, entry flowState) map[*CFGBlock]flowS
 			}
 		}
 	}
-	return in
+	return in, true
 }
 
 // replayBlocks re-runs the transfer function over every reachable block in
@@ -82,4 +89,54 @@ func replayBlocks(g *CFG, tr flowTransfers, solved map[*CFGBlock]flowState) {
 			tr.transfer(work, n)
 		}
 	}
+}
+
+// funcBody is one function a CFG client analyses: a declaration's body or a
+// func literal's. Name identifies it in findings.
+type funcBody struct {
+	Name string
+	Type *ast.FuncType
+	Body *ast.BlockStmt
+}
+
+// funcBodies lists every function body in pkg in source order: each
+// FuncDecl body, then the func literals inside that declaration (package
+// variable initializers included). A closure is analysed as a function in
+// its own right; to its parent's CFG it is an opaque value.
+func funcBodies(pkg *Package) []funcBody {
+	var out []funcBody
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			parent := "package scope"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Body == nil {
+					continue
+				}
+				parent = declName(fn)
+				out = append(out, funcBody{Name: parent, Type: fn.Type, Body: fn.Body})
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					out = append(out, funcBody{Name: "func literal in " + parent, Type: lit.Type, Body: lit.Body})
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// declName renders a declaration for findings: "f" or "(*T).m".
+func declName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	return "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + fn.Name.Name
+}
+
+// reportNoFixpoint is what a client does when solveForward gives up: a
+// finding naming the function, so a transfer bug fails the lint gate rather
+// than silently dropping the findings a partial state would miss.
+func reportNoFixpoint(pass *Pass, fb funcBody) {
+	pass.Reportf(fb.Body.Pos(), "dataflow analysis of %s did not converge; its findings are incomplete", fb.Name)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -55,28 +56,18 @@ func runErrflow(pass *Pass) {
 		if !pathInScope(pkg.Path, errflowScope) {
 			continue
 		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-					checkErrflowBody(pass, pkg, fn.Type, fn.Body)
-				}
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkErrflowBody(pass, pkg, lit.Type, lit.Body)
-				}
-				return true
-			})
+		for _, fb := range funcBodies(pkg) {
+			checkErrflowBody(pass, pkg, fb)
 		}
 	}
 }
 
-func checkErrflowBody(pass *Pass, pkg *Package, ftype *ast.FuncType, body *ast.BlockStmt) {
+func checkErrflowBody(pass *Pass, pkg *Package, fb funcBody) {
 	fl := &errflowFlow{pass: pass, info: pkg.Info, excluded: make(map[types.Object]bool)}
 	// Named error results are implicitly returned: assignments to them are
 	// the function's answer, not an unchecked obligation.
-	if ftype != nil && ftype.Results != nil {
-		for _, f := range ftype.Results.List {
+	if fb.Type.Results != nil {
+		for _, f := range fb.Type.Results.List {
 			for _, name := range f.Names {
 				if obj := pkg.Info.Defs[name]; obj != nil {
 					fl.excluded[obj] = true
@@ -84,8 +75,12 @@ func checkErrflowBody(pass *Pass, pkg *Package, ftype *ast.FuncType, body *ast.B
 			}
 		}
 	}
-	g := buildCFG(body)
-	solved := solveForward(g, fl, newErrflowState())
+	g := buildCFG(fb.Body)
+	solved, ok := solveForward(g, fl, newErrflowState())
+	if !ok {
+		reportNoFixpoint(pass, fb)
+		return
+	}
 	fl.report = true
 	replayBlocks(g, fl, solved)
 
@@ -127,11 +122,7 @@ func newErrflowState() *errflowState {
 }
 
 func (s *errflowState) clone() flowState {
-	c := newErrflowState()
-	for k, v := range s.facts {
-		c.facts[k] = v
-	}
-	return c
+	return &errflowState{facts: maps.Clone(s.facts)}
 }
 
 func (s *errflowState) mergeFrom(other flowState) bool {
@@ -198,6 +189,10 @@ func (fl *errflowFlow) transfer(st flowState, n ast.Node) {
 		fl.consume(s, n.Range.X)
 	case *loopCond:
 		fl.consume(s, n.Cond)
+	case *selectOp:
+		if n.Comm != nil {
+			fl.transfer(s, n.Comm)
+		}
 	case ast.Expr:
 		fl.consume(s, n)
 	}

@@ -31,7 +31,7 @@ var goleakScope = []string{"internal/server", "internal/sched", "internal/rt", "
 func goleakAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "goleak",
-		Doc:  "go statements in server/sched/rt need a statically visible exit path",
+		Doc:  "go statements in server/sched/rt/route need a statically visible exit path",
 	}
 	a.Run = func(pass *Pass) {
 		for _, pkg := range pass.Prog.Pkgs {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -9,11 +10,7 @@ import (
 // isBuiltinCall reports whether call invokes the named builtin.
 func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
+	return ok && id.Name == name && isAnyBuiltin(info, call)
 }
 
 // isAnyBuiltin reports whether call invokes any language builtin.
@@ -48,6 +45,57 @@ func funcFullName(f *types.Func) string {
 		return ""
 	}
 	return f.FullName()
+}
+
+// blockKind names an operation that can park the calling goroutine.
+type blockKind int
+
+const (
+	notBlocking blockKind = iota
+	blockSend             // channel send
+	blockRecv             // channel receive
+	blockSelect           // select with no default clause
+	blockCall             // time.Sleep, WaitGroup.Wait, Cond.Wait
+)
+
+// blockingOp is the one "can this block?" classifier (ctxfirst,
+// lockdiscipline). It looks at n alone, not its children, so each caller
+// picks its walk. A CFG selectOp blocks only as the head of a select with no
+// default; its comm ops fire only once ready.
+func blockingOp(info *types.Info, n ast.Node) blockKind {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return blockSend
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return blockRecv
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(n) {
+			return blockSelect
+		}
+	case *selectOp:
+		if n.Comm == nil && !n.HasDefault {
+			return blockSelect
+		}
+	case *ast.CallExpr:
+		switch funcFullName(calleeFunc(info, n)) {
+		case "time.Sleep", "(*sync.WaitGroup).Wait", "(*sync.Cond).Wait":
+			return blockCall
+		}
+	}
+	return notBlocking
+}
+
+// selectHasDefault reports whether s has a default clause, which makes it
+// non-blocking.
+func selectHasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // pathInScope reports whether a package import path is (or is inside) one of

@@ -108,14 +108,7 @@ func checkColdCallSites(pass *Pass, g *CallGraph, decl *ast.FuncDecl, f *types.F
 			spans = coldSpans(pass, g.decls[f].Pkg.Info, decl.Body)
 			collected = true
 		}
-		inCold := false
-		for _, s := range spans {
-			if e.Site >= s.lo && e.Site < s.hi {
-				inCold = true
-				break
-			}
-		}
-		if !inCold {
+		if !inSpans(spans, e.Site) {
 			pass.Reportf(e.Site, "sparselint:coldcall %s is called unconditionally from hot code in %s; a cold boundary must sit behind an error/init/panic branch", e.Callee.Name(), f.Name())
 		}
 	}
@@ -124,6 +117,15 @@ func checkColdCallSites(pass *Pass, g *CallGraph, decl *ast.FuncDecl, f *types.F
 // coldSpan is a source interval whose statements only execute conditionally:
 // if/else bodies, switch cases, select clauses, defers, and panic arguments.
 type coldSpan struct{ lo, hi token.Pos }
+
+func inSpans(spans []coldSpan, pos token.Pos) bool {
+	for _, s := range spans {
+		if pos >= s.lo && pos < s.hi {
+			return true
+		}
+	}
+	return false
+}
 
 // coldSpans collects the conditionally-executed intervals of body.
 func coldSpans(pass *Pass, info *types.Info, body *ast.BlockStmt) []coldSpan {
@@ -171,24 +173,16 @@ func checkHotFunc(pass *Pass, pkg *Package, fn *ast.FuncDecl, suffix string) {
 
 	// Spans of panic(...) arguments: constructs inside them only run on the
 	// failure path and are exempt.
-	type span struct{ lo, hi token.Pos }
-	var panicSpans []span
+	var panicSpans []coldSpan
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && isBuiltinCall(info, call, "panic") {
 			for _, arg := range call.Args {
-				panicSpans = append(panicSpans, span{arg.Pos(), arg.End()})
+				panicSpans = append(panicSpans, coldSpan{arg.Pos(), arg.End()})
 			}
 		}
 		return true
 	})
-	exempt := func(pos token.Pos) bool {
-		for _, s := range panicSpans {
-			if pos >= s.lo && pos < s.hi {
-				return true
-			}
-		}
-		return false
-	}
+	exempt := func(pos token.Pos) bool { return inSpans(panicSpans, pos) }
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -10,6 +10,16 @@
 // analyzer walks the typed ASTs of the whole module at once, so
 // whole-program rules (deque ownership reachability) see every call site.
 //
+// # Engines
+//
+// Rules that depend on the path taken are clients of one CFG + worklist
+// dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks),
+// taint (untrusted values) and errflow (unchecked errors), each over every
+// function body from funcBodies. ctxfirst, goleak, bce and hotpathalloc stay
+// AST walks on purpose: their rules are flow-insensitive, so they carry no
+// path state and a port would only add code. Per-function summaries stay
+// inside taint, their only user.
+//
 // # Annotations
 //
 // Annotations are Go directive comments (no space after //, one per line)
@@ -146,14 +156,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 // lintWorkers is the bounded pool size for the parallel phases (package
 // parsing, analyzer execution).
 func lintWorkers() int {
-	n := runtime.NumCPU()
-	if n < 1 {
-		return 1
-	}
-	if n > 8 {
-		return 8
-	}
-	return n
+	return min(max(runtime.NumCPU(), 1), 8)
 }
 
 // RunStats is Run plus per-analyzer surviving-finding counts and wall times

@@ -4,18 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 	"strings"
 )
 
 // lockDisciplineAnalyzer enforces mutex hygiene everywhere: every Lock/RLock
 // must be matched by an Unlock (or defer Unlock) on every path out of the
 // same function, sync primitives must not be copied by value, and no
-// blocking operation (channel send/receive, blocking select, time.Sleep,
-// WaitGroup.Wait) may run while a lock is held. sync.Cond.Wait is allowed —
-// it releases the mutex while parked — and a select with a default clause is
-// non-blocking by construction (the sched inbox and server admission-queue
-// pattern).
+// blocking operation (blockingOp: channel send/receive, select with no
+// default, time.Sleep, WaitGroup.Wait) may run while a lock is held.
+// sync.Cond.Wait is allowed — it releases the mutex while parked — and a
+// select with a default clause is non-blocking by construction (the sched
+// inbox and server admission-queue pattern).
+//
+// The path rules are a client of the dataflow engine (cfg.go, dataflow.go):
+// the state at a program point is the set of locks some path into it holds,
+// so a lock carried around a loop's back edge, out through a break, or past
+// the loop's exit is seen wherever it flows. Func literals are their own
+// scopes: a closure must balance the locks it takes itself.
 func lockDisciplineAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "lockdiscipline",
@@ -25,123 +31,210 @@ func lockDisciplineAnalyzer() *Analyzer {
 		for _, pkg := range pass.Prog.Pkgs {
 			for _, file := range pkg.Files {
 				for _, decl := range file.Decls {
-					fn, ok := decl.(*ast.FuncDecl)
-					if !ok {
-						continue
+					if fn, ok := decl.(*ast.FuncDecl); ok {
+						checkLockCopies(pass, pkg, fn)
 					}
-					checkLockCopies(pass, pkg, fn)
-					if fn.Body == nil {
-						continue
-					}
-					lc := &lockChecker{pass: pass, info: pkg.Info}
-					lc.checkFunc(fn.Body)
-					// Func literals are their own scopes: a closure must
-					// balance the locks it takes itself.
-					ast.Inspect(fn.Body, func(n ast.Node) bool {
-						if lit, ok := n.(*ast.FuncLit); ok {
-							lc.checkFunc(lit.Body)
-						}
-						return true
-					})
 				}
+			}
+			for _, fb := range funcBodies(pkg) {
+				checkLocks(pass, pkg, fb)
 			}
 		}
 	}
 	return a
 }
 
-type lockChecker struct {
-	pass *Pass
-	info *types.Info
+// checkLocks solves the held-lock flow of one body, then reports from the
+// fixpoint: blocking operations, re-locks and returns on the replay, and
+// locks still held where the function falls off its end from the Exit state
+// (returns and panics clear the set, so only fall-off paths reach it held).
+func checkLocks(pass *Pass, pkg *Package, fb funcBody) {
+	lf := &lockFlow{pass: pass, info: pkg.Info}
+	g := buildCFG(fb.Body)
+	solved, ok := solveForward(g, lf, &lockState{held: map[string]token.Pos{}, deferred: map[string]token.Pos{}})
+	if !ok {
+		reportNoFixpoint(pass, fb)
+		return
+	}
+	lf.report = true
+	replayBlocks(g, lf, solved)
+	if exit, ok := solved[g.Exit]; ok {
+		// Each key has its own Lock position; the driver sorts findings.
+		for key, pos := range exit.(*lockState).held {
+			pass.Reportf(pos, "%s is locked here but not released on every path out of the function", key)
+		}
+	}
 }
 
-// lockState tracks the locks a path currently holds. held locks need an
+// lockState tracks the locks a path holds, keyed by lock expression (":r"
+// marks a read lock) with the position of the Lock call. held locks need an
 // explicit Unlock before every return; deferred locks are released at
 // return by a `defer Unlock` but are still physically held, so blocking
 // operations remain forbidden while they are set.
 type lockState struct {
-	held     map[string]token.Pos // lock key -> Lock call position
+	held     map[string]token.Pos
 	deferred map[string]token.Pos
 }
 
-func newLockState() *lockState {
-	return &lockState{held: map[string]token.Pos{}, deferred: map[string]token.Pos{}}
+func (st *lockState) clone() flowState {
+	return &lockState{held: maps.Clone(st.held), deferred: maps.Clone(st.deferred)}
 }
 
-func (st *lockState) clone() *lockState {
-	c := newLockState()
-	for k, v := range st.held {
-		c.held[k] = v
-	}
-	for k, v := range st.deferred {
-		c.deferred[k] = v
-	}
-	return c
+// mergeFrom is the union: a lock held on any path into a point is held
+// there, at its earliest Lock position.
+func (st *lockState) mergeFrom(other flowState) bool {
+	o := other.(*lockState)
+	changed := unionPos(st.held, o.held)
+	return unionPos(st.deferred, o.deferred) || changed
 }
 
-func (st *lockState) replaceWith(o *lockState) {
-	clear(st.held)
-	clear(st.deferred)
-	for k, v := range o.held {
-		st.held[k] = v
-	}
-	for k, v := range o.deferred {
-		st.deferred[k] = v
-	}
-}
-
-// union folds o in, keeping the union of held/deferred locks (conservative
-// for "missing Unlock" reporting when branches diverge).
-func (st *lockState) union(o *lockState) {
-	for k, v := range o.held {
-		if _, ok := st.held[k]; !ok {
-			st.held[k] = v
+func unionPos(dst, src map[string]token.Pos) bool {
+	changed := false
+	for k, p := range src {
+		if q, ok := dst[k]; !ok || p < q {
+			dst[k] = p
+			changed = true
 		}
 	}
-	for k, v := range o.deferred {
-		if _, ok := st.deferred[k]; !ok {
-			st.deferred[k] = v
+	return changed
+}
+
+// minKey names one lock of the given sets deterministically (the least
+// key), or "" when they are all empty.
+func minKey(sets ...map[string]token.Pos) string {
+	least := ""
+	for _, set := range sets {
+		for k := range set {
+			if least == "" || k < least {
+				least = k
+			}
 		}
 	}
+	return least
 }
 
-// anyHeld names one lock that is physically held (held or deferred), for
-// blocking-operation diagnostics. Empty when nothing is held.
-func (st *lockState) anyHeld() string {
-	keys := make([]string, 0, len(st.held)+len(st.deferred))
-	for k := range st.held {
-		keys = append(keys, k)
-	}
-	for k := range st.deferred {
-		keys = append(keys, k)
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	return keys[0]
+// lockFlow is the flowTransfers half. Reporting is off while solving and on
+// for the replay, so each node reports once, under its fixpoint state.
+type lockFlow struct {
+	pass   *Pass
+	info   *types.Info
+	report bool
 }
 
-// anyUnreleased names one lock with no Unlock scheduled on this path.
-func (st *lockState) anyUnreleased() string {
-	keys := make([]string, 0, len(st.held))
-	for k := range st.held {
-		keys = append(keys, k)
+func (lf *lockFlow) reportf(pos token.Pos, format string, args ...any) {
+	if lf.report {
+		lf.pass.Reportf(pos, format, args...)
 	}
-	if len(keys) == 0 {
-		return ""
+}
+
+func (lf *lockFlow) refine(flowState, ast.Expr, bool) {}
+
+func (lf *lockFlow) transfer(fs flowState, n ast.Node) {
+	st := fs.(*lockState)
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := n.X.(*ast.CallExpr); ok {
+			if key, op, ok := mutexOp(lf.info, call); ok {
+				if op == "lock" {
+					lf.checkReacquire(call.Pos(), key, st)
+					st.held[key] = call.Pos()
+				} else {
+					delete(st.held, key)
+					delete(st.deferred, key)
+				}
+				return
+			}
+		}
+		lf.scan(st, n.X)
+		if isPanicStmt(n) {
+			clear(st.held) // the path ends by unwinding, not by a return
+		}
+	case *ast.DeferStmt:
+		// `defer mu.Unlock()`, or a deferred closure that unlocks, releases
+		// the lock at return.
+		var released ast.Node = n.Call
+		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+			released = lit.Body
+		}
+		ast.Inspect(released, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if key, op, ok := mutexOp(lf.info, call); ok && op == "unlock" {
+					if pos, held := st.held[key]; held {
+						st.deferred[key] = pos
+					}
+					delete(st.held, key)
+				}
+			}
+			return true
+		})
+		for _, arg := range n.Call.Args {
+			lf.scan(st, arg)
+		}
+	case *ast.GoStmt:
+		for _, arg := range n.Call.Args {
+			lf.scan(st, arg)
+		}
+	case *ast.ReturnStmt:
+		for _, r := range n.Results {
+			lf.scan(st, r)
+		}
+		if key := minKey(st.held); key != "" {
+			lf.reportf(n.Pos(), "return while holding %s; this path is missing an Unlock", key)
+		}
+		clear(st.held)
+	default:
+		lf.scan(st, n)
 	}
-	sort.Strings(keys)
-	return keys[0]
+}
+
+// scan reports every blocking operation node n evaluates while a lock is
+// held. Func literals are skipped: they execute in their own context.
+func (lf *lockFlow) scan(st *lockState, n ast.Node) {
+	key := minKey(st.held, st.deferred)
+	if !lf.report || key == "" {
+		return
+	}
+	switch w := n.(type) {
+	case *rangeBind:
+		return // Range.X is its own node, evaluated once before the loop
+	case *loopCond:
+		n = w.Cond
+	case *selectOp:
+		lf.blocking(w, key)
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		lf.blocking(m, key)
+		return true
+	})
+}
+
+func (lf *lockFlow) blocking(n ast.Node, key string) {
+	switch blockingOp(lf.info, n) {
+	case blockSend:
+		lf.reportf(n.Pos(), "channel send while holding %s may block with the lock held", key)
+	case blockRecv:
+		lf.reportf(n.Pos(), "channel receive while holding %s may block with the lock held", key)
+	case blockSelect:
+		lf.reportf(n.Pos(), "select with no default may block while holding %s", key)
+	case blockCall:
+		// sync.Cond.Wait releases the mutex while parked.
+		if funcFullName(calleeFunc(lf.info, n.(*ast.CallExpr))) != "(*sync.Cond).Wait" {
+			lf.reportf(n.Pos(), "blocking call while holding %s", key)
+		}
+	}
 }
 
 // mutexOp classifies call as a sync.Mutex/RWMutex operation.
-func (lc *lockChecker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}
-	switch funcFullName(calleeFunc(lc.info, call)) {
+	switch funcFullName(calleeFunc(info, call)) {
 	case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock":
 		return types.ExprString(sel.X), "lock", true
 	case "(*sync.Mutex).Unlock", "(*sync.RWMutex).Unlock":
@@ -154,220 +247,11 @@ func (lc *lockChecker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
 	return "", "", false
 }
 
-// checkFunc runs the path-sensitive held-lock walk over one function body.
-func (lc *lockChecker) checkFunc(body *ast.BlockStmt) {
-	st := newLockState()
-	terminated := lc.stmts(body.List, st)
-	if !terminated {
-		for key, pos := range st.held {
-			lc.pass.Reportf(pos, "%s is locked here but not released on every path out of the function", key)
-		}
-	}
-}
-
-// stmts walks a statement list, tracking held locks. It returns true when
-// the list always terminates (return/branch) before falling off the end.
-func (lc *lockChecker) stmts(list []ast.Stmt, st *lockState) bool {
-	for _, s := range list {
-		if lc.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (lc *lockChecker) stmt(s ast.Stmt, st *lockState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, op, ok := lc.mutexOp(call); ok {
-				if op == "lock" {
-					lc.checkReacquire(call.Pos(), key, st)
-					st.held[key] = call.Pos()
-				} else {
-					delete(st.held, key)
-					delete(st.deferred, key)
-				}
-				return false
-			}
-		}
-		lc.exprScan(s.X, st)
-	case *ast.DeferStmt:
-		if key, op, ok := lc.mutexOp(s.Call); ok && op == "unlock" {
-			if pos, held := st.held[key]; held {
-				st.deferred[key] = pos
-			}
-			delete(st.held, key)
-			return false
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// defer func() { ...; mu.Unlock(); ... }() releases at return.
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if key, op, ok := lc.mutexOp(call); ok && op == "unlock" {
-						if pos, held := st.held[key]; held {
-							st.deferred[key] = pos
-						}
-						delete(st.held, key)
-					}
-				}
-				return true
-			})
-		}
-		for _, arg := range s.Call.Args {
-			lc.exprScan(arg, st)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			lc.exprScan(r, st)
-		}
-		if key := st.anyUnreleased(); key != "" {
-			lc.pass.Reportf(s.Pos(), "return while holding %s; this path is missing an Unlock", key)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave this list; the loop-level analysis is
-		// approximate, so just stop here.
-		return true
-	case *ast.BlockStmt:
-		return lc.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return lc.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, st)
-		}
-		lc.exprScan(s.Cond, st)
-		thenSt := st.clone()
-		tThen := lc.stmts(s.Body.List, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			tElse := lc.stmt(s.Else, elseSt)
-			switch {
-			case tThen && tElse:
-				return true
-			case tThen:
-				st.replaceWith(elseSt)
-			case tElse:
-				st.replaceWith(thenSt)
-			default:
-				thenSt.union(elseSt)
-				st.replaceWith(thenSt)
-			}
-			return false
-		}
-		if !tThen {
-			st.union(thenSt)
-		}
-		return false
-	case *ast.ForStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			lc.exprScan(s.Cond, st)
-		}
-		body := st.clone()
-		lc.stmts(s.Body.List, body)
-		if s.Post != nil {
-			lc.stmt(s.Post, body)
-		}
-		// The loop may run zero times; continue with the pre-loop state.
-		// Exception: `for { ... }` with no condition never falls through —
-		// when the body has no break, the statement after the loop is
-		// unreachable.
-		if s.Cond == nil && !forBodyBreaks(s.Body) {
-			return true
-		}
-	case *ast.RangeStmt:
-		lc.exprScan(s.X, st)
-		body := st.clone()
-		lc.stmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			lc.exprScan(s.Tag, st)
-		}
-		return lc.caseClauses(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, st)
-		}
-		return lc.caseClauses(s.Body, st)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			if key := st.anyHeld(); key != "" {
-				lc.pass.Reportf(s.Pos(), "select with no default may block while holding %s", key)
-			}
-		}
-		// The comm operations are non-blocking once the select fires (or
-		// guarded by default); only walk the clause bodies.
-		allTerm := true
-		var merged *lockState
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := st.clone()
-			if !lc.stmts(cc.Body, branch) {
-				allTerm = false
-				if merged == nil {
-					merged = branch
-				} else {
-					merged.union(branch)
-				}
-			}
-		}
-		if allTerm && len(s.Body.List) > 0 {
-			return true
-		}
-		if merged != nil {
-			st.replaceWith(merged)
-		}
-	case *ast.SendStmt:
-		if key := st.anyHeld(); key != "" {
-			lc.pass.Reportf(s.Pos(), "channel send while holding %s may block with the lock held", key)
-		}
-		lc.exprScan(s.Chan, st)
-		lc.exprScan(s.Value, st)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lc.exprScan(e, st)
-		}
-		for _, e := range s.Lhs {
-			lc.exprScan(e, st)
-		}
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			lc.exprScan(arg, st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						lc.exprScan(v, st)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		lc.exprScan(s.X, st)
-	}
-	return false
-}
-
 // checkReacquire flags taking a lock that this path already physically
 // holds: Go's mutexes are not reentrant, so a second Lock — including the
 // RLock→Lock upgrade and its Lock→RLock mirror — parks the goroutine on
 // itself. The legal upgrade is RUnlock first, Lock, revalidate.
-func (lc *lockChecker) checkReacquire(pos token.Pos, key string, st *lockState) {
+func (lf *lockFlow) checkReacquire(pos token.Pos, key string, st *lockState) {
 	holds := func(k string) bool {
 		_, h := st.held[k]
 		if !h {
@@ -378,105 +262,14 @@ func (lc *lockChecker) checkReacquire(pos token.Pos, key string, st *lockState) 
 	base, isRead := strings.CutSuffix(key, ":r")
 	switch {
 	case holds(key) && isRead:
-		lc.pass.Reportf(pos, "recursive RLock on %s can deadlock against a queued writer; RWMutex read locks must not nest", base)
+		lf.reportf(pos, "recursive RLock on %s can deadlock against a queued writer; RWMutex read locks must not nest", base)
 	case holds(key):
-		lc.pass.Reportf(pos, "%s is already locked on this path; Go mutexes are not reentrant, a second Lock self-deadlocks", key)
+		lf.reportf(pos, "%s is already locked on this path; Go mutexes are not reentrant, a second Lock self-deadlocks", key)
 	case isRead && holds(base):
-		lc.pass.Reportf(pos, "RLock on %s while its write lock is held self-deadlocks", base)
+		lf.reportf(pos, "RLock on %s while its write lock is held self-deadlocks", base)
 	case !isRead && holds(key+":r"):
-		lc.pass.Reportf(pos, "upgrading %s from RLock to Lock self-deadlocks; RUnlock first, then Lock and revalidate", key)
+		lf.reportf(pos, "upgrading %s from RLock to Lock self-deadlocks; RUnlock first, then Lock and revalidate", key)
 	}
-}
-
-// caseClauses merges the branches of a switch body; terminated only when
-// every case terminates and a default exists (otherwise the switch can fall
-// through with no case taken).
-func (lc *lockChecker) caseClauses(body *ast.BlockStmt, st *lockState) bool {
-	hasDefault := false
-	allTerm := true
-	var merged *lockState
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		for _, e := range cc.List {
-			lc.exprScan(e, st)
-		}
-		branch := st.clone()
-		if !lc.stmts(cc.Body, branch) {
-			allTerm = false
-			if merged == nil {
-				merged = branch
-			} else {
-				merged.union(branch)
-			}
-		}
-	}
-	if hasDefault && allTerm && len(body.List) > 0 {
-		return true
-	}
-	if merged != nil {
-		if !hasDefault {
-			merged.union(st)
-		}
-		st.replaceWith(merged)
-	}
-	return false
-}
-
-// exprScan flags blocking operations buried in an expression (channel
-// receives, time.Sleep, WaitGroup.Wait) while a lock is held. Func literals
-// are skipped: they execute in their own context. sync.Cond.Wait is
-// deliberately not flagged — it releases the mutex while parked.
-func (lc *lockChecker) exprScan(e ast.Expr, st *lockState) {
-	if e == nil {
-		return
-	}
-	key := st.anyHeld()
-	if key == "" {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				lc.pass.Reportf(n.Pos(), "channel receive while holding %s may block with the lock held", key)
-			}
-		case *ast.CallExpr:
-			switch funcFullName(calleeFunc(lc.info, n)) {
-			case "time.Sleep", "(*sync.WaitGroup).Wait":
-				lc.pass.Reportf(n.Pos(), "blocking call while holding %s", key)
-			}
-		}
-		return true
-	})
-}
-
-// forBodyBreaks reports whether a for body contains a break binding to this
-// loop.
-func forBodyBreaks(body *ast.BlockStmt) bool {
-	breaks := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK {
-				breaks = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			// break inside these binds to them, not to our loop.
-			return false
-		case *ast.FuncLit:
-			return false
-		}
-		return true
-	})
-	return breaks
 }
 
 // checkLockCopies flags sync primitives copied by value: by-value receivers,
@@ -484,41 +277,36 @@ func forBodyBreaks(body *ast.BlockStmt) bool {
 // dereference/field/element.
 func checkLockCopies(pass *Pass, pkg *Package, fn *ast.FuncDecl) {
 	info := pkg.Info
-	checkField := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
+	// copied returns the type of a by-value e that holds a sync primitive.
+	copied := func(e ast.Expr) types.Type {
+		t := info.TypeOf(e)
+		if _, isPtr := t.(*types.Pointer); t == nil || isPtr || !containsLock(t) {
+			return nil
 		}
-		for _, f := range fl.List {
-			t := info.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); !isPtr && containsLock(t) {
-				pass.Reportf(f.Type.Pos(), "%s copies %s, which contains a sync primitive; use a pointer", what, t)
+		return t
+	}
+	for _, fl := range []struct {
+		list *ast.FieldList
+		what string
+	}{{fn.Recv, "receiver"}, {fn.Type.Params, "parameter"}, {fn.Type.Results, "result"}} {
+		if fl.list == nil {
+			continue
+		}
+		for _, f := range fl.list.List {
+			if t := copied(f.Type); t != nil {
+				pass.Reportf(f.Type.Pos(), "%s copies %s, which contains a sync primitive; use a pointer", fl.what, t)
 			}
 		}
 	}
-	checkField(fn.Recv, "receiver")
-	checkField(fn.Type.Params, "parameter")
-	checkField(fn.Type.Results, "result")
 	if fn.Body == nil {
 		return
-	}
-	copyKind := func(e ast.Expr) bool {
-		switch ast.Unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			return true
-		}
-		return false
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			if v, ok := n.Value.(*ast.Ident); ok {
-				if t := info.TypeOf(v); t != nil {
-					if _, isPtr := t.(*types.Pointer); !isPtr && containsLock(t) {
-						pass.Reportf(v.Pos(), "range copies %s, which contains a sync primitive; iterate by index", t)
-					}
+				if t := copied(v); t != nil {
+					pass.Reportf(v.Pos(), "range copies %s, which contains a sync primitive; iterate by index", t)
 				}
 			}
 		case *ast.AssignStmt:
@@ -529,15 +317,11 @@ func checkLockCopies(pass *Pass, pkg *Package, fn *ast.FuncDecl) {
 				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
 					continue // discarded, nothing is stored
 				}
-				if !copyKind(rhs) {
-					continue
-				}
-				t := info.TypeOf(rhs)
-				if t == nil {
-					continue
-				}
-				if _, isPtr := t.(*types.Pointer); !isPtr && containsLock(t) {
-					pass.Reportf(rhs.Pos(), "assignment copies %s, which contains a sync primitive", t)
+				switch ast.Unparen(rhs).(type) {
+				case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+					if t := copied(rhs); t != nil {
+						pass.Reportf(rhs.Pos(), "assignment copies %s, which contains a sync primitive", t)
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -73,6 +74,7 @@ type taintChecker struct {
 	ingress   map[*types.Named]string // ingress struct type → provenance label
 	validated map[fieldKey]bool
 	summaries summaryTable
+	diverged  map[*ast.BlockStmt]bool // bodies already reported as not converging
 }
 
 func runTaint(pass *Pass) {
@@ -81,6 +83,7 @@ func runTaint(pass *Pass) {
 		ingress:   make(map[*types.Named]string),
 		validated: make(map[fieldKey]bool),
 		summaries: make(summaryTable),
+		diverged:  make(map[*ast.BlockStmt]bool),
 	}
 	tc.findIngressTypes()
 	tc.findValidatedFields()
@@ -102,24 +105,12 @@ func runTaint(pass *Pass) {
 		}
 	}
 
-	// Phase 2: reporting. Every declared function, then every func literal
-	// (closures are checked as functions in their own right; taint does not
-	// flow across the closure boundary, but sources inside are still live).
-	for _, f := range pass.Graph.Funcs() {
-		decl, pkg := pass.Graph.DeclOf(f)
-		if decl == nil || decl.Body == nil {
-			continue
-		}
-		tc.checkBody(pkg, decl.Body, nil, nil)
-	}
+	// Phase 2: reporting, over every function body (closures are checked as
+	// functions in their own right; taint does not flow across the closure
+	// boundary, but sources inside are still live).
 	for _, pkg := range pass.Prog.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					tc.checkBody(pkg, lit.Body, nil, nil)
-				}
-				return true
-			})
+		for _, fb := range funcBodies(pkg) {
+			tc.checkBody(pkg, fb, nil, nil)
 		}
 	}
 }
@@ -228,7 +219,7 @@ func (tc *taintChecker) findValidatedFields() {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.IfStmt:
-				if !blockTerminates(n.Body) {
+				if !stmtsTerminate(n.Body.List) {
 					return true
 				}
 				// The surviving path has ¬cond: collect what that bounds.
@@ -293,13 +284,9 @@ func (tc *taintChecker) trustedValidatorBound(info *types.Info, bound ast.Expr) 
 	return trusted
 }
 
-// blockTerminates reports whether a block always leaves the function
-// (return or panic on every path). Used only to recognize the
+// stmtsTerminate reports whether a statement list always leaves the
+// function (return or panic on every path). Used only to recognize the
 // `if bad { return err }` validator shape, so it stays simple.
-func blockTerminates(b *ast.BlockStmt) bool {
-	return stmtsTerminate(b.List)
-}
-
 func stmtsTerminate(list []ast.Stmt) bool {
 	if len(list) == 0 {
 		return false
@@ -308,22 +295,12 @@ func stmtsTerminate(list []ast.Stmt) bool {
 	case *ast.ReturnStmt:
 		return true
 	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				return id.Name == "panic"
-			}
-		}
+		return isPanicStmt(s)
 	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
-		}
 		eb, ok := s.Else.(*ast.BlockStmt)
-		if !ok {
-			return false
-		}
-		return blockTerminates(s.Body) && blockTerminates(eb)
+		return ok && stmtsTerminate(s.Body.List) && stmtsTerminate(eb.List)
 	case *ast.BlockStmt:
-		return blockTerminates(s)
+		return stmtsTerminate(s.List)
 	}
 	return false
 }
@@ -454,14 +431,7 @@ func newTaintState() *taintState {
 }
 
 func (s *taintState) clone() flowState {
-	c := newTaintState()
-	for k, v := range s.marks {
-		c.marks[k] = v
-	}
-	for k := range s.clamped {
-		c.clamped[k] = true
-	}
-	return c
+	return &taintState{marks: maps.Clone(s.marks), clamped: maps.Clone(s.clamped)}
 }
 
 func (s *taintState) mergeFrom(other flowState) bool {
@@ -499,8 +469,9 @@ type taintFlow struct {
 	dirty  bool // summary changed this pass
 }
 
-// checkBody runs the reporting pass over one body (sum and seeds nil).
-func (tc *taintChecker) checkBody(pkg *Package, body *ast.BlockStmt, sum *funcSummary, seeds map[string]taintMark) bool {
+// checkBody solves one body: into sum (seeded with the parameter marks) in
+// the summary phase, or as the reporting pass when sum and seeds are nil.
+func (tc *taintChecker) checkBody(pkg *Package, fb funcBody, sum *funcSummary, seeds map[string]taintMark) bool {
 	fl := &taintFlow{tc: tc, pkg: pkg, info: pkg.Info, sum: sum}
 	if sum != nil {
 		fl.sig = sum.sig
@@ -509,8 +480,16 @@ func (tc *taintChecker) checkBody(pkg *Package, body *ast.BlockStmt, sum *funcSu
 	for k, m := range seeds {
 		entry.marks[k] = m
 	}
-	g := buildCFG(body)
-	solved := solveForward(g, fl, entry)
+	g := buildCFG(fb.Body)
+	solved, ok := solveForward(g, fl, entry)
+	if !ok {
+		// Reported once per body, though summary rounds may solve it again.
+		if !tc.diverged[fb.Body] {
+			tc.diverged[fb.Body] = true
+			reportNoFixpoint(tc.pass, fb)
+		}
+		return false
+	}
 	if sum == nil {
 		fl.report = true
 		replayBlocks(g, fl, solved)
@@ -545,7 +524,7 @@ func (tc *taintChecker) summarize(f *types.Func) bool {
 		}
 		seeds[objKey(p)] = taintMark{params: 1 << uint(i)}
 	}
-	changed := tc.checkBody(pkg, decl.Body, sum, seeds)
+	changed := tc.checkBody(pkg, funcBody{Name: declName(decl), Type: decl.Type, Body: decl.Body}, sum, seeds)
 	return changed || fresh
 }
 
@@ -632,6 +611,10 @@ func (fl *taintFlow) transfer(st flowState, n ast.Node) {
 	case *loopCond:
 		fl.inspect(s, n.Cond)
 		fl.checkLoopBound(s, n)
+	case *selectOp:
+		if n.Comm != nil {
+			fl.transfer(s, n.Comm)
+		}
 	case ast.Expr:
 		fl.inspect(s, n)
 	}

@@ -147,3 +147,73 @@ func (g *rwGuarded) relock() {
 	g.n++
 	g.mu.Unlock()
 }
+
+// ------------------------------------------------------------------- loops
+
+// breakWhileHeld leaves the range loop through a break with the lock held:
+// the send after the loop blocks under it, and the function falls off its
+// end still holding it.
+func (g *guarded) breakWhileHeld(items []int) {
+	for _, it := range items {
+		g.mu.Lock() // want `locked here but not released on every path`
+		if it < 0 {
+			break
+		}
+		g.mu.Unlock()
+	}
+	g.ch <- 1 // want `channel send while holding g.mu`
+}
+
+// lockInLoop never unlocks: the next iteration re-locks what it holds.
+func (g *guarded) lockInLoop(n int) {
+	for i := 0; i < n; i++ {
+		g.mu.Lock() // want `already locked on this path` `locked here but not released on every path`
+		g.n += i
+	}
+}
+
+// skipUnderLock takes the lock per iteration and releases it on both the
+// early-continue path and the fall-through path.
+func (g *guarded) skipUnderLock(items []int) {
+	for _, it := range items {
+		g.mu.Lock()
+		if it == 0 {
+			g.mu.Unlock()
+			continue
+		}
+		g.n += it
+		g.mu.Unlock()
+	}
+}
+
+type gate struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	open bool
+}
+
+// waitOpen is the condition-variable wait: Cond.Wait releases the mutex
+// while parked, and the loop exits holding it for the Unlock below.
+func (g *gate) waitOpen() {
+	g.mu.Lock()
+	for !g.open {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+}
+
+// labeledBreak leaves both loops from the inner one, after the Unlock.
+func (g *guarded) labeledBreak(rows [][]int) {
+outer:
+	for _, row := range rows {
+		for _, v := range row {
+			g.mu.Lock()
+			g.n += v
+			g.mu.Unlock()
+			if v < 0 {
+				break outer
+			}
+		}
+	}
+	g.ch <- g.n
+}
