@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race benchcheck benchsmoke fuzz smoke benchmark
+.PHONY: check lint fmt vet build test race benchcheck benchsmoke fuzz smoke benchmark loc
 
 check: build lint test race benchcheck benchsmoke
 
@@ -65,6 +65,14 @@ fuzz:
 # End-to-end serving smoke: build solverd + loadgen, serve, 10s of load.
 smoke:
 	./scripts/smoke.sh
+
+# Non-test Go lines per package directory and in the module, outside the
+# nested benchmark/ module and testdata/ fixtures: the counts simplicity
+# changes and ROADMAP.md quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; sum += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
 # The repository benchmark (BENCHMARK.json): all four workloads, end-to-end
 # metrics with their regression bounds. See benchmark/README.md for flags

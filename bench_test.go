@@ -193,7 +193,9 @@ func benchRuntime(b *testing.B, r rt.Runtime) {
 	g, st := benchTDG(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Run(context.Background(), g, st)
+		p := r.Prepare(g, st)
+		p.Run(context.Background())
+		p.Close()
 	}
 }
 
@@ -271,8 +273,9 @@ func BenchmarkFineGrainCG(b *testing.B) {
 	c, rhs := fineGrainCG(b)
 	for _, w := range fineGrainWorkers() {
 		opt := rt.Options{Workers: w}
-		for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
-			b.Run(fmt.Sprintf("%s/w=%d", r.Name(), w), func(b *testing.B) {
+		for _, name := range rt.Backends() {
+			r, _ := rt.ByName(name, opt)
+			b.Run(fmt.Sprintf("%s/w=%d", name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, _, _, err := c.Solve(context.Background(), r, rhs); err != nil {
 						b.Fatal(err)

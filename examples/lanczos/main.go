@@ -14,6 +14,7 @@ import (
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/solver"
+	"sparsetask/internal/topo"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{}),
 		rt.NewDeepSparse(rt.Options{}),
-		rt.NewHPX(rt.Options{NUMADomains: 2}),
+		rt.NewHPX(rt.Options{Topo: topo.Broadwell()}),
 		rt.NewRegent(rt.Options{DynamicTracing: true}),
 	}
 

@@ -60,7 +60,10 @@ func runLocality(cfg *Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			rtm := newLocalityRuntime(backend, rt.Options{Workers: execLocalityWorkers, Topo: topo.EPYC()})
+			rtm, err := rt.ByName(backend, rt.Options{Workers: execLocalityWorkers, Topo: topo.EPYC()})
+			if err != nil {
+				return nil, err
+			}
 			if _, err := l.Run(context.Background(), rtm, cfg.Seed+1); err != nil {
 				return nil, err
 			}
@@ -161,19 +164,6 @@ func remoteShare(c cachesim.Counters) float64 {
 		return 0
 	}
 	return float64(remote) / float64(miss)
-}
-
-// newLocalityRuntime builds the backend under test for the live half.
-func newLocalityRuntime(backend string, opt rt.Options) rt.Runtime {
-	switch backend {
-	case "deepsparse":
-		return rt.NewDeepSparse(opt)
-	case "hpx":
-		return rt.NewHPX(opt)
-	case "regent":
-		return rt.NewRegent(opt)
-	}
-	panic("bench: unknown locality backend " + backend)
 }
 
 func maxI64(a, b int64) int64 {

@@ -70,9 +70,6 @@ func (m Model) DomainOf(core int) int {
 	return core / (m.Cores / m.NUMADomains)
 }
 
-// CoresPerDomain returns cores per NUMA domain.
-func (m Model) CoresPerDomain() int { return m.Cores / m.NUMADomains }
-
 // Broadwell models the paper's Intel Xeon E5-2680v4 node: 2×14 cores,
 // 32 KB L1d + 256 KB L2 per core, 35 MB L3 shared per socket, 2 NUMA domains.
 func Broadwell() Model {

@@ -142,7 +142,7 @@ type bspPrepared struct {
 	panicVal any // first task panic of the superstep, re-raised by Run
 }
 
-// Prepare implements Preparer: the per-call chain grouping is computed once,
+// Prepare implements Runtime: the per-call chain grouping is computed once,
 // the helpers are started once, and every PreparedRun.Run reuses both. The
 // plan is laid over the graph Build produced even when g is fused — BSP is
 // the baseline whose barriers sit at kernel boundaries, and fusing across
@@ -241,11 +241,4 @@ func (p *bspPrepared) recoverTask() {
 		}
 		p.panicMu.Unlock()
 	}
-}
-
-// Run implements Runtime: a one-shot Prepare + Run.
-func (r *BSP) Run(ctx context.Context, g *graph.TDG, st *program.Store) error {
-	p := r.Prepare(g, st)
-	defer p.Close()
-	return p.Run(ctx)
 }

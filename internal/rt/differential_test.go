@@ -55,7 +55,7 @@ func TestDifferentialGraphExecution(t *testing.T) {
 					opt := Options{Workers: w, Topo: tp, AnalysisCost: 1, DynamicTracing: seed%2 == 0}
 					for _, r := range allRuntimes(opt) {
 						st := c.NewStore()
-						pr := PrepareRun(r, g, st)
+						pr := r.Prepare(g, st)
 						for it := 0; it < 2; it++ {
 							if err := pr.Run(ctx); err != nil {
 								t.Fatalf("seed %d: %s: %v", seed, r.Name(), err)
@@ -86,7 +86,7 @@ func TestRegentFusedGroupsAreIndexLaunches(t *testing.T) {
 		t.Fatalf("fused test problem has %d tasks, want %d", len(f.Tasks), want)
 	}
 	r := NewRegent(Options{Workers: 2, AnalysisCost: 10})
-	if err := r.Run(context.Background(), f, mk()); err != nil {
+	if err := runOnce(context.Background(), r, f, mk()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := r.LastAnalyzed, len(f.Tasks)-2*(np-1); got != want {

@@ -70,15 +70,6 @@ func (r *Regent) Name() string { return "regent" }
 // queue and count nothing).
 func (r *Regent) Locality() sched.LocalityStats { return r.acc.Snapshot() }
 
-// Run implements Runtime: a one-shot Prepare + Run, so it always analyses —
-// the dynamic-tracing memo lives in the prepared run. Cancellation stops both
-// the analysis pipeline and the workers at task granularity.
-func (r *Regent) Run(ctx context.Context, g *graph.TDG, st *program.Store) error {
-	p := r.Prepare(g, st)
-	defer p.Close()
-	return p.Run(ctx)
-}
-
 // regentPrepared binds the runtime to one (TDG, store) pair. Dependency
 // counters, the ready queues and the worker team are built once and reset per
 // Run; Run's caller is the analysis pipeline — the -ll:util core — walking the
@@ -132,7 +123,8 @@ type regentPrepared struct {
 	wg       sync.WaitGroup
 }
 
-// Prepare implements Preparer.
+// Prepare implements Runtime. The dynamic-tracing memo lives in the prepared
+// run, so every new handle analyses its first Run.
 func (r *Regent) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
 	n := len(g.Tasks)
 	nw := r.opt.workers()
@@ -368,7 +360,7 @@ func (p *regentPrepared) worker(w int) {
 	}
 	// Multi-domain: consume a token, then locate its task — own domain's
 	// queue first, the others only when home is dry.
-	dw := w * p.nd / p.nw
+	dw := p.r.opt.Topo.DomainOf(w, p.nw)
 	var ls sched.LocalityStats
 	defer func() { p.r.acc.Add(ls) }()
 	for {

@@ -3,19 +3,30 @@
 // differing only in scheduling — the paper's controlled-comparison setup:
 //
 //   - BSP: bulk-synchronous baseline (libcsr/libcsb analog) — static chunk
-//     assignment per kernel with a barrier between kernels, no stealing.
+//     assignment per kernel with a barrier between kernels, no stealing. It
+//     runs on a sched.Team.
 //   - DeepSparse: OpenMP-task analog — whole-graph dependency counting,
 //     depth-first (LIFO) local queues with work stealing.
-//   - HPX: futures/dataflow analog — FIFO queues, work stealing, optional
-//     NUMA-domain-aware placement hints.
+//   - HPX: futures/dataflow analog — FIFO queues, work stealing,
+//     domain-aware placement hints under a multi-domain Options.Topo.
+//     DeepSparse and HPX are one backend on a sched.Executor that differs
+//     only in the queue discipline.
 //   - Regent: region/privilege analog — tasks issued in program order by a
 //     serial dependence-analysis pipeline with per-task analysis cost,
 //     batched for index launches and memoized under dynamic tracing.
+//
+// Regent keeps its own channel-fed team rather than running on sched.Executor:
+// its pipeline issues tasks one at a time from the caller's goroutine, and its
+// workers poll only briefly because they share processors with it. On a
+// 2-vCPU host the fine-grain CG ran ~45% slower with the pipeline as a serial
+// chain of executor tasks, and the executor's longer spin alone cost 10%.
 package rt
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"sparsetask/internal/graph"
@@ -38,10 +49,6 @@ type Options struct {
 	// before remote), and the backend tracks locality counters. The zero
 	// value is flat — uniform stealing, no hints, no behavior change.
 	Topo topo.Topology
-	// NUMADomains enables domain-aware scheduling for the HPX backend when
-	// > 1 (the paper's scheduling-hint optimization, §5.1). Deprecated in
-	// favor of Topo, which it maps to when Topo is flat.
-	NUMADomains int
 	// AnalysisCost is the Regent dependence-analysis work per task, in
 	// spin-loop iterations. 0 selects a default calibrated to make analysis
 	// visible but not dominant at small task counts — the paper's observed
@@ -59,40 +66,35 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Runtime executes TDGs. Run performs one full execution of the graph
-// (one solver iteration); iterative solvers call Run repeatedly with a
-// barrier between calls, as all three frameworks do in the paper.
+// Runtime executes TDGs. Prepare binds it to one (TDG, store) pair and
+// returns the handle that executes the graph, once per call to its Run;
+// iterative solvers call Run once per iteration with a barrier between calls,
+// as all three frameworks do in the paper.
 //
-// Run returns nil after every task executed, or ctx's error when the
-// context is cancelled mid-run. Cancellation is observed at task
-// granularity: in-flight kernels finish, no new task starts, and the
-// store is left partially updated — callers must discard it. A nil ctx
-// behaves like context.Background().
-//
-// Implementations are safe for concurrent Run calls from multiple
-// goroutines as long as each call uses its own TDG and store — the
-// serving layer's access pattern (one Runtime per backend, many jobs).
+// A Runtime is safe for concurrent use from multiple goroutines as long as
+// each prepared run has its own TDG and store — the serving layer's access
+// pattern (one Runtime per backend, many jobs).
 type Runtime interface {
 	Name() string
-	Run(ctx context.Context, g *graph.TDG, st *program.Store) error
+	Prepare(g *graph.TDG, st *program.Store) PreparedRun
 }
 
 // PreparedRun is a reusable execution handle binding one runtime to one
-// (TDG, store) pair. Run executes the graph once, with the same semantics as
-// Runtime.Run; unlike Runtime.Run it may reuse scheduler state across calls,
-// so it must not be invoked concurrently with itself. Close releases any
-// resources (e.g. a persistent worker pool) and must be called exactly once
-// when the handle is no longer needed.
+// (TDG, store) pair: scheduler state (dependency counts, queues, the worker
+// team) is built once and reused by every Run.
+//
+// Run executes the graph once. It returns nil after every task executed, or
+// ctx's error when the context is cancelled mid-run. Cancellation is observed
+// at task granularity: in-flight kernels finish, no new task starts, and the
+// store is left partially updated — callers must discard it. A nil ctx
+// behaves like context.Background(). A panicking task is re-raised on Run's
+// caller. Run must not be invoked concurrently with itself.
+//
+// Close releases the handle's resources (e.g. a persistent worker pool) and
+// must be called exactly once when the handle is no longer needed.
 type PreparedRun interface {
 	Run(ctx context.Context) error
 	Close()
-}
-
-// Preparer is implemented by runtimes that can amortize per-Run setup
-// (dependency counts, queues, worker pools) across repeated executions of
-// the same graph — the iterative-solver access pattern.
-type Preparer interface {
-	Prepare(g *graph.TDG, st *program.Store) PreparedRun
 }
 
 // LocalityReporter is implemented by runtimes and prepared runs that track
@@ -104,57 +106,41 @@ type LocalityReporter interface {
 	Locality() sched.LocalityStats
 }
 
-// PrepareRun returns a reusable execution handle for g on r. Runtimes that
-// implement Preparer get their amortized path; anything else falls back to
-// calling r.Run per iteration, so callers can use this unconditionally.
+// PrepareRun returns r.Prepare(g, st); the benchmark module calls it.
 func PrepareRun(r Runtime, g *graph.TDG, st *program.Store) PreparedRun {
-	if p, ok := r.(Preparer); ok {
-		return p.Prepare(g, st)
+	return r.Prepare(g, st)
+}
+
+// backends is the one list of runtime backends, in the paper's order: the
+// name a client or configuration selects each by, and its constructor.
+var backends = []struct {
+	name  string
+	build func(Options) Runtime
+}{
+	{"bsp", func(o Options) Runtime { return NewBSP(o) }},
+	{"deepsparse", NewDeepSparse},
+	{"hpx", NewHPX},
+	{"regent", func(o Options) Runtime { return NewRegent(o) }},
+}
+
+// Backends returns the names ByName accepts, in the paper's order.
+func Backends() []string {
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		names[i] = b.name
 	}
-	return &genericPrepared{r: r, g: g, st: st}
+	return names
 }
 
-type genericPrepared struct {
-	r  Runtime
-	g  *graph.TDG
-	st *program.Store
-}
-
-// Run delegates to the runtime's one-shot path.
-//
-//sparselint:coldcall unamortized fallback: backends reached here rebuild per-run state (BSP plans, Legion-style dependence analysis) whose cost is the runtime overhead the benchmarks measure
-func (p *genericPrepared) Run(ctx context.Context) error { return p.r.Run(ctx, p.g, p.st) }
-
-func (p *genericPrepared) Close() {}
-
-// executorRun adapts a persistent sched.Executor to PreparedRun; it is the
-// shared Prepare implementation for the stealing backends. On Close the
-// executor's locality counters fold into the owning backend's lifetime
-// accumulator.
-type executorRun struct {
-	e   *sched.Executor
-	acc *sched.LocalityAccumulator
-}
-
-func newExecutorRun(g *graph.TDG, body func(int, int32), opt sched.Options, acc *sched.LocalityAccumulator) *executorRun {
-	return &executorRun{e: sched.NewExecutor(len(g.Tasks), indegrees(g),
-		func(i int32) []int32 { return g.Tasks[i].Succs }, g.Roots, body, opt), acc: acc}
-}
-
-func (p *executorRun) Run(ctx context.Context) error { return p.e.Run(ctx) }
-
-// Locality implements LocalityReporter with the live executor counters.
-func (p *executorRun) Locality() sched.LocalityStats { return p.e.Stats() }
-
-func (p *executorRun) Close() {
-	if p.acc != nil {
-		p.acc.Add(p.e.Stats())
+// ByName builds the backend called name.
+func ByName(name string, opt Options) (Runtime, error) {
+	for _, b := range backends {
+		if b.name == name {
+			return b.build(opt), nil
+		}
 	}
-	p.e.Close()
+	return nil, fmt.Errorf("rt: unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
 }
-
-// epochNow returns nanoseconds since the runtime's epoch.
-func epochNow(epoch time.Time) int64 { return time.Since(epoch).Nanoseconds() }
 
 // taskBody returns the task execution closure, wrapping kernels.Exec with
 // trace recording when enabled.
@@ -166,31 +152,13 @@ func taskBody(g *graph.TDG, st *program.Store, rec *trace.Recorder, epoch time.T
 	}
 	return func(w int, id int32) {
 		t := &g.Tasks[id]
-		s := epochNow(epoch)
+		s := time.Since(epoch).Nanoseconds()
 		kernels.Exec(g, t, st)
-		e := epochNow(epoch)
+		e := time.Since(epoch).Nanoseconds()
 		rec.Record(w, trace.Event{
 			Task: id, Call: t.Call,
 			Kernel: g.Prog.Calls[t.Call].Name,
 			Start:  s, End: e,
 		})
 	}
-}
-
-// applyTopo wires a topology profile into executor options: the profile
-// itself plus the graph's row-band→domain affinity map sized to the
-// effective domain count (nil when the shape is flat, disabling routing
-// entirely).
-func applyTopo(opt *sched.Options, tp topo.Topology, g *graph.TDG) {
-	opt.Topo = tp
-	opt.Affinity = g.DomainAffinity(tp.DomainCount(opt.Workers))
-}
-
-// indegrees extracts the initial dependency counts of a TDG.
-func indegrees(g *graph.TDG) []int32 {
-	ind := make([]int32, len(g.Tasks))
-	for i := range g.Tasks {
-		ind[i] = int32(len(g.Tasks[i].Deps))
-	}
-	return ind
 }

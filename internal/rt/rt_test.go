@@ -112,13 +112,25 @@ func storesEqual(t *testing.T, name string, a, b *program.Store) {
 	}
 }
 
+// allRuntimes builds every backend Backends lists, so no test can leave one
+// out.
 func allRuntimes(opt Options) []Runtime {
-	return []Runtime{
-		NewBSP(opt),
-		NewDeepSparse(opt),
-		NewHPX(opt),
-		NewRegent(opt),
+	var rs []Runtime
+	for _, name := range Backends() {
+		r, err := ByName(name, opt)
+		if err != nil {
+			panic(err)
+		}
+		rs = append(rs, r)
 	}
+	return rs
+}
+
+// runOnce executes g on r once: Prepare, Run, Close.
+func runOnce(ctx context.Context, r Runtime, g *graph.TDG, st *program.Store) error {
+	p := r.Prepare(g, st)
+	defer p.Close()
+	return p.Run(ctx)
 }
 
 func TestAllRuntimesMatchSequential(t *testing.T) {
@@ -127,7 +139,7 @@ func TestAllRuntimesMatchSequential(t *testing.T) {
 	kernels.RunSequential(g, ref)
 	for _, r := range allRuntimes(Options{Workers: 4}) {
 		st := mk()
-		r.Run(context.Background(), g, st)
+		runOnce(context.Background(), r, g, st)
 		storesEqual(t, r.Name(), ref, st)
 	}
 }
@@ -144,7 +156,7 @@ func TestRuntimesRepeatedIterations(t *testing.T) {
 	for _, r := range allRuntimes(Options{Workers: 3}) {
 		st := mk()
 		for it := 0; it < 5; it++ {
-			r.Run(context.Background(), g, st)
+			runOnce(context.Background(), r, g, st)
 		}
 		storesEqual(t, r.Name(), ref, st)
 	}
@@ -154,9 +166,9 @@ func TestHPXNUMADomains(t *testing.T) {
 	g, mk := testProblem(t, 60, 6, 2, 3)
 	ref := mk()
 	kernels.RunSequential(g, ref)
-	r := NewHPX(Options{Workers: 4, NUMADomains: 2})
+	r := NewHPX(Options{Workers: 4, Topo: topo.Broadwell()})
 	st := mk()
-	r.Run(context.Background(), g, st)
+	runOnce(context.Background(), r, g, st)
 	storesEqual(t, "hpx-numa", ref, st)
 }
 
@@ -178,7 +190,7 @@ func TestTopologyRuntimesMatchSequential(t *testing.T) {
 		} {
 			st := mk()
 			for it := 0; it < 3; it++ {
-				if err := r.Run(context.Background(), g, st); err != nil {
+				if err := runOnce(context.Background(), r, g, st); err != nil {
 					t.Fatalf("%s/%s: %v", r.Name(), tp, err)
 				}
 			}
@@ -213,7 +225,7 @@ func TestPreparedRunReportsLocality(t *testing.T) {
 	}
 	p.Close()
 	// Close folds the handle's counters into the runtime's lifetime total.
-	if got, want := r.Locality().Tasks(), int64(2*len(g.Tasks)); got != want {
+	if got, want := r.(LocalityReporter).Locality().Tasks(), int64(2*len(g.Tasks)); got != want {
 		t.Errorf("runtime lifetime locality counted %d tasks, want %d", got, want)
 	}
 }
@@ -221,7 +233,7 @@ func TestPreparedRunReportsLocality(t *testing.T) {
 func TestRegentIndexLaunchSkipsAnalysis(t *testing.T) {
 	g, mk := testProblem(t, 60, 6, 2, 4)
 	r := NewRegent(Options{Workers: 2, AnalysisCost: 10})
-	r.Run(context.Background(), g, mk())
+	runOnce(context.Background(), r, g, mk())
 	withIL := r.LastAnalyzed
 	if withIL >= len(g.Tasks) {
 		t.Errorf("analyzed %d of %d tasks; index launch should have skipped some", withIL, len(g.Tasks))
@@ -239,7 +251,7 @@ func TestRegentDynamicTracing(t *testing.T) {
 	st := mk()
 	// The memo lives in the prepared run: its first Run analyses, later ones
 	// replay.
-	pr := PrepareRun(r, g, st)
+	pr := r.Prepare(g, st)
 	defer pr.Close()
 	if err := pr.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -254,11 +266,11 @@ func TestRegentDynamicTracing(t *testing.T) {
 	if first == 0 {
 		t.Error("first run analyzed 0 tasks")
 	}
-	// Runtime.Run is one-shot: nothing is retained between calls, so a graph
-	// it has run before is analysed again.
+	// A fresh handle retains nothing, so a graph it has run before is analysed
+	// again.
 	oneShot := mk()
-	r.Run(context.Background(), g, oneShot)
-	r.Run(context.Background(), g, oneShot)
+	runOnce(context.Background(), r, g, oneShot)
+	runOnce(context.Background(), r, g, oneShot)
 	if r.LastAnalyzed != first {
 		t.Errorf("one-shot rerun analyzed %d tasks, want %d", r.LastAnalyzed, first)
 	}
@@ -270,16 +282,11 @@ func TestRegentDynamicTracing(t *testing.T) {
 }
 
 func TestTraceRecorderCapturesAllTasks(t *testing.T) {
-	for _, mkrt := range []func(Options) Runtime{
-		func(o Options) Runtime { return NewBSP(o) },
-		func(o Options) Runtime { return NewDeepSparse(o) },
-		func(o Options) Runtime { return NewHPX(o) },
-		func(o Options) Runtime { return NewRegent(o) },
-	} {
+	for _, name := range Backends() {
 		g, mk := testProblem(t, 40, 8, 2, 6)
 		rec := trace.NewRecorder(3)
-		r := mkrt(Options{Workers: 3, Recorder: rec})
-		r.Run(context.Background(), g, mk())
+		r, _ := ByName(name, Options{Workers: 3, Recorder: rec})
+		runOnce(context.Background(), r, g, mk())
 		evs := rec.Events()
 		if len(evs) != len(g.Tasks) {
 			t.Errorf("%s: recorded %d events, want %d", r.Name(), len(evs), len(g.Tasks))
@@ -301,7 +308,7 @@ func TestBSPBarrierOrdering(t *testing.T) {
 	g, mk := testProblem(t, 60, 6, 2, 7)
 	rec := trace.NewRecorder(4)
 	r := NewBSP(Options{Workers: 4, Recorder: rec})
-	r.Run(context.Background(), g, mk())
+	runOnce(context.Background(), r, g, mk())
 	evs := rec.Events()
 	// End of the last event of call c must precede start of first of c+1...
 	// except serial tasks share worker time; compare per call boundaries.
@@ -332,7 +339,7 @@ func TestScaleInvProducesUnitNorm(t *testing.T) {
 	g, mk := testProblem(t, 60, 13, 3, 8)
 	r := NewDeepSparse(Options{Workers: 4})
 	st := mk()
-	r.Run(context.Background(), g, st)
+	runOnce(context.Background(), r, g, st)
 	// W = Y/||Y|| so ||W|| == 1.
 	var s float64
 	for _, v := range st.Vec[7] { // W is operand 7 in construction order
@@ -372,13 +379,13 @@ func TestTaskPanicPropagatesToCaller(t *testing.T) {
 					t.Errorf("%s: panic value %v, want kaboom", r.Name(), rec)
 				}
 			}()
-			r.Run(context.Background(), g, st)
+			runOnce(context.Background(), r, g, st)
 		}()
 	}
 	// The process must remain healthy: a fresh run on a healthy graph works.
 	g, mk := testProblem(t, 40, 8, 2, 99)
 	for _, r := range allRuntimes(Options{Workers: 3}) {
-		r.Run(context.Background(), g, mk())
+		runOnce(context.Background(), r, g, mk())
 	}
 }
 
@@ -389,7 +396,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 		g, mk := testProblem(t, 60, 6, 2, 21)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := r.Run(ctx, g, mk()); !errors.Is(err, context.Canceled) {
+		if err := runOnce(ctx, r, g, mk()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run with pre-cancelled ctx returned %v, want context.Canceled", r.Name(), err)
 		}
 	}
@@ -400,13 +407,7 @@ func TestRunMidExecutionCancellation(t *testing.T) {
 	// step 2 cancels the context. Every runtime must stop short of the end of
 	// the chain and report the context error. The post-cancel steps sleep a
 	// little so the shutdown path has time to land even on a loaded machine.
-	for _, mkrt := range []func(Options) Runtime{
-		func(o Options) Runtime { return NewBSP(o) },
-		func(o Options) Runtime { return NewDeepSparse(o) },
-		func(o Options) Runtime { return NewHPX(o) },
-		func(o Options) Runtime { return NewRegent(o) },
-	} {
-		r := mkrt(Options{Workers: 3})
+	for _, r := range allRuntimes(Options{Workers: 3}) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const steps = 32
 		var ran atomic.Int32
@@ -430,7 +431,7 @@ func TestRunMidExecutionCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = r.Run(ctx, g, program.NewStore(p))
+		err = runOnce(ctx, r, g, program.NewStore(p))
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run returned %v, want context.Canceled", r.Name(), err)
@@ -464,7 +465,7 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				errs[j] = r.Run(context.Background(), graphs[j], stores[j])
+				errs[j] = runOnce(context.Background(), r, graphs[j], stores[j])
 			}(j)
 		}
 		wg.Wait()
@@ -476,7 +477,7 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 		}
 	}
 	// Regent with tracing on: the memo is per prepared run, so concurrent
-	// one-shot runs share nothing but LastAnalyzed.
+	// handles share nothing but LastAnalyzed.
 	r := NewRegent(Options{Workers: 2, DynamicTracing: true, AnalysisCost: 10})
 	g, mk := testProblem(t, 40, 8, 2, 200)
 	var wg sync.WaitGroup
@@ -485,13 +486,13 @@ func TestConcurrentRunSingleRuntimeInstance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			g2, mk2 := testProblem(t, 30, 6, 2, 201)
-			if err := r.Run(context.Background(), g2, mk2()); err != nil {
+			if err := runOnce(context.Background(), r, g2, mk2()); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if err := r.Run(context.Background(), g, mk()); err != nil {
+	if err := runOnce(context.Background(), r, g, mk()); err != nil {
 		t.Fatal(err)
 	}
 }

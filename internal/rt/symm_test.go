@@ -98,7 +98,7 @@ func TestSymBackendsBitIdentical(t *testing.T) {
 				for _, r := range allRuntimes(Options{Workers: 4, Topo: tp}) {
 					st := mk()
 					for it := 0; it < 3; it++ {
-						if err := r.Run(context.Background(), g, st); err != nil {
+						if err := runOnce(context.Background(), r, g, st); err != nil {
 							t.Fatalf("%s/%s/%s n=%d: %v", name, r.Name(), tp, n, err)
 						}
 					}
@@ -152,7 +152,7 @@ func TestSymFallbackAccumulatorStress(t *testing.T) {
 	kernels.RunSequential(g, ref)
 	for _, r := range allRuntimes(Options{Workers: 8}) {
 		st := mk()
-		pr := PrepareRun(r, g, st)
+		pr := r.Prepare(g, st)
 		for it := 0; it < 20; it++ {
 			// Reset X so every run recomputes the same values over the live
 			// accumulator buffers.

@@ -61,7 +61,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 				if fuse {
 					g = graph.Fuse(g)
 				}
-				pr := PrepareRun(r, g, st)
+				pr := r.Prepare(g, st)
 				func() {
 					defer func() {
 						if rec := recover(); (rec != nil) != (mode == "panic") {
@@ -112,7 +112,7 @@ func TestPreparedRunSurvivesAShortRun(t *testing.T) {
 			}
 			g, st := lifecycleProblem(t, step)
 			g = graph.Fuse(g)
-			pr := PrepareRun(r, g, st)
+			pr := r.Prepare(g, st)
 			func() {
 				defer func() { _ = recover() }()
 				_ = pr.Run(ctx)

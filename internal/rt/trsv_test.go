@@ -110,22 +110,10 @@ func TestTrsvAllBackendsBitIdentical(t *testing.T) {
 	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
 	for _, workers := range []int{1, 4} {
 		for _, tp := range topos {
-			for _, backend := range []string{"bsp", "deepsparse", "hpx", "regent"} {
-				name := fmt.Sprintf("%s/%s/w%d", backend, tp.Name, workers)
-				var r Runtime
-				opt := Options{Workers: workers, Topo: tp}
-				switch backend {
-				case "bsp":
-					r = NewBSP(opt)
-				case "deepsparse":
-					r = NewDeepSparse(opt)
-				case "hpx":
-					r = NewHPX(opt)
-				case "regent":
-					r = NewRegent(opt)
-				}
+			for _, r := range allRuntimes(Options{Workers: workers, Topo: tp}) {
+				name := fmt.Sprintf("%s/%s/w%d", r.Name(), tp.Name, workers)
 				st := mk()
-				if err := r.Run(context.Background(), g, st); err != nil {
+				if err := runOnce(context.Background(), r, g, st); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for i := range want {
@@ -163,7 +151,7 @@ func TestTrsvMemoizedLevelsMatchScan(t *testing.T) {
 		}
 	}
 	st := mk()
-	if err := NewDeepSparse(Options{Workers: 3}).Run(context.Background(), gb, st); err != nil {
+	if err := runOnce(context.Background(), NewDeepSparse(Options{Workers: 3}), gb, st); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -178,7 +166,7 @@ func TestTrsvMemoizedLevelsMatchScan(t *testing.T) {
 func TestTrsvPreparedReuse(t *testing.T) {
 	g, mk, want := trsvProblem(t, 12, 6, false)
 	st := mk()
-	pr := PrepareRun(NewDeepSparse(Options{Workers: 4}), g, st)
+	pr := NewDeepSparse(Options{Workers: 4}).Prepare(g, st)
 	defer pr.Close()
 	for run := 0; run < 3; run++ {
 		if err := pr.Run(context.Background()); err != nil {

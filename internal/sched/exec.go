@@ -45,9 +45,6 @@ type Options struct {
 	// ready tasks produced outside their preferred domain are routed to that
 	// domain's inbox (HPX scheduling-hint analog). Nil disables routing.
 	Affinity func(task int32) int
-	// InitialOrder optionally reorders root submission (DeepSparse submits
-	// in depth-first topological order). Nil keeps natural order.
-	InitialOrder []int32
 }
 
 // RunGraph executes a dependency graph: n tasks, indeg[i] initial dependency
@@ -105,7 +102,7 @@ type Executor struct {
 	succs func(int32) []int32
 	exec  func(int, int32)
 	aff   func(int32) int
-	order []int32 // root submission order
+	roots []int32 // in submission order
 	indeg []int32
 
 	domOf    []int // worker -> domain
@@ -142,12 +139,12 @@ const haltedTotal = math.MinInt64 / 2
 // a cache line. Written only by the owning worker during a run; reading is
 // safe once Run has returned (the helpers' check-out orders the writes).
 type worker struct {
-	workerStats
-	ran    int64 // tasks executed in the current run
-	folded int64 // of those, already subtracted from total
-	rng    uint64
-	ready  []int32
-	_      [48]byte
+	LocalityStats       // cumulative over runs until ResetStats
+	ran           int64 // tasks executed in the current run
+	folded        int64 // of those, already subtracted from total
+	rng           uint64
+	ready         []int32
+	_             [48]byte
 }
 
 // inbox is a per-domain FIFO for cross-domain affinity routing. The Chase–Lev
@@ -220,10 +217,6 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 	if n == 0 {
 		nw = 1
 	}
-	order := roots
-	if opt.InitialOrder != nil {
-		order = opt.InitialOrder
-	}
 	counts := opt.Topo.Partition(nw)
 	ndom := len(counts)
 	e := &Executor{
@@ -234,7 +227,7 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 		succs:    succs,
 		exec:     exec,
 		aff:      opt.Affinity,
-		order:    order,
+		roots:    roots,
 		indeg:    append([]int32(nil), indeg...),
 		domOf:    make([]int, nw),
 		domStart: make([]int, ndom),
@@ -348,7 +341,7 @@ func (e *Executor) reset() {
 	// restart with the run, so every run places its roots identically. The
 	// stealing protocol handles the rest.
 	clear(e.rootrr)
-	for k, t := range e.order {
+	for k, t := range e.roots {
 		w := k % e.nw
 		if e.aff != nil {
 			if d := e.aff(t); d >= 0 {
@@ -435,11 +428,11 @@ func (e *Executor) take(w int) (int32, int, bool) {
 				continue
 			}
 			if t, ok := e.deques[v].Steal(); ok {
-				ws.stealsDom++
+				ws.StealsDomain++
 				e.stealHalf(w, v)
 				return t, tierDomain, true
 			}
-			ws.stealFails++
+			ws.StealFails++
 		}
 	}
 	if e.ndom == 1 {
@@ -455,14 +448,14 @@ func (e *Executor) take(w int) (int32, int, bool) {
 		}
 		for v := e.domStart[d]; v < e.domEnd[d]; v++ {
 			if t, ok := e.deques[v].Steal(); ok {
-				ws.stealsRem++
+				ws.StealsRemote++
 				e.stealHalf(w, v)
 				return t, tierRemote, true
 			}
-			ws.stealFails++
+			ws.StealFails++
 		}
 		if t, ok := e.inbox[d].get(); ok {
-			ws.stealsRem++
+			ws.StealsRemote++
 			return t, tierRemote, true
 		}
 	}
@@ -545,7 +538,7 @@ func (e *Executor) runWorker(w int) {
 			}
 			continue
 		}
-		ws.spins++
+		ws.Spins++
 		if !Spin(idle) {
 			e.park(w)
 			idle = -1
@@ -571,7 +564,7 @@ func (e *Executor) park(w int) {
 		e.runChain(w, t, tier)
 		return
 	}
-	e.ws[w].parks++
+	e.ws[w].Parks++
 	e.gate.wait(key)
 }
 
@@ -588,19 +581,19 @@ func (e *Executor) runChain(w int, t int32, tier int) {
 	for {
 		switch tier {
 		case tierLocal:
-			ws.local++
+			ws.Local++
 		case tierDomain:
-			ws.domain++
+			ws.Domain++
 		default:
-			ws.remote++
+			ws.Remote++
 		}
 		if e.aff != nil {
 			if d := e.aff(t); d < 0 {
-				ws.affNon++
+				ws.AffinityNone++
 			} else if d%e.ndom == myDom {
-				ws.affLocal++
+				ws.AffinityLocal++
 			} else {
-				ws.affRem++
+				ws.AffinityRemote++
 			}
 		}
 		e.exec(w, t)
@@ -640,7 +633,7 @@ func (e *Executor) runChain(w int, t int32, tier int) {
 				e.route(w, s)
 			}
 			if e.gate.Notify() {
-				ws.wakes++
+				ws.Wakes++
 			}
 		}
 		if next < 0 {

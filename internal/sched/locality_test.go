@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,5 +202,47 @@ func TestStatsResetAndFlatMode(t *testing.T) {
 	want := LocalityStats{Local: 3, Remote: 1, StealsRemote: 1, AffinityLocal: 2, AffinityRemote: 2}
 	if got != want {
 		t.Fatalf("accumulator snapshot = %+v, want %+v", got, want)
+	}
+}
+
+// scaledStats is k times a fixed twelve-counter step: field i holds i·k.
+func scaledStats(k int64) LocalityStats {
+	return LocalityStats{k, 2 * k, 3 * k, 4 * k, 5 * k, 6 * k, 7 * k, 8 * k, 9 * k, 10 * k, 11 * k, 12 * k}
+}
+
+// TestLocalityAccumulatorConcurrent: backends fold closing runs into their
+// accumulator while /metrics snapshots it. Under -race, concurrent Add and
+// Snapshot must end at exact totals, and every snapshot must be a whole
+// number of adds — no counter ahead of another.
+func TestLocalityAccumulatorConcurrent(t *testing.T) {
+	const writers, adds = 4, 500
+	var acc LocalityAccumulator
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				acc.Add(scaledStats(1))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if got := acc.Snapshot(); got != scaledStats(got.Local) {
+			t.Fatalf("torn snapshot %+v", got)
+		}
+	}
+	if got, want := acc.Snapshot(), scaledStats(writers*adds); got != want {
+		t.Fatalf("accumulator = %+v, want %+v", got, want)
 	}
 }

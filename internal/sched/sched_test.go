@@ -224,17 +224,17 @@ func TestRunGraphDomains(t *testing.T) {
 }
 
 func TestRunGraphInitialOrder(t *testing.T) {
-	// InitialOrder replaces root submission order; execution must still run
-	// everything exactly once.
+	// The roots argument is the submission order, whatever it is; execution
+	// must still run everything exactly once.
 	n, indeg, succs, roots := chainGraph(5, 4)
 	rev := make([]int32, len(roots))
 	for i, r := range roots {
 		rev[len(roots)-1-i] = r
 	}
 	var count atomic.Int64
-	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, roots,
+	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, rev,
 		func(w int, task int32) { count.Add(1) },
-		Options{Workers: 2, InitialOrder: rev})
+		Options{Workers: 2})
 	if count.Load() != int64(n) {
 		t.Fatalf("executed %d, want %d", count.Load(), n)
 	}

@@ -1,6 +1,6 @@
 package sched
 
-import "sync/atomic"
+import "sync"
 
 // LocalityStats is the exported snapshot of the executor's per-worker
 // locality counters, aggregated over workers and (for a live Executor) over
@@ -73,59 +73,26 @@ func (s *LocalityStats) Add(o LocalityStats) {
 	s.Wakes += o.Wakes
 }
 
-// LocalityAccumulator aggregates LocalityStats across executors with atomic
-// adds — the lifetime counter a runtime backend keeps as its prepared runs
-// close, safe to snapshot concurrently (e.g. from a /metrics handler).
+// LocalityAccumulator is a runtime backend's lifetime LocalityStats: written
+// when a prepared run closes (a few times per job) and read by /metrics, so a
+// mutex around one LocalityStats is all it needs.
 type LocalityAccumulator struct {
-	local, domain, remote    atomic.Int64
-	stealsDom, stealsRem     atomic.Int64
-	affLocal, affRem, affNon atomic.Int64
-	stealFails, spins        atomic.Int64
-	parks, wakes             atomic.Int64
+	mu sync.Mutex
+	s  LocalityStats
 }
 
 // Add folds a snapshot into the accumulator.
 func (a *LocalityAccumulator) Add(s LocalityStats) {
-	a.local.Add(s.Local)
-	a.domain.Add(s.Domain)
-	a.remote.Add(s.Remote)
-	a.stealsDom.Add(s.StealsDomain)
-	a.stealsRem.Add(s.StealsRemote)
-	a.affLocal.Add(s.AffinityLocal)
-	a.affRem.Add(s.AffinityRemote)
-	a.affNon.Add(s.AffinityNone)
-	a.stealFails.Add(s.StealFails)
-	a.spins.Add(s.Spins)
-	a.parks.Add(s.Parks)
-	a.wakes.Add(s.Wakes)
+	a.mu.Lock()
+	a.s.Add(s)
+	a.mu.Unlock()
 }
 
 // Snapshot returns the accumulated totals.
 func (a *LocalityAccumulator) Snapshot() LocalityStats {
-	return LocalityStats{
-		Local:          a.local.Load(),
-		Domain:         a.domain.Load(),
-		Remote:         a.remote.Load(),
-		StealsDomain:   a.stealsDom.Load(),
-		StealsRemote:   a.stealsRem.Load(),
-		AffinityLocal:  a.affLocal.Load(),
-		AffinityRemote: a.affRem.Load(),
-		AffinityNone:   a.affNon.Load(),
-		StealFails:     a.stealFails.Load(),
-		Spins:          a.spins.Load(),
-		Parks:          a.parks.Load(),
-		Wakes:          a.wakes.Load(),
-	}
-}
-
-// workerStats is the counter half of a worker's private block (see worker,
-// which pads it): cumulative over runs until ResetStats.
-type workerStats struct {
-	local, domain, remote    int64
-	stealsDom, stealsRem     int64
-	affLocal, affRem, affNon int64
-	stealFails, spins        int64
-	parks, wakes             int64
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.s
 }
 
 // Stats aggregates the per-worker locality counters. Call it between runs
@@ -134,19 +101,7 @@ type workerStats struct {
 func (e *Executor) Stats() LocalityStats {
 	var s LocalityStats
 	for i := range e.ws {
-		w := &e.ws[i].workerStats
-		s.Local += w.local
-		s.Domain += w.domain
-		s.Remote += w.remote
-		s.StealsDomain += w.stealsDom
-		s.StealsRemote += w.stealsRem
-		s.AffinityLocal += w.affLocal
-		s.AffinityRemote += w.affRem
-		s.AffinityNone += w.affNon
-		s.StealFails += w.stealFails
-		s.Spins += w.spins
-		s.Parks += w.parks
-		s.Wakes += w.wakes
+		s.Add(e.ws[i].LocalityStats)
 	}
 	return s
 }
@@ -155,6 +110,6 @@ func (e *Executor) Stats() LocalityStats {
 // Stats: only between runs.
 func (e *Executor) ResetStats() {
 	for i := range e.ws {
-		e.ws[i].workerStats = workerStats{}
+		e.ws[i].LocalityStats = LocalityStats{}
 	}
 }

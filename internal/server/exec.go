@@ -14,7 +14,6 @@ import (
 	"sparsetask/internal/rt"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 // Cost-model constants for the analytic autotune evaluator. Only relative
@@ -27,22 +26,6 @@ const (
 	defaultSolverK = 6
 	defaultJobSeed = 1
 )
-
-// newRuntime constructs a backend. Backend names are validated at admission.
-func newRuntime(backend string, workers int, tp topo.Topology) rt.Runtime {
-	opt := rt.Options{Workers: workers, Topo: tp}
-	switch backend {
-	case "bsp":
-		return rt.NewBSP(opt)
-	case "deepsparse":
-		return rt.NewDeepSparse(opt)
-	case "hpx":
-		return rt.NewHPX(opt)
-	case "regent":
-		return rt.NewRegent(opt)
-	}
-	panic(fmt.Sprintf("server: unknown backend %q", backend))
-}
 
 // effectiveWorkers resolves a job's runtime worker count.
 func (e *Engine) effectiveWorkers(spec JobSpec) int {
@@ -449,7 +432,10 @@ func (e *Engine) runtimeFor(backend string, workers int) rt.Runtime {
 	k := runtimeKey{backend, workers}
 	r, ok := e.runtimes[k]
 	if !ok {
-		r = newRuntime(backend, workers, e.topo)
+		var err error
+		if r, err = rt.ByName(backend, rt.Options{Workers: workers, Topo: e.topo}); err != nil {
+			panic(err) // backend names are validated at admission
+		}
 		e.runtimes[k] = r
 	}
 	return r

@@ -21,11 +21,13 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"sparsetask/internal/matgen"
+	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
 )
 
@@ -108,10 +110,8 @@ func (s *JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("solver must be lanczos, lobpcg, cg, or pcg, got %q", s.Solver)
 	}
-	switch s.Backend {
-	case "bsp", "deepsparse", "hpx", "regent":
-	default:
-		return fmt.Errorf("backend must be bsp, deepsparse, hpx, or regent, got %q", s.Backend)
+	if !slices.Contains(rt.Backends(), s.Backend) {
+		return fmt.Errorf("backend must be one of %s, got %q", strings.Join(rt.Backends(), ", "), s.Backend)
 	}
 	hasSuite, hasMM := s.Matrix.Suite != "", s.Matrix.MM != ""
 	if hasSuite == hasMM {

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparsetask/internal/rt"
 )
 
 // diag4 is a 4x4 diagonal matrix with spectrum {1, 2, 3, 4}: small enough to
@@ -476,7 +478,7 @@ func TestAllSolversAndBackends(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, RTWorkers: 2})
 	var ids []string
 	for _, solver := range []string{"lanczos", "lobpcg", "cg", "pcg"} {
-		for _, backend := range []string{"bsp", "deepsparse", "hpx", "regent"} {
+		for _, backend := range rt.Backends() {
 			extra := ""
 			if solver == "lobpcg" {
 				extra = `"k":1,"iters":10`
@@ -493,8 +495,30 @@ func TestAllSolversAndBackends(t *testing.T) {
 			t.Errorf("job %s (%s/%s): state %s, err %q", id, v.Solver, v.Backend, v.State, v.Error)
 		}
 	}
-	if m := getMetrics(t, ts); m.Jobs.Done != 16 {
-		t.Errorf("done = %d, want 16", m.Jobs.Done)
+	if m, want := getMetrics(t, ts), int64(len(ids)); m.Jobs.Done != want {
+		t.Errorf("done = %d, want %d", m.Jobs.Done, want)
+	}
+}
+
+// TestBackendListIsTheAdmissionList: every backend rt lists is admitted and
+// builds under its own name; a name it does not list is refused by both.
+func TestBackendListIsTheAdmissionList(t *testing.T) {
+	spec := func(backend string) JobSpec {
+		return JobSpec{Solver: "cg", Backend: backend, Matrix: MatrixSpec{Suite: "inline1"}}
+	}
+	for _, name := range rt.Backends() {
+		if s := spec(name); s.Validate() != nil {
+			t.Errorf("%s: refused at admission: %v", name, s.Validate())
+		}
+		if r, err := rt.ByName(name, rt.Options{Workers: 1}); err != nil || r.Name() != name {
+			t.Errorf("%s: ByName built %v, %v", name, r, err)
+		}
+	}
+	if s := spec("serial"); s.Validate() == nil {
+		t.Error("unknown backend admitted")
+	}
+	if _, err := rt.ByName("serial", rt.Options{}); err == nil {
+		t.Error("ByName built an unknown backend")
 	}
 }
 

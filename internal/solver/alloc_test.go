@@ -38,7 +38,7 @@ func TestLanczosSteadyIterationAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.initState(1)
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), l.g, l.st)
+			pr := rt.NewDeepSparse(rt.Options{Workers: tc.workers}).Prepare(l.g, l.st)
 			defer pr.Close()
 			ctx := context.Background()
 			var res Result
@@ -71,7 +71,7 @@ func TestLOBPCGSteadyIterationAllocs(t *testing.T) {
 			if err := l.initState(1); err != nil {
 				t.Fatal(err)
 			}
-			pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), l.g, l.st)
+			pr := rt.NewDeepSparse(rt.Options{Workers: tc.workers}).Prepare(l.g, l.st)
 			defer pr.Close()
 			ctx := context.Background()
 			step := func() {
@@ -107,14 +107,14 @@ func TestKrylovSteadyIterationAllocs(t *testing.T) {
 		for _, m := range []*precond.IC0{nil, ic} {
 			for _, tc := range allocWorkerCases() {
 				opt := rt.Options{Workers: tc.workers, AnalysisCost: 1}
-				for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
+				for _, r := range allBackends(opt) {
 					t.Run(fmt.Sprintf("k=%d/pcg=%v/%s/%s", k, m != nil, r.Name(), tc.name), func(t *testing.T) {
 						c, err := newKrylov("test", a, m, k, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						c.initState(batchRHS(n, k, 3))
-						pr := rt.PrepareRun(r, c.g, c.st)
+						pr := r.Prepare(c.g, c.st)
 						defer pr.Close()
 						ctx := context.Background()
 						step := func() {
@@ -148,7 +148,7 @@ func TestBSPPreparedSteadyIterationAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.initState(1)
-			pr := rt.PrepareRun(rt.NewBSP(rt.Options{Workers: tc.workers}), l.g, l.st)
+			pr := rt.NewBSP(rt.Options{Workers: tc.workers}).Prepare(l.g, l.st)
 			defer pr.Close()
 			ctx := context.Background()
 			var res Result

@@ -362,7 +362,7 @@ func (c *krylov) Solve(ctx context.Context, r rt.Runtime, bs [][]float64) ([]Bat
 	}
 	c.initState(bs)
 	if c.state.nact > 0 {
-		pr := rt.PrepareRun(r, c.g, c.st)
+		pr := r.Prepare(c.g, c.st)
 		defer pr.Close()
 		for it := 1; it <= c.MaxIter; it++ {
 			c.state.it = it

@@ -8,6 +8,7 @@ import (
 	"sparsetask/internal/blas"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
+	"sparsetask/internal/topo"
 )
 
 func residual(a *sparse.CSR, x, b []float64) float64 {
@@ -71,7 +72,7 @@ func TestCGAllRuntimesAgree(t *testing.T) {
 	for _, r := range []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
-		rt.NewHPX(rt.Options{Workers: 3, NUMADomains: 2}),
+		rt.NewHPX(rt.Options{Workers: 3, Topo: topo.Broadwell()}),
 		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
 	} {
 		cg, err := NewCG(coo.ToCSB(10))

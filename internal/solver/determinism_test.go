@@ -18,23 +18,12 @@ import (
 func TestLanczosDeterministicAcrossTopologies(t *testing.T) {
 	coo := randomSPD(120, 7)
 	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
-	backends := []string{"deepsparse", "hpx", "regent"}
 	for _, seed := range []int64{1, 42} {
 		var want []float64
 		var wantFrom string
 		for _, tp := range topos {
-			for _, backend := range backends {
-				name := fmt.Sprintf("%s/%s/seed%d", backend, tp.Name, seed)
-				var r rt.Runtime
-				opt := rt.Options{Workers: 4, Topo: tp}
-				switch backend {
-				case "deepsparse":
-					r = rt.NewDeepSparse(opt)
-				case "hpx":
-					r = rt.NewHPX(opt)
-				case "regent":
-					r = rt.NewRegent(opt)
-				}
+			for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
+				name := fmt.Sprintf("%s/%s/seed%d", r.Name(), tp.Name, seed)
 				l, err := NewLanczos(coo.ToCSB(12), 25)
 				if err != nil {
 					t.Fatal(err)

@@ -101,7 +101,7 @@ func TestFusedSolversBitIdentical(t *testing.T) {
 			}
 			for _, w := range []int{1, 2, 4} {
 				opt := rt.Options{Workers: w, AnalysisCost: 1}
-				for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
+				for _, r := range allBackends(opt) {
 					name := fmt.Sprintf("%s on %T, %s, %d workers", c.name, a, r.Name(), w)
 					got, err := c.run(r, false)
 					if err != nil {

@@ -164,7 +164,7 @@ func (l *Lanczos) Run(ctx context.Context, r rt.Runtime, seed int64) (Result, er
 		r = rt.NewBSP(rt.Options{Workers: 1})
 	}
 	l.initState(seed)
-	pr := rt.PrepareRun(r, l.g, l.st)
+	pr := r.Prepare(l.g, l.st)
 	defer pr.Close()
 	var res Result
 	for it := 1; it <= l.K; it++ {

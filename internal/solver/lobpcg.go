@@ -361,7 +361,7 @@ func (l *LOBPCG) Run(ctx context.Context, r rt.Runtime, seed int64, iters int) (
 	if err := l.initState(seed); err != nil {
 		return Result{}, err
 	}
-	pr := rt.PrepareRun(r, l.g, l.st)
+	pr := r.Prepare(l.g, l.st)
 	defer pr.Close()
 	var res Result
 	for it := 1; it <= maxIter; it++ {

@@ -182,25 +182,12 @@ func TestPCGDeterministicAcrossTopologies(t *testing.T) {
 	}
 	b := RandomRHS(coo.Rows, 3)
 	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
-	backends := []string{"bsp", "deepsparse", "hpx", "regent"}
 	var want []float64
 	wantIters := 0
 	var wantFrom string
 	for _, tp := range topos {
-		for _, backend := range backends {
-			name := fmt.Sprintf("%s/%s", backend, tp.Name)
-			opt := rt.Options{Workers: 4, Topo: tp}
-			var r rt.Runtime
-			switch backend {
-			case "bsp":
-				r = rt.NewBSP(opt)
-			case "deepsparse":
-				r = rt.NewDeepSparse(opt)
-			case "hpx":
-				r = rt.NewHPX(opt)
-			case "regent":
-				r = rt.NewRegent(opt)
-			}
+		for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
+			name := fmt.Sprintf("%s/%s", r.Name(), tp.Name)
 			c, err := NewPCG(coo.ToCSB(24), m)
 			if err != nil {
 				t.Fatal(err)

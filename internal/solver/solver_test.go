@@ -8,7 +8,22 @@ import (
 
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
+	"sparsetask/internal/topo"
 )
+
+// allBackends builds every rt backend with opt, in rt.Backends order, so no
+// test can leave one out.
+func allBackends(opt rt.Options) []rt.Runtime {
+	var rs []rt.Runtime
+	for _, name := range rt.Backends() {
+		r, err := rt.ByName(name, opt)
+		if err != nil {
+			panic(err)
+		}
+		rs = append(rs, r)
+	}
+	return rs
+}
 
 // laplacian1D returns the n×n 1D Laplacian (tridiagonal 2,-1) whose
 // eigenvalues are known in closed form: 2 − 2cos(kπ/(n+1)).
@@ -106,7 +121,7 @@ func TestLanczosAllRuntimesAgree(t *testing.T) {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 2}),
-		rt.NewHPX(rt.Options{Workers: 2, NUMADomains: 2}),
+		rt.NewHPX(rt.Options{Workers: 2, Topo: topo.Broadwell()}),
 		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
 	}
 	var first []float64
@@ -350,7 +365,7 @@ func TestLOBPCGPreconditionedAllRuntimesAgree(t *testing.T) {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
-		rt.NewHPX(rt.Options{Workers: 3, NUMADomains: 2}),
+		rt.NewHPX(rt.Options{Workers: 3, Topo: topo.Broadwell()}),
 	}
 	var first []float64
 	for _, r := range runtimes {

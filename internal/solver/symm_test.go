@@ -152,17 +152,6 @@ func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
 		"arrowhead-fallback": arrowheadSPD(128),
 	}
 	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
-	newBackend := func(name string, opt rt.Options) rt.Runtime {
-		switch name {
-		case "bsp":
-			return rt.NewBSP(opt)
-		case "deepsparse":
-			return rt.NewDeepSparse(opt)
-		case "hpx":
-			return rt.NewHPX(opt)
-		}
-		return rt.NewRegent(opt)
-	}
 	for matName, coo := range cases {
 		sym := toSym(t, coo, 12)
 		if matName == "arrowhead-fallback" && !sym.Sched.Fallback {
@@ -171,9 +160,8 @@ func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
 		var want []float64
 		var wantFrom string
 		for _, tp := range topos {
-			for _, backend := range []string{"bsp", "deepsparse", "hpx", "regent"} {
-				name := fmt.Sprintf("%s/%s/%s", matName, backend, tp.Name)
-				r := newBackend(backend, rt.Options{Workers: 4, Topo: tp})
+			for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
+				name := fmt.Sprintf("%s/%s/%s", matName, r.Name(), tp.Name)
 				l, err := NewLanczos(sym, 25)
 				if err != nil {
 					t.Fatal(err)
@@ -220,7 +208,7 @@ func TestSymmetricSteadyIterationAllocs(t *testing.T) {
 				}
 				rows, _ := sym.Dims()
 				c.initState([][]float64{RandomRHS(rows, 3)})
-				pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), c.g, c.st)
+				pr := rt.NewDeepSparse(rt.Options{Workers: tc.workers}).Prepare(c.g, c.st)
 				defer pr.Close()
 				ctx := context.Background()
 				step := func() {
@@ -243,7 +231,7 @@ func TestSymmetricSteadyIterationAllocs(t *testing.T) {
 				if err := l.initState(1); err != nil {
 					t.Fatal(err)
 				}
-				pr := rt.PrepareRun(rt.NewDeepSparse(rt.Options{Workers: tc.workers}), l.g, l.st)
+				pr := rt.NewDeepSparse(rt.Options{Workers: tc.workers}).Prepare(l.g, l.st)
 				defer pr.Close()
 				ctx := context.Background()
 				step := func() {

@@ -193,13 +193,3 @@ func (a *CSB) SpMM(y, x []float64, n int) {
 		}
 	}
 }
-
-// RowBlockNNZ returns the total nonzeros across tile row bi: the work a
-// dependency-chained SpMV row owns.
-func (a *CSB) RowBlockNNZ(bi int) int {
-	n := 0
-	for bj := 0; bj < a.NBC; bj++ {
-		n += a.BlockNNZ(bi, bj)
-	}
-	return n
-}

@@ -75,8 +75,9 @@ type SymSchedule struct {
 }
 
 // AccGroup returns the accumulator group owning the transposed writes of
-// tiles in row band bi: a contiguous band→group map that mirrors the
-// band→domain map of topo.Partition, so a group's bands share locality.
+// tiles in row band bi: the floor map bi·Groups/NBR, the same contiguous
+// band→domain map graph.DomainAffinity uses, so a group's bands share
+// locality.
 func (a *SymCSB) AccGroup(bi int) int {
 	return bi * a.Sched.Groups / a.NBR
 }

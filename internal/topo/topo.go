@@ -14,6 +14,8 @@ package topo
 import (
 	"fmt"
 	"strings"
+
+	"sparsetask/internal/machine"
 )
 
 // Topology describes how workers group into locality domains. Domains <= 1
@@ -29,13 +31,16 @@ type Topology struct {
 // Flat returns the single-domain topology: uniform stealing, no hierarchy.
 func Flat() Topology { return Topology{Name: "flat", Domains: 1} }
 
-// Broadwell returns the paper's 2-socket Xeon E5-2680v4 shape: two NUMA
-// domains (§2, "Broadwell").
-func Broadwell() Topology { return Topology{Name: "broadwell", Domains: 2} }
+// Broadwell returns the paper's 2-socket Xeon E5-2680v4 shape: the NUMA
+// domains of machine.Broadwell (§2, "Broadwell").
+func Broadwell() Topology {
+	return Topology{Name: "broadwell", Domains: machine.Broadwell().NUMADomains}
+}
 
-// EPYC returns the paper's 2-socket EPYC 7501 shape: eight NUMA domains, each
-// a cluster of 4-core CCXs sharing an L3 slice (§2, "EPYC").
-func EPYC() Topology { return Topology{Name: "epyc", Domains: 8} }
+// EPYC returns the paper's 2-socket EPYC 7H12 shape: the NUMA domains of
+// machine.EPYC, each a cluster of 4-core CCXs sharing an L3 slice (§2,
+// "EPYC").
+func EPYC() Topology { return Topology{Name: "epyc", Domains: machine.EPYC().NUMADomains} }
 
 // Auto returns the auto-detected host profile. Pure Go has no portable NUMA
 // probe, so detection is conservative: a flat single-domain topology that
@@ -87,22 +92,33 @@ func (t Topology) DomainCount(workers int) int {
 	return d
 }
 
-// Partition splits `workers` workers into per-domain counts: contiguous
-// worker ranges, sizes as even as possible with the remainder spread over the
-// leading domains (mirroring how cores map to NUMA nodes: domain 0 holds
-// workers [0, counts[0]), domain 1 the next counts[1], and so on).
-func (t Topology) Partition(workers int) []int {
+// DomainOf returns the domain of worker w in a pool of `workers` workers:
+// domains take contiguous worker ranges, sizes as even as possible with the
+// remainder spread over the leading domains (mirroring how cores map to NUMA
+// nodes). It is the one worker→domain rule; every scheduler that groups
+// workers into domains asks it.
+func (t Topology) DomainOf(w, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
 	d := t.DomainCount(workers)
-	counts := make([]int, d)
 	base, rem := workers/d, workers%d
-	for i := range counts {
-		counts[i] = base
-		if i < rem {
-			counts[i]++
-		}
+	if lead := rem * (base + 1); w >= lead {
+		return rem + (w-lead)/base
+	}
+	return w / (base + 1)
+}
+
+// Partition splits `workers` workers into per-domain counts under DomainOf:
+// domain 0 holds workers [0, counts[0]), domain 1 the next counts[1], and so
+// on.
+func (t Topology) Partition(workers int) []int {
+	if workers < 1 {
+		workers = 1
+	}
+	counts := make([]int, t.DomainCount(workers))
+	for w := 0; w < workers; w++ {
+		counts[t.DomainOf(w, workers)]++
 	}
 	return counts
 }

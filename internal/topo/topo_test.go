@@ -73,6 +73,34 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// TestDomainOf pins the worker→domain rule the executor and Regent share:
+// contiguous ranges, the remainder on the leading domains. 6 workers over 4
+// domains are [0 0 1 1 2 3] (sizes 2,2,1,1), not a floor map's [0 0 1 2 2 3].
+func TestDomainOf(t *testing.T) {
+	for workers := 1; workers <= 16; workers++ {
+		for domains := 1; domains <= 8; domains++ {
+			tp := Topology{Domains: domains}
+			d := tp.DomainCount(workers)
+			var want []int
+			for dom := 0; dom < d; dom++ {
+				size := workers / d
+				if dom < workers%d {
+					size++
+				}
+				for k := 0; k < size; k++ {
+					want = append(want, dom)
+				}
+			}
+			for w := 0; w < workers; w++ {
+				if got := tp.DomainOf(w, workers); got != want[w] {
+					t.Fatalf("%d workers over %d domains: worker %d in domain %d, want %d (map %v)",
+						workers, domains, w, got, want[w], want)
+				}
+			}
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	if s := EPYC().String(); s != "epyc(8d)" {
 		t.Errorf("String = %q", s)
