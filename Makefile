@@ -7,8 +7,10 @@ GO ?= go
 
 check: build lint test race benchcheck benchsmoke
 
-# Static analysis: gofmt, go vet, and sparselint (internal/lint — the
-# repo-specific hot-path/locking/ownership/ctx/determinism analyzers).
+# Static analysis: gofmt, go vet (also at GOARCH=arm64, which type-checks
+# the build that has only the Go kernel bodies), and sparselint
+# (internal/lint — the repo-specific hot-path/locking/ownership/ctx/
+# determinism analyzers).
 lint:
 	./scripts/lint.sh
 
@@ -20,6 +22,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -36,6 +39,10 @@ test:
 # sparselint runs its analyzers concurrently over shared ASTs and one call
 # graph; TestDirectiveValidation runs the full set at once. The -run filter
 # keeps the whole-module load of TestRepoIsClean out of the race build.
+# The race detector does not see memory accesses made from assembly, so a
+# -race build compiles the Go bodies of the sparse and dense kernels instead
+# of their AVX2 assembly: the race matrix runs, and instruments, the Go
+# bodies on every host.
 race:
 	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sparse/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
 	$(GO) test -race -run 'TestDirectiveValidation|TestAnalyzerFixtures' ./internal/lint/

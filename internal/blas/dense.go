@@ -1,13 +1,16 @@
 // Package blas provides the dense linear-algebra micro-kernels the solvers
 // are built from: small GEMM variants for the XY/XTY task kernels, level-1
-// vector operations, and the small dense factorizations (Cholesky, Jacobi
-// symmetric eigensolver) needed by the Rayleigh–Ritz procedure in LOBPCG and
-// the tridiagonal solve in Lanczos.
+// vector operations, and the small dense factorizations (Cholesky; the
+// symmetric eigensolver, Householder tridiagonalization then implicit QL)
+// needed by the Rayleigh–Ritz procedure in LOBPCG and the tridiagonal solve
+// in Lanczos.
 //
 // All matrices are dense row-major float64 slices. These kernels stand in for
-// the Intel MKL calls the paper uses inside tasks; they favor clarity and
-// cache-friendly loop orders over platform-specific tuning, which is fine
-// because every runtime under comparison calls the same kernels.
+// the Intel MKL calls the paper uses inside tasks; every runtime under
+// comparison calls the same kernels. They are Go with cache-friendly loop
+// orders, except the XY/XTY register tile, which has an AVX2 body on amd64
+// (gemm_amd64.s): each lane is an output column, so it gives the Go tiles'
+// bits (see gemmTiled).
 package blas
 
 import (
@@ -34,7 +37,14 @@ func Gemm(alpha float64, a []float64, m, k int, b []float64, n int, beta float64
 		return
 	}
 	if m >= 4 && n >= 4 {
-		gemmTiled(alpha, a, m, k, b, n, beta, c)
+		if simd {
+			m4, n4 := m&^3, n&^3
+			gemmTile4(c, a, b, m4, k, n, k, 1, alpha, beta, scaleMode(beta))
+			gemmTiled(alpha, a, k, b, n, beta, c, 0, m4, n4)
+			gemmTiled(alpha, a, k, b, n, beta, c, m4, m, 0)
+		} else {
+			gemmTiled(alpha, a, k, b, n, beta, c, 0, m, 0)
+		}
 		return
 	}
 	for i := 0; i < m; i++ {
@@ -105,22 +115,30 @@ func gemmN1(alpha float64, a []float64, m, k int, b []float64, beta float64, c [
 	}
 }
 
-// gemmTiled is the m,n >= 4 Gemm path: 2×4 register tiles of C accumulated
-// across the whole k loop, so each C element is loaded and stored once
-// instead of read-modified-written k times. The tile is 2×4 because its
+// gemmTiled computes rows [i0, i1) of C from column j0 on, for the m,n >= 4
+// Gemm path: 2×4 register tiles of C accumulated across the whole k loop, so
+// each C element is loaded and stored once instead of read-modified-written
+// k times. Each element is a plain ascending-p sum followed by
+// alpha·s + beta·c — the naive reference rounding, element for element.
+//
+// Scalar Go code holds one value per register: the tile is 2×4 because its
 // eight accumulators, four B values and one A value fit the sixteen XMM
-// registers; a 4×4 tile needs 21 and spills inside the k loop. Each element
-// is a plain ascending-p sum followed by alpha·s + beta·c — the naive
-// reference rounding, element for element.
+// registers, and a 4×4 tile needs 21 and spills inside the k loop. The AVX2
+// tile (gemmTile4) holds four columns per YMM register, so a 4×8 tile is
+// eight registers of sums beside two of B, one broadcast A value and one
+// product. On amd64 with AVX2 it covers whole groups of four rows and
+// columns and this body the ragged edges; elsewhere, and under -race, this
+// body covers everything. The lanes are columns, each summed in the same
+// order, so the two give the same bits.
 //
 //sparselint:hotpath
-func gemmTiled(alpha float64, a []float64, m, k int, b []float64, n int, beta float64, c []float64) {
-	i := 0
-	for ; i+2 <= m; i += 2 {
+func gemmTiled(alpha float64, a []float64, k int, b []float64, n int, beta float64, c []float64, i0, i1, j0 int) {
+	i := i0
+	for ; i+2 <= i1; i += 2 {
 		a0r := a[(i+0)*k : (i+0)*k+k]
 		a1r := a[(i+1)*k : (i+1)*k+k]
 		a1r = a1r[:len(a0r)]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
@@ -152,9 +170,9 @@ func gemmTiled(alpha float64, a []float64, m, k int, b []float64, n int, beta fl
 			storeScaled(c, (i+1)*n+j, alpha, beta, s1)
 		}
 	}
-	for ; i < m; i++ {
+	for ; i < i1; i++ {
 		ai := a[i*k : i*k+k]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			var s float64
 			for p := range ai {
 				s += ai[p] * b[p*n+j]
@@ -178,6 +196,18 @@ func storeScaled(c []float64, idx int, alpha, beta, s float64) {
 	default:
 		c[idx] = beta*c[idx] + alpha*s
 	}
+}
+
+// scaleMode numbers storeScaled's branch for beta, for the assembly tile:
+// 0 overwrites, 1 adds, 2 scales.
+func scaleMode(beta float64) int {
+	switch beta {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	}
+	return 2
 }
 
 // storeRow4 writes four adjacent accumulators of one C row back at idx.
@@ -204,8 +234,15 @@ func GemmTN(alpha float64, a []float64, k, m int, b []float64, n int, beta float
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("blas: GemmTN shape mismatch k=%d m=%d n=%d len(a)=%d len(b)=%d len(c)=%d", k, m, n, len(a), len(b), len(c)))
 	}
-	if n > 1 && m >= 4 && n >= 4 {
-		gemmTNTiled(alpha, a, k, m, b, n, beta, c)
+	if m >= 4 && n >= 4 {
+		if simd {
+			m4, n4 := m&^3, n&^3
+			gemmTile4(c, a, b, m4, k, n, 1, m, alpha, beta, scaleMode(beta))
+			gemmTNTiled(alpha, a, k, m, b, n, beta, c, 0, m4, n4)
+			gemmTNTiled(alpha, a, k, m, b, n, beta, c, m4, m, 0)
+		} else {
+			gemmTNTiled(alpha, a, k, m, b, n, beta, c, 0, m, 0)
+		}
 		return
 	}
 	if beta == 0 {
@@ -263,19 +300,20 @@ func GemmTN(alpha float64, a []float64, k, m int, b []float64, n int, beta float
 	}
 }
 
-// gemmTNTiled is the m,n >= 4 GemmTN path: 2×4 register tiles of C (see
-// gemmTiled for the shape) held in registers across the whole (long, k-deep)
-// accumulation loop. Both the A and B rows are contiguous in this
+// gemmTNTiled computes rows [i0, i1) of C from column j0 on, for the m,n >= 4
+// GemmTN path: 2×4 register tiles of C (see gemmTiled for the shape and the
+// AVX2 tile that shares the work) held in registers across the whole (long,
+// k-deep) accumulation loop. Both the A and B rows are contiguous in this
 // orientation, so each p step is six sequential loads feeding eight
 // multiply-adds with no C traffic at all; the row offsets advance by addition
 // rather than being recomputed from p. Per-element rounding equals the naive
 // reference (ascending-p sum, then alpha·s + beta·c).
 //
 //sparselint:hotpath
-func gemmTNTiled(alpha float64, a []float64, k, m int, b []float64, n int, beta float64, c []float64) {
-	i := 0
-	for ; i+2 <= m; i += 2 {
-		j := 0
+func gemmTNTiled(alpha float64, a []float64, k, m int, b []float64, n int, beta float64, c []float64, i0, i1, j0 int) {
+	i := i0
+	for ; i+2 <= i1; i += 2 {
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
@@ -312,8 +350,8 @@ func gemmTNTiled(alpha float64, a []float64, k, m int, b []float64, n int, beta 
 			storeScaled(c, (i+1)*n+j, alpha, beta, s1)
 		}
 	}
-	for ; i < m; i++ {
-		for j := 0; j < n; j++ {
+	for ; i < i1; i++ {
+		for j := j0; j < n; j++ {
 			var s float64
 			for p := 0; p < k; p++ {
 				s += a[p*m+i] * b[p*n+j]

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,6 +118,75 @@ func TestGemmEquivalenceFuzzShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGemmTileMatchesGoTiles holds the dispatch of Gemm and GemmTN, which
+// runs the assembly tile on whole groups of four rows and columns and the Go
+// tiles on the rest, to the Go tiles alone, bit for bit: every tile shape
+// LOBPCG and its Rayleigh–Ritz step use, ragged on both axes, through all
+// three of storeScaled's branches. Output buffers start as NaN when beta is
+// 0, so a tile that reads instead of overwriting shows.
+func TestGemmTileMatchesGoTiles(t *testing.T) {
+	if !simd {
+		t.Skip("no AVX2 tile in this build or on this CPU: the Go tiles are the only path")
+	}
+	rng := rand.New(rand.NewSource(27))
+	small := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 24}
+	cols := []int{4, 5, 6, 7, 8, 9, 16, 24} // below four the dispatch takes no tile
+	tall := []int{0, 1, 4, 7, 8, 2056, 2058}
+	coeffs := [][2]float64{{1, 0}, {0, 0}, {-0.5, 0}, {1, 1}, {0, 1}, {2, 1}, {1, 0.3}, {0, -2}, {-0.5, 0.3}}
+	for _, m := range small {
+		for _, n := range cols {
+			for _, rows := range tall {
+				for _, ab := range coeffs {
+					alpha, beta := ab[0], ab[1]
+					x, y, s := randSlice(rng, rows*m), randSlice(rng, rows*n), randSlice(rng, m*n)
+					// XY: rows×m times m×n into rows×n, as LOBPCG's updates.
+					if rows >= 4 {
+						got := startC(rng, rows*n, beta)
+						want := append([]float64(nil), got...)
+						Gemm(alpha, x, rows, m, s, n, beta, got)
+						gemmTiled(alpha, x, m, s, n, beta, want, 0, rows, 0)
+						if err := sameBits(got, want); err != nil {
+							t.Fatalf("Gemm rows=%d m=%d n=%d alpha=%g beta=%g: %v", rows, m, n, alpha, beta, err)
+						}
+					}
+					// XTY: rows×m transposed times rows×n into m×n, as its inner
+					// products.
+					if m >= 4 {
+						got := startC(rng, m*n, beta)
+						want := append([]float64(nil), got...)
+						GemmTN(alpha, x, rows, m, y, n, beta, got)
+						gemmTNTiled(alpha, x, rows, m, y, n, beta, want, 0, m, 0)
+						if err := sameBits(got, want); err != nil {
+							t.Fatalf("GemmTN rows=%d m=%d n=%d alpha=%g beta=%g: %v", rows, m, n, alpha, beta, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// startC returns an output buffer of random values, or of NaN when beta is 0.
+func startC(rng *rand.Rand, size int, beta float64) []float64 {
+	c := randSlice(rng, size)
+	if beta == 0 {
+		for i := range c {
+			c[i] = math.NaN()
+		}
+	}
+	return c
+}
+
+// sameBits reports the first element where got and want differ in any bit.
+func sameBits(got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("c[%d] = %v, Go tiles give %v", i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 func TestDotAxpyUnrollEquivalence(t *testing.T) {

@@ -20,6 +20,15 @@
 // path state and a port would only add code. Per-function summaries stay
 // inside taint, their only user.
 //
+// # What it sees
+//
+// It loads the files `go build` selects for this GOOS/GOARCH without the
+// race tag, and Go source only: it cannot see assembly. A kernel with an
+// assembly body (rowrun_amd64.s, blas/gemm_amd64.s) is a declaration
+// without a body here, so the //sparselint:hotpath roots stay on the Go
+// dispatchers that choose between the assembly and the Go bodies, and the
+// Go bodies, the path of every other build, are checked through them.
+//
 // # Annotations
 //
 // Annotations are Go directive comments (no space after //, one per line)

@@ -274,8 +274,9 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses every non-test .go file in dir (with comments, which carry
-// the annotations and suppressions).
+// parseDir parses every non-test .go file in dir that the default build
+// selects — this GOOS/GOARCH, no race tag, as `go build` sees the package —
+// with comments, which carry the annotations and suppressions.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -285,6 +286,11 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

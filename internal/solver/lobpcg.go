@@ -220,12 +220,17 @@ func (l *LOBPCG) Program() *program.Program { return l.prog }
 // rayleighRitz solves the 3n×3n generalized eigenproblem G·c = λ·O·c on the
 // Gram blocks, with rank filtering to tolerate the zero Q block of the first
 // iteration and near-dependent directions later. It writes the coefficient
-// splits CP/CR/CQ and the Ritz values. All scratch comes from the solver's
-// workspace arena: steady-state calls allocate nothing.
+// splits CP/CR/CQ and the Ritz values. When it cannot — an eigensolve fails,
+// or too few directions survive the rank filter — it leaves the previous
+// ones in place and records why in the workspace, and iterate fails the
+// solve with that reason. All scratch comes from the solver's workspace
+// arena: steady-state calls allocate nothing.
 func (l *LOBPCG) rayleighRitz(st *program.Store) {
 	n := l.N
 	d := 3 * n
 	ws := l.ws
+	ws.iter++
+	ws.breakdown = nil
 	G := ws.g
 	O := ws.o
 	set := func(dst []float64, bi, bj int, m []float64, transpose bool) {
@@ -277,12 +282,12 @@ func (l *LOBPCG) rayleighRitz(st *program.Store) {
 	// D_i > ε·max(D), W = V_kept·D^{-1/2}.
 	ovals, ovecs := ws.oVals, ws.oVecs
 	if err := blas.SymEigInto(O, d, ws.eigWork, ovals, ovecs); err != nil {
-		// Leave previous coefficients in place; the solver will flag
-		// breakdown via the residual not improving.
+		ws.fail(fmt.Errorf("eigensolve of the basis Gram matrix: %w", err))
 		return
 	}
 	dmax := ovals[d-1]
 	if dmax <= 0 {
+		ws.fail(fmt.Errorf("basis Gram matrix has no positive eigenvalue (largest %g)", dmax))
 		return
 	}
 	tol := 1e-12 * dmax
@@ -294,6 +299,7 @@ func (l *LOBPCG) rayleighRitz(st *program.Store) {
 	}
 	r := len(keep)
 	if r < n {
+		ws.fail(fmt.Errorf("%d of %d basis directions survive the rank filter, fewer than the block width %d", r, d, n))
 		return
 	}
 	w := ws.w[:d*r] // d×r, W columns = kept scaled eigvecs
@@ -316,6 +322,7 @@ func (l *LOBPCG) rayleighRitz(st *program.Store) {
 	}
 	evals, evecs := ws.tVals, ws.tVecs
 	if err := blas.SymEigInto(gt, r, ws.eigWork, evals, evecs); err != nil {
+		ws.fail(fmt.Errorf("eigensolve of the projected Gram matrix: %w", err))
 		return
 	}
 	// C = W·U[:, :n] — smallest n Ritz pairs.
@@ -404,18 +411,23 @@ func (l *LOBPCG) initState(seed int64) error {
 	if l.precondition {
 		l.A.InverseDiagonal(l.st.Vec[l.opDinv])
 	}
+	l.ws.iter, l.ws.breakdown = 0, nil
 	return nil
 }
 
 // iterate executes one LOBPCG iteration (one full graph run) and returns the
-// Frobenius residual norm it measured. Steady-state calls perform no heap
-// allocations: the graph, store, prepared executor, and Rayleigh–Ritz
+// Frobenius residual norm it measured, or the Rayleigh–Ritz breakdown that
+// left the iteration without new coefficients. Steady-state calls perform no
+// heap allocations: the graph, store, prepared executor, and Rayleigh–Ritz
 // workspace are all reused.
 //
 //sparselint:hotpath
 func (l *LOBPCG) iterate(ctx context.Context, pr rt.PreparedRun) (float64, error) {
 	if err := pr.Run(ctx); err != nil {
 		return 0, err
+	}
+	if l.ws.breakdown != nil {
+		return 0, l.ws.breakdown
 	}
 	return l.st.Scalars[l.opRnorm], nil
 }

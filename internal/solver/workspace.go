@@ -1,5 +1,7 @@
 package solver
 
+import "fmt"
+
 // rrWorkspace is the Rayleigh–Ritz scratch arena: every buffer the LOBPCG
 // small step needs, sized once for block width n (subspace dimension d = 3n)
 // at solver construction. The per-iteration rayleighRitz call slices into it
@@ -22,6 +24,14 @@ type rrWorkspace struct {
 	oVecs   []float64 // d×d  eigenvectors of O
 	tVals   []float64 // d    eigenvalues of gt (first r used)
 	tVecs   []float64 // d×d  eigenvectors of gt (first r×r used)
+
+	iter      int   // Rayleigh–Ritz steps since initState: the iteration number
+	breakdown error // why the last step kept the previous coefficients; nil if it did not
+}
+
+// fail records why this step keeps the previous coefficients.
+func (ws *rrWorkspace) fail(reason error) {
+	ws.breakdown = fmt.Errorf("lobpcg: Rayleigh–Ritz breakdown at iteration %d: %w", ws.iter, reason)
 }
 
 func newRRWorkspace(n int) *rrWorkspace {

@@ -163,7 +163,7 @@ func (a *CSB) BlockSpMM(y, x []float64, n, bi, bj int) {
 	}
 	k := a.BlockIndex(bi, bj)
 	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	spmmDirect(y[bi*a.Block*n:], x[bj*a.Block*n:], a.V[lo:hi], a.RI[lo:hi], a.CI[lo:hi], n)
+	spmmDirect(blockRows(y, bi, a.Block, a.Rows, n), blockRows(x, bj, a.Block, a.Cols, n), a.V[lo:hi], a.RI[lo:hi], a.CI[lo:hi], n)
 }
 
 // SpMV computes y = A·x sequentially by streaming tiles in row-major order.

@@ -18,9 +18,19 @@ package sparse
 // ones, and fixed narrow bodies beat a 1–3-wide one that branches on its
 // width. The bodies below the two dispatchers are hot by propagation.
 //
+// On amd64 with AVX2 the 8- and 4-wide passes run assembly bodies
+// (rowrun_amd64.s) that hold four columns per YMM register, which removes
+// the 8-wide body's spills: eight sums are two registers, not eight. The
+// dispatchers choose once per pass from simd, set at start-up; other
+// architectures and -race builds (rowrun_noasm.go) run the Go bodies, which
+// stay as that path and as the tests' oracle. The assembly checks every row
+// and column offset itself and reports the first out of range, and the
+// dispatcher panics then, as a Go body's bounds check would.
+//
 // Each output element receives the same additions in the same order as a
-// per-entry loop gives it — a sum carried in a register is the same sum — so
-// the results are bit-identical to the scalar loops. A single column stays
+// per-entry loop gives it — a sum carried in a register is the same sum, and
+// a vector lane is one column's sum — so the results are bit-identical to the
+// scalar loops on either path. A single column stays
 // with the streaming SpMV bodies (the methods send n == 1 there): walked as
 // runs it gains on long FEM rows but loses up to 0.6× on a Laplacian's runs
 // of one to three entries, where finding a run costs more than holding one
@@ -31,12 +41,21 @@ package sparse
 //
 //sparselint:hotpath
 func spmmDirect(ys, xs, v []float64, ri, ci []int32, n int) {
+	ri, ci = ri[:len(v)], ci[:len(v)] // the assembly reads len(v) of each
 	col := 0
 	for ; col+8 <= n; col += 8 {
-		direct8(ys[col:], xs[col:], v, ri, ci, n)
+		if simd {
+			inRange(direct8AVX2(ys[col:], xs[col:], v, ri, ci, n))
+		} else {
+			direct8(ys[col:], xs[col:], v, ri, ci, n)
+		}
 	}
 	if n-col >= 4 {
-		direct4(ys[col:], xs[col:], v, ri, ci, n)
+		if simd {
+			inRange(direct4AVX2(ys[col:], xs[col:], v, ri, ci, n))
+		} else {
+			direct4(ys[col:], xs[col:], v, ri, ci, n)
+		}
 		col += 4
 	}
 	switch n - col {
@@ -55,12 +74,21 @@ func spmmDirect(ys, xs, v []float64, ri, ci []int32, n int) {
 //
 //sparselint:hotpath
 func spmmTrans(ys, xs, v []float64, ri, ci []int32, n int, diag bool) {
+	ri, ci = ri[:len(v)], ci[:len(v)] // the assembly reads len(v) of each
 	col := 0
 	for ; col+8 <= n; col += 8 {
-		trans8(ys[col:], xs[col:], v, ri, ci, n, diag)
+		if simd {
+			inRange(trans8AVX2(ys[col:], xs[col:], v, ri, ci, n, diag))
+		} else {
+			trans8(ys[col:], xs[col:], v, ri, ci, n, diag)
+		}
 	}
 	if n-col >= 4 {
-		trans4(ys[col:], xs[col:], v, ri, ci, n, diag)
+		if simd {
+			inRange(trans4AVX2(ys[col:], xs[col:], v, ri, ci, n, diag))
+		} else {
+			trans4(ys[col:], xs[col:], v, ri, ci, n, diag)
+		}
 		col += 4
 	}
 	switch n - col {
@@ -269,6 +297,24 @@ func trans1(ys, xs, v []float64, ri, ci []int32, n int, diag bool) {
 			}
 		}
 	}
+}
+
+// inRange panics, as the Go bodies' bounds checks do, when an assembly body
+// reports a tile offset outside its slices.
+func inRange(ok bool) {
+	if !ok {
+		panic("sparse: tile index out of range")
+	}
+}
+
+// blockRows returns rows [i·block, min((i+1)·block, rows)) of an n-column
+// row-major block with no spare capacity: a tile offset past its own block
+// fails the Go bodies' bounds checks and the assembly's range checks alike,
+// instead of landing in a neighbouring block that another task may own.
+func blockRows(s []float64, i, block, rows, n int) []float64 {
+	lo := i * block
+	hi := min(lo+block, rows)
+	return s[lo*n : hi*n : hi*n]
 }
 
 // window returns the w elements of s from k on, with no spare capacity. With

@@ -15,7 +15,9 @@ import (
 // replaced, bit for bit: every multi-column method (CSB.BlockSpMM, the
 // wave-mode SymCSB.BlockSymSpMM on diagonal and off-diagonal tiles, the
 // fallback BlockSymSpMMDirect/Trans pair) at widths 1–9, into outputs that
-// already hold nonzero values, on generated and hand-built tilings.
+// already hold nonzero values, on generated and hand-built tilings. Each
+// check runs twice: on the Go bodies alone, and with the AVX2 bodies of the
+// 8- and 4-wide passes where this build and CPU have them.
 
 // ---- frozen copies: do not "improve" these ----
 
@@ -359,6 +361,28 @@ func refSymSpMMRow(yi, xj []float64, vv float64) {
 
 // ---- the property ----
 
+// bodyPaths are the two ways the dispatchers can cover a width.
+var bodyPaths = []struct {
+	name string
+	asm  bool
+}{{"go", false}, {"avx2", true}}
+
+// noAsm is the message of a skipped assembly half.
+const noAsm = "no AVX2 bodies in this build or on this CPU: the Go bodies are the only path"
+
+// onBothPaths runs check on the Go bodies, then on the assembly bodies.
+func onBothPaths(t *testing.T, check func(t *testing.T)) {
+	for _, path := range bodyPaths {
+		t.Run(path.name, func(t *testing.T) {
+			if path.asm && !sparse.SIMD {
+				t.Skip(noAsm)
+			}
+			defer sparse.UseSIMD(sparse.UseSIMD(path.asm))
+			check(t)
+		})
+	}
+}
+
 // filled returns m values drawn from rng: zero is never drawn, so an output
 // that starts from them shows a kernel that overwrites instead of adding.
 func filled(rng *rand.Rand, m int) []float64 {
@@ -524,6 +548,10 @@ func handBuilt() map[string]*sparse.COO {
 }
 
 func TestRowRunsMatchFrozenBodies(t *testing.T) {
+	onBothPaths(t, checkAllRowRuns)
+}
+
+func checkAllRowRuns(t *testing.T) {
 	for name, coo := range handBuilt() {
 		for _, block := range []int{1, 7, 16, 33, coo.Rows, coo.Rows + 5} {
 			checkRowRuns(t, name, coo, block)
@@ -560,8 +588,12 @@ func TestRowRunsMatchFrozenBodies(t *testing.T) {
 
 // FuzzSpMMRuns decodes a matrix from the input — a row count, then (row, col,
 // value) byte triples — and holds every multi-column method to the frozen
-// bodies on it: CSB on the entries as given, SymCSB on their mirror image.
+// bodies on it: CSB on the entries as given, SymCSB on their mirror image,
+// on the Go bodies and on the assembly bodies.
 func FuzzSpMMRuns(f *testing.F) {
+	if !sparse.SIMD {
+		f.Log(noAsm)
+	}
 	f.Add([]byte{12, 0, 0, 1, 3, 1, 2, 3, 3, 3, 11, 2, 9, 11, 11, 4}, uint8(4), uint8(4))
 	f.Add([]byte{30, 29, 0, 7, 29, 1, 7, 29, 2, 7, 29, 3, 7, 5, 5, 9}, uint8(8), uint8(5))
 	f.Add([]byte{1, 0, 0, 200}, uint8(1), uint8(9))
@@ -584,7 +616,14 @@ func FuzzSpMMRuns(f *testing.F) {
 		}
 		b := 1 + int(block)%(rows+4)
 		n := 1 + int(width)%9
-		checkFuzzWidth(t, gen, sym, b, n)
+		for _, path := range bodyPaths {
+			if path.asm && !sparse.SIMD {
+				continue
+			}
+			was := sparse.UseSIMD(path.asm)
+			checkFuzzWidth(t, gen, sym, b, n)
+			sparse.UseSIMD(was)
+		}
 	})
 }
 
@@ -633,6 +672,103 @@ func checkFuzzWidth(t *testing.T, gen, symCOO *sparse.COO, block, n int) {
 	}{{"wave", gotW, wantW}, {"direct", got, want}, {"trans", gotAcc, wantAcc}} {
 		if err := sameBits(c.got, c.want); err != nil {
 			t.Fatalf("SymCSB %s block=%d n=%d: %v", c.what, block, n, err)
+		}
+	}
+}
+
+// A tile whose RI or CI entry points past its own block, past the matrix or
+// before it must panic and write nothing outside the output it was given,
+// on both paths and at widths that cover every body: the pass widths 2 and
+// 3, 4 and 8, and the mixes 5 and 9. Outputs sit between canaries inside
+// spare capacity, the room a body that trusted the tile would write into.
+// No parsed document reaches a kernel this way — the MatrixMarket reader
+// refuses an entry outside the matrix at admission, a 400 before any job
+// exists (route.TestEntryErrorsRefusedAtShardAdmission) — but RI and CI are
+// exported fields, so the kernels check them anyway.
+func TestCorruptTilePanicsInRange(t *testing.T) {
+	onBothPaths(t, checkCorruptTiles)
+}
+
+func checkCorruptTiles(t *testing.T) {
+	coo := matgen.FEM3D(4, 4, 4, 3, 27, 1)
+	const block = 64
+	rows := coo.Rows
+	csb := coo.Clone().ToCSB(block)
+	sym, err := coo.Clone().ToSymCSB(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pad, canary = 16, 12345.5
+	padded := func(size int) (buf, s []float64) {
+		buf = make([]float64, size+2*pad)
+		for i := range buf {
+			buf[i] = canary
+		}
+		s = buf[pad : pad+size]
+		for i := range s {
+			s[i] = 1
+		}
+		return buf, s
+	}
+	intact := func(buf []float64) bool {
+		for _, i := range []int{0, pad - 1, len(buf) - pad, len(buf) - 1} {
+			if buf[i] != canary {
+				return false
+			}
+		}
+		return true
+	}
+	type target struct {
+		name   string
+		ri, ci []int32
+		lo, hi int64 // the corrupted tile's entries
+		run    func(y, acc, x []float64, n int)
+	}
+	csbTile, symOff, symDiag := csb.BlockIndex(1, 0), sym.TileIndex(1, 0), sym.TileIndex(1, 1)
+	targets := []target{
+		{"csb", csb.RI, csb.CI, csb.BlkPtr[csbTile], csb.BlkPtr[csbTile+1],
+			func(y, _, x []float64, n int) { csb.BlockSpMM(y, x, n, 1, 0) }},
+		{"symcsb-wave-offdiag", sym.RI, sym.CI, sym.BlkPtr[symOff], sym.BlkPtr[symOff+1],
+			func(y, _, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 0) }},
+		{"symcsb-wave-diag", sym.RI, sym.CI, sym.BlkPtr[symDiag], sym.BlkPtr[symDiag+1],
+			func(y, _, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 1) }},
+		{"symcsb-fallback", sym.RI, sym.CI, sym.BlkPtr[symOff], sym.BlkPtr[symOff+1],
+			func(y, acc, x []float64, n int) {
+				sym.BlockSymSpMMDirect(y, x, n, 1, 0)
+				sym.BlockSymSpMMTrans(acc, x, n, 1, 0)
+			}},
+	}
+	for _, tg := range targets {
+		if tg.hi-tg.lo < 2 {
+			t.Fatalf("%s: tile has %d entries", tg.name, tg.hi-tg.lo)
+		}
+		for _, field := range []string{"RI", "CI"} {
+			idx := tg.ri
+			if field == "CI" {
+				idx = tg.ci
+			}
+			p := (tg.lo + tg.hi) / 2
+			for _, bad := range []int32{block, int32(rows), -1} {
+				for _, n := range []int{2, 3, 4, 5, 8, 9} {
+					yBuf, y := padded(rows * n)
+					accBuf, acc := padded(rows * n)
+					_, x := padded(rows * n)
+					saved := idx[p]
+					idx[p] = bad
+					panicked := func() (did bool) {
+						defer func() { did = recover() != nil }()
+						tg.run(y, acc, x, n)
+						return false
+					}()
+					idx[p] = saved
+					if !panicked {
+						t.Errorf("%s: %s[%d] = %d at n=%d: no panic", tg.name, field, p, bad, n)
+					}
+					if !intact(yBuf) || !intact(accBuf) {
+						t.Errorf("%s: %s[%d] = %d at n=%d: wrote outside y or acc", tg.name, field, p, bad, n)
+					}
+				}
+			}
 		}
 	}
 }

@@ -442,9 +442,8 @@ func (a *SymCSB) BlockSymSpMM(y, x []float64, n, bi, bj int) {
 		return
 	}
 	v, ri, ci := a.tile(bi, bj)
-	b := a.Block * n
-	spmmDirect(y[bi*b:], x[bj*b:], v, ri, ci, n)
-	spmmTrans(y[bj*b:], x[bi*b:], v, ri, ci, n, bi == bj)
+	spmmDirect(a.blockRows(y, bi, n), a.blockRows(x, bj, n), v, ri, ci, n)
+	spmmTrans(a.blockRows(y, bj, n), a.blockRows(x, bi, n), v, ri, ci, n, bi == bj)
 }
 
 // BlockSymSpMMDirect is the n-column direct half: Y[bi] += T·X[bj].
@@ -456,7 +455,7 @@ func (a *SymCSB) BlockSymSpMMDirect(y, x []float64, n, bi, bj int) {
 		return
 	}
 	v, ri, ci := a.tile(bi, bj)
-	spmmDirect(y[bi*a.Block*n:], x[bj*a.Block*n:], v, ri, ci, n)
+	spmmDirect(a.blockRows(y, bi, n), a.blockRows(x, bj, n), v, ri, ci, n)
 }
 
 // BlockSymSpMMTrans is the n-column transposed half into a full-height
@@ -469,7 +468,12 @@ func (a *SymCSB) BlockSymSpMMTrans(acc, x []float64, n, bi, bj int) {
 		return
 	}
 	v, ri, ci := a.tile(bi, bj)
-	spmmTrans(acc[bj*a.Block*n:], x[bi*a.Block*n:], v, ri, ci, n, false)
+	spmmTrans(a.blockRows(acc, bj, n), a.blockRows(x, bi, n), v, ri, ci, n, false)
+}
+
+// blockRows returns block row i of an n-column row-major block.
+func (a *SymCSB) blockRows(s []float64, i, n int) []float64 {
+	return blockRows(s, i, a.Block, a.Rows, n)
 }
 
 // tile returns the stored entries of tile (bi, bj), bj <= bi.
