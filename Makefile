@@ -64,10 +64,14 @@ benchcheck:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Short fuzz session for the MatrixMarket parser (regression seeds always run
-# as part of `make test`).
+# Short fuzz sessions, 30 s each: the MatrixMarket parser, the multi-column
+# sparse kernels against their frozen per-entry bodies, and IC(0) on parsed
+# documents (regression seeds always run as part of `make test`). `go test
+# -fuzz` takes one target per run, hence one line each.
 fuzz:
-	$(GO) test -fuzz FuzzMatrixMarketRoundTrip -fuzztime 30s ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixMarketRoundTrip$$' -fuzztime 30s ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpMMRuns$$' -fuzztime 30s ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzIC0FromMatrixMarket$$' -fuzztime 30s ./internal/precond/
 
 # End-to-end serving smoke: build solverd + loadgen, serve, 10s of load.
 smoke:

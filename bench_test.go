@@ -479,10 +479,10 @@ func BenchmarkGemmShapes(b *testing.B) {
 // general CSB and SymCSB, at the widths LOBPCG and coalesced cg/pcg batches
 // run: the solve-stream FEM matrix and the serve-repeat linear matrices at 32
 // tiles/dim, the solve-stream Laplacian (runs of one to three entries), and a
-// KKT matrix at 8 tiles/dim, where the symmetric storage takes its
-// accumulator fallback and the benchmark runs that kernel pair. Width 1 times
-// the SpMV bodies, which is what every width-1 task runs. It reports ns per
-// stored entry and GB/s by the roofline byte models.
+// KKT matrix at 8 tiles/dim, whose symmetric tiles colour into nearly a wave
+// per tile row (7 for 8). Width 1 times the SpMV bodies, which is what every width-1
+// task runs. It reports ns per stored entry and GB/s by the roofline byte
+// models.
 func BenchmarkSpMMWidths(b *testing.B) {
 	suite := func(name string) *sparse.COO {
 		s, err := matgen.SpecByName(name)
@@ -514,7 +514,7 @@ func BenchmarkSpMMWidths(b *testing.B) {
 			for i := range x {
 				x[i] = float64(i%7) * 0.1
 			}
-			y, acc := make([]float64, len(x)), make([]float64, len(x))
+			y := make([]float64, len(x))
 			report := func(b *testing.B, stored int, bytes int64) {
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(ns/float64(stored), "ns/entry")
@@ -532,46 +532,15 @@ func BenchmarkSpMMWidths(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/symcsb/n=%d", mc.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					switch {
-					case sym.Sched.Fallback:
-						fallbackSymSpMM(sym, y, acc, x, n)
-					case n == 1:
+					if n == 1 {
 						sym.SpMV(y, x)
-					default:
+					} else {
 						sym.SpMM(y, x, n)
 					}
 				}
 				report(b, sym.NNZ(), roofline.SymSpMMBytes(coo.Rows, coo.Cols, sym.NNZ(), n))
 			})
 		}
-	}
-}
-
-// fallbackSymSpMM is SymCSB's accumulator fallback run sequentially:
-// off-diagonal tiles as the direct half into y and the transposed half into
-// one accumulator, diagonal tiles whole, the accumulator folded into y at the
-// end.
-func fallbackSymSpMM(a *sparse.SymCSB, y, acc, x []float64, n int) {
-	clear(y)
-	clear(acc)
-	for bi := 0; bi < a.NBR; bi++ {
-		for bj := 0; bj < bi; bj++ {
-			if n == 1 {
-				a.BlockSymSpMVDirect(y, x, bi, bj)
-				a.BlockSymSpMVTrans(acc, x, bi, bj)
-			} else {
-				a.BlockSymSpMMDirect(y, x, n, bi, bj)
-				a.BlockSymSpMMTrans(acc, x, n, bi, bj)
-			}
-		}
-		if n == 1 {
-			a.BlockSymSpMV(y, x, bi, bi)
-		} else {
-			a.BlockSymSpMM(y, x, n, bi, bi)
-		}
-	}
-	for i := range y {
-		y[i] += acc[i]
 	}
 }
 

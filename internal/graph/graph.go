@@ -59,18 +59,9 @@ const (
 	TTrsv
 	// TSymTile applies stored SymCSB tile (P,Q), Q <= P, to both output
 	// bands: Y[P] (+)= T·X[Q] and, off the diagonal, Y[Q] (+)= Tᵀ·X[P]
-	// (wave-mode symmetric SpMV; diagonal tiles have P == Q and write one
-	// band). First/FirstQ mark the first writer of each band.
+	// (symmetric SpMV; diagonal tiles have P == Q and write one band).
+	// First/FirstQ mark the first writer of each band.
 	TSymTile
-	// TSymTileAcc is the fallback-mode variant: the direct half goes to
-	// Y[P], the transposed half to the private accumulator of the tile
-	// row's group at band-Q offset (First/FirstQ zero the respective
-	// destinations).
-	TSymTileAcc
-	// TSymReduce folds the used accumulator groups of band P back into
-	// Y[P] in ascending group order (First zeroes Y[P] first when no direct
-	// writer preceded it). Affinity-stamped to band P.
-	TSymReduce
 	// TColDotPart computes partial[bi][j] = Σ_i A[bi][i,j]·B[bi][i,j] — the
 	// per-column dot partial of a batched solve.
 	TColDotPart
@@ -85,7 +76,7 @@ const (
 var taskKindNames = [...]string{
 	"SpMM", "SpMM0", "SpMMbuf", "SpMMred", "XY", "XTYp", "XTYr",
 	"AXPBY", "SCALE", "DOTp", "DOTr", "SMALL", "COPY", "DSCALE", "TRSV",
-	"SYMM", "SYMMacc", "SYMMred", "CDOTp", "CDOTr", "CAXPBY",
+	"SYMM", "CDOTp", "CDOTr", "CAXPBY",
 }
 
 func (k TaskKind) String() string {
@@ -113,7 +104,6 @@ const (
 	spaceSpMMBuf
 	spaceScratch
 	spaceTri
-	spaceSymAcc
 )
 
 func pack(space uint64, owner int32, part int64) uint64 {
@@ -150,12 +140,6 @@ func ScratchRegion(core int) uint64 { return pack(spaceScratch, int32(core), 0) 
 // TriRegion identifies row block bi of triangular-factor operand op.
 func TriRegion(op program.OperandID, bi int) uint64 { return pack(spaceTri, int32(op), int64(bi)) }
 
-// SymAccRegion identifies row band bj of the fallback-mode private
-// accumulator of symmetric-SpMV call for group g.
-func SymAccRegion(call, g, bj, nbr int) uint64 {
-	return pack(spaceSymAcc, int32(call), int64(g)*int64(nbr)+int64(bj))
-}
-
 // Task is one schedulable unit. Deps lists predecessor task ids; Succs is
 // filled in after construction. P is the output row partition (bi) and Q the
 // column partition (bj) for tile tasks, -1 otherwise.
@@ -164,11 +148,10 @@ type Task struct {
 	Kind  TaskKind
 	Call  int32 // index into Program.Calls
 	P, Q  int32
-	First bool // TSpMMTile/TSym*: overwrite band P instead of accumulating
+	First bool // TSpMMTile/TSymTile: overwrite band P instead of accumulating
 	// FirstQ marks symmetric tile tasks whose transposed scatter is the
-	// first writer of its destination (band Q of the output in wave mode,
-	// the group accumulator's band-Q region in fallback mode): the kernel
-	// zeroes that destination before scattering.
+	// first writer of band Q of the output: the kernel zeroes that band
+	// before scattering.
 	FirstQ bool
 	Deps   []int32
 	Succs  []int32
@@ -222,8 +205,8 @@ type Options struct {
 	// are the level-DAG edges.
 	Tris map[program.OperandID]*sparse.BlockTri
 	// Syms supplies the SymCSB matrix behind each OpSymSparse operand
-	// referenced by a CSpMMSym call; its cached SymSchedule drives the
-	// wave/accumulator task emission. Symmetric expansion always skips
+	// referenced by a CSpMMSym call; its cached SymSchedule orders the
+	// tile tasks into waves. Symmetric expansion always skips
 	// empty stored tiles (they contribute neither half), regardless of
 	// SkipEmpty.
 	Syms map[program.OperandID]*sparse.SymCSB

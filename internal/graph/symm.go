@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
@@ -11,21 +10,12 @@ import (
 // Symmetric SpMV expansion. Every stored SymCSB tile writes two row bands —
 // band bi directly and band bj through the transposed scatter — so naive
 // per-tile tasks would race on y. The matrix's cached SymSchedule resolves
-// the conflict in one of two ways:
-//
-// Wave mode: tiles are pre-colored so that no two tiles of one color share a
-// band. Tasks are emitted color by color; within a band, consecutive writers
-// form a WAW chain (the generic addTask machinery), so waves surface as DAG
-// ranks without explicit barriers and each band has one fixed accumulation
-// order — the source of bit-identical results across all backends.
-//
-// Fallback mode (coloring fragmented the DAG, e.g. arrowhead patterns):
-// direct halves still chain on y[bi], while transposed halves go to one of
-// G = min(8, NBR) private full-height accumulators chosen by tile row
-// (g = bi·G/NBR — a pure function of the matrix structure, never of worker
-// or domain counts, so the reduction order is identical across topology
-// profiles). Per-band reduction tasks, affinity-stamped to their band, fold
-// the used groups back into y in ascending group order.
+// the conflict: tiles are pre-colored so that no two tiles of one color
+// share a band. Tasks are emitted color by color; within a band, consecutive
+// writers form a WAW chain (the generic addTask machinery), so waves surface
+// as DAG ranks without explicit barriers and each band has one fixed
+// accumulation order — the source of bit-identical results across all
+// backends.
 //
 // Symmetric expansion always skips empty stored tiles: an empty tile
 // contributes neither half, and the no-skip ablation targets the general
@@ -40,14 +30,10 @@ func (b *builder) expandSpMMSym(ci int32, c *program.Call) error {
 		return fmt.Errorf("SymCSB tiling %d does not match program NP=%d", a.NBR, p.NP)
 	}
 	n := p.Op(c.Out).Cols
-	if a.Sched.Fallback {
-		b.expandSpMMSymAcc(ci, c, a, n)
-		return nil
-	}
 
-	// Wave mode. Bucket stored non-empty tiles by color in one pass
-	// ((bi-major, bj ascending) within a bucket), then emit bucket by
-	// bucket so same-band writers chain in wave order.
+	// Bucket stored non-empty tiles by color in one pass ((bi-major, bj
+	// ascending) within a bucket), then emit bucket by bucket so same-band
+	// writers chain in wave order.
 	type tileRef struct{ bi, bj int32 }
 	buckets := make([][]tileRef, a.Sched.NumWaves)
 	for bi := 0; bi < a.NBR; bi++ {
@@ -97,86 +83,6 @@ func (b *builder) expandSpMMSym(ci int32, c *program.Call) error {
 	}
 	b.zeroUnwritten(ci, c, seen, n)
 	return nil
-}
-
-// expandSpMMSymAcc emits the fallback accumulator task pattern: diagonal
-// tiles as plain TSymTile (one band, no conflict), off-diagonal tiles as
-// TSymTileAcc (direct half chained on y[bi], transposed half into the tile
-// row's group accumulator), then one TSymReduce per band with transposed
-// contributions.
-func (b *builder) expandSpMMSymAcc(ci int32, c *program.Call, a *sparse.SymCSB, n int) {
-	p := b.g.Prog
-	seen := make([]bool, p.NP)
-	accSeen := make([]bool, a.Sched.Groups*p.NP)
-	for bi := 0; bi < a.NBR; bi++ {
-		g := a.AccGroup(bi)
-		for bj := 0; bj <= bi; bj++ {
-			nnz := a.TileNNZ(bi, bj)
-			if nnz == 0 {
-				continue
-			}
-			rows := int64(p.PartRows(bi))
-			first := !seen[bi]
-			seen[bi] = true
-			reads := []Ref{
-				{TileRegion(c.A, bi, bj, a.NBR), int64(nnz) * 16},
-				{VecRegion(c.B, bj), int64(p.PartRows(bj)) * int64(n) * 8},
-			}
-			writes := []Ref{{VecRegion(c.Out, bi), rows * int64(n) * 8}}
-			if !first {
-				reads = append(reads, writes[0])
-			}
-			if bi == bj {
-				b.addTask(Task{
-					Kind: TSymTile, Call: ci, P: int32(bi), Q: int32(bj),
-					First: first,
-					Flops: 4*int64(nnz)*int64(n) - 2*int64(tileDiagNNZ(a, bi))*int64(n),
-				}, reads, writes)
-				continue
-			}
-			firstQ := !accSeen[g*p.NP+bj]
-			accSeen[g*p.NP+bj] = true
-			reads = append(reads, Ref{VecRegion(c.B, bi), rows * int64(n) * 8})
-			accRef := Ref{SymAccRegion(int(ci), g, bj, a.NBR), int64(p.PartRows(bj)) * int64(n) * 8}
-			writes = append(writes, accRef)
-			if !firstQ {
-				reads = append(reads, accRef)
-			}
-			b.addTask(Task{
-				Kind: TSymTileAcc, Call: ci, P: int32(bi), Q: int32(bj),
-				First: first, FirstQ: firstQ,
-				Flops: 4 * int64(nnz) * int64(n),
-			}, reads, writes)
-		}
-	}
-	// Per-band reductions over the used groups, in ascending group order
-	// (the kernel folds the same order, fixing FP accumulation).
-	for bj := 0; bj < p.NP; bj++ {
-		mask := a.Sched.TransGroups[bj]
-		if mask == 0 {
-			continue
-		}
-		rows := int64(p.PartRows(bj))
-		first := !seen[bj]
-		seen[bj] = true
-		reads := make([]Ref, 0, bits.OnesCount8(mask)+1)
-		for g := 0; g < a.Sched.Groups; g++ {
-			if mask&(1<<uint(g)) == 0 {
-				continue
-			}
-			reads = append(reads, Ref{SymAccRegion(int(ci), g, bj, a.NBR), rows * int64(n) * 8})
-		}
-		writes := []Ref{{VecRegion(c.Out, bj), rows * int64(n) * 8}}
-		if !first {
-			reads = append(reads, writes[0])
-		}
-		b.addTask(Task{
-			Kind: TSymReduce, Call: ci, P: int32(bj), Q: -1,
-			First: first,
-			Flops: int64(bits.OnesCount8(mask)) * rows * int64(n),
-		}, reads, writes)
-	}
-	b.zeroUnwritten(ci, c, seen, n)
 }
 
 // zeroUnwritten emits a TSpMMZero for every output band no task wrote.

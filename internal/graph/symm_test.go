@@ -59,88 +59,50 @@ func arrowheadSymCOO(n int) *sparse.COO {
 	return a
 }
 
+// Banded and arrowhead storage alike expand to one task per stored
+// non-empty tile, and any two tasks that write a common output band are
+// ordered by the band's WAW chain — the arrowhead's band 0 is written by
+// every tile row, a chain one wave long per tile row.
 func TestSymExpansionWaveMode(t *testing.T) {
-	g, sym := symProblem(t, bandedSymCOO(96), 8, 1)
-	if sym.Sched.Fallback {
-		t.Fatal("banded matrix fell back; want wave mode")
-	}
-	nTile := 0
-	for i := range g.Tasks {
-		switch g.Tasks[i].Kind {
-		case TSymTile:
-			nTile++
-		case TSymTileAcc, TSymReduce:
-			t.Fatalf("wave-mode graph contains fallback task %v", g.Tasks[i].Kind)
-		}
-	}
-	if want := sym.NonEmptyTiles(); nTile != want {
-		t.Fatalf("TSymTile tasks = %d, want one per stored non-empty tile (%d)", nTile, want)
-	}
-	// Band-conflict safety: any two tasks touching a common output band must
-	// be ordered by a dependency path (the WAW chain). Verify via per-band
-	// writer lists: consecutive writers must share an edge.
-	nbr := sym.NBR
-	writers := make([][]int32, nbr)
-	for i := range g.Tasks {
-		tk := &g.Tasks[i]
-		if tk.Kind != TSymTile {
-			continue
-		}
-		writers[tk.P] = append(writers[tk.P], tk.ID)
-		if tk.Q != tk.P {
-			writers[tk.Q] = append(writers[tk.Q], tk.ID)
-		}
-	}
-	hasDep := func(task, dep int32) bool {
-		for _, d := range g.Tasks[task].Deps {
-			if d == dep {
-				return true
+	for name, coo := range map[string]*sparse.COO{"banded": bandedSymCOO(96), "arrowhead": arrowheadSymCOO(128)} {
+		g, sym := symProblem(t, coo, 8, 1)
+		nTile := 0
+		for i := range g.Tasks {
+			if g.Tasks[i].Kind == TSymTile {
+				nTile++
 			}
 		}
-		return false
-	}
-	for band, w := range writers {
-		for k := 1; k < len(w); k++ {
-			if !hasDep(w[k], w[k-1]) {
-				t.Fatalf("band %d: writer task %d does not depend on previous writer %d", band, w[k], w[k-1])
+		if want := sym.NonEmptyTiles(); nTile != want {
+			t.Fatalf("%s: TSymTile tasks = %d, want one per stored non-empty tile (%d)", name, nTile, want)
+		}
+		// Band-conflict safety: consecutive writers of a band must share an
+		// edge.
+		writers := make([][]int32, sym.NBR)
+		for i := range g.Tasks {
+			tk := &g.Tasks[i]
+			if tk.Kind != TSymTile {
+				continue
+			}
+			writers[tk.P] = append(writers[tk.P], tk.ID)
+			if tk.Q != tk.P {
+				writers[tk.Q] = append(writers[tk.Q], tk.ID)
 			}
 		}
-	}
-}
-
-func TestSymExpansionFallbackMode(t *testing.T) {
-	g, sym := symProblem(t, arrowheadSymCOO(128), 8, 1)
-	if !sym.Sched.Fallback {
-		t.Fatal("arrowhead matrix stayed in wave mode; want fallback")
-	}
-	nAcc, nRed := 0, 0
-	for i := range g.Tasks {
-		tk := &g.Tasks[i]
-		switch tk.Kind {
-		case TSymTileAcc:
-			nAcc++
-		case TSymReduce:
-			nRed++
-			// Reduction affinity is the band it writes.
-			if tk.P < 0 || int(tk.P) >= sym.NBR {
-				t.Fatalf("TSymReduce band %d out of range", tk.P)
+		hasDep := func(task, dep int32) bool {
+			for _, d := range g.Tasks[task].Deps {
+				if d == dep {
+					return true
+				}
 			}
-			if tk.Affinity != tk.P {
-				t.Fatalf("TSymReduce band %d has affinity %d", tk.P, tk.Affinity)
+			return false
+		}
+		for band, w := range writers {
+			for k := 1; k < len(w); k++ {
+				if !hasDep(w[k], w[k-1]) {
+					t.Fatalf("%s: band %d: writer task %d does not depend on previous writer %d", name, band, w[k], w[k-1])
+				}
 			}
 		}
-	}
-	if nAcc == 0 {
-		t.Fatal("fallback graph has no TSymTileAcc tasks")
-	}
-	wantRed := 0
-	for _, m := range sym.Sched.TransGroups {
-		if m != 0 {
-			wantRed++
-		}
-	}
-	if nRed != wantRed {
-		t.Fatalf("TSymReduce tasks = %d, want one per band with transposed input (%d)", nRed, wantRed)
 	}
 }
 

@@ -229,9 +229,8 @@ func Random(seed int64) *Case {
 }
 
 // RandomSPD returns a strictly diagonally dominant symmetric matrix, so IC(0)
-// always succeeds. banded keeps the off-diagonals near the diagonal (the
-// symmetric storage's wave schedule); otherwise a few dense rows are added
-// (its accumulator fallback).
+// always succeeds. banded keeps the off-diagonals near the diagonal (few
+// symmetric waves); otherwise a few dense rows are added (many).
 func RandomSPD(rng *rand.Rand, m int, banded bool) *sparse.COO {
 	coo := sparse.NewCOO(m, m, 8*m)
 	sum := make([]float64, m)

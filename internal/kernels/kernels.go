@@ -200,10 +200,9 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		}
 
 	case graph.TSymTile:
-		// Wave-mode symmetric tile (or a fallback-mode diagonal tile):
-		// scatter both halves straight into y. First/FirstQ zero the
-		// destination bands; the pre-colored waves guarantee no concurrent
-		// task touches either band.
+		// Symmetric tile: scatter both halves straight into y. First/FirstQ
+		// zero the destination bands; the pre-colored waves guarantee no
+		// concurrent task touches either band.
 		a := st.SymM[c.A]
 		x := st.Vec[c.B]
 		y := st.Vec[c.Out]
@@ -218,60 +217,6 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 			a.BlockSymSpMV(y, x, int(t.P), int(t.Q))
 		} else {
 			a.BlockSymSpMM(y, x, n, int(t.P), int(t.Q))
-		}
-
-	case graph.TSymTileAcc:
-		// Fallback-mode off-diagonal tile: direct half into y[P], transposed
-		// half into the tile row's group accumulator at band-Q offset.
-		a := st.SymM[c.A]
-		x := st.Vec[c.B]
-		y := st.Vec[c.Out]
-		n := p.Op(c.Out).Cols
-		if t.First {
-			zero(st.VecPart(c.Out, int(t.P)))
-		}
-		acc := st.SymAcc(int(t.Call), a.AccGroup(int(t.P)))
-		if t.FirstQ {
-			lo := int(t.Q) * p.Block * n
-			zero(acc[lo : lo+p.PartRows(int(t.Q))*n])
-		}
-		if n == 1 {
-			a.BlockSymSpMVDirect(y, x, int(t.P), int(t.Q))
-			a.BlockSymSpMVTrans(acc, x, int(t.P), int(t.Q))
-		} else {
-			a.BlockSymSpMMDirect(y, x, n, int(t.P), int(t.Q))
-			a.BlockSymSpMMTrans(acc, x, n, int(t.P), int(t.Q))
-		}
-
-	case graph.TSymReduce:
-		// Fold the used accumulator groups of band P back into y[P] in
-		// ascending group order: a fixed order, so the fallback path is as
-		// bit-reproducible as the wave path.
-		a := st.SymM[c.A]
-		n := p.Op(c.Out).Cols
-		out := st.VecPart(c.Out, int(t.P))
-		if t.First {
-			zero(out)
-		}
-		mask := a.Sched.TransGroups[t.P]
-		lo := int(t.P) * p.Block * n
-		for gi := 0; gi < a.Sched.Groups; gi++ {
-			if mask&(1<<uint(gi)) == 0 {
-				continue
-			}
-			acc := st.SymAcc(int(t.Call), gi)
-			src := acc[lo : lo+len(out)]
-			src = src[:len(out)]
-			i := 0
-			for ; i+4 <= len(out); i += 4 {
-				out[i] += src[i]
-				out[i+1] += src[i+1]
-				out[i+2] += src[i+2]
-				out[i+3] += src[i+3]
-			}
-			for ; i < len(out); i++ {
-				out[i] += src[i]
-			}
 		}
 
 	case graph.TColDotPart:

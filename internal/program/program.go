@@ -113,8 +113,7 @@ const (
 	// CSpMMSym: Out = A·B where A is OpSymSparse and B, Out are OpVec. Each
 	// stored tile task writes row band bi directly and band bj through the
 	// transposed scatter; expansion resolves the write conflict with the
-	// matrix's cached SymSchedule (conflict-free waves, or private
-	// accumulators plus reduction tasks).
+	// matrix's cached SymSchedule (conflict-free waves).
 	CSpMMSym
 	// CColDot: Out[0,j] = Σ_i A[i,j]·B[i,j] — a per-column dot product over
 	// equal-width vecs, written into a 1×k OpSmall. One partial task per row
@@ -299,8 +298,8 @@ func (p *Program) SpMMReduceBased(out, a, x OperandID) *Program {
 
 // SpMMSym appends Out = A·X where A is a symmetric sparse operand and
 // X/Out are vecs with equal widths. Expansion consumes the SymCSB attached
-// via graph.Options.Syms; its cached schedule decides wave vs accumulator
-// task emission.
+// via graph.Options.Syms; its cached schedule orders the tile tasks into
+// waves.
 func (p *Program) SpMMSym(out, a, x OperandID) *Program {
 	p.check(a, OpSymSparse, "SpMMSym")
 	ox := p.check(x, OpVec, "SpMMSym")

@@ -33,11 +33,6 @@ type Store struct {
 	// no hashing and no lock-free-read caveats.
 	partials [][]float64
 	spmmBuf  [][]float64
-	// symAcc holds the fallback-mode private accumulators of CSpMMSym
-	// calls, indexed call*sparse.SymAccGroups+group; each is a full output
-	// buffer (M·n). Allocated by SetSymSparse (the matrix's schedule decides
-	// whether fallback buffers are needed), fixed before execution.
-	symAcc [][]float64
 }
 
 // NewStore allocates backing storage for every operand of p except sparse
@@ -53,7 +48,6 @@ func NewStore(p *Program) *Store {
 		Scalars:  make([]float64, len(p.Ops)),
 		partials: make([][]float64, len(p.Calls)*p.NP),
 		spmmBuf:  make([][]float64, len(p.Calls)*p.NP),
-		symAcc:   make([][]float64, len(p.Calls)*sparse.SymAccGroups),
 	}
 	for _, o := range p.Ops {
 		switch o.Kind {
@@ -112,9 +106,6 @@ func (st *Store) SetSparse(id OperandID, a *sparse.CSB) {
 }
 
 // SetSymSparse attaches the SymCSB matrix for a symmetric sparse operand.
-// When the matrix's schedule uses the fallback accumulator path, the private
-// accumulator buffers of every CSpMMSym call over this operand are allocated
-// here (setup time, off the hot path) so tasks never mutate the tables.
 func (st *Store) SetSymSparse(id OperandID, a *sparse.SymCSB) {
 	o := st.P.Op(id)
 	if o.Kind != OpSymSparse {
@@ -127,32 +118,6 @@ func (st *Store) SetSymSparse(id OperandID, a *sparse.SymCSB) {
 		panic(fmt.Sprintf("program: SymCSB rows %d != program rows %d", a.Rows, st.P.M))
 	}
 	st.SymM[id] = a
-	if !a.Sched.Fallback {
-		return
-	}
-	for ci, c := range st.P.Calls {
-		if c.Kind != CSpMMSym || c.A != id {
-			continue
-		}
-		w := st.P.Op(c.Out).Cols
-		for g := 0; g < a.Sched.Groups; g++ {
-			if st.symAcc[ci*sparse.SymAccGroups+g] == nil {
-				st.symAcc[ci*sparse.SymAccGroups+g] = make([]float64, st.P.M*w)
-			}
-		}
-	}
-}
-
-// SymAcc returns the fallback-mode private accumulator of CSpMMSym call
-// callIdx for group g: a full-output-height buffer. Concurrent callers only
-// read the flat table, which is safe because entries are fixed after
-// SetSymSparse.
-func (st *Store) SymAcc(callIdx, g int) []float64 {
-	b := st.symAcc[callIdx*sparse.SymAccGroups+g]
-	if b == nil {
-		panic(fmt.Sprintf("program: no symmetric accumulator for call %d group %d", callIdx, g))
-	}
-	return b
 }
 
 // SetBlockTri attaches the factor for a triangular operand in its block

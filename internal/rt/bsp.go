@@ -55,13 +55,12 @@ func buildBSPPlan(g *graph.TDG) []bspCallPlan {
 			// These calls carry dependencies *within* the call: triangular
 			// block chains follow the factor's level DAG, and symmetric SpMV
 			// tiles write two row bands (per-P chains would race on the
-			// transposed band or a shared accumulator region). Split the
-			// call into its dependency levels and barrier between them —
-			// the classic OpenMP level-scheduled shape. Tasks of one level
-			// share no intra-call edge, and every write conflict has an
-			// edge, so levels are conflict-free. Level order equals chain
-			// order per region, so results stay bit-identical to the AMT
-			// runtimes'.
+			// transposed band). Split the call into its dependency levels
+			// and barrier between them — the classic OpenMP level-scheduled
+			// shape. Tasks of one level share no intra-call edge, and every
+			// write conflict has an edge, so levels are conflict-free. Level
+			// order equals chain order per region, so results stay
+			// bit-identical to the AMT runtimes'.
 			plan = append(plan, bspTrsvLevels(g, ids)...)
 			continue
 		}

@@ -57,8 +57,8 @@ func symTestProblem(t *testing.T, coo *sparse.COO, block, n int, seed int64) (*g
 	return g, mk, X
 }
 
-// symTestMatrices returns a wave-mode (banded) and a fallback-mode
-// (arrowhead) symmetric matrix.
+// symTestMatrices returns a banded symmetric matrix, a few waves deep, and
+// an arrowhead, whose band 0 every tile row writes in a wave of its own.
 func symTestMatrices(m int, seed int64) map[string]*sparse.COO {
 	rng := rand.New(rand.NewSource(seed))
 	banded := sparse.NewCOO(m, m, 0)
@@ -81,10 +81,10 @@ func symTestMatrices(m int, seed int64) map[string]*sparse.COO {
 		}
 	}
 	arrow.Compact()
-	return map[string]*sparse.COO{"banded-wave": banded, "arrowhead-fallback": arrow}
+	return map[string]*sparse.COO{"banded": banded, "arrowhead": arrow}
 }
 
-// All four backends, both schedule modes, both NUMA profiles, repeated
+// All four backends, both matrices, both NUMA profiles, repeated
 // iterations: results must be bit-identical to the sequential execution.
 func TestSymBackendsBitIdentical(t *testing.T) {
 	for name, coo := range symTestMatrices(96, 1) {
@@ -109,10 +109,8 @@ func TestSymBackendsBitIdentical(t *testing.T) {
 	}
 }
 
-// The fallback accumulator grouping is a function of the matrix only, so the
-// sequential result itself must not depend on the topology profile — checked
-// implicitly above (one ref for all profiles). Here: symmetric storage must
-// agree with the general CSB path to 1e-12 relative on the same product.
+// Symmetric storage must agree with the general CSB path to 1e-12 relative
+// on the same product.
 func TestSymMatchesGeneralPath(t *testing.T) {
 	for name, coo := range symTestMatrices(96, 2) {
 		for _, n := range []int{1, 2, 4, 8, 3} {
@@ -141,11 +139,12 @@ func TestSymMatchesGeneralPath(t *testing.T) {
 	}
 }
 
-// Race stress for the fallback accumulators: many workers hammering the
-// arrowhead graph. Meaningful mainly under -race (the repo's race matrix runs
-// this package).
-func TestSymFallbackAccumulatorStress(t *testing.T) {
-	coo := symTestMatrices(160, 3)["arrowhead-fallback"]
+// Race stress for the longest WAW chain a schedule makes: many workers
+// hammering the arrowhead graph, where every tile row writes band 0 in a wave
+// of its own. Meaningful mainly under -race (the repo's race matrix runs this
+// package).
+func TestSymArrowheadChainStress(t *testing.T) {
+	coo := symTestMatrices(160, 3)["arrowhead"]
 	g, mk, opX := symTestProblem(t, coo, 8, 2, 11)
 	ref := mk()
 	init := append([]float64(nil), ref.Vec[opX]...)
@@ -154,8 +153,8 @@ func TestSymFallbackAccumulatorStress(t *testing.T) {
 		st := mk()
 		pr := r.Prepare(g, st)
 		for it := 0; it < 20; it++ {
-			// Reset X so every run recomputes the same values over the live
-			// accumulator buffers.
+			// Reset X so every run recomputes the same values into the
+			// live output bands.
 			copy(st.Vec[opX], init)
 			if err := pr.Run(context.Background()); err != nil {
 				t.Fatalf("%s: %v", r.Name(), err)

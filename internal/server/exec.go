@@ -229,7 +229,9 @@ func (e *Engine) materialize(job *Job, workers int) (*materialized, error) {
 	}
 	m.timings.LoadMS = adm.loadMS
 	planStart := time.Now()
-	m.plan, m.planSource = e.resolvePlan(job.Spec, op, workers)
+	if m.plan, m.planSource, err = e.resolvePlan(job.Spec, op, workers); err != nil {
+		return nil, err
+	}
 	m.timings.PlanMS = sinceMS(planStart)
 	e.metrics.PlanStage.Observe(time.Since(start))
 	convertStart := time.Now()
@@ -446,19 +448,27 @@ type runtimeKey struct {
 	workers int
 }
 
+// maxBlockCount bounds the tiles per dimension of a requested block: the top
+// of the finest §5.4 bin. Tile indexes grow as its square, so an unbounded
+// request could exhaust memory before any error could be returned (block 1
+// on a 65 536-row symmetric matrix is a 17 GB BlkPtr).
+var maxBlockCount = autotune.Bins[len(autotune.Bins)-1].Hi
+
 // resolvePlan picks the CSB tiling: an explicit request wins, then the plan
 // cache, then a fresh §5.4 six-bin autotune sweep — which evaluates only the
 // bins its cost bound cannot rule out — whose result is cached under the
 // matrix's structural fingerprint. Matrices too small to tune get
 // a single-tile fallback (also cached, so they only pay the failed sweep
-// once).
-func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, string) {
+// once). A request that would tile finer than maxBlockCount is refused.
+func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, string, error) {
 	rows := op.coo.Rows
 	if spec.Block > 0 {
-		return Plan{
-			Block:      spec.Block,
-			BlockCount: (rows + spec.Block - 1) / spec.Block,
-		}, "request"
+		count := (rows + spec.Block - 1) / spec.Block
+		if count > maxBlockCount {
+			return Plan{}, "", fmt.Errorf("block %d tiles the %d-row matrix %d ways per dimension; at most %d are allowed",
+				spec.Block, rows, count, maxBlockCount)
+		}
+		return Plan{Block: spec.Block, BlockCount: count}, "request", nil
 	}
 	key := PlanKey{
 		Fingerprint: op.fp,
@@ -469,7 +479,7 @@ func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, str
 		SymStorage:  op.stats.Symmetric,
 	}
 	if p, ok := e.plans.Get(key); ok {
-		return p, "cache"
+		return p, "cache", nil
 	}
 
 	sv := autotune.Lanczos // cg and pcg share Lanczos's SpMV-dominated kernel mix
@@ -483,9 +493,9 @@ func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, str
 	if err != nil {
 		p := Plan{Block: rows, BlockCount: 1}
 		e.plans.Put(key, p)
-		return p, "fallback"
+		return p, "fallback", nil
 	}
 	p := Plan{Block: res.Block, BlockCount: res.BlockCount, Bin: res.Bin}
 	e.plans.Put(key, p)
-	return p, "autotune"
+	return p, "autotune", nil
 }

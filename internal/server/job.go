@@ -79,7 +79,8 @@ type JobSpec struct {
 	// default).
 	Workers int `json:"workers,omitempty"`
 	// Block forces a CSB block size in rows, bypassing the plan cache and
-	// autotuner.
+	// autotuner. A block that cuts the matrix into more than 511 tiles per
+	// dimension (the top of the finest §5.4 bin) fails the job.
 	Block int `json:"block,omitempty"`
 	// DeadlineMS bounds the job's execution time, measured from the moment
 	// a pool worker starts it. 0 means no deadline.

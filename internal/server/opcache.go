@@ -277,8 +277,7 @@ func csrBytes(a *sparse.CSR) int64 {
 func matrixBytes(m sparse.Matrix) int64 {
 	switch a := m.(type) {
 	case *sparse.SymCSB:
-		return 8*int64(len(a.BlkPtr)) + 16*int64(len(a.V)) +
-			4*int64(len(a.Sched.Wave)) + int64(len(a.Sched.TransGroups))
+		return 8*int64(len(a.BlkPtr)) + 16*int64(len(a.V)) + 4*int64(len(a.Sched.Wave))
 	case *sparse.CSB:
 		return 8*int64(len(a.BlkPtr)) + 16*int64(len(a.V))
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/rt"
 )
 
@@ -471,6 +472,25 @@ func TestPCGFactorCacheReuse(t *testing.T) {
 	}
 	if m.FactorCache.LevelAnalyses != 2 {
 		t.Errorf("level_analyses after retile = %d, want 2", m.FactorCache.LevelAnalyses)
+	}
+}
+
+// A forced block is bounded by the tiles per dimension it makes, not only by
+// its size: block 1 on a 2048-row matrix would tile it 2048 ways, and at
+// 65 536 rows the same request allocates a 17 GB tile index before anything
+// could fail. The job fails, naming the limit, before any tiling is built.
+func TestForcedBlockTileLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 1})
+	v, status := postJob(t, ts, mmSpecFor(spdTridiagMM(2048), "lanczos", "deepsparse", `"k":4,"block":1`))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", status)
+	}
+	fin, _ := waitState(t, ts, v.ID, StateFailed, 60*time.Second)
+	if fin.State != StateFailed {
+		t.Fatalf("block 1 on 2048 rows: state %s, want failed", fin.State)
+	}
+	if want := fmt.Sprintf("at most %d", autotune.Bins[len(autotune.Bins)-1].Hi); !strings.Contains(fin.Error, want) {
+		t.Fatalf("error %q does not name the limit (%q)", fin.Error, want)
 	}
 }
 

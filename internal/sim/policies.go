@@ -192,8 +192,7 @@ func (p *BSPPolicy) coreOf(t int32) int {
 	}
 	if task.Kind == graph.TSpMMTile || task.Kind == graph.TSpMMZero ||
 		task.Kind == graph.TSpMMBufTile || task.Kind == graph.TSpMMReduce ||
-		task.Kind == graph.TSymTile || task.Kind == graph.TSymTileAcc ||
-		task.Kind == graph.TSymReduce {
+		task.Kind == graph.TSymTile {
 		// MKL's SpMV/SpMM threading partitions internally (nnz-balanced),
 		// which does not line up with the row chunking of the surrounding
 		// vector kernels: model the mismatch as an interleaved assignment.

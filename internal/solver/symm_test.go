@@ -6,14 +6,15 @@ import (
 	"math"
 	"testing"
 
+	"sparsetask/internal/matgen"
 	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
 	"sparsetask/internal/topo"
 )
 
-// arrowheadSPD builds an SPD arrowhead matrix whose SymCSB schedule takes the
-// fallback accumulator path (band 0 meets every tile row).
+// arrowheadSPD builds an SPD arrowhead matrix: band 0 meets every tile row,
+// so its SymCSB schedule takes a wave per tile row.
 func arrowheadSPD(n int) *sparse.COO {
 	a := sparse.NewCOO(n, n, 0)
 	for i := 0; i < n; i++ {
@@ -143,20 +144,21 @@ func TestPCGSymmetricStorage(t *testing.T) {
 }
 
 // Bit-identity of symmetric solves across all four backends × topology
-// profiles, for both schedule modes. This is the symmetric analogue of
-// TestLanczosDeterministicAcrossTopologies, and additionally includes the
-// BSP backend (whose level-split must not change chain order per band).
+// profiles, for a few-wave schedule, a wave-per-tile-row one and the KKT and
+// R-MAT structures that colour into many waves. This is the symmetric
+// analogue of TestLanczosDeterministicAcrossTopologies, and additionally
+// includes the BSP backend (whose level-split must not change chain order
+// per band).
 func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
 	cases := map[string]*sparse.COO{
-		"spd-wave":           randomSPD(120, 7),
-		"arrowhead-fallback": arrowheadSPD(128),
+		"spd":       randomSPD(120, 7),
+		"arrowhead": arrowheadSPD(128),
+		"kkt":       matgen.KKT(3, 1),
+		"rmat":      matgen.RMAT(256, 4, 0.57, 1),
 	}
 	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
 	for matName, coo := range cases {
 		sym := toSym(t, coo, 12)
-		if matName == "arrowhead-fallback" && !sym.Sched.Fallback {
-			t.Fatal("arrowhead matrix did not trigger fallback scheduling")
-		}
 		var want []float64
 		var wantFrom string
 		for _, tp := range topos {
@@ -188,18 +190,14 @@ func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
 	}
 }
 
-// Steady-state symmetric iterations must stay allocation-free in both wave
-// mode (Laplacian) and fallback mode (arrowhead, exercising the private
-// accumulators and reduction tasks).
+// Steady-state symmetric iterations must stay allocation-free on a few-wave
+// schedule (Laplacian) and a wave-per-tile-row one (arrowhead).
 func TestSymmetricSteadyIterationAllocs(t *testing.T) {
 	mats := map[string]*sparse.SymCSB{
-		"wave":     toSym(t, laplacian1D(600), 64),
-		"fallback": toSym(t, arrowheadSPD(640), 32),
+		"wave":      toSym(t, laplacian1D(600), 64),
+		"arrowhead": toSym(t, arrowheadSPD(640), 32),
 	}
 	for matName, sym := range mats {
-		if (matName == "fallback") != sym.Sched.Fallback {
-			t.Fatalf("%s: Fallback = %v", matName, sym.Sched.Fallback)
-		}
 		for _, tc := range allocWorkerCases() {
 			t.Run(matName+"/cg/"+tc.name, func(t *testing.T) {
 				c, err := NewCG(sym)

@@ -59,7 +59,7 @@ func sameColumn(a, b BatchColResult) error {
 // TestWidthIndependence is the property the one driver rests on: column j of
 // a k-wide solve is the k = 1 solve of b_j, bit for bit — solution, residual,
 // iteration count, outcome — for cg, IC(0)-pcg and Jacobi-pcg, on general and
-// symmetric storage (wave and accumulator-fallback schedules), under every
+// symmetric storage (a banded and an arrowhead schedule), under every
 // backend at 1, 2 and 4 workers, at widths on both sides of the kernels'
 // fixed-width bodies. The batch holds a zero column (born converged) and a
 // column that retires at iteration 1 while its neighbours run on. This is
@@ -85,12 +85,7 @@ func TestWidthIndependence(t *testing.T) {
 	stores := []storage{
 		{"csb", wave, wave.ToCSB(block)},
 		{"symcsb-wave", wave, toSym(t, wave, block)},
-		{"symcsb-fallback", arrow, toSym(t, arrow, block)},
-	}
-	for _, s := range stores[1:] {
-		if got, want := s.mat.(*sparse.SymCSB).Sched.Fallback, s.name == "symcsb-fallback"; got != want {
-			t.Fatalf("%s: Fallback = %v", s.name, got)
-		}
+		{"symcsb-arrowhead", arrow, toSym(t, arrow, block)},
 	}
 	ctx := context.Background()
 	for _, s := range stores {

@@ -1,8 +1,9 @@
 package sparse
 
 // The row-run engine: the one body behind every multi-column sparse kernel in
-// this package — CSB.BlockSpMM, the wave-mode SymCSB.BlockSymSpMM and the
-// fallback-mode BlockSymSpMMDirect/BlockSymSpMMTrans.
+// this package — CSB.BlockSpMM and SymCSB.BlockSymSpMM, whose off-diagonal
+// tiles run the direct and the transposed half and whose diagonal tiles run
+// both within one band.
 //
 // A tile's entries are stored in (local row, local col) order, so the entries
 // of one row form a contiguous run. The direct half, y[r] += Σ v·x[c], holds

@@ -12,12 +12,12 @@ import (
 )
 
 // The row-run engine is held to frozen copies of the per-entry bodies it
-// replaced, bit for bit: every multi-column method (CSB.BlockSpMM, the
-// wave-mode SymCSB.BlockSymSpMM on diagonal and off-diagonal tiles, the
-// fallback BlockSymSpMMDirect/Trans pair) at widths 1–9, into outputs that
-// already hold nonzero values, on generated and hand-built tilings. Each
-// check runs twice: on the Go bodies alone, and with the AVX2 bodies of the
-// 8- and 4-wide passes where this build and CPU have them.
+// replaced, bit for bit: every multi-column method (CSB.BlockSpMM,
+// SymCSB.BlockSymSpMM on diagonal and off-diagonal tiles) at widths 1–9,
+// into outputs that already hold nonzero values, on generated and
+// hand-built tilings. Each check runs twice: on the Go bodies alone, and
+// with the AVX2 bodies of the 8- and 4-wide passes where this build and CPU
+// have them.
 
 // ---- frozen copies: do not "improve" these ----
 
@@ -265,86 +265,6 @@ func refBlockSymSpMM(a *sparse.SymCSB, y, x []float64, n, bi, bj int) {
 	}
 }
 
-// refBlockSymSpMMDirect and refBlockSymSpMMTrans are the fallback pair
-// before the row-run engine: one per-entry scatter, ri/ci swapped for the
-// transpose.
-func refBlockSymSpMMDirect(a *sparse.SymCSB, y, x []float64, n, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
-		return
-	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := y[bi*a.Block*n:]
-	xs := x[bj*a.Block*n:]
-	refSymSpMMScatter(ys, xs, v, ri, ci, n)
-}
-
-func refBlockSymSpMMTrans(a *sparse.SymCSB, acc, x []float64, n, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
-		return
-	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := acc[bj*a.Block*n:]
-	xs := x[bi*a.Block*n:]
-	refSymSpMMScatter(ys, xs, v, ci, ri, n)
-}
-
-func refSymSpMMScatter(ys, xs []float64, v []float64, ri, ci []int32, n int) {
-	switch n {
-	case 1:
-		for p := range v {
-			ys[ri[p]] += v[p] * xs[ci[p]]
-		}
-	case 2:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*2:]
-			xj := xs[int(ci[p])*2:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-		}
-	case 4:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*4:]
-			xj := xs[int(ci[p])*4:]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-		}
-	case 8:
-		for p := range v {
-			vv := v[p]
-			yi := ys[int(ri[p])*8:][:8]
-			xj := xs[int(ci[p])*8:][:8]
-			yi[0] += vv * xj[0]
-			yi[1] += vv * xj[1]
-			yi[2] += vv * xj[2]
-			yi[3] += vv * xj[3]
-			yi[4] += vv * xj[4]
-			yi[5] += vv * xj[5]
-			yi[6] += vv * xj[6]
-			yi[7] += vv * xj[7]
-		}
-	default:
-		for p := range v {
-			refSymSpMMRow(ys[int(ri[p])*n:][:n], xs[int(ci[p])*n:], v[p])
-		}
-	}
-}
-
 func refSymSpMMRow(yi, xj []float64, vv float64) {
 	xj = xj[:len(yi)]
 	c := 0
@@ -428,7 +348,7 @@ func checkRowRuns(t *testing.T, name string, coo *sparse.COO, block int) {
 		if symErr != nil {
 			continue
 		}
-		// Wave mode: both halves of every tile straight into y.
+		// Both halves of every tile straight into y.
 		copy(got, y0)
 		copy(want, y0)
 		for bi := 0; bi < sym.NBR; bi++ {
@@ -436,27 +356,7 @@ func checkRowRuns(t *testing.T, name string, coo *sparse.COO, block int) {
 				sym.BlockSymSpMM(got, x, n, bi, bj)
 				refBlockSymSpMM(sym, want, x, n, bi, bj)
 				if err := sameBits(got, want); err != nil {
-					t.Fatalf("%s block=%d n=%d: SymCSB wave tile (%d,%d): %v", name, block, n, bi, bj, err)
-				}
-			}
-		}
-		// Fallback mode: direct half into y, transposed half into a private
-		// accumulator that already holds values.
-		copy(got, y0)
-		copy(want, y0)
-		acc0 := filled(rng, coo.Rows*n)
-		gotAcc, wantAcc := append([]float64(nil), acc0...), append([]float64(nil), acc0...)
-		for bi := 0; bi < sym.NBR; bi++ {
-			for bj := 0; bj < bi; bj++ {
-				sym.BlockSymSpMMDirect(got, x, n, bi, bj)
-				sym.BlockSymSpMMTrans(gotAcc, x, n, bi, bj)
-				refBlockSymSpMMDirect(sym, want, x, n, bi, bj)
-				refBlockSymSpMMTrans(sym, wantAcc, x, n, bi, bj)
-				if err := sameBits(got, want); err != nil {
-					t.Fatalf("%s block=%d n=%d: SymCSB direct tile (%d,%d): %v", name, block, n, bi, bj, err)
-				}
-				if err := sameBits(gotAcc, wantAcc); err != nil {
-					t.Fatalf("%s block=%d n=%d: SymCSB trans tile (%d,%d): %v", name, block, n, bi, bj, err)
+					t.Fatalf("%s block=%d n=%d: SymCSB tile (%d,%d): %v", name, block, n, bi, bj, err)
 				}
 			}
 		}
@@ -534,8 +434,8 @@ func handBuilt() map[string]*sparse.COO {
 	}
 	cases["ragged-last-block"] = symPattern(67, lower, all, rng)
 
-	// Arrowhead: row 0 meets every tile row, so tile colouring gives up and
-	// the symmetric storage takes the accumulator fallback.
+	// Arrowhead: row 0 meets every tile row, so every tile row writes band 0
+	// in a wave of its own.
 	lower = nil
 	for i := 1; i < 128; i++ {
 		lower = append(lower, [2]int{i, 0})
@@ -543,7 +443,7 @@ func handBuilt() map[string]*sparse.COO {
 			lower = append(lower, [2]int{i, i - 1})
 		}
 	}
-	cases["kkt-fallback"] = symPattern(128, lower, all, rng)
+	cases["kkt-arrowhead"] = symPattern(128, lower, all, rng)
 	return cases
 }
 
@@ -557,8 +457,8 @@ func checkAllRowRuns(t *testing.T) {
 			checkRowRuns(t, name, coo, block)
 		}
 	}
-	if sym, err := handBuilt()["kkt-fallback"].ToSymCSB(8); err != nil || !sym.Sched.Fallback {
-		t.Fatalf("kkt-fallback at block 8 is not in fallback mode (err %v)", err)
+	if sym, err := handBuilt()["kkt-arrowhead"].ToSymCSB(8); err != nil || sym.Sched.NumWaves < sym.NBR {
+		t.Fatalf("kkt-arrowhead at block 8 does not take a wave per tile row (err %v)", err)
 	}
 
 	generated := map[string]*sparse.COO{
@@ -651,28 +551,14 @@ func checkFuzzWidth(t *testing.T, gen, symCOO *sparse.COO, block, n int) {
 	}
 	copy(got, y0)
 	copy(want, y0)
-	acc := filled(rng, gen.Rows*n)
-	gotAcc, wantAcc := append([]float64(nil), acc...), append([]float64(nil), acc...)
-	gotW, wantW := append([]float64(nil), y0...), append([]float64(nil), y0...)
 	for bi := 0; bi < sym.NBR; bi++ {
 		for bj := 0; bj <= bi; bj++ {
-			sym.BlockSymSpMM(gotW, x, n, bi, bj)
-			refBlockSymSpMM(sym, wantW, x, n, bi, bj)
-			if bj < bi {
-				sym.BlockSymSpMMDirect(got, x, n, bi, bj)
-				sym.BlockSymSpMMTrans(gotAcc, x, n, bi, bj)
-				refBlockSymSpMMDirect(sym, want, x, n, bi, bj)
-				refBlockSymSpMMTrans(sym, wantAcc, x, n, bi, bj)
-			}
+			sym.BlockSymSpMM(got, x, n, bi, bj)
+			refBlockSymSpMM(sym, want, x, n, bi, bj)
 		}
 	}
-	for _, c := range []struct {
-		what      string
-		got, want []float64
-	}{{"wave", gotW, wantW}, {"direct", got, want}, {"trans", gotAcc, wantAcc}} {
-		if err := sameBits(c.got, c.want); err != nil {
-			t.Fatalf("SymCSB %s block=%d n=%d: %v", c.what, block, n, err)
-		}
+	if err := sameBits(got, want); err != nil {
+		t.Fatalf("SymCSB block=%d n=%d: %v", block, n, err)
 	}
 }
 
@@ -722,21 +608,16 @@ func checkCorruptTiles(t *testing.T) {
 		name   string
 		ri, ci []int32
 		lo, hi int64 // the corrupted tile's entries
-		run    func(y, acc, x []float64, n int)
+		run    func(y, x []float64, n int)
 	}
 	csbTile, symOff, symDiag := csb.BlockIndex(1, 0), sym.TileIndex(1, 0), sym.TileIndex(1, 1)
 	targets := []target{
 		{"csb", csb.RI, csb.CI, csb.BlkPtr[csbTile], csb.BlkPtr[csbTile+1],
-			func(y, _, x []float64, n int) { csb.BlockSpMM(y, x, n, 1, 0) }},
-		{"symcsb-wave-offdiag", sym.RI, sym.CI, sym.BlkPtr[symOff], sym.BlkPtr[symOff+1],
-			func(y, _, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 0) }},
-		{"symcsb-wave-diag", sym.RI, sym.CI, sym.BlkPtr[symDiag], sym.BlkPtr[symDiag+1],
-			func(y, _, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 1) }},
-		{"symcsb-fallback", sym.RI, sym.CI, sym.BlkPtr[symOff], sym.BlkPtr[symOff+1],
-			func(y, acc, x []float64, n int) {
-				sym.BlockSymSpMMDirect(y, x, n, 1, 0)
-				sym.BlockSymSpMMTrans(acc, x, n, 1, 0)
-			}},
+			func(y, x []float64, n int) { csb.BlockSpMM(y, x, n, 1, 0) }},
+		{"symcsb-offdiag", sym.RI, sym.CI, sym.BlkPtr[symOff], sym.BlkPtr[symOff+1],
+			func(y, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 0) }},
+		{"symcsb-diag", sym.RI, sym.CI, sym.BlkPtr[symDiag], sym.BlkPtr[symDiag+1],
+			func(y, x []float64, n int) { sym.BlockSymSpMM(y, x, n, 1, 1) }},
 	}
 	for _, tg := range targets {
 		if tg.hi-tg.lo < 2 {
@@ -751,21 +632,20 @@ func checkCorruptTiles(t *testing.T) {
 			for _, bad := range []int32{block, int32(rows), -1} {
 				for _, n := range []int{2, 3, 4, 5, 8, 9} {
 					yBuf, y := padded(rows * n)
-					accBuf, acc := padded(rows * n)
 					_, x := padded(rows * n)
 					saved := idx[p]
 					idx[p] = bad
 					panicked := func() (did bool) {
 						defer func() { did = recover() != nil }()
-						tg.run(y, acc, x, n)
+						tg.run(y, x, n)
 						return false
 					}()
 					idx[p] = saved
 					if !panicked {
 						t.Errorf("%s: %s[%d] = %d at n=%d: no panic", tg.name, field, p, bad, n)
 					}
-					if !intact(yBuf) || !intact(accBuf) {
-						t.Errorf("%s: %s[%d] = %d at n=%d: wrote outside y or acc", tg.name, field, p, bad, n)
+					if !intact(yBuf) {
+						t.Errorf("%s: %s[%d] = %d at n=%d: wrote outside y", tg.name, field, p, bad, n)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrNotSymmetric is returned by ToSymCSB when the input matrix is not
@@ -24,8 +25,7 @@ var ErrNotSymmetric = errors.New("sparse: matrix is not symmetric")
 // The transposed scatter of an off-diagonal tile writes row band bj while the
 // direct scatter writes band bi, so two tiles sharing either band conflict
 // when run concurrently. The conflict resolution lives in the scheduler; the
-// structure it needs (a tile coloring into conflict-free waves, or the
-// fallback accumulator grouping when coloring fragments the DAG) is a pure
+// structure it needs (a tile coloring into conflict-free waves) is a pure
 // function of the tiling and is computed once here, cached in Sched.
 type SymCSB struct {
 	Rows  int
@@ -45,41 +45,14 @@ type SymCSB struct {
 	Sched SymSchedule
 }
 
-// SymAccGroups is the upper bound on private-accumulator groups in fallback
-// mode. The effective count is min(SymAccGroups, NBR) — a function of the
-// matrix structure only, never of worker or domain counts, so the fallback
-// reduction order (and hence the floating-point result) is identical across
-// topology profiles and backends.
-const SymAccGroups = 8
-
-// SymSchedule captures how symmetric SpMV tasks are made conflict-free. In
-// wave mode (Fallback false), tiles are greedily colored so that no two
-// tiles of one wave share a row band; waves execute as dependency ranks. In
-// fallback mode, transposed contributions go to per-group private
-// accumulators that affinity-stamped reduction tasks fold back in.
+// SymSchedule makes symmetric SpMV tasks conflict-free: tiles are greedily
+// colored so that no two tiles of one wave (color) share a row band, and
+// waves execute as dependency ranks.
 type SymSchedule struct {
 	// Wave[idx] is the wave (color) of packed tile idx, -1 for empty tiles.
-	// Meaningful only when Fallback is false.
 	Wave []int32
-	// NumWaves is the number of colors used (wave mode).
+	// NumWaves is the number of colors used.
 	NumWaves int
-	// Fallback selects the private-accumulator path: coloring needed more
-	// than max(4, NBR/2) waves, which would serialize the DAG.
-	Fallback bool
-	// Groups is the effective accumulator group count (fallback mode).
-	Groups int
-	// TransGroups[bj] is a bitmask over groups with at least one transposed
-	// contribution into row band bj (fallback mode). Reduction kernels fold
-	// groups in ascending bit order, fixing the accumulation order.
-	TransGroups []uint8
-}
-
-// AccGroup returns the accumulator group owning the transposed writes of
-// tiles in row band bi: the floor map bi·Groups/NBR, the same contiguous
-// band→domain map graph.DomainAffinity uses, so a group's bands share
-// locality.
-func (a *SymCSB) AccGroup(bi int) int {
-	return bi * a.Sched.Groups / a.NBR
 }
 
 // TileIndex returns the packed lower-triangular tile index for tile row bi
@@ -231,81 +204,43 @@ func (a *COO) ToSymCSB(block int) (*SymCSB, error) {
 
 // computeSymSchedule greedily colors the stored non-empty tiles so that no
 // two tiles of one color share a row band (a tile touches band bi directly
-// and band bj through its transpose). Tiles are visited in deterministic
-// (bi-major, bj ascending) order; diagonal tiles touch only their own band
-// and all take color 0. When any tile would need a color beyond
-// max(4, NBR/2) — the arrowhead-like patterns where one band meets almost
-// every other and coloring would serialize the DAG — the schedule falls back
-// to private accumulators with min(SymAccGroups, NBR) groups.
+// and band bj through its transpose). Diagonal tiles touch only their own
+// band and all take color 0, reserved on their bands before any other tile
+// is colored. The other tiles are visited in deterministic (bi-major, bj
+// ascending) order and each takes the lowest color free on both its bands.
+// NBR tiles touch a band, so a tile's two bands hold at most 2·NBR−2 colors
+// besides its own and 2·NBR colors always suffice.
 func computeSymSchedule(a *SymCSB) SymSchedule {
 	nbr := a.NBR
-	maxColors := nbr / 2
-	if maxColors < 4 {
-		maxColors = 4
-	}
 	nt := nbr * (nbr + 1) / 2
 	s := SymSchedule{Wave: make([]int32, nt)}
 	for k := range s.Wave {
 		s.Wave[k] = -1
 	}
-	words := (maxColors + 63) / 64
+	words := (2*nbr + 63) / 64
 	used := make([]uint64, nbr*words)
-	for bi := 0; bi < nbr && !s.Fallback; bi++ {
-		for bj := 0; bj <= bi; bj++ {
+	for bi := 0; bi < nbr; bi++ {
+		if idx := a.TileIndex(bi, bi); a.BlkPtr[idx+1] > a.BlkPtr[idx] {
+			s.Wave[idx] = 0
+			used[bi*words] = 1
+			s.NumWaves = 1
+		}
+	}
+	for bi := 0; bi < nbr; bi++ {
+		for bj := 0; bj < bi; bj++ {
 			idx := a.TileIndex(bi, bj)
 			if a.BlkPtr[idx+1] == a.BlkPtr[idx] {
 				continue
 			}
-			if bi == bj {
-				s.Wave[idx] = 0
-				used[bi*words] |= 1
-				if s.NumWaves < 1 {
-					s.NumWaves = 1
-				}
-				continue
+			w := 0
+			for used[bi*words+w]|used[bj*words+w] == ^uint64(0) {
+				w++
 			}
-			color := -1
-			for w := 0; w < words && color < 0; w++ {
-				free := ^(used[bi*words+w] | used[bj*words+w])
-				for b := 0; b < 64; b++ {
-					if free&(1<<uint(b)) != 0 {
-						if c := w*64 + b; c < maxColors {
-							color = c
-						}
-						break
-					}
-				}
-			}
-			if color < 0 {
-				s.Fallback = true
-				break
-			}
+			color := w*64 + bits.TrailingZeros64(^(used[bi*words+w] | used[bj*words+w]))
 			s.Wave[idx] = int32(color)
-			used[bi*words+color/64] |= 1 << uint(color%64)
-			used[bj*words+color/64] |= 1 << uint(color%64)
-			if color+1 > s.NumWaves {
-				s.NumWaves = color + 1
-			}
-		}
-	}
-	if !s.Fallback {
-		return s
-	}
-	// Fallback: per-group private accumulators for the transposed halves.
-	s.Wave = nil
-	s.NumWaves = 0
-	s.Groups = SymAccGroups
-	if nbr < s.Groups {
-		s.Groups = nbr
-	}
-	s.TransGroups = make([]uint8, nbr)
-	for bi := 0; bi < nbr; bi++ {
-		g := bi * s.Groups / nbr
-		for bj := 0; bj < bi; bj++ {
-			idx := a.TileIndex(bi, bj)
-			if a.BlkPtr[idx+1] > a.BlkPtr[idx] {
-				s.TransGroups[bj] |= 1 << uint(g)
-			}
+			used[bi*words+w] |= 1 << uint(color%64)
+			used[bj*words+w] |= 1 << uint(color%64)
+			s.NumWaves = max(s.NumWaves, color+1)
 		}
 	}
 	return s
@@ -315,7 +250,7 @@ func computeSymSchedule(a *SymCSB) SymSchedule {
 // y[bi·b:] += T·x[bj·b:] and, for off-diagonal tiles, the transposed
 // contribution y[bj·b:] += Tᵀ·x[bi·b:]. Diagonal tiles scatter their
 // strictly-lower entries to both halves within band bi. This is the unit of
-// work of one symmetric SpMV task in wave mode.
+// work of one symmetric SpMV task.
 //
 // Like CSB.BlockSpMV, the entry loop is unrolled 4× over sequential
 // statements (bit-identical to the scalar loop) and the tile arrays are
@@ -367,67 +302,6 @@ func (a *SymCSB) BlockSymSpMV(y, x []float64, bi, bj int) {
 	}
 }
 
-// BlockSymSpMVDirect applies only the direct half of off-diagonal tile
-// (bi,bj): y[bi·b:] += T·x[bj·b:]. Fallback mode pairs it with
-// BlockSymSpMVTrans so the conflicting transposed write goes to a private
-// accumulator instead of y.
-//
-//sparselint:hotpath
-func (a *SymCSB) BlockSymSpMVDirect(y, x []float64, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
-		return
-	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := y[bi*a.Block:]
-	xs := x[bj*a.Block:]
-	p := 0
-	for ; p+4 <= len(v); p += 4 {
-		ys[ri[p]] += v[p] * xs[ci[p]]
-		ys[ri[p+1]] += v[p+1] * xs[ci[p+1]]
-		ys[ri[p+2]] += v[p+2] * xs[ci[p+2]]
-		ys[ri[p+3]] += v[p+3] * xs[ci[p+3]]
-	}
-	for ; p < len(v); p++ {
-		ys[ri[p]] += v[p] * xs[ci[p]]
-	}
-}
-
-// BlockSymSpMVTrans applies only the transposed half of off-diagonal tile
-// (bi,bj) into acc, a full-height private accumulator:
-// acc[bj·b:] += Tᵀ·x[bi·b:].
-//
-//sparselint:hotpath
-func (a *SymCSB) BlockSymSpMVTrans(acc, x []float64, bi, bj int) {
-	k := a.TileIndex(bi, bj)
-	lo, hi := a.BlkPtr[k], a.BlkPtr[k+1]
-	if lo == hi {
-		return
-	}
-	v := a.V[lo:hi]
-	ri := a.RI[lo:hi:hi]
-	ci := a.CI[lo:hi:hi]
-	ri = ri[:len(v)]
-	ci = ci[:len(v)]
-	ys := acc[bj*a.Block:]
-	xs := x[bi*a.Block:]
-	p := 0
-	for ; p+4 <= len(v); p += 4 {
-		ys[ci[p]] += v[p] * xs[ri[p]]
-		ys[ci[p+1]] += v[p+1] * xs[ri[p+1]]
-		ys[ci[p+2]] += v[p+2] * xs[ri[p+2]]
-		ys[ci[p+3]] += v[p+3] * xs[ri[p+3]]
-	}
-	for ; p < len(v); p++ {
-		ys[ci[p]] += v[p] * xs[ri[p]]
-	}
-}
-
 // BlockSymSpMM is BlockSymSpMV over n-column row-major vector blocks: n == 1
 // is BlockSymSpMV, wider blocks run the direct and then the transposed half
 // on the row-run engine (rowrun.go). On a diagonal tile every transposed
@@ -444,31 +318,6 @@ func (a *SymCSB) BlockSymSpMM(y, x []float64, n, bi, bj int) {
 	v, ri, ci := a.tile(bi, bj)
 	spmmDirect(a.blockRows(y, bi, n), a.blockRows(x, bj, n), v, ri, ci, n)
 	spmmTrans(a.blockRows(y, bj, n), a.blockRows(x, bi, n), v, ri, ci, n, bi == bj)
-}
-
-// BlockSymSpMMDirect is the n-column direct half: Y[bi] += T·X[bj].
-//
-//sparselint:hotpath
-func (a *SymCSB) BlockSymSpMMDirect(y, x []float64, n, bi, bj int) {
-	if n == 1 {
-		a.BlockSymSpMVDirect(y, x, bi, bj)
-		return
-	}
-	v, ri, ci := a.tile(bi, bj)
-	spmmDirect(a.blockRows(y, bi, n), a.blockRows(x, bj, n), v, ri, ci, n)
-}
-
-// BlockSymSpMMTrans is the n-column transposed half into a full-height
-// private accumulator: acc[bj] += Tᵀ·X[bi].
-//
-//sparselint:hotpath
-func (a *SymCSB) BlockSymSpMMTrans(acc, x []float64, n, bi, bj int) {
-	if n == 1 {
-		a.BlockSymSpMVTrans(acc, x, bi, bj)
-		return
-	}
-	v, ri, ci := a.tile(bi, bj)
-	spmmTrans(a.blockRows(acc, bj, n), a.blockRows(x, bi, n), v, ri, ci, n, false)
 }
 
 // blockRows returns block row i of an n-column row-major block.

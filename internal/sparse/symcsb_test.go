@@ -140,165 +140,6 @@ func TestSymCSBRejectsAsymmetric(t *testing.T) {
 	}
 }
 
-// Wave-mode invariant: every stored non-empty tile has a wave, and no two
-// tiles of one wave share a row band (counting the transposed band).
-func checkWaveInvariant(t *testing.T, sym *SymCSB) {
-	t.Helper()
-	if sym.Sched.Fallback {
-		t.Fatal("expected wave mode, got fallback")
-	}
-	touched := make(map[int64]int32) // wave·NBR+band -> packed tile idx
-	for bi := 0; bi < sym.NBR; bi++ {
-		for bj := 0; bj <= bi; bj++ {
-			idx := sym.TileIndex(bi, bj)
-			w := sym.Sched.Wave[idx]
-			if sym.TileNNZ(bi, bj) == 0 {
-				if w != -1 {
-					t.Fatalf("empty tile (%d,%d) got wave %d", bi, bj, w)
-				}
-				continue
-			}
-			if w < 0 || int(w) >= sym.Sched.NumWaves {
-				t.Fatalf("tile (%d,%d) wave %d outside [0,%d)", bi, bj, w, sym.Sched.NumWaves)
-			}
-			bands := []int{bi}
-			if bi != bj {
-				bands = append(bands, bj)
-			}
-			for _, band := range bands {
-				key := int64(w)*int64(sym.NBR) + int64(band)
-				if prev, ok := touched[key]; ok {
-					t.Fatalf("wave %d: tiles %d and %d both touch band %d", w, prev, idx, band)
-				}
-				touched[key] = int32(idx)
-			}
-		}
-	}
-}
-
-func TestSymCSBScheduleWaveBanded(t *testing.T) {
-	// Block-tridiagonal: each band meets at most 3 tiles, so greedy coloring
-	// needs few waves and never falls back.
-	n, block := 96, 8
-	a := NewCOO(n, n, 0)
-	for i := 0; i < n; i++ {
-		a.Append(int32(i), int32(i), 4.0)
-		if i > 0 {
-			a.Append(int32(i), int32(i-1), -1.0)
-			a.Append(int32(i-1), int32(i), -1.0)
-		}
-	}
-	a.Compact()
-	sym, err := a.ToSymCSB(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWaveInvariant(t, sym)
-	if sym.Sched.NumWaves > 4 {
-		t.Fatalf("tridiagonal coloring used %d waves, want <= 4", sym.Sched.NumWaves)
-	}
-}
-
-func TestSymCSBScheduleFallbackArrowhead(t *testing.T) {
-	// Arrowhead: row/col 0 is dense, so band 0 meets every tile row and
-	// coloring would need ~NBR waves > max(4, NBR/2) -> fallback.
-	n, block := 128, 8
-	a := NewCOO(n, n, 0)
-	for i := 0; i < n; i++ {
-		a.Append(int32(i), int32(i), 4.0)
-		if i > 0 {
-			a.Append(int32(i), 0, 1.0)
-			a.Append(0, int32(i), 1.0)
-		}
-	}
-	a.Compact()
-	sym, err := a.ToSymCSB(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sym.Sched
-	if !s.Fallback {
-		t.Fatalf("arrowhead with %d tile rows stayed in wave mode", sym.NBR)
-	}
-	if want := SymAccGroups; s.Groups != want {
-		t.Fatalf("Groups = %d, want %d", s.Groups, want)
-	}
-	// TransGroups must flag exactly the groups with a transposed write into
-	// each band.
-	for bj := 0; bj < sym.NBR; bj++ {
-		var want uint8
-		for bi := bj + 1; bi < sym.NBR; bi++ {
-			if sym.TileNNZ(bi, bj) > 0 {
-				want |= 1 << uint(sym.AccGroup(bi))
-			}
-		}
-		if s.TransGroups[bj] != want {
-			t.Fatalf("TransGroups[%d] = %08b, want %08b", bj, s.TransGroups[bj], want)
-		}
-	}
-	// AccGroup must stay within range and be monotone in bi.
-	prev := 0
-	for bi := 0; bi < sym.NBR; bi++ {
-		g := sym.AccGroup(bi)
-		if g < 0 || g >= s.Groups || g < prev {
-			t.Fatalf("AccGroup(%d) = %d (prev %d, groups %d)", bi, g, prev, s.Groups)
-		}
-		prev = g
-	}
-	// And the fallback matrix must still multiply correctly.
-	checkSymEquiv(t, a, block, 1)
-	checkSymEquiv(t, a, block, 8)
-}
-
-// The fallback kernel pair (Direct into y, Trans into a private accumulator,
-// then fold) must reproduce the combined kernel's mathematics.
-func TestSymCSBDirectTransPairEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n, block := 48, 8
-	a := randomSymCOO(rng, n, 0.3)
-	sym, err := a.ToSymCSB(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{1, 2, 4, 8, 5} {
-		x := make([]float64, n*r)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n*r)
-		sym.SpMM(want, x, r)
-
-		got := make([]float64, n*r)
-		acc := make([]float64, n*r)
-		for bi := 0; bi < sym.NBR; bi++ {
-			for bj := 0; bj <= bi; bj++ {
-				if sym.TileNNZ(bi, bj) == 0 {
-					continue
-				}
-				if bi == bj {
-					sym.BlockSymSpMM(got, x, r, bi, bj)
-					continue
-				}
-				if r == 1 {
-					sym.BlockSymSpMVDirect(got, x, bi, bj)
-					sym.BlockSymSpMVTrans(acc, x, bi, bj)
-				} else {
-					sym.BlockSymSpMMDirect(got, x, r, bi, bj)
-					sym.BlockSymSpMMTrans(acc, x, r, bi, bj)
-				}
-			}
-		}
-		for i := range got {
-			got[i] += acc[i]
-		}
-		for i := range got {
-			if !relEq(got[i], want[i]) {
-				t.Fatalf("r=%d: direct+trans y[%d] = %g, want %g", r, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSymCSBInverseDiagonal(t *testing.T) {
 	a := NewCOO(10, 10, 0)
 	for i := 0; i < 10; i++ {
