@@ -13,12 +13,11 @@ import (
 	"fmt"
 	"os"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/bench"
-	"sparsetask/internal/graph"
 	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/sim"
-	"sparsetask/internal/solver"
 	"sparsetask/internal/trace"
 )
 
@@ -60,44 +59,24 @@ func main() {
 	}
 	mach = mach.Scaled(p.CacheDiv).SlowDown(p.SlowDown)
 
-	coo := spec.Build(p, *seed)
-	bc := v.BlockCount(mach, coo.Rows)
-	block := (coo.Rows + bc - 1) / bc
-	csb := coo.ToCSB(block)
-
-	var g *graph.TDG
-	switch *solverName {
-	case "lanczos":
-		l, err := solver.NewLanczos(csb, 10)
-		if err != nil {
-			fatal(err)
-		}
-		g = l.Graph()
-	case "lobpcg":
-		l, err := solver.NewLOBPCG(csb, 8)
-		if err != nil {
-			fatal(err)
-		}
-		g = l.Graph()
-	default:
+	sv, ok := map[string]autotune.Solver{"lanczos": autotune.Lanczos, "lobpcg": autotune.LOBPCG}[*solverName]
+	if !ok {
 		fatal(fmt.Errorf("unknown solver %q", *solverName))
 	}
-
+	coo := spec.Build(p, *seed)
 	// The simulator models the paper's frameworks, none of which fuses
-	// tasks: render the graph the solver's fused one was derived from.
-	g = g.Source()
+	// tasks: render the unfused graph the solver's fused one derives from.
+	g, err := autotune.IterationGraph(coo, sv, v.BlockCount(mach, coo.Rows))
+	if err != nil {
+		fatal(err)
+	}
 
 	pol := v.Policy(mach, p.OverheadScale())
 	s := sim.New(mach, true)
 	s.PlaceFirstTouch(g, pol.Workers())
-	if _, err := s.Run(g, pol, nil); err != nil { // warm caches
-		fatal(err)
-	}
 	rec := trace.NewRecorder(mach.Cores)
-	for it := 0; it < *iters; it++ {
-		if _, err := s.Run(g, pol, rec); err != nil {
-			fatal(err)
-		}
+	if _, _, err := s.Measure(g, pol, *iters, rec); err != nil {
+		fatal(err)
 	}
 
 	st := g.ComputeStats()

@@ -34,6 +34,10 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
+	if *iters < 0 || *maxMat < 0 {
+		fmt.Fprintf(os.Stderr, "sparsebench: -iters %d, -maxmatrices %d: counts cannot be negative\n", *iters, *maxMat)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("available experiments:")

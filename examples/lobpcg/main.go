@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"log"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/bench"
 	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/sim"
-	"sparsetask/internal/solver"
 )
 
 func main() {
@@ -35,38 +35,23 @@ func main() {
 	var baseTime float64
 	fmt.Printf("%-11s %6s %12s %12s %12s %9s\n", "version", "tasks", "L1 misses", "L2 misses", "L3 misses", "speedup")
 	for _, v := range bench.Versions() {
-		bc := v.BlockCount(mach, coo.Rows)
-		block := (coo.Rows + bc - 1) / bc
-		csb := coo.ToCSB(block)
-		l, err := solver.NewLOBPCG(csb, 8)
+		// The simulator models the paper's frameworks: no task fusion.
+		g, err := autotune.IterationGraph(coo, autotune.LOBPCG, v.BlockCount(mach, coo.Rows))
 		if err != nil {
 			log.Fatal(err)
 		}
-		g := l.Graph().Source() // the simulator models the paper's frameworks: no task fusion
 		pol := v.Policy(mach, preset.OverheadScale())
 		s := sim.New(mach, true)
 		s.PlaceFirstTouch(g, pol.Workers())
-		if _, err := s.Run(g, pol, nil); err != nil { // warm caches
+		avg, ctr, err := s.Measure(g, pol, iters, nil)
+		if err != nil {
 			log.Fatal(err)
 		}
-		var total float64
-		var l1, l2, l3 int64
-		for i := 0; i < iters; i++ {
-			r, err := s.Run(g, pol, nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			total += float64(r.MakespanNs)
-			l1 += r.Counters.L1Miss
-			l2 += r.Counters.L2Miss
-			l3 += r.Counters.L3Miss
-		}
-		avg := total / iters
 		if v.Name == "libcsr" {
 			baseTime = avg
 		}
 		fmt.Printf("%-11s %6d %12d %12d %12d %8.2fx\n",
-			v.Name, len(g.Tasks), l1, l2, l3, baseTime/avg)
+			v.Name, len(g.Tasks), ctr.L1Miss, ctr.L2Miss, ctr.L3Miss, baseTime/avg)
 	}
 	fmt.Println("\n(speedup over libcsr; task-dataflow versions pipeline kernels and avoid library packing traffic)")
 }

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"sparsetask/internal/autotune"
+	"sparsetask/internal/bench"
 	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/rt"
@@ -75,7 +76,7 @@ func main() {
 	// --- 4. Auto-tune the CSB block count (§5.4 six-bin heuristic) against
 	//        the simulated Broadwell model. ---
 	mach := machine.Broadwell()
-	tuned, err := autotune.Tune(coo.Rows, autotune.SimEvaluator(coo, autotune.LOBPCG, mach,
+	tuned, err := autotune.Tune(coo.Rows, bench.SimEvaluator(coo, autotune.LOBPCG, mach,
 		func(m machine.Model) sim.Policy { return sim.NewDeepSparse(m.Cores) }))
 	if err != nil {
 		log.Fatal(err)

@@ -4,19 +4,18 @@
 // block count in [8, 511], so tuning reduces to evaluating one candidate
 // per bin — six trials — and picking the fastest.
 //
-// Evaluation can run against the discrete-event simulator (deterministic,
-// machine-model-driven — the default) or against any user-supplied evaluator
-// (e.g. wall-clock runs of the real runtimes on the host). An evaluator that
-// can bound a candidate's cost from below lets the search skip the candidates
-// that cannot win, without changing the winner.
+// An Evaluator scores one candidate: GraphEvaluator analytically, or any
+// user-supplied cost (the simulator's bench.SimEvaluator, wall-clock runs of
+// the real runtimes on the host). Whatever prices a candidate prices
+// IterationGraph, the one description of a solver iteration at a block
+// count. An evaluator that can bound a candidate's cost from below lets the
+// search skip the candidates that cannot win, without changing the winner.
 package autotune
 
 import (
 	"fmt"
 
 	"sparsetask/internal/graph"
-	"sparsetask/internal/machine"
-	"sparsetask/internal/sim"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
 )
@@ -128,10 +127,12 @@ func Tune(rows int, eval Evaluator) (Result, error) {
 	return res, nil
 }
 
-// iterationGraph builds the solver's per-iteration TDG over the matrix cut
-// into blockCount tiles per dimension. Only what a cost model reads is built:
-// tile occupancy (no tile contents), the program and its graph (no store).
-func iterationGraph(coo *sparse.COO, sv Solver, blockCount int) (*graph.TDG, error) {
+// IterationGraph builds the solver's per-iteration TDG over the matrix cut
+// into blockCount tiles per dimension: graph.Build's unfused output, task for
+// task the solver's Graph().Source() at that tiling. Only what a cost model
+// reads is built: tile occupancy (no tile contents), the program and its
+// graph (no store).
+func IterationGraph(coo *sparse.COO, sv Solver, blockCount int) (*graph.TDG, error) {
 	tiles := coo.TileSkeleton((coo.Rows + blockCount - 1) / blockCount)
 	switch sv {
 	case Lanczos:
@@ -140,29 +141,6 @@ func iterationGraph(coo *sparse.COO, sv Solver, blockCount int) (*graph.TDG, err
 		return solver.LOBPCGGraph(tiles, 8)
 	}
 	return nil, fmt.Errorf("autotune: unknown solver %d", sv)
-}
-
-// SimEvaluator returns an Evaluator that builds the solver's per-iteration
-// TDG at each candidate block count and measures one warm iteration on the
-// discrete-event simulator with the given machine model and policy factory.
-func SimEvaluator(coo *sparse.COO, sv Solver, mach machine.Model, pol func(machine.Model) sim.Policy) Evaluator {
-	return Evaluator{Cost: func(blockCount int) (float64, error) {
-		g, err := iterationGraph(coo, sv, blockCount)
-		if err != nil {
-			return 0, err
-		}
-		p := pol(mach)
-		s := sim.New(mach, true)
-		s.PlaceFirstTouch(g, p.Workers())
-		if _, err := s.Run(g, p, nil); err != nil { // warm caches
-			return 0, err
-		}
-		r, err := s.Run(g, p, nil)
-		if err != nil {
-			return 0, err
-		}
-		return float64(r.MakespanNs), nil
-	}}
 }
 
 // boundSlack is the relative margin GraphEvaluator's bound keeps below the
@@ -182,7 +160,7 @@ const boundSlack = 1e-9
 // call list alone — no tiling, no graph.
 func GraphEvaluator(coo *sparse.COO, sv Solver, workers int, flopsPerNs, overheadNs float64) Evaluator {
 	ev := Evaluator{Cost: func(blockCount int) (float64, error) {
-		g, err := iterationGraph(coo, sv, blockCount)
+		g, err := IterationGraph(coo, sv, blockCount)
 		if err != nil {
 			return 0, err
 		}
@@ -196,7 +174,7 @@ func GraphEvaluator(coo *sparse.COO, sv Solver, workers int, flopsPerNs, overhea
 	}
 	// The solver's call list is the same at every tiling, so the graph of the
 	// untiled matrix — a dozen tasks — supplies the program the floor walks.
-	probe, err := iterationGraph(coo, sv, 1)
+	probe, err := IterationGraph(coo, sv, 1)
 	if err != nil {
 		return ev // Cost fails the same way on every candidate
 	}

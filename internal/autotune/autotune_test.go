@@ -5,9 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
-	"sparsetask/internal/sim"
 )
 
 func TestTunePicksMinimum(t *testing.T) {
@@ -71,24 +69,6 @@ func TestTuneAllInfeasibleErrors(t *testing.T) {
 	}
 }
 
-func TestSimEvaluatorEndToEnd(t *testing.T) {
-	coo := matgen.KKT(10, 1) // 2000 rows
-	mach := machine.Broadwell().Scaled(64).SlowDown(32)
-	eval := SimEvaluator(coo, LOBPCG, mach, func(m machine.Model) sim.Policy {
-		return sim.NewDeepSparse(m.Cores)
-	})
-	res, err := Tune(coo.Rows, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BlockCount < 8 || res.BlockCount > 511 {
-		t.Fatalf("optimum %d outside the paper's window", res.BlockCount)
-	}
-	if res.Cost <= 0 {
-		t.Fatal("nonpositive cost")
-	}
-}
-
 func TestGraphEvaluatorOrdersOverheadTradeoff(t *testing.T) {
 	coo := matgen.KKT(10, 2)
 	// With enormous per-task overhead, coarse blocks must win.
@@ -106,16 +86,5 @@ func TestGraphEvaluatorOrdersOverheadTradeoff(t *testing.T) {
 	if resCostly.BlockCount > resFree.BlockCount {
 		t.Fatalf("costly overhead picked finer blocks (%d) than free (%d)",
 			resCostly.BlockCount, resFree.BlockCount)
-	}
-}
-
-func TestSimEvaluatorLanczos(t *testing.T) {
-	coo := matgen.FEM3D(8, 8, 8, 1, 7, 3)
-	mach := machine.EPYC().Scaled(128).SlowDown(16)
-	eval := SimEvaluator(coo, Lanczos, mach, func(m machine.Model) sim.Policy {
-		return sim.NewHPX(m.Cores, m.NUMADomains, true)
-	})
-	if _, err := Tune(coo.Rows, eval); err != nil {
-		t.Fatal(err)
 	}
 }

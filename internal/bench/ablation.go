@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/sim"
 )
@@ -94,7 +95,7 @@ func runAblation(cfg *Config) (*Report, error) {
 		for _, s := range specs {
 			coo := mc.get(s)
 			bc := clampBC(96, coo.Rows)
-			g, err := buildGraph(coo, LOBPCG, bc, graph.DefaultOptions(), false)
+			g, err := autotune.IterationGraph(coo, autotune.LOBPCG, bc)
 			if err != nil {
 				return nil, err
 			}
@@ -104,11 +105,13 @@ func runAblation(cfg *Config) (*Report, error) {
 				p.Scale = scale
 				return p
 			}
-			tOff, _, err := simMeasure(mach, mk(), g, iters, true, nil)
+			pol := mk()
+			tOff, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 			if err != nil {
 				return nil, err
 			}
-			tOn, _, err := simMeasure(mach, mk(), fused, iters, true, nil)
+			pol = mk()
+			tOn, _, err := firstTouchSim(mach, fused, pol).Measure(fused, pol, iters, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -130,15 +133,17 @@ func runAblation(cfg *Config) (*Report, error) {
 		for _, s := range specs {
 			coo := mc.get(s)
 			bc := clampBC(96, coo.Rows)
-			g, err := buildGraph(coo, LOBPCG, bc, graph.DefaultOptions(), false)
+			g, err := autotune.IterationGraph(coo, autotune.LOBPCG, bc)
 			if err != nil {
 				return nil, err
 			}
-			tOff, _, err := simMeasure(mach, v.off(mach.Cores, mach.NUMADomains), g, iters, true, nil)
+			pol := v.off(mach.Cores, mach.NUMADomains)
+			tOff, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 			if err != nil {
 				return nil, err
 			}
-			tOn, _, err := simMeasure(mach, v.on(mach.Cores, mach.NUMADomains), g, iters, true, nil)
+			pol = v.on(mach.Cores, mach.NUMADomains)
+			tOn, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/perfprofile"
 	"sparsetask/internal/program"
+	"sparsetask/internal/sim"
 	"sparsetask/internal/sparse"
 	"sparsetask/internal/trace"
 )
@@ -128,15 +130,18 @@ func runFig5(cfg *Config) (*Report, error) {
 	var ratios []float64
 	for _, s := range specs {
 		coo := mc.get(s)
-		g, err := buildGraph(coo, Lanczos, v.BlockCount(mach, coo.Rows), graph.DefaultOptions(), false)
+		g, err := autotune.IterationGraph(coo, autotune.Lanczos, v.BlockCount(mach, coo.Rows))
 		if err != nil {
 			return nil, err
 		}
-		tSer, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, iters, false, nil)
+		serial := sim.New(mach, false)
+		serial.PlaceSerial(g)
+		tSer, _, err := serial.Measure(g, v.Policy(mach, cfg.Preset.OverheadScale()), iters, nil)
 		if err != nil {
 			return nil, err
 		}
-		tFT, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, iters, true, nil)
+		pol := v.Policy(mach, cfg.Preset.OverheadScale())
+		tFT, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -171,19 +176,21 @@ func runFig6(cfg *Config) (*Report, error) {
 	for _, s := range specs {
 		coo := mc.get(s)
 		bc := v.BlockCount(mach, coo.Rows)
-		gSkip, err := buildGraph(coo, Lanczos, bc, graph.Options{SkipEmpty: true}, false)
+		gSkip, err := autotune.IterationGraph(coo, autotune.Lanczos, bc)
 		if err != nil {
 			return nil, err
 		}
-		gAll, err := buildGraph(coo, Lanczos, bc, graph.Options{SkipEmpty: false}, false)
+		gAll, err := graph.Build(gSkip.Prog, gSkip.Mats, graph.Options{SkipEmpty: false})
 		if err != nil {
 			return nil, err
 		}
-		tAll, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), gAll, iters, true, nil)
+		pol := v.Policy(mach, cfg.Preset.OverheadScale())
+		tAll, _, err := firstTouchSim(mach, gAll, pol).Measure(gAll, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
-		tSkip, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), gSkip, iters, true, nil)
+		pol = v.Policy(mach, cfg.Preset.OverheadScale())
+		tSkip, _, err := firstTouchSim(mach, gSkip, pol).Measure(gSkip, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -218,19 +225,24 @@ func runFig7(cfg *Config) (*Report, error) {
 	for _, s := range specs {
 		coo := mc.get(s)
 		bc := v.BlockCount(mach, coo.Rows)
-		gDep, err := buildGraph(coo, LOBPCG, bc, graph.DefaultOptions(), false)
+		gDep, err := autotune.IterationGraph(coo, autotune.LOBPCG, bc)
 		if err != nil {
 			return nil, err
 		}
-		gRed, err := buildGraph(coo, LOBPCG, bc, graph.DefaultOptions(), true)
+		gRed, err := autotune.IterationGraph(coo, autotune.LOBPCG, bc)
 		if err != nil {
 			return nil, err
 		}
-		tDep, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), gDep, iters, true, nil)
+		if gRed, err = reduceSpMM(gRed); err != nil {
+			return nil, err
+		}
+		pol := v.Policy(mach, cfg.Preset.OverheadScale())
+		tDep, _, err := firstTouchSim(mach, gDep, pol).Measure(gDep, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
-		tRed, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), gRed, iters, true, nil)
+		pol = v.Policy(mach, cfg.Preset.OverheadScale())
+		tRed, _, err := firstTouchSim(mach, gRed, pol).Measure(gRed, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -254,18 +266,19 @@ type versionCounters struct {
 	l1Miss, l2Miss, l3Miss float64
 }
 
-func measureAllVersions(cfg *Config, machName string, kind SolverKind, coo *sparse.COO, iters int) ([]versionCounters, error) {
+func measureAllVersions(cfg *Config, machName string, sv autotune.Solver, coo *sparse.COO, iters int) ([]versionCounters, error) {
 	mach, err := scaledMachine(machName, cfg.Preset)
 	if err != nil {
 		return nil, err
 	}
 	var out []versionCounters
 	for _, v := range Versions() {
-		g, err := buildGraph(coo, kind, v.BlockCount(mach, coo.Rows), graph.DefaultOptions(), false)
+		g, err := autotune.IterationGraph(coo, sv, v.BlockCount(mach, coo.Rows))
 		if err != nil {
 			return nil, err
 		}
-		t, ctr, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, iters, true, nil)
+		pol := v.Policy(mach, cfg.Preset.OverheadScale())
+		t, ctr, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +300,7 @@ func runFig8(cfg *Config) (*Report, error) {
 	mc := newMatrixCache(cfg)
 	iters := cfg.iters(5)
 	for _, s := range specs {
-		vs, err := measureAllVersions(cfg, "epyc", Lanczos, mc.get(s), iters)
+		vs, err := measureAllVersions(cfg, "epyc", autotune.Lanczos, mc.get(s), iters)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +317,7 @@ func runFig8(cfg *Config) (*Report, error) {
 	return r, nil
 }
 
-func speedupExperiment(cfg *Config, id, title string, kind SolverKind, defIters int) (*Report, error) {
+func speedupExperiment(cfg *Config, id, title string, sv autotune.Solver, defIters int) (*Report, error) {
 	r := newReport(id, title, "Arch", "Matrix", "libcsr(ms)", "libcsb", "deepsparse", "hpx", "regent")
 	specs, err := cfg.suite()
 	if err != nil {
@@ -317,7 +330,7 @@ func speedupExperiment(cfg *Config, id, title string, kind SolverKind, defIters 
 	for _, archName := range []string{"broadwell", "epyc"} {
 		perArch[archName] = &best{}
 		for _, s := range specs {
-			vs, err := measureAllVersions(cfg, archName, kind, mc.get(s), iters)
+			vs, err := measureAllVersions(cfg, archName, sv, mc.get(s), iters)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +366,7 @@ func speedupExperiment(cfg *Config, id, title string, kind SolverKind, defIters 
 }
 
 func runFig9(cfg *Config) (*Report, error) {
-	r, err := speedupExperiment(cfg, "fig9", "Lanczos speedup over libcsr", Lanczos, 5)
+	r, err := speedupExperiment(cfg, "fig9", "Lanczos speedup over libcsr", autotune.Lanczos, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +385,7 @@ func runFig11(cfg *Config) (*Report, error) {
 	iters := cfg.iters(3)
 	var bestL1 float64 = 1
 	for _, s := range specs {
-		vs, err := measureAllVersions(cfg, "broadwell", LOBPCG, mc.get(s), iters)
+		vs, err := measureAllVersions(cfg, "broadwell", autotune.LOBPCG, mc.get(s), iters)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +409,7 @@ func runFig11(cfg *Config) (*Report, error) {
 }
 
 func runFig12(cfg *Config) (*Report, error) {
-	r, err := speedupExperiment(cfg, "fig12", "LOBPCG speedup over libcsr", LOBPCG, 3)
+	r, err := speedupExperiment(cfg, "fig12", "LOBPCG speedup over libcsr", autotune.LOBPCG, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +419,7 @@ func runFig12(cfg *Config) (*Report, error) {
 
 // ------------------------------------------------------ flow-graph figures
 
-func flowGraphExperiment(cfg *Config, id, title string, kind SolverKind, iters int) (*Report, error) {
+func flowGraphExperiment(cfg *Config, id, title string, sv autotune.Solver, iters int) (*Report, error) {
 	r := newReport(id, title, "Version", "Makespan(ms)", "KernelOverlap", "Kernels")
 	mach, err := scaledMachine("broadwell", cfg.Preset)
 	if err != nil {
@@ -426,12 +439,13 @@ func flowGraphExperiment(cfg *Config, id, title string, kind SolverKind, iters i
 		if err != nil {
 			return nil, err
 		}
-		g, err := buildGraph(coo, kind, v.BlockCount(mach, coo.Rows), graph.DefaultOptions(), false)
+		g, err := autotune.IterationGraph(coo, sv, v.BlockCount(mach, coo.Rows))
 		if err != nil {
 			return nil, err
 		}
 		rec := trace.NewRecorder(mach.Cores)
-		t, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, cfg.iters(iters), true, rec)
+		pol := v.Policy(mach, cfg.Preset.OverheadScale())
+		t, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, cfg.iters(iters), rec)
 		if err != nil {
 			return nil, err
 		}
@@ -452,28 +466,14 @@ func flowGraphExperiment(cfg *Config, id, title string, kind SolverKind, iters i
 }
 
 func runFig10(cfg *Config) (*Report, error) {
-	return flowGraphExperiment(cfg, "fig10", "Lanczos execution flow graph", Lanczos, 3)
+	return flowGraphExperiment(cfg, "fig10", "Lanczos execution flow graph", autotune.Lanczos, 3)
 }
 
 func runFig13(cfg *Config) (*Report, error) {
-	return flowGraphExperiment(cfg, "fig13", "LOBPCG execution flow graph", LOBPCG, 2)
+	return flowGraphExperiment(cfg, "fig13", "LOBPCG execution flow graph", autotune.LOBPCG, 2)
 }
 
 // ---------------------------------------------------------------- Fig. 14
-
-// blockBins are the six block-count bins of §5.4, represented by their
-// geometric midpoints.
-var blockBins = []struct {
-	Label string
-	Count int
-}{
-	{"8-15", 11},
-	{"16-31", 23},
-	{"32-63", 45},
-	{"64-127", 90},
-	{"128-255", 181},
-	{"256-511", 362},
-}
 
 func runFig14(cfg *Config) (*Report, error) {
 	r := newReport("fig14", "Performance profiles of block-count bins (LOBPCG)",
@@ -500,18 +500,19 @@ func runFig14(cfg *Config) (*Report, error) {
 				names = append(names, s.Name)
 			}
 			var labels []string
-			for _, b := range blockBins {
+			for _, b := range autotune.Bins {
 				labels = append(labels, b.Label)
 			}
 			tab := perfprofile.NewTable(labels, names)
-			for bi, bin := range blockBins {
+			for bi, bin := range autotune.Bins {
 				for ki, s := range specs {
 					coo := mc.get(s)
-					g, err := buildGraph(coo, LOBPCG, bin.Count, graph.DefaultOptions(), false)
+					g, err := autotune.IterationGraph(coo, autotune.LOBPCG, bin.Rep)
 					if err != nil {
 						return nil, err
 					}
-					t, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, iters, true, nil)
+					pol := v.Policy(mach, cfg.Preset.OverheadScale())
+					t, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -543,7 +544,7 @@ func runFig14(cfg *Config) (*Report, error) {
 }
 
 func indexOfBin(label string) int {
-	for i, b := range blockBins {
+	for i, b := range autotune.Bins {
 		if b.Label == label {
 			return i
 		}
@@ -581,11 +582,12 @@ func runHeuristic(cfg *Config) (*Report, error) {
 			if c > coo.Rows {
 				continue
 			}
-			g, err := buildGraph(coo, LOBPCG, c, graph.DefaultOptions(), false)
+			g, err := autotune.IterationGraph(coo, autotune.LOBPCG, c)
 			if err != nil {
 				return nil, err
 			}
-			t, _, err := simMeasure(mach, v.Policy(mach, cfg.Preset.OverheadScale()), g, iters, true, nil)
+			pol := v.Policy(mach, cfg.Preset.OverheadScale())
+			t, _, err := firstTouchSim(mach, g, pol).Measure(g, pol, iters, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -19,15 +19,13 @@ import (
 	"math"
 	"strings"
 
-	"sparsetask/internal/cachesim"
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sim"
-	"sparsetask/internal/solver"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/trace"
 )
 
 // Config selects scale and scope for an experiment run.
@@ -292,102 +290,45 @@ func VersionByName(name string) (Version, error) {
 
 // ---------------------------------------------------------------- plumbing
 
-// SolverKind selects the benchmark application.
-type SolverKind int
+// Every experiment prices autotune.IterationGraph. The paper's frameworks
+// fuse no tasks, so the simulator runs graph.Build's output — the source of
+// the fused graph the solver itself iterates on; the task-fusion ablation
+// compares graph.Fuse against it.
 
-// The two benchmark applications of §4.
-const (
-	Lanczos SolverKind = iota
-	LOBPCG
-)
-
-func (k SolverKind) String() string {
-	if k == Lanczos {
-		return "lanczos"
+// reduceSpMM rebuilds g's program with every SpMM call switched to the
+// reduce-based output pattern (the Fig. 7 ablation), over the same tiling.
+// It rewrites g.Prog, so g itself is not priced afterwards.
+func reduceSpMM(g *graph.TDG) (*graph.TDG, error) {
+	for i := range g.Prog.Calls {
+		if g.Prog.Calls[i].Kind == program.CSpMM {
+			g.Prog.Calls[i].ReduceSpMM = true
+			g.Prog.Calls[i].Name = "SpMM-red"
+		}
 	}
-	return "lobpcg"
+	return graph.Build(g.Prog, g.Mats, graph.DefaultOptions())
 }
 
-// buildGraph constructs the per-iteration TDG of a solver over matrix coo
-// tiled to the given block count. The experiments reproduce the paper's
-// frameworks, none of which fuses tasks, so they simulate graph.Build's
-// output — the source of the fused graph the solver itself iterates on; the
-// task-fusion ablation compares graph.Fuse against that.
-func buildGraph(coo *sparse.COO, k SolverKind, blockCount int, opt graph.Options, reduceSpMM bool) (*graph.TDG, error) {
-	if blockCount < 1 {
-		blockCount = 1
-	}
-	block := (coo.Rows + blockCount - 1) / blockCount
-	csb := coo.ToCSB(block)
-	switch k {
-	case Lanczos:
-		l, err := solver.NewLanczos(csb, 10)
-		if err != nil {
-			return nil, err
-		}
-		g := l.Graph().Source()
-		// Options holds maps now, so compare the only field ablations vary.
-		if !opt.SkipEmpty || reduceSpMM {
-			return rebuild(l.Program(), g, csb, opt, reduceSpMM)
-		}
-		return g, nil
-	case LOBPCG:
-		l, err := solver.NewLOBPCG(csb, 8)
-		if err != nil {
-			return nil, err
-		}
-		g := l.Graph().Source()
-		if !opt.SkipEmpty || reduceSpMM {
-			return rebuild(l.Program(), g, csb, opt, reduceSpMM)
-		}
-		return g, nil
-	}
-	return nil, fmt.Errorf("bench: unknown solver %v", k)
+// firstTouchSim returns a simulator of mach with g's data placed first-touch
+// for pol's workers (the paper's §5.1 placement), ready to Measure g.
+func firstTouchSim(mach machine.Model, g *graph.TDG, pol sim.Policy) *sim.Sim {
+	s := sim.New(mach, true)
+	s.PlaceFirstTouch(g, pol.Workers())
+	return s
 }
 
-// rebuild regenerates a TDG with non-default options, optionally switching
-// every SpMM call to the reduce-based pattern.
-func rebuild(p *program.Program, g *graph.TDG, csb *sparse.CSB, opt graph.Options, reduceSpMM bool) (*graph.TDG, error) {
-	if reduceSpMM {
-		for i := range p.Calls {
-			if p.Calls[i].Kind == program.CSpMM {
-				p.Calls[i].ReduceSpMM = true
-				p.Calls[i].Name = "SpMM-red"
-			}
-		}
-	}
-	mats := map[program.OperandID]*sparse.CSB{}
-	for id := range g.Mats {
-		mats[id] = csb
-	}
-	return graph.Build(p, mats, opt)
-}
-
-// simMeasure runs `iters` iterations of g on a fresh simulator and returns
-// the average per-iteration time (ns) and counters accumulated over the
-// measured iterations. One warmup iteration (cold caches, like the paper's
-// excluded setup) runs first and is not counted.
-func simMeasure(mach machine.Model, pol sim.Policy, g *graph.TDG, iters int, firstTouch bool, rec *trace.Recorder) (float64, cachesim.Counters, error) {
-	s := sim.New(mach, firstTouch)
-	if firstTouch {
-		s.PlaceFirstTouch(g, pol.Workers())
-	} else {
-		s.PlaceSerial(g)
-	}
-	if _, err := s.Run(g, pol, nil); err != nil { // warmup
-		return 0, cachesim.Counters{}, err
-	}
-	var total int64
-	var ctr cachesim.Counters
-	for i := 0; i < iters; i++ {
-		r, err := s.Run(g, pol, rec)
+// SimEvaluator returns an autotune.Evaluator that prices each candidate's
+// autotune.IterationGraph as one warm iteration on the discrete-event
+// simulator with the given machine model and policy factory. It has no bound.
+func SimEvaluator(coo *sparse.COO, sv autotune.Solver, mach machine.Model, pol func(machine.Model) sim.Policy) autotune.Evaluator {
+	return autotune.Evaluator{Cost: func(blockCount int) (float64, error) {
+		g, err := autotune.IterationGraph(coo, sv, blockCount)
 		if err != nil {
-			return 0, cachesim.Counters{}, err
+			return 0, err
 		}
-		total += r.MakespanNs
-		ctr.Add(r.Counters)
-	}
-	return float64(total) / float64(iters), ctr, nil
+		p := pol(mach)
+		t, _, err := firstTouchSim(mach, g, p).Measure(g, p, 1, nil)
+		return t, err
+	}}
 }
 
 // scaledMachine returns the machine model adapted to the preset: caches

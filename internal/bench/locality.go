@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"sparsetask/internal/autotune"
 	"sparsetask/internal/cachesim"
-	"sparsetask/internal/graph"
-	"sparsetask/internal/machine"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sim"
 	"sparsetask/internal/solver"
 	"sparsetask/internal/topo"
-	"sparsetask/internal/trace"
 )
 
 // execLocalityWorkers is the worker count for the live-backend half of the
@@ -94,14 +92,17 @@ func runLocality(cfg *Config) (*Report, error) {
 	for _, s := range specs {
 		coo := mc.get(s)
 		bc := clampBC(96, coo.Rows)
-		g, err := buildGraph(coo, Lanczos, bc, graph.DefaultOptions(), false)
+		g, err := autotune.IterationGraph(coo, autotune.Lanczos, bc)
 		if err != nil {
 			return nil, err
 		}
+		// Both arms attribute misses to the accessing domain.
 		measure := func(hier bool) (cachesim.Counters, error) {
 			p := sim.NewSteal(mach.Cores, mach.NUMADomains, hier, uint64(cfg.Seed)+1)
 			p.Scale = scale
-			_, ctr, err := simMeasureDomainAware(mach, p, g, iters, nil)
+			s := firstTouchSim(mach, g, p)
+			s.H.DomainAware = true
+			_, ctr, err := s.Measure(g, p, iters, nil)
 			return ctr, err
 		}
 		hier, err := measure(true)
@@ -127,29 +128,6 @@ func runLocality(cfg *Config) (*Report, error) {
 	r.note("exec/ rows: where the live backend acquired tasks (8 workers, epyc profile); sim/ rows: same machine and overheads, only the steal topology flips")
 	r.note("shape to hold: hierarchical stealing strictly fewer L3 misses and a lower remote share than uniform-random stealing on every matrix")
 	return r, nil
-}
-
-// simMeasureDomainAware is simMeasure with the hierarchy's per-accessing-
-// domain miss attribution enabled and first-touch placement fixed on — the
-// configuration both arms of the steal A/B share.
-func simMeasureDomainAware(mach machine.Model, pol sim.Policy, g *graph.TDG, iters int, rec *trace.Recorder) (float64, cachesim.Counters, error) {
-	s := sim.New(mach, true)
-	s.H.DomainAware = true
-	s.PlaceFirstTouch(g, pol.Workers())
-	if _, err := s.Run(g, pol, nil); err != nil { // warmup
-		return 0, cachesim.Counters{}, err
-	}
-	var total int64
-	var ctr cachesim.Counters
-	for i := 0; i < iters; i++ {
-		r, err := s.Run(g, pol, rec)
-		if err != nil {
-			return 0, cachesim.Counters{}, err
-		}
-		total += r.MakespanNs
-		ctr.Add(r.Counters)
-	}
-	return float64(total) / float64(iters), ctr, nil
 }
 
 // remoteShare is the fraction of LLC misses served cross-domain, from the

@@ -350,3 +350,27 @@ func (s *Sim) Run(g *graph.TDG, pol Policy, rec *trace.Recorder) (Result, error)
 	s.Now = endT
 	return res, nil
 }
+
+// Measure prices g under the policy the way every experiment does: one
+// unrecorded warm-up Run (cold caches, like the paper's excluded setup), then
+// iters recorded Runs. It returns the mean makespan in ns and the counters
+// summed over the measured runs. Placement is the caller's, done beforehand.
+func (s *Sim) Measure(g *graph.TDG, pol Policy, iters int, rec *trace.Recorder) (float64, cachesim.Counters, error) {
+	var ctr cachesim.Counters
+	if iters < 1 {
+		return 0, ctr, fmt.Errorf("sim: Measure needs at least one iteration, got %d", iters)
+	}
+	if _, err := s.Run(g, pol, nil); err != nil {
+		return 0, ctr, err
+	}
+	var total int64
+	for i := 0; i < iters; i++ {
+		r, err := s.Run(g, pol, rec)
+		if err != nil {
+			return 0, cachesim.Counters{}, err
+		}
+		total += r.MakespanNs
+		ctr.Add(r.Counters)
+	}
+	return float64(total) / float64(iters), ctr, nil
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparsetask/internal/cachesim"
 	"sparsetask/internal/graph"
 	"sparsetask/internal/machine"
 	"sparsetask/internal/matgen"
@@ -135,6 +136,44 @@ func TestWarmCacheSecondIteration(t *testing.T) {
 		float64(r2.Counters.L1Hit+r2.Counters.L1Miss)
 	if h2 <= h1 {
 		t.Errorf("warm iteration hit fraction %v not above cold %v", h2, h1)
+	}
+}
+
+func TestMeasureIsWarmupPlusRuns(t *testing.T) {
+	g := testGraph(t, 512, 64, 4, 5)
+	const iters = 3
+	s := New(machine.EPYC(), true)
+	s.PlaceFirstTouch(g, 16)
+	mean, ctr, err := s.Measure(g, NewHPX(16, 8, true), iters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := New(machine.EPYC(), true)
+	ref.PlaceFirstTouch(g, 16)
+	pol := NewHPX(16, 8, true)
+	if _, err := ref.Run(g, pol, nil); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	var want cachesim.Counters
+	for i := 0; i < iters; i++ {
+		r, err := ref.Run(g, pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += r.MakespanNs
+		want.Add(r.Counters)
+	}
+	if wantMean := float64(total) / iters; mean != wantMean {
+		t.Errorf("mean %v, want %v", mean, wantMean)
+	}
+	if ctr != want {
+		t.Errorf("counters %+v, want %+v", ctr, want)
+	}
+
+	if _, _, err := New(machine.EPYC(), true).Measure(g, pol, 0, nil); err == nil {
+		t.Error("iters = 0 must be an error")
 	}
 }
 

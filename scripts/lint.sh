@@ -26,6 +26,17 @@ go vet ./...
 echo "lint: go vet, GOARCH=arm64"
 GOARCH=arm64 go vet ./...
 
+# The serving binaries solve and tune; the simulator and the experiment
+# harness behind the paper's figures stay out of them.
+echo "lint: serving binaries do not link the simulator"
+deps="$(go list -deps ./cmd/solverd ./cmd/solverfront)"
+for pkg in sim cachesim bench perfprofile; do
+    if printf '%s\n' "$deps" | grep -qx "sparsetask/internal/$pkg"; then
+        echo "cmd/solverd or cmd/solverfront links internal/$pkg"
+        exit 1
+    fi
+done
+
 echo "lint: sparselint"
 status=0
 go run ./cmd/sparselint -json ./... > lint-report.json || status=$?
