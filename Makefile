@@ -31,9 +31,10 @@ test:
 	$(GO) test ./...
 
 # The serving layer, scheduler, runtime backends, graph builder, solver
-# drivers, preconditioner, and topology layer are the concurrency hot spots;
-# they must also pass under the race detector (the hierarchical steal paths
-# in sched and rt, and the level-scheduled triangular wavefronts, especially).
+# drivers and preconditioner are the concurrency hot spots; they must also
+# pass under the race detector (the steal-half paths in sched, Regent's
+# shared ready queue, and the level-scheduled triangular wavefronts,
+# especially).
 # sparse is here for one guarantee the engine leans on: conversions of an
 # already compact COO only read it, so concurrent jobs may share one.
 # sparselint runs its analyzers concurrently over shared ASTs and one call
@@ -44,7 +45,7 @@ test:
 # of their AVX2 assembly: the race matrix runs, and instruments, the Go
 # bodies on every host.
 race:
-	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sparse/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/topo/... ./internal/roofline/...
+	$(GO) test -race ./internal/server/... ./internal/route/... ./internal/sparse/... ./internal/sched/... ./internal/graph/... ./internal/rt/... ./internal/solver/... ./internal/precond/... ./internal/roofline/...
 	$(GO) test -race -run 'TestDirectiveValidation|TestAnalyzerFixtures' ./internal/lint/
 
 # The repository benchmark is a nested module (benchmark/go.mod), which the

@@ -14,7 +14,8 @@
 //	loadgen -addr localhost:8080 -c 4 -d 10s -mix lanczos=1,cg=1
 //	loadgen -front localhost:8070 -arrivals open -rate 50 -d 10s -mix cg=1
 //
-// Exit status is non-zero if no job completes successfully.
+// Exit status is 2 for a flag value that cannot make a run, and 1 if no job
+// completes successfully.
 package main
 
 import (
@@ -125,6 +126,32 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
+// checkFlags refuses the flag values that would break a run before it
+// starts: every run needs a positive duration, a closed loop at least one
+// client, and an open loop a positive arrival rate and room for at least one
+// job in flight.
+func checkFlags(arrivals string, conc, inflight int, rate float64, dur time.Duration) error {
+	if dur <= 0 {
+		return fmt.Errorf("-d %s: the run needs a positive duration", dur)
+	}
+	switch arrivals {
+	case "closed":
+		if conc < 1 {
+			return fmt.Errorf("-c %d: the closed loop needs at least one client", conc)
+		}
+	case "open":
+		if rate <= 0 {
+			return fmt.Errorf("-rate %v: the open loop needs a positive arrival rate", rate)
+		}
+		if inflight < 1 {
+			return fmt.Errorf("-max-inflight %d: the open loop needs room for at least one job in flight", inflight)
+		}
+	default:
+		return fmt.Errorf("-arrivals %q: want closed or open", arrivals)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", "localhost:8080", "solverd host:port")
 	front := flag.String("front", "", "solverfront router host:port (overrides -addr; same API surface)")
@@ -142,6 +169,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the client side of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
+	if err := checkFlags(*arrivals, *conc, *inflight, *rate, *dur); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(2)
+	}
 
 	mix, err := parseMix(*mixFlag)
 	if err != nil {
@@ -268,9 +299,6 @@ func main() {
 		// whether or not earlier jobs finished. The in-flight cap bounds
 		// client memory when the server falls behind; a capped arrival is a
 		// drop (client-side loss), distinct from a 429 (server backpressure).
-		if *rate <= 0 {
-			log.Fatalf("-rate must be positive in open mode, got %v", *rate)
-		}
 		rng := rand.New(rand.NewSource(*seed))
 		sem := make(chan struct{}, *inflight)
 		for now := time.Now(); now.Before(deadline); now = time.Now() {
@@ -292,8 +320,6 @@ func main() {
 				st.record("dropped", 0)
 			}
 		}
-	default:
-		log.Fatalf("-arrivals must be closed or open, got %q", *arrivals)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

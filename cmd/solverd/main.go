@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"sparsetask/internal/server"
-	"sparsetask/internal/topo"
 )
 
 func main() {
@@ -28,8 +27,6 @@ func main() {
 	workers := flag.Int("workers", 2, "pool size: jobs executing concurrently")
 	rtWorkers := flag.Int("rt-workers", 0, "runtime workers per job (0 = GOMAXPROCS)")
 	planCache := flag.Int("plan-cache", 128, "autotune plan cache capacity")
-	topoName := flag.String("topo", "flat",
-		"machine-topology profile for locality-aware scheduling: flat, auto, broadwell, epyc")
 	coalesce := flag.Int("coalesce", 8,
 		"max same-matrix cg/pcg jobs merged into one multi-RHS batch (1 disables coalescing)")
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond,
@@ -38,17 +35,11 @@ func main() {
 		"how long shutdown waits for in-flight jobs before hard-cancelling them")
 	flag.Parse()
 
-	tp, err := topo.ByName(*topoName)
-	if err != nil {
-		log.Fatalf("-topo: %v", err)
-	}
-
 	srv := server.New(server.Config{
 		QueueSize:      *queue,
 		Workers:        *workers,
 		RTWorkers:      *rtWorkers,
 		PlanCacheSize:  *planCache,
-		Topo:           tp.Name,
 		CoalesceMax:    *coalesce,
 		CoalesceWindow: *coalesceWindow,
 	})
@@ -59,7 +50,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("solverd listening on %s (pool=%d queue=%d topo=%s)", *addr, *workers, *queue, tp)
+	log.Printf("solverd listening on %s (pool=%d queue=%d)", *addr, *workers, *queue)
 
 	select {
 	case err := <-errc:

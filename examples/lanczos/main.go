@@ -14,7 +14,6 @@ import (
 	"sparsetask/internal/matgen"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/solver"
-	"sparsetask/internal/topo"
 )
 
 func main() {
@@ -30,7 +29,7 @@ func main() {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{}),
 		rt.NewDeepSparse(rt.Options{}),
-		rt.NewHPX(rt.Options{Topo: topo.Broadwell()}),
+		rt.NewHPX(rt.Options{}),
 		rt.NewRegent(rt.Options{DynamicTracing: true}),
 	}
 

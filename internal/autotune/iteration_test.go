@@ -66,7 +66,7 @@ func sameGraph(a, b *graph.TDG) error {
 	for i := range a.Tasks {
 		x, y := &a.Tasks[i], &b.Tasks[i]
 		if x.Kind != y.Kind || x.Call != y.Call || x.P != y.P || x.Q != y.Q ||
-			x.First != y.First || x.Flops != y.Flops || x.Affinity != y.Affinity ||
+			x.First != y.First || x.Flops != y.Flops ||
 			!slices.Equal(x.Deps, y.Deps) || !slices.Equal(x.Reads, y.Reads) ||
 			!slices.Equal(x.Writes, y.Writes) {
 			return fmt.Errorf("task %d differs:\n%+v\nvs\n%+v", i, *x, *y)

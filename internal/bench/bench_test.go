@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -299,7 +298,7 @@ func TestLocality(t *testing.T) {
 	if err := r.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "exec/deepsparse") || !strings.Contains(b.String(), "sim/inline1") {
+	if !strings.Contains(b.String(), "sim/inline1") || strings.Contains(b.String(), "exec/") {
 		t.Fatalf("report missing expected rows:\n%s", b.String())
 	}
 	// The §5.2 A/B: with machine, costs, and overheads held fixed, the
@@ -317,14 +316,6 @@ func TestLocality(t *testing.T) {
 		}
 		if rs, rr := r.Metrics["sim/"+name+"/remote_share_hier"], r.Metrics["sim/"+name+"/remote_share_rand"]; rs >= rr {
 			t.Errorf("%s: hierarchical remote share %v >= random %v", name, rs, rr)
-		}
-	}
-	for _, backend := range []string{"deepsparse", "hpx", "regent"} {
-		for _, bc := range localityBlockCounts {
-			key := fmt.Sprintf("exec/%s/%d/dom_share", backend, bc)
-			if s, ok := r.Metrics[key]; !ok || s < 0 || s > 1 {
-				t.Errorf("%s: bad or missing share %v", key, s)
-			}
 		}
 	}
 }

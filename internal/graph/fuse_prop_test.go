@@ -111,7 +111,7 @@ func checkFusion(g, f *graph.TDG) error {
 			}
 			members[k] = append(members[k], id)
 		}
-		if head := &g.Tasks[members[k][0]]; head.Kind != t.Kind || head.Call != t.Call || head.P != t.P || head.Affinity != t.Affinity {
+		if head := &g.Tasks[members[k][0]]; head.Kind != t.Kind || head.Call != t.Call || head.P != t.P {
 			return fmt.Errorf("fused task %d does not describe its head", k)
 		}
 	}

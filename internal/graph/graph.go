@@ -158,13 +158,6 @@ type Task struct {
 	Flops  int64
 	Reads  []Ref
 	Writes []Ref
-	// Affinity is the task's locality key: the CSB row band that owns its
-	// output (-1 when the task has no single home, e.g. global reductions).
-	// Tasks sharing a key touch the same X/Y vector panels and matrix tile
-	// row, so schedulers co-locating equal keys convert CSB blocking into
-	// cache reuse. Stamped at build time; fused tasks keep the group head's
-	// key (fusion never crosses partitions).
-	Affinity int32
 	// Parts is non-empty for fused tasks (see Fuse): the constituent
 	// per-partition kernels, executed back-to-back. Kind/Call/P describe the
 	// group head.
@@ -215,32 +208,6 @@ type Options struct {
 // DefaultOptions returns the configuration used by the paper's main results.
 func DefaultOptions() Options { return Options{SkipEmpty: true} }
 
-// DomainAffinity maps task affinity keys onto d locality domains: row band p
-// goes to domain p·d/NP — the same contiguous partition→domain map first-touch
-// page placement produces, so a task's preferred domain is where its vector
-// panels' pages live. Returns nil when d <= 1 (flat execution needs no
-// routing); tasks without a key (Affinity < 0) map to -1.
-func (g *TDG) DomainAffinity(d int) func(task int32) int {
-	if d <= 1 {
-		return nil
-	}
-	np := g.Prog.NP
-	if np < 1 {
-		np = 1
-	}
-	return func(t int32) int {
-		k := g.Tasks[t].Affinity
-		if k < 0 {
-			return -1
-		}
-		dom := int(int64(k) * int64(d) / int64(np))
-		if dom >= d {
-			dom = d - 1
-		}
-		return dom
-	}
-}
-
 // builder tracks partition-level last-writer/readers to derive dependencies.
 type builder struct {
 	g       *TDG
@@ -278,9 +245,6 @@ func (b *builder) addTask(t Task, reads, writes []Ref) int32 {
 	t.ID = id
 	t.Reads = reads
 	t.Writes = writes
-	// Locality key: the output row band. Reductions and small steps carry
-	// P = -1 and stay unpinned.
-	t.Affinity = t.P
 	seen := map[int32]bool{}
 	addDep := func(d int32) {
 		if d >= 0 && !seen[d] {

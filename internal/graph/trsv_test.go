@@ -65,14 +65,9 @@ func TestExpandSpTrsvChain(t *testing.T) {
 			t.Fatalf("level %d width %d, want 1", i, w)
 		}
 	}
-	// Affinity stamps must be the output row blocks so topology routing
-	// composes with the level DAG.
 	for i := range g.Tasks {
 		if g.Tasks[i].Kind != TTrsv {
 			t.Fatalf("task %d is %v, want TRSV", i, g.Tasks[i].Kind)
-		}
-		if g.Tasks[i].Affinity != g.Tasks[i].P {
-			t.Fatalf("task %d affinity %d != P %d", i, g.Tasks[i].Affinity, g.Tasks[i].P)
 		}
 	}
 }

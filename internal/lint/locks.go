@@ -14,8 +14,8 @@ import (
 // blocking operation (blockingOp: channel send/receive, select with no
 // default, time.Sleep, WaitGroup.Wait) may run while a lock is held.
 // sync.Cond.Wait is allowed — it releases the mutex while parked — and a
-// select with a default clause is non-blocking by construction (the sched
-// inbox and server admission-queue pattern).
+// select with a default clause is non-blocking by construction (the server
+// admission-queue pattern).
 //
 // The path rules are a client of the dataflow engine (cfg.go, dataflow.go):
 // the state at a program point is the set of locks some path into it holds,

@@ -128,12 +128,11 @@ func storePeak(k peakKey, v float64) {
 }
 
 // Calibrate measures the bandwidth (GB/s) a worker-parallel STREAM triad
-// sustains under the given topology profile: the arrays are carved into one
-// slab per locality domain and one contiguous chunk per worker within its
-// domain's slab, mirroring first-touch data placement. clock must return
-// monotonic nanoseconds. The best of triadReps timed passes (after one
+// sustains: the arrays split into one contiguous chunk per worker. clock must
+// return monotonic nanoseconds. The best of triadReps timed passes (after one
 // untimed warmup that pays the page faults) is kept, and results are
-// memoized per (profile, workers) so repeated grading reuses one measurement.
+// memoized per (profile name, workers) so repeated grading reuses one
+// measurement.
 func Calibrate(tp topo.Topology, workers int, clock func() int64) float64 {
 	if workers < 1 {
 		workers = 1
@@ -150,12 +149,11 @@ func Calibrate(tp topo.Topology, workers int, clock func() int64) float64 {
 		b[i] = float64(i%16) * 0.5
 		c[i] = float64(i%8) * 0.25
 	}
-	bounds := chunkBounds(tp, workers, triadN)
 	run := func() int64 {
 		start := clock()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			lo, hi := bounds[w], bounds[w+1]
+			lo, hi := triadN*w/workers, triadN*(w+1)/workers
 			if lo >= hi {
 				continue
 			}
@@ -181,24 +179,6 @@ func Calibrate(tp topo.Topology, workers int, clock func() int64) float64 {
 	gbps := float64(triadN*triadBytesPerElem) / float64(best)
 	storePeak(k, gbps)
 	return gbps
-}
-
-// chunkBounds returns workers+1 cut points over [0, n): the array splits
-// evenly across the profile's domains first, then evenly across each domain's
-// workers, so chunk shapes track the locality hierarchy rather than only the
-// worker count.
-func chunkBounds(tp topo.Topology, workers, n int) []int {
-	counts := tp.Partition(workers)
-	bounds := make([]int, 1, workers+1)
-	domLo := 0
-	for di, cw := range counts {
-		domHi := n * (di + 1) / len(counts)
-		for w := 1; w <= cw; w++ {
-			bounds = append(bounds, domLo+(domHi-domLo)*w/cw)
-		}
-		domLo = domHi
-	}
-	return bounds
 }
 
 func triad(a, b, c []float64) {

@@ -84,32 +84,12 @@ func TestTriadKernel(t *testing.T) {
 	}
 }
 
-func TestChunkBoundsCoverEveryProfile(t *testing.T) {
-	for _, tp := range []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()} {
-		for _, workers := range []int{1, 2, 3, 7, 16} {
-			n := 1 << 12
-			b := chunkBounds(tp, workers, n)
-			if len(b) != workers+1 {
-				t.Fatalf("%s workers=%d: %d bounds, want %d", tp, workers, len(b), workers+1)
-			}
-			if b[0] != 0 || b[len(b)-1] != n {
-				t.Fatalf("%s workers=%d: bounds [%d, %d] do not span [0, %d]", tp, workers, b[0], b[len(b)-1], n)
-			}
-			for i := 1; i < len(b); i++ {
-				if b[i] < b[i-1] {
-					t.Fatalf("%s workers=%d: bounds not monotone at %d", tp, workers, i)
-				}
-			}
-		}
-	}
-}
-
 // With an injected deterministic clock, the measured peak is an exact
 // function of the clock sequence: each timed pass spans one start and one end
 // read, so every pass measures exactly `step` ns.
 func TestCalibrateDeterministicClock(t *testing.T) {
 	const step = 1 << 20 // ~1 ms per clock read
-	got := Calibrate(topo.Topology{Name: "test-det", Domains: 1}, 2, fakeClock(step))
+	got := Calibrate(topo.Topology{Name: "test-det"}, 2, fakeClock(step))
 	want := float64(triadN*triadBytesPerElem) / float64(step)
 	if math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("Calibrate = %v GB/s, want %v", got, want)
@@ -119,7 +99,7 @@ func TestCalibrateDeterministicClock(t *testing.T) {
 // A second call with the same profile and worker count must hit the memo and
 // never read the clock again.
 func TestCalibrateMemoized(t *testing.T) {
-	key := topo.Topology{Name: "test-memo", Domains: 2}
+	key := topo.Topology{Name: "test-memo"}
 	first := Calibrate(key, 3, fakeClock(1<<20))
 	again := Calibrate(key, 3, func() int64 {
 		t.Fatal("memoized Calibrate read the clock")
@@ -133,7 +113,7 @@ func TestCalibrateMemoized(t *testing.T) {
 // Concurrent calibrations of the same key must be race-free (the repo's race
 // matrix runs this package) and converge on one stored value.
 func TestCalibrateConcurrent(t *testing.T) {
-	key := topo.Topology{Name: "test-conc", Domains: 4}
+	key := topo.Topology{Name: "test-conc"}
 	clock := fakeClock(1 << 18)
 	var wg sync.WaitGroup
 	vals := make([]float64, 8)

@@ -445,7 +445,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		snap.Totals.OperatorBuilds += ms.OperatorCache.Builds
 		snap.Totals.OperatorBytes += ms.OperatorCache.Bytes
 		snap.Totals.OperatorCapacityBytes += ms.OperatorCache.CapacityBytes
-		snap.Totals.Scheduler.Add(ms.Topology.Locality)
+		snap.Totals.Scheduler.Add(ms.Scheduler)
 	}
 	server.WriteJSON(w, http.StatusOK, snap)
 }

@@ -548,7 +548,7 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	getJSON(t, front.URL+"/metrics", &ms)
 	var scheduler sched.LocalityStats
 	for _, d := range ms.ShardDetail {
-		scheduler.Add(d.Topology.Locality)
+		scheduler.Add(d.Scheduler)
 	}
 	if scheduler.Tasks() == 0 || ms.Totals.Scheduler != scheduler {
 		t.Fatalf("totals report scheduler counters %+v, shards sum to %+v", ms.Totals.Scheduler, scheduler)

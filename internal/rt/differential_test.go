@@ -7,7 +7,6 @@ import (
 	"sparsetask/internal/graph"
 	"sparsetask/internal/irgen"
 	"sparsetask/internal/kernels"
-	"sparsetask/internal/topo"
 )
 
 // TestDifferentialGraphExecution is the net under graph fusion and every
@@ -50,22 +49,20 @@ func TestDifferentialGraphExecution(t *testing.T) {
 			if g.Unfused != nil {
 				shape = "fused"
 			}
-			for _, tp := range []topo.Topology{topo.Flat(), topo.Broadwell()} {
-				for _, w := range []int{1, 2, 4} {
-					opt := Options{Workers: w, Topo: tp, AnalysisCost: 1, DynamicTracing: seed%2 == 0}
-					for _, r := range allRuntimes(opt) {
-						st := c.NewStore()
-						pr := r.Prepare(g, st)
-						for it := 0; it < 2; it++ {
-							if err := pr.Run(ctx); err != nil {
-								t.Fatalf("seed %d: %s: %v", seed, r.Name(), err)
-							}
+			for _, w := range []int{1, 2, 4} {
+				opt := Options{Workers: w, AnalysisCost: 1, DynamicTracing: seed%2 == 0}
+				for _, r := range allRuntimes(opt) {
+					st := c.NewStore()
+					pr := r.Prepare(g, st)
+					for it := 0; it < 2; it++ {
+						if err := pr.Run(ctx); err != nil {
+							t.Fatalf("seed %d: %s: %v", seed, r.Name(), err)
 						}
-						pr.Close()
-						if diff := irgen.SameBits(ref, st); diff != "" {
-							t.Fatalf("seed %d: %s graph on %s, %d workers, %s: %s",
-								seed, shape, r.Name(), w, tp, diff)
-						}
+					}
+					pr.Close()
+					if diff := irgen.SameBits(ref, st); diff != "" {
+						t.Fatalf("seed %d: %s graph on %s, %d workers: %s",
+							seed, shape, r.Name(), w, diff)
 					}
 				}
 			}

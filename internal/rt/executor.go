@@ -10,10 +10,8 @@ import (
 )
 
 // executorBackend runs the whole TDG on a persistent sched.Executor:
-// dependency counting, per-worker deques with work stealing, and — with a
-// multi-domain Options.Topo — tasks carrying their row band's domain hint and
-// workers stealing hierarchically. DeepSparse and HPX are this backend with
-// different queue disciplines.
+// dependency counting and per-worker deques with work stealing. DeepSparse
+// and HPX are this backend with different queue disciplines.
 type executorBackend struct {
 	name  string
 	disc  sched.Discipline
@@ -27,8 +25,7 @@ type executorBackend struct {
 // executor; the master submits root tasks in depth-first topological order
 // (the order the TDG generator emits them) and workers use LIFO local deques
 // with work stealing, giving the depth-first, pipelined execution OpenMP task
-// scheduling exhibits in the paper. With a multi-domain Options.Topo, tasks
-// carry their row band's domain hint and workers steal hierarchically.
+// scheduling exhibits in the paper.
 func NewDeepSparse(opt Options) Runtime {
 	return &executorBackend{name: "deepsparse", disc: sched.LIFO, opt: opt, epoch: time.Now()}
 }
@@ -36,11 +33,9 @@ func NewDeepSparse(opt Options) Runtime {
 // NewHPX returns the HPX-style runtime. HPX is the futures/dataflow analog:
 // tasks become ready as their input futures resolve and are drained FIFO with
 // work stealing, yielding the breadth-first, "shuffled" execution order the
-// paper observes in HPX flow graphs (Fig. 13). With a multi-domain
-// Options.Topo, ready tasks carry a locality hint mapping their data
-// partition to a domain and are routed to workers in that domain — the
-// scheduling-hint optimization that bought HPX ~50% on EPYC (§5.1, "Other
-// Attempts").
+// paper observes in HPX flow graphs (Fig. 13). HPX's scheduling hints, which
+// bought it ~50% on EPYC (§5.1, "Other Attempts"), need pinned threads; they
+// are modelled by the simulator (sim.HPXPolicy), not here.
 func NewHPX(opt Options) Runtime {
 	return &executorBackend{name: "hpx", disc: sched.FIFO, opt: opt, epoch: time.Now()}
 }
@@ -54,18 +49,15 @@ func (r *executorBackend) Locality() sched.LocalityStats { return r.acc.Snapshot
 
 // Prepare implements Runtime: dependency counts, deques, and the worker pool
 // are built once and reused by every PreparedRun.Run — the OpenMP "parallel
-// region kept alive across iterations" analog. The affinity map is the
-// graph's row-band→domain map sized to the effective domain count (nil when
-// the shape is flat, disabling routing entirely).
+// region kept alive across iterations" analog.
 func (r *executorBackend) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
-	opt := sched.Options{Workers: r.opt.workers(), Discipline: r.disc, Topo: r.opt.Topo}
-	opt.Affinity = g.DomainAffinity(opt.Topo.DomainCount(opt.Workers))
 	ind := make([]int32, len(g.Tasks))
 	for i := range g.Tasks {
 		ind[i] = int32(len(g.Tasks[i].Deps))
 	}
 	e := sched.NewExecutor(len(g.Tasks), ind, func(i int32) []int32 { return g.Tasks[i].Succs },
-		g.Roots, taskBody(g, st, r.opt.Recorder, r.epoch), opt)
+		g.Roots, taskBody(g, st, r.opt.Recorder, r.epoch),
+		sched.Options{Workers: r.opt.workers(), Discipline: r.disc})
 	return &executorRun{e: e, acc: &r.acc}
 }
 

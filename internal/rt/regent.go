@@ -2,7 +2,6 @@ package rt
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,15 +25,9 @@ import (
 // observation that Regent degrades sharply as task counts grow (§5.4,
 // "Regent has scaling issues with regard to creation or scheduling of large
 // number of tasks").
-//
-// With a multi-domain Options.Topo, the shared ready queue splits into one
-// FIFO per locality domain (Legion's per-node ready queues): issued tasks
-// enqueue to their row band's home domain and workers drain their own
-// domain's queue before pulling from the others.
 type Regent struct {
 	opt   Options
 	epoch time.Time
-	acc   sched.LocalityAccumulator
 
 	mu sync.Mutex
 	// LastAnalyzed counts tasks that paid full analysis in the most recent
@@ -65,31 +58,24 @@ func NewRegent(opt Options) *Regent {
 // Name implements Runtime.
 func (r *Regent) Name() string { return "regent" }
 
-// Locality implements LocalityReporter: lifetime counters across the
-// multi-domain teams this runtime has dismissed (flat runs use one shared
-// queue and count nothing).
-func (r *Regent) Locality() sched.LocalityStats { return r.acc.Snapshot() }
-
 // regentPrepared binds the runtime to one (TDG, store) pair. Dependency
-// counters, the ready queues and the worker team are built once and reset per
+// counters, the ready queue and the worker team are built once and reset per
 // Run; Run's caller is the analysis pipeline — the -ll:util core — walking the
 // tasks in program order while the workers drain what it issues. With
 // DynamicTracing the first complete Run analyses and every later Run of this
 // handle replays.
 //
 // A run that ends short (cancellation, a panicking task) dismisses the team
-// and drains the queues; the next Run raises a fresh one.
+// and drains the queue; the next Run raises a fresh one.
 type regentPrepared struct {
 	r    *Regent
 	g    *graph.TDG
 	body func(int, int32)
 	nw   int
-	nd   int
 	cost int
 	// full marks the tasks that pay dependence analysis when the graph is
 	// analysed: everything but the later tasks of an index launch.
-	full    []bool
-	homeDom func(int32) int // nil when nd <= 1
+	full []bool
 
 	// remain[i] = deps + 1: the extra count is released by the analysis
 	// pipeline when the task is issued, so no task starts before its
@@ -97,16 +83,10 @@ type regentPrepared struct {
 	remain []atomic.Int32
 	done   atomic.Int64 // tasks left in the current run
 
-	// Ready-task distribution. Flat topology: one shared FIFO — the classic
-	// Legion ready queue. Multi-domain: one FIFO per locality domain plus a
-	// token semaphore; release enqueues to the task's home domain *before*
-	// signalling the token, so a worker that holds a token is guaranteed a
-	// task currently sits in some queue (its scan retries until it finds
-	// one). Every channel is buffered to the task count, so release never
+	// ready is the one shared FIFO of issued tasks — the classic Legion
+	// ready queue. It is buffered to the task count, so release never
 	// blocks.
-	ready  chan int32
-	readyD []chan int32
-	tokens chan int32 // a token's value means nothing; the type lets recv serve both
+	ready chan int32
 	// fin carries one token per completed run, from the worker that ran the
 	// last task.
 	fin chan struct{}
@@ -131,10 +111,10 @@ func (r *Regent) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
 	p := &regentPrepared{
 		r: r, g: g, nw: nw,
 		body:   taskBody(g, st, r.opt.Recorder, r.epoch),
-		nd:     r.opt.Topo.DomainCount(nw),
 		cost:   r.opt.AnalysisCost,
 		full:   make([]bool, n),
 		remain: make([]atomic.Int32, n),
+		ready:  make(chan int32, n),
 		fin:    make(chan struct{}, 1),
 	}
 	if p.cost <= 0 {
@@ -156,16 +136,6 @@ func (r *Regent) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
 			p.full[i] = false
 		}
 	}
-	if p.nd <= 1 {
-		p.ready = make(chan int32, n)
-	} else {
-		p.homeDom = g.DomainAffinity(p.nd)
-		p.readyD = make([]chan int32, p.nd)
-		for d := range p.readyD {
-			p.readyD[d] = make(chan int32, n)
-		}
-		p.tokens = make(chan int32, n)
-	}
 	return p
 }
 
@@ -182,7 +152,7 @@ func sameCalls(a, b []graph.Part) bool {
 	return true
 }
 
-// Close dismisses the team and folds its locality counters into the runtime.
+// Close dismisses the team.
 func (p *regentPrepared) Close() { p.dismiss() }
 
 // start raises the worker team.
@@ -205,7 +175,7 @@ func (p *regentPrepared) halt() {
 	p.quitOnce.Do(func() { close(p.quit) })
 }
 
-// dismiss stops the team, waits for it, and empties the queues of whatever a
+// dismiss stops the team, waits for it, and empties the queue of whatever a
 // dead run left behind.
 //
 //sparselint:coldcall runs on Close and after a run that ended short
@@ -216,13 +186,8 @@ func (p *regentPrepared) dismiss() {
 	p.halt()
 	p.wg.Wait()
 	p.running = false
-	for _, q := range append([]chan int32{p.ready}, p.readyD...) {
-		for len(q) > 0 {
-			<-q
-		}
-	}
-	for len(p.tokens) > 0 {
-		<-p.tokens
+	for len(p.ready) > 0 {
+		<-p.ready
 	}
 	for len(p.fin) > 0 {
 		<-p.fin
@@ -233,19 +198,9 @@ func (p *regentPrepared) dismiss() {
 //
 //sparselint:hotpath
 func (p *regentPrepared) release(id int32) {
-	if p.remain[id].Add(-1) != 0 {
-		return
-	}
-	if p.nd <= 1 {
+	if p.remain[id].Add(-1) == 0 {
 		p.ready <- id
-		return
 	}
-	d := p.homeDom(id)
-	if d < 0 {
-		d = int(id) % p.nd // keyless tasks spread round-robin
-	}
-	p.readyD[d] <- id
-	p.tokens <- 0
 }
 
 // Run executes the graph once: the caller analyses and issues the tasks in
@@ -345,79 +300,30 @@ func (p *regentPrepared) recoverTask() {
 }
 
 // worker is the persistent body of team member w. Between tasks — and between
-// runs — it polls its queue for a bounded spin, then blocks on it.
+// runs — it polls the ready queue for a bounded spin, then blocks on it.
 func (p *regentPrepared) worker(w int) {
 	defer p.wg.Done()
 	defer p.recoverTask()
-	if p.nd <= 1 {
-		for {
-			id, ok := p.recv(p.ready)
-			if !ok {
-				return
-			}
-			p.exec(w, id)
-		}
-	}
-	// Multi-domain: consume a token, then locate its task — own domain's
-	// queue first, the others only when home is dry.
-	dw := p.r.opt.Topo.DomainOf(w, p.nw)
-	var ls sched.LocalityStats
-	defer func() { p.r.acc.Add(ls) }()
 	for {
-		if _, ok := p.recv(p.tokens); !ok {
+		id, ok := p.recv()
+		if !ok {
 			return
-		}
-		var id int32
-		found := false
-		for !found {
-			for k := 0; k < p.nd && !found; k++ {
-				select {
-				case id = <-p.readyD[(dw+k)%p.nd]:
-					found = true
-					if k == 0 {
-						ls.Domain++
-					} else {
-						ls.Remote++
-						ls.StealsRemote++
-					}
-				default:
-				}
-			}
-			if found {
-				break
-			}
-			// Another token holder raced us to the queues; the
-			// queue-before-token invariant says a task for this token exists
-			// (or its enqueue is in flight) — retry.
-			if p.halted.Load() {
-				return
-			}
-			runtime.Gosched()
-		}
-		if d := p.homeDom(id); d < 0 {
-			ls.AffinityNone++
-		} else if d == dw {
-			ls.AffinityLocal++
-		} else {
-			ls.AffinityRemote++
 		}
 		p.exec(w, id)
 	}
 }
 
-// recv takes the next element of one of the team's queues — a ready task of
-// the flat queue, a token of the multi-domain semaphore — polling for a
-// bounded spin before it blocks. It reports false once the team is told to
-// stop.
+// recv takes the next ready task, polling for a bounded spin before it
+// blocks. It reports false once the team is told to stop.
 //
 //sparselint:hotpath
-func (p *regentPrepared) recv(q chan int32) (v int32, ok bool) {
+func (p *regentPrepared) recv() (v int32, ok bool) {
 	for i := 0; ; i++ {
 		if p.halted.Load() {
 			return v, false
 		}
 		select {
-		case v = <-q:
+		case v = <-p.ready:
 			return v, true
 		default:
 		}
@@ -426,7 +332,7 @@ func (p *regentPrepared) recv(q chan int32) (v int32, ok bool) {
 		}
 	}
 	select {
-	case v = <-q:
+	case v = <-p.ready:
 		return v, !p.halted.Load()
 	case <-p.quit:
 		return v, false

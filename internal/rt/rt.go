@@ -7,8 +7,7 @@
 //     runs on a sched.Team.
 //   - DeepSparse: OpenMP-task analog — whole-graph dependency counting,
 //     depth-first (LIFO) local queues with work stealing.
-//   - HPX: futures/dataflow analog — FIFO queues, work stealing,
-//     domain-aware placement hints under a multi-domain Options.Topo.
+//   - HPX: futures/dataflow analog — FIFO queues, work stealing.
 //     DeepSparse and HPX are one backend on a sched.Executor that differs
 //     only in the queue discipline.
 //   - Regent: region/privilege analog — tasks issued in program order by a
@@ -33,7 +32,6 @@ import (
 	"sparsetask/internal/kernels"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sched"
-	"sparsetask/internal/topo"
 	"sparsetask/internal/trace"
 )
 
@@ -43,12 +41,6 @@ type Options struct {
 	Workers int
 	// Recorder, when non-nil, receives one event per executed task.
 	Recorder *trace.Recorder
-	// Topo selects the machine-topology profile for locality-aware
-	// scheduling in the stealing backends: tasks carry a domain hint derived
-	// from their CSB row band, workers steal hierarchically (own domain
-	// before remote), and the backend tracks locality counters. The zero
-	// value is flat — uniform stealing, no hints, no behavior change.
-	Topo topo.Topology
 	// AnalysisCost is the Regent dependence-analysis work per task, in
 	// spin-loop iterations. 0 selects a default calibrated to make analysis
 	// visible but not dominant at small task counts — the paper's observed
@@ -97,8 +89,8 @@ type PreparedRun interface {
 	Close()
 }
 
-// LocalityReporter is implemented by runtimes and prepared runs that track
-// scheduler locality counters. A runtime's Locality is its lifetime
+// LocalityReporter is implemented by the runtimes and prepared runs built on
+// sched.Executor (DeepSparse and HPX), which keep its counters. A runtime's Locality is its lifetime
 // aggregate (folded in as executions close); a PreparedRun's is the live
 // count for that handle. Safe to call concurrently with runs on the runtime
 // form; on a PreparedRun only between Run calls.

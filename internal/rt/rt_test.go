@@ -15,7 +15,6 @@ import (
 	"sparsetask/internal/kernels"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 	"sparsetask/internal/trace"
 )
 
@@ -162,54 +161,9 @@ func TestRuntimesRepeatedIterations(t *testing.T) {
 	}
 }
 
-func TestHPXNUMADomains(t *testing.T) {
-	g, mk := testProblem(t, 60, 6, 2, 3)
-	ref := mk()
-	kernels.RunSequential(g, ref)
-	r := NewHPX(Options{Workers: 4, Topo: topo.Broadwell()})
-	st := mk()
-	runOnce(context.Background(), r, g, st)
-	storesEqual(t, "hpx-numa", ref, st)
-}
-
-func TestTopologyRuntimesMatchSequential(t *testing.T) {
-	// Multi-domain topologies change only where tasks run, never results:
-	// every stealing backend must stay bit-identical to sequential on both
-	// paper profiles, repeated iterations included. The locality reporters
-	// must also account for every executed task.
-	for _, tp := range []topo.Topology{topo.Broadwell(), topo.EPYC()} {
-		g, mk := testProblem(t, 60, 6, 2, 9)
-		ref := mk()
-		for it := 0; it < 3; it++ {
-			kernels.RunSequential(g, ref)
-		}
-		for _, r := range []Runtime{
-			NewDeepSparse(Options{Workers: 4, Topo: tp}),
-			NewHPX(Options{Workers: 4, Topo: tp}),
-			NewRegent(Options{Workers: 4, Topo: tp}),
-		} {
-			st := mk()
-			for it := 0; it < 3; it++ {
-				if err := runOnce(context.Background(), r, g, st); err != nil {
-					t.Fatalf("%s/%s: %v", r.Name(), tp, err)
-				}
-			}
-			storesEqual(t, r.Name()+"/"+tp.String(), ref, st)
-			lr, ok := r.(LocalityReporter)
-			if !ok {
-				t.Fatalf("%s does not report locality", r.Name())
-			}
-			s := lr.Locality()
-			if got, want := s.Tasks(), int64(3*len(g.Tasks)); got != want {
-				t.Errorf("%s/%s: locality counted %d tasks, want %d", r.Name(), tp, got, want)
-			}
-		}
-	}
-}
-
 func TestPreparedRunReportsLocality(t *testing.T) {
 	g, mk := testProblem(t, 60, 6, 2, 10)
-	r := NewDeepSparse(Options{Workers: 4, Topo: topo.EPYC()})
+	r := NewDeepSparse(Options{Workers: 4})
 	p := r.Prepare(g, mk())
 	lr, ok := p.(LocalityReporter)
 	if !ok {

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"sparsetask/internal/kernels"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 // symTestProblem builds Y = A·X → norm → scale → Axpby over symmetric SymCSB
@@ -84,7 +84,7 @@ func symTestMatrices(m int, seed int64) map[string]*sparse.COO {
 	return map[string]*sparse.COO{"banded": banded, "arrowhead": arrow}
 }
 
-// All four backends, both matrices, both NUMA profiles, repeated
+// All four backends, both matrices, three worker counts, repeated
 // iterations: results must be bit-identical to the sequential execution.
 func TestSymBackendsBitIdentical(t *testing.T) {
 	for name, coo := range symTestMatrices(96, 1) {
@@ -94,15 +94,15 @@ func TestSymBackendsBitIdentical(t *testing.T) {
 			for it := 0; it < 3; it++ {
 				kernels.RunSequential(g, ref)
 			}
-			for _, tp := range []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()} {
-				for _, r := range allRuntimes(Options{Workers: 4, Topo: tp}) {
+			for _, w := range []int{1, 2, 4} {
+				for _, r := range allRuntimes(Options{Workers: w}) {
 					st := mk()
 					for it := 0; it < 3; it++ {
 						if err := runOnce(context.Background(), r, g, st); err != nil {
-							t.Fatalf("%s/%s/%s n=%d: %v", name, r.Name(), tp, n, err)
+							t.Fatalf("%s/%s/w%d n=%d: %v", name, r.Name(), w, n, err)
 						}
 					}
-					storesEqual(t, name+"/"+r.Name()+"/"+tp.String(), ref, st)
+					storesEqual(t, fmt.Sprintf("%s/%s/w%d", name, r.Name(), w), ref, st)
 				}
 			}
 		}

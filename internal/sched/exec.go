@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"sparsetask/internal/topo"
 )
 
 // Discipline selects the order a worker drains its own queue.
@@ -24,9 +22,9 @@ const (
 	FIFO
 )
 
-// stealBurst bounds how many extra tasks a cross-domain steal migrates in one
-// go (the "steal-half" transfer). Half the victim's queue amortizes remote
-// traffic; the cap keeps one thief from draining a large domain wholesale.
+// stealBurst bounds how many extra tasks a steal migrates in one go (the
+// "steal-half" transfer). Half the victim's queue amortizes the trip; the cap
+// keeps one thief from draining a long queue wholesale.
 const stealBurst = 16
 
 // Options configure a graph execution.
@@ -35,16 +33,6 @@ type Options struct {
 	Workers int
 	// Discipline is the local queue order.
 	Discipline Discipline
-	// Topo groups workers into locality domains (NUMA/CCX analog). Workers
-	// drain their own deque, then their domain, and only then steal across
-	// domains (with a steal-half burst). The zero value is flat: uniform
-	// stealing, no hierarchy.
-	Topo topo.Topology
-	// Affinity optionally maps a task to a preferred domain in
-	// [0, Topo.DomainCount(Workers)); negative means no preference. Newly
-	// ready tasks produced outside their preferred domain are routed to that
-	// domain's inbox (HPX scheduling-hint analog). Nil disables routing.
-	Affinity func(task int32) int
 }
 
 // RunGraph executes a dependency graph: n tasks, indeg[i] initial dependency
@@ -68,7 +56,7 @@ func RunGraph(ctx context.Context, n int, indeg []int32, succs func(int32) []int
 }
 
 // Executor is a reusable dependency-graph executor: all scheduler state —
-// deques, domain inboxes, dependency counters, ready-task routing buffers,
+// deques, dependency counters, ready-task buffers,
 // per-worker PRNG and counter state, and (for Workers > 1) the helper
 // goroutines themselves — is allocated once at construction and reused by
 // every Run. A steady-state Run with an uncancellable context performs no
@@ -88,30 +76,22 @@ func RunGraph(ctx context.Context, n int, indeg []int32, succs func(int32) []int
 // lost). A worker with nothing to do spins a bounded number of rounds
 // (Spin) before it parks.
 //
-// When Options.Topo has more than one domain, workers acquire tasks
-// hierarchically: own deque, then the domain inbox, then same-domain victims,
-// and only then remote domains (deques, then remote inboxes). A steal from a
-// long deque migrates up to half of it (at most stealBurst) in one go. Work
-// conservation is preserved — affinity routing biases where a task runs,
-// never whether it runs.
+// The executor is flat: a worker drains its own deque, then steals from the
+// others, starting at a random one. A steal from a long deque migrates up to
+// half of it (at most stealBurst) in one go. Nothing pins a goroutine to a
+// core, so there is no locality domain for the scheduler to honour; the
+// simulator (internal/sim) is where placement across NUMA domains is
+// modelled.
 type Executor struct {
 	n     int
 	nw    int
-	ndom  int
 	disc  Discipline
 	succs func(int32) []int32
 	exec  func(int, int32)
-	aff   func(int32) int
 	roots []int32 // in submission order
 	indeg []int32
 
-	domOf    []int // worker -> domain
-	domStart []int // domain -> first worker
-	domEnd   []int // domain -> one past last worker
-	rootrr   []int // per-domain round-robin cursor for root placement
-
 	deques []*Deque
-	inbox  []inbox // per-domain cross-domain routing queue
 	remain []atomic.Int32
 	ws     []worker
 
@@ -135,7 +115,7 @@ const haltedTotal = math.MinInt64 / 2
 
 // worker is one worker's private block: its counters, its victim-selection
 // PRNG (xorshift64*, so stealing never takes the global math/rand lock) and
-// its newly-ready routing buffer, padded so neighbouring workers never share
+// its newly-ready buffer, padded so neighbouring workers never share
 // a cache line. Written only by the owning worker during a run; reading is
 // safe once Run has returned (the helpers' check-out orders the writes).
 type worker struct {
@@ -144,63 +124,8 @@ type worker struct {
 	folded        int64 // of those, already subtracted from total
 	rng           uint64
 	ready         []int32
-	_             [48]byte
+	_             [16]byte
 }
-
-// inbox is a per-domain FIFO for cross-domain affinity routing. The Chase–Lev
-// deque only admits Push from its owner goroutine, so a producer in another
-// domain cannot place work directly on the preferred domain's deques; it
-// lands here and the domain's workers drain it ahead of stealing. The size
-// counter lets idle workers skip the lock when the inbox is empty (the common
-// case), and the padding keeps neighbouring domains off one cache line.
-type inbox struct {
-	size atomic.Int32
-	mu   sync.Mutex
-	buf  []int32
-	head int
-	_    [24]byte
-}
-
-func (b *inbox) put(t int32) {
-	b.mu.Lock()
-	//lint:ignore sparselint/hotpathalloc buf reaches steady-state capacity during the first run; later appends reuse it (get compacts in place)
-	b.buf = append(b.buf, t)
-	b.size.Add(1)
-	b.mu.Unlock()
-}
-
-func (b *inbox) get() (int32, bool) {
-	if b.size.Load() == 0 {
-		return 0, false
-	}
-	b.mu.Lock()
-	if b.head >= len(b.buf) {
-		b.mu.Unlock()
-		return 0, false
-	}
-	t := b.buf[b.head]
-	b.head++
-	if b.head == len(b.buf) {
-		b.buf = b.buf[:0] // keep grown capacity
-		b.head = 0
-	}
-	b.size.Add(-1)
-	b.mu.Unlock()
-	return t, true
-}
-
-func (b *inbox) reset() {
-	b.buf = b.buf[:0]
-	b.head = 0
-	b.size.Store(0)
-}
-
-// Acquisition tiers, used to attribute each executed task in the stats.
-const (
-	tierLocal = iota
-	tierDomain
-	tierRemote
-)
 
 // NewExecutor builds a reusable executor over a fixed graph shape. indeg is
 // copied; succs must be pure and stable across runs. With opt.Workers != 1
@@ -217,35 +142,17 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 	if n == 0 {
 		nw = 1
 	}
-	counts := opt.Topo.Partition(nw)
-	ndom := len(counts)
 	e := &Executor{
-		n:        n,
-		nw:       nw,
-		ndom:     ndom,
-		disc:     opt.Discipline,
-		succs:    succs,
-		exec:     exec,
-		aff:      opt.Affinity,
-		roots:    roots,
-		indeg:    append([]int32(nil), indeg...),
-		domOf:    make([]int, nw),
-		domStart: make([]int, ndom),
-		domEnd:   make([]int, ndom),
-		rootrr:   make([]int, ndom),
-		deques:   make([]*Deque, nw),
-		inbox:    make([]inbox, ndom),
-		remain:   make([]atomic.Int32, n),
-		ws:       make([]worker, nw),
-	}
-	w := 0
-	for d, c := range counts {
-		e.domStart[d] = w
-		for i := 0; i < c; i++ {
-			e.domOf[w] = d
-			w++
-		}
-		e.domEnd[d] = w
+		n:      n,
+		nw:     nw,
+		disc:   opt.Discipline,
+		succs:  succs,
+		exec:   exec,
+		roots:  roots,
+		indeg:  append([]int32(nil), indeg...),
+		deques: make([]*Deque, nw),
+		remain: make([]atomic.Int32, n),
+		ws:     make([]worker, nw),
 	}
 	for i := 0; i < nw; i++ {
 		e.deques[i] = NewDeque()
@@ -259,10 +166,6 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 	e.team = NewTeam(e.nw, e.runWorker)
 	return e
 }
-
-// Domains returns the effective domain count the executor runs with (the
-// topology's domain count clamped to the worker count).
-func (e *Executor) Domains() int { return e.ndom }
 
 // Workers returns the resolved worker count.
 func (e *Executor) Workers() int { return e.nw }
@@ -332,27 +235,12 @@ func (e *Executor) reset() {
 	for _, d := range e.deques {
 		d.Reset()
 	}
-	for i := range e.inbox {
-		e.inbox[i].reset()
-	}
-	// Distribute roots across workers so execution starts balanced; with
-	// affinity, round-robin inside the preferred domain (directly onto the
-	// workers' deques — safe here, no worker is running yet). The cursors
-	// restart with the run, so every run places its roots identically. The
-	// stealing protocol handles the rest.
-	clear(e.rootrr)
+	// Deal the roots round-robin across workers so execution starts
+	// balanced (directly onto the workers' deques — safe here, no worker is
+	// running yet). The stealing protocol handles the rest.
 	for k, t := range e.roots {
-		w := k % e.nw
-		if e.aff != nil {
-			if d := e.aff(t); d >= 0 {
-				d %= e.ndom
-				width := e.domEnd[d] - e.domStart[d]
-				w = e.domStart[d] + e.rootrr[d]%width
-				e.rootrr[d]++
-			}
-		}
 		//lint:ignore sparselint/dequeowner root seeding happens before any worker starts; no owner exists yet
-		e.deques[w].Push(t)
+		e.deques[k%e.nw].Push(t)
 	}
 }
 
@@ -389,77 +277,39 @@ func (e *Executor) rngNext(w int) uint64 {
 	return s
 }
 
-// take acquires the next task for worker w, hierarchically: own deque, own
-// domain (inbox, then same-domain victims), then remote domains (victim
-// deques, then remote inboxes). The returned tier says which level supplied
-// the task.
+// take acquires the next task for worker w: from its own deque in the
+// configured discipline, else by stealing from the other workers, starting
+// at a random one. The second result says the task was stolen.
 //
 //sparselint:hotpath
-func (e *Executor) take(w int) (int32, int, bool) {
-	// Own queue first, in the configured discipline.
+func (e *Executor) take(w int) (int32, bool, bool) {
 	if e.disc == LIFO {
 		if t, ok := e.deques[w].Pop(); ok {
-			return t, tierLocal, true
+			return t, false, true
 		}
 	} else {
 		if t, ok := e.deques[w].Steal(); ok {
-			return t, tierLocal, true
+			return t, false, true
 		}
 	}
 	if e.nw == 1 {
-		return 0, 0, false
+		return 0, false, false
 	}
 	ws := &e.ws[w]
-	myDom := e.domOf[w]
-	// Own domain: the inbox holds tasks other domains routed here — they are
-	// the reason this domain exists, so drain it before stealing.
-	if e.ndom > 1 {
-		if t, ok := e.inbox[myDom].get(); ok {
-			return t, tierDomain, true
-		}
-	}
-	// Same-domain victims, starting at a random sibling.
-	lo, hi := e.domStart[myDom], e.domEnd[myDom]
-	if width := hi - lo; width > 1 {
-		start := int(e.rngNext(w) % uint64(width))
-		for k := 0; k < width; k++ {
-			v := lo + (start+k)%width
-			if v == w {
-				continue
-			}
-			if t, ok := e.deques[v].Steal(); ok {
-				ws.StealsDomain++
-				e.stealHalf(w, v)
-				return t, tierDomain, true
-			}
-			ws.StealFails++
-		}
-	}
-	if e.ndom == 1 {
-		return 0, 0, false
-	}
-	// Remote domains, starting at a random one: victims' deques, then the
-	// remote inbox as a last resort.
-	dstart := int(e.rngNext(w) % uint64(e.ndom))
-	for dk := 0; dk < e.ndom; dk++ {
-		d := (dstart + dk) % e.ndom
-		if d == myDom {
+	start := int(e.rngNext(w) % uint64(e.nw))
+	for k := 0; k < e.nw; k++ {
+		v := (start + k) % e.nw
+		if v == w {
 			continue
 		}
-		for v := e.domStart[d]; v < e.domEnd[d]; v++ {
-			if t, ok := e.deques[v].Steal(); ok {
-				ws.StealsRemote++
-				e.stealHalf(w, v)
-				return t, tierRemote, true
-			}
-			ws.StealFails++
+		if t, ok := e.deques[v].Steal(); ok {
+			ws.StealsDomain++
+			e.stealHalf(w, v)
+			return t, true, true
 		}
-		if t, ok := e.inbox[d].get(); ok {
-			ws.StealsRemote++
-			return t, tierRemote, true
-		}
+		ws.StealFails++
 	}
-	return 0, 0, false
+	return 0, false, false
 }
 
 // stealHalf follows a successful steal from victim v: it migrates up to half
@@ -481,24 +331,6 @@ func (e *Executor) stealHalf(w, v int) {
 		}
 		e.deques[w].Push(u)
 	}
-}
-
-// route places a newly ready task (respecting affinity) without waking
-// anyone; the caller batches one wake per ready set. Tasks preferring a
-// foreign domain go to that domain's inbox — never another worker's deque,
-// which only its owner may Push.
-//
-//sparselint:hotpath
-func (e *Executor) route(w int, t int32) {
-	if e.aff != nil && e.ndom > 1 {
-		if d := e.aff(t); d >= 0 {
-			if d %= e.ndom; d != e.domOf[w] {
-				e.inbox[d].put(t)
-				return
-			}
-		}
-	}
-	e.deques[w].Push(t)
 }
 
 // recoverAbort is runWorker's deferred panic backstop: a panicking task must
@@ -523,9 +355,9 @@ func (e *Executor) runWorker(w int) {
 	ws := &e.ws[w]
 	idle := 0
 	for e.total.Load() > 0 {
-		if t, tier, ok := e.take(w); ok {
+		if t, stolen, ok := e.take(w); ok {
 			idle = 0
-			e.runChain(w, t, tier)
+			e.runChain(w, t, stolen)
 			continue
 		}
 		// Dry: fold what this worker ran into total. Zero means it ran the
@@ -559,9 +391,9 @@ func (e *Executor) park(w int) {
 		e.gate.cancel()
 		return
 	}
-	if t, tier, ok := e.take(w); ok {
+	if t, stolen, ok := e.take(w); ok {
 		e.gate.cancel()
-		e.runChain(w, t, tier)
+		e.runChain(w, t, stolen)
 		return
 	}
 	e.ws[w].Parks++
@@ -571,30 +403,18 @@ func (e *Executor) park(w int) {
 // runChain executes task t and then chains depth-first through successors it
 // enables: under LIFO the just-enabled successor that would be popped next is
 // run inline, skipping the deque round-trip and wake; the remaining ready
-// tasks are routed in one batch with a single wake. It returns when there is
-// nothing to chain into, or the run was halted.
+// tasks are pushed onto w's deque in one batch with a single wake. It returns
+// when there is nothing to chain into, or the run was halted. stolen says
+// whether t came from another worker's deque.
 //
 //sparselint:hotpath
-func (e *Executor) runChain(w int, t int32, tier int) {
+func (e *Executor) runChain(w int, t int32, stolen bool) {
 	ws := &e.ws[w]
-	myDom := e.domOf[w]
 	for {
-		switch tier {
-		case tierLocal:
-			ws.Local++
-		case tierDomain:
+		if stolen {
 			ws.Domain++
-		default:
-			ws.Remote++
-		}
-		if e.aff != nil {
-			if d := e.aff(t); d < 0 {
-				ws.AffinityNone++
-			} else if d%e.ndom == myDom {
-				ws.AffinityLocal++
-			} else {
-				ws.AffinityRemote++
-			}
+		} else {
+			ws.Local++
 		}
 		e.exec(w, t)
 		ws.ran++
@@ -610,27 +430,17 @@ func (e *Executor) runChain(w int, t int32, tier int) {
 			// task was in flight: do not chain into a dead run.
 			return
 		}
-		// Inline fast path: under LIFO, the last-routed successor is exactly
-		// the task Pop would return next — run it directly, provided affinity
-		// would not route it to another domain. (FIFO must not chain:
-		// breadth-first order is the HPX personality under study.)
+		// Inline fast path: under LIFO, the last-pushed successor is exactly
+		// the task Pop would return next — run it directly. (FIFO must not
+		// chain: breadth-first order is the HPX personality under study.)
 		next := int32(-1)
 		if e.disc == LIFO {
-			cand := nr[len(nr)-1]
-			chain := true
-			if e.aff != nil && e.ndom > 1 {
-				if d := e.aff(cand); d >= 0 && d%e.ndom != myDom {
-					chain = false
-				}
-			}
-			if chain {
-				next = cand
-				nr = nr[:len(nr)-1]
-			}
+			next = nr[len(nr)-1]
+			nr = nr[:len(nr)-1]
 		}
 		if len(nr) > 0 {
 			for _, s := range nr {
-				e.route(w, s)
+				e.deques[w].Push(s)
 			}
 			if e.gate.Notify() {
 				ws.Wakes++
@@ -640,6 +450,6 @@ func (e *Executor) runChain(w int, t int32, tier int) {
 			return
 		}
 		t = next
-		tier = tierLocal
+		stolen = false
 	}
 }

@@ -3,152 +3,23 @@ package sched
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"sparsetask/internal/topo"
 )
 
-// lanczosShape builds a synthetic Lanczos-iteration DAG over np row-band
-// partitions: per iteration, an SpMV task and a dot-partial task per
-// partition (affinity = partition), one global reduction (no affinity), and
-// a vector update per partition, with the update feeding the next
-// iteration's SpMV. This mirrors the shape graph.BuildLanczosIteration
-// produces without importing the graph package.
-func lanczosShape(np, iters int) (n int, indeg []int32, succs [][]int32, roots []int32, aff []int32) {
-	perIter := 3*np + 1
-	n = perIter * iters
-	indeg = make([]int32, n)
-	succs = make([][]int32, n)
-	aff = make([]int32, n)
-	spmv := func(it, p int) int32 { return int32(it*perIter + p) }
-	dot := func(it, p int) int32 { return int32(it*perIter + np + p) }
-	reduce := func(it int) int32 { return int32(it*perIter + 2*np) }
-	update := func(it, p int) int32 { return int32(it*perIter + 2*np + 1 + p) }
-	edge := func(a, b int32) {
-		succs[a] = append(succs[a], b)
-		indeg[b]++
-	}
-	for it := 0; it < iters; it++ {
-		aff[reduce(it)] = -1
-		for p := 0; p < np; p++ {
-			aff[spmv(it, p)] = int32(p)
-			aff[dot(it, p)] = int32(p)
-			aff[update(it, p)] = int32(p)
-			edge(spmv(it, p), dot(it, p))
-			edge(dot(it, p), reduce(it))
-			edge(reduce(it), update(it, p))
-			if it+1 < iters {
-				edge(update(it, p), spmv(it+1, p))
-			}
-		}
-	}
-	for p := 0; p < np; p++ {
-		roots = append(roots, spmv(0, p))
-	}
-	return
-}
-
-// TestLanczosDomainLocality is the issue's acceptance test: on the
-// EPYC-shaped profile, at least 70% of affinity-carrying task executions of
-// a representative Lanczos graph must land in their preferred domain.
-//
-// Task bodies sleep for a moment so every worker goroutine gets CPU time
-// even on a single-core host: the locality measurement needs the domains to
-// actually run concurrently, otherwise whichever worker happens to be
-// scheduled drains the others' inboxes (work conservation doing its job, but
-// nothing to measure). GOMAXPROCS is raised for the same reason.
-func TestLanczosDomainLocality(t *testing.T) {
-	const np, iters, workers = 64, 30, 8
-	if runtime.GOMAXPROCS(0) < workers {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-	}
-	n, indeg, succs, roots, aff := lanczosShape(np, iters)
-	tp := topo.EPYC()
-	ndom := tp.DomainCount(workers)
-	domainOf := func(task int32) int {
-		if aff[task] < 0 {
-			return -1
-		}
-		return int(aff[task]) * ndom / np
-	}
-	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
-		func(w int, task int32) { time.Sleep(20 * time.Microsecond) },
-		Options{Workers: workers, Topo: tp, Affinity: domainOf})
-	defer e.Close()
-	if e.Domains() != 8 {
-		t.Fatalf("Domains() = %d, want 8", e.Domains())
-	}
-	// Several runs, like a solver calling Run per iteration block.
-	for run := 0; run < 3; run++ {
-		if err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := e.Stats()
-	if got, want := s.Tasks(), int64(3*n); got != want {
-		t.Fatalf("stats count %d tasks, want %d", got, want)
-	}
-	if got, want := s.AffinityLocal+s.AffinityRemote+s.AffinityNone, int64(3*n); got != want {
-		t.Fatalf("affinity outcomes cover %d tasks, want %d", got, want)
-	}
-	share := s.DomainLocalShare()
-	t.Logf("locality: %+v, domain-local share %.3f", s, share)
-	if share < 0.70 {
-		t.Fatalf("domain-local share %.3f < 0.70 (stats %+v)", share, s)
-	}
-}
-
-// TestHierarchicalStealStress drives the multi-domain steal paths (domain
-// inboxes, same-domain steals, cross-domain steal-half bursts) hard under
-// the race detector: random DAGs with random affinities, both disciplines,
-// repeated runs on one executor, with exactly-once verification.
-func TestHierarchicalStealStress(t *testing.T) {
+// TestFlatStealStress drives the steal paths (random victim order,
+// steal-half bursts, parking and waking) hard under the race detector:
+// random DAGs, both disciplines, repeated runs on one executor of eight
+// workers, with exactly-once verification.
+func TestFlatStealStress(t *testing.T) {
 	for _, disc := range []Discipline{LIFO, FIFO} {
-		rng := rand.New(rand.NewSource(7 + int64(disc)))
 		const n = 800
-		indeg := make([]int32, n)
-		succs := make([][]int32, n)
-		var roots []int32
-		for i := 1; i < n; i++ {
-			for k := rng.Intn(3); k > 0; k-- {
-				d := int32(rng.Intn(i))
-				dup := false
-				for _, s := range succs[d] {
-					if s == int32(i) {
-						dup = true
-					}
-				}
-				if dup {
-					continue
-				}
-				succs[d] = append(succs[d], int32(i))
-				indeg[i]++
-			}
-		}
-		for i := 0; i < n; i++ {
-			if indeg[i] == 0 {
-				roots = append(roots, int32(i))
-			}
-		}
-		// Random affinities, including keyless tasks, fixed per task so the
-		// routing decision is stable across runs.
-		aff := make([]int32, n)
-		for i := range aff {
-			aff[i] = int32(rng.Intn(9)) - 1 // -1..7
-		}
+		indeg, succs, roots := randomDAG(rand.New(rand.NewSource(7+int64(disc))), n)
 		ran := make([]atomic.Int32, n)
 		e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
 			func(w int, task int32) { ran[task].Add(1) },
-			Options{
-				Workers:    8,
-				Discipline: disc,
-				Topo:       topo.EPYC(),
-				Affinity:   func(task int32) int { return int(aff[task]) },
-			})
+			Options{Workers: 8, Discipline: disc})
 		for run := 0; run < 10; run++ {
 			for i := range ran {
 				ran[i].Store(0)
@@ -166,12 +37,15 @@ func TestHierarchicalStealStress(t *testing.T) {
 		if got, want := s.Tasks(), int64(10*n); got != want {
 			t.Fatalf("disc=%v: stats count %d, want %d", disc, got, want)
 		}
+		if s.Remote != 0 {
+			t.Fatalf("disc=%v: flat executor counted %d remote tasks", disc, s.Remote)
+		}
 		e.Close()
 	}
 }
 
-// TestStatsResetAndFlatMode checks the counter plumbing: flat executions
-// count acquisition tiers but no affinity outcomes, and ResetStats zeroes.
+// TestStatsResetAndFlatMode checks the counter plumbing: a flat execution
+// counts every task as local or stolen, never remote, and ResetStats zeroes.
 func TestStatsResetAndFlatMode(t *testing.T) {
 	n, indeg, succs, roots := chainGraph(6, 20)
 	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
@@ -184,8 +58,8 @@ func TestStatsResetAndFlatMode(t *testing.T) {
 	if s.Tasks() != int64(n) {
 		t.Fatalf("tasks = %d, want %d", s.Tasks(), n)
 	}
-	if s.AffinityLocal+s.AffinityRemote+s.AffinityNone != 0 {
-		t.Fatalf("flat run counted affinity outcomes: %+v", s)
+	if s.Remote != 0 || s.Local+s.Domain != int64(n) {
+		t.Fatalf("flat run counted remote tasks: %+v", s)
 	}
 	if s.DomainLocalShare() != 1 {
 		t.Fatalf("flat DomainLocalShare = %v, want 1", s.DomainLocalShare())
@@ -196,18 +70,18 @@ func TestStatsResetAndFlatMode(t *testing.T) {
 	}
 
 	var acc LocalityAccumulator
-	acc.Add(LocalityStats{Local: 3, AffinityLocal: 2, AffinityRemote: 1})
-	acc.Add(LocalityStats{Remote: 1, StealsRemote: 1, AffinityRemote: 1})
+	acc.Add(LocalityStats{Local: 3, Domain: 2, StealsDomain: 1})
+	acc.Add(LocalityStats{Domain: 1, StealsDomain: 1, StealFails: 4})
 	got := acc.Snapshot()
-	want := LocalityStats{Local: 3, Remote: 1, StealsRemote: 1, AffinityLocal: 2, AffinityRemote: 2}
+	want := LocalityStats{Local: 3, Domain: 3, StealsDomain: 2, StealFails: 4}
 	if got != want {
 		t.Fatalf("accumulator snapshot = %+v, want %+v", got, want)
 	}
 }
 
-// scaledStats is k times a fixed twelve-counter step: field i holds i·k.
+// scaledStats is k times a fixed eight-counter step: field i holds i·k.
 func scaledStats(k int64) LocalityStats {
-	return LocalityStats{k, 2 * k, 3 * k, 4 * k, 5 * k, 6 * k, 7 * k, 8 * k, 9 * k, 10 * k, 11 * k, 12 * k}
+	return LocalityStats{k, 2 * k, 3 * k, 4 * k, 5 * k, 6 * k, 7 * k, 8 * k}
 }
 
 // TestLocalityAccumulatorConcurrent: backends fold closing runs into their

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"sparsetask/internal/topo"
 )
 
 func TestDequeSequential(t *testing.T) {
@@ -207,19 +205,6 @@ func TestRunGraphSingleWorker(t *testing.T) {
 		}, Options{Workers: 1})
 	if len(order) != n {
 		t.Fatalf("%d tasks executed, want %d", len(order), n)
-	}
-}
-
-func TestRunGraphDomains(t *testing.T) {
-	// With affinity routing everything to domain 1, execution still
-	// completes and runs each task once.
-	n, indeg, succs, roots := chainGraph(8, 10)
-	var count atomic.Int64
-	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, roots,
-		func(w int, task int32) { count.Add(1) },
-		Options{Workers: 4, Topo: topo.Broadwell(), Affinity: func(t int32) int { return 1 }})
-	if count.Load() != int64(n) {
-		t.Fatalf("executed %d, want %d", count.Load(), n)
 	}
 }
 

@@ -3,20 +3,13 @@ package sched
 import "sync"
 
 // LocalityStats is the exported snapshot of the executor's per-worker
-// locality counters, aggregated over workers and (for a live Executor) over
-// every Run since construction or the last ResetStats.
+// counters, aggregated over workers and (for a live Executor) over every Run
+// since construction or the last ResetStats.
 //
-// Two views of the same execution are counted:
-//
-//   - Acquisition tier — where each executed task came from: the worker's own
-//     deque (Local, includes inline-chained successors), its own domain
-//     (Domain: the domain inbox or a same-domain victim's deque), or another
-//     domain (Remote). StealsDomain/StealsRemote count the steal operations
-//     behind the Domain/Remote tiers.
-//   - Placement outcome — whether the task executed in its preferred domain:
-//     AffinityLocal (executed where its affinity key maps), AffinityRemote
-//     (executed elsewhere: work conservation won over placement), and
-//     AffinityNone (tasks with no affinity key, e.g. global reductions).
+// Each executed task is counted once by where it came from: the worker's own
+// deque (Local, includes inline-chained successors) or another worker's
+// (Domain). StealsDomain counts the steal operations behind Domain; the
+// tasks a steal-half burst migrates count as Local when they run.
 //
 // Four more counters say what workers did when they had nothing to run:
 // StealFails (a victim's deque probed and found empty, or the race for its
@@ -26,16 +19,15 @@ import "sync"
 // with Spins high is the fine-grain steady state; Parks tracking the run
 // count means iterations are far enough apart for the helpers to sleep.
 type LocalityStats struct {
-	Local  int64 `json:"local"`
+	Local int64 `json:"local"`
+	// Domain counts stolen tasks. Its name is from when workers were
+	// grouped into domains; it is kept because benchmark/layers.go reads it.
 	Domain int64 `json:"domain"`
+	// Remote is always 0: the executor is flat. It is kept because
+	// benchmark/layers.go reads it.
 	Remote int64 `json:"remote"`
 
 	StealsDomain int64 `json:"steals_domain"`
-	StealsRemote int64 `json:"steals_remote"`
-
-	AffinityLocal  int64 `json:"affinity_local"`
-	AffinityRemote int64 `json:"affinity_remote"`
-	AffinityNone   int64 `json:"affinity_none"`
 
 	StealFails int64 `json:"steal_fails"`
 	Spins      int64 `json:"spins"`
@@ -43,19 +35,13 @@ type LocalityStats struct {
 	Wakes      int64 `json:"wakes"`
 }
 
-// Tasks returns the total executions counted.
+// Tasks returns the total executions counted. Kept because
+// benchmark/layers.go reads it.
 func (s LocalityStats) Tasks() int64 { return s.Local + s.Domain + s.Remote }
 
-// DomainLocalShare is the fraction of affinity-carrying tasks that executed
-// in their preferred domain. Returns 1 when no task carried affinity (flat
-// execution is vacuously local).
-func (s LocalityStats) DomainLocalShare() float64 {
-	n := s.AffinityLocal + s.AffinityRemote
-	if n == 0 {
-		return 1
-	}
-	return float64(s.AffinityLocal) / float64(n)
-}
+// DomainLocalShare always returns 1: on a flat executor every task runs in
+// the one domain there is. It is kept because benchmark/layers.go reads it.
+func (s LocalityStats) DomainLocalShare() float64 { return 1 }
 
 // Add accumulates o into s.
 func (s *LocalityStats) Add(o LocalityStats) {
@@ -63,10 +49,6 @@ func (s *LocalityStats) Add(o LocalityStats) {
 	s.Domain += o.Domain
 	s.Remote += o.Remote
 	s.StealsDomain += o.StealsDomain
-	s.StealsRemote += o.StealsRemote
-	s.AffinityLocal += o.AffinityLocal
-	s.AffinityRemote += o.AffinityRemote
-	s.AffinityNone += o.AffinityNone
 	s.StealFails += o.StealFails
 	s.Spins += o.Spins
 	s.Parks += o.Parks

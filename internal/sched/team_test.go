@@ -9,69 +9,11 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"sparsetask/internal/topo"
 )
 
 func TestWorkerBlocksDoNotShareCacheLines(t *testing.T) {
 	if sz := unsafe.Sizeof(worker{}); sz%64 != 0 {
 		t.Fatalf("worker block is %d bytes, not a multiple of a cache line", sz)
-	}
-}
-
-// TestRootPlacementRepeats pins that the per-domain root cursors restart with
-// the run: with an affinity map, every Run puts every root on the same
-// worker's deque as the first one did. (They used to advance forever, so a
-// domain whose root count is not a multiple of its width rotated its
-// placement — and its locality counters — from one iteration to the next.)
-func TestRootPlacementRepeats(t *testing.T) {
-	// Two domains of two workers; three roots prefer each domain, one none.
-	const n = 7
-	indeg := make([]int32, n)
-	roots := []int32{0, 1, 2, 3, 4, 5, 6}
-	aff := []int{0, 0, 0, 1, 1, 1, -1}
-	e := NewExecutor(n, indeg, func(int32) []int32 { return nil }, roots, func(int, int32) {},
-		Options{Workers: 4, Topo: topo.Broadwell(), Affinity: func(t int32) int { return aff[t] }})
-	defer e.Close()
-	placement := func() [][]int32 {
-		// Between runs the helpers touch no deque, so the test may seed and
-		// drain them itself.
-		e.reset()
-		out := make([][]int32, len(e.deques))
-		for w, d := range e.deques {
-			for {
-				v, ok := d.Steal()
-				if !ok {
-					break
-				}
-				out[w] = append(out[w], v)
-			}
-		}
-		return out
-	}
-	first := placement()
-	placed := 0
-	for _, q := range first {
-		placed += len(q)
-	}
-	if placed != n {
-		t.Fatalf("seeded %d roots, want %d", placed, n)
-	}
-	for run := 0; run < 3; run++ {
-		if err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		again := placement()
-		for w := range first {
-			if len(first[w]) != len(again[w]) {
-				t.Fatalf("after run %d worker %d is seeded with %v, first with %v", run, w, again[w], first[w])
-			}
-			for i := range first[w] {
-				if first[w][i] != again[w][i] {
-					t.Fatalf("after run %d worker %d is seeded with %v, first with %v", run, w, again[w], first[w])
-				}
-			}
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sparsetask/internal/rt"
-	"sparsetask/internal/topo"
 )
 
 // Config sizes the engine (and the Server that wraps it).
@@ -30,11 +29,6 @@ type Config struct {
 	// per block size, and (for pcg) IC(0) factors and level analyses.
 	// Default 256 MiB.
 	OperatorCacheBytes int64
-	// Topo names the machine-topology profile every backend runtime is built
-	// with ("flat", "auto", "broadwell", "epyc"). Unknown or empty names fall
-	// back to flat; cmd/solverd validates the flag before it gets here. The
-	// profile is part of the plan-cache key and reported on /metrics.
-	Topo string
 	// CoalesceMax caps how many same-matrix cg/pcg jobs the dispatcher may
 	// merge into one multi-RHS batched solve. Values <= 1 disable coalescing:
 	// the dispatcher hands every job to the pool as a group of one. Default 1
@@ -90,7 +84,6 @@ var (
 // transports can drive Submit/JobByID/Cancel/Drain directly.
 type Engine struct {
 	cfg       Config
-	topo      topo.Topology
 	metrics   *Metrics
 	plans     *PlanCache
 	operators *OperatorCache
@@ -115,14 +108,9 @@ type Engine struct {
 // engine.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	tp, err := topo.ByName(cfg.Topo)
-	if err != nil {
-		tp = topo.Flat() // library callers stay lenient; cmd validates the flag
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		cfg:        cfg,
-		topo:       tp,
 		metrics:    &Metrics{},
 		plans:      NewPlanCache(cfg.PlanCacheSize),
 		operators:  NewOperatorCache(cfg.OperatorCacheBytes),

@@ -435,7 +435,7 @@ func (e *Engine) runtimeFor(backend string, workers int) rt.Runtime {
 	r, ok := e.runtimes[k]
 	if !ok {
 		var err error
-		if r, err = rt.ByName(backend, rt.Options{Workers: workers, Topo: e.topo}); err != nil {
+		if r, err = rt.ByName(backend, rt.Options{Workers: workers}); err != nil {
 			panic(err) // backend names are validated at admission
 		}
 		e.runtimes[k] = r
@@ -475,7 +475,6 @@ func (e *Engine) resolvePlan(spec JobSpec, op *operator, workers int) (Plan, str
 		Solver:      spec.Solver,
 		Backend:     spec.Backend,
 		Workers:     workers,
-		Topo:        e.topo.Name,
 		SymStorage:  op.stats.Symmetric,
 	}
 	if p, ok := e.plans.Get(key); ok {

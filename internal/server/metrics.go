@@ -284,18 +284,10 @@ type MetricsSnapshot struct {
 		Solve           HistogramSnapshot            `json:"solve"`
 		Total           HistogramSnapshot            `json:"total"`
 	} `json:"latency"`
-	Topology struct {
-		// Profile is the configured machine-topology profile, e.g. "epyc(8d)".
-		Profile string `json:"profile"`
-		// Domains is the profile's locality-domain count.
-		Domains int `json:"domains"`
-		// Locality aggregates the scheduler locality counters over every
-		// backend runtime the server has built (completed executions only).
-		Locality sched.LocalityStats `json:"locality"`
-		// DomainLocalShare is the fraction of affinity-carrying tasks that
-		// executed in their preferred domain (1.0 when nothing carried one).
-		DomainLocalShare float64 `json:"domain_local_share"`
-	} `json:"topology"`
+	// Scheduler aggregates the executor counters over every work-stealing
+	// backend runtime the server has built (closed executions only): where
+	// tasks were acquired, and what idle workers did.
+	Scheduler sched.LocalityStats `json:"scheduler"`
 }
 
 // FactorCacheSnapshot is the pcg view of the operator cache: factors live on

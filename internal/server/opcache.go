@@ -17,7 +17,7 @@ import (
 // and — for pcg — the IC(0) factors with their level analyses per block size.
 // Factors depend only on the matrix, but the tiling (and with it the level
 // DAG's row-block granularity) follows the plan, which varies with solver,
-// backend, worker count, and topology — so one operator can hold several
+// backend and worker count — so one operator can hold several
 // block sizes, each built once.
 //
 // Everything handed out is read-only after construction (SymCSB, CSB, and

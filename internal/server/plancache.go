@@ -8,15 +8,12 @@ import (
 
 // PlanKey identifies a cached execution plan: the matrix's structural
 // fingerprint (from sparse.Stats) plus everything else that shifts the
-// block-size optimum — solver shape, runtime backend, worker count, and the
-// topology profile (domain grouping changes which block counts schedule
-// well, so plans tuned under one profile don't leak into another).
+// block-size optimum — solver shape, runtime backend and worker count.
 type PlanKey struct {
 	Fingerprint uint64
 	Solver      string
 	Backend     string
 	Workers     int
-	Topo        string
 	// SymStorage records whether the job solves from symmetric (SymCSB)
 	// storage: the symmetric kernels halve the streamed matrix bytes and
 	// change the task shape, so the tuned block size must not be shared

@@ -10,7 +10,6 @@ import (
 	"net/http"
 
 	"sparsetask/internal/rt"
-	"sparsetask/internal/sched"
 )
 
 // Server is the HTTP skin over the job Engine: it decodes and validates job
@@ -200,18 +199,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Latency.Solve = m.Solve.Snapshot()
 	snap.Latency.Total = m.Total.Snapshot()
 
-	snap.Topology.Profile = s.topo.String()
-	snap.Topology.Domains = s.topo.DomainCount(0)
-	var loc sched.LocalityStats
 	s.mu.Lock()
 	for _, r := range s.runtimes {
 		if lr, ok := r.(rt.LocalityReporter); ok {
-			loc.Add(lr.Locality())
+			snap.Scheduler.Add(lr.Locality())
 		}
 	}
 	s.mu.Unlock()
-	snap.Topology.Locality = loc
-	snap.Topology.DomainLocalShare = loc.DomainLocalShare()
 	WriteJSON(w, http.StatusOK, snap)
 }
 
@@ -231,9 +225,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"workers":  s.cfg.Workers,
-		"topology": s.topo.String(),
-		"queue":    queue,
+		"status":  "ok",
+		"workers": s.cfg.Workers,
+		"queue":   queue,
 	})
 }

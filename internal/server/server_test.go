@@ -568,10 +568,10 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	}
 }
 
-func TestTopologyConfigAndMetrics(t *testing.T) {
-	// An EPYC-profile server records the profile in /metrics and aggregates
-	// the backends' locality counters once jobs have run.
-	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 4, Topo: "epyc"})
+func TestSchedulerMetrics(t *testing.T) {
+	// /metrics aggregates the stealing backends' executor counters once jobs
+	// have run.
+	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 4})
 	v, status := postJob(t, ts, mmSpec("lanczos", "deepsparse", `"k":4`))
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", status)
@@ -580,18 +580,12 @@ func TestTopologyConfigAndMetrics(t *testing.T) {
 		t.Fatalf("job ended %s: %s", v.State, v.Error)
 	}
 	m := getMetrics(t, ts)
-	if m.Topology.Profile != "epyc(8d)" || m.Topology.Domains != 8 {
-		t.Fatalf("topology = %q/%d, want epyc(8d)/8", m.Topology.Profile, m.Topology.Domains)
-	}
-	if m.Topology.Locality.Tasks() == 0 {
-		t.Error("locality counters empty after a completed solve")
-	}
-	if s := m.Topology.DomainLocalShare; s < 0 || s > 1 {
-		t.Errorf("domain_local_share = %v out of range", s)
+	if m.Scheduler.Tasks() == 0 {
+		t.Error("scheduler counters empty after a completed solve")
 	}
 	// The idle-protocol counters ride along: four workers on a graph this
 	// small cannot all be busy all the time.
-	if l := m.Topology.Locality; l.StealFails+l.Spins == 0 {
+	if l := m.Scheduler; l.StealFails+l.Spins == 0 {
 		t.Errorf("no failed steal or spin round counted over %d tasks on 4 workers: %+v", l.Tasks(), l)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -600,21 +594,10 @@ func TestTopologyConfigAndMetrics(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, key := range []string{`"steal_fails"`, `"spins"`, `"parks"`, `"wakes"`} {
+	for _, key := range []string{`"scheduler"`, `"steal_fails"`, `"spins"`, `"parks"`, `"wakes"`} {
 		if !bytes.Contains(raw, []byte(key)) {
 			t.Errorf("/metrics does not export %s", key)
 		}
-	}
-
-	// Unknown profile names degrade to flat rather than failing the server.
-	s2 := New(Config{Workers: 1, Topo: "bogus"})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s2.Drain(ctx)
-	}()
-	if s2.topo.Name != "flat" {
-		t.Errorf("unknown profile resolved to %s, want flat", s2.topo)
 	}
 }
 

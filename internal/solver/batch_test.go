@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sparsetask/internal/rt"
-	"sparsetask/internal/topo"
 )
 
 func batchRHS(m, k int, seed int64) [][]float64 {
@@ -80,7 +79,7 @@ func TestBatchCGAllRuntimesAgree(t *testing.T) {
 	for _, r := range []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
-		rt.NewHPX(rt.Options{Workers: 3, Topo: topo.Broadwell()}),
+		rt.NewHPX(rt.Options{Workers: 3}),
 		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
 	} {
 		c, err := NewBatchCG(coo.ToCSB(10), k)

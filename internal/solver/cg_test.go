@@ -8,7 +8,6 @@ import (
 	"sparsetask/internal/blas"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 func residual(a *sparse.CSR, x, b []float64) float64 {
@@ -72,7 +71,7 @@ func TestCGAllRuntimesAgree(t *testing.T) {
 	for _, r := range []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
-		rt.NewHPX(rt.Options{Workers: 3, Topo: topo.Broadwell()}),
+		rt.NewHPX(rt.Options{Workers: 3}),
 		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
 	} {
 		cg, err := NewCG(coo.ToCSB(10))

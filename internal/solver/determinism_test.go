@@ -6,24 +6,22 @@ import (
 	"testing"
 
 	"sparsetask/internal/rt"
-	"sparsetask/internal/topo"
 )
 
-// TestLanczosDeterministicAcrossTopologies pins down the core property that
-// makes locality-aware scheduling safe to enable everywhere: the topology
-// profile and steal order change only *where* tasks run, never the
-// floating-point summation order inside them — task bodies and the
-// dependence structure fix that — so Lanczos must produce bit-identical
-// eigenvalues under every backend × topology × seed combination.
-func TestLanczosDeterministicAcrossTopologies(t *testing.T) {
+// TestLanczosDeterministicAcrossWorkerCounts pins down the core property that
+// makes dynamic scheduling safe: the worker count and steal order change
+// only *where* tasks run, never the floating-point summation order inside
+// them — task bodies and the dependence structure fix that — so Lanczos
+// must produce bit-identical eigenvalues under every backend × worker count
+// × seed combination.
+func TestLanczosDeterministicAcrossWorkerCounts(t *testing.T) {
 	coo := randomSPD(120, 7)
-	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
 	for _, seed := range []int64{1, 42} {
 		var want []float64
 		var wantFrom string
-		for _, tp := range topos {
-			for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
-				name := fmt.Sprintf("%s/%s/seed%d", r.Name(), tp.Name, seed)
+		for _, w := range []int{1, 2, 4} {
+			for _, r := range allBackends(rt.Options{Workers: w}) {
+				name := fmt.Sprintf("%s/w%d/seed%d", r.Name(), w, seed)
 				l, err := NewLanczos(coo.ToCSB(12), 25)
 				if err != nil {
 					t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 // laplacian2D builds the g×g-grid 5-point Laplacian: SPD, M-matrix-like, the
@@ -170,24 +169,23 @@ func TestPCGJacobiFallback(t *testing.T) {
 	}
 }
 
-// TestPCGDeterministicAcrossTopologies extends the bit-identical guarantee
-// to the preconditioned solve: topology profiles and backends reschedule the
+// TestPCGDeterministicAcrossWorkerCounts extends the bit-identical guarantee
+// to the preconditioned solve: worker counts and backends reschedule the
 // triangular wavefronts but never change any row's accumulation order, so
 // the full solve — solution vector and iteration count — must match exactly.
-func TestPCGDeterministicAcrossTopologies(t *testing.T) {
+func TestPCGDeterministicAcrossWorkerCounts(t *testing.T) {
 	coo := laplacian2D(18)
 	m, err := precond.Factorize(coo.ToCSR())
 	if err != nil || m.Kind != precond.KindIC0 {
 		t.Fatalf("factorize: %v kind=%v", err, m.Kind)
 	}
 	b := RandomRHS(coo.Rows, 3)
-	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
 	var want []float64
 	wantIters := 0
 	var wantFrom string
-	for _, tp := range topos {
-		for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
-			name := fmt.Sprintf("%s/%s", r.Name(), tp.Name)
+	for _, w := range []int{1, 2, 4} {
+		for _, r := range allBackends(rt.Options{Workers: w}) {
+			name := fmt.Sprintf("%s/w%d", r.Name(), w)
 			c, err := NewPCG(coo.ToCSB(24), m)
 			if err != nil {
 				t.Fatal(err)

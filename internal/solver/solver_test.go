@@ -8,7 +8,6 @@ import (
 
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 // allBackends builds every rt backend with opt, in rt.Backends order, so no
@@ -121,7 +120,7 @@ func TestLanczosAllRuntimesAgree(t *testing.T) {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 2}),
-		rt.NewHPX(rt.Options{Workers: 2, Topo: topo.Broadwell()}),
+		rt.NewHPX(rt.Options{Workers: 2}),
 		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
 	}
 	var first []float64
@@ -365,7 +364,7 @@ func TestLOBPCGPreconditionedAllRuntimesAgree(t *testing.T) {
 	runtimes := []rt.Runtime{
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
-		rt.NewHPX(rt.Options{Workers: 3, Topo: topo.Broadwell()}),
+		rt.NewHPX(rt.Options{Workers: 3}),
 	}
 	var first []float64
 	for _, r := range runtimes {

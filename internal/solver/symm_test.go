@@ -10,7 +10,6 @@ import (
 	"sparsetask/internal/precond"
 	"sparsetask/internal/rt"
 	"sparsetask/internal/sparse"
-	"sparsetask/internal/topo"
 )
 
 // arrowheadSPD builds an SPD arrowhead matrix: band 0 meets every tile row,
@@ -143,10 +142,10 @@ func TestPCGSymmetricStorage(t *testing.T) {
 	}
 }
 
-// Bit-identity of symmetric solves across all four backends × topology
-// profiles, for a few-wave schedule, a wave-per-tile-row one and the KKT and
+// Bit-identity of symmetric solves across all four backends × worker
+// counts, for a few-wave schedule, a wave-per-tile-row one and the KKT and
 // R-MAT structures that colour into many waves. This is the symmetric
-// analogue of TestLanczosDeterministicAcrossTopologies, and additionally
+// analogue of TestLanczosDeterministicAcrossWorkerCounts, and additionally
 // includes the BSP backend (whose level-split must not change chain order
 // per band).
 func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
@@ -156,14 +155,13 @@ func TestSymmetricSolversDeterministicAcrossBackends(t *testing.T) {
 		"kkt":       matgen.KKT(3, 1),
 		"rmat":      matgen.RMAT(256, 4, 0.57, 1),
 	}
-	topos := []topo.Topology{topo.Flat(), topo.Broadwell(), topo.EPYC()}
 	for matName, coo := range cases {
 		sym := toSym(t, coo, 12)
 		var want []float64
 		var wantFrom string
-		for _, tp := range topos {
-			for _, r := range allBackends(rt.Options{Workers: 4, Topo: tp}) {
-				name := fmt.Sprintf("%s/%s/%s", matName, r.Name(), tp.Name)
+		for _, w := range []int{1, 2, 4} {
+			for _, r := range allBackends(rt.Options{Workers: w}) {
+				name := fmt.Sprintf("%s/%s/w%d", matName, r.Name(), w)
 				l, err := NewLanczos(sym, 25)
 				if err != nil {
 					t.Fatal(err)
