@@ -12,14 +12,42 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"sparsetask/internal/server"
 )
+
+// checkFlags refuses the flag values the engine would otherwise swap for its
+// defaults while the startup log prints the value given: the queue, the
+// pool, the plan cache and the batch cap need at least one slot, the
+// runtime worker count (0 = GOMAXPROCS) and the drain timeout cannot be
+// negative, and coalescing needs a positive window to collect a batch in.
+func checkFlags(cfg server.Config, drainTimeout time.Duration) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-queue", cfg.QueueSize}, {"-workers", cfg.Workers}, {"-plan-cache", cfg.PlanCacheSize}, {"-coalesce", cfg.CoalesceMax}} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	if cfg.RTWorkers < 0 {
+		return fmt.Errorf("-rt-workers %d: want 0 (GOMAXPROCS) or more", cfg.RTWorkers)
+	}
+	if drainTimeout < 0 {
+		return fmt.Errorf("-drain-timeout %s: cannot be negative", drainTimeout)
+	}
+	if cfg.CoalesceMax > 1 && cfg.CoalesceWindow <= 0 {
+		return fmt.Errorf("-coalesce-window %s: coalescing up to %d jobs needs a positive window", cfg.CoalesceWindow, cfg.CoalesceMax)
+	}
+	return nil
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -34,15 +62,20 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for in-flight jobs before hard-cancelling them")
 	flag.Parse()
-
-	srv := server.New(server.Config{
+	cfg := server.Config{
 		QueueSize:      *queue,
 		Workers:        *workers,
 		RTWorkers:      *rtWorkers,
 		PlanCacheSize:  *planCache,
 		CoalesceMax:    *coalesce,
 		CoalesceWindow: *coalesceWindow,
-	})
+	}
+	if err := checkFlags(cfg, *drainTimeout); err != nil {
+		fmt.Fprintf(os.Stderr, "solverd: %v\n", err)
+		os.Exit(2)
+	}
+
+	srv := server.New(cfg)
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

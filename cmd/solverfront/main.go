@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -48,6 +49,23 @@ func parseShards(arg string) ([]route.Shard, error) {
 	return shards, nil
 }
 
+// checkFlags refuses the flag values the router would otherwise swap for its
+// defaults while the startup log prints the value given: the spill point is
+// a queue occupancy in (0, 1], the probe period must be positive, and the
+// fingerprint cache needs at least one entry.
+func checkFlags(cfg route.Config) error {
+	if !(cfg.SpillFraction > 0 && cfg.SpillFraction <= 1) {
+		return fmt.Errorf("-spill-frac %v: want a queue occupancy in (0, 1]", cfg.SpillFraction)
+	}
+	if cfg.ProbeInterval <= 0 {
+		return fmt.Errorf("-probe-interval %s: want a positive period", cfg.ProbeInterval)
+	}
+	if cfg.FingerprintCacheSize < 1 {
+		return fmt.Errorf("-fp-cache %d: want at least 1", cfg.FingerprintCacheSize)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shardsArg := flag.String("shards", "",
@@ -58,17 +76,22 @@ func main() {
 		"queue occupancy at which jobs spill to the second rendezvous choice")
 	fpCache := flag.Int("fp-cache", 256, "matrix fingerprint cache capacity")
 	flag.Parse()
+	cfg := route.Config{
+		ProbeInterval:        *probeInterval,
+		SpillFraction:        *spillFrac,
+		FingerprintCacheSize: *fpCache,
+	}
+	if err := checkFlags(cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "solverfront: %v\n", err)
+		os.Exit(2)
+	}
 
 	shards, err := parseShards(*shardsArg)
 	if err != nil {
 		log.Fatalf("-shards: %v", err)
 	}
-	r, err := route.New(route.Config{
-		Shards:               shards,
-		ProbeInterval:        *probeInterval,
-		SpillFraction:        *spillFrac,
-		FingerprintCacheSize: *fpCache,
-	})
+	cfg.Shards = shards
+	r, err := route.New(cfg)
 	if err != nil {
 		log.Fatalf("route: %v", err)
 	}

@@ -2,11 +2,14 @@
 // whole module: zero-allocation hot paths (propagated over the call graph),
 // lock discipline, deque ownership, context-first APIs, determinism of
 // graph/kernel packages, atomic-field consistency, goroutine exit paths,
-// bounds-check-elimination hygiene, untrusted-input taint tracking on the
+// the compiler's bounds checks in hot loops against a per-function budget
+// (internal/lint/bce_budget.txt), untrusted-input taint tracking on the
 // serving path (flow-sensitive, over per-function CFGs with interprocedural
 // summaries), and all-paths error-handling discipline in server/route/cmd.
 // It is stdlib-only (go/parser + go/types with the source importer) and is
-// wired into `make lint` / `make check`.
+// wired into `make lint` / `make check`. The bce analyzer runs `go build`
+// with the compiler's bounds-check report, so it needs the go command on
+// PATH, at the release the budget's first line names.
 //
 // Usage:
 //

@@ -6,8 +6,8 @@
 // matrices tried, so the generator varies the structure: every call kind of
 // the IR, operands that alias and operands that do not, reductions feeding
 // scalings feeding reductions, index-launch marks, and all three matrix
-// operand kinds (general tiles, symmetric storage in both of its schedules,
-// triangular factors).
+// operand kinds (general tiles, symmetric storage with its tiles coloured
+// into waves, triangular factors).
 package irgen
 
 import (

@@ -1,419 +1,210 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 )
 
-// bceAnalyzer flags indexing patterns that defeat Go's bounds-check
-// elimination, in functions on the hot path (the same hotpath/coldcall
-// closure hotpathalloc walks — a bounds check per element is only worth a
-// finding where the element loop is the workload). Two patterns:
+// bceBudget is the committed budget, relative to the module root (the
+// fixture test points it at budgets of its own).
+var bceBudget = "internal/lint/bce_budget.txt"
+
+// bceAnalyzer holds the bounds checks the compiler keeps in hot loops to a
+// per-function budget. One `go build` for linux/amd64 with
+// -d=ssa/check_bce/debug=1 of the packages holding the hotpath/coldcall
+// closure hotpathalloc walks lists every check the compiler keeps (an
+// inlined callee's at its call site); a warm build cache replays it, and an
+// empty closure runs none. A check counts against the function whose for or
+// range body holds it, outside the part run once (a for's init clause, a
+// range's expression) and outside nested func literals.
 //
-//  1. Re-indexing a parent slice inside a loop with a loop-variant sum,
-//     a[base+j]: the compiler cannot prove base+j < len(a) and re-checks
-//     every iteration. Pre-slicing a window before the loop
-//     (w := a[base:base+n]; w[j]) gives the prover a length to work with.
-//
-//  2. Unrolled bodies touching s[i], s[i+1], ... s[i+k] with no bounds
-//     hint: each constant offset keeps its own check. An explicit-high
-//     reslice of s in the function (s = s[:n], ci := idx[lo:hi]), a loop
-//     condition of the form i+K <= len(s), or touching the maximum offset
-//     first all let the compiler drop the inner checks.
-//
-// Findings in propagated functions carry the same provenance chain as
-// hotpathalloc findings.
+// The budget's first line is the `go env GOVERSION` it was measured with; a
+// different toolchain is one finding and nothing else is compared. Then one
+// sorted `<types.Func FullName> <count>` line per function: a count over
+// (listing the checks) or under its line, checks without a line, and a line
+// whose function left the closure are findings. They give each measured
+// count, which is how the budget is written.
 func bceAnalyzer() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "bce",
-		Doc:  "hot-path loops must not defeat bounds-check elimination (pre-slice windows, hint lengths before unrolled bodies)",
+		Doc:  "bounds checks the compiler keeps in hot-path loops match the per-function budget in internal/lint/bce_budget.txt",
+		Run:  checkBCEBudget,
 	}
-	a.Run = func(pass *Pass) {
-		g := pass.Graph
-		cold := coldBoundaries(g, nil) // hotpathalloc owns annotation validation
-		reached, via := hotClosure(g, cold)
-
-		for _, f := range g.Funcs() {
-			if !reached[f] || cold[f] {
-				continue
-			}
-			decl, pkg := g.DeclOf(f)
-			if decl.Body == nil {
-				continue
-			}
-			suffix := ""
-			if !hasAnnotation(decl.Doc, "hotpath") {
-				suffix = fmt.Sprintf(" [hot path: %s]", g.Chain(via, f))
-			}
-			checkBCE(pass, pkg, decl, suffix)
-		}
-	}
-	return a
 }
 
-func checkBCE(pass *Pass, pkg *Package, fn *ast.FuncDecl, suffix string) {
-	info := pkg.Info
-	windowed := explicitHighSlices(info, fn.Body)
-	report := func(pos token.Pos, format string, args ...any) {
-		pass.Reportf(pos, format+"%s", append(args, suffix)...)
-	}
-
-	// Pattern 1: s[base+i] where i is the innermost loop's own induction
-	// variable, appearing bare — the access walks a contiguous window the
-	// loop could have pre-sliced, but the compiler cannot prove base+i <
-	// len(s). Strided gathers (b[p*n+j]: the induction variable only appears
-	// scaled) are skipped: no contiguous window exists for those.
-	type idxSite struct {
-		ix *ast.IndexExpr
-		iv types.Object // induction variable of the innermost enclosing loop
-	}
-	var sites []idxSite
-	var collect func(n ast.Node, iv types.Object)
-	collect = func(n ast.Node, iv types.Object) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // a different function; checked via its own graph node
-			case *ast.ForStmt:
-				if n.Init != nil {
-					collect(n.Init, iv)
-				}
-				next := inductionVar(info, n)
-				if n.Cond != nil {
-					collect(n.Cond, next)
-				}
-				if n.Post != nil {
-					collect(n.Post, next)
-				}
-				collect(n.Body, next)
-				return false
-			case *ast.RangeStmt:
-				collect(n.Body, rangeKeyVar(info, n))
-				return false
-			case *ast.IndexExpr:
-				if iv != nil {
-					sites = append(sites, idxSite{n, iv})
-				}
-			}
-			return true
-		})
-	}
-	collect(fn.Body, nil)
-	for _, s := range sites {
-		ix := s.ix
-		base, ok := ast.Unparen(ix.X).(*ast.Ident)
-		if !ok || !isSliceExprType(info, ix.X) {
-			continue
-		}
-		sum, ok := ast.Unparen(ix.Index).(*ast.BinaryExpr)
-		if !ok || sum.Op != token.ADD {
-			continue
-		}
-		var other ast.Expr
-		switch {
-		case isIdentFor(info, sum.X, s.iv):
-			other = sum.Y
-		case isIdentFor(info, sum.Y, s.iv):
-			other = sum.X
-		default:
-			continue
-		}
-		if isConstExpr(info, other) {
-			continue // s[i+3] is pattern 2's territory
-		}
-		if usesObject(info, other, s.iv) {
-			continue // both addends vary with the loop: not window-shaped
-		}
-		report(ix.Pos(), "indexing %s with loop-variant base+%s defeats bounds-check elimination; pre-slice a window before the loop (w := %s[lo:hi])", base.Name, s.iv.Name(), base.Name)
-	}
-
-	// Pattern 2: unrolled constant-offset runs without a bounds hint,
-	// grouped per statement block so an if-guarded remainder loop does not
-	// pollute the main unrolled body.
-	walkBlocks(fn.Body, nil, func(list []ast.Stmt, loop *ast.ForStmt) {
-		checkUnrolled(info, list, loop, windowed, report)
-	})
+// hotLoops is a hot function with the spans of its loops and func literals.
+type hotLoops struct {
+	fn          *types.Func
+	decl        *ast.FuncDecl
+	loops, lits []span
 }
 
-// walkBlocks visits every statement list in body with its nearest enclosing
-// ForStmt (nil inside range loops and outside loops), without descending
-// into func literals.
-func walkBlocks(body *ast.BlockStmt, loop *ast.ForStmt, visit func([]ast.Stmt, *ast.ForStmt)) {
-	var walk func(s ast.Stmt, loop *ast.ForStmt)
-	walk = func(s ast.Stmt, loop *ast.ForStmt) {
-		switch s := s.(type) {
-		case *ast.BlockStmt:
-			visit(s.List, loop)
-			for _, c := range s.List {
-				walk(c, loop)
-			}
+func checkBCEBudget(pass *Pass) {
+	g := pass.Graph
+	cold := coldBoundaries(g, nil) // hotpathalloc owns annotation validation
+	reached, _ := hotClosure(g, cold)
+	var hot []*hotLoops
+	var dirs []string
+	for _, f := range g.Funcs() {
+		decl, pkg := g.DeclOf(f)
+		if reached[f] && !cold[f] && decl.Body != nil {
+			hot = append(hot, loopSpans(f, decl))
+			dirs = append(dirs, pkg.Dir)
+		}
+	}
+	if len(hot) == 0 {
+		return
+	}
+	root, _, err := findModule(dirs[0])
+	path := bceBudget
+	if !filepath.IsAbs(path) {
+		path = filepath.Join(root, path)
+	}
+	at := func(line int) token.Position { return token.Position{Filename: path, Line: line} }
+	var data, version []byte
+	if err == nil {
+		data, err = os.ReadFile(path)
+	}
+	if err == nil {
+		cmd := exec.Command("go", "env", "GOVERSION")
+		cmd.Dir = root
+		if version, err = cmd.Output(); err != nil {
+			err = fmt.Errorf("go env GOVERSION: %v", err)
+		}
+	}
+	if err != nil {
+		pass.reportAt(at(1), "bce: %v", err)
+		return
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if v := strings.TrimSpace(string(version)); lines[0] != v {
+		pass.reportAt(at(1), "budget was measured with %s, this toolchain is %s; bounds-check elimination differs between compiler releases, so build with %s or re-measure every line", lines[0], v, lines[0])
+		return
+	}
+	budget := make(map[string]budgetLine, len(lines)-1)
+	for i, l := range lines[1:] {
+		var name string
+		var n int
+		if _, err := fmt.Sscan(l, &name, &n); err != nil {
+			pass.reportAt(at(i+2), "want `<function> <count>`, got %q", l)
+			continue
+		}
+		budget[name] = budgetLine{n, i + 2}
+	}
+	slices.Sort(dirs)
+	checks, err := boundsChecks(root, slices.Compact(dirs))
+	if err != nil {
+		pass.reportAt(at(1), "bce: %v", err)
+		return
+	}
+
+	found := loopChecks(pass.Prog.Fset, hot, checks)
+	for _, h := range hot {
+		name := h.fn.FullName()
+		got, b := found[h], budget[name]
+		delete(budget, name) // what is left has left the closure
+		switch n := len(got); {
+		case b.line == 0 && n > 0:
+			pass.Reportf(h.decl.Name.Pos(), "%s keeps %d bounds check(s) in hot loops and has no budget; add the line %q to %s", name, n, fmt.Sprintf("%s %d", name, n), filepath.Base(path))
+		case n > b.count:
+			pass.Reportf(h.decl.Name.Pos(), "%s keeps %d bounds check(s) in hot loops, over its budget of %d: %s", name, n, b.count, strings.Join(got, ", "))
+		case n < b.count:
+			pass.Reportf(h.decl.Name.Pos(), "%s keeps %d bounds check(s) in hot loops, under its budget of %d; lower its line to %d", name, n, b.count, n)
+		}
+	}
+	for name, b := range budget {
+		pass.reportAt(at(b.line), "%s has a budget but is no longer in the hot closure; delete its line", name)
+	}
+}
+
+// loopSpans collects the spans of decl's loop bodies and func literals.
+func loopSpans(f *types.Func, decl *ast.FuncDecl) *hotLoops {
+	h := &hotLoops{fn: f, decl: decl}
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			h.lits = append(h.lits, span{n.Pos(), n.End()})
+			return false
 		case *ast.ForStmt:
-			walk(s.Body, s)
+			lo := n.For
+			if n.Init != nil {
+				lo = n.Init.End()
+			}
+			h.loops = append(h.loops, span{lo, n.End()})
 		case *ast.RangeStmt:
-			walk(s.Body, nil)
-		case *ast.IfStmt:
-			walk(s.Body, loop)
-			if s.Else != nil {
-				walk(s.Else, loop)
-			}
-		case *ast.SwitchStmt:
-			walk(s.Body, loop)
-		case *ast.TypeSwitchStmt:
-			walk(s.Body, loop)
-		case *ast.SelectStmt:
-			walk(s.Body, loop)
-		case *ast.CaseClause:
-			walk(&ast.BlockStmt{List: s.Body}, loop)
-		case *ast.CommClause:
-			walk(&ast.BlockStmt{List: s.Body}, loop)
-		case *ast.LabeledStmt:
-			walk(s.Stmt, loop)
-		}
-	}
-	walk(body, loop)
-}
-
-// constOffsetAccess is one s[iv+c] (or s[iv], c=0) occurrence.
-type constOffsetAccess struct {
-	c   int64
-	pos token.Pos
-}
-
-type accessKey struct {
-	base types.Object
-	iv   types.Object
-}
-
-// checkUnrolled looks at the index expressions of one statement list's
-// direct statements (not nested blocks) and reports constant-offset runs
-// s[iv], s[iv+1], ... that carry no bounds hint.
-func checkUnrolled(info *types.Info, list []ast.Stmt, loop *ast.ForStmt, windowed map[types.Object]bool, report func(token.Pos, string, ...any)) {
-	groups := make(map[accessKey][]constOffsetAccess)
-	var keys []accessKey
-	for _, s := range list {
-		ast.Inspect(s, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.BlockStmt, *ast.FuncLit:
-				return false // nested lists get their own visit
-			}
-			ix, ok := n.(*ast.IndexExpr)
-			if !ok || !isSliceExprType(info, ix.X) {
-				return true
-			}
-			base, ok := ast.Unparen(ix.X).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			iv, c, ok := splitConstOffset(info, ix.Index)
-			if !ok {
-				return true
-			}
-			k := accessKey{info.ObjectOf(base), info.ObjectOf(iv)}
-			if k.base == nil || k.iv == nil {
-				return true
-			}
-			if _, seen := groups[k]; !seen {
-				keys = append(keys, k)
-			}
-			groups[k] = append(groups[k], constOffsetAccess{c, ix.Pos()})
-			return true
-		})
-	}
-	for _, k := range keys {
-		accs := groups[k]
-		sort.Slice(accs, func(i, j int) bool { return accs[i].pos < accs[j].pos })
-		maxC := int64(0)
-		offsets := make(map[int64]bool)
-		for _, a := range accs {
-			offsets[a.c] = true
-			if a.c > maxC {
-				maxC = a.c
-			}
-		}
-		if len(offsets) < 2 || maxC < 1 {
-			continue // not an unrolled run
-		}
-		if windowed[k.base] {
-			continue // explicit-high reslice already hints the length
-		}
-		if loop != nil && loopCondBounds(info, loop, k.iv, k.base, maxC) {
-			continue // the loop condition proves iv+maxC in range
-		}
-		if accs[0].c == maxC {
-			continue // max offset touched first: later checks fold away
-		}
-		report(accs[0].pos, "unrolled accesses of %s up to offset +%d lack a bounds hint; reslice with an explicit high (%s = %s[:n]) or bound the loop with i+%d <= len(%s)",
-			k.base.Name(), maxC, k.base.Name(), k.base.Name(), maxC+1, k.base.Name())
-	}
-}
-
-// inductionVar extracts the induction variable of a classic for loop: the
-// single identifier its post statement increments or advances.
-func inductionVar(info *types.Info, loop *ast.ForStmt) types.Object {
-	switch post := loop.Post.(type) {
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(post.X).(*ast.Ident); ok {
-			return info.ObjectOf(id)
-		}
-	case *ast.AssignStmt:
-		if len(post.Lhs) == 1 {
-			if id, ok := ast.Unparen(post.Lhs[0]).(*ast.Ident); ok {
-				return info.ObjectOf(id)
-			}
-		}
-	}
-	return nil
-}
-
-// rangeKeyVar extracts the key variable of a range loop.
-func rangeKeyVar(info *types.Info, loop *ast.RangeStmt) types.Object {
-	if id, ok := loop.Key.(*ast.Ident); ok {
-		return info.ObjectOf(id)
-	}
-	return nil
-}
-
-// isIdentFor reports whether e is a bare identifier resolving to obj.
-func isIdentFor(info *types.Info, e ast.Expr, obj types.Object) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && info.ObjectOf(id) == obj
-}
-
-// usesObject reports whether e references obj anywhere.
-func usesObject(info *types.Info, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// splitConstOffset decomposes an index expression into induction ident and
-// constant offset: `i` -> (i, 0), `i+2`/`2+i` -> (i, 2).
-func splitConstOffset(info *types.Info, e ast.Expr) (*ast.Ident, int64, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if isConstExpr(info, e) {
-			return nil, 0, false // a named constant, not an induction var
-		}
-		return e, 0, true
-	case *ast.BinaryExpr:
-		if e.Op != token.ADD {
-			return nil, 0, false
-		}
-		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && !isConstExpr(info, e.X) {
-			if c, ok := constInt(info, e.Y); ok {
-				return id, c, true
-			}
-		}
-		if id, ok := ast.Unparen(e.Y).(*ast.Ident); ok && !isConstExpr(info, e.Y) {
-			if c, ok := constInt(info, e.X); ok {
-				return id, c, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// loopCondBounds reports whether loop's condition proves iv+maxC is a valid
-// index of base: `iv+K <= len(base)` with K > maxC, or `iv+K < len(base)`
-// with K >= maxC (plus the mirrored orientations).
-func loopCondBounds(info *types.Info, loop *ast.ForStmt, iv, base types.Object, maxC int64) bool {
-	cond, ok := ast.Unparen(loop.Cond).(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	lhs, op, rhs := cond.X, cond.Op, cond.Y
-	// Normalize to iv-side OP len-side.
-	switch op {
-	case token.GEQ:
-		lhs, op, rhs = rhs, token.LEQ, lhs
-	case token.GTR:
-		lhs, op, rhs = rhs, token.LSS, lhs
-	case token.LEQ, token.LSS:
-	default:
-		return false
-	}
-	if !isLenOf(info, rhs, base) {
-		return false
-	}
-	id, k, ok := splitConstOffset(info, lhs)
-	if !ok || info.ObjectOf(id) != iv {
-		return false
-	}
-	if op == token.LEQ {
-		return k > maxC
-	}
-	return k >= maxC
-}
-
-// isLenOf reports whether e is `len(x)` with x resolving to obj.
-func isLenOf(info *types.Info, e ast.Expr, obj types.Object) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || !isBuiltinCall(info, call, "len") || len(call.Args) != 1 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return ok && info.ObjectOf(id) == obj
-}
-
-// explicitHighSlices collects objects assigned from a slice expression with
-// an explicit high bound (s[a:b], s[:n]) anywhere in body — the compiler
-// knows their length relative to the reslice, and so does the reader.
-func explicitHighSlices(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			se, ok := ast.Unparen(rhs).(*ast.SliceExpr)
-			if !ok || se.High == nil {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := info.ObjectOf(id); obj != nil {
-					out[obj] = true
-				}
-			}
+			h.loops = append(h.loops, span{n.X.End(), n.End()})
 		}
 		return true
 	})
+	return h
+}
+
+// loopChecks maps the compiler's check positions onto the hot functions'
+// loops and returns each function's counted checks.
+func loopChecks(fset *token.FileSet, hot []*hotLoops, checks []token.Position) map[*hotLoops][]string {
+	out := make(map[*hotLoops][]string)
+	for _, h := range hot {
+		tf := fset.File(h.decl.Pos())
+		for _, c := range checks {
+			if c.Filename != tf.Name() || c.Line > tf.LineCount() {
+				continue
+			}
+			p := tf.LineStart(c.Line) + token.Pos(c.Column-1)
+			if p >= h.decl.Pos() && p < h.decl.End() && inSpans(h.loops, p) && !inSpans(h.lits, p) {
+				out[h] = append(out[h], fmt.Sprintf("%s:%d:%d", filepath.Base(c.Filename), c.Line, c.Column))
+			}
+		}
+	}
 	return out
 }
 
-// isSliceExprType reports whether e's type is a slice or array.
-func isSliceExprType(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(e)
-	if t == nil {
-		return false
+// boundsCheckRe matches one line of the compiler's check_bce report.
+var boundsCheckRe = regexp.MustCompile(`^(.+):(\d+):(\d+): Found Is(?:Slice)?InBounds$`)
+
+// boundsChecks builds dirs, directories of the module at root, for
+// linux/amd64 with the compiler's bounds-check report and returns every
+// check it keeps (reported relative to root, where the build runs).
+func boundsChecks(root string, dirs []string) ([]token.Position, error) {
+	args := []string{"build", "-o", os.DevNull}
+	var pkgs []string
+	for _, d := range dirs {
+		rel, _ := filepath.Rel(root, d) // both absolute
+		pkg := "./" + filepath.ToSlash(rel)
+		args = append(args, "-gcflags="+pkg+"=-d=ssa/check_bce/debug=1")
+		pkgs = append(pkgs, pkg)
 	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Array:
-		return true
+	cmd := exec.Command("go", append(args, pkgs...)...)
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("go build: %v\n%s", err, out)
 	}
-	return false
+	var checks []token.Position
+	for _, l := range strings.Split(string(out), "\n") {
+		m := boundsCheckRe.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		line, _ := strconv.Atoi(m[2])
+		col, _ := strconv.Atoi(m[3])
+		checks = append(checks, token.Position{Filename: filepath.Join(root, m[1]), Line: line, Column: col})
+	}
+	slices.SortFunc(checks, func(a, b token.Position) int {
+		return cmp.Or(strings.Compare(a.Filename, b.Filename), a.Line-b.Line, a.Column-b.Column)
+	})
+	return checks, nil
 }
 
-// isConstExpr reports whether e is a compile-time constant.
-func isConstExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[ast.Unparen(e)]
-	return ok && tv.Value != nil
-}
-
-// constInt returns e's constant integer value.
-func constInt(info *types.Info, e ast.Expr) (int64, bool) {
-	tv, ok := info.Types[ast.Unparen(e)]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(tv.Value))
-}
+// budgetLine is one function's budgeted count and its line in the file.
+type budgetLine struct{ count, line int }

@@ -55,9 +55,9 @@ func hotpathAllocAnalyzer() *Analyzer {
 
 // coldBoundaries collects the sparselint:coldcall-annotated functions and
 // validates the annotations themselves: the reason is mandatory, and pairing
-// coldcall with hotpath is contradictory. Shared by hotpathalloc and bce so
-// both walks stop at the same boundaries (bce passes a nil pass and skips
-// the validation half — hotpathalloc owns those findings).
+// coldcall with hotpath is contradictory. bce shares it, so both analyzers
+// see one hot closure (bce passes a nil pass and skips the validation half —
+// hotpathalloc owns those findings).
 func coldBoundaries(g *CallGraph, pass *Pass) map[*types.Func]bool {
 	cold := make(map[*types.Func]bool)
 	for _, f := range g.Funcs() {
@@ -98,7 +98,7 @@ func hotClosure(g *CallGraph, cold map[*types.Func]bool) (map[*types.Func]bool, 
 // conditionally executed (or deferred), never on the unconditional
 // steady-state path.
 func checkColdCallSites(pass *Pass, g *CallGraph, decl *ast.FuncDecl, f *types.Func, cold map[*types.Func]bool, via map[*types.Func]CallEdge) {
-	var spans []coldSpan
+	var spans []span
 	collected := false
 	for _, e := range g.EdgesFrom(f) {
 		if !cold[e.Callee] || e.Kind != CallDirect {
@@ -114,11 +114,10 @@ func checkColdCallSites(pass *Pass, g *CallGraph, decl *ast.FuncDecl, f *types.F
 	}
 }
 
-// coldSpan is a source interval whose statements only execute conditionally:
-// if/else bodies, switch cases, select clauses, defers, and panic arguments.
-type coldSpan struct{ lo, hi token.Pos }
+// span is a source interval [lo, hi).
+type span struct{ lo, hi token.Pos }
 
-func inSpans(spans []coldSpan, pos token.Pos) bool {
+func inSpans(spans []span, pos token.Pos) bool {
 	for _, s := range spans {
 		if pos >= s.lo && pos < s.hi {
 			return true
@@ -127,12 +126,13 @@ func inSpans(spans []coldSpan, pos token.Pos) bool {
 	return false
 }
 
-// coldSpans collects the conditionally-executed intervals of body.
-func coldSpans(pass *Pass, info *types.Info, body *ast.BlockStmt) []coldSpan {
-	var spans []coldSpan
+// coldSpans collects the conditionally-executed intervals of body: if/else
+// bodies, switch cases, select clauses, defers, and panic arguments.
+func coldSpans(pass *Pass, info *types.Info, body *ast.BlockStmt) []span {
+	var spans []span
 	add := func(n ast.Node) {
 		if n != nil {
-			spans = append(spans, coldSpan{n.Pos(), n.End()})
+			spans = append(spans, span{n.Pos(), n.End()})
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -173,11 +173,11 @@ func checkHotFunc(pass *Pass, pkg *Package, fn *ast.FuncDecl, suffix string) {
 
 	// Spans of panic(...) arguments: constructs inside them only run on the
 	// failure path and are exempt.
-	var panicSpans []coldSpan
+	var panicSpans []span
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && isBuiltinCall(info, call, "panic") {
 			for _, arg := range call.Args {
-				panicSpans = append(panicSpans, coldSpan{arg.Pos(), arg.End()})
+				panicSpans = append(panicSpans, span{arg.Pos(), arg.End()})
 			}
 		}
 		return true

@@ -15,10 +15,10 @@
 // Rules that depend on the path taken are clients of one CFG + worklist
 // dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks),
 // taint (untrusted values) and errflow (unchecked errors), each over every
-// function body from funcBodies. ctxfirst, goleak, bce and hotpathalloc stay
-// AST walks on purpose: their rules are flow-insensitive, so they carry no
-// path state and a port would only add code. Per-function summaries stay
-// inside taint, their only user.
+// function body from funcBodies. ctxfirst, goleak and hotpathalloc stay AST
+// walks on purpose: their rules are flow-insensitive, so a port would only
+// add code; bce asks the compiler which bounds checks it keeps. Per-function
+// summaries stay inside taint, their only user.
 //
 // # What it sees
 //
@@ -100,9 +100,14 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.reportAt(p.Prog.Fset.Position(pos), format, args...)
+}
+
+// reportAt records a finding outside the loaded Go files (bce's budget).
+func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.analyzer.Name,
-		Pos:      p.Prog.Fset.Position(pos),
+		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }

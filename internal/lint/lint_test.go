@@ -78,7 +78,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"determinism", "fixture/internal/kernels"},
 		{"atomicfield", "fixture/atomicfield"},
 		{"goleak", "fixture/internal/sched"},
-		{"bce", "fixture/bce"},
 		{"taint", "fixture/internal/server"},
 		{"errflow", "fixture/internal/server"},
 	}

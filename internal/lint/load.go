@@ -19,7 +19,7 @@ import (
 // Package is one type-checked module package.
 type Package struct {
 	Path  string // import path
-	Dir   string
+	Dir   string // absolute
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -208,6 +208,10 @@ func LoadModule(root string) (*Program, error) {
 // the given import path (the path decides which package-scoped analyzers
 // apply, e.g. "fixture/internal/server" for ctxfirst).
 func LoadFixture(dir, asPath string) (*Program, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
 	if err != nil {

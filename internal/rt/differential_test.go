@@ -12,8 +12,8 @@ import (
 // TestDifferentialGraphExecution is the net under graph fusion and every
 // scheduler change: seeded random well-formed IR programs, each expanded to
 // its unfused and its fused graph, run on every backend at 1, 2 and 4 workers
-// on the flat and a two-domain topology, must leave the store exactly — bit
-// for bit — as kernels.RunSequential on the unfused graph leaves it. Each
+// must leave the store exactly — bit for bit — as kernels.RunSequential on
+// the unfused graph leaves it. Each
 // prepared handle runs twice, so state carried from one Run to the next
 // (dependency counters, queues, parked teams, Regent's traced replay) is
 // covered too. Run it under -race: the generated programs alias operands and
