@@ -1,21 +1,24 @@
 // Command sparselint runs the repo-specific static-analysis pass over the
-// whole module: zero-allocation hot paths (propagated over the call graph),
-// lock discipline, deque ownership, context-first APIs, determinism of
-// graph/kernel packages, atomic-field consistency, goroutine exit paths,
-// the compiler's bounds checks in hot loops against a per-function budget
-// (internal/lint/bce_budget.txt), untrusted-input taint tracking on the
-// serving path (flow-sensitive, over per-function CFGs with interprocedural
-// summaries), and all-paths error-handling discipline in server/route/cmd.
-// It is stdlib-only (go/parser + go/types with the source importer) and is
-// wired into `make lint` / `make check`. The bce analyzer runs `go build`
-// with the compiler's bounds-check report, so it needs the go command on
-// PATH, at the release the budget's first line names.
+// whole module: hot paths (propagated over the call graph) held to a
+// per-function budget of the heap escapes and loop bounds checks the
+// compiler reports, internal/lint/hotpath_budget.txt, and kept free of
+// append growth, fmt and string concatenation; lock discipline, deque
+// ownership, context-first APIs, determinism of graph/kernel packages,
+// typed atomics only, goroutine exit paths, untrusted-input taint tracking
+// on the serving path (flow-sensitive, over per-function CFGs with
+// interprocedural summaries), and all-paths error-handling discipline in
+// server/route/cmd. Copied locks and atomics are go vet's, which `make lint`
+// runs first. It is stdlib-only (go/parser + go/types with the source
+// importer) and is wired into `make lint` / `make check`. The hotpath
+// analyzer runs one `go build` with the compiler's escape and bounds-check
+// reports, so it needs the go command on PATH, at the release the budget's
+// first line names.
 //
 // Usage:
 //
 //	go run ./cmd/sparselint ./...
 //	go run ./cmd/sparselint -json ./...
-//	go run ./cmd/sparselint -analyzer hotpathalloc,bce ./...
+//	go run ./cmd/sparselint -analyzer hotpath,errflow ./...
 //	go run ./cmd/sparselint -graph ./...
 //
 // The package-pattern argument is accepted for familiarity but the tool
@@ -26,6 +29,8 @@
 // counts and wall times); lint.sh redirects it to lint-report.json.
 // -graph dumps the interprocedural call graph (one edge per line) and exits
 // without running analyzers.
+//
+// -analyzer refuses an unknown or repeated name.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
@@ -39,6 +44,31 @@ import (
 
 	"sparsetask/internal/lint"
 )
+
+// selectAnalyzers resolves -analyzer's comma-separated names, in order; an
+// empty list selects every analyzer. An unknown name is refused, and so is a
+// repeated one: it would run the analyzer twice, and each finding a
+// directive suppresses would be taken off both entries' counts.
+func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
+	if only == "" {
+		return lint.Analyzers(), nil
+	}
+	var out []*lint.Analyzer
+	seen := make(map[string]bool)
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		a := lint.AnalyzerByName(name)
+		switch {
+		case a == nil:
+			return nil, fmt.Errorf("-analyzer %s: unknown analyzer %q (try -list)", only, name)
+		case seen[name]:
+			return nil, fmt.Errorf("-analyzer %s: %q is named twice", only, name)
+		}
+		seen[name] = true
+		out = append(out, a)
+	}
+	return out, nil
+}
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the versioned report schema as JSON")
@@ -54,18 +84,10 @@ func main() {
 		return
 	}
 
-	analyzers := lint.Analyzers()
-	if *only != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a := lint.AnalyzerByName(name)
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "sparselint: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
+	analyzers, err := selectAnalyzers(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sparselint:", err)
+		os.Exit(2)
 	}
 
 	root, err := os.Getwd()

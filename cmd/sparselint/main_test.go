@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
+	"strings"
 	"testing"
 
 	"sparsetask/internal/lint"
@@ -17,16 +18,16 @@ func TestReportSchemaGolden(t *testing.T) {
 		Version: lint.ReportVersion,
 		Total:   1,
 		Analyzers: []lint.AnalyzerStat{
-			{Name: "hotpathalloc", Findings: 1, WallMS: 2.5},
+			{Name: "hotpath", Findings: 1, WallMS: 2.5},
 			{Name: "taint", Findings: 0, WallMS: 8.25},
 			{Name: "errflow", Findings: 0, WallMS: 1.75},
 			{Name: "directive", Findings: 0, WallMS: 0},
 		},
 		Findings: []lint.Finding{
 			{
-				Analyzer: "hotpathalloc",
+				Analyzer: "hotpath",
 				Pos:      token.Position{Filename: "internal/sparse/trsv.go", Line: 42, Column: 7},
-				Message:  "make allocates on the hot path",
+				Message:  "string concatenation allocates",
 			},
 		},
 	}
@@ -43,7 +44,7 @@ func TestReportSchemaGolden(t *testing.T) {
   "total": 1,
   "analyzers": [
     {
-      "name": "hotpathalloc",
+      "name": "hotpath",
       "findings": 1,
       "wall_ms": 2.5
     },
@@ -65,14 +66,14 @@ func TestReportSchemaGolden(t *testing.T) {
   ],
   "findings": [
     {
-      "analyzer": "hotpathalloc",
+      "analyzer": "hotpath",
       "position": {
         "Filename": "internal/sparse/trsv.go",
         "Offset": 0,
         "Line": 42,
         "Column": 7
       },
-      "message": "make allocates on the hot path"
+      "message": "string concatenation allocates"
     }
   ]
 }
@@ -96,5 +97,49 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if out.Version != lint.ReportVersion {
 		t.Fatalf("version round-trip: got %d, want %d", out.Version, lint.ReportVersion)
+	}
+}
+
+// TestSelectAnalyzers pins -analyzer's parsing: names resolve in order, and
+// an unknown or repeated name is refused with a message naming it.
+func TestSelectAnalyzers(t *testing.T) {
+	for _, tc := range []struct {
+		only   string
+		want   []string // the analyzers run, in order; nil for a refusal
+		refuse string   // what the refusal names
+	}{
+		{"", nil, ""},
+		{"errflow", []string{"errflow"}, ""},
+		{"hotpath, taint", []string{"hotpath", "taint"}, ""},
+		{"errflow,errflow", nil, `"errflow" is named twice`},
+		{"hotpath,taint,hotpath", nil, `"hotpath" is named twice`},
+		{"bce", nil, `unknown analyzer "bce"`},
+		{"errflow,", nil, `unknown analyzer ""`},
+	} {
+		got, err := selectAnalyzers(tc.only)
+		if tc.refuse != "" {
+			if err == nil || !strings.HasPrefix(err.Error(), "-analyzer "+tc.only+":") || !strings.Contains(err.Error(), tc.refuse) {
+				t.Errorf("-analyzer %q: got %v, want a refusal naming %s", tc.only, err, tc.refuse)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-analyzer %q: refused: %v", tc.only, err)
+			continue
+		}
+		want := tc.want
+		if tc.only == "" {
+			want = nil
+			for _, a := range lint.Analyzers() {
+				want = append(want, a.Name)
+			}
+		}
+		var names []string
+		for _, a := range got {
+			names = append(names, a.Name)
+		}
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Errorf("-analyzer %q runs %v, want %v", tc.only, names, want)
+		}
 	}
 }

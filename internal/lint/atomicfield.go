@@ -2,114 +2,37 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// atomicFieldAnalyzer enforces all-atomic-or-all-plain access to struct
-// fields, module-wide: a field that is passed to a sync/atomic function
-// (atomic.AddInt64(&s.n, 1) and friends — the racy plain siblings of the
-// atomic.Int64-style wrapper types) anywhere in the module must never be
-// read or written through a plain selector anywhere else. That mix is the
-// data-race class the race detector only catches when the interleaving
-// actually fires; composite-literal initialization (&S{n: 0}) stays legal
-// because construction precedes sharing.
+// atomicFieldAnalyzer allows typed atomics only: any call to a package-level
+// sync/atomic function (atomic.AddInt64(&s.n, 1) and friends) is a finding.
+// Such a function works on a plain word that the rest of the program can
+// still read or write without sync/atomic, the mixed access the race
+// detector catches only when the interleaving fires. The atomic.Int64-style
+// types have no plain access path, and go vet's copylocks reports copies of
+// them.
 func atomicFieldAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "atomicfield",
-		Doc:  "fields accessed via sync/atomic must not be read or written plainly anywhere in the module",
+		Doc:  "typed atomics only: no calls to package-level sync/atomic functions",
 	}
 	a.Run = func(pass *Pass) {
-		atomicAt := make(map[*types.Var]token.Position) // field -> first atomic site
-		sanctioned := make(map[*ast.SelectorExpr]bool)  // &x.f inside an atomic call
-		var plain []struct {
-			field *types.Var
-			pos   token.Pos
-		}
-
-		// Pass 1: find every field handed to a sync/atomic function by
-		// address.
 		for _, pkg := range pass.Prog.Pkgs {
-			info := pkg.Info
 			for _, file := range pkg.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					callee := calleeFunc(info, call)
-					if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
-						return true
-					}
-					for _, arg := range call.Args {
-						un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-						if !ok || un.Op != token.AND {
-							continue
-						}
-						sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						field := fieldVar(info, sel)
-						if field == nil {
-							continue
-						}
-						sanctioned[sel] = true
-						p := pass.Prog.Fset.Position(un.Pos())
-						if prev, ok := atomicAt[field]; !ok || p.Filename < prev.Filename || (p.Filename == prev.Filename && p.Line < prev.Line) {
-							atomicAt[field] = p
-						}
+					f := calleeFunc(pkg.Info, call)
+					if f != nil && f.Pkg() != nil && f.Pkg().Path() == "sync/atomic" && f.Type().(*types.Signature).Recv() == nil {
+						pass.Reportf(call.Pos(), "atomic.%s works on a plain word that can also be accessed plainly; use a typed atomic (atomic.Int64, atomic.Pointer, …)", f.Name())
 					}
 					return true
 				})
 			}
-		}
-		if len(atomicAt) == 0 {
-			return
-		}
-
-		// Pass 2: every other selector touching one of those fields is a
-		// plain (racy) access.
-		for _, pkg := range pass.Prog.Pkgs {
-			info := pkg.Info
-			for _, file := range pkg.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok || sanctioned[sel] {
-						return true
-					}
-					field := fieldVar(info, sel)
-					if field == nil {
-						return true
-					}
-					if _, hot := atomicAt[field]; hot {
-						plain = append(plain, struct {
-							field *types.Var
-							pos   token.Pos
-						}{field, sel.Pos()})
-					}
-					return true
-				})
-			}
-		}
-		sort.Slice(plain, func(i, j int) bool { return plain[i].pos < plain[j].pos })
-		for _, p := range plain {
-			at := atomicAt[p.field]
-			pass.Reportf(p.pos, "field %s is accessed with sync/atomic (e.g. %s:%d) but read or written plainly here; mixed access races",
-				p.field.Name(), at.Filename, at.Line)
 		}
 	}
 	return a
-}
-
-// fieldVar resolves sel to the struct field it selects, or nil when sel is
-// not a field selection.
-func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
 }

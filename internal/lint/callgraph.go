@@ -56,7 +56,7 @@ type declSite struct {
 }
 
 // CallGraph is the whole-module static call graph the interprocedural
-// analyzers (hotpathalloc, dequeowner, bce) share. Nodes are *types.Func
+// analyzers (hotpath, dequeowner) share. Nodes are *types.Func
 // objects; only functions declared in the module carry bodies and outgoing
 // edges, but edges may point at imported functions (those are leaves).
 type CallGraph struct {
@@ -335,7 +335,7 @@ func (g *CallGraph) SCCs() [][]*types.Func {
 //     parameters flow through to it unclamped (pass-through).
 //
 // Hop slices record the call path for provenance chains, mirroring
-// hotpathalloc's chain rendering.
+// hotpath's chain rendering.
 
 // sinkVia describes how a parameter reaches a sink: what the sink is and the
 // call chain (outermost first) leading to it.

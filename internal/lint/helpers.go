@@ -143,37 +143,13 @@ func isHTTPRequestPtr(t types.Type) bool {
 	return obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }
 
-// containsLock reports whether t holds a sync primitive that must not be
-// copied (Mutex, RWMutex, Cond, WaitGroup, Once), directly or via struct
-// fields and arrays.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "Cond", "WaitGroup", "Once":
-				return true
-			}
+// fieldVar resolves sel to the struct field it selects, or nil when sel is
+// not a field selection.
+func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
 		}
-		return containsLockRec(n.Underlying(), seen)
 	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
+	return nil
 }

@@ -3,7 +3,8 @@
 // by convention — zero-allocation hot paths, lock hygiene in the scheduler
 // and serving layer, deque ownership, context propagation, and deterministic
 // task bodies — into machine-checked gates (see cmd/sparselint and `make
-// lint`).
+// lint`). What `go vet` already checks (copied locks and atomics) is left to
+// vet, which scripts/lint.sh runs first.
 //
 // The driver is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types using the `source` importer, no x/tools. Each
@@ -15,10 +16,11 @@
 // Rules that depend on the path taken are clients of one CFG + worklist
 // dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks),
 // taint (untrusted values) and errflow (unchecked errors), each over every
-// function body from funcBodies. ctxfirst, goleak and hotpathalloc stay AST
-// walks on purpose: their rules are flow-insensitive, so a port would only
-// add code; bce asks the compiler which bounds checks it keeps. Per-function
-// summaries stay inside taint, their only user.
+// function body from funcBodies. ctxfirst, goleak and hotpath's three AST
+// rules stay AST walks on purpose: their rules are flow-insensitive, so a
+// port would only add code. hotpath asks the compiler, in one `go build`,
+// which heap escapes and bounds checks it keeps. Per-function summaries stay
+// inside taint, their only user.
 //
 // # What it sees
 //
@@ -34,9 +36,10 @@
 // Annotations are Go directive comments (no space after //, one per line)
 // in a function's doc comment:
 //
-//	//sparselint:hotpath          — function must not contain heap-escaping
-//	//                              constructs; the obligation propagates over
-//	//                              the call graph (hotpathalloc, bce)
+//	//sparselint:hotpath          — function is held to its budget of heap
+//	//                              escapes and loop bounds checks and must not
+//	//                              grow, format or concatenate; the obligation
+//	//                              propagates over the call graph (hotpath)
 //	//sparselint:coldcall <reason> — reachable from hot code by design, e.g.
 //	//                              a grow or error path; stops hot-path
 //	//                              propagation, must be called conditionally
@@ -103,7 +106,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.reportAt(p.Prog.Fset.Position(pos), format, args...)
 }
 
-// reportAt records a finding outside the loaded Go files (bce's budget).
+// reportAt records a finding outside the loaded Go files (hotpath's budget).
 func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.analyzer.Name,
@@ -115,14 +118,13 @@ func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 // Analyzers returns the full sparselint analyzer set.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		hotpathAllocAnalyzer(),
+		hotpathAnalyzer(),
 		lockDisciplineAnalyzer(),
 		dequeOwnerAnalyzer(),
 		ctxFirstAnalyzer(),
 		determinismAnalyzer(),
 		atomicFieldAnalyzer(),
 		goleakAnalyzer(),
-		bceAnalyzer(),
 		taintAnalyzer(),
 		errflowAnalyzer(),
 	}

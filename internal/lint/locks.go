@@ -10,9 +10,9 @@ import (
 
 // lockDisciplineAnalyzer enforces mutex hygiene everywhere: every Lock/RLock
 // must be matched by an Unlock (or defer Unlock) on every path out of the
-// same function, sync primitives must not be copied by value, and no
-// blocking operation (blockingOp: channel send/receive, select with no
-// default, time.Sleep, WaitGroup.Wait) may run while a lock is held.
+// same function, and no blocking operation (blockingOp: channel
+// send/receive, select with no default, time.Sleep, WaitGroup.Wait) may run
+// while a lock is held.
 // sync.Cond.Wait is allowed — it releases the mutex while parked — and a
 // select with a default clause is non-blocking by construction (the server
 // admission-queue pattern).
@@ -21,21 +21,15 @@ import (
 // the state at a program point is the set of locks some path into it holds,
 // so a lock carried around a loop's back edge, out through a break, or past
 // the loop's exit is seen wherever it flows. Func literals are their own
-// scopes: a closure must balance the locks it takes itself.
+// scopes: a closure must balance the locks it takes itself. Copies of sync
+// primitives are go vet's copylocks check, which scripts/lint.sh runs.
 func lockDisciplineAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "lockdiscipline",
-		Doc:  "locks released on all paths, no copies, no blocking while held",
+		Doc:  "locks released on all paths, no blocking while held",
 	}
 	a.Run = func(pass *Pass) {
 		for _, pkg := range pass.Prog.Pkgs {
-			for _, file := range pkg.Files {
-				for _, decl := range file.Decls {
-					if fn, ok := decl.(*ast.FuncDecl); ok {
-						checkLockCopies(pass, pkg, fn)
-					}
-				}
-			}
 			for _, fb := range funcBodies(pkg) {
 				checkLocks(pass, pkg, fb)
 			}
@@ -270,61 +264,4 @@ func (lf *lockFlow) checkReacquire(pos token.Pos, key string, st *lockState) {
 	case !isRead && holds(key+":r"):
 		lf.reportf(pos, "upgrading %s from RLock to Lock self-deadlocks; RUnlock first, then Lock and revalidate", key)
 	}
-}
-
-// checkLockCopies flags sync primitives copied by value: by-value receivers,
-// parameters, and results; range copies; and plain assignments from a
-// dereference/field/element.
-func checkLockCopies(pass *Pass, pkg *Package, fn *ast.FuncDecl) {
-	info := pkg.Info
-	// copied returns the type of a by-value e that holds a sync primitive.
-	copied := func(e ast.Expr) types.Type {
-		t := info.TypeOf(e)
-		if _, isPtr := t.(*types.Pointer); t == nil || isPtr || !containsLock(t) {
-			return nil
-		}
-		return t
-	}
-	for _, fl := range []struct {
-		list *ast.FieldList
-		what string
-	}{{fn.Recv, "receiver"}, {fn.Type.Params, "parameter"}, {fn.Type.Results, "result"}} {
-		if fl.list == nil {
-			continue
-		}
-		for _, f := range fl.list.List {
-			if t := copied(f.Type); t != nil {
-				pass.Reportf(f.Type.Pos(), "%s copies %s, which contains a sync primitive; use a pointer", fl.what, t)
-			}
-		}
-	}
-	if fn.Body == nil {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if v, ok := n.Value.(*ast.Ident); ok {
-				if t := copied(v); t != nil {
-					pass.Reportf(v.Pos(), "range copies %s, which contains a sync primitive; iterate by index", t)
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					continue // discarded, nothing is stored
-				}
-				switch ast.Unparen(rhs).(type) {
-				case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					if t := copied(rhs); t != nil {
-						pass.Reportf(rhs.Pos(), "assignment copies %s, which contains a sync primitive", t)
-					}
-				}
-			}
-		}
-		return true
-	})
 }

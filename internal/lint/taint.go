@@ -43,7 +43,7 @@ import (
 // time.Duration conversions, and — via summaries — any callee parameter
 // that reaches one of those transitively.
 //
-// Findings carry source→sink provenance chains mirroring hotpathalloc's
+// Findings carry source→sink provenance chains mirroring hotpath's
 // call-chain rendering.
 
 var (

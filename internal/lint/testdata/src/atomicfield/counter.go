@@ -1,39 +1,22 @@
-// Package counter exercises sparselint/atomicfield: a field touched through
-// sync/atomic anywhere must never be read or written plainly anywhere else.
+// Package counter exercises sparselint/atomicfield: typed atomics only, no
+// package-level sync/atomic functions.
 package counter
 
 import "sync/atomic"
 
 type stats struct {
-	hits  int64 // atomic everywhere: clean
-	mixed int64 // atomic in bump, plain in report: the race
-	plain int64 // never atomic: plain access is fine
+	hits  atomic.Int64 // typed: no plain access path
+	plain int64
 }
 
-// newStats shows that composite-literal initialization stays legal:
-// construction precedes sharing.
-func newStats() *stats {
-	return &stats{hits: 0, mixed: 0}
-}
+// hit is the sanctioned shape.
+func (s *stats) hit() int64 { return s.hits.Add(1) }
 
 func (s *stats) bump() {
-	atomic.AddInt64(&s.hits, 1)
-	atomic.AddInt64(&s.mixed, 1)
-}
-
-func (s *stats) report() int64 {
-	h := atomic.LoadInt64(&s.hits)
-	m := s.mixed // want `field mixed is accessed with sync/atomic`
-	return h + m
-}
-
-func (s *stats) reset() {
-	atomic.StoreInt64(&s.hits, 0)
-	s.mixed = 0 // want `field mixed is accessed with sync/atomic`
-	s.plain = 0
+	atomic.AddInt64(&s.plain, 1) // want `atomic.AddInt64 works on a plain word`
 }
 
 func (s *stats) drain() int64 {
 	//lint:ignore sparselint/atomicfield fixture: single-owner shutdown path, workers already joined
-	return s.mixed
+	return atomic.SwapInt64(&s.plain, 0)
 }

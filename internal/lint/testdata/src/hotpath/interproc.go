@@ -12,9 +12,9 @@ func hop1(xs []int) int { return hop2(xs) }
 
 // hop2 is two hops from the root; its findings carry the provenance chain.
 func hop2(xs []int) int {
-	tmp := make([]int, len(xs)) // want `make allocates.*hot path: hotRoot → hop1 → hop2`
-	copy(tmp, xs)
-	return len(tmp)
+	var ys []int
+	ys = append(ys, xs...) // want `append may grow.*hot path: hotRoot → hop1 → hop2`
+	return len(ys)
 }
 
 // summer is dispatched dynamically; CHA drags every implementation into hot
@@ -23,10 +23,8 @@ type summer interface{ sum(xs []int) int }
 
 type boxSummer struct{}
 
-func (boxSummer) sum(xs []int) int {
-	box := any(len(xs)) // want `conversion to interface.*hot path: hotIface → sum`
-	_ = box
-	return 0
+func (boxSummer) sum(xs []int) int { // want `sum keeps 0 bounds check\(s\) in hot loops and 1 heap escape\(s\) and has no budget`
+	return len(fmt.Sprint(len(xs))) // want `fmt.Sprint allocates.*hot path: hotIface → sum`
 }
 
 //sparselint:hotpath
@@ -50,8 +48,10 @@ func hotRef() func([]int) int { return refTarget }
 //sparselint:coldcall fixture: error-path formatting is off the steady state
 func coldFail(n int) error { return fmt.Errorf("hot: empty input (n=%d)", n) }
 
+// hotWithCold inlines coldFail, whose boxed argument then escapes here.
+//
 //sparselint:hotpath
-func hotWithCold(xs []int) error {
+func hotWithCold(xs []int) error { // want `hotWithCold keeps 0 bounds check\(s\) in hot loops and 1 heap escape\(s\) and has no budget`
 	if len(xs) == 0 {
 		return coldFail(len(xs)) // conditional: a legal cold boundary crossing
 	}

@@ -190,7 +190,8 @@ func (e *Executor) Run(ctx context.Context) error {
 	var stop func() bool
 	if ctx.Done() != nil {
 		e.haltDone.Store(false)
-		//lint:ignore sparselint/hotpathalloc one cancellation hook per Run, not per task; the uncancellable steady-state run allocates nothing
+		// One cancellation hook per Run, not per task; the uncancellable
+		// steady-state run allocates nothing.
 		stop = context.AfterFunc(ctx, func() {
 			e.halt()
 			e.haltDone.Store(true)

@@ -225,7 +225,7 @@ func (l *Lanczos) iterate(ctx context.Context, pr rt.PreparedRun, it int, res *R
 	}
 	// α_i is the projection of z on q_{i-1} = basis column it-1.
 	c := l.st.Small[l.opC]
-	//lint:ignore sparselint/hotpathalloc alpha has cap K from NewLanczos; at most K appends per solve
+	//lint:ignore sparselint/hotpath alpha has cap K from NewLanczos; at most K appends per solve
 	l.alpha = append(l.alpha, c[it-1])
 	beta := l.st.Scalars[l.opBt]
 	res.Iterations = it
@@ -247,7 +247,7 @@ func (l *Lanczos) iterate(ctx context.Context, pr rt.PreparedRun, it int, res *R
 	if it == l.K {
 		return true, nil // last vector not needed
 	}
-	//lint:ignore sparselint/hotpathalloc beta has cap K from NewLanczos; at most K appends per solve
+	//lint:ignore sparselint/hotpath beta has cap K from NewLanczos; at most K appends per solve
 	l.beta = append(l.beta, beta)
 	// Host epilogue: append qn as basis column `it` and advance q.
 	qn := l.st.Vec[l.opQn]
