@@ -8,10 +8,11 @@
 // on the serving path (flow-sensitive, over per-function CFGs with
 // interprocedural summaries), and all-paths error-handling discipline in
 // server/route/cmd. Copied locks and atomics are go vet's, which `make lint`
-// runs first. It is stdlib-only (go/parser + go/types with the source
-// importer) and is wired into `make lint` / `make check`. The hotpath
-// analyzer runs one `go build` with the compiler's escape and bounds-check
-// reports, so it needs the go command on PATH, at the release the budget's
+// runs first. It is stdlib-only (go/parser + go/types, the standard library
+// read from the export data `go list -export` builds) and is wired into
+// `make lint` / `make check`. It needs the go command on PATH: the loader
+// runs `go list`, and the hotpath analyzer one `go build` with the
+// compiler's escape and bounds-check reports, at the release the budget's
 // first line names.
 //
 // Usage:
@@ -22,8 +23,9 @@
 //	go run ./cmd/sparselint -graph ./...
 //
 // The package-pattern argument is accepted for familiarity but the tool
-// always analyzes the full module containing the working directory — the
-// ownership, hot-path, and lock rules are whole-program properties.
+// always analyzes the full module containing the working directory, and the
+// modules nested in it (benchmark/) — the ownership, hot-path, and lock
+// rules are whole-program properties.
 //
 // -json emits the versioned lint.Report schema (findings plus per-analyzer
 // counts and wall times); lint.sh redirects it to lint-report.json.

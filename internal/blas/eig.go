@@ -193,7 +193,8 @@ func householderTridiag(z []float64, n int, d, e []float64) {
 // the symmetric tridiagonal (d, e) — e[i] couples i and i+1, e[n-1] is
 // scratch — with every rotation applied to the rows of z. It leaves the
 // eigenvalues ascending in d and z's rows permuted to match, so rows of z
-// that held an orthogonal basis come out as the eigenvectors.
+// that held an orthogonal basis come out as the eigenvectors. A nil z asks
+// for the eigenvalues only: the rotations and row swaps are skipped.
 func tridiagQL(d, e, z []float64, n int) error {
 	const eps = 0x1p-52
 	e[n-1] = 0
@@ -239,6 +240,9 @@ func tridiagQL(d, e, z []float64, n int) error {
 				c = p / r
 				p = c*d[i] - s*g
 				d[i+1] = h + s*(c*g+s*d[i])
+				if z == nil {
+					continue
+				}
 				zi, zi1 := z[i*n:i*n+n], z[(i+1)*n:(i+1)*n+n]
 				for k, x := range zi {
 					y := zi1[k]
@@ -266,6 +270,9 @@ func tridiagQL(d, e, z []float64, n int) error {
 		}
 		if k != i {
 			d[i], d[k] = d[k], d[i]
+			if z == nil {
+				continue
+			}
 			zi, zk := z[i*n:i*n+n], z[k*n:k*n+n]
 			for c := range zi {
 				zi[c], zk[c] = zk[c], zi[c]
@@ -281,15 +288,8 @@ func tridiagQL(d, e, z []float64, n int) error {
 // itself. Eigenvectors are the columns of v (row-major k×k).
 func SymTriEig(d, e []float64) (eigvals []float64, v []float64, err error) {
 	k := len(d)
-	if len(e) != k-1 && !(k == 0 && len(e) == 0) {
-		return nil, nil, fmt.Errorf("blas: SymTriEig needs len(e)=len(d)-1, got %d and %d", len(e), len(d))
-	}
-	for _, s := range [][]float64{d, e} {
-		for _, x := range s {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, nil, fmt.Errorf("blas: SymTriEig input not finite: %g", x)
-			}
-		}
+	if err := checkTridiag("SymTriEig", d, e); err != nil {
+		return nil, nil, err
 	}
 	eigvals = make([]float64, k)
 	copy(eigvals, d)
@@ -307,6 +307,22 @@ func SymTriEig(d, e []float64) (eigvals []float64, v []float64, err error) {
 	v = make([]float64, k*k)
 	transpose(v, z, k)
 	return eigvals, v, nil
+}
+
+// checkTridiag refuses a tridiagonal (d, e) whose lengths do not match or
+// that holds a value that is not finite; name is the caller's, for the error.
+func checkTridiag(name string, d, e []float64) error {
+	if len(e) != len(d)-1 && !(len(d) == 0 && len(e) == 0) {
+		return fmt.Errorf("blas: %s needs len(e)=len(d)-1, got %d and %d", name, len(e), len(d))
+	}
+	for _, s := range [][]float64{d, e} {
+		for _, x := range s {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("blas: %s input not finite: %g", name, x)
+			}
+		}
+	}
+	return nil
 }
 
 // Cholesky computes the upper-triangular factor R of the symmetric

@@ -1,83 +1,25 @@
 package blas
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // TridiagEig computes all eigenvalues of a symmetric tridiagonal matrix with
-// diagonal d (len n) and off-diagonal e (len n-1) using the implicit QL
-// algorithm with Wilkinson shifts (the classic tql1/tql2 scheme). It runs in
-// O(n²) — asymptotically better than the O(n³) densify-and-Jacobi path of
-// SymTriEig — and is the right tool once Lanczos subspaces grow beyond a few
-// dozen vectors. Eigenvalues are returned ascending. Inputs are not modified.
+// diagonal d (len n) and off-diagonal e (len n-1) by the implicit QL that
+// SymTriEig runs, without eigenvectors. It runs in O(n²) and is Lanczos's
+// eigenvalue path. Eigenvalues are returned ascending; a non-finite input is
+// an error. Inputs are not modified.
 func TridiagEig(d, e []float64) ([]float64, error) {
 	n := len(d)
 	if n == 0 {
 		return nil, nil
 	}
-	if len(e) != n-1 {
-		return nil, fmt.Errorf("blas: TridiagEig needs len(e)=len(d)-1, got %d and %d", len(e), len(d))
+	if err := checkTridiag("TridiagEig", d, e); err != nil {
+		return nil, err
 	}
-	// Working copies; ee is padded so ee[n-1] exists as the 0 sentinel.
 	dd := append([]float64(nil), d...)
-	ee := make([]float64, n)
+	ee := make([]float64, n) // ee[n-1] is tridiagQL's scratch
 	copy(ee, e)
-
-	for l := 0; l < n; l++ {
-		for iter := 0; ; iter++ {
-			// Find the smallest m >= l with a negligible off-diagonal.
-			m := l
-			for ; m < n-1; m++ {
-				scale := math.Abs(dd[m]) + math.Abs(dd[m+1])
-				if math.Abs(ee[m]) <= 1e-16*scale {
-					break
-				}
-			}
-			if m == l {
-				break // dd[l] converged
-			}
-			if iter >= 50 {
-				return nil, fmt.Errorf("blas: TridiagEig failed to converge at index %d", l)
-			}
-			// Wilkinson shift.
-			g := (dd[l+1] - dd[l]) / (2 * ee[l])
-			r := math.Hypot(g, 1)
-			g = dd[m] - dd[l] + ee[l]/(g+math.Copysign(r, g))
-			s, c := 1.0, 1.0
-			p := 0.0
-			// Implicit QL sweep from m-1 down to l.
-			for i := m - 1; i >= l; i-- {
-				f := s * ee[i]
-				b := c * ee[i]
-				r = math.Hypot(f, g)
-				ee[i+1] = r
-				if r == 0 {
-					dd[i+1] -= p
-					ee[m] = 0
-					break
-				}
-				s = f / r
-				c = g / r
-				g = dd[i+1] - p
-				r = (dd[i]-g)*s + 2*c*b
-				p = s * r
-				dd[i+1] = g + p
-				g = c*r - b
-			}
-			if r == 0 && m-1 >= l {
-				continue
-			}
-			dd[l] -= p
-			ee[l] = g
-			ee[m] = 0
-		}
-	}
-	// Insertion sort ascending (nearly sorted already).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && dd[j] < dd[j-1]; j-- {
-			dd[j], dd[j-1] = dd[j-1], dd[j]
-		}
+	if err := tridiagQL(dd, ee, nil, n); err != nil {
+		return nil, err
 	}
 	return dd, nil
 }

@@ -77,6 +77,9 @@ func TestTridiagEigInputValidation(t *testing.T) {
 	if err != nil || ev != nil {
 		t.Fatal("empty input should return empty result")
 	}
+	if _, err := TridiagEig([]float64{1, math.NaN()}, []float64{0.5}); err == nil {
+		t.Fatal("expected an error for NaN input")
+	}
 }
 
 func TestTridiagEigDoesNotModifyInput(t *testing.T) {

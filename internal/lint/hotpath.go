@@ -320,7 +320,7 @@ func checkBudget(pass *Pass, hot []*hotFunc) {
 	if len(hot) == 0 {
 		return
 	}
-	root, _, err := findModule(hot[0].pkg.Dir)
+	root, err := findModule(hot[0].pkg.Dir)
 	path := hotpathBudget
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(root, path)

@@ -49,7 +49,7 @@ func TestBCEBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	version := goVersion(t)
-	root, _, err := findModule(dir)
+	root, err := findModule(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

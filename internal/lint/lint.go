@@ -6,10 +6,14 @@
 // lint`). What `go vet` already checks (copied locks and atomics) is left to
 // vet, which scripts/lint.sh runs first.
 //
-// The driver is stdlib-only: packages are parsed with go/parser and
-// type-checked with go/types using the `source` importer, no x/tools. Each
-// analyzer walks the typed ASTs of the whole module at once, so
-// whole-program rules (deque ownership reachability) see every call site.
+// The loader is stdlib-only, no x/tools. It loads what the go tool builds:
+// one `go list -deps -export` per module names each package's files, in
+// dependency order, and builds the export data of everything else. Module
+// packages are parsed with go/parser and type-checked with go/types; their
+// imports from outside the module (the standard library) are read from that
+// export data. Each analyzer walks the typed ASTs of the whole module at
+// once, so whole-program rules (deque ownership reachability) see every call
+// site.
 //
 // # Engines
 //
@@ -24,8 +28,9 @@
 //
 // # What it sees
 //
-// It loads the files `go build` selects for this GOOS/GOARCH without the
-// race tag, and Go source only: it cannot see assembly. A kernel with an
+// It loads the files `go list` reports that `go build` selects for this
+// GOOS/GOARCH without the race tag, and Go source only: it cannot see
+// assembly. A kernel with an
 // assembly body (rowrun_amd64.s, blas/gemm_amd64.s) is a declaration
 // without a body here, so the //sparselint:hotpath roots stay on the Go
 // dispatchers that choose between the assembly and the Go bodies, and the
@@ -169,8 +174,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// lintWorkers is the bounded pool size for the parallel phases (package
-// parsing, analyzer execution).
+// lintWorkers is the bounded pool size for running analyzers.
 func lintWorkers() int {
 	return min(max(runtime.NumCPU(), 1), 8)
 }

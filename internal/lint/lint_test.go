@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,20 @@ func TestRepoIsClean(t *testing.T) {
 	prog, err := LoadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The loaded packages are `go list ./...` of the module and of the
+	// benchmark module nested in it, less the root package, which has only
+	// test files.
+	const withFiles = "{{if .GoFiles}}{{.ImportPath}}{{end}}"
+	want := append(listPaths(t, "../..", withFiles, "./..."), listPaths(t, "../../benchmark", withFiles, "./...")...)
+	var got []string
+	for _, p := range prog.Pkgs {
+		got = append(got, p.Path)
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) || !slices.Contains(got, "sparsetask/benchmark") {
+		t.Errorf("loaded packages %v, want %v", got, want)
 	}
 	findings := Run(prog, Analyzers())
 	for _, f := range findings {

@@ -1,19 +1,20 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked module package.
@@ -32,26 +33,66 @@ type Program struct {
 	Pkgs []*Package
 }
 
-// loader type-checks module packages against a shared stdlib source
-// importer. It implements types.ImporterFrom: module-internal imports are
-// served from the already-checked set, everything else falls through to the
-// stdlib `source` importer.
+// listedPackage is the part of one `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string // compiled export data, from -export
+	DepOnly    bool   // listed by -deps, not matched by the patterns
+}
+
+// goList runs `go list -deps -export` over patterns in dir and returns the
+// packages in the order it prints them: every package after its
+// dependencies. -export builds what is listed, as `go build` would, so a
+// package that does not compile is an error naming it.
+func goList(dir string, patterns ...string) ([]listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s in %s: %v\n%s", strings.Join(patterns, " "), dir, err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list %s in %s: %v", strings.Join(patterns, " "), dir, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// loader type-checks the packages go list matched from source and imports
+// every other package from the export data go list built. It implements
+// types.ImporterFrom: packages already checked from source are served as
+// they are, so one import path is one *types.Package across modules.
 type loader struct {
-	fset    *token.FileSet
-	stdlib  types.ImporterFrom
+	prog    *Program
+	export  map[string]string // import path → export data file
+	gc      types.ImporterFrom
 	checked map[string]*types.Package
 }
 
-func newLoader(fset *token.FileSet) *loader {
-	// The source importer re-type-checks imports from source and cannot run
-	// cgo preprocessing; with cgo off, go/build selects the pure-Go fallbacks
-	// (net, os/user) that exist for exactly this situation.
-	build.Default.CgoEnabled = false
-	return &loader{
-		fset:    fset,
-		stdlib:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+func newLoader() *loader {
+	l := &loader{
+		prog:    &Program{Fset: token.NewFileSet()},
+		export:  make(map[string]string),
 		checked: make(map[string]*types.Package),
 	}
+	l.gc = importer.ForCompiler(l.prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.export[path]
+		if !ok {
+			return nil, fmt.Errorf("go list built no export data for %s", path)
+		}
+		return os.Open(file)
+	}).(types.ImporterFrom)
+	return l
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -62,11 +103,44 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	if p, ok := l.checked[path]; ok {
 		return p, nil
 	}
-	return l.stdlib.ImportFrom(path, dir, mode)
+	return l.gc.ImportFrom(path, dir, mode)
 }
 
-// check type-checks one package and records it for importers downstream.
-func (l *loader) check(path, dir string, files []*ast.File) (*Package, error) {
+// load records the export data of listed and type-checks, in list order,
+// every package the patterns matched that has Go files; list order puts
+// each package's imports before it. A matched package is checked as asPath
+// when that is not empty.
+func (l *loader) load(listed []listedPackage, asPath string) error {
+	for _, p := range listed {
+		if p.Export != "" {
+			l.export[p.ImportPath] = p.Export
+		}
+		if p.DepOnly || len(p.GoFiles) == 0 {
+			continue
+		}
+		path := p.ImportPath
+		if asPath != "" {
+			path = asPath
+		}
+		if err := l.check(path, p.Dir, p.GoFiles); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check parses names in dir, with comments, which carry the annotations
+// and suppressions, type-checks them as path and records the package for
+// importers downstream.
+func (l *loader) check(path, dir string, names []string) error {
+	files := make([]*ast.File, len(names))
+	for i, name := range names {
+		f, err := parser.ParseFile(l.prog.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		files[i] = f
+	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -79,129 +153,42 @@ func (l *loader) check(path, dir string, files []*ast.File) (*Package, error) {
 		Importer: l,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, l.prog.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
+		return fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	l.checked[path] = tpkg
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	l.prog.Pkgs = append(l.prog.Pkgs, &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info})
+	return nil
 }
 
-// LoadModule loads every package of the module rooted at (or above) root:
-// parse all non-test .go files, order packages by intra-module imports, and
-// type-check each. Test files and testdata/vendor trees are skipped — the
+// LoadModule loads the module rooted at (or above) root and every module
+// nested under it: one `go list -deps -export ./...` per module, the root
+// module first. The files `go build` selects for each package are parsed
+// and type-checked from source; every other import is read from its export
+// data. Test files and testdata/vendor trees are not listed — the
 // invariants sparselint enforces are about production task bodies, and the
 // tests exercise deques and schedulers in ways the rules forbid on purpose.
 func LoadModule(root string) (*Program, error) {
-	modRoot, modPath, err := findModule(root)
+	modRoot, err := findModule(root)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := packageDirs(modRoot)
+	mods, err := nestedModules(modRoot)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-
-	// Parsing is embarrassingly parallel (token.FileSet is concurrency-safe)
-	// and dominates load time after the stdlib import cache warms; fan it out
-	// over a bounded pool. Results are consumed in directory order, so the
-	// program layout stays deterministic.
-	parsedFiles := make([][]*ast.File, len(dirs))
-	parseErrs := make([]error, len(dirs))
-	sem := make(chan struct{}, lintWorkers())
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			parsedFiles[i], parseErrs[i] = parseDir(fset, dir)
-		}(i, dir)
-	}
-	wg.Wait()
-
-	type parsed struct {
-		path    string
-		dir     string
-		files   []*ast.File
-		imports map[string]bool
-	}
-	var pkgs []*parsed
-	byPath := make(map[string]*parsed)
-	for i, dir := range dirs {
-		files, err := parsedFiles[i], parseErrs[i]
+	l := newLoader()
+	for _, dir := range append([]string{modRoot}, mods...) {
+		listed, err := goList(dir, "./...")
 		if err != nil {
 			return nil, err
 		}
-		if len(files) == 0 {
-			continue
-		}
-		rel, err := filepath.Rel(modRoot, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := modPath
-		if rel != "." {
-			path = modPath + "/" + filepath.ToSlash(rel)
-		}
-		p := &parsed{path: path, dir: dir, files: files, imports: make(map[string]bool)}
-		for _, f := range files {
-			for _, imp := range f.Imports {
-				p.imports[strings.Trim(imp.Path.Value, `"`)] = true
-			}
-		}
-		pkgs = append(pkgs, p)
-		byPath[path] = p
-	}
-
-	// Topological order over intra-module imports so every internal
-	// dependency is checked before its importers.
-	var order []*parsed
-	state := make(map[*parsed]int) // 0 new, 1 visiting, 2 done
-	var visit func(p *parsed) error
-	visit = func(p *parsed) error {
-		switch state[p] {
-		case 1:
-			return fmt.Errorf("import cycle through %s", p.path)
-		case 2:
-			return nil
-		}
-		state[p] = 1
-		deps := make([]string, 0, len(p.imports))
-		for imp := range p.imports {
-			deps = append(deps, imp)
-		}
-		sort.Strings(deps)
-		for _, imp := range deps {
-			if dep, ok := byPath[imp]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p] = 2
-		order = append(order, p)
-		return nil
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].path < pkgs[j].path })
-	for _, p := range pkgs {
-		if err := visit(p); err != nil {
+		if err := l.load(listed, ""); err != nil {
 			return nil, err
 		}
 	}
-
-	l := newLoader(fset)
-	prog := &Program{Fset: fset}
-	for _, p := range order {
-		pkg, err := l.check(p.path, p.dir, p.files)
-		if err != nil {
-			return nil, err
-		}
-		prog.Pkgs = append(prog.Pkgs, pkg)
-	}
-	return prog, nil
+	return l.prog, nil
 }
 
 // LoadFixture loads a single directory of fixture files as one package under
@@ -212,96 +199,53 @@ func LoadFixture(dir, asPath string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
+	listed, err := goList(dir, ".")
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
+	l := newLoader()
+	if err := l.load(listed, asPath); err != nil {
+		return nil, err
+	}
+	if len(l.prog.Pkgs) == 0 {
 		return nil, fmt.Errorf("no fixture files in %s", dir)
 	}
-	pkg, err := newLoader(fset).check(asPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{Fset: fset, Pkgs: []*Package{pkg}}, nil
+	return l.prog, nil
 }
 
-// findModule walks up from root to the enclosing go.mod and returns the
-// module root directory and module path.
-func findModule(root string) (dir, path string, err error) {
-	dir, err = filepath.Abs(root)
+// findModule walks up from dir to the nearest directory holding a go.mod.
+func findModule(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod has no module directive", dir)
+	for d := dir; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found at or above %s", root)
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("no go.mod found at or above %s", dir)
 		}
-		dir = parent
+		d = parent
 	}
 }
 
-// packageDirs lists every directory under root that holds non-test .go
-// files, skipping testdata, vendor, and hidden trees.
-func packageDirs(root string) ([]string, error) {
-	var dirs []string
+// nestedModules lists the directories under root, not root itself, that
+// hold a go.mod of their own, skipping testdata, vendor and hidden trees.
+func nestedModules(root string) ([]string, error) {
+	var mods []string
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
-			dir := filepath.Dir(p)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+		switch name := d.Name(); {
+		case d.IsDir() && p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")):
+			return filepath.SkipDir
+		case !d.IsDir() && name == "go.mod" && p != filepath.Join(root, name):
+			mods = append(mods, filepath.Dir(p))
 		}
 		return nil
 	})
-	return dirs, err
-}
-
-// parseDir parses every non-test .go file in dir that the default build
-// selects — this GOOS/GOARCH, no race tag, as `go build` sees the package —
-// with comments, which carry the annotations and suppressions.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil {
-			return nil, err
-		} else if !ok {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
+	return mods, err
 }

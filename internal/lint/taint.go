@@ -88,10 +88,15 @@ func runTaint(pass *Pass) {
 	tc.findIngressTypes()
 	tc.findValidatedFields()
 
-	// Phase 1: summaries, callee-first. Mutually recursive components are
-	// iterated until their summaries stop changing (the facts only grow, so
-	// this converges).
+	// Phase 1: summaries, callee-first. A function on no cycle is solved
+	// once: its callees' summaries are final. The members of a cycle
+	// (mutual recursion, or a function that calls itself) are iterated until
+	// their summaries stop changing (the facts only grow, so this converges).
 	for _, scc := range pass.Graph.SCCs() {
+		if !recursive(pass.Graph, scc) {
+			tc.summarize(scc[0])
+			continue
+		}
 		for iter := 0; iter < 8; iter++ {
 			changed := false
 			for _, f := range scc {
@@ -113,6 +118,20 @@ func runTaint(pass *Pass) {
 			tc.checkBody(pkg, fb, nil, nil)
 		}
 	}
+}
+
+// recursive reports whether the component scc is a cycle of the call graph:
+// more than one function, or one that calls itself.
+func recursive(g *CallGraph, scc []*types.Func) bool {
+	if len(scc) > 1 {
+		return true
+	}
+	for _, e := range g.EdgesFrom(scc[0]) {
+		if e.Callee == scc[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // findIngressTypes collects every named struct type that is a JSON decode

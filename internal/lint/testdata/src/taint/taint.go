@@ -99,6 +99,20 @@ func viaHelperSink(q *Req) []float64 {
 	return alloc(q.N) // want `untrusted Req\.N .* reaches a make size/capacity without a validating clamp \[flow: alloc\]`
 }
 
+// swapSize reaches its make with b directly, and with a only through the
+// call to itself, which swaps them: what a is owed is known once swapSize
+// is solved again with its own summary.
+func swapSize(a, b int) []float64 {
+	if a >= 0 {
+		return swapSize(b, a)
+	}
+	return make([]float64, b)
+}
+
+func viaRecursion(q *Req) []float64 {
+	return swapSize(q.N, 0) // want `untrusted Req\.N .* reaches a make size/capacity without a validating clamp \[flow: swapSize → swapSize\]`
+}
+
 // sizeOf births the taint inside a helper: the summary's result flow carries
 // the source to the caller.
 func sizeOf(r *http.Request) int {

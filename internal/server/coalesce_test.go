@@ -57,7 +57,7 @@ func TestCoalesceSameMatrixBatches(t *testing.T) {
 	mm := spdTridiagMM(24)
 	jobs := make([]*Job, 4)
 	for i := range jobs {
-		j, err := e.Submit(cgSpec(mm, int64(i+1)))
+		j, _, err := e.Submit(cgSpec(mm, int64(i+1)))
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -109,7 +109,7 @@ func TestCoalescePCGBatch(t *testing.T) {
 	for i := range jobs {
 		spec := cgSpec(mm, int64(i+1))
 		spec.Solver = "pcg"
-		j, err := e.Submit(spec)
+		j, _, err := e.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -152,7 +152,7 @@ func TestCoalesceDistinctMatricesNeverCross(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				spec := cgSpec(mats[rng.Intn(len(mats))], rng.Int63n(100)+1)
-				j, err := e.Submit(spec)
+				j, _, err := e.Submit(spec)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -193,7 +193,7 @@ func TestCoalesceCancelWhileQueuedExcluded(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 1,
 		CoalesceMax: 4, CoalesceWindow: 200 * time.Millisecond})
 	// Occupy the single worker so the cg group cannot start yet.
-	blocker, err := e.Submit(JobSpec{Solver: "lobpcg", Backend: "deepsparse",
+	blocker, _, err := e.Submit(JobSpec{Solver: "lobpcg", Backend: "deepsparse",
 		Matrix: MatrixSpec{MM: diag4}, Iters: 500000})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestCoalesceCancelWhileQueuedExcluded(t *testing.T) {
 	mm := spdTridiagMM(24)
 	jobs := make([]*Job, 3)
 	for i := range jobs {
-		j, err := e.Submit(cgSpec(mm, int64(i+1)))
+		j, _, err := e.Submit(cgSpec(mm, int64(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestCoalesceCancelWhileQueuedExcluded(t *testing.T) {
 func TestCoalesceNonBatchableSplitsGroups(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 1,
 		CoalesceMax: 8, CoalesceWindow: 500 * time.Millisecond})
-	blocker, err := e.Submit(JobSpec{Solver: "lobpcg", Backend: "deepsparse",
+	blocker, _, err := e.Submit(JobSpec{Solver: "lobpcg", Backend: "deepsparse",
 		Matrix: MatrixSpec{MM: diag4}, Iters: 500000})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestCoalesceNonBatchableSplitsGroups(t *testing.T) {
 		{Solver: "lanczos", Backend: "deepsparse", Matrix: MatrixSpec{MM: diag4}, K: 4},
 		cgSpec(mm, 3), cgSpec(mm, 4),
 	} {
-		j, err := e.Submit(spec)
+		j, _, err := e.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestCoalesceMatchesSingleJob(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			jobs := make([]*Job, size)
 			for i := range jobs {
-				j, err := e.Submit(spec(int64(7 + i)))
+				j, _, err := e.Submit(spec(int64(7 + i)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -395,7 +395,7 @@ func TestFailureSameAloneAndBatched(t *testing.T) {
 		batched := newTestEngine(t, Config{Workers: 1, RTWorkers: 2, CoalesceMax: 3, CoalesceWindow: 10 * time.Second})
 		var jobs [3]*Job
 		for i := range jobs {
-			j, err := batched.Submit(spec(int64(i + 1)))
+			j, _, err := batched.Submit(spec(int64(i + 1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,7 +403,7 @@ func TestFailureSameAloneAndBatched(t *testing.T) {
 		}
 		for i, j := range jobs {
 			in := waitTerminal(t, j, 30*time.Second)
-			ref, err := single.Submit(spec(int64(i + 1)))
+			ref, _, err := single.Submit(spec(int64(i + 1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +441,7 @@ func TestCancelSameAloneAndBatched(t *testing.T) {
 		}
 	}
 	single := newTestEngine(t, Config{Workers: 1, RTWorkers: 2})
-	alone, err := single.Submit(cgSpec(mm, 1))
+	alone, _, err := single.Submit(cgSpec(mm, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestCancelSameAloneAndBatched(t *testing.T) {
 	batched := newTestEngine(t, Config{Workers: 1, RTWorkers: 2, CoalesceMax: 2, CoalesceWindow: 10 * time.Second})
 	var jobs [2]*Job
 	for i := range jobs {
-		if jobs[i], err = batched.Submit(cgSpec(mm, int64(i+1))); err != nil {
+		if jobs[i], _, err = batched.Submit(cgSpec(mm, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func TestCancelSameAloneAndBatched(t *testing.T) {
 
 	timed := cgSpec(mm, 1)
 	timed.DeadlineMS = 50
-	late, err := single.Submit(timed)
+	late, _, err := single.Submit(timed)
 	if err != nil {
 		t.Fatal(err)
 	}

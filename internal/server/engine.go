@@ -267,34 +267,38 @@ func (e *Engine) dispatch() {
 // for the retry. The work is bounded by MaxJobBodyBytes, like the decode
 // before it; a suite matrix, whose generation cost no request bounds, is
 // built by the worker that runs the job.
-func (e *Engine) Submit(spec JobSpec) (*Job, error) {
+//
+// The view Submit returns is the job as admitted, taken before the job
+// reaches the queue: a worker may claim it before Submit returns.
+func (e *Engine) Submit(spec JobSpec) (*Job, JobView, error) {
 	job := &Job{Spec: spec, identity: spec.Matrix.Identity(), state: StateQueued}
 	if spec.Matrix.MM != "" {
 		adm, err := e.lookupOperator(job)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadMatrix, err)
+			return nil, JobView{}, fmt.Errorf("%w: %w", ErrBadMatrix, err)
 		}
 		job.admitted = adm
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
-		return nil, ErrDraining
+		return nil, JobView{}, ErrDraining
 	}
 	e.seq++
 	job.ID = fmt.Sprintf("job-%d", e.seq)
 	job.submitted = time.Now()
+	view := job.View()
 	select {
 	case e.queue <- job:
 	default:
 		e.seq-- // never existed
 		e.metrics.Rejected.Add(1)
-		return nil, fmt.Errorf("%w (%d jobs)", ErrQueueFull, cap(e.queue))
+		return nil, JobView{}, fmt.Errorf("%w (%d jobs)", ErrQueueFull, cap(e.queue))
 	}
 	e.jobs[job.ID] = job
 	e.order = append(e.order, job.ID)
 	e.metrics.Submitted.Add(1)
-	return job, nil
+	return job, view, nil
 }
 
 // JobByID returns a tracked job, or nil.

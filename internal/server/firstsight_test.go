@@ -113,7 +113,7 @@ func TestCoalescedBatchTimingsOnFirstMemberOnly(t *testing.T) {
 	mm := suiteAsMM(t, 1)
 	var jobs []*Job
 	for seed := int64(1); seed <= 3; seed++ {
-		j, err := e.Submit(cgSpec(mm, seed))
+		j, _, err := e.Submit(cgSpec(mm, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"math"
 	"strconv"
 	"sync"
@@ -81,44 +82,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSet keys Histograms by a small dynamic label — the solver kind —
-// for the per-kind latency breakdowns on /metrics.
-type HistogramSet struct {
-	mu sync.Mutex
-	m  map[string]*Histogram
-}
-
-// Observe records one duration under the given kind.
-func (s *HistogramSet) Observe(kind string, d time.Duration) {
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string]*Histogram)
-	}
-	h := s.m[kind]
-	if h == nil {
-		h = &Histogram{}
-		s.m[kind] = h
-	}
-	s.mu.Unlock()
-	h.Observe(d)
-}
-
-// Snapshot freezes every kind's histogram. Never nil, so the JSON field is
-// {} rather than null before the first observation.
-func (s *HistogramSet) Snapshot() map[string]HistogramSnapshot {
-	s.mu.Lock()
-	hs := make(map[string]*Histogram, len(s.m))
-	for k, h := range s.m {
-		hs[k] = h
-	}
-	s.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(hs))
-	for k, h := range hs {
-		out[k] = h.Snapshot()
-	}
-	return out
-}
-
 // SizeHistogram counts small integer observations — dispatcher batch sizes —
 // exactly, rather than in log buckets.
 type SizeHistogram struct {
@@ -167,36 +130,49 @@ func (h *SizeHistogram) Snapshot() SizeHistogramSnapshot {
 	return s
 }
 
-// SizeHistogramSet keys SizeHistograms by solver kind.
-type SizeHistogramSet struct {
-	mu sync.Mutex
-	m  map[string]*SizeHistogram
+// labeled is a histogram a LabeledSet holds: *H observes a V and freezes
+// into an S.
+type labeled[H, V, S any] interface {
+	*H
+	Observe(V)
+	Snapshot() S
 }
 
-// Observe records one size under the given kind.
-func (s *SizeHistogramSet) Observe(kind string, n int) {
+// LabeledSet keys histograms by a small dynamic label — the solver kind —
+// for the per-kind breakdowns on /metrics. The zero value is empty and ready.
+type LabeledSet[H, V, S any, P labeled[H, V, S]] struct {
+	mu sync.Mutex
+	m  map[string]P
+}
+
+// HistogramSet is latencies by solver kind; SizeHistogramSet, sizes.
+type (
+	HistogramSet     = LabeledSet[Histogram, time.Duration, HistogramSnapshot, *Histogram]
+	SizeHistogramSet = LabeledSet[SizeHistogram, int, SizeHistogramSnapshot, *SizeHistogram]
+)
+
+// Observe records v under the given kind.
+func (s *LabeledSet[H, V, S, P]) Observe(kind string, v V) {
 	s.mu.Lock()
 	if s.m == nil {
-		s.m = make(map[string]*SizeHistogram)
+		s.m = make(map[string]P)
 	}
 	h := s.m[kind]
 	if h == nil {
-		h = &SizeHistogram{}
+		h = new(H)
 		s.m[kind] = h
 	}
 	s.mu.Unlock()
-	h.Observe(n)
+	h.Observe(v)
 }
 
-// Snapshot freezes every kind's size histogram (never nil).
-func (s *SizeHistogramSet) Snapshot() map[string]SizeHistogramSnapshot {
+// Snapshot freezes every kind's histogram. Never nil, so the JSON field is
+// {} rather than null before the first observation.
+func (s *LabeledSet[H, V, S, P]) Snapshot() map[string]S {
 	s.mu.Lock()
-	hs := make(map[string]*SizeHistogram, len(s.m))
-	for k, h := range s.m {
-		hs[k] = h
-	}
+	hs := maps.Clone(s.m)
 	s.mu.Unlock()
-	out := make(map[string]SizeHistogramSnapshot, len(hs))
+	out := make(map[string]S, len(hs))
 	for k, h := range hs {
 		out[k] = h.Snapshot()
 	}

@@ -39,7 +39,7 @@ func TestNonFiniteMatrixFailsTheJob(t *testing.T) {
 	mm := symMM4("2", "2", "nan", "2", "-1")
 	want := `bad matrix: sparse: non-finite value "nan" at MatrixMarket entry (3,3)`
 	for _, solver := range []string{"lanczos", "lobpcg", "cg"} {
-		j, err := s.Submit(eigenSpec(solver, mm))
+		j, _, err := s.Submit(eigenSpec(solver, mm))
 		if j != nil || !errors.Is(err, ErrBadMatrix) || err.Error() != want {
 			t.Errorf("%s: Submit = %v, %v; want no job and %q", solver, j, err, want)
 		}
@@ -62,7 +62,7 @@ func TestOverflowingEigenResultFails(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 2})
 	mm := symMM4("1e300", "2e300", "3e300", "4e300", "1e300")
 	for _, solver := range []string{"lanczos", "lobpcg"} {
-		j, err := e.Submit(eigenSpec(solver, mm))
+		j, _, err := e.Submit(eigenSpec(solver, mm))
 		if err != nil {
 			t.Fatal(err)
 		}

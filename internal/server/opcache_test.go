@@ -22,7 +22,7 @@ import (
 // solve submits one job and waits for it to finish successfully.
 func solve(t *testing.T, e *Engine, spec JobSpec) *JobResult {
 	t.Helper()
-	j, err := e.Submit(spec)
+	j, _, err := e.Submit(spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestCacheHitBitIdenticalCoalescedBatch(t *testing.T) {
 		for i := range jobs {
 			spec := suiteSpec("pcg", 1)
 			spec.Seed = int64(i + 1)
-			j, err := e.Submit(spec)
+			j, _, err := e.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +216,7 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 				spec := suiteSpec("lanczos", 3)
 				spec.Matrix = m
 				spec.Block = 64 << (i % 2)
-				j, err := e.Submit(spec)
+				j, _, err := e.Submit(spec)
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return
@@ -260,7 +260,7 @@ func TestRefusedSubmissionLeavesOperatorCached(t *testing.T) {
 	blocker := JobSpec{Solver: "lobpcg", Backend: "deepsparse", Iters: 500000, Matrix: MatrixSpec{MM: diag4}}
 	var waiting []*Job
 	for i := 0; i < 3; i++ { // one running, one in the dispatcher's hand, one queued
-		j, err := e.Submit(blocker)
+		j, _, err := e.Submit(blocker)
 		if err != nil {
 			t.Fatalf("blocker %d: %v", i, err)
 		}
@@ -272,7 +272,7 @@ func TestRefusedSubmissionLeavesOperatorCached(t *testing.T) {
 		}
 	}
 	spec := cgSpec(spdTridiagMM(40), 1)
-	if j, err := e.Submit(spec); !errors.Is(err, ErrQueueFull) {
+	if j, _, err := e.Submit(spec); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit into a full queue: %v, %v; want ErrQueueFull", j, err)
 	}
 	if st, _ := e.operators.Stats(); st.Builds != 2 || st.Size != 2 {
@@ -334,8 +334,8 @@ func TestDrainWithBuildInFlight(t *testing.T) {
 	e := NewEngine(Config{Workers: 2, RTWorkers: 1})
 	spec := JobSpec{Solver: "lanczos", Backend: "deepsparse", K: 4,
 		Matrix: MatrixSpec{Suite: "inline1", Preset: "small"}}
-	a, errA := e.Submit(spec)
-	b, errB := e.Submit(spec)
+	a, _, errA := e.Submit(spec)
+	b, _, errB := e.Submit(spec)
 	if errA != nil || errB != nil {
 		t.Fatalf("submit: %v, %v", errA, errB)
 	}
@@ -352,7 +352,7 @@ func TestDrainWithBuildInFlight(t *testing.T) {
 	if st, _ := e.operators.Stats(); st.Builds != 1 {
 		t.Errorf("builds = %d, want 1", st.Builds)
 	}
-	if _, err := e.Submit(spec); !errors.Is(err, ErrDraining) {
+	if _, _, err := e.Submit(spec); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: %v, want ErrDraining", err)
 	}
 }

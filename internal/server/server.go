@@ -108,7 +108,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, err)
 		return
 	}
-	job, err := s.Submit(spec)
+	_, view, err := s.Submit(spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBadMatrix):
@@ -122,7 +122,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, job.View())
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
