@@ -20,7 +20,12 @@ import (
 	"sparsetask/internal/matgen"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status (2 for a usage error, 1 for
+// a failed run) rather than exiting, so that every path stops and closes the
+// CPU profile first and a failed run still leaves a complete profile.
+func run() (code int) {
 	var (
 		expID    = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		list     = flag.Bool("list", false, "list available experiments")
@@ -36,7 +41,7 @@ func main() {
 	flag.Parse()
 	if *iters < 0 || *maxMat < 0 {
 		fmt.Fprintf(os.Stderr, "sparsebench: -iters %d, -maxmatrices %d: counts cannot be negative\n", *iters, *maxMat)
-		os.Exit(2)
+		return 2
 	}
 
 	if *list {
@@ -44,41 +49,14 @@ func main() {
 		for _, e := range bench.All() {
 			fmt.Printf("  %-10s %-9s %s\n", e.ID, e.Paper, e.Desc)
 		}
-		return
+		return 0
 	}
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "sparsebench: -exp required (use -list to see options)")
-		os.Exit(2)
+		return 2
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	p, err := matgen.PresetByName(*preset)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := &bench.Config{
-		Preset:      p,
-		Seed:        *seed,
-		Iterations:  *iters,
-		MaxMatrices: *maxMat,
-		Out:         os.Stdout,
-	}
-	if *matrices != "" {
-		cfg.Matrices = strings.Split(*matrices, ",")
-	}
-
-	var exps []bench.Experiment
-	if *expID == "all" {
-		exps = bench.All()
-	} else {
+	exps := bench.All()
+	if *expID != "all" {
 		e, err := bench.ByID(*expID)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sparsebench: unknown experiment %q\n", *expID)
@@ -87,33 +65,73 @@ func main() {
 				fmt.Fprintf(os.Stderr, "  %-10s %-9s %s\n", known.ID, known.Paper, known.Desc)
 			}
 			fmt.Fprintln(os.Stderr, "  all        (run every experiment)")
-			os.Exit(2)
+			return 2
 		}
 		exps = []bench.Experiment{e}
+	}
+	p, err := matgen.PresetByName(*preset)
+	if err != nil {
+		return fail(err)
+	}
+	cfg := &bench.Config{
+		Preset:      p,
+		Seed:        *seed,
+		Iterations:  *iters,
+		MaxMatrices: *maxMat,
+	}
+	if *matrices != "" {
+		cfg.Matrices = strings.Split(*matrices, ",")
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 	for _, e := range exps {
 		rep, err := e.Run(cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		if err := rep.Write(os.Stdout); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
+		if err := writeHeapProfile(*memprofile); err != nil {
+			return fail(err)
 		}
-		runtime.GC() // report only live allocations
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
 	}
+	return 0
 }
 
-func fatal(err error) {
+// writeHeapProfile writes a profile of the live heap to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // report only live allocations
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// fail reports err and returns the exit status of a failed run.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "sparsebench:", err)
-	os.Exit(1)
+	return 1
 }

@@ -30,9 +30,9 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		}
 	}
 	// Exactly the paper's evaluation: Table 1, Figs. 3 and 5-14, the §5.4
-	// sweep, the §5.1 ablations, the §5.2 locality comparison and the
-	// headline summary. Adding or dropping an experiment must edit this list.
-	want := []string{"table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "heuristic", "locality", "ablation", "headline"}
+	// sweep, the §5.1 ablations and the headline summary. Adding or
+	// dropping an experiment must edit this list.
+	want := []string{"table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "heuristic", "ablation", "headline"}
 	for _, id := range want {
 		if !ids[id] {
 			t.Errorf("missing experiment %s", id)
@@ -286,36 +286,5 @@ func TestAblation(t *testing.T) {
 	// ablation must not show them losing.
 	if g := r.Metrics["geomean/ds-depthfirst"]; g < 0.97 {
 		t.Errorf("depth-first bias geomean %v, should not lose to FIFO", g)
-	}
-}
-
-func TestLocality(t *testing.T) {
-	r, err := runLocality(tinyCfg("inline1", "nlpkkt160"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := r.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "sim/inline1") || strings.Contains(b.String(), "exec/") {
-		t.Fatalf("report missing expected rows:\n%s", b.String())
-	}
-	// The §5.2 A/B: with machine, costs, and overheads held fixed, the
-	// hierarchical steal topology must beat uniform-random stealing on both
-	// LLC misses and the cross-domain miss share — strictly, per matrix (the
-	// simulator is deterministic under a fixed seed).
-	for _, name := range []string{"inline1", "nlpkkt160"} {
-		hier := r.Metrics["sim/"+name+"/l3_hier"]
-		rand := r.Metrics["sim/"+name+"/l3_rand"]
-		if hier <= 0 || rand <= 0 {
-			t.Fatalf("%s: missing miss metrics (hier %v, rand %v)", name, hier, rand)
-		}
-		if hier >= rand {
-			t.Errorf("%s: hierarchical stealing should miss less: %v >= %v", name, hier, rand)
-		}
-		if rs, rr := r.Metrics["sim/"+name+"/remote_share_hier"], r.Metrics["sim/"+name+"/remote_share_rand"]; rs >= rr {
-			t.Errorf("%s: hierarchical remote share %v >= random %v", name, rs, rr)
-		}
 	}
 }

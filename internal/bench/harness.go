@@ -39,14 +39,6 @@ type Config struct {
 	Matrices []string
 	// MaxMatrices caps suite size (0 = no cap); useful for quick runs.
 	MaxMatrices int
-	Out         io.Writer
-}
-
-func (c *Config) out() io.Writer {
-	if c.Out == nil {
-		return io.Discard
-	}
-	return c.Out
 }
 
 func (c *Config) iters(def int) int {
@@ -169,7 +161,6 @@ func All() []Experiment {
 		{"fig13", "Fig. 13", "LOBPCG execution flow graph (nlpkkt240 analog)", runFig13},
 		{"fig14", "Fig. 14", "performance profiles of block-count bins (LOBPCG)", runFig14},
 		{"heuristic", "§5.4", "block-size sweep: tasking overhead vs parallelism", runHeuristic},
-		{"locality", "§5.2", "hierarchical vs uniform-random stealing: locality and LLC misses", runLocality},
 		{"ablation", "§5.1", "scheduling ablations: HPX NUMA hints, Regent tracing, depth-first bias", runAblation},
 		{"headline", "Abstract", "headline speedups and cache-miss reductions", runHeadline},
 	}

@@ -19,32 +19,15 @@ const MaxDomains = 8
 
 // Counters aggregates simulated memory-system events.
 type Counters struct {
-	L1Hit, L1Miss   int64
-	L2Hit, L2Miss   int64
-	L3Hit, L3Miss   int64
-	MemLines        int64 // lines fetched from memory
-	RemoteLines     int64 // lines fetched from a remote NUMA domain
-	WritebackLines  int64 // dirty lines written back to memory on LLC eviction
-	PagesFirstTouch int64 // pages placed by first touch
+	L1Hit, L1Miss  int64
+	L2Hit, L2Miss  int64
+	L3Hit, L3Miss  int64 // each L3 miss is one line fetched from memory
+	RemoteLines    int64 // of the L3Miss lines, those a remote NUMA domain served
+	WritebackLines int64 // dirty lines written back to memory on LLC eviction
 	// DomLines counts memory lines served by each owning domain's
 	// controller — the input to the bandwidth-contention model (serial
 	// initialization funnels everything through domain 0).
 	DomLines [MaxDomains]int64
-	// ByDomain attributes misses to the *accessing* core's domain — filled
-	// only when the hierarchy runs with DomainAware set. Where DomLines asks
-	// "whose memory served this line", ByDomain asks "whose cores went to
-	// memory", which is what a locality-aware scheduler changes.
-	ByDomain [MaxDomains]DomainCounters
-}
-
-// DomainCounters is the per-accessing-domain miss breakdown of the
-// domain-aware mode: LLC misses issued by the domain's cores, split into
-// lines its own memory served (Local) and lines fetched cross-domain
-// (Remote).
-type DomainCounters struct {
-	L3Miss int64
-	Local  int64
-	Remote int64
 }
 
 // Add accumulates other into c.
@@ -55,17 +38,10 @@ func (c *Counters) Add(o Counters) {
 	c.L2Miss += o.L2Miss
 	c.L3Hit += o.L3Hit
 	c.L3Miss += o.L3Miss
-	c.MemLines += o.MemLines
 	c.RemoteLines += o.RemoteLines
 	c.WritebackLines += o.WritebackLines
-	c.PagesFirstTouch += o.PagesFirstTouch
 	for d := range c.DomLines {
 		c.DomLines[d] += o.DomLines[d]
-	}
-	for d := range c.ByDomain {
-		c.ByDomain[d].L3Miss += o.ByDomain[d].L3Miss
-		c.ByDomain[d].Local += o.ByDomain[d].Local
-		c.ByDomain[d].Remote += o.ByDomain[d].Remote
 	}
 }
 
@@ -139,12 +115,6 @@ type Hierarchy struct {
 	// page lives in domain 0 (the serial-initialization pathology of the
 	// paper's Fig. 5).
 	FirstTouch bool
-	// DomainAware additionally attributes every LLC miss to the accessing
-	// core's domain in Counters.ByDomain — the per-domain view the §5.2
-	// locality experiment compares across stealing policies. Off by default
-	// because the extra accounting is pure overhead for the other
-	// experiments.
-	DomainAware bool
 
 	l1, l2 []*cache // per core
 	l3     []*cache // per L3 group
@@ -215,7 +185,6 @@ func (h *Hierarchy) Access(core int, base uint64, bytes int64, write bool, ctr *
 			continue
 		}
 		ctr.L3Miss++
-		ctr.MemLines++
 		// NUMA: which domain owns the page?
 		page := line >> (h.pageShift - uint(lineShift(h.lineBytes)))
 		owner, ok := h.pageDom[page]
@@ -226,22 +195,12 @@ func (h *Hierarchy) Access(core int, base uint64, bytes int64, write bool, ctr *
 				owner = 0
 			}
 			h.pageDom[page] = owner
-			ctr.PagesFirstTouch++
 		}
 		if int(owner) != dom {
 			ctr.RemoteLines++
 		}
 		if int(owner) < MaxDomains {
 			ctr.DomLines[owner]++
-		}
-		if h.DomainAware && dom < MaxDomains {
-			bd := &ctr.ByDomain[dom]
-			bd.L3Miss++
-			if int(owner) == dom {
-				bd.Local++
-			} else {
-				bd.Remote++
-			}
 		}
 	}
 }

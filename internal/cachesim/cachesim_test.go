@@ -21,7 +21,7 @@ func TestColdMissesThenHits(t *testing.T) {
 	h := New(tinyModel(), true)
 	var c Counters
 	h.Access(0, 0x100000, 512, false, &c) // 8 lines, all cold
-	if c.L1Miss != 8 || c.L1Hit != 0 || c.MemLines != 8 {
+	if c.L1Miss != 8 || c.L1Hit != 0 || c.L3Miss != 8 {
 		t.Fatalf("cold pass: %+v", c)
 	}
 	var c2 Counters
@@ -75,7 +75,7 @@ func TestPrivateCachesPerCore(t *testing.T) {
 	// Core 2 is in another L3 group: full cold miss.
 	var c3 Counters
 	h.Access(2, 0x100000, 512, false, &c3)
-	if c3.L3Hit != 0 || c3.MemLines != 8 {
+	if c3.L3Hit != 0 || c3.L3Miss != 8 {
 		t.Fatalf("core 2 in other L3 group should miss: %+v", c3)
 	}
 }
@@ -92,8 +92,25 @@ func TestFirstTouchPlacement(t *testing.T) {
 	hOff := New(tinyModel(), false)
 	var c2 Counters
 	hOff.Access(3, 0x200000, 4096, false, &c2)
-	if c2.RemoteLines != c2.MemLines || c2.RemoteLines == 0 {
+	if c2.RemoteLines != c2.L3Miss || c2.RemoteLines == 0 {
 		t.Fatalf("without first touch, domain-1 fetches should be remote: %+v", c2)
+	}
+
+	// Core 0 (domain 0) first-touches region A and core 3 (domain 1) its
+	// own region B; both cold passes are local. Core 3 then flushes its
+	// caches and re-fetches A: every one of those misses is remote.
+	h := New(tinyModel(), true)
+	var c3 Counters
+	h.Access(0, 0x100000, 4096, false, &c3)
+	h.Access(3, 0x200000, 4096, false, &c3)
+	if c3.L3Miss != 128 || c3.RemoteLines != 0 {
+		t.Fatalf("first touch should make both cold passes local: %+v", c3)
+	}
+	h.Access(3, 0x100000, 64<<10, false, &c3)
+	var c4 Counters
+	h.Access(3, 0x100000, 4096, false, &c4)
+	if c4.L3Miss == 0 || c4.RemoteLines != c4.L3Miss {
+		t.Fatalf("domain 1's re-fetches of domain-0 pages should all be remote: %+v", c4)
 	}
 }
 
@@ -102,8 +119,8 @@ func TestTouchPreplacesPages(t *testing.T) {
 	h.Touch(0, 0x300000, 8192) // pages owned by domain 0
 	var c Counters
 	h.Access(3, 0x300000, 8192, false, &c) // domain 1 touches them
-	if c.RemoteLines == 0 {
-		t.Fatalf("preplaced pages should be remote for domain 1: %+v", c)
+	if c.L3Miss == 0 || c.RemoteLines != c.L3Miss {
+		t.Fatalf("every fetch of preplaced pages should be remote for domain 1: %+v", c)
 	}
 }
 
@@ -126,11 +143,24 @@ func TestLayoutDisjoint(t *testing.T) {
 }
 
 func TestCountersAdd(t *testing.T) {
-	a := Counters{L1Hit: 1, L1Miss: 2, L2Hit: 3, L2Miss: 4, L3Hit: 5, L3Miss: 6, MemLines: 7, RemoteLines: 8}
-	b := a
+	// Every field distinct, so a field Add leaves out (or adds into the
+	// wrong place) changes the sum.
+	a := Counters{L1Hit: 1, L1Miss: 2, L2Hit: 3, L2Miss: 4, L3Hit: 5, L3Miss: 6,
+		RemoteLines: 7, WritebackLines: 8}
+	for d := range a.DomLines {
+		a.DomLines[d] = int64(9 + d)
+	}
+	b := Counters{L1Hit: 100, L1Miss: 200, L2Hit: 300, L2Miss: 400, L3Hit: 500, L3Miss: 600,
+		RemoteLines: 700, WritebackLines: 800}
+	want := Counters{L1Hit: 101, L1Miss: 202, L2Hit: 303, L2Miss: 404, L3Hit: 505, L3Miss: 606,
+		RemoteLines: 707, WritebackLines: 808}
+	for d := range b.DomLines {
+		b.DomLines[d] = int64(1000 * (d + 1))
+		want.DomLines[d] = a.DomLines[d] + b.DomLines[d]
+	}
 	a.Add(b)
-	if a.L1Hit != 2 || a.RemoteLines != 16 {
-		t.Fatalf("Add broken: %+v", a)
+	if a != want {
+		t.Fatalf("Add = %+v, want %+v", a, want)
 	}
 }
 
@@ -199,54 +229,5 @@ func TestWritebackChargesOwnerDomain(t *testing.T) {
 	}
 	if c.DomLines[1] <= c.DomLines[0] {
 		t.Fatalf("writebacks should charge domain 1: %+v", c.DomLines)
-	}
-}
-
-func TestDomainAwareAttribution(t *testing.T) {
-	// Core 0 (domain 0) first-touches region A; core 3 (domain 1) then
-	// streams it cross-domain. DomainAware mode must attribute domain 1's
-	// misses as remote and domain 0's cold misses as local, and the
-	// per-domain L3Miss counts must sum to the global one.
-	h := New(tinyModel(), true)
-	h.DomainAware = true
-	var c Counters
-	h.Access(0, 0x100000, 4096, false, &c)   // cold, places pages in domain 0
-	h.Access(3, 0x200000, 4096, false, &c)   // cold, places pages in domain 1
-	h.Access(3, 0x100000, 64<<10, false, &c) // flush domain-1 caches...
-	h.Access(3, 0x100000, 4096, false, &c)   // ...then re-fetch A remotely
-
-	if c.ByDomain[0].L3Miss == 0 || c.ByDomain[0].Remote != 0 {
-		t.Fatalf("domain 0 should have only local misses: %+v", c.ByDomain[0])
-	}
-	if c.ByDomain[1].Remote == 0 {
-		t.Fatalf("domain 1 should have remote misses: %+v", c.ByDomain[1])
-	}
-	var sum int64
-	for d := range c.ByDomain {
-		bd := c.ByDomain[d]
-		if bd.Local+bd.Remote != bd.L3Miss {
-			t.Fatalf("domain %d: local %d + remote %d != l3miss %d", d, bd.Local, bd.Remote, bd.L3Miss)
-		}
-		sum += bd.L3Miss
-	}
-	if sum != c.L3Miss {
-		t.Fatalf("per-domain misses sum to %d, global %d", sum, c.L3Miss)
-	}
-
-	// Off by default: a fresh hierarchy leaves ByDomain untouched.
-	h2 := New(tinyModel(), true)
-	var c2 Counters
-	h2.Access(0, 0x100000, 4096, false, &c2)
-	if c2.ByDomain[0].L3Miss != 0 {
-		t.Fatalf("ByDomain filled without DomainAware: %+v", c2.ByDomain[0])
-	}
-
-	// Add must merge the per-domain block.
-	var a, b Counters
-	a.ByDomain[1] = DomainCounters{L3Miss: 2, Local: 1, Remote: 1}
-	b.ByDomain[1] = DomainCounters{L3Miss: 3, Local: 3}
-	a.Add(b)
-	if a.ByDomain[1] != (DomainCounters{L3Miss: 5, Local: 4, Remote: 1}) {
-		t.Fatalf("Add merged to %+v", a.ByDomain[1])
 	}
 }

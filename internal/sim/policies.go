@@ -595,181 +595,3 @@ func (p *RegentPolicy) Done(t int32, core int, now int64) {}
 func (p *RegentPolicy) NextEventAfter(now int64) int64 {
 	return p.gate.nextEventAfter(now)
 }
-
-// ---------------------------------------------------------------- Steal
-
-// StealPolicy isolates the work-stealing topology itself: per-core LIFO
-// deques fed either affinity-aware (a ready task goes to the home core of its
-// output partition, steals search the thief's own NUMA domain before crossing
-// it, and cross-domain steals migrate half the victim's queue) or
-// affinity-blind (round-robin placement, uniform-random victim selection).
-// Everything else — dispatch overhead, task costs, the machine — is held
-// identical, so the miss-count difference between the two configurations is
-// exactly the §5.2 locality effect of hierarchical stealing.
-type StealPolicy struct {
-	W       int
-	Domains int
-	// Hierarchical selects affinity placement + domain-ordered stealing;
-	// false is the uniform-random baseline.
-	Hierarchical bool
-	// Seed drives the baseline's victim selection (xorshift64; 0 means 1).
-	Seed uint64
-	// Scale multiplies all overheads (see scaleOr1); 0 means 1.
-	Scale float64
-
-	g      *graph.TDG
-	deques [][]int32
-	rr     int
-	rng    uint64
-}
-
-// stealHalfBurst bounds how many tasks a cross-domain steal migrates, mirroring
-// sched's stealBurst.
-const stealHalfBurst = 16
-
-// NewSteal returns a steal-topology policy on w cores over d domains.
-func NewSteal(w, d int, hierarchical bool, seed uint64) *StealPolicy {
-	if d < 1 {
-		d = 1
-	}
-	return &StealPolicy{W: w, Domains: d, Hierarchical: hierarchical, Seed: seed}
-}
-
-// Name implements Policy.
-func (p *StealPolicy) Name() string {
-	if p.Hierarchical {
-		return "steal-hier"
-	}
-	return "steal-rand"
-}
-
-// Workers implements Policy.
-func (p *StealPolicy) Workers() int { return p.W }
-
-// OverheadNs implements Policy: same dispatch weight as the OpenMP-task
-// model, so the two steal configurations differ only in memory behavior.
-func (p *StealPolicy) OverheadNs() float64 { return deepsparseOverheadNs * scaleOr1(p.Scale) }
-
-// Reset implements Policy.
-func (p *StealPolicy) Reset(g *graph.TDG, now int64) {
-	p.g = g
-	p.deques = make([][]int32, p.W)
-	p.rr = 0
-	p.rng = p.Seed
-	if p.rng == 0 {
-		p.rng = 1
-	}
-}
-
-func (p *StealPolicy) xorshift() uint64 {
-	x := p.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	p.rng = x
-	return x
-}
-
-func (p *StealPolicy) domainOfCore(core int) int {
-	return core * p.Domains / p.W
-}
-
-// Ready implements Policy.
-func (p *StealPolicy) Ready(t int32, prodCore int, now int64) {
-	c := p.rr % p.W
-	if p.Hierarchical {
-		if part := p.g.Tasks[t].P; part >= 0 {
-			c = PartitionCore(int(part), p.g.Prog.NP, p.W)
-		} else if prodCore >= 0 {
-			c = prodCore
-		} else {
-			p.rr++
-		}
-	} else {
-		p.rr++
-	}
-	p.deques[c] = append(p.deques[c], t)
-}
-
-// popOwn pops LIFO from the core's own deque.
-func (p *StealPolicy) popOwn(core int) (int32, bool) {
-	q := p.deques[core]
-	if len(q) == 0 {
-		return 0, false
-	}
-	t := q[len(q)-1]
-	p.deques[core] = q[:len(q)-1]
-	return t, true
-}
-
-// stealOne takes FIFO from a victim's deque.
-func (p *StealPolicy) stealOne(v int) (int32, bool) {
-	q := p.deques[v]
-	if len(q) == 0 {
-		return 0, false
-	}
-	t := q[0]
-	p.deques[v] = q[1:]
-	return t, true
-}
-
-// Pick implements Policy.
-func (p *StealPolicy) Pick(core int, now int64) (int32, bool) {
-	if t, ok := p.popOwn(core); ok {
-		return t, ok
-	}
-	if !p.Hierarchical {
-		// Uniform-random victim; bounded tries, then a deterministic sweep so
-		// the policy never misses available work.
-		for try := 0; try < p.W; try++ {
-			v := int(p.xorshift() % uint64(p.W))
-			if t, ok := p.stealOne(v); ok {
-				return t, ok
-			}
-		}
-		for k := 1; k < p.W; k++ {
-			if t, ok := p.stealOne((core + k) % p.W); ok {
-				return t, ok
-			}
-		}
-		return 0, false
-	}
-	// Hierarchical: same-domain victims first.
-	d := p.domainOfCore(core)
-	for k := 1; k < p.W; k++ {
-		v := (core + k) % p.W
-		if p.domainOfCore(v) != d {
-			continue
-		}
-		if t, ok := p.stealOne(v); ok {
-			return t, ok
-		}
-	}
-	// Remote domains: migrate half the victim's queue (bounded) to amortize
-	// the crossing, then run the first migrated task.
-	for k := 1; k < p.W; k++ {
-		v := (core + k) % p.W
-		if p.domainOfCore(v) == d {
-			continue
-		}
-		q := p.deques[v]
-		if len(q) == 0 {
-			continue
-		}
-		take := (len(q) + 1) / 2
-		if take > stealHalfBurst {
-			take = stealHalfBurst
-		}
-		t := q[0]
-		p.deques[core] = append(p.deques[core], q[1:take]...)
-		p.deques[v] = q[take:]
-		return t, true
-	}
-	return 0, false
-}
-
-// Done implements Policy.
-func (p *StealPolicy) Done(t int32, core int, now int64) {}
-
-// NextEventAfter implements Policy.
-func (p *StealPolicy) NextEventAfter(now int64) int64 { return now }

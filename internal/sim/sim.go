@@ -193,7 +193,7 @@ func (s *Sim) taskCost(g *graph.TDG, t *graph.Task, core int, now int64, pol Pol
 	m := s.M
 	latency := float64(c.L2Hit)*m.L2.LatencyNs +
 		float64(c.L3Hit)*m.L3.LatencyNs +
-		float64(c.MemLines-c.RemoteLines)*m.MemLatencyNs +
+		float64(c.L3Miss-c.RemoteLines)*m.MemLatencyNs +
 		float64(c.RemoteLines)*(m.MemLatencyNs+m.RemoteExtraNs)
 	memNs := latency / m.MLP
 	// Bandwidth: queue this task's line fetches on the owning domains'

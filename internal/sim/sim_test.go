@@ -215,14 +215,14 @@ func TestFirstTouchBeatsSerialPlacement(t *testing.T) {
 	// controller; first touch spreads them (the paper's Fig. 5 effect is
 	// this bandwidth hotspot, measured as execution time).
 	serDom0 := rSer.Counters.DomLines[0]
-	if serDom0 != rSer.Counters.MemLines {
+	if serDom0 != rSer.Counters.L3Miss {
 		t.Errorf("serial placement: domain 0 served %d of %d lines, want all",
-			serDom0, rSer.Counters.MemLines)
+			serDom0, rSer.Counters.L3Miss)
 	}
 	ftDom0 := rFT.Counters.DomLines[0]
-	if ftDom0*2 > rFT.Counters.MemLines {
+	if ftDom0*2 > rFT.Counters.L3Miss {
 		t.Errorf("first touch: domain 0 still serves %d of %d lines",
-			ftDom0, rFT.Counters.MemLines)
+			ftDom0, rFT.Counters.L3Miss)
 	}
 	if rFT.MakespanNs >= rSer.MakespanNs {
 		t.Errorf("first touch (%d ns) not faster than serial placement (%d ns)",
