@@ -58,10 +58,10 @@ const (
 	blockCall             // time.Sleep, WaitGroup.Wait, Cond.Wait
 )
 
-// blockingOp is the one "can this block?" classifier (ctxfirst,
-// lockdiscipline). It looks at n alone, not its children, so each caller
-// picks its walk. A CFG selectOp blocks only as the head of a select with no
-// default; its comm ops fire only once ready.
+// blockingOp is lockdiscipline's "can this block?" classifier. It looks at
+// n alone, not its children, so the caller picks its walk. A CFG selectOp
+// blocks only as the head of a select with no default; its comm ops fire only
+// once ready.
 func blockingOp(info *types.Info, n ast.Node) blockKind {
 	switch n := n.(type) {
 	case *ast.SendStmt:
@@ -116,40 +116,4 @@ func derefType(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// isHTTPRequestPtr reports whether t is *net/http.Request — handlers derive
-// their context from the request, so they are exempt from ctxfirst.
-func isHTTPRequestPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
-}
-
-// fieldVar resolves sel to the struct field it selects, or nil when sel is
-// not a field selection.
-func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
 }

@@ -1,10 +1,12 @@
 // Package lint implements sparselint, the repo-specific static-analysis
 // pass. It turns the discipline rules the sparse-solver stack only enforced
 // by convention — zero-allocation hot paths, lock hygiene in the scheduler
-// and serving layer, deque ownership, context propagation, and deterministic
-// task bodies — into machine-checked gates (see cmd/sparselint and `make
-// lint`). What `go vet` already checks (copied locks and atomics) is left to
-// vet, which scripts/lint.sh runs first.
+// and serving layer, deque ownership, untrusted-input bounds, checked errors
+// and deterministic task bodies — into machine-checked gates (see
+// cmd/sparselint and `make lint`). What `go vet` already checks (copied locks
+// and atomics) is left to vet, which scripts/lint.sh runs first. Goroutine
+// lifecycles are checked by running them: the leakcheck gate in the TestMain
+// of server, route, sched and rt.
 //
 // The loader is stdlib-only, no x/tools. It loads what the go tool builds:
 // one `go list -deps -export` per module names each package's files, in
@@ -20,11 +22,10 @@
 // Rules that depend on the path taken are clients of one CFG + worklist
 // dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks),
 // taint (untrusted values) and errflow (unchecked errors), each over every
-// function body from funcBodies. ctxfirst, goleak and hotpath's three AST
-// rules stay AST walks on purpose: their rules are flow-insensitive, so a
-// port would only add code. hotpath asks the compiler, in one `go build`,
-// which heap escapes and bounds checks it keeps. Per-function summaries stay
-// inside taint, their only user.
+// function body from funcBodies. hotpath's three AST rules stay AST walks
+// on purpose: they are flow-insensitive, so a port would only add code.
+// hotpath asks the compiler, in one `go build`, which heap escapes and bounds
+// checks it keeps. Per-function summaries stay inside taint, their only user.
 //
 // # What it sees
 //
@@ -126,10 +127,8 @@ func Analyzers() []*Analyzer {
 		hotpathAnalyzer(),
 		lockDisciplineAnalyzer(),
 		dequeOwnerAnalyzer(),
-		ctxFirstAnalyzer(),
 		determinismAnalyzer(),
 		atomicFieldAnalyzer(),
-		goleakAnalyzer(),
 		taintAnalyzer(),
 		errflowAnalyzer(),
 	}

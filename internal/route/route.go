@@ -66,7 +66,7 @@ type Router struct {
 	shards []*shardState
 	byName map[string]*shardState
 	names  []string // rendezvous input, config order
-	fps    *fpCache
+	fps    fpCache
 	mux    *http.ServeMux
 
 	ctx    context.Context

@@ -6,17 +6,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sparsetask/internal/leakcheck"
 	"sparsetask/internal/sched"
 	"sparsetask/internal/server"
 	"sparsetask/internal/sparse"
 )
+
+// TestMain fails the package when a goroutine its tests started outlives them.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // tridiagMM renders an SPD tridiagonal [-1 4 -1] MatrixMarket document; the
 // dimension n changes the structure, so different n produce different
@@ -552,5 +558,56 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	}
 	if scheduler.Tasks() == 0 || ms.Totals.Scheduler != scheduler {
 		t.Fatalf("totals report scheduler counters %+v, shards sum to %+v", ms.Totals.Scheduler, scheduler)
+	}
+}
+
+// TestProbeNowHonoursContext: a shard that accepts the connection and never
+// answers holds a probe until its ctx expires, not for the client's 10 s
+// timeout.
+func TestProbeNowHonoursContext(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn // the accept loop's until it returns
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+
+	r, err := New(Config{Shards: []Shard{{Name: "silent", URL: "http://" + ln.Addr().String()}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		r.ProbeNow(ctx)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("ProbeNow still blocked 2 s after its 100 ms deadline:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if st := r.shards[0].status(); st.Healthy || !strings.Contains(st.Error, "deadline exceeded") {
+		t.Errorf("silent shard after a timed-out probe: healthy=%v error=%q, want unhealthy on the deadline", st.Healthy, st.Error)
 	}
 }

@@ -13,10 +13,14 @@ import (
 
 	"sparsetask/internal/graph"
 	"sparsetask/internal/kernels"
+	"sparsetask/internal/leakcheck"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
 	"sparsetask/internal/trace"
 )
+
+// TestMain fails the package when a goroutine its tests started outlives them.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testProblem builds a Listing-1-style program (SpMM → XY → XTY → norm →
 // scale) over a random symmetric matrix, plus a filled store factory so each

@@ -35,26 +35,6 @@ type Options struct {
 	Discipline Discipline
 }
 
-// RunGraph executes a dependency graph: n tasks, indeg[i] initial dependency
-// counts, succs(i) the successor list, and exec the task body. It returns nil
-// when all n tasks have executed. exec is called at most once per task, only
-// after all its predecessors completed.
-//
-// Cancelling ctx stops the pool at task granularity: in-flight tasks finish,
-// no new task starts, and RunGraph returns ctx's error. The caller's data is
-// then partially updated and must be treated as poisoned. A nil ctx behaves
-// like context.Background().
-//
-// RunGraph is the one-shot form: it builds an Executor, runs the graph once,
-// and tears the workers down. Callers that execute the same graph repeatedly
-// (iterative solvers) should hold an Executor and call Run per iteration so
-// scheduler state is allocated once.
-func RunGraph(ctx context.Context, n int, indeg []int32, succs func(int32) []int32, roots []int32, exec func(worker int, task int32), opt Options) error {
-	e := NewExecutor(n, indeg, succs, roots, exec, opt)
-	defer e.Close()
-	return e.Run(ctx)
-}
-
 // Executor is a reusable dependency-graph executor: all scheduler state —
 // deques, dependency counters, ready-task buffers,
 // per-worker PRNG and counter state, and (for Workers > 1) the helper
@@ -170,10 +150,16 @@ func NewExecutor(n int, indeg []int32, succs func(int32) []int32, roots []int32,
 // Workers returns the resolved worker count.
 func (e *Executor) Workers() int { return e.nw }
 
-// Run executes the graph once, taking part as worker 0. It is not safe for
-// concurrent use; iterative callers invoke it once per iteration with a
-// barrier between calls (which the return provides). Panics raised by task
-// bodies are re-raised here.
+// Run executes the graph once, taking part as worker 0, and returns nil when
+// every task has executed: each at most once, only after all its
+// predecessors completed. It is not safe for concurrent use; iterative
+// callers invoke it once per iteration with a barrier between calls (which
+// the return provides). Panics raised by task bodies are re-raised here.
+//
+// Cancelling ctx stops the run at task granularity: in-flight tasks finish,
+// no new task starts, and Run returns ctx's error. The caller's data is then
+// partially updated and must be treated as poisoned. A nil ctx behaves like
+// context.Background().
 func (e *Executor) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()

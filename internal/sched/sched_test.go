@@ -9,7 +9,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"sparsetask/internal/leakcheck"
 )
+
+// TestMain fails the package when a goroutine its tests started outlives them.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestDequeSequential(t *testing.T) {
 	d := NewDeque()
@@ -133,11 +138,15 @@ func TestRunGraphExecutesAllOnce(t *testing.T) {
 		n, indeg, succs, roots := chainGraph(17, 23)
 		var count atomic.Int64
 		ran := make([]atomic.Int32, n)
-		RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, roots,
+		e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
 			func(w int, task int32) {
 				ran[task].Add(1)
 				count.Add(1)
 			}, Options{Workers: 4, Discipline: disc})
+		if err := e.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
 		if count.Load() != int64(n) {
 			t.Fatalf("disc=%v: executed %d tasks, want %d", disc, count.Load(), n)
 		}
@@ -179,7 +188,7 @@ func TestRunGraphRespectsDependencies(t *testing.T) {
 	}
 	finished := make([]atomic.Bool, n)
 	var bad atomic.Int32
-	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, roots,
+	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
 		func(w int, task int32) {
 			for _, d := range deps[task] {
 				if !finished[d].Load() {
@@ -188,6 +197,10 @@ func TestRunGraphRespectsDependencies(t *testing.T) {
 			}
 			finished[task].Store(true)
 		}, Options{Workers: 8})
+	defer e.Close()
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d dependency violations", bad.Load())
 	}
@@ -196,13 +209,17 @@ func TestRunGraphRespectsDependencies(t *testing.T) {
 func TestRunGraphSingleWorker(t *testing.T) {
 	n, indeg, succs, roots := chainGraph(3, 5)
 	order := []int32{}
-	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, roots,
+	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
 		func(w int, task int32) {
 			if w != 0 {
 				t.Errorf("worker %d used, want only 0", w)
 			}
 			order = append(order, task)
 		}, Options{Workers: 1})
+	defer e.Close()
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != n {
 		t.Fatalf("%d tasks executed, want %d", len(order), n)
 	}
@@ -217,16 +234,24 @@ func TestRunGraphInitialOrder(t *testing.T) {
 		rev[len(roots)-1-i] = r
 	}
 	var count atomic.Int64
-	RunGraph(context.Background(), n, indeg, func(i int32) []int32 { return succs[i] }, rev,
+	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, rev,
 		func(w int, task int32) { count.Add(1) },
 		Options{Workers: 2})
+	defer e.Close()
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if count.Load() != int64(n) {
 		t.Fatalf("executed %d, want %d", count.Load(), n)
 	}
 }
 
 func TestRunGraphEmpty(t *testing.T) {
-	RunGraph(context.Background(), 0, nil, nil, nil, nil, Options{}) // must not hang or panic
+	e := NewExecutor(0, nil, nil, nil, nil, Options{}) // must not hang or panic
+	defer e.Close()
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDequeModelCheck verifies the deque against a reference slice model
@@ -294,8 +319,10 @@ func TestRunGraphCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var count atomic.Int64
-	err := RunGraph(ctx, n, indeg, func(i int32) []int32 { return succs[i] }, []int32{0},
+	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, []int32{0},
 		func(w int, task int32) { count.Add(1) }, Options{Workers: 2})
+	err := e.Run(ctx)
+	e.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -314,7 +341,7 @@ func TestRunGraphCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var ran atomic.Int64
-	err = RunGraph(ctx2, n, indeg2, func(i int32) []int32 { return succs[i] }, []int32{0},
+	e = NewExecutor(n, indeg2, func(i int32) []int32 { return succs[i] }, []int32{0},
 		func(w int, task int32) {
 			ran.Add(1)
 			if task == 2 {
@@ -324,6 +351,8 @@ func TestRunGraphCancellation(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		}, Options{Workers: 2})
+	err = e.Run(ctx2)
+	e.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-chain err = %v, want context.Canceled", err)
 	}

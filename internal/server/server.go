@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,9 +37,6 @@ func New(cfg Config) *Server {
 
 // Handler exposes the HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Drain gracefully shuts the engine down (see Engine.Drain).
-func (s *Server) Drain(ctx context.Context) error { return s.Engine.Drain(ctx) }
 
 // WriteJSON answers with status and v as indented JSON, on solverd and on the
 // router alike. v is encoded before the status line is written, so a value

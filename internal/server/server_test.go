@@ -4,18 +4,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"sparsetask/internal/autotune"
+	"sparsetask/internal/leakcheck"
 	"sparsetask/internal/rt"
 )
+
+// TestMain fails the package when a goroutine its tests started outlives them.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // diag4 is a 4x4 diagonal matrix with spectrum {1, 2, 3, 4}: small enough to
 // solve instantly and with exactly known eigenvalues.
@@ -568,6 +574,39 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	}
 }
 
+// TestDrainDeadlineCancelsRunningJob: when Drain's ctx expires while a job
+// is running, Drain cancels the job and returns ctx's error within a bound,
+// once the pool has exited.
+func TestDrainDeadlineCancelsRunningJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 1})
+	v, status := postJob(t, ts, blockerSpec(""))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d", status)
+	}
+	if v, _ := waitState(t, ts, v.ID, StateRunning, 10*time.Second); v.State != StateRunning {
+		t.Fatalf("blocker reached %s, want running", v.State)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- s.Drain(ctx) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("drain = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		cancelJob(t, ts, v.ID) // unblock the pool, so the cleanup's drain returns
+		t.Fatalf("drain still blocked 1 s after its 100 ms deadline:\n%s", buf)
+	}
+	if fin := getJob(t, ts, v.ID); fin.State != StateCanceled {
+		t.Errorf("blocker state after drain = %s (err %q), want canceled", fin.State, fin.Error)
+	}
+}
+
 func TestSchedulerMetrics(t *testing.T) {
 	// /metrics aggregates the stealing backends' executor counters once jobs
 	// have run.
@@ -676,6 +715,29 @@ func TestPlanCacheLRU(t *testing.T) {
 	c.Put(k(1), Plan{Block: 11}) // refresh in place
 	if p, _ := c.Get(k(1)); p.Block != 11 {
 		t.Errorf("refreshed plan block = %d, want 11", p.Block)
+	}
+}
+
+// TestLRULoad: a miss builds and caches, a hit does not build, and a failed
+// build caches nothing and counts no miss.
+func TestLRULoad(t *testing.T) {
+	c := NewLRU[string, int](2)
+	builds := 0
+	build := func(v int, err error) func() (int, error) {
+		return func() (int, error) { builds++; return v, err }
+	}
+	if _, err := c.Load("a", build(0, errors.New("boom"))); err == nil {
+		t.Fatal("failed build returned no error")
+	}
+	if v, err := c.Load("a", build(7, nil)); err != nil || v != 7 {
+		t.Fatalf("Load(a) = %d, %v; want 7", v, err)
+	}
+	if v, err := c.Load("a", build(8, nil)); err != nil || v != 7 {
+		t.Fatalf("cached Load(a) = %d, %v; want 7", v, err)
+	}
+	hits, misses, _ := c.Stats()
+	if builds != 2 || hits != 1 || misses != 1 || c.Len() != 1 {
+		t.Errorf("builds/hits/misses/len = %d/%d/%d/%d, want 2/1/1/1", builds, hits, misses, c.Len())
 	}
 }
 

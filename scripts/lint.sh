@@ -32,10 +32,11 @@ GOARCH=arm64 go vet ./...
 # The serving binaries solve and tune on a flat executor; the simulator, the
 # machine descriptions it models locality with (machine, and the topo stub the
 # benchmark module still names), and the experiment harness behind the
-# paper's figures stay out of them.
-echo "lint: serving binaries do not link the simulator"
+# paper's figures stay out of them. So does leakcheck, the tests' goroutine
+# gate, which ends the process.
+echo "lint: serving binaries do not link the simulator or test support"
 deps="$(go list -deps ./cmd/solverd ./cmd/solverfront)"
-for pkg in sim cachesim bench perfprofile topo machine; do
+for pkg in sim cachesim bench perfprofile topo machine leakcheck; do
     if printf '%s\n' "$deps" | grep -qx "sparsetask/internal/$pkg"; then
         echo "cmd/solverd or cmd/solverfront links internal/$pkg"
         exit 1
