@@ -65,14 +65,19 @@ benchcheck:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Short fuzz sessions, 30 s each: the MatrixMarket parser, the multi-column
-# sparse kernels against their frozen per-entry bodies, and IC(0) on parsed
-# documents (regression seeds always run as part of `make test`). `go test
-# -fuzz` takes one target per run, hence one line each.
+# Short fuzz sessions, FUZZTIME each (CI runs `make fuzz FUZZTIME=5s`): the
+# MatrixMarket parser, the multi-column sparse kernels against their frozen
+# per-entry bodies, IC(0) on parsed documents, and the job-spec decoder
+# against encoding/json's decode of the whole body (regression seeds always
+# run as part of `make test`). `go test -fuzz` takes one target per run, hence
+# one line each.
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzMatrixMarketRoundTrip$$' -fuzztime 30s ./internal/sparse/
-	$(GO) test -run '^$$' -fuzz '^FuzzSpMMRuns$$' -fuzztime 30s ./internal/sparse/
-	$(GO) test -run '^$$' -fuzz '^FuzzIC0FromMatrixMarket$$' -fuzztime 30s ./internal/precond/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixMarketRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpMMRuns$$' -fuzztime $(FUZZTIME) ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzIC0FromMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/precond/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # End-to-end serving smoke: build solverd + loadgen, serve, 10s of load.
 smoke:

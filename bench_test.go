@@ -652,11 +652,13 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 
 // BenchmarkInlineSubmit times POST /jobs of one inline document — a 15 k-entry
 // SPD Laplacian, inside the serve-cold size range — through a router to one
-// real shard, up to the 202: the router's decode, header read and forward,
-// and the shard's decode and admission, which finds the document's operator
-// cached. That is the path route.hop_ms prices. Each job is a one-step
-// Lanczos, so the shard's worker keeps up; a 429 is retried inside the
-// operation. The shard keeps every job's document in its job table, so the
+// real shard, up to the 202. The router reads the body, locates the document
+// in it, decodes the rest of the spec, reads the banner and size line from
+// the still-escaped document and forwards the bytes. The shard reads, locates
+// and decodes likewise, unescapes the document once and admits it, finding
+// its operator cached. That is the path route.hop_ms prices. Each job is a
+// one-step Lanczos, so the shard's worker keeps up; a 429 is retried inside
+// the operation. The shard keeps every job's document in its job table, so the
 // cluster is rebuilt, and its cache warmed, every 64 jobs outside the timer.
 func BenchmarkInlineSubmit(b *testing.B) {
 	var doc strings.Builder

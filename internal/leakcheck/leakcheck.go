@@ -34,7 +34,7 @@ func run(m *testing.M, grace time.Duration) int {
 	for deadline := time.Now().Add(grace); ; time.Sleep(10 * time.Millisecond) {
 		leaked = leaked[:0]
 		for id, stack := range stacks() {
-			if _, ok := before[id]; !ok {
+			if _, ok := before[id]; !ok && !signalLoop(stack) {
 				leaked = append(leaked, stack)
 			}
 		}
@@ -49,6 +49,15 @@ func run(m *testing.M, grace time.Duration) int {
 	fmt.Fprintf(os.Stderr, "leakcheck: %d goroutine(s) outlived the tests by %v:\n\n%s\n",
 		len(leaked), grace, strings.Join(leaked, "\n\n"))
 	return 1
+}
+
+// signalLoop reports whether stack is os/signal's receive loop. The first
+// signal.Notify in the process starts it and nothing stops it, so it outlives
+// any test that notifies: `go test -fuzz`'s coordinator does, inside m.Run.
+func signalLoop(stack string) bool {
+	_, frames, _ := strings.Cut(stack, "\n")
+	return strings.HasPrefix(frames, "os/signal.signal_recv()\n") &&
+		strings.Contains(frames, "\ncreated by os/signal.Notify")
 }
 
 // stacks returns the stack of every goroutine, keyed by goroutine ID.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strings"
 	"testing"
 	"time"
@@ -24,13 +25,18 @@ func TestMain(m *testing.M) {
 func parkForever(ch chan struct{}) { <-ch }
 
 // TestChild is the child's test body: "leak" leaves a goroutine parked on a
-// channel, "clean" leaves one that exits shortly after the test returns.
+// channel, "clean" leaves one that exits shortly after the test returns, and
+// "signal" starts os/signal's receive loop, which never exits.
 func TestChild(t *testing.T) {
 	switch os.Getenv("LEAKCHECK_CHILD") {
 	case "leak":
 		go parkForever(make(chan struct{}))
 	case "clean":
 		go time.Sleep(20 * time.Millisecond)
+	case "signal":
+		c := make(chan os.Signal, 1)
+		signal.Notify(c, os.Interrupt)
+		signal.Stop(c)
 	default:
 		t.Skip("runs only as TestGate's child")
 	}
@@ -44,6 +50,7 @@ func TestGate(t *testing.T) {
 	}{
 		{"leak", 1, []string{"leakcheck: 1 goroutine(s) outlived the tests", "[chan receive]", "leakcheck.parkForever("}},
 		{"clean", 0, nil},
+		{"signal", 0, nil},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestChild$")

@@ -25,7 +25,8 @@ import (
 //     fmt.Sscan family inside internal/sparse (MatrixMarket header and
 //     entry fields);
 //   - HTTP request field accessors (PathValue, FormValue, url.Values.Get)
-//     inside internal/server and internal/route.
+//     and reads of Request.ContentLength inside internal/server and
+//     internal/route.
 //
 // Clamps (what kills taint):
 //   - branch refinement: on the edge where `v <= bound` (or the false edge
@@ -961,6 +962,12 @@ var httpFieldSources = map[string]bool{
 	"(net/url.Values).Get":              true,
 }
 
+// httpFieldReads are the request fields that count as sources, like the
+// accessors of httpFieldSources.
+var httpFieldReads = map[string]bool{
+	"net/http.Request.ContentLength": true,
+}
+
 func isDurationType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
@@ -995,6 +1002,9 @@ func (fl *taintFlow) evalTaint(s *taintState, e ast.Expr) taintMark {
 		}
 		if bm := fl.evalTaint(s, e.X); !bm.empty() {
 			return bm
+		}
+		if m := fl.httpField(e); !m.empty() {
+			return m
 		}
 		return fl.sourceField(e)
 	case *ast.CallExpr:
@@ -1034,6 +1044,24 @@ func (fl *taintFlow) evalTaint(s *taintState, e ast.Expr) taintMark {
 		return m
 	}
 	return taintMark{}
+}
+
+// httpField is the taint of a read of an HTTP request field that the client
+// sets (ContentLength) inside taintHTTPScope.
+func (fl *taintFlow) httpField(sel *ast.SelectorExpr) taintMark {
+	if !pathInScope(fl.pkg.Path, taintHTTPScope) {
+		return taintMark{}
+	}
+	v, _ := fl.info.Uses[sel.Sel].(*types.Var)
+	recv, _ := derefType(fl.info.TypeOf(sel.X)).(*types.Named)
+	if v == nil || !v.IsField() || recv == nil || recv.Obj().Pkg() == nil ||
+		!httpFieldReads[recv.Obj().Pkg().Path()+"."+recv.Obj().Name()+"."+v.Name()] {
+		return taintMark{}
+	}
+	return taintMark{src: &taintSource{
+		pos:  sel.Pos(),
+		desc: fmt.Sprintf("%s (HTTP request field)", v.Name()),
+	}}
 }
 
 // sourceField is the taint fallback for an unvalidated ingress field read in

@@ -136,6 +136,10 @@ func fromPath(r *http.Request) []byte {
 	return make([]byte, n) // want `untrusted PathValue result \(HTTP request field\) reaches a make size/capacity`
 }
 
+func fromContentLength(r *http.Request) []byte {
+	return make([]byte, 0, r.ContentLength) // want `untrusted ContentLength \(HTTP request field\) reaches a make size/capacity`
+}
+
 // halfClamped bounds q.N on only one branch: the join keeps the taint.
 func halfClamped(q *Req, flag bool) []int {
 	n := q.N
@@ -166,6 +170,10 @@ func clampedAssign(q *Req) []int {
 
 func clampedMin(q *Req) []int {
 	return make([]int, min(q.N, limit))
+}
+
+func clampedContentLength(r *http.Request) []byte {
+	return make([]byte, 0, min(r.ContentLength, limit))
 }
 
 func clampedInterproc(q *Req) []float64 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sparsetask/internal/server"
+	"sparsetask/internal/sparse"
 )
 
 // Tests for where an inline matrix is read: the router places it by its
@@ -176,4 +177,45 @@ func TestSuiteSpecsPlacedByFingerprint(t *testing.T) {
 	if h, m, _ := r.fps.stats(); m != int64(specs) || h != int64(specs) {
 		t.Errorf("fingerprint cache hits=%d misses=%d, want %d and %d", h, m, specs, specs)
 	}
+}
+
+// The router reads an inline header from the document still escaped in the
+// body; whatever the escapes, the key is that of the header of the decoded
+// document, and a header the decoded document refuses is refused.
+func TestPlacementKeyIsTheDecodedHeaders(t *testing.T) {
+	doc := tridiagMM(5)
+	bodies := map[string]string{
+		"plain":          string(mustJSON(t, cgSpec(doc, 1))),
+		"unicode escape": strings.ReplaceAll(string(mustJSON(t, cgSpec(doc, 1))), `\n`, `\u000a`),
+		"CRLF and slash": `{"solver":"cg","backend":"bsp","matrix":{"mm":"%%MatrixMarket matrix coordinate real general\r\n% a\/b\r\n2 2 1\r\n1 1 4.0\r\n"}}`,
+		"long comment":   `{"solver":"cg","backend":"bsp","matrix":{"mm":"%%MatrixMarket matrix coordinate real general\n%` + strings.Repeat("x", 9000) + `\n2 2 1\n1 1 4.0\n"}}`,
+		"non-ASCII":      `{"solver":"cg","backend":"bsp","matrix":{"mm":"%%MatrixMarket matrix coordinate real symmetric\n% café\n2 2 1\n1 1 4.0\n"}}`,
+		"bad size line":  `{"solver":"cg","backend":"bsp","matrix":{"mm":"%%MatrixMarket matrix coordinate real general\n2 x 1\n1 1 4.0\n"}}`,
+	}
+	for name, raw := range bodies {
+		req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(raw))
+		body, status, err := server.ReadJobSpec(httptest.NewRecorder(), req)
+		if err != nil {
+			t.Fatalf("%s: status %d: %v", name, status, err)
+		}
+		key, err := (&Router{}).placementKey(&body)
+		h, herr := sparse.ReadMatrixMarketHeader(strings.NewReader(body.JobSpec().Matrix.MM))
+		switch {
+		case herr != nil:
+			if err == nil || err.Error() != herr.Error() {
+				t.Errorf("%s: placementKey error %v, the decoded header's %v", name, err, herr)
+			}
+		case err != nil || key != headerKey(h):
+			t.Errorf("%s: placementKey %x (%v), headerKey of the decoded header %x", name, key, err, headerKey(h))
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

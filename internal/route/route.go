@@ -179,15 +179,16 @@ func (r *Router) candidates(key uint64) (out []*shardState, primary string) {
 }
 
 // placementKey is what a job's matrix is rendezvous-hashed by. An inline
-// matrix is placed by its MatrixMarket header alone (headerKey), so the
-// router never parses a document the shard will parse anyway; a header it
-// refuses never reaches a shard. A suite matrix is placed by its structural
-// fingerprint, memoized per identity.
-func (r *Router) placementKey(m server.MatrixSpec) (uint64, error) {
-	if m.MM == "" {
+// matrix is placed by its MatrixMarket header alone (headerKey), read from the
+// first bytes of the still-escaped document, so the router never unescapes or
+// parses a document the shard will parse anyway; a header it refuses never
+// reaches a shard. A suite matrix is placed by its structural fingerprint,
+// memoized per identity.
+func (r *Router) placementKey(b *server.JobBody) (uint64, error) {
+	if m, ok := b.SuiteMatrix(); ok {
 		return r.fps.fingerprint(m)
 	}
-	h, err := sparse.ReadMatrixMarketHeader(strings.NewReader(m.MM))
+	h, err := sparse.ReadMatrixMarketHeader(b.DocumentReader())
 	if err != nil {
 		return 0, err
 	}
@@ -206,15 +207,15 @@ func headerKey(h sparse.MMHeader) uint64 {
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	// body is the request as the client sent it: having validated it, the
+	// body.Raw is the request as the client sent it: having validated it, the
 	// router forwards those bytes rather than re-encoding the spec it decoded
 	// (an inline matrix makes that spec most of a megabyte).
-	spec, body, status, err := server.ReadJobSpec(w, req)
+	body, status, err := server.ReadJobSpec(w, req)
 	if err != nil {
 		server.WriteError(w, status, err)
 		return
 	}
-	key, err := r.placementKey(spec.Matrix)
+	key, err := r.placementKey(&body)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: %w", server.ErrBadMatrix, err))
 		return
@@ -233,7 +234,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var lastStatus int
 	var lastBody []byte
 	for _, s := range cands {
-		status, respBody, err := r.proxy(req.Context(), http.MethodPost, s, "/jobs", body)
+		status, respBody, err := r.proxy(req.Context(), http.MethodPost, s, "/jobs", body.Raw)
 		if err != nil {
 			// Unreachable mid-interval: mark it down now and try the fallback.
 			s.setUnhealthy(err.Error())

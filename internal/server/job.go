@@ -103,9 +103,13 @@ const (
 )
 
 // Validate rejects malformed specs before they enter the queue.
+func (s *JobSpec) Validate() error { return s.validate(s.Matrix.MM != "") }
+
+// validate is Validate for a spec whose inline document may be held apart
+// from it: inline reports whether there is one.
 //
 //sparselint:validator
-func (s *JobSpec) Validate() error {
+func (s *JobSpec) validate(inline bool) error {
 	switch s.Solver {
 	case "lanczos", "lobpcg", "cg", "pcg":
 	default:
@@ -114,8 +118,8 @@ func (s *JobSpec) Validate() error {
 	if !slices.Contains(rt.Backends(), s.Backend) {
 		return fmt.Errorf("backend must be one of %s, got %q", strings.Join(rt.Backends(), ", "), s.Backend)
 	}
-	hasSuite, hasMM := s.Matrix.Suite != "", s.Matrix.MM != ""
-	if hasSuite == hasMM {
+	hasSuite := s.Matrix.Suite != ""
+	if hasSuite == inline {
 		return fmt.Errorf("matrix needs exactly one of suite or mm")
 	}
 	if hasSuite {

@@ -69,42 +69,61 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 // 32 MiB is about a million inline MatrixMarket entries.
 const MaxJobBodyBytes = 32 << 20
 
+// maxPresizeBytes caps how much of a declared Content-Length the body buffer
+// is sized for before any of the body arrives: a header costs a client a few
+// bytes, and a buffer sized by it alone would let idle connections hold
+// MaxJobBodyBytes each. 1 MiB holds every serve-cold body (at most ~760 KB);
+// a larger body grows the buffer as its bytes arrive.
+const maxPresizeBytes = 1 << 20
+
 // ReadJobSpec reads a POST /jobs body, capped at MaxJobBodyBytes, and decodes
-// and validates the spec in it. It returns the bytes as the client sent them,
-// which is what the router forwards to a shard. On failure status is the HTTP
-// status to answer with: 413 for an oversized body, 400 otherwise.
-func ReadJobSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, body []byte, status int, err error) {
-	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBodyBytes))
+// and validates the spec in it, on solverd and on the router alike. The body
+// keeps the bytes as the client sent them, which is what the router forwards
+// to a shard, and holds an inline document escaped until it is read (see
+// JobBody). On failure status is the HTTP status to answer with: 413 for an
+// oversized body, 400 otherwise.
+func ReadJobSpec(w http.ResponseWriter, r *http.Request) (body JobBody, status int, err error) {
+	raw, err := readBody(http.MaxBytesReader(w, r.Body, MaxJobBodyBytes), min(r.ContentLength, maxPresizeBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return spec, nil, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit)
+			return body, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit)
 		}
-		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
+		return body, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err)
+	if body, err = decodeJobSpec(raw); err != nil {
+		return JobBody{}, http.StatusBadRequest, err
 	}
-	// A second value after the spec would be ignored silently, and the router
-	// forwards the body as sent: only JSON white space may follow.
-	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
-		return spec, nil, http.StatusBadRequest, fmt.Errorf("bad job spec: trailing data %.32q after the spec", rest)
+	return body, http.StatusOK, nil
+}
+
+// readBody is io.ReadAll into a buffer first sized for size bytes (the
+// request's Content-Length, clamped; -1 when unknown), rather than one grown by
+// doubling from 512.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, max(size+1, 512)) // +1: room for the read that sees EOF
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
-	if err := spec.Validate(); err != nil {
-		return spec, nil, http.StatusBadRequest, err
-	}
-	return spec, body, http.StatusOK, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, _, status, err := ReadJobSpec(w, r)
+	body, status, err := ReadJobSpec(w, r)
 	if err != nil {
 		WriteError(w, status, err)
 		return
 	}
-	_, view, err := s.Submit(spec)
+	_, view, err := s.Submit(body.JobSpec())
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBadMatrix):
