@@ -364,10 +364,12 @@ func BenchmarkExecutorTaskOverhead(b *testing.B) {
 // backward substitution — on the solve-stream pcg matrix (a 256×256 grid in
 // natural order: three entries per factor row, one dependency chain) and on a
 // 27-point FEM factor (no chain, ~13 entries per row), 32 tiles/dim: the CSR
-// oracles against the task kernel run over all blocks in order at widths 1, 4
-// and 8, in ns per row and column. build is what the kernel's storage costs
-// once per (factor, block size) — the level analyses of both directions —
-// beside the factorization it rides on.
+// oracles against the segment kernels run serially over all segments in
+// SegOrder at widths 1, 4 and 8, in ns per row and column, and the two-solve
+// task graph run by rt.NewDeepSparse at 1 and 2 workers (graph/w=P, ms per
+// pair: the figure that shows the segments pipelining). build is what the
+// kernel's storage costs once per (factor, block size) — the level analyses
+// of both directions — beside the factorization it rides on.
 func BenchmarkTrsvPair(b *testing.B) {
 	for _, mc := range []struct {
 		name string
@@ -421,22 +423,48 @@ func BenchmarkTrsvPair(b *testing.B) {
 				y, z := make([]float64, rows*w), make([]float64, rows*w)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for bi := 0; bi < low.NB; bi++ {
+					for _, s := range low.Tri.SegOrder {
 						if w == 1 {
-							low.Tri.SolveBlock(y, r, bi)
+							low.Tri.SolveSeg(y, r, int(s))
 						} else {
-							low.Tri.SolveBlockN(y, r, w, bi)
+							low.Tri.SolveSegN(y, r, w, int(s))
 						}
 					}
-					for bi := up.NB - 1; bi >= 0; bi-- {
+					for _, s := range up.Tri.SegOrder {
 						if w == 1 {
-							up.Tri.SolveBlock(z, y, bi)
+							up.Tri.SolveSeg(z, y, int(s))
 						} else {
-							up.Tri.SolveBlockN(z, y, w, bi)
+							up.Tri.SolveSegN(z, y, w, int(s))
 						}
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows)/float64(w), "ns/row")
+			})
+		}
+		p := program.New(rows, block)
+		opL, opU := p.Tri("L"), p.Tri("U")
+		opR, opY, opZ := p.Vec("r", 1), p.Vec("y", 1), p.Vec("z", 1)
+		p.SpTrsvLower(opY, opL, opR)
+		p.SpTrsvUpper(opZ, opU, opY)
+		g, err := graph.Build(p, nil, graph.Options{Tris: map[program.OperandID]*sparse.BlockTri{opL: low.Tri, opU: up.Tri}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := program.NewStore(p)
+		st.SetBlockTri(opL, low.Tri)
+		st.SetBlockTri(opU, up.Tri)
+		copy(st.Vec[opR], rhs)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/graph/w=%d", mc.name, workers), func(b *testing.B) {
+				pr := rt.NewDeepSparse(rt.Options{Workers: workers}).Prepare(g, st)
+				defer pr.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := pr.Run(context.Background()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms")
 			})
 		}
 	}

@@ -49,6 +49,21 @@ func checkFlags(cfg server.Config, drainTimeout time.Duration) error {
 	return nil
 }
 
+// A request must deliver its header within readHeaderTimeout and the whole
+// request within readTimeout, so a client that stalls part-way through a
+// POST /jobs body holds a handler and the bytes it sent for at most
+// readTimeout. A minute still lets the largest accepted body
+// (server.MaxJobBodyBytes, 32 MiB) arrive over a link of 0.6 MiB/s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+)
+
+// newHTTPServer is the command's one http.Server constructor.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	queue := flag.Int("queue", 64, "job queue capacity (full queue rejects with 429)")
@@ -76,7 +91,7 @@ func main() {
 	}
 
 	srv := server.New(cfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -1,6 +1,13 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -41,5 +48,53 @@ func TestCheckFlags(t *testing.T) {
 		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+":"):
 			t.Errorf("%s: refusal %q does not name %s", tc.name, err, tc.flag)
 		}
+	}
+}
+
+// TestStalledBodyIsCutOff: a client that sends the header and part of a
+// POST /jobs body, then stalls, loses its connection once the read bound
+// passes instead of holding the handler for as long as the socket stays
+// open. The test shortens the bound; the constructor's own must leave room
+// for the largest accepted body at 1 MiB/s.
+func TestStalledBodyIsCutOff(t *testing.T) {
+	srv := server.New(server.Config{QueueSize: 1, Workers: 1, PlanCacheSize: 1, CoalesceMax: 1})
+	defer srv.Drain(context.Background())
+	hs := newHTTPServer("", srv.Handler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout {
+		t.Fatalf("server reads with timeouts %s/%s, want %s/%s", hs.ReadHeaderTimeout, hs.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
+	if need := time.Duration(server.MaxJobBodyBytes>>20) * time.Second; readTimeout < need {
+		t.Fatalf("readTimeout %s leaves no room for a %d MiB body at 1 MiB/s (%s)", readTimeout, server.MaxJobBodyBytes>>20, need)
+	}
+	checkStallCutOff(t, hs)
+}
+
+// checkStallCutOff serves hs with a 200 ms read bound, sends it the header
+// and the first bytes of a 4 KiB body, and requires the server to close the
+// connection after the bound and well before the test's own 10 s guard.
+func checkStallCutOff(t *testing.T, hs *http.Server) {
+	t.Helper()
+	const bound = 200 * time.Millisecond
+	hs.ReadTimeout = bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+	start := time.Now() // before the server can start its read clock
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /jobs HTTP/1.1\r\nHost: solverd\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"solver\":\"cg\",")
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	reply, err := io.ReadAll(conn) // ends when the server closes the connection
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a stalled body still held the connection after %s (read bound %s)", time.Since(start).Round(time.Millisecond), bound)
+	}
+	if took := time.Since(start); took < bound || took > bound+5*time.Second {
+		t.Fatalf("connection closed after %s, want just past the %s bound (reply %q)", took.Round(time.Millisecond), bound, reply)
 	}
 }

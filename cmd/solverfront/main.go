@@ -66,6 +66,21 @@ func checkFlags(cfg route.Config) error {
 	return nil
 }
 
+// A request must deliver its header within readHeaderTimeout and the whole
+// request within readTimeout, so a client that stalls part-way through a
+// POST /jobs body holds a handler and the bytes it sent for at most
+// readTimeout. A minute still lets the largest accepted body
+// (server.MaxJobBodyBytes, 32 MiB) arrive over a link of 0.6 MiB/s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+)
+
+// newHTTPServer is the command's one http.Server constructor.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shardsArg := flag.String("shards", "",
@@ -95,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("route: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: r.Handler()}
+	hs := newHTTPServer(*addr, r.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
@@ -52,10 +53,10 @@ const (
 	// TDiagScale computes Out[bi] = D[bi]∘A[bi] row-wise (Jacobi
 	// preconditioner application).
 	TDiagScale
-	// TTrsv performs the substitution for rows of block bi of a triangular
-	// solve. Tasks of one CSpTrsv call form the factor's level DAG: each
-	// reads the output blocks its rows reference, so RAW edges reproduce the
-	// level schedule and one level is one rank of independent tasks.
+	// TTrsv performs the substitution for the rows of segment Q (of row
+	// block P) of a triangular solve. Tasks of one CSpTrsv call form the
+	// factor's segment DAG (sparse.BlockTri.SegDeps): one wavefront level is
+	// one rank of independent tasks.
 	TTrsv
 	// TSymTile applies stored SymCSB tile (P,Q), Q <= P, to both output
 	// bands: Y[P] (+)= T·X[Q] and, off the diagonal, Y[Q] (+)= Tᵀ·X[P]
@@ -137,12 +138,13 @@ func SpMMBufRegion(call, bj, bi, np int) uint64 {
 // workspace of BLAS-library kernels in the BSP baselines).
 func ScratchRegion(core int) uint64 { return pack(spaceScratch, int32(core), 0) }
 
-// TriRegion identifies row block bi of triangular-factor operand op.
-func TriRegion(op program.OperandID, bi int) uint64 { return pack(spaceTri, int32(op), int64(bi)) }
+// TriRegion identifies segment s of triangular-factor operand op.
+func TriRegion(op program.OperandID, s int) uint64 { return pack(spaceTri, int32(op), int64(s)) }
 
 // Task is one schedulable unit. Deps lists predecessor task ids; Succs is
 // filled in after construction. P is the output row partition (bi) and Q the
-// column partition (bj) for tile tasks, -1 otherwise.
+// column partition (bj) for tile tasks, the segment for TTrsv tasks, -1
+// otherwise.
 type Task struct {
 	ID    int32
 	Kind  TaskKind
@@ -241,40 +243,61 @@ func Build(prog *program.Program, mats map[program.OperandID]*sparse.CSB, opt Op
 // derives its dependencies: RAW on the last writer of each read region, and
 // WAW+WAR on each written region.
 func (b *builder) addTask(t Task, reads, writes []Ref) int32 {
-	id := int32(len(b.g.Tasks))
-	t.ID = id
 	t.Reads = reads
 	t.Writes = writes
-	seen := map[int32]bool{}
-	addDep := func(d int32) {
-		if d >= 0 && !seen[d] {
-			seen[d] = true
-			t.Deps = append(t.Deps, d)
+	t.Deps = b.hazards(t.Deps, reads, writes)
+	id := b.push(t)
+	b.commitReads(id, reads)
+	b.commitWrites(id, writes)
+	return id
+}
+
+// push appends t, whose dependencies are complete, and returns its id.
+func (b *builder) push(t Task) int32 {
+	t.ID = int32(len(b.g.Tasks))
+	b.g.Tasks = append(b.g.Tasks, t)
+	return t.ID
+}
+
+// hazards appends to deps, without duplicates, the tasks a task touching
+// reads and writes must follow: the last writer of each region it reads or
+// writes, and the readers since of each region it writes.
+func (b *builder) hazards(deps []int32, reads, writes []Ref) []int32 {
+	add := func(d int32) {
+		if !slices.Contains(deps, d) {
+			deps = append(deps, d)
 		}
 	}
 	for _, r := range reads {
 		if w, ok := b.lastW[r.Region]; ok {
-			addDep(w)
+			add(w)
 		}
-		b.readers[r.Region] = append(b.readers[r.Region], id)
 	}
 	for _, w := range writes {
 		if lw, ok := b.lastW[w.Region]; ok {
-			addDep(lw) // WAW
+			add(lw) // WAW
 		}
 		for _, r := range b.readers[w.Region] {
-			if r != id {
-				addDep(r) // WAR
-			}
+			add(r) // WAR
 		}
 	}
-	// Commit writer state after deps are gathered.
+	return deps
+}
+
+// commitWrites makes task id the last writer of each region and clears the
+// regions' readers.
+func (b *builder) commitWrites(id int32, writes []Ref) {
 	for _, w := range writes {
 		b.lastW[w.Region] = id
 		b.readers[w.Region] = b.readers[w.Region][:0]
 	}
-	b.g.Tasks = append(b.g.Tasks, t)
-	return id
+}
+
+// commitReads records task id as a reader of each region.
+func (b *builder) commitReads(id int32, reads []Ref) {
+	for _, r := range reads {
+		b.readers[r.Region] = append(b.readers[r.Region], id)
+	}
 }
 
 func (b *builder) finish() {
@@ -601,13 +624,18 @@ func (b *builder) expandDiagScale(ci int32, c *program.Call) {
 	}
 }
 
-// expandSpTrsv emits one TTrsv task per row block of the factor. Tasks are
-// emitted in substitution order (ascending blocks for the forward solve,
-// descending for the backward), and each task *reads* the output blocks its
-// rows reference, so the generic RAW machinery reproduces the factor's level
-// DAG — the irregular, deep-critical-path graph shape the level-scheduled
-// incomplete-Cholesky literature targets. Cross-block dependency lists are
-// the factor layout's own (sparse.BlockTri.Deps).
+// expandSpTrsv emits one TTrsv task per segment of the factor
+// (sparse.BlockTri.Seg), numbered in the layout's SegOrder, each depending on
+// the segments its SegDeps name: the irregular, deep-critical-path graph
+// shape the level-scheduled incomplete-Cholesky literature targets, cut fine
+// enough that the blocks of a grid factor pipeline.
+//
+// Outside the call a block's segments act as one task: the block's first
+// segment follows the writer of the right-hand side's rows and the earlier
+// readers and writer of the output's rows, and its last segment — which
+// follows every segment of the block — is recorded as the writer of the
+// output block and a reader of every block it read. Later readers of the
+// output block therefore wait for the whole block.
 func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 	p := b.g.Prog
 	tri := b.opt.Tris[c.A]
@@ -621,29 +649,50 @@ func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 		return fmt.Errorf("factor layout of operand %d has Upper=%v, its solve Upper=%v", c.A, tri.Upper, c.Upper)
 	}
 	n := int64(p.Op(c.Out).Cols)
-	for k := 0; k < p.NP; k++ {
-		bi := k
-		if c.Upper {
-			bi = p.NP - 1 - k
-		}
-		rlo := bi * p.Block
-		rows := int64(p.PartRows(bi))
-		// The factor's entries in the block: strictly-triangular ones plus
+	vec := func(op program.OperandID, s int32) Ref {
+		bi := int(tri.Seg[s]) / tri.Block
+		return Ref{VecRegion(op, bi), int64(tri.Seg[s+1]-tri.Seg[s]) * n * 8}
+	}
+	block := func(op program.OperandID, bi int) []Ref {
+		return []Ref{{VecRegion(op, bi), int64(p.PartRows(bi)) * n * 8}}
+	}
+	task := make([]int32, len(tri.SegDeps)) // segment -> task id
+	for _, s := range tri.SegOrder {
+		bi := int(tri.Seg[s]) / tri.Block
+		lo, hi := tri.Seg[s], tri.Seg[s+1]
+		// The factor's entries in the segment: strictly-triangular ones plus
 		// one diagonal per row.
-		nnz := tri.Ptr[rlo+int(rows)] - tri.Ptr[rlo] + rows
-		deps := tri.Deps[bi]
-		reads := make([]Ref, 0, len(deps)+2)
-		reads = append(reads,
-			Ref{TriRegion(c.A, bi), nnz * 12}, // 8B value + 4B column index
-			Ref{VecRegion(c.B, bi), rows * n * 8},
-		)
-		for _, j := range deps {
-			reads = append(reads, Ref{VecRegion(c.Out, int(j)), int64(p.PartRows(int(j))) * n * 8})
+		nnz := tri.Ptr[hi] - tri.Ptr[lo] + int64(hi-lo)
+		deps := make([]int32, 0, len(tri.SegDeps[s])+2)
+		reads := make([]Ref, 0, len(tri.SegDeps[s])+2)
+		reads = append(reads, Ref{TriRegion(c.A, int(s)), nnz * 12}, vec(c.B, s)) // 8B value + 4B column index
+		for _, d := range tri.SegDeps[s] {
+			deps = append(deps, task[d])
+			if int(tri.Seg[d])/tri.Block != bi {
+				reads = append(reads, vec(c.Out, d))
+			}
 		}
-		b.addTask(Task{
-			Kind: TTrsv, Call: ci, P: int32(bi), Q: -1,
+		if s == tri.BlockSeg[bi] {
+			deps = b.hazards(deps, block(c.B, bi), block(c.Out, bi))
+		}
+		task[s] = b.push(Task{
+			Kind: TTrsv, Call: ci, P: int32(bi), Q: s,
 			Flops: 2 * nnz * n,
-		}, reads, []Ref{{VecRegion(c.Out, bi), rows * n * 8}})
+			Deps:  deps,
+			Reads: reads, Writes: []Ref{vec(c.Out, s)},
+		})
+	}
+	// Writes first: recording a block as read must survive the commit of
+	// that block's own writer.
+	for bi := 0; bi < tri.NB; bi++ {
+		b.commitWrites(task[tri.BlockSeg[bi+1]-1], block(c.Out, bi))
+	}
+	for bi := 0; bi < tri.NB; bi++ {
+		last := task[tri.BlockSeg[bi+1]-1]
+		b.commitReads(last, block(c.B, bi))
+		for _, j := range tri.Deps[bi] {
+			b.commitReads(last, block(c.Out, int(j)))
+		}
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"sparsetask/internal/matgen"
+	"sparsetask/internal/precond"
 	"sparsetask/internal/program"
 	"sparsetask/internal/sparse"
 )
@@ -157,5 +159,41 @@ func TestLevelHistogramEmpty(t *testing.T) {
 	var s Stats
 	if got := s.LevelHistogram(10); !strings.Contains(got, "empty") {
 		t.Fatalf("empty stats rendered %q", got)
+	}
+}
+
+// TestSegmentedSolvePairPipelines: on the solve-stream preconditioner — the
+// IC(0) factor of a 256×256 grid Laplacian in 32 row blocks — a block-granular
+// forward/backward pair is a chain (flop-weighted work/span 1.00), because
+// every block reads the block before it. Cut into segments, a block's first
+// levels need only the first levels of the block before it, and the pair
+// pipelines: work/span ≥ 3.
+func TestSegmentedSolvePairPipelines(t *testing.T) {
+	a := matgen.SPDLaplacian(65536, 1).ToCSR()
+	ic, err := precond.Factorize(a)
+	if err != nil || ic.Kind != precond.KindIC0 {
+		t.Fatalf("factorize: %v (%v)", err, ic.Kind)
+	}
+	p := program.New(a.Rows, (a.Rows+31)/32)
+	opL, opU := p.Tri("L"), p.Tri("U")
+	opR, opY, opZ := p.Vec("r", 1), p.Vec("y", 1), p.Vec("z", 1)
+	p.SpTrsvLower(opY, opL, opR)
+	p.SpTrsvUpper(opZ, opU, opY)
+	low := precond.AnalyzeLower(ic.L, p.Block)
+	up := precond.AnalyzeUpper(ic.U, p.Block)
+	g, err := Build(p, nil, Options{Tris: map[program.OperandID]*sparse.BlockTri{opL: low.Tri, opU: up.Tri}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := low.NumLevels + up.NumLevels; got != 64 {
+		t.Errorf("%d block levels, want 64 (each solve a chain of 32 blocks)", got)
+	}
+	if ws := g.Parallelism(); ws < 3 {
+		t.Errorf("flop-weighted work/span of the solve pair = %.2f over %d tasks, want >= 3", ws, len(g.Tasks))
+	} else {
+		t.Logf("work/span %.2f over %d tasks, %d edges", ws, len(g.Tasks), g.NumEdges)
 	}
 }

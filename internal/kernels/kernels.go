@@ -191,12 +191,12 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		tri := st.TriM[c.A]
 		x := st.Vec[c.Out]
 		b := st.Vec[c.B]
-		// Out and B are full-length vectors; the block's rows read entries
-		// of x that dependency-predecessor tasks wrote.
+		// Out and B are full-length vectors; the segment's rows (Q) read
+		// entries of x that dependency-predecessor tasks wrote.
 		if n := p.Op(c.Out).Cols; n == 1 {
-			tri.SolveBlock(x, b, int(t.P))
+			tri.SolveSeg(x, b, int(t.Q))
 		} else {
-			tri.SolveBlockN(x, b, n, int(t.P))
+			tri.SolveSegN(x, b, n, int(t.Q))
 		}
 
 	case graph.TSymTile:

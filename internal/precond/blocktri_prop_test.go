@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparsetask/internal/irgen"
+	"sparsetask/internal/matgen"
 	"sparsetask/internal/precond"
 	"sparsetask/internal/sparse"
 )
 
 // The block substitution layout (sparse.BlockTri) as a property, against
-// frozen copies of what it replaced: the row-range kernels' results are the
-// CSR oracles', and the dependency lists are those of the old
-// precond.analyze and graph.blockDeps scans, kept below verbatim.
+// frozen copies of what it replaced: the segment kernels' results, run in any
+// order the segment dependencies allow, are the CSR oracles', and the block
+// dependency lists are those of the old precond.analyze and graph.blockDeps
+// scans, kept below verbatim.
 
 // frozenLevels is the pre-BlockTri precond.analyze.
 func frozenLevels(a *sparse.CSR, block int, upper bool) *precond.Levels {
@@ -182,29 +185,51 @@ func sameInt32(a, b []int32) bool {
 	return true
 }
 
-// randomBlockOrder returns a random topological order of the block DAG.
-func randomBlockOrder(rng *rand.Rand, tri *sparse.BlockTri) []int {
-	left := make([]int, tri.NB)
-	succ := make([][]int, tri.NB)
-	var ready, order []int
-	for bi, deps := range tri.Deps {
-		left[bi] = len(deps)
-		for _, j := range deps {
-			succ[j] = append(succ[j], bi)
+// segShapes returns lower factors large enough that a block holds several
+// segments: IC(0) factors of a grid Laplacian (the factor the segments exist
+// for) and of irgen's random SPD matrices, banded and scattered.
+func segShapes(t *testing.T) map[string]*sparse.CSR {
+	t.Helper()
+	shapes := map[string]*sparse.CSR{}
+	factor := func(name string, a *sparse.COO) {
+		ic, err := precond.Factorize(a.ToCSR())
+		if err != nil || ic.Kind != precond.KindIC0 {
+			t.Fatalf("%s: IC(0) failed: %v", name, err)
 		}
-		if left[bi] == 0 {
-			ready = append(ready, bi)
+		shapes[name] = ic.L
+	}
+	factor("grid48", matgen.SPDLaplacian(48*48, 1))
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		factor(fmt.Sprintf("spd%d-large", seed), irgen.RandomSPD(rng, 1100+rng.Intn(400), seed%2 == 0))
+	}
+	return shapes
+}
+
+// randomSegOrder returns a random topological order of the segment DAG.
+func randomSegOrder(rng *rand.Rand, tri *sparse.BlockTri) []int {
+	ns := len(tri.SegDeps)
+	left := make([]int, ns)
+	succ := make([][]int, ns)
+	var ready, order []int
+	for s, deps := range tri.SegDeps {
+		left[s] = len(deps)
+		for _, d := range deps {
+			succ[d] = append(succ[d], s)
+		}
+		if left[s] == 0 {
+			ready = append(ready, s)
 		}
 	}
 	for len(ready) > 0 {
 		k := rng.Intn(len(ready))
-		bi := ready[k]
+		s := ready[k]
 		ready[k] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
-		order = append(order, bi)
-		for _, s := range succ[bi] {
-			if left[s]--; left[s] == 0 {
-				ready = append(ready, s)
+		order = append(order, s)
+		for _, u := range succ[s] {
+			if left[u]--; left[u] == 0 {
+				ready = append(ready, u)
 			}
 		}
 	}
@@ -213,14 +238,28 @@ func randomBlockOrder(rng *rand.Rand, tri *sparse.BlockTri) []int {
 
 func TestBlockTriProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	type shape struct {
+		l      *sparse.CSR
+		blocks func(n int) []int
+		widths []int
+	}
+	shapes := map[string]shape{}
 	for name, l := range triShapes(t) {
+		shapes[name] = shape{l, func(n int) []int { return []int{1, 3, (n + 31) / 32, n} }, []int{1, 2, 3, 4, 5, 8, 9}}
+	}
+	// One segment (a block shorter than two), two, and several per block.
+	for name, l := range segShapes(t) {
+		shapes[name] = shape{l, func(n int) []int { return []int{sparse.SegmentRows * 3 / 2, 2 * sparse.SegmentRows, n} }, []int{1, 2, 3, 4, 5}}
+	}
+	for name, sh := range shapes {
+		l := sh.l
 		n := l.Rows
 		for _, dir := range []struct {
 			a     *sparse.CSR
 			upper bool
 		}{{l, false}, {l.Transpose(), true}} {
 			a, upper := dir.a, dir.upper
-			for _, block := range []int{1, 3, (n + 31) / 32, n} {
+			for _, block := range sh.blocks(n) {
 				id := fmt.Sprintf("%s/upper=%v/block=%d", name, upper, block)
 				var lv *precond.Levels
 				if upper {
@@ -233,6 +272,7 @@ func TestBlockTriProperties(t *testing.T) {
 				}
 				tri := lv.Tri
 				checkLayout(t, id, a, tri)
+				checkSegments(t, id, tri)
 
 				// (iii) dependency lists and block levels are what the two
 				// retired scans computed.
@@ -255,9 +295,18 @@ func TestBlockTriProperties(t *testing.T) {
 					}
 				}
 
-				// (ii) block solves in a random dependency-respecting order
+				// (ii) segment solves in a random dependency-respecting order
 				// equal the CSR oracle, column by column, bit for bit.
-				for _, w := range []int{1, 2, 3, 4, 5, 8, 9} {
+				for _, w := range sh.widths {
+					solve := func(x, b []float64) {
+						for _, s := range randomSegOrder(rng, tri) {
+							if w == 1 {
+								tri.SolveSeg(x, b, s)
+							} else {
+								tri.SolveSegN(x, b, w, s)
+							}
+						}
+					}
 					b := make([]float64, n*w)
 					for i := range b {
 						b[i] = rng.NormFloat64()
@@ -266,13 +315,7 @@ func TestBlockTriProperties(t *testing.T) {
 					for i := range x {
 						x[i] = math.NaN() // a row read before it is solved poisons the result
 					}
-					for _, bi := range randomBlockOrder(rng, tri) {
-						if w == 1 {
-							tri.SolveBlock(x, b, bi)
-						} else {
-							tri.SolveBlockN(x, b, w, bi)
-						}
-					}
+					solve(x, b)
 					col, ref := make([]float64, n), make([]float64, n)
 					for j := 0; j < w; j++ {
 						for i := range col {
@@ -291,13 +334,7 @@ func TestBlockTriProperties(t *testing.T) {
 					}
 					// In place (x == b), as the solver's z = U⁻¹·y may run.
 					copy(x, b)
-					for _, bi := range randomBlockOrder(rng, tri) {
-						if w == 1 {
-							tri.SolveBlock(x, x, bi)
-						} else {
-							tri.SolveBlockN(x, x, w, bi)
-						}
-					}
+					solve(x, x)
 					for i := range ref { // ref still holds the last column's oracle
 						if math.Float64bits(ref[i]) != math.Float64bits(x[i*w+w-1]) {
 							t.Fatalf("%s width %d in place: x[%d] = %v, oracle %v", id, w, i, x[i*w+w-1], ref[i])
@@ -306,6 +343,74 @@ func TestBlockTriProperties(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkSegments is property (iv): the segments cut each block's positions
+// into runs of SegmentRows (the last run of a block takes the remainder, and
+// a block shorter than two runs is one), every dependency is one the segment
+// needs — its predecessor in its block, or a segment of another block holding
+// a row it reads — and SegOrder is a topological order of all of them.
+func checkSegments(t *testing.T, id string, tri *sparse.BlockTri) {
+	t.Helper()
+	if len(tri.BlockSeg) != tri.NB+1 || tri.BlockSeg[0] != 0 || len(tri.Seg) != int(tri.BlockSeg[tri.NB])+1 ||
+		len(tri.SegDeps) != len(tri.Seg)-1 || len(tri.SegOrder) != len(tri.SegDeps) || tri.Seg[len(tri.Seg)-1] != int32(tri.Rows) {
+		t.Fatalf("%s: %d blocks, segment slices of %d/%d/%d/%d", id, tri.NB, len(tri.BlockSeg), len(tri.Seg), len(tri.SegDeps), len(tri.SegOrder))
+	}
+	blockOf := func(s int32) int { return int(tri.Seg[s]) / tri.Block }
+	for bi := 0; bi < tri.NB; bi++ {
+		rows := min(tri.Block, tri.Rows-bi*tri.Block)
+		segs := int(tri.BlockSeg[bi+1] - tri.BlockSeg[bi])
+		if segs != max(rows/sparse.SegmentRows, 1) {
+			t.Fatalf("%s: block %d of %d rows has %d segments", id, bi, rows, segs)
+		}
+		for k, s := 0, tri.BlockSeg[bi]; s < tri.BlockSeg[bi+1]; k, s = k+1, s+1 {
+			if lo := int(tri.Seg[s]); lo != bi*tri.Block+k*sparse.SegmentRows {
+				t.Fatalf("%s: segment %d (block %d, #%d) starts at position %d", id, s, bi, k, lo)
+			}
+		}
+	}
+	reads := func(s, d int32) bool { // does segment s read a row stored in segment d?
+		rows := map[int32]bool{}
+		for _, r := range tri.Row[tri.Seg[d]:tri.Seg[d+1]] {
+			rows[r] = true
+		}
+		for _, c := range tri.Col[tri.Ptr[tri.Seg[s]]:tri.Ptr[tri.Seg[s+1]]] {
+			if rows[c] {
+				return true
+			}
+		}
+		return false
+	}
+	for s, deps := range tri.SegDeps {
+		s := int32(s)
+		first := s == tri.BlockSeg[blockOf(s)]
+		if !first && (len(deps) == 0 || !slices.Contains(deps, s-1)) {
+			t.Fatalf("%s: segment %d does not wait for its predecessor: %v", id, s, deps)
+		}
+		if !slices.IsSorted(deps) {
+			t.Fatalf("%s: segment %d deps %v not ascending", id, s, deps)
+		}
+		for _, d := range deps {
+			if d == s-1 && !first {
+				continue
+			}
+			if blockOf(d) == blockOf(s) || !reads(s, d) {
+				t.Fatalf("%s: segment %d waits for segment %d, which holds no row it reads", id, s, d)
+			}
+		}
+	}
+	done := make([]bool, len(tri.SegDeps))
+	for _, s := range tri.SegOrder {
+		for _, d := range tri.SegDeps[s] {
+			if !done[d] {
+				t.Fatalf("%s: SegOrder puts segment %d before its dependency %d", id, s, d)
+			}
+		}
+		if done[s] {
+			t.Fatalf("%s: SegOrder lists segment %d twice", id, s)
+		}
+		done[s] = true
 	}
 }
 

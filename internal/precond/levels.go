@@ -4,20 +4,23 @@ import "sparsetask/internal/sparse"
 
 // Levels is the level-scheduling analysis of a triangular factor at row-block
 // granularity: block bi depends on every other block that owns a column its
-// rows reference, and its level is one past the deepest dependency. One level
-// is one rank of independent tasks; the graph package turns BlockDeps into
-// TDG edges so the substitution runs wavefront-parallel on the task runtimes.
+// rows reference, and its level is one past the deepest dependency.
 //
 // The analysis follows the ilu_solve level-scheduling exemplar twice over:
-// across blocks, lifted from single rows to row blocks so task granularity
-// matches the rest of the system (and so affinity stamps compose with the
-// topology layer); and inside each block, where Tri stores the block's rows
-// level by level so the task's kernel streams them.
+// across blocks, lifted from single rows to row blocks so the data
+// partitioning matches the rest of the system; and inside each block, where
+// Tri stores the block's rows level by level so the kernel streams them. The
+// tasks are finer than the blocks: Tri cuts each block's level-ordered rows
+// into segments (sparse.BlockTri.SegDeps), and the graph package turns the
+// segment dependencies into TDG edges, so the substitution runs as a
+// wavefront over blocks and segments on the task runtimes. Levels memoizes
+// both with the layout; NumLevels and Widths still count blocks.
 type Levels struct {
 	Block int // rows per block (last block may be short)
 	NB    int // number of row blocks
 	// Tri is the factor in the substitution layout the TTrsv tasks solve on,
-	// built by the same pass that finds BlockDeps (which alias Tri.Deps).
+	// with its segments, built by the same pass that finds BlockDeps (which
+	// alias Tri.Deps).
 	Tri       *sparse.BlockTri
 	BlockDeps [][]int32 // per-block sorted list of prerequisite blocks (excl. self)
 	LevelOf   []int32   // per-block level, 0-based

@@ -13,9 +13,8 @@ import (
 )
 
 // trsvProblem factors a 2D Laplacian with IC(0) and builds the two-call
-// triangular-solve program z = U⁻¹·(L⁻¹·b): the irregular level-scheduled DAG
-// this PR introduces. Returns the graph, a store factory, and the serial
-// reference solution.
+// triangular-solve program z = U⁻¹·(L⁻¹·b): the irregular level-scheduled
+// DAG. Returns the graph, a store factory, and the serial reference solution.
 func trsvProblem(t *testing.T, grid, block int, withMemo bool) (*graph.TDG, func() *program.Store, []float64) {
 	t.Helper()
 	n := grid * grid
@@ -102,21 +101,27 @@ func trsvProblem(t *testing.T, grid, block int, withMemo bool) (*graph.TDG, func
 // TestTrsvAllBackendsBitIdentical runs the level-scheduled solve through all
 // four runtime backends across worker counts; every
 // combination must reproduce the serial reference bit for bit, because the
-// level DAG fixes each row's accumulation order regardless of schedule.
+// segment DAG fixes each row's accumulation order regardless of schedule.
+// The second factor's blocks of 768 rows are cut into three segments each.
 func TestTrsvAllBackendsBitIdentical(t *testing.T) {
-	g, mk, want := trsvProblem(t, 16, 8, false)
-	zOp := program.OperandID(4) // opZ: fifth declared operand
-	for _, workers := range []int{1, 2, 4} {
-		for _, r := range allRuntimes(Options{Workers: workers}) {
-			name := fmt.Sprintf("%s/w%d", r.Name(), workers)
-			st := mk()
-			if err := runOnce(context.Background(), r, g, st); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := range want {
-				if st.Vec[zOp][i] != want[i] {
-					t.Fatalf("%s: z[%d] = %v, want %v (must be bit-identical)",
-						name, i, st.Vec[zOp][i], want[i])
+	for _, pc := range []struct{ grid, block, segs int }{{16, 8, 32}, {48, 768, 9}} {
+		g, mk, want := trsvProblem(t, pc.grid, pc.block, false)
+		if got := len(g.Tasks); got != 2*pc.segs {
+			t.Fatalf("grid %d, block %d: %d tasks, want %d segments per solve", pc.grid, pc.block, got, pc.segs)
+		}
+		zOp := program.OperandID(4) // opZ: fifth declared operand
+		for _, workers := range []int{1, 2, 4} {
+			for _, r := range allRuntimes(Options{Workers: workers}) {
+				name := fmt.Sprintf("grid%d/%s/w%d", pc.grid, r.Name(), workers)
+				st := mk()
+				if err := runOnce(context.Background(), r, g, st); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i := range want {
+					if st.Vec[zOp][i] != want[i] {
+						t.Fatalf("%s: z[%d] = %v, want %v (must be bit-identical)",
+							name, i, st.Vec[zOp][i], want[i])
+					}
 				}
 			}
 		}

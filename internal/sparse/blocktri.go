@@ -3,23 +3,33 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // BlockTri is a triangular factor laid out for block-granular substitution:
 // the storage every TTrsv task solves on. The factor's rows are cut into
-// blocks of Block rows (one task each, the granularity of the rest of the
-// system), and inside a block the rows are stored in the order of their
-// block-local level — the length of the longest chain of in-block rows a row
-// waits for — with the strictly-triangular entries physically permuted into
-// that order and the diagonal kept out of line.
+// blocks of Block rows (the data partitioning of the rest of the system),
+// and inside a block the rows are stored in the order of their block-local
+// level — the length of the longest chain of in-block rows a row waits for —
+// with the strictly-triangular entries physically permuted into that order
+// and the diagonal kept out of line.
 //
-// The order is block-local because the task is: a block's rows are solved by
-// one worker, in one call, after every block it depends on. What the order
-// buys is instruction-level overlap. A row is s = b[i]; s -= v·x[c] over its
+// The order is block-local because a block's rows are solved in one pass of
+// that order, segment after segment, after the rows they read in other
+// blocks. What the order buys is instruction-level overlap. A row is s = b[i]; s -= v·x[c] over its
 // entries; x[i] = s / d, and in natural order an IC(0) factor of a grid makes
 // every row wait for the division of the row before it. With the rows of one
 // level adjacent, the divisions of a level are independent and an
 // out-of-order core overlaps them.
+//
+// A block of at least two segments' worth of rows is solved as a chain of
+// segments: runs of SegmentRows of its positions (the last run takes the
+// remainder), one task each. Because positions are level-ordered, a block's
+// first segment holds its first levels, which need only the first levels of
+// the blocks they read; each segment therefore waits for its predecessor in
+// its block and, per other block it reads, for the latest segment of that
+// block holding a row it needs. On a grid factor the solve becomes a
+// two-dimensional wavefront (blocks × segments) instead of a chain of blocks.
 //
 // Each row still subtracts its entries in CSR order and divides once, so
 // every x[i] is bit-identical to the natural-order CSR solve
@@ -53,7 +63,30 @@ type BlockTri struct {
 	// rows read, ascending — the edges of the block-level DAG. All lists are
 	// windows of one backing slice.
 	Deps [][]int32
+
+	// Seg holds the segment bounds: segment s solves positions
+	// [Seg[s], Seg[s+1]), and block bi owns segments
+	// [BlockSeg[bi], BlockSeg[bi+1]), in position order.
+	Seg      []int32
+	BlockSeg []int32
+	// SegDeps lists, per segment, the segments it waits for, ascending: its
+	// predecessor in its block, and per other block it reads the latest
+	// segment holding a row it needs, unless its predecessor already waits
+	// for that one or a later one. All lists are windows of one backing
+	// slice.
+	SegDeps [][]int32
+	// SegOrder lists every segment once, by wavefront level (one past its
+	// deepest dependency) and within a level from the block furthest along
+	// the substitution: a topological order of SegDeps, and the order the
+	// task graph numbers the segments in.
+	SegOrder []int32
 }
+
+// SegmentRows is the number of positions in a segment. A block shorter than
+// two segments is one segment. At 256 the flop-weighted work/span of the
+// IC(0) solve pair on a 65536-row grid in 32 blocks is 3.65; at 512 it is
+// 1.94, and at 1024 the two segments of a block cannot overlap anything.
+const SegmentRows = 256
 
 // NewBlockTri builds the substitution layout of the triangular factor a at
 // the given block size, in O(rows + nnz): one pass per block assigns
@@ -178,7 +211,116 @@ func NewBlockTri(a *CSR, block int, upper bool) (*BlockTri, error) {
 		}
 	}
 	t.fillDeps(depOf, depOn)
+	t.cutSegments()
 	return t, nil
+}
+
+// cutSegments fills Seg, BlockSeg, SegDeps and SegOrder from the finished
+// layout in O(rows + nnz): one pass over the stored entries finds each
+// segment's cross-block needs, and a counting sort by wavefront level orders
+// the segments.
+func (t *BlockTri) cutSegments() {
+	n, block, nb := t.Rows, t.Block, t.NB
+	t.BlockSeg = make([]int32, nb+1)
+	for bi := 0; bi < nb; bi++ {
+		rows := min(block, n-bi*block)
+		t.BlockSeg[bi+1] = t.BlockSeg[bi] + int32(max(rows/SegmentRows, 1))
+	}
+	ns := int(t.BlockSeg[nb])
+	t.Seg = make([]int32, ns+1)
+	for bi := 0; bi < nb; bi++ {
+		for s := t.BlockSeg[bi]; s < t.BlockSeg[bi+1]; s++ {
+			t.Seg[s] = int32(bi*block) + (s-t.BlockSeg[bi])*SegmentRows
+		}
+	}
+	t.Seg[ns] = int32(n)
+
+	pos := make([]int32, n) // row -> position
+	for k, r := range t.Row {
+		pos[r] = int32(k)
+	}
+	segOf := func(k int32) int32 { // position -> segment
+		bi := int(k) / block
+		local := min((k-int32(bi*block))/SegmentRows, t.BlockSeg[bi+1]-t.BlockSeg[bi]-1)
+		return t.BlockSeg[bi] + local
+	}
+	// need[j] is the latest segment of block j the current segment reads
+	// (valid when seen[j] == s+1); have[j] the latest one an earlier segment
+	// of the same block waits for (valid when in[j] == bi+1).
+	need, seen := make([]int32, nb), make([]int32, nb)
+	have, in := make([]int32, nb), make([]int32, nb)
+	var touched, flat []int32
+	off := make([]int32, ns+1)
+	for bi := 0; bi < nb; bi++ {
+		rlo, rhi := bi*block, min((bi+1)*block, n)
+		for s := t.BlockSeg[bi]; s < t.BlockSeg[bi+1]; s++ {
+			touched = touched[:0]
+			for _, c := range t.Col[t.Ptr[t.Seg[s]]:t.Ptr[t.Seg[s+1]]] {
+				if int(c) >= rlo && int(c) < rhi {
+					continue
+				}
+				j := int(c) / block
+				sg := segOf(pos[c])
+				if seen[j] != s+1 {
+					seen[j], need[j] = s+1, sg
+					touched = append(touched, int32(j))
+				} else if sg > need[j] {
+					need[j] = sg
+				}
+			}
+			lo := len(flat)
+			if s > t.BlockSeg[bi] {
+				flat = append(flat, s-1)
+			}
+			for _, j := range touched {
+				if in[j] == int32(bi)+1 && have[j] >= need[j] {
+					continue
+				}
+				in[j], have[j] = int32(bi)+1, need[j]
+				flat = append(flat, need[j])
+			}
+			slices.Sort(flat[lo:])
+			off[s+1] = int32(len(flat))
+		}
+	}
+	t.SegDeps = make([][]int32, ns)
+	for s := range t.SegDeps {
+		t.SegDeps[s] = flat[off[s]:off[s+1]:off[s+1]]
+	}
+
+	// Wavefront levels, in substitution order of the blocks (a segment's
+	// cross-block dependencies lie in blocks earlier in that order, its
+	// predecessor earlier in its own block).
+	level := make([]int32, ns)
+	count := make([]int32, ns+1)
+	for k := 0; k < nb; k++ {
+		bi := k
+		if t.Upper {
+			bi = nb - 1 - k
+		}
+		for s := t.BlockSeg[bi]; s < t.BlockSeg[bi+1]; s++ {
+			for _, d := range t.SegDeps[s] {
+				level[s] = max(level[s], level[d]+1)
+			}
+			count[level[s]+1]++
+		}
+	}
+	for l := 1; l <= ns; l++ {
+		count[l] += count[l-1]
+	}
+	// Counting sort by level; visiting the blocks against substitution
+	// order puts the block furthest along first within a level.
+	t.SegOrder = make([]int32, ns)
+	for k := 0; k < nb; k++ {
+		bi := nb - 1 - k
+		if t.Upper {
+			bi = k
+		}
+		for s := t.BlockSeg[bi]; s < t.BlockSeg[bi+1]; s++ {
+			t.SegOrder[count[level[s]]] = s
+			count[level[s]]++
+		}
+	}
 }
 
 // fillDeps turns the (block, prerequisite) pairs into per-block ascending
@@ -217,17 +359,13 @@ func (t *BlockTri) fillDeps(depOf, depOn []int32) {
 	}
 }
 
-// block returns the windows of block bi: its rows in stored order, their
+// seg returns the windows of segment s: its rows in stored order, their
 // diagonals, and where each row's entries begin and end in Col/Val. All four
 // have one length, which is what lets the kernels index them unchecked.
 //
 //sparselint:hotpath
-func (t *BlockTri) block(bi int) (rows []int32, diag []float64, beg, end []int64) {
-	lo := bi * t.Block
-	hi := lo + t.Block
-	if hi > t.Rows {
-		hi = t.Rows
-	}
+func (t *BlockTri) seg(s int) (rows []int32, diag []float64, beg, end []int64) {
+	lo, hi := t.Seg[s], t.Seg[s+1]
 	rows = t.Row[lo:hi]
 	diag = t.Diag[lo:hi]
 	beg = t.Ptr[lo:hi]
@@ -235,15 +373,16 @@ func (t *BlockTri) block(bi int) (rows []int32, diag []float64, beg, end []int64
 	return rows, diag[:len(rows)], beg[:len(rows)], end[:len(rows)]
 }
 
-// SolveBlock substitutes the rows of block bi for one right-hand side:
+// SolveSeg substitutes the rows of segment si for one right-hand side:
 // x[i] = (b[i] − Σ v·x[c]) / d over each row's strictly-triangular entries
-// in CSR order. x and b are full-length vectors; the entries of x the block
-// reads from other blocks must already hold their solution (the task graph
-// orders blocks by Deps). x and b may alias only when x == b.
+// in CSR order. x and b are full-length vectors; the entries of x the
+// segment reads from other segments must already hold their solution (the
+// task graph orders segments by SegDeps). x and b may alias only when
+// x == b.
 //
 //sparselint:hotpath
-func (t *BlockTri) SolveBlock(x, b []float64, bi int) {
-	rows, diag, beg, end := t.block(bi)
+func (t *BlockTri) SolveSeg(x, b []float64, si int) {
+	rows, diag, beg, end := t.seg(si)
 	for k, i := range rows {
 		s := b[i]
 		cs := t.Col[beg[k]:end[k]]
@@ -256,14 +395,14 @@ func (t *BlockTri) SolveBlock(x, b []float64, bi int) {
 	}
 }
 
-// SolveBlockN is the width-n substitution of block bi: x and b are row-major
+// SolveSegN is the width-n substitution of segment si: x and b are row-major
 // Rows×n panels and each column is solved against its own right-hand side.
-// Per column the arithmetic is SolveBlock's, so column j of a width-n solve
-// is bit-identical to a width-1 solve of column j.
+// Per column the arithmetic is SolveSeg's, so column j of a width-n solve is
+// bit-identical to a width-1 solve of column j.
 //
 //sparselint:hotpath
-func (t *BlockTri) SolveBlockN(x, b []float64, n, bi int) {
-	rows, diag, beg, end := t.block(bi)
+func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
+	rows, diag, beg, end := t.seg(si)
 	for k, r := range rows {
 		i := int(r) * n
 		xr := x[i : i+n]

@@ -37,7 +37,9 @@ func TestSolveRangeComposition(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			chunked := make([]float64, n)
 			for _, bi := range randomBlockOrder(rng, tri) {
-				tri.SolveBlock(chunked, b, bi)
+				for s := tri.BlockSeg[bi]; s < tri.BlockSeg[bi+1]; s++ {
+					tri.SolveSeg(chunked, b, int(s))
+				}
 			}
 			for i := range whole {
 				if whole[i] != chunked[i] {
