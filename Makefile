@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race benchcheck benchsmoke fuzz smoke benchmark loc
+.PHONY: check lint fmt vet build test race benchcheck benchsmoke examples fuzz smoke benchmark loc
 
-check: build lint test race benchcheck benchsmoke
+check: build lint test race benchcheck benchsmoke examples
 
 # Static analysis: gofmt, go vet (also at GOARCH=arm64, which type-checks
 # the build that has only the Go kernel bodies), and sparselint
@@ -64,6 +64,14 @@ benchcheck:
 # first-sight serving stages.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# Every program under examples/, run once to completion (about 6 s for the
+# four, build included), so none rots: a build error or a non-zero exit fails.
+examples:
+	@for d in $(dir $(wildcard examples/*/main.go)); do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Short fuzz sessions, FUZZTIME each (CI runs `make fuzz FUZZTIME=5s`): the
 # MatrixMarket parser, the multi-column sparse kernels against their frozen

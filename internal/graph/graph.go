@@ -196,8 +196,8 @@ type Options struct {
 	// Tris supplies the factor behind each OpTri operand referenced by a
 	// CSpTrsv call, in the block substitution layout at the program's block
 	// size (precond.Levels.Tri, computed once per matrix and cached by
-	// solverd alongside the factorization); its per-block dependency lists
-	// are the level-DAG edges.
+	// solverd alongside the factorization); its segment dependency lists
+	// (SegDeps) are the solve's TDG edges.
 	Tris map[program.OperandID]*sparse.BlockTri
 	// Syms supplies the SymCSB matrix behind each OpSymSparse operand
 	// referenced by a CSpMMSym call; its cached SymSchedule orders the
@@ -634,8 +634,9 @@ func (b *builder) expandDiagScale(ci int32, c *program.Call) {
 // segment follows the writer of the right-hand side's rows and the earlier
 // readers and writer of the output's rows, and its last segment — which
 // follows every segment of the block — is recorded as the writer of the
-// output block and a reader of every block it read. Later readers of the
-// output block therefore wait for the whole block.
+// output block and a reader of every block the segments read
+// (BlockTri.Reads). Later readers of the output block therefore wait for the
+// whole block.
 func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 	p := b.g.Prog
 	tri := b.opt.Tris[c.A]
@@ -687,10 +688,12 @@ func (b *builder) expandSpTrsv(ci int32, c *program.Call) error {
 	for bi := 0; bi < tri.NB; bi++ {
 		b.commitWrites(task[tri.BlockSeg[bi+1]-1], block(c.Out, bi))
 	}
+	var readBlocks []int32
 	for bi := 0; bi < tri.NB; bi++ {
 		last := task[tri.BlockSeg[bi+1]-1]
 		b.commitReads(last, block(c.B, bi))
-		for _, j := range tri.Deps[bi] {
+		readBlocks = tri.Reads(readBlocks[:0], bi)
+		for _, j := range readBlocks {
 			b.commitReads(last, block(c.Out, int(j)))
 		}
 	}

@@ -15,19 +15,27 @@ import (
 
 // The block substitution layout (sparse.BlockTri) as a property, against
 // frozen copies of what it replaced: the segment kernels' results, run in any
-// order the segment dependencies allow, are the CSR oracles', and the block
-// dependency lists are those of the old precond.analyze and graph.blockDeps
-// scans, kept below verbatim.
+// order the segment dependencies allow, are the CSR oracles', and the blocks
+// each block reads, derived from the segment dependencies, and the block
+// levels are those of the old precond.analyze and graph.blockDeps scans, kept
+// below verbatim.
 
-// frozenLevels is the pre-BlockTri precond.analyze.
-func frozenLevels(a *sparse.CSR, block int, upper bool) *precond.Levels {
+// frozenLevels is the level computation of the pre-BlockTri precond.analyze:
+// per block its sorted prerequisite blocks and its level, and the number of
+// levels.
+type frozenLevels struct {
+	blockDeps [][]int32
+	levelOf   []int32
+	numLevels int
+}
+
+// frozenAnalyze is the pre-BlockTri precond.analyze.
+func frozenAnalyze(a *sparse.CSR, block int, upper bool) *frozenLevels {
 	n := a.Rows
 	nb := (n + block - 1) / block
-	lv := &precond.Levels{
-		Block:     block,
-		NB:        nb,
-		BlockDeps: make([][]int32, nb),
-		LevelOf:   make([]int32, nb),
+	lv := &frozenLevels{
+		blockDeps: make([][]int32, nb),
+		levelOf:   make([]int32, nb),
 	}
 	mark := make([]int32, nb)
 	for bi := 0; bi < nb; bi++ {
@@ -56,7 +64,7 @@ func frozenLevels(a *sparse.CSR, block int, upper bool) *precond.Levels {
 			}
 		}
 		frozenSortInt32(deps)
-		lv.BlockDeps[bi] = deps
+		lv.blockDeps[bi] = deps
 	}
 	for k := 0; k < nb; k++ {
 		bi := k
@@ -64,19 +72,15 @@ func frozenLevels(a *sparse.CSR, block int, upper bool) *precond.Levels {
 			bi = nb - 1 - k
 		}
 		level := int32(0)
-		for _, j := range lv.BlockDeps[bi] {
-			if d := lv.LevelOf[j] + 1; d > level {
+		for _, j := range lv.blockDeps[bi] {
+			if d := lv.levelOf[j] + 1; d > level {
 				level = d
 			}
 		}
-		lv.LevelOf[bi] = level
-		if int(level)+1 > lv.NumLevels {
-			lv.NumLevels = int(level) + 1
+		lv.levelOf[bi] = level
+		if int(level)+1 > lv.numLevels {
+			lv.numLevels = int(level) + 1
 		}
-	}
-	lv.Widths = make([]int, lv.NumLevels)
-	for _, l := range lv.LevelOf {
-		lv.Widths[l]++
 	}
 	return lv
 }
@@ -247,9 +251,13 @@ func TestBlockTriProperties(t *testing.T) {
 	for name, l := range triShapes(t) {
 		shapes[name] = shape{l, func(n int) []int { return []int{1, 3, (n + 31) / 32, n} }, []int{1, 2, 3, 4, 5, 8, 9}}
 	}
-	// One segment (a block shorter than two), two, and several per block.
+	// One segment (a block shorter than two), two, three and several per
+	// block. At three, two segments of a block wait on different segments of
+	// one other block, which Reads must list once.
 	for name, l := range segShapes(t) {
-		shapes[name] = shape{l, func(n int) []int { return []int{sparse.SegmentRows * 3 / 2, 2 * sparse.SegmentRows, n} }, []int{1, 2, 3, 4, 5}}
+		shapes[name] = shape{l, func(n int) []int {
+			return []int{sparse.SegmentRows * 3 / 2, 2 * sparse.SegmentRows, 3 * sparse.SegmentRows, n}
+		}, []int{1, 2, 3, 4, 5}}
 	}
 	for name, sh := range shapes {
 		l := sh.l
@@ -274,24 +282,19 @@ func TestBlockTriProperties(t *testing.T) {
 				checkLayout(t, id, a, tri)
 				checkSegments(t, id, tri)
 
-				// (iii) dependency lists and block levels are what the two
-				// retired scans computed.
-				want := frozenLevels(a, block, upper)
-				if lv.NB != want.NB || lv.NumLevels != want.NumLevels || len(lv.Widths) != len(want.Widths) {
-					t.Fatalf("%s: NB %d levels %d, frozen %d %d", id, lv.NB, lv.NumLevels, want.NB, want.NumLevels)
+				// (iii) the blocks each block reads, derived from the segment
+				// dependencies, and the block levels are what the two retired
+				// scans computed.
+				want := frozenAnalyze(a, block, upper)
+				if tri.NB != len(want.blockDeps) || lv.NumLevels != want.numLevels {
+					t.Fatalf("%s: NB %d levels %d, frozen %d %d", id, tri.NB, lv.NumLevels, len(want.blockDeps), want.numLevels)
 				}
-				for l := range want.Widths {
-					if lv.Widths[l] != want.Widths[l] {
-						t.Fatalf("%s: Widths %v, frozen %v", id, lv.Widths, want.Widths)
-					}
-				}
-				if !sameInt32(lv.LevelOf, want.LevelOf) {
-					t.Fatalf("%s: LevelOf %v, frozen %v", id, lv.LevelOf, want.LevelOf)
-				}
-				for bi := 0; bi < lv.NB; bi++ {
-					if !sameInt32(lv.BlockDeps[bi], want.BlockDeps[bi]) || !sameInt32(tri.Deps[bi], frozenBlockDeps(a, bi, block, upper)) {
-						t.Fatalf("%s: block %d deps %v / %v, frozen %v / %v", id, bi,
-							lv.BlockDeps[bi], tri.Deps[bi], want.BlockDeps[bi], frozenBlockDeps(a, bi, block, upper))
+				var reads []int32
+				for bi := 0; bi < tri.NB; bi++ {
+					reads = tri.Reads(reads[:0], bi)
+					if !sameInt32(reads, want.blockDeps[bi]) || !sameInt32(reads, frozenBlockDeps(a, bi, block, upper)) {
+						t.Fatalf("%s: block %d reads %v, frozen %v / %v", id, bi,
+							reads, want.blockDeps[bi], frozenBlockDeps(a, bi, block, upper))
 					}
 				}
 

@@ -1,18 +1,21 @@
-package precond
+package precond_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 
+	"sparsetask/internal/precond"
 	"sparsetask/internal/sparse"
 )
 
 // FuzzIC0FromMatrixMarket feeds MatrixMarket documents straight into the
 // factorization and triangular-solve path: whatever square symmetric-pattern
 // matrix the reader accepts, Factorize must either return a usable
-// preconditioner (whose Apply terminates and whose level analysis is
-// self-consistent) or a clean error — never panic, hang, or emit NaN levels.
+// preconditioner (whose Apply terminates, whose segment order is
+// topological, whose level count is the frozen block scan's, and whose
+// segment kernels reproduce the CSR solves bit for bit) or a clean error —
+// never panic or hang.
 func FuzzIC0FromMatrixMarket(f *testing.F) {
 	// Seeds exercise the triangular path: an SPD tridiagonal matrix (clean
 	// IC(0)), an indefinite matrix (Jacobi fallback), an arrow matrix whose
@@ -35,35 +38,19 @@ func FuzzIC0FromMatrixMarket(f *testing.F) {
 			t.Skip() // keep fuzz iterations fast
 		}
 		a := coo.ToCSR()
-		m, err := Factorize(a)
+		m, err := precond.Factorize(a)
 		if err != nil {
 			return // rectangular or zero-diagonal inputs are rejected cleanly
 		}
-		if m.Kind == KindIC0 {
+		if m.Kind == precond.KindIC0 {
 			for _, v := range m.L.V {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("IC0 factor contains non-finite value %v", v)
 				}
 			}
-			for _, block := range []int{1, 3} {
-				low := AnalyzeLower(m.L, block)
-				up := AnalyzeUpper(m.U, block)
-				for _, lv := range []*Levels{low, up} {
-					sum := 0
-					for _, w := range lv.Widths {
-						sum += w
-					}
-					if sum != lv.NB {
-						t.Fatalf("widths sum %d != %d blocks", sum, lv.NB)
-					}
-					for bi := 0; bi < lv.NB; bi++ {
-						for _, j := range lv.BlockDeps[bi] {
-							if lv.LevelOf[j] >= lv.LevelOf[bi] {
-								t.Fatalf("dep level inversion at block %d", bi)
-							}
-						}
-					}
-				}
+			for _, block := range []int{1, 3, max(a.Rows, 1)} {
+				checkFuzzedFactor(t, m.L, block, false)
+				checkFuzzedFactor(t, m.U, block, true)
 			}
 		}
 		r := make([]float64, a.Rows)
@@ -73,4 +60,56 @@ func FuzzIC0FromMatrixMarket(f *testing.F) {
 		z := make([]float64, a.Rows)
 		m.Apply(z, make([]float64, a.Rows), r)
 	})
+}
+
+// checkFuzzedFactor holds the substitution analysis of one factor at one
+// block size to the segment DAG's invariants: SegOrder lists every segment
+// once after its dependencies, NumLevels is the frozen block scan's, and the
+// segment kernels run in SegOrder equal the CSR solve bit for bit.
+func checkFuzzedFactor(t *testing.T, a *sparse.CSR, block int, upper bool) {
+	t.Helper()
+	lv := precond.AnalyzeLower(a, block)
+	if upper {
+		lv = precond.AnalyzeUpper(a, block)
+	}
+	if lv.Err != nil {
+		t.Fatalf("block %d upper=%v: %v", block, upper, lv.Err)
+	}
+	tri := lv.Tri
+	done := make([]bool, len(tri.SegDeps))
+	for _, s := range tri.SegOrder {
+		for _, d := range tri.SegDeps[s] {
+			if !done[d] {
+				t.Fatalf("block %d upper=%v: SegOrder puts segment %d before its dependency %d", block, upper, s, d)
+			}
+		}
+		if done[s] {
+			t.Fatalf("block %d upper=%v: SegOrder lists segment %d twice", block, upper, s)
+		}
+		done[s] = true
+	}
+	if len(tri.SegOrder) != len(done) {
+		t.Fatalf("block %d upper=%v: SegOrder lists %d of %d segments", block, upper, len(tri.SegOrder), len(done))
+	}
+	if want := frozenAnalyze(a, block, upper).numLevels; lv.NumLevels != want {
+		t.Fatalf("block %d upper=%v: %d levels, frozen scan %d", block, upper, lv.NumLevels, want)
+	}
+	n := a.Rows
+	b, x, ref := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 1.5
+	}
+	for _, s := range tri.SegOrder {
+		tri.SolveSeg(x, b, int(s))
+	}
+	if upper {
+		a.UpperSolve(ref, b)
+	} else {
+		a.LowerSolve(ref, b)
+	}
+	for i := range ref {
+		if math.Float64bits(x[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("block %d upper=%v: x[%d] = %v, CSR solve %v", block, upper, i, x[i], ref[i])
+		}
+	}
 }

@@ -5,7 +5,9 @@
 //
 // The factorization is computed once per matrix and is deliberately serial —
 // solverd memoizes it per matrix fingerprint — while the solves it enables
-// run through sched.Executor on every rt backend.
+// run as TTrsv tasks of the solver's task graph on every rt backend:
+// sched.Executor under DeepSparse and HPX, sched.Team under BSP, and Regent's
+// own worker team.
 package precond
 
 import (
@@ -156,8 +158,8 @@ func factorizeInPlace(l *sparse.CSR) int {
 
 // Apply computes z = M⁻¹·r serially: two triangular solves for IC(0)
 // (using y as scratch), or diagonal scaling for Jacobi. This is the
-// reference implementation; the PCG solver expresses the same operation as
-// level-scheduled tasks.
+// reference implementation; the PCG solver applies the same operation with
+// the segment kernels, as tasks in each iteration and in SegOrder at set-up.
 func (m *IC0) Apply(z, y, r []float64) {
 	if m.Kind == KindJacobi {
 		for i := range z {

@@ -2,46 +2,40 @@ package precond
 
 import "sparsetask/internal/sparse"
 
-// Levels is the level-scheduling analysis of a triangular factor at row-block
-// granularity: block bi depends on every other block that owns a column its
-// rows reference, and its level is one past the deepest dependency.
+// Levels is the substitution analysis of a triangular factor at a row-block
+// size: the factor in the layout the TTrsv tasks solve on, and the depth of
+// its block dependencies.
 //
-// The analysis follows the ilu_solve level-scheduling exemplar twice over:
-// across blocks, lifted from single rows to row blocks so the data
-// partitioning matches the rest of the system; and inside each block, where
-// Tri stores the block's rows level by level so the kernel streams them. The
-// tasks are finer than the blocks: Tri cuts each block's level-ordered rows
-// into segments (sparse.BlockTri.SegDeps), and the graph package turns the
-// segment dependencies into TDG edges, so the substitution runs as a
-// wavefront over blocks and segments on the task runtimes. Levels memoizes
-// both with the layout; NumLevels and Widths still count blocks.
+// The analysis follows the ilu_solve level-scheduling exemplar at two
+// granularities. Inside each block, Tri stores the rows level by level so the
+// kernel streams them. Across blocks, Tri cuts each block's level-ordered rows
+// into segments, and the segment dependencies (sparse.BlockTri.SegDeps) are
+// the factor's one dependency structure: the graph package turns them into
+// TDG edges, so the substitution runs as a wavefront over blocks and segments
+// on the task runtimes. NumLevels still counts blocks.
 type Levels struct {
 	Block int // rows per block (last block may be short)
-	NB    int // number of row blocks
-	// Tri is the factor in the substitution layout the TTrsv tasks solve on,
-	// with its segments, built by the same pass that finds BlockDeps (which
-	// alias Tri.Deps).
-	Tri       *sparse.BlockTri
-	BlockDeps [][]int32 // per-block sorted list of prerequisite blocks (excl. self)
-	LevelOf   []int32   // per-block level, 0-based
+	// Tri is the factor in the substitution layout, with its segments.
+	Tri *sparse.BlockTri
+	// NumLevels is the length of the longest chain of blocks: a block's level
+	// is one past the deepest level among the blocks it reads.
 	NumLevels int
-	Widths    []int // blocks per level; len NumLevels
 	// Err is why the factor cannot be solved (sparse.NewBlockTri's
 	// validation); the analysis is empty then, and the PCG constructors and
 	// solverd's operator cache refuse such levels with this error.
 	Err error
 }
 
-// AnalyzeLower computes the level structure of the forward solve with the
-// lower-triangular factor l: row i reads x[c] for stored columns c < i, so a
-// block depends on every earlier block owning such a column.
+// AnalyzeLower analyses the forward solve with the lower-triangular factor l:
+// row i reads x[c] for stored columns c < i, so a block waits for earlier
+// blocks.
 func AnalyzeLower(l *sparse.CSR, block int) *Levels {
 	return analyze(l, block, false)
 }
 
-// AnalyzeUpper computes the level structure of the backward solve with the
-// upper-triangular factor u: row i reads x[c] for stored columns c > i, so a
-// block depends on every later block owning such a column.
+// AnalyzeUpper analyses the backward solve with the upper-triangular factor
+// u: row i reads x[c] for stored columns c > i, so a block waits for later
+// blocks.
 func AnalyzeUpper(u *sparse.CSR, block int) *Levels {
 	return analyze(u, block, true)
 }
@@ -51,53 +45,22 @@ func analyze(a *sparse.CSR, block int, upper bool) *Levels {
 	if err != nil {
 		return &Levels{Block: block, Err: err}
 	}
-	nb := tri.NB
-	lv := &Levels{
-		Block:     block,
-		NB:        nb,
-		Tri:       tri,
-		BlockDeps: tri.Deps,
-		LevelOf:   make([]int32, nb),
-	}
-	// Levels must be assigned in dependency order: ascending blocks for the
-	// forward solve, descending for the backward solve (whose deps point at
-	// later blocks).
-	for k := 0; k < nb; k++ {
+	lv := &Levels{Block: block, Tri: tri}
+	// One pass over the blocks in substitution order: ascending for the
+	// forward solve, descending for the backward solve, whose blocks read
+	// later ones.
+	level := make([]int32, tri.NB)
+	var reads []int32
+	for k := 0; k < tri.NB; k++ {
 		bi := k
 		if upper {
-			bi = nb - 1 - k
+			bi = tri.NB - 1 - k
 		}
-		level := int32(0)
-		for _, j := range lv.BlockDeps[bi] {
-			if d := lv.LevelOf[j] + 1; d > level {
-				level = d
-			}
+		reads = tri.Reads(reads[:0], bi)
+		for _, j := range reads {
+			level[bi] = max(level[bi], level[j]+1)
 		}
-		lv.LevelOf[bi] = level
-		if int(level)+1 > lv.NumLevels {
-			lv.NumLevels = int(level) + 1
-		}
-	}
-	lv.Widths = make([]int, lv.NumLevels)
-	for _, l := range lv.LevelOf {
-		lv.Widths[l]++
+		lv.NumLevels = max(lv.NumLevels, int(level[bi])+1)
 	}
 	return lv
-}
-
-// CriticalPath returns the number of levels — the length of the longest
-// dependency chain and hence the lower bound on wavefronts regardless of
-// worker count.
-func (lv *Levels) CriticalPath() int { return lv.NumLevels }
-
-// MaxWidth returns the widest level: the peak parallelism the schedule
-// exposes.
-func (lv *Levels) MaxWidth() int {
-	m := 0
-	for _, w := range lv.Widths {
-		if w > m {
-			m = w
-		}
-	}
-	return m
 }

@@ -6,9 +6,18 @@ import (
 	"sparsetask/internal/sparse"
 )
 
+// reads returns, per block, the blocks the factor's segment dependencies make
+// it read.
+func reads(lv *Levels) [][]int32 {
+	out := make([][]int32, lv.Tri.NB)
+	for bi := range out {
+		out[bi] = lv.Tri.Reads(nil, bi)
+	}
+	return out
+}
+
 // TestAnalyzeLowerBidiagonal: a bidiagonal lower factor at block=1 is a pure
-// chain — every block depends on the previous one, so there are n levels of
-// width 1.
+// chain — every block reads the previous one, so there are n levels.
 func TestAnalyzeLowerBidiagonal(t *testing.T) {
 	n := 6
 	coo := sparse.NewCOO(n, n, 2*n)
@@ -23,21 +32,14 @@ func TestAnalyzeLowerBidiagonal(t *testing.T) {
 	if lv.NumLevels != n {
 		t.Fatalf("NumLevels = %d, want %d", lv.NumLevels, n)
 	}
-	for bi := 0; bi < n; bi++ {
-		if int(lv.LevelOf[bi]) != bi {
-			t.Fatalf("LevelOf[%d] = %d, want %d", bi, lv.LevelOf[bi], bi)
+	for bi, r := range reads(lv) {
+		if bi == 0 && len(r) != 0 || bi > 0 && (len(r) != 1 || int(r[0]) != bi-1) {
+			t.Fatalf("block %d reads %v, want the block before it", bi, r)
 		}
-	}
-	if lv.MaxWidth() != 1 || lv.CriticalPath() != n {
-		t.Fatalf("MaxWidth=%d CriticalPath=%d, want 1 and %d", lv.MaxWidth(), lv.CriticalPath(), n)
-	}
-	// Block 3 depends exactly on block 2.
-	if len(lv.BlockDeps[3]) != 1 || lv.BlockDeps[3][0] != 2 {
-		t.Fatalf("BlockDeps[3] = %v, want [2]", lv.BlockDeps[3])
 	}
 }
 
-// TestAnalyzeDiagonalIsOneLevel: a diagonal factor has no cross-block deps —
+// TestAnalyzeDiagonalIsOneLevel: a diagonal factor has no cross-block reads —
 // every block sits at level 0 regardless of direction.
 func TestAnalyzeDiagonalIsOneLevel(t *testing.T) {
 	n := 10
@@ -50,15 +52,17 @@ func TestAnalyzeDiagonalIsOneLevel(t *testing.T) {
 		if lv.NumLevels != 1 {
 			t.Fatalf("NumLevels = %d, want 1", lv.NumLevels)
 		}
-		if lv.Widths[0] != lv.NB {
-			t.Fatalf("Widths[0] = %d, want %d", lv.Widths[0], lv.NB)
+		for bi, r := range reads(lv) {
+			if len(r) != 0 {
+				t.Fatalf("block %d reads %v, want none", bi, r)
+			}
 		}
 	}
 }
 
 // TestAnalyzeUpperMirrorsLower: the backward solve on Lᵀ must have the same
 // level count as the forward solve on L (the DAGs are reverses of each
-// other), with block dependencies pointing at later blocks.
+// other), with the blocks it reads later than the reader.
 func TestAnalyzeUpperMirrorsLower(t *testing.T) {
 	a := laplacian2D(8)
 	m, err := Factorize(a)
@@ -71,33 +75,24 @@ func TestAnalyzeUpperMirrorsLower(t *testing.T) {
 	if low.NumLevels != up.NumLevels {
 		t.Fatalf("lower has %d levels, upper %d", low.NumLevels, up.NumLevels)
 	}
-	for bi := 0; bi < up.NB; bi++ {
-		for _, j := range up.BlockDeps[bi] {
+	lowReads, upReads := reads(low), reads(up)
+	for bi := range upReads {
+		for _, j := range upReads[bi] {
 			if int(j) <= bi {
-				t.Fatalf("upper block %d depends on earlier block %d", bi, j)
+				t.Fatalf("upper block %d reads earlier block %d", bi, j)
 			}
 		}
-		for _, j := range low.BlockDeps[bi] {
+		for _, j := range lowReads[bi] {
 			if int(j) >= bi {
-				t.Fatalf("lower block %d depends on later block %d", bi, j)
+				t.Fatalf("lower block %d reads later block %d", bi, j)
 			}
-		}
-	}
-	// Widths must sum to the block count in both directions.
-	for _, lv := range []*Levels{low, up} {
-		sum := 0
-		for _, w := range lv.Widths {
-			sum += w
-		}
-		if sum != lv.NB {
-			t.Fatalf("level widths sum to %d, want %d blocks", sum, lv.NB)
 		}
 	}
 }
 
-// TestAnalyzeDepsRespectLevels: every dependency must sit at a strictly
-// lower level than its dependent — the invariant that makes one level one
-// rank of independent tasks.
+// TestAnalyzeDepsRespectLevels: NumLevels is the longest chain of blocks
+// through the blocks each one reads, found here by a memoized longest-path
+// search rather than the analysis's one pass in substitution order.
 func TestAnalyzeDepsRespectLevels(t *testing.T) {
 	a := laplacian2D(11)
 	m, err := Factorize(a)
@@ -111,13 +106,24 @@ func TestAnalyzeDepsRespectLevels(t *testing.T) {
 		{"lower", AnalyzeLower(m.L, 5)},
 		{"upper", AnalyzeUpper(m.U, 5)},
 	} {
-		for bi := 0; bi < tc.lv.NB; bi++ {
-			for _, j := range tc.lv.BlockDeps[bi] {
-				if tc.lv.LevelOf[j] >= tc.lv.LevelOf[bi] {
-					t.Fatalf("%s: block %d (level %d) depends on block %d (level %d)",
-						tc.name, bi, tc.lv.LevelOf[bi], j, tc.lv.LevelOf[j])
+		r := reads(tc.lv)
+		depth := make([]int, len(r)) // blocks on the longest chain ending at bi; 0 = unknown
+		var chain func(bi int) int
+		chain = func(bi int) int {
+			if depth[bi] == 0 {
+				depth[bi] = 1
+				for _, j := range r[bi] {
+					depth[bi] = max(depth[bi], chain(int(j))+1)
 				}
 			}
+			return depth[bi]
+		}
+		longest := 0
+		for bi := range r {
+			longest = max(longest, chain(bi))
+		}
+		if longest < 2 || tc.lv.NumLevels != longest {
+			t.Fatalf("%s: NumLevels %d, longest chain %d blocks", tc.name, tc.lv.NumLevels, longest)
 		}
 	}
 }

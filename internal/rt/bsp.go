@@ -53,7 +53,7 @@ func buildBSPPlan(g *graph.TDG) []bspCallPlan {
 		}
 		if k := g.Prog.Calls[ci].Kind; k == program.CSpTrsv || k == program.CSpMMSym {
 			// These calls carry dependencies *within* the call: triangular
-			// block chains follow the factor's level DAG, and symmetric SpMV
+			// segment chains follow the factor's segment DAG, and symmetric SpMV
 			// tiles write two row bands (per-P chains would race on the
 			// transposed band). Split the call into its dependency levels
 			// and barrier between them — the classic OpenMP level-scheduled

@@ -266,7 +266,10 @@ func (e *Engine) dispatch() {
 // refusal after the build (queue full, draining) leaves the operator cached
 // for the retry. The work is bounded by MaxJobBodyBytes, like the decode
 // before it; a suite matrix, whose generation cost no request bounds, is
-// built by the worker that runs the job.
+// built by the worker that runs the job. Once admitted, the job lets go of
+// the document: its operator is job.admitted and coalescing keys on
+// job.identity, so nothing reads the text again, and the engine tracks the
+// job for its whole life.
 //
 // The view Submit returns is the job as admitted, taken before the job
 // reaches the queue: a worker may claim it before Submit returns.
@@ -278,6 +281,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, JobView, error) {
 			return nil, JobView{}, fmt.Errorf("%w: %w", ErrBadMatrix, err)
 		}
 		job.admitted = adm
+		job.Spec.Matrix.MM = ""
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -243,9 +243,12 @@ type Timings struct {
 
 // Job is one tracked solve. All mutable fields are guarded by mu.
 type Job struct {
-	ID   string
+	ID string
+	// Spec is the job as submitted, less an inline document (Matrix.MM),
+	// which Submit drops once the job is admitted.
 	Spec JobSpec
-	// identity is Spec.Matrix.Identity(), computed once at submission.
+	// identity is the submitted Spec.Matrix.Identity(), computed once at
+	// submission, before the document is dropped.
 	identity string
 	// admitted is an inline matrix's operator as Submit built or found it,
 	// and dropped once the job is terminal. Suite matrices are generated in

@@ -289,16 +289,11 @@ func ic0Bytes(m *precond.IC0) int64 {
 }
 
 // levelsBytes charges a level analysis with the substitution layout it
-// carries (BlockDeps are the layout's Deps, counted once) and the layout's
-// segments.
+// carries and the layout's segments.
 func levelsBytes(lv *precond.Levels) int64 {
 	t := lv.Tri
-	n := 24*int64(len(lv.BlockDeps)) + 4*int64(len(lv.LevelOf)) + 8*int64(len(lv.Widths)) +
-		4*int64(len(t.Row)) + 8*int64(len(t.Ptr)) + 12*int64(len(t.Val)) + 8*int64(len(t.Diag)) +
+	n := 4*int64(len(t.Row)) + 8*int64(len(t.Ptr)) + 12*int64(len(t.Val)) + 8*int64(len(t.Diag)) +
 		4*int64(len(t.Seg)+len(t.BlockSeg)+len(t.SegOrder)) + 24*int64(len(t.SegDeps))
-	for _, deps := range lv.BlockDeps {
-		n += 4 * int64(len(deps))
-	}
 	for _, deps := range t.SegDeps {
 		n += 4 * int64(len(deps))
 	}

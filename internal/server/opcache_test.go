@@ -595,3 +595,23 @@ func TestOperatorChargeEqualsLiveSlices(t *testing.T) {
 			f2.LevelAnalyses, f2.Factorizations, again.Bytes, st.Bytes)
 	}
 }
+
+// TestTrackedJobDropsInlineDocument: the engine tracks a job for its whole
+// life, so the job must not keep an inline document once admission has
+// parsed it — neither while it waits or runs nor after it is done.
+func TestTrackedJobDropsInlineDocument(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, RTWorkers: 2})
+	j, _, err := e.Submit(cgSpec(spdTridiagMM(24), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(j.Spec.Matrix.MM); n != 0 {
+		t.Fatalf("admitted job holds a %d-byte document", n)
+	}
+	if v := waitTerminal(t, j, 10*time.Second); v.State != StateDone {
+		t.Fatalf("job ended %s: %s", v.State, v.Error)
+	}
+	if n := len(e.JobByID(j.ID).Spec.Matrix.MM); n != 0 {
+		t.Fatalf("finished job holds a %d-byte document", n)
+	}
+}

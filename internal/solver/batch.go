@@ -165,8 +165,8 @@ func (s *batchState) gatherResults(x []float64, m, k, maxIter int) []BatchColRes
 //	β_j    = act_j·rzn_j/rz_j, convergence + retirement  (small step)
 //	P_j    = Z_j + β_j·P_j   (CAXPBY)
 //
-// The triangular solves run inside the iteration graph as the factor's level
-// DAG, each task substituting all k columns of its row block. Without a
+// The triangular solves run inside the iteration graph as the factors'
+// segment DAGs, each task substituting all k columns of one segment. Without a
 // preconditioner Z is R and rzn is rr: the program carries neither a second
 // CDOT nor a copy.
 type krylov struct {
@@ -184,9 +184,9 @@ type krylov struct {
 	st   *program.Store
 
 	opX, opP, opQ, opR, opZ, opY program.OperandID
+	opL, opU                     program.OperandID
 	opRZ                         program.OperandID
 	state                        batchState
-	colR, colY, colZ             []float64 // init-time per-column scratch (M only)
 }
 
 // newKrylov builds the driver and its single-iteration TDG for k right-hand
@@ -260,17 +260,16 @@ func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper
 		betaIns = append(betaIns, opRR)
 		p.ColDot(opRR, c.opR, c.opR)
 		c.opZ = p.Vec("z", k)
-		c.colR, c.colY, c.colZ = make([]float64, rows), make([]float64, rows), make([]float64, rows)
 	}
-	var opL, opU, opD program.OperandID
+	var opD program.OperandID
 	switch {
 	case m == nil:
 	case m.Kind == precond.KindIC0:
-		opL = p.Tri("L")
-		opU = p.Tri("U")
+		c.opL = p.Tri("L")
+		c.opU = p.Tri("U")
 		c.opY = p.Vec("y", k)
-		p.SpTrsvLower(c.opY, opL, c.opR)
-		p.SpTrsvUpper(c.opZ, opU, c.opY)
+		p.SpTrsvLower(c.opY, c.opL, c.opR)
+		p.SpTrsvUpper(c.opZ, c.opU, c.opY)
 		if lower == nil || lower.Block != a.BlockSize() {
 			lower = precond.AnalyzeLower(m.L, a.BlockSize())
 		}
@@ -280,7 +279,7 @@ func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper
 		if err := errors.Join(lower.Err, upper.Err); err != nil {
 			return nil, fmt.Errorf("solver: %s preconditioner: %w", name, err)
 		}
-		opt.Tris = map[program.OperandID]*sparse.BlockTri{opL: lower.Tri, opU: upper.Tri}
+		opt.Tris = map[program.OperandID]*sparse.BlockTri{c.opL: lower.Tri, c.opU: upper.Tri}
 	default:
 		opD = p.Vec("dinv", 1)
 		p.DiagScale(c.opZ, opD, c.opR).MarkIndexLaunch()
@@ -330,8 +329,8 @@ func newKrylov(name string, a sparse.Matrix, m *precond.IC0, k int, lower, upper
 	switch {
 	case m == nil:
 	case m.Kind == precond.KindIC0:
-		c.st.SetBlockTri(opL, opt.Tris[opL])
-		c.st.SetBlockTri(opU, opt.Tris[opU])
+		c.st.SetBlockTri(c.opL, lower.Tri)
+		c.st.SetBlockTri(c.opU, upper.Tri)
 	default:
 		copy(c.st.Vec[opD], m.DiagInv)
 	}
@@ -391,8 +390,10 @@ func (c *krylov) solveOne(ctx context.Context, r rt.Runtime, b []float64) ([]flo
 	return res[0].X, res[0].RelRes, res[0].Iterations, nil
 }
 
-// initState seeds the state: X = 0, R = B, Z = M⁻¹·R applied column by
-// column (init is off the hot path), P = Z, rz_j = r_jᵀz_j.
+// initState seeds the state: X = 0, R = B, Z = M⁻¹·R, P = Z,
+// rz_j = r_jᵀz_j. Z is computed on the iteration's own layout: the segment
+// kernels in SegOrder through the Y and Z panels for IC(0), the DiagScale
+// product for Jacobi.
 func (c *krylov) initState(bs [][]float64) {
 	m, _ := c.A.Dims()
 	k := c.K
@@ -411,18 +412,27 @@ func (c *krylov) initState(bs [][]float64) {
 		return
 	}
 	z := c.st.Vec[c.opZ]
-	for j := 0; j < k; j++ {
-		for i := 0; i < m; i++ {
-			c.colR[i] = r[i*k+j]
+	if c.M.Kind == precond.KindIC0 {
+		low, up, y := c.st.TriM[c.opL], c.st.TriM[c.opU], c.st.Vec[c.opY]
+		for _, sg := range low.SegOrder {
+			low.SolveSegN(y, r, k, int(sg))
 		}
-		c.M.Apply(c.colZ, c.colY, c.colR)
-		var dot float64
-		for i := 0; i < m; i++ {
-			z[i*k+j] = c.colZ[i]
-			pv[i*k+j] = c.colZ[i]
-			dot += c.colR[i] * c.colZ[i]
+		for _, sg := range up.SegOrder {
+			up.SolveSegN(z, y, k, int(sg))
 		}
-		rz[j] = dot
+	} else {
+		for i, d := range c.M.DiagInv {
+			for j := i * k; j < i*k+k; j++ {
+				z[j] = d * r[j]
+			}
+		}
+	}
+	copy(pv, z)
+	clear(rz)
+	for i := 0; i < m*k; i += k {
+		for j := range rz {
+			rz[j] += r[i+j] * z[i+j]
+		}
 	}
 	s.seed()
 }

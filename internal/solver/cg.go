@@ -42,7 +42,7 @@ func (c *CG) Solve(ctx context.Context, r rt.Runtime, b []float64) ([]float64, f
 // PCG solves A·x = b with the preconditioned conjugate gradient method. The
 // preconditioner application z = M⁻¹·r runs *inside* the per-iteration task
 // graph: for an IC(0) factorization it is two level-scheduled triangular
-// solves (CSpTrsv calls whose tasks form the factor's level DAG — irregular,
+// solves (CSpTrsv calls whose tasks form the factor's segment DAG — irregular,
 // with a deep critical path), and for the Jacobi fallback a single DiagScale
 // call. Everything else is CG's kernel mix, so one PCG iteration interleaves
 // regular wide ranks (SpMV, AXPBY, DOT) with the skewed triangular

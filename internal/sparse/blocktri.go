@@ -59,11 +59,6 @@ type BlockTri struct {
 	Val  []float64
 	Diag []float64
 
-	// Deps lists, per block, the other blocks whose solution entries its
-	// rows read, ascending — the edges of the block-level DAG. All lists are
-	// windows of one backing slice.
-	Deps [][]int32
-
 	// Seg holds the segment bounds: segment s solves positions
 	// [Seg[s], Seg[s+1]), and block bi owns segments
 	// [BlockSeg[bi], BlockSeg[bi+1]), in position order.
@@ -72,7 +67,9 @@ type BlockTri struct {
 	// SegDeps lists, per segment, the segments it waits for, ascending: its
 	// predecessor in its block, and per other block it reads the latest
 	// segment holding a row it needs, unless its predecessor already waits
-	// for that one or a later one. All lists are windows of one backing
+	// for that one or a later one. It is the factor's only dependency
+	// structure: the blocks a block reads are the blocks its segments'
+	// dependencies fall in (Reads). All lists are windows of one backing
 	// slice.
 	SegDeps [][]int32
 	// SegOrder lists every segment once, by wavefront level (one past its
@@ -90,8 +87,9 @@ const SegmentRows = 256
 
 // NewBlockTri builds the substitution layout of the triangular factor a at
 // the given block size, in O(rows + nnz): one pass per block assigns
-// block-local levels, validates and collects cross-block dependencies; a
-// counting sort orders the rows; a second pass copies the entries.
+// block-local levels and validates the rows; a counting sort orders the rows;
+// a second pass copies the entries; cutSegments then finds the segments'
+// dependencies on the finished layout.
 //
 // A factor the kernels cannot solve is refused here rather than mis-solved on
 // every sweep: a must be square, every row must store exactly one diagonal
@@ -117,16 +115,11 @@ func NewBlockTri(a *CSR, block int, upper bool) (*BlockTri, error) {
 		Col:  make([]int32, off),
 		Val:  make([]float64, off),
 		Diag: make([]float64, n),
-		Deps: make([][]int32, nb),
 	}
 	// Per-block scratch: level of each row, rows per level (then the next
 	// free position of each level).
 	level := make([]int32, min(block, n))
 	count := make([]int32, min(block, n)+1)
-	// Cross-block dependencies as (block, prerequisite) pairs in discovery
-	// order; mark[j] == bi+1 records that j is already listed for bi.
-	mark := make([]int32, nb)
-	var depOf, depOn []int32
 
 	q := int64(0)
 	for bi := 0; bi < nb; bi++ {
@@ -162,12 +155,6 @@ func NewBlockTri(a *CSR, block int, upper bool) (*BlockTri, error) {
 				case c >= rlo && c < rhi:
 					if l := level[c-rlo] + 1; l > lvl {
 						lvl = l
-					}
-				default:
-					if j := int32(c / block); mark[j] != int32(bi)+1 {
-						mark[j] = int32(bi) + 1
-						depOf = append(depOf, int32(bi))
-						depOn = append(depOn, j)
 					}
 				}
 			}
@@ -210,7 +197,6 @@ func NewBlockTri(a *CSR, block int, upper bool) (*BlockTri, error) {
 			t.Ptr[k+1] = q
 		}
 	}
-	t.fillDeps(depOf, depOn)
 	t.cutSegments()
 	return t, nil
 }
@@ -323,40 +309,22 @@ func (t *BlockTri) cutSegments() {
 	}
 }
 
-// fillDeps turns the (block, prerequisite) pairs into per-block ascending
-// lists by a counting sort on the prerequisite: walking the pairs bucketed by
-// prerequisite in ascending order appends to each block's list in ascending
-// order.
-func (t *BlockTri) fillDeps(depOf, depOn []int32) {
-	nb := t.NB
-	start := make([]int32, nb+1) // pairs per prerequisite, then bucket starts
-	size := make([]int32, nb)    // pairs per block
-	for k, j := range depOn {
-		start[j+1]++
-		size[depOf[k]]++
-	}
-	for j := 0; j < nb; j++ {
-		start[j+1] += start[j]
-	}
-	byPre := make([]int32, len(depOn)) // blocks, bucketed by prerequisite
-	for k, j := range depOn {
-		byPre[start[j]] = depOf[k]
-		start[j]++
-	}
-	flat := make([]int32, len(depOn))
-	at := 0
-	for bi := range t.Deps {
-		t.Deps[bi] = flat[at : at : at+int(size[bi])]
-		at += int(size[bi])
-	}
-	k := 0
-	for j := 0; j < nb; j++ {
-		// After the scatter start[j] is the end of bucket j.
-		for ; k < int(start[j]); k++ {
-			bi := byPre[k]
-			t.Deps[bi] = append(t.Deps[bi], int32(j))
+// Reads appends to dst the blocks other than bi whose solution entries the
+// rows of block bi read, ascending: the blocks its segments' cross-block
+// SegDeps fall in. cutSegments leaves out a segment's dependency on another
+// block only when an earlier segment of the same block already waits for
+// that block, so every block read is there.
+func (t *BlockTri) Reads(dst []int32, bi int) []int32 {
+	lo := len(dst)
+	for _, deps := range t.SegDeps[t.BlockSeg[bi]:t.BlockSeg[bi+1]] {
+		for _, d := range deps {
+			if j := int(t.Seg[d]) / t.Block; j != bi {
+				dst = append(dst, int32(j))
+			}
 		}
 	}
+	slices.Sort(dst[lo:])
+	return dst[:lo+len(slices.Compact(dst[lo:]))]
 }
 
 // seg returns the windows of segment s: its rows in stored order, their

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestSolveRangeComposition: solving block by block in any order that
-// respects the block dependencies must be bit-identical to the whole-matrix
-// solve — the property the level-scheduled task decomposition relies on.
+// TestSolveRangeComposition: solving segment by segment in any order that
+// respects the segment dependencies must be bit-identical to the
+// whole-matrix solve — the property the task decomposition relies on.
 func TestSolveRangeComposition(t *testing.T) {
 	n := 157
 	l := randomLower(n, 23)
@@ -36,42 +36,41 @@ func TestSolveRangeComposition(t *testing.T) {
 		}
 		for trial := 0; trial < 8; trial++ {
 			chunked := make([]float64, n)
-			for _, bi := range randomBlockOrder(rng, tri) {
-				for s := tri.BlockSeg[bi]; s < tri.BlockSeg[bi+1]; s++ {
-					tri.SolveSeg(chunked, b, int(s))
-				}
+			for _, s := range randomSegOrder(rng, tri) {
+				tri.SolveSeg(chunked, b, s)
 			}
 			for i := range whole {
 				if whole[i] != chunked[i] {
-					t.Fatalf("%s block solve differs at %d: %v vs %v", tc.name, i, chunked[i], whole[i])
+					t.Fatalf("%s segment solve differs at %d: %v vs %v", tc.name, i, chunked[i], whole[i])
 				}
 			}
 		}
 	}
 }
 
-// randomBlockOrder returns a random topological order of the block DAG: at
-// each step a uniformly chosen block whose prerequisites are all solved.
-func randomBlockOrder(rng *rand.Rand, tri *BlockTri) []int {
-	done := make([]bool, tri.NB)
-	order := make([]int, 0, tri.NB)
-	for len(order) < tri.NB {
+// randomSegOrder returns a random topological order of the segment DAG: at
+// each step a uniformly chosen segment whose dependencies are all solved.
+func randomSegOrder(rng *rand.Rand, tri *BlockTri) []int {
+	ns := len(tri.SegDeps)
+	done := make([]bool, ns)
+	order := make([]int, 0, ns)
+	for len(order) < ns {
 		var ready []int
-		for bi := 0; bi < tri.NB; bi++ {
-			if done[bi] {
+		for s := 0; s < ns; s++ {
+			if done[s] {
 				continue
 			}
 			ok := true
-			for _, j := range tri.Deps[bi] {
-				ok = ok && done[j]
+			for _, d := range tri.SegDeps[s] {
+				ok = ok && done[d]
 			}
 			if ok {
-				ready = append(ready, bi)
+				ready = append(ready, s)
 			}
 		}
-		bi := ready[rng.Intn(len(ready))]
-		done[bi] = true
-		order = append(order, bi)
+		s := ready[rng.Intn(len(ready))]
+		done[s] = true
+		order = append(order, s)
 	}
 	return order
 }
@@ -112,8 +111,8 @@ func TestBlockTriGridLevels(t *testing.T) {
 	if lo, hi := tri.Ptr[4], tri.Ptr[5]; hi-lo != 2 || tri.Col[lo] != 1 || tri.Col[lo+1] != 4 || tri.Diag[4] != 4 {
 		t.Fatalf("row 5 stored as cols %v diag %v", tri.Col[lo:hi], tri.Diag[4])
 	}
-	if len(tri.Deps) != 1 || len(tri.Deps[0]) != 0 {
-		t.Fatalf("single block has deps %v", tri.Deps)
+	if tri.NB != 1 || len(tri.Reads(nil, 0)) != 0 {
+		t.Fatalf("%d blocks, block 0 reads %v", tri.NB, tri.Reads(nil, 0))
 	}
 }
 
