@@ -75,7 +75,8 @@ examples:
 
 # Short fuzz sessions, FUZZTIME each (CI runs `make fuzz FUZZTIME=5s`): the
 # MatrixMarket parser, the multi-column sparse kernels against their frozen
-# per-entry bodies, IC(0) on parsed documents, and the job-spec decoder
+# per-entry bodies, the AVX2 IC(0) substitution against its Go body, IC(0) on
+# parsed documents, and the job-spec decoder
 # against encoding/json's decode of the whole body (regression seeds always
 # run as part of `make test`). `go test -fuzz` takes one target per run, hence
 # one line each.
@@ -84,6 +85,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixMarketRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpMMRuns$$' -fuzztime $(FUZZTIME) ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveSegN$$' -fuzztime $(FUZZTIME) ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzIC0FromMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/precond/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime $(FUZZTIME) ./internal/server/
 

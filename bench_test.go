@@ -365,7 +365,9 @@ func BenchmarkExecutorTaskOverhead(b *testing.B) {
 // natural order: three entries per factor row, one dependency chain) and on a
 // 27-point FEM factor (no chain, ~13 entries per row), 32 tiles/dim: the CSR
 // oracles against the segment kernels run serially over all segments in
-// SegOrder at widths 1, 4 and 8, in ns per row and column, and the two-solve
+// SegOrder at widths 1, 4 and 8, in ns per row and column (kernel/w=n is
+// the dispatched path, the AVX2 passes on a CPU that has them; kernel-go/w=n
+// is the Go body, frozen in solveSegNGo), and the two-solve
 // task graph run by rt.NewDeepSparse at 1 and 2 workers (graph/w=P, ms per
 // pair: the figure that shows the segments pipelining). build is what the
 // kernel's storage costs once per (factor, block size) — the level analyses
@@ -414,8 +416,8 @@ func BenchmarkTrsvPair(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 		})
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/kernel/w=%d", mc.name, w), func(b *testing.B) {
+		kernel := func(w int, solve func(t *sparse.BlockTri, x, b []float64, s int)) func(b *testing.B) {
+			return func(b *testing.B) {
 				r := make([]float64, rows*w)
 				for i := range r {
 					r[i] = rhs[i/w]
@@ -424,22 +426,23 @@ func BenchmarkTrsvPair(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, s := range low.Tri.SegOrder {
-						if w == 1 {
-							low.Tri.SolveSeg(y, r, int(s))
-						} else {
-							low.Tri.SolveSegN(y, r, w, int(s))
-						}
+						solve(low.Tri, y, r, int(s))
 					}
 					for _, s := range up.Tri.SegOrder {
-						if w == 1 {
-							up.Tri.SolveSeg(z, y, int(s))
-						} else {
-							up.Tri.SolveSegN(z, y, w, int(s))
-						}
+						solve(up.Tri, z, y, int(s))
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows)/float64(w), "ns/row")
-			})
+			}
+		}
+		b.Run(mc.name+"/kernel/w=1", kernel(1, (*sparse.BlockTri).SolveSeg))
+		for _, w := range []int{4, 8} {
+			b.Run(fmt.Sprintf("%s/kernel/w=%d", mc.name, w), kernel(w, func(t *sparse.BlockTri, x, b []float64, s int) {
+				t.SolveSegN(x, b, w, s)
+			}))
+			b.Run(fmt.Sprintf("%s/kernel-go/w=%d", mc.name, w), kernel(w, func(t *sparse.BlockTri, x, b []float64, s int) {
+				solveSegNGo(t, x, b, w, s)
+			}))
 		}
 		p := program.New(rows, block)
 		opL, opU := p.Tri("L"), p.Tri("U")
@@ -466,6 +469,48 @@ func BenchmarkTrsvPair(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms")
 			})
+		}
+	}
+}
+
+// solveSegNGo is BlockTri.SolveSegN's Go body, frozen: per row, four
+// columns at a time in registers, then one at a time. It is the baseline the
+// AVX2 passes are timed against.
+func solveSegNGo(t *sparse.BlockTri, x, b []float64, n, si int) {
+	lo, hi := t.Seg[si], t.Seg[si+1]
+	rows := t.Row[lo:hi]
+	diag, beg, end := t.Diag[lo:hi], t.Ptr[lo:hi], t.Ptr[lo+1:hi+1]
+	diag, beg, end = diag[:len(rows)], beg[:len(rows)], end[:len(rows)]
+	for k, r := range rows {
+		i := int(r) * n
+		xr := x[i : i+n]
+		br := b[i : i+n]
+		br = br[:len(xr)]
+		cs := t.Col[beg[k]:end[k]]
+		vs := t.Val[beg[k]:end[k]]
+		vs = vs[:len(cs)]
+		d := diag[k]
+		j := 0
+		for ; j+4 <= len(xr); j += 4 {
+			bq := br[j : j+4]
+			s0, s1, s2, s3 := bq[0], bq[1], bq[2], bq[3]
+			for e, c := range cs {
+				v := vs[e]
+				xc := x[int(c)*n+j : int(c)*n+j+4]
+				s0 -= v * xc[0]
+				s1 -= v * xc[1]
+				s2 -= v * xc[2]
+				s3 -= v * xc[3]
+			}
+			xq := xr[j : j+4]
+			xq[0], xq[1], xq[2], xq[3] = s0/d, s1/d, s2/d, s3/d
+		}
+		for ; j < len(xr); j++ {
+			s := br[j]
+			for e, c := range cs {
+				s -= vs[e] * x[int(c)*n+j]
+			}
+			xr[j] = s / d
 		}
 	}
 }

@@ -227,7 +227,7 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		part = part[:n]
 		if n == 1 {
 			// One column: one accumulator in row order, the summation order of
-			// any single column of the loop below, without its row re-slicing.
+			// every column of colDot.
 			b = b[:len(a)]
 			var s float64
 			for i, av := range a {
@@ -236,15 +236,7 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 			part[0] = s
 			break
 		}
-		zero(part)
-		rows := len(a) / n
-		for i := 0; i < rows; i++ {
-			ar := a[i*n : i*n+n]
-			br := b[i*n : i*n+n]
-			for j, av := range ar {
-				part[j] += av * br[j]
-			}
-		}
+		colDot(part, a, b, n)
 
 	case graph.TColDotReduce:
 		out := st.Small[c.Out]
@@ -271,8 +263,7 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		be := c.Beta
 		coef = coef[:n]
 		if n == 1 {
-			// One column: the loop below with its inner loop of one unrolled
-			// away; be·coef is the same product it forms per element.
+			// One column: colAxpby's product be·coef, formed once.
 			s := be * coef[0]
 			a = a[:len(out)]
 			b = b[:len(out)]
@@ -281,15 +272,7 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 			}
 			break
 		}
-		rows := len(out) / n
-		for i := 0; i < rows; i++ {
-			row := out[i*n : i*n+n]
-			ar := a[i*n : i*n+n]
-			br := b[i*n : i*n+n]
-			for j, cj := range coef {
-				row[j] = ar[j] + be*cj*br[j]
-			}
-		}
+		colAxpby(out, a, b, coef, be, n)
 
 	default:
 		panic(fmt.Sprintf("kernels: unknown task kind %v", t.Kind))

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -374,6 +375,174 @@ func TestWidthOneColumnKernelsMatchGenericLoop(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// frozenColDot and frozenColAxpby are TColDotPart's and TColAxpby's bodies
+// before the fixed-width passes: a per-row loop over the columns, with every
+// column's sum carried in part. They are the oracles of
+// TestColKernelsMatchFrozenLoops and the baselines of BenchmarkColKernels.
+func frozenColDot(part, a, b []float64, n int) {
+	part = part[:n]
+	if n == 1 {
+		b = b[:len(a)]
+		var s float64
+		for i, av := range a {
+			s += av * b[i]
+		}
+		part[0] = s
+		return
+	}
+	zero(part)
+	rows := len(a) / n
+	for i := 0; i < rows; i++ {
+		ar := a[i*n : i*n+n]
+		br := b[i*n : i*n+n]
+		for j, av := range ar {
+			part[j] += av * br[j]
+		}
+	}
+}
+
+func frozenColAxpby(out, a, b, coef []float64, be float64, n int) {
+	coef = coef[:n]
+	if n == 1 {
+		s := be * coef[0]
+		a = a[:len(out)]
+		b = b[:len(out)]
+		for i := range out {
+			out[i] = a[i] + s*b[i]
+		}
+		return
+	}
+	rows := len(out) / n
+	for i := 0; i < rows; i++ {
+		row := out[i*n : i*n+n]
+		ar := a[i*n : i*n+n]
+		br := b[i*n : i*n+n]
+		for j, cj := range coef {
+			row[j] = ar[j] + be*cj*br[j]
+		}
+	}
+}
+
+// colOperands returns a, b and out blocks of rows×n values and n
+// coefficients, one of them zero (a retired column), drawn from rng.
+func colOperands(rng *rand.Rand, rows, n int) (a, b, out, coef []float64) {
+	a, b, out = make([]float64, rows*n), make([]float64, rows*n), make([]float64, rows*n)
+	coef = make([]float64, n)
+	fillRand(rng, a)
+	fillRand(rng, b)
+	fillRand(rng, out)
+	fillRand(rng, coef)
+	coef[n/2] = 0
+	return a, b, out, coef
+}
+
+// The fixed-width column bodies give, bit for bit, what the per-row loops
+// give: at every width whose passes mix differently (the 1–3 tail alone, 4,
+// 4 and a tail, 8, 8 and 4 and a tail, two 8s), at row counts of one, odd and
+// many, for Beta = ±1, and with out aliasing a or b as x ← x + α·p and
+// p ← r + β·p do.
+func TestColKernelsMatchFrozenLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 3, 4, 5, 7, 8, 9, 12, 15, 16} {
+		for _, rows := range []int{1, 7, 64} {
+			a, b, out, coef := colOperands(rng, rows, n)
+			got, want := make([]float64, n), make([]float64, n)
+			fillRand(rng, got) // a body must overwrite, not add to, its sums
+			colDot(got, a, b, n)
+			frozenColDot(want, a, b, n)
+			if j := firstDiff(got, want); j >= 0 {
+				t.Errorf("n=%d rows=%d: colDot column %d = %v, per-row loop %v", n, rows, j, got[j], want[j])
+			}
+			for _, be := range []float64{1, -1} {
+				for _, alias := range []string{"none", "a", "b"} {
+					gotOut, wantOut := append([]float64(nil), out...), append([]float64(nil), out...)
+					ga, gb, wa, wb := a, b, a, b
+					switch alias {
+					case "a":
+						copy(gotOut, a)
+						copy(wantOut, a)
+						ga, wa = gotOut, wantOut
+					case "b":
+						copy(gotOut, b)
+						copy(wantOut, b)
+						gb, wb = gotOut, wantOut
+					}
+					colAxpby(gotOut, ga, gb, coef, be, n)
+					frozenColAxpby(wantOut, wa, wb, coef, be, n)
+					if i := firstDiff(gotOut, wantOut); i >= 0 {
+						t.Errorf("n=%d rows=%d beta=%v out aliasing %s: colAxpby out[%d] = %v, per-row loop %v",
+							n, rows, be, alias, i, gotOut[i], wantOut[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index where got and want differ in any bit,
+// or -1.
+func firstDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// BenchmarkColKernels times one CDOT and one CAXPBY task through Exec on a
+// partition of the solve-stream pcg matrix's shape (spdlap-65536 in 32 row
+// blocks: 2048 rows) at widths 1, 4 and 8, against the frozen per-row loops
+// on the same operands, in ns per row and column. Width 1 runs the same
+// single-accumulator body on both sides.
+func BenchmarkColKernels(b *testing.B) {
+	const rows = 65536 / 32
+	for _, n := range []int{1, 4, 8} {
+		p := program.New(rows, rows)
+		opA, opB, opOut := p.Vec("a", n), p.Vec("b", n), p.Vec("out", n)
+		opDot, opCoef := p.Small("dot", 1, n), p.Small("coef", 1, n)
+		p.ColDot(opDot, opA, opB)
+		p.ColAxpby(opOut, opA, opCoef, -1, opB)
+		g, err := graph.Build(p, nil, graph.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := program.NewStore(p)
+		rng := rand.New(rand.NewSource(1))
+		fillRand(rng, st.Vec[opA])
+		fillRand(rng, st.Vec[opB])
+		fillRand(rng, st.Small[opCoef])
+		task := func(kind graph.TaskKind) *graph.Task {
+			for i := range g.Tasks {
+				if g.Tasks[i].Kind == kind {
+					return &g.Tasks[i]
+				}
+			}
+			b.Fatalf("no %v task", kind)
+			return nil
+		}
+		dot, axpby := task(graph.TColDotPart), task(graph.TColAxpby)
+		a, bv, out, coef := st.Vec[opA], st.Vec[opB], st.Vec[opOut], st.Small[opCoef]
+		part := make([]float64, n)
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"cdot", func() { Exec(g, dot, st) }},
+			{"cdot-frozen", func() { frozenColDot(part, a, bv, n) }},
+			{"caxpby", func() { Exec(g, axpby, st) }},
+			{"caxpby-frozen", func() { frozenColAxpby(out, a, bv, coef, -1, n) }},
+		} {
+			b.Run(fmt.Sprintf("%s/w=%d", tc.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tc.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/elem")
+			})
 		}
 	}
 }

@@ -368,8 +368,22 @@ func (t *BlockTri) SolveSeg(x, b []float64, si int) {
 // Per column the arithmetic is SolveSeg's, so column j of a width-n solve is
 // bit-identical to a width-1 solve of column j.
 //
+// Columns are independent, so they may be solved in passes over the segment.
+// With AVX2 (simd) 8-wide passes, then one 4-wide pass, run as assembly that
+// holds a row's columns as the lanes of YMM registers (trsv_amd64.s); the
+// last 1–3 columns, and every column on other builds, run the Go body below,
+// which holds four columns of a row in registers. A lane is one column and
+// does the Go body's multiply, subtract and divide in the same order, so
+// both paths give the same bits.
+//
 //sparselint:hotpath
 func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
+	j0 := 0
+	if simd {
+		if j0 = t.solveSegAVX2(x, b, n, si); j0 == n {
+			return
+		}
+	}
 	rows, diag, beg, end := t.seg(si)
 	for k, r := range rows {
 		i := int(r) * n
@@ -380,7 +394,7 @@ func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
 		vs := t.Val[beg[k]:end[k]]
 		vs = vs[:len(cs)]
 		d := diag[k]
-		j := 0
+		j := j0
 		for ; j+4 <= len(xr); j += 4 {
 			bq := br[j : j+4]
 			s0, s1, s2, s3 := bq[0], bq[1], bq[2], bq[3]
@@ -403,4 +417,23 @@ func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
 			xr[j] = s / d
 		}
 	}
+}
+
+// solveSegAVX2 runs SolveSegN's assembly passes over segment si: 8 columns at
+// a time, then 4 if four or more remain. It returns the first column left to
+// the Go body. The assembly checks every offset it follows and reports the
+// first out of range; inRange then panics, as the Go body would.
+func (t *BlockTri) solveSegAVX2(x, b []float64, n, si int) int {
+	lo, hi := t.Seg[si], t.Seg[si+1]
+	row, ptr, diag := t.Row[lo:hi], t.Ptr[lo:hi+1], t.Diag[lo:hi]
+	col, val := t.Col, t.Val[:len(t.Col)]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		inRange(trsv8AVX2(x[j:], b[j:], row, ptr, col, val, diag, n))
+	}
+	if n-j >= 4 {
+		inRange(trsv4AVX2(x[j:], b[j:], row, ptr, col, val, diag, n))
+		j += 4
+	}
+	return j
 }

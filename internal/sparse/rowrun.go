@@ -301,10 +301,10 @@ func trans1(ys, xs, v []float64, ri, ci []int32, n int, diag bool) {
 }
 
 // inRange panics, as the Go bodies' bounds checks do, when an assembly body
-// reports a tile offset outside its slices.
+// reports an offset outside its slices.
 func inRange(ok bool) {
 	if !ok {
-		panic("sparse: tile index out of range")
+		panic("sparse: kernel index out of range")
 	}
 }
 

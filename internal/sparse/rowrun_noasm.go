@@ -15,5 +15,11 @@ func trans8AVX2(ys, xs, v []float64, ri, ci []int32, n int, diag bool) bool {
 func trans4AVX2(ys, xs, v []float64, ri, ci []int32, n int, diag bool) bool {
 	panic(noAsm)
 }
+func trsv8AVX2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) bool {
+	panic(noAsm)
+}
+func trsv4AVX2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) bool {
+	panic(noAsm)
+}
 
 const noAsm = "sparse: this build has no assembly bodies"
