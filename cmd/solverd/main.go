@@ -25,14 +25,14 @@ import (
 
 // checkFlags refuses the flag values the engine would otherwise swap for its
 // defaults while the startup log prints the value given: the queue, the
-// pool, the plan cache and the batch cap need at least one slot, the
-// runtime worker count (0 = GOMAXPROCS) and the drain timeout cannot be
-// negative, and coalescing needs a positive window to collect a batch in.
+// pool and the batch cap need at least one slot, the runtime worker count
+// (0 = GOMAXPROCS) and the drain timeout cannot be negative, and coalescing
+// needs a positive window to collect a batch in.
 func checkFlags(cfg server.Config, drainTimeout time.Duration) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"-queue", cfg.QueueSize}, {"-workers", cfg.Workers}, {"-plan-cache", cfg.PlanCacheSize}, {"-coalesce", cfg.CoalesceMax}} {
+	}{{"-queue", cfg.QueueSize}, {"-workers", cfg.Workers}, {"-coalesce", cfg.CoalesceMax}} {
 		if f.v < 1 {
 			return fmt.Errorf("%s %d: want at least 1", f.name, f.v)
 		}
@@ -69,7 +69,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (full queue rejects with 429)")
 	workers := flag.Int("workers", 2, "pool size: jobs executing concurrently")
 	rtWorkers := flag.Int("rt-workers", 0, "runtime workers per job (0 = GOMAXPROCS)")
-	planCache := flag.Int("plan-cache", 128, "autotune plan cache capacity")
 	coalesce := flag.Int("coalesce", 8,
 		"max same-matrix cg/pcg jobs merged into one multi-RHS batch (1 disables coalescing)")
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond,
@@ -81,7 +80,6 @@ func main() {
 		QueueSize:      *queue,
 		Workers:        *workers,
 		RTWorkers:      *rtWorkers,
-		PlanCacheSize:  *planCache,
 		CoalesceMax:    *coalesce,
 		CoalesceWindow: *coalesceWindow,
 	}

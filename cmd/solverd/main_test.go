@@ -16,7 +16,7 @@ import (
 )
 
 func TestCheckFlags(t *testing.T) {
-	defaults := server.Config{QueueSize: 64, Workers: 2, PlanCacheSize: 128, CoalesceMax: 8, CoalesceWindow: 2 * time.Millisecond}
+	defaults := server.Config{QueueSize: 64, Workers: 2, CoalesceMax: 8, CoalesceWindow: 2 * time.Millisecond}
 	for _, tc := range []struct {
 		name  string
 		edit  func(*server.Config)
@@ -24,13 +24,12 @@ func TestCheckFlags(t *testing.T) {
 		flag  string // the flag the refusal names; "" accepts
 	}{
 		{"defaults", func(*server.Config) {}, 30 * time.Second, ""},
-		{"smallest", func(c *server.Config) { *c = server.Config{QueueSize: 1, Workers: 1, PlanCacheSize: 1, CoalesceMax: 1} }, 0, ""},
+		{"smallest", func(c *server.Config) { *c = server.Config{QueueSize: 1, Workers: 1, CoalesceMax: 1} }, 0, ""},
 		{"coalescing off ignores the window", func(c *server.Config) { c.CoalesceMax, c.CoalesceWindow = 1, 0 }, time.Second, ""},
 		{"explicit runtime workers", func(c *server.Config) { c.RTWorkers = 4 }, time.Second, ""},
 		{"no queue", func(c *server.Config) { c.QueueSize = 0 }, time.Second, "-queue 0"},
 		{"negative queue", func(c *server.Config) { c.QueueSize = -1 }, time.Second, "-queue -1"},
 		{"no workers", func(c *server.Config) { c.Workers = 0 }, time.Second, "-workers 0"},
-		{"no plan cache", func(c *server.Config) { c.PlanCacheSize = 0 }, time.Second, "-plan-cache 0"},
 		{"no batch", func(c *server.Config) { c.CoalesceMax = 0 }, time.Second, "-coalesce 0"},
 		{"negative runtime workers", func(c *server.Config) { c.RTWorkers = -2 }, time.Second, "-rt-workers -2"},
 		{"negative drain timeout", func(*server.Config) {}, -time.Second, "-drain-timeout -1s"},
@@ -57,7 +56,7 @@ func TestCheckFlags(t *testing.T) {
 // open. The test shortens the bound; the constructor's own must leave room
 // for the largest accepted body at 1 MiB/s.
 func TestStalledBodyIsCutOff(t *testing.T) {
-	srv := server.New(server.Config{QueueSize: 1, Workers: 1, PlanCacheSize: 1, CoalesceMax: 1})
+	srv := server.New(server.Config{QueueSize: 1, Workers: 1, CoalesceMax: 1})
 	defer srv.Drain(context.Background())
 	hs := newHTTPServer("", srv.Handler())
 	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout {

@@ -50,18 +50,11 @@ func parseShards(arg string) ([]route.Shard, error) {
 }
 
 // checkFlags refuses the flag values the router would otherwise swap for its
-// defaults while the startup log prints the value given: the spill point is
-// a queue occupancy in (0, 1], the probe period must be positive, and the
-// fingerprint cache needs at least one entry.
+// defaults while the startup log prints the value given: the probe period
+// must be positive.
 func checkFlags(cfg route.Config) error {
-	if !(cfg.SpillFraction > 0 && cfg.SpillFraction <= 1) {
-		return fmt.Errorf("-spill-frac %v: want a queue occupancy in (0, 1]", cfg.SpillFraction)
-	}
 	if cfg.ProbeInterval <= 0 {
 		return fmt.Errorf("-probe-interval %s: want a positive period", cfg.ProbeInterval)
-	}
-	if cfg.FingerprintCacheSize < 1 {
-		return fmt.Errorf("-fp-cache %d: want at least 1", cfg.FingerprintCacheSize)
 	}
 	return nil
 }
@@ -87,15 +80,8 @@ func main() {
 		"comma-separated shard list, name=url or bare url (e.g. s0=http://127.0.0.1:8081,s1=http://127.0.0.1:8082)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond,
 		"shard /healthz polling period")
-	spillFrac := flag.Float64("spill-frac", 0.75,
-		"queue occupancy at which jobs spill to the second rendezvous choice")
-	fpCache := flag.Int("fp-cache", 256, "matrix fingerprint cache capacity")
 	flag.Parse()
-	cfg := route.Config{
-		ProbeInterval:        *probeInterval,
-		SpillFraction:        *spillFrac,
-		FingerprintCacheSize: *fpCache,
-	}
+	cfg := route.Config{ProbeInterval: *probeInterval}
 	if err := checkFlags(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "solverfront: %v\n", err)
 		os.Exit(2)
@@ -118,8 +104,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("solverfront listening on %s (%d shards, spill at %.0f%%)",
-		*addr, len(shards), *spillFrac*100)
+	log.Printf("solverfront listening on %s (%d shards)", *addr, len(shards))
 
 	select {
 	case err := <-errc:

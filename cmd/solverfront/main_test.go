@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -19,23 +18,15 @@ import (
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		spill float64
 		probe time.Duration
-		fp    int
 		flag  string // the flag the refusal names; "" accepts
 	}{
-		{"defaults", 0.75, 500 * time.Millisecond, 256, ""},
-		{"spill only when full", 1, time.Millisecond, 1, ""},
-		{"spill above full", 1.5, time.Second, 256, "-spill-frac 1.5"},
-		{"never spill", 0, time.Second, 256, "-spill-frac 0"},
-		{"negative spill", -0.5, time.Second, 256, "-spill-frac -0.5"},
-		{"spill NaN", math.NaN(), time.Second, 256, "-spill-frac NaN"},
-		{"no probe period", 0.75, 0, 256, "-probe-interval 0s"},
-		{"negative probe period", 0.75, -time.Second, 256, "-probe-interval -1s"},
-		{"no fingerprint cache", 0.75, time.Second, 0, "-fp-cache 0"},
-		{"negative fingerprint cache", 0.75, time.Second, -1, "-fp-cache -1"},
+		{"defaults", 500 * time.Millisecond, ""},
+		{"short period", time.Millisecond, ""},
+		{"no probe period", 0, "-probe-interval 0s"},
+		{"negative probe period", -time.Second, "-probe-interval -1s"},
 	} {
-		err := checkFlags(route.Config{SpillFraction: tc.spill, ProbeInterval: tc.probe, FingerprintCacheSize: tc.fp})
+		err := checkFlags(route.Config{ProbeInterval: tc.probe})
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
@@ -55,7 +46,7 @@ func TestCheckFlags(t *testing.T) {
 func TestStalledBodyIsCutOff(t *testing.T) {
 	r, err := route.New(route.Config{
 		Shards:        []route.Shard{{Name: "s0", URL: "http://127.0.0.1:1"}},
-		ProbeInterval: time.Hour, SpillFraction: 0.75, FingerprintCacheSize: 1,
+		ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -189,8 +189,6 @@ type Version struct {
 	// Policy builds the simulator scheduling policy with the preset's
 	// overhead scale.
 	Policy func(mach machine.Model, scale float64) sim.Policy
-	// ReduceSpMM switches the SpMM task pattern (fig7 ablation only).
-	ReduceSpMM bool
 }
 
 // Versions returns the five versions in the paper's plotting order.

@@ -269,6 +269,3 @@ func (l *Layout) Base(region uint64, bytes int64) uint64 {
 	l.next += sz
 	return b
 }
-
-// Regions returns the number of distinct regions allocated.
-func (l *Layout) Regions() int { return len(l.bases) }

@@ -137,8 +137,8 @@ func TestLayoutDisjoint(t *testing.T) {
 	if b2-b1 < 4096 {
 		t.Fatalf("regions not page-separated: %d %d", b1, b2)
 	}
-	if l.Regions() != 2 {
-		t.Fatalf("regions = %d, want 2", l.Regions())
+	if len(l.bases) != 2 {
+		t.Fatalf("regions = %d, want 2", len(l.bases))
 	}
 }
 

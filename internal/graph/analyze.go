@@ -13,20 +13,13 @@ type Stats struct {
 	Tasks        int
 	Edges        int
 	Roots        int
-	CriticalPath int   // longest path in tasks
-	CriticalWork int64 // flops along the flop-weighted longest path
-	TotalFlops   int64
+	CriticalPath int // longest path in tasks
 	// MaxWidth is the largest antichain level size under ASAP leveling: an
 	// upper bound proxy for exploitable parallelism.
 	MaxWidth int
 	// KernelCriticalPath is the critical path measured in distinct calls
 	// (kernel granularity), matching how the paper counts 5 and 29.
 	KernelCriticalPath int
-	// LevelWidths is the task count at each ASAP level, index 0 = roots.
-	// Regular SpMM-style graphs have a handful of wide levels; the
-	// triangular-solve graphs introduced with IC(0) preconditioning have
-	// thousands of narrow ones — render with LevelHistogram, which buckets.
-	LevelWidths []int
 }
 
 // ComputeStats analyzes the graph in one topological pass. Tasks are already
@@ -35,19 +28,14 @@ type Stats struct {
 func (g *TDG) ComputeStats() Stats {
 	s := Stats{Tasks: len(g.Tasks), Edges: g.NumEdges, Roots: len(g.Roots)}
 	depth := make([]int32, len(g.Tasks))
-	work := make([]int64, len(g.Tasks))
 	kdepth := make([]int32, len(g.Tasks))
 	var levelCount []int
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		var d, kd int32
-		var w int64
 		for _, dep := range t.Deps {
 			if depth[dep] > d {
 				d = depth[dep]
-			}
-			if work[dep] > w {
-				w = work[dep]
 			}
 			kdp := kdepth[dep]
 			if g.Tasks[dep].Call == t.Call {
@@ -62,7 +50,6 @@ func (g *TDG) ComputeStats() Stats {
 			}
 		}
 		depth[i] = d + 1
-		work[i] = w + t.Flops
 		if len(t.Deps) == 0 {
 			kdepth[i] = 1
 		} else {
@@ -75,12 +62,8 @@ func (g *TDG) ComputeStats() Stats {
 			levelCount = append(levelCount, 0)
 		}
 		levelCount[depth[i]]++
-		s.TotalFlops += t.Flops
 		if int(depth[i]) > s.CriticalPath {
 			s.CriticalPath = int(depth[i])
-		}
-		if work[i] > s.CriticalWork {
-			s.CriticalWork = work[i]
 		}
 		if int(kdepth[i]) > s.KernelCriticalPath {
 			s.KernelCriticalPath = int(kdepth[i])
@@ -91,79 +74,7 @@ func (g *TDG) ComputeStats() Stats {
 			s.MaxWidth = c
 		}
 	}
-	// depth values start at 1, so levelCount[0] is always empty.
-	if len(levelCount) > 1 {
-		s.LevelWidths = levelCount[1:]
-	}
 	return s
-}
-
-// LevelHistogram renders the level-width profile as at most maxRows lines.
-// When the graph has more levels than rows — the norm for level-scheduled
-// triangular solves, whose DAGs have thousands of levels of width 1–4 —
-// consecutive levels are bucketed and each line reports the bucket's level
-// range, total tasks, and min/mean/max width, with a bar scaled to the widest
-// bucket mean. Printing one line per level is never acceptable output for
-// such graphs; this is the capped form every front-end should use.
-func (s Stats) LevelHistogram(maxRows int) string {
-	if len(s.LevelWidths) == 0 {
-		return "(empty graph)\n"
-	}
-	if maxRows < 1 {
-		maxRows = 1
-	}
-	n := len(s.LevelWidths)
-	per := (n + maxRows - 1) / maxRows // levels per bucket
-	type bucket struct {
-		lo, hi     int // level range, inclusive
-		tasks      int
-		minW, maxW int
-		mean       float64
-	}
-	var bs []bucket
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		b := bucket{lo: lo, hi: hi - 1, minW: s.LevelWidths[lo], maxW: s.LevelWidths[lo]}
-		for _, w := range s.LevelWidths[lo:hi] {
-			b.tasks += w
-			if w < b.minW {
-				b.minW = w
-			}
-			if w > b.maxW {
-				b.maxW = w
-			}
-		}
-		b.mean = float64(b.tasks) / float64(hi-lo)
-		bs = append(bs, b)
-	}
-	peak := 0.0
-	for _, b := range bs {
-		if b.mean > peak {
-			peak = b.mean
-		}
-	}
-	const barWidth = 40
-	var out strings.Builder
-	fmt.Fprintf(&out, "%d levels, max width %d (%d rows of %d levels each)\n", n, s.MaxWidth, len(bs), per)
-	for _, b := range bs {
-		bar := 0
-		if peak > 0 {
-			bar = int(b.mean / peak * barWidth)
-		}
-		if bar == 0 && b.tasks > 0 {
-			bar = 1
-		}
-		if per == 1 {
-			fmt.Fprintf(&out, "L%-6d %6d %s\n", b.lo, b.tasks, strings.Repeat("#", bar))
-		} else {
-			fmt.Fprintf(&out, "L%d-%d: %d tasks, width %d..%d (mean %.1f) %s\n",
-				b.lo, b.hi, b.tasks, b.minW, b.maxW, b.mean, strings.Repeat("#", bar))
-		}
-	}
-	return out.String()
 }
 
 // Validate checks structural invariants: dependencies point strictly
@@ -227,16 +138,4 @@ func (g *TDG) WriteDOT(w io.Writer, title string) error {
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// TasksOfCall returns the ids of all tasks expanded from call ci, in
-// creation order.
-func (g *TDG) TasksOfCall(ci int) []int32 {
-	var out []int32
-	for i := range g.Tasks {
-		if g.Tasks[i].Call == int32(ci) {
-			out = append(out, g.Tasks[i].ID)
-		}
-	}
-	return out
 }

@@ -159,8 +159,8 @@ func TestFusePreservesCriticalStructure(t *testing.T) {
 	// the same number of leaf tasks per partition and stats stay coherent.
 	sOrig := g.ComputeStats()
 	sFused := f.ComputeStats()
-	if sFused.TotalFlops != sOrig.TotalFlops {
-		t.Fatalf("fusion changed total flops: %d -> %d", sOrig.TotalFlops, sFused.TotalFlops)
+	if wOrig, wFused := g.FlopBounds().Work, f.FlopBounds().Work; wFused != wOrig {
+		t.Fatalf("fusion changed total flops: %v -> %v", wOrig, wFused)
 	}
 	if sFused.CriticalPath >= sOrig.CriticalPath {
 		t.Fatalf("fusion should shorten the task-level critical path: %d -> %d",

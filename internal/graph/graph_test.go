@@ -173,7 +173,8 @@ func TestReduceSpMMShape(t *testing.T) {
 	A := p.Sparse("A")
 	X := p.Vec("X", 1)
 	Y := p.Vec("Y", 1)
-	p.SpMMReduceBased(Y, A, X)
+	p.SpMM(Y, A, X)
+	p.Calls[0].ReduceSpMM = true
 	csb := denseCSB(m, block, 3)
 	g, err := Build(p, map[program.OperandID]*sparse.CSB{A: csb}, DefaultOptions())
 	if err != nil {
@@ -311,14 +312,14 @@ func TestTasksOfCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(g.TasksOfCall(0)); got != 9 {
-		t.Errorf("call 0 tasks = %d, want 9", got)
+	perCall := map[int32]int{}
+	for i := range g.Tasks {
+		perCall[g.Tasks[i].Call]++
 	}
-	if got := len(g.TasksOfCall(1)); got != 3 {
-		t.Errorf("call 1 tasks = %d, want 3", got)
-	}
-	if got := len(g.TasksOfCall(2)); got != 4 {
-		t.Errorf("call 2 tasks = %d, want 4", got)
+	for call, want := range map[int32]int{0: 9, 1: 3, 2: 4} {
+		if got := perCall[call]; got != want {
+			t.Errorf("call %d tasks = %d, want %d", call, got, want)
+		}
 	}
 }
 

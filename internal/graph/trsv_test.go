@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"sparsetask/internal/matgen"
@@ -59,13 +58,8 @@ func TestExpandSpTrsvChain(t *testing.T) {
 	if len(g.Roots) != 1 {
 		t.Fatalf("%d roots, want 1", len(g.Roots))
 	}
-	if len(st.LevelWidths) != p.NP {
-		t.Fatalf("LevelWidths has %d levels, want %d", len(st.LevelWidths), p.NP)
-	}
-	for i, w := range st.LevelWidths {
-		if w != 1 {
-			t.Fatalf("level %d width %d, want 1", i, w)
-		}
+	if st.MaxWidth != 1 {
+		t.Fatalf("widest level has %d tasks, want 1", st.MaxWidth)
 	}
 	for i := range g.Tasks {
 		if g.Tasks[i].Kind != TTrsv {
@@ -106,9 +100,9 @@ func TestExpandSpTrsvMismatchedLayout(t *testing.T) {
 	}
 }
 
-// TestLevelHistogramBuckets: a deep chain graph must render as a capped,
-// bucketed histogram, never one line per level.
-func TestLevelHistogramBuckets(t *testing.T) {
+// TestDeepChainLevels: a 3000-block chain of triangular-solve tasks analyses
+// to 3000 levels of one task each.
+func TestDeepChainLevels(t *testing.T) {
 	n := 3000
 	l := bidiagonalLower(n)
 	p := program.New(n, 1)
@@ -121,44 +115,8 @@ func TestLevelHistogramBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := g.ComputeStats()
-	if len(st.LevelWidths) != n {
-		t.Fatalf("expected %d levels, got %d", n, len(st.LevelWidths))
-	}
-	const maxRows = 24
-	h := st.LevelHistogram(maxRows)
-	lines := strings.Count(h, "\n")
-	if lines > maxRows+1 { // +1 header
-		t.Fatalf("histogram has %d lines for a %d-level graph, cap is %d", lines, n, maxRows+1)
-	}
-	if !strings.Contains(h, "3000 levels") {
-		t.Fatalf("header missing level count:\n%s", h)
-	}
-	// Every task must be accounted for across the buckets.
-	total := 0
-	for _, w := range st.LevelWidths {
-		total += w
-	}
-	if total != len(g.Tasks) {
-		t.Fatalf("level widths sum to %d, want %d tasks", total, len(g.Tasks))
-	}
-}
-
-func TestLevelHistogramSmallGraph(t *testing.T) {
-	// Fewer levels than rows: one line per level with width bars.
-	s := Stats{LevelWidths: []int{4, 4, 1}, MaxWidth: 4}
-	h := s.LevelHistogram(10)
-	if strings.Count(h, "\n") != 4 {
-		t.Fatalf("want header + 3 level lines:\n%s", h)
-	}
-	if !strings.Contains(h, "3 levels, max width 4") {
-		t.Fatalf("bad header:\n%s", h)
-	}
-}
-
-func TestLevelHistogramEmpty(t *testing.T) {
-	var s Stats
-	if got := s.LevelHistogram(10); !strings.Contains(got, "empty") {
-		t.Fatalf("empty stats rendered %q", got)
+	if st.Tasks != n || st.CriticalPath != n || st.MaxWidth != 1 {
+		t.Fatalf("%d tasks, critical path %d, max width %d; want %d, %d, 1", st.Tasks, st.CriticalPath, st.MaxWidth, n, n)
 	}
 }
 

@@ -52,11 +52,8 @@ func buildListing1(t *testing.T, m, block, n int, seed int64, reduce bool) (*gra
 	Z := p.Small("Z", n, n)
 	Q := p.Vec("Q", n)
 	P := p.Small("P", n, n)
-	if reduce {
-		p.SpMMReduceBased(Y, A, X)
-	} else {
-		p.SpMM(Y, A, X)
-	}
+	p.SpMM(Y, A, X)
+	p.Calls[0].ReduceSpMM = reduce
 	p.Gemm(Q, 1, Y, Z, 0)
 	p.GemmT(P, Y, Q)
 

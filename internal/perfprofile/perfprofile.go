@@ -115,21 +115,3 @@ func Compute(t *Table) ([]Profile, error) {
 	}
 	return out, nil
 }
-
-// Render prints the profiles as rows of Rho values over a τ grid, the
-// textual equivalent of Fig. 14.
-func Render(profiles []Profile, taus []float64) string {
-	s := "config"
-	for _, tau := range taus {
-		s += fmt.Sprintf("\tτ=%.2f", tau)
-	}
-	s += "\n"
-	for _, p := range profiles {
-		s += p.Config
-		for _, tau := range taus {
-			s += fmt.Sprintf("\t%.2f", p.Rho(tau))
-		}
-		s += "\n"
-	}
-	return s
-}

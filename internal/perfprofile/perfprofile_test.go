@@ -2,7 +2,6 @@ package perfprofile
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -92,19 +91,5 @@ func TestAUCOrdersHeuristics(t *testing.T) {
 	}
 	if ps[0].AUC(1) != 0 {
 		t.Error("AUC over empty interval should be 0")
-	}
-}
-
-func TestRender(t *testing.T) {
-	ps, err := Compute(sampleTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Render(ps, []float64{1, 1.5, 2})
-	if !strings.Contains(out, "a\t0.67") && !strings.Contains(out, "a\t0.6") {
-		t.Errorf("unexpected render:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
-		t.Errorf("want header + 2 rows:\n%s", out)
 	}
 }

@@ -286,16 +286,6 @@ func (p *Program) SpMM(out, a, x OperandID) *Program {
 	return p
 }
 
-// SpMMReduceBased appends Out = A·X using the buffer-plus-reduction task
-// pattern instead of dependency chaining (the losing side of the paper's
-// Fig. 7 ablation). Memory cost is NP column buffers of the full output size.
-func (p *Program) SpMMReduceBased(out, a, x OperandID) *Program {
-	p.SpMM(out, a, x)
-	p.Calls[len(p.Calls)-1].ReduceSpMM = true
-	p.Calls[len(p.Calls)-1].Name = "SpMM-red"
-	return p
-}
-
 // SpMMSym appends Out = A·X where A is a symmetric sparse operand and
 // X/Out are vecs with equal widths. Expansion consumes the SymCSB attached
 // via graph.Options.Syms; its cached schedule orders the tile tasks into

@@ -120,14 +120,6 @@ func TestBuilderChainAndKinds(t *testing.T) {
 	}
 }
 
-func TestSpMMReduceBased(t *testing.T) {
-	p, a, x, y := testProgram()
-	p.SpMMReduceBased(y, a, x)
-	if !p.Calls[0].ReduceSpMM {
-		t.Fatal("ReduceSpMM not set")
-	}
-}
-
 func TestStoreAllocation(t *testing.T) {
 	p, a, x, y := testProgram()
 	pr := p.Small("P", 2, 2)

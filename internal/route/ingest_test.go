@@ -130,7 +130,7 @@ func TestSameHeaderLandsOnOneShard(t *testing.T) {
 		shard := shardOf(t, v)
 		if i == 0 {
 			placed = shard
-			if want := r.Assign(inlineKey(t, mm)); shard != want {
+			if want := Rank(r.names, inlineKey(t, mm))[0]; shard != want {
 				t.Fatalf("placed on %s, the header key ranks %s first", shard, want)
 			}
 			continue
@@ -174,7 +174,7 @@ func TestSuiteSpecsPlacedByFingerprint(t *testing.T) {
 			specs++
 		}
 	}
-	if h, m, _ := r.fps.stats(); m != int64(specs) || h != int64(specs) {
+	if h, m, _ := r.fps.Stats(); m != int64(specs) || h != int64(specs) {
 		t.Errorf("fingerprint cache hits=%d misses=%d, want %d and %d", h, m, specs, specs)
 	}
 }

@@ -46,17 +46,20 @@ type Config struct {
 	Shards []Shard
 	// ProbeInterval is the /healthz polling period. Default 500ms.
 	ProbeInterval time.Duration
-	// SpillFraction is the queue occupancy (depth/capacity) at which a
-	// submission spills from its first-choice shard to the second rendezvous
-	// choice. Default 0.75.
-	SpillFraction float64
-	// FingerprintCacheSize bounds the identity→fingerprint LRU that places
-	// suite matrices. Default 256.
-	FingerprintCacheSize int
 	// Client overrides the HTTP client used for probing and proxying
 	// (default: 10s timeout).
 	Client *http.Client
 }
+
+const (
+	// spillFraction is the queue occupancy (depth/capacity) at which a
+	// submission spills from its first-choice shard to the second rendezvous
+	// choice.
+	spillFraction = 0.75
+	// fingerprintCacheSize bounds the identity→fingerprint LRU that places
+	// suite matrices, in entries.
+	fingerprintCacheSize = 256
+)
 
 // Router fronts the shard fleet. Create with New, mount Handler() on an
 // http.Server, and call Close on shutdown to stop the probers.
@@ -66,8 +69,14 @@ type Router struct {
 	shards []*shardState
 	byName map[string]*shardState
 	names  []string // rendezvous input, config order
-	fps    fpCache
-	mux    *http.ServeMux
+	// fps memoizes suite matrices' structural fingerprints per
+	// MatrixSpec.Identity. The fingerprint is a pure function of the spec
+	// (server.SpecFingerprint), but computing it generates the matrix — far
+	// too expensive per request — while serving traffic re-submits a small
+	// working set of specs. Inline matrices never come here: they are placed
+	// by their header (headerKey).
+	fps *server.LRU[string, uint64]
+	mux *http.ServeMux
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -87,12 +96,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.SpillFraction <= 0 || cfg.SpillFraction > 1 {
-		cfg.SpillFraction = 0.75
-	}
-	if cfg.FingerprintCacheSize <= 0 {
-		cfg.FingerprintCacheSize = 256
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -102,7 +105,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		client: client,
 		byName: make(map[string]*shardState, len(cfg.Shards)),
-		fps:    newFPCache(cfg.FingerprintCacheSize),
+		fps:    server.NewLRU[string, uint64](fingerprintCacheSize),
 		ctx:    ctx,
 		cancel: cancel,
 	}
@@ -149,16 +152,10 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// Assign returns the shard name a placement key routes to, before health or
-// spill adjustments — the stable rendezvous placement.
-func (r *Router) Assign(key uint64) string {
-	return Rank(r.names, key)[0]
-}
-
 // candidates returns placeable shards in placement order for a placement
 // key, and the key's first rendezvous choice whether placeable or not:
 // rendezvous rank, with the primary demoted behind the runner-up once its
-// queue occupancy crosses SpillFraction — but only when the runner-up is
+// queue occupancy crosses spillFraction — but only when the runner-up is
 // strictly less loaded, so a uniformly saturated fleet doesn't ping-pong
 // jobs away from their warm caches for nothing.
 func (r *Router) candidates(key uint64) (out []*shardState, primary string) {
@@ -171,7 +168,7 @@ func (r *Router) candidates(key uint64) (out []*shardState, primary string) {
 	}
 	if len(out) >= 2 {
 		po, so := out[0].occupancy(), out[1].occupancy()
-		if po >= r.cfg.SpillFraction && so >= 0 && so < po {
+		if po >= spillFraction && so >= 0 && so < po {
 			out[0], out[1] = out[1], out[0]
 		}
 	}
@@ -186,7 +183,7 @@ func (r *Router) candidates(key uint64) (out []*shardState, primary string) {
 // memoized per identity.
 func (r *Router) placementKey(b *server.JobBody) (uint64, error) {
 	if m, ok := b.SuiteMatrix(); ok {
-		return r.fps.fingerprint(m)
+		return r.fps.Load(m.Identity(), func() (uint64, error) { return server.SpecFingerprint(m) })
 	}
 	h, err := sparse.ReadMatrixMarketHeader(b.DocumentReader())
 	if err != nil {
@@ -236,6 +233,11 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	for _, s := range cands {
 		status, respBody, err := r.proxy(req.Context(), http.MethodPost, s, "/jobs", body.Raw)
 		if err != nil {
+			if req.Context().Err() != nil {
+				// The client gave up: the error is its own, not the shard's,
+				// and nobody is left to answer.
+				return
+			}
 			// Unreachable mid-interval: mark it down now and try the fallback.
 			s.setUnhealthy(err.Error())
 			continue
@@ -396,7 +398,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	snap.Router.Spilled = r.spilled.Load()
 	snap.Router.Rejected = r.rejected.Load()
 	snap.Router.Unrouteable = r.unrouteable.Load()
-	snap.FingerprintCache.Hits, snap.FingerprintCache.Misses, snap.FingerprintCache.Size = r.fps.stats()
+	snap.FingerprintCache.Hits, snap.FingerprintCache.Misses, _ = r.fps.Stats()
+	snap.FingerprintCache.Size = r.fps.Len()
 	snap.ShardDetail = make(map[string]server.MetricsSnapshot, len(r.shards))
 
 	type fetched struct {

@@ -100,7 +100,9 @@ type fakeShard struct {
 	depth    int
 	capacity int
 	status   int
-	srv      *httptest.Server
+	// stall makes POST /jobs answer nothing until its caller gives up.
+	stall bool
+	srv   *httptest.Server
 }
 
 func newFakeShard(t *testing.T) *fakeShard {
@@ -122,8 +124,12 @@ func newFakeShard(t *testing.T) *fakeShard {
 		f.mu.Lock()
 		f.lastBody = body
 		f.submits++
-		n, st := f.submits, f.status
+		n, st, stall := f.submits, f.status, f.stall
 		f.mu.Unlock()
+		if stall {
+			<-r.Context().Done()
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		if st != http.StatusAccepted {
 			w.WriteHeader(st)
@@ -224,7 +230,7 @@ func TestRoutingDeterministicAcrossRestarts(t *testing.T) {
 		}
 		r1 := newTestRouter(t, cfg)
 		ts1 := httptest.NewServer(r1.Handler())
-		want := r1.Assign(c.key)
+		want := Rank(r1.names, c.key)[0]
 		for i := 0; i < 4; i++ {
 			v, status := postSpec(t, ts1, spec(int64(i+1)))
 			if status != http.StatusAccepted {
@@ -253,32 +259,34 @@ func TestRoutingDeterministicAcrossRestarts(t *testing.T) {
 
 func TestSpillToSecondChoiceWhenPrimaryDeep(t *testing.T) {
 	a, b := newFakeShard(t), newFakeShard(t)
-	cfg := Config{
-		Shards:        []Shard{{Name: "s0", URL: a.srv.URL}, {Name: "s1", URL: b.srv.URL}},
-		SpillFraction: 0.75,
-	}
+	cfg := Config{Shards: []Shard{{Name: "s0", URL: a.srv.URL}, {Name: "s1", URL: b.srv.URL}}}
 	r := newTestRouter(t, cfg)
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
 
 	mm := tridiagMM(16)
-	primary := r.Assign(inlineKey(t, mm))
+	primary := Rank(r.names, inlineKey(t, mm))[0]
 	shards := map[string]*fakeShard{"s0": a, "s1": b}
 	second := "s0"
 	if primary == "s0" {
 		second = "s1"
 	}
 
-	// Below threshold: affinity wins.
-	v, status := postSpec(t, ts, cgSpec(mm, 1))
-	if status != http.StatusAccepted || shardOf(t, v) != primary {
-		t.Fatalf("light load: status %d shard %s, want 202 on %s", status, shardOf(t, v), primary)
+	// Below the spill point: affinity wins, at no load and just under an
+	// occupancy of 0.75.
+	for _, depth := range []int{0, 11} {
+		shards[primary].set(depth, http.StatusAccepted)
+		r.ProbeNow(context.Background())
+		v, status := postSpec(t, ts, cgSpec(mm, 1))
+		if status != http.StatusAccepted || shardOf(t, v) != primary {
+			t.Fatalf("primary at %d/16: status %d shard %s, want 202 on %s", depth, status, shardOf(t, v), primary)
+		}
 	}
 
-	// Primary at 15/16 occupancy, runner-up empty: the job must spill.
-	shards[primary].set(15, http.StatusAccepted)
+	// Primary at 12/16 = 0.75 occupancy, runner-up empty: the job must spill.
+	shards[primary].set(12, http.StatusAccepted)
 	r.ProbeNow(context.Background())
-	v, status = postSpec(t, ts, cgSpec(mm, 2))
+	v, status := postSpec(t, ts, cgSpec(mm, 2))
 	if status != http.StatusAccepted {
 		t.Fatalf("spill submit: status %d", status)
 	}
@@ -290,11 +298,47 @@ func TestSpillToSecondChoiceWhenPrimaryDeep(t *testing.T) {
 	}
 
 	// Both equally saturated: no point bouncing — stay with affinity.
+	shards[primary].set(15, http.StatusAccepted)
 	shards[second].set(15, http.StatusAccepted)
 	r.ProbeNow(context.Background())
 	v, status = postSpec(t, ts, cgSpec(mm, 3))
 	if status != http.StatusAccepted || shardOf(t, v) != primary {
 		t.Fatalf("uniform saturation: status %d shard %s, want 202 on %s", status, shardOf(t, v), primary)
+	}
+}
+
+// TestClientGiveUpLeavesShardsHealthy: a client that times out while both
+// shards sit on its submission cancels the router's proxy calls. That error
+// is the client's, not the shards': neither may be marked down, or every
+// later submission is refused until the next probe.
+func TestClientGiveUpLeavesShardsHealthy(t *testing.T) {
+	a, b := newFakeShard(t), newFakeShard(t)
+	a.stall, b.stall = true, true
+	r := newTestRouter(t, Config{Shards: []Shard{{Name: "s0", URL: a.srv.URL}, {Name: "s1", URL: b.srv.URL}}})
+	ts := httptest.NewServer(r.Handler())
+
+	body, err := json.Marshal(cgSpec(tridiagMM(16), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 200 * time.Millisecond}
+	resp, err := client.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("stalled shards answered %d", resp.StatusCode)
+	}
+	ts.Close() // waits for the router's handler to return
+
+	for _, s := range r.shards {
+		if st := s.status(); !st.Healthy {
+			t.Errorf("shard %s marked down by the client's cancellation: %+v", s.name, st)
+		}
+	}
+	if n, _ := r.candidates(0); len(n) != 2 {
+		t.Errorf("%d of 2 shards placeable after the client gave up", len(n))
+	}
+	if r.unrouteable.Load() != 0 || r.rejected.Load() != 0 {
+		t.Errorf("the client's cancellation was counted: unrouteable %d, rejected %d", r.unrouteable.Load(), r.rejected.Load())
 	}
 }
 
@@ -306,7 +350,7 @@ func TestBackpressureRetryThen429(t *testing.T) {
 	defer ts.Close()
 
 	mm := tridiagMM(20)
-	primary := r.Assign(inlineKey(t, mm))
+	primary := Rank(r.names, inlineKey(t, mm))[0]
 	shards := map[string]*fakeShard{"s0": a, "s1": b}
 	second := "s0"
 	if primary == "s0" {
@@ -508,8 +552,8 @@ func TestEndToEndTwoEngines(t *testing.T) {
 	}
 	// Inline matrices are placed by their header: the router never built one
 	// to fingerprint it.
-	if h, m, size := r.fps.stats(); h != 0 || m != 0 || size != 0 {
-		t.Fatalf("fingerprint cache hits=%d misses=%d size=%d after inline traffic only, want 0, 0, 0", h, m, size)
+	if h, m, _ := r.fps.Stats(); h != 0 || m != 0 || r.fps.Len() != 0 {
+		t.Fatalf("fingerprint cache hits=%d misses=%d size=%d after inline traffic only, want 0, 0, 0", h, m, r.fps.Len())
 	}
 
 	// Cancel through the router resolves the namespaced ID (terminal job:

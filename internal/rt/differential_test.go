@@ -50,7 +50,7 @@ func TestDifferentialGraphExecution(t *testing.T) {
 				shape = "fused"
 			}
 			for _, w := range []int{1, 2, 4} {
-				opt := Options{Workers: w, AnalysisCost: 1, DynamicTracing: seed%2 == 0}
+				opt := Options{Workers: w, DynamicTracing: seed%2 == 0}
 				for _, r := range allRuntimes(opt) {
 					st := c.NewStore()
 					pr := r.Prepare(g, st)
@@ -82,7 +82,7 @@ func TestRegentFusedGroupsAreIndexLaunches(t *testing.T) {
 	if want := len(g.Tasks) - 3*np; len(f.Tasks) != want {
 		t.Fatalf("fused test problem has %d tasks, want %d", len(f.Tasks), want)
 	}
-	r := NewRegent(Options{Workers: 2, AnalysisCost: 10})
+	r := NewRegent(Options{Workers: 2})
 	if err := runOnce(context.Background(), r, f, mk()); err != nil {
 		t.Fatal(err)
 	}

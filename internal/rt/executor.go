@@ -71,9 +71,6 @@ type executorRun struct {
 
 func (p *executorRun) Run(ctx context.Context) error { return p.e.Run(ctx) }
 
-// Locality implements LocalityReporter with the live executor counters.
-func (p *executorRun) Locality() sched.LocalityStats { return p.e.Stats() }
-
 func (p *executorRun) Close() {
 	p.acc.Add(p.e.Stats())
 	p.e.Close()

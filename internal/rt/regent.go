@@ -44,11 +44,12 @@ type Regent struct {
 // spun its full budget would hold a processor a peer needs.
 const regentPoll = 32
 
-// defaultAnalysisCost is the spin-loop iteration count per analyzed task.
-// Calibrated so analysis is on the order of a microsecond per task: invisible
-// next to a coarse tile task, dominant when a matrix is over-decomposed into
-// tens of thousands of tiny tasks.
-const defaultAnalysisCost = 600
+// analysisCost is the Regent dependence-analysis work per task, in spin-loop
+// iterations. Calibrated so analysis is on the order of a microsecond per
+// task: invisible next to a coarse tile task, dominant when a matrix is
+// over-decomposed into tens of thousands of tiny tasks — the paper's observed
+// Regent behavior.
+const analysisCost = 600
 
 // NewRegent returns the Regent-style runtime.
 func NewRegent(opt Options) *Regent {
@@ -72,7 +73,6 @@ type regentPrepared struct {
 	g    *graph.TDG
 	body func(int, int32)
 	nw   int
-	cost int
 	// full marks the tasks that pay dependence analysis when the graph is
 	// analysed: everything but the later tasks of an index launch.
 	full []bool
@@ -111,14 +111,10 @@ func (r *Regent) Prepare(g *graph.TDG, st *program.Store) PreparedRun {
 	p := &regentPrepared{
 		r: r, g: g, nw: nw,
 		body:   taskBody(g, st, r.opt.Recorder, r.epoch),
-		cost:   r.opt.AnalysisCost,
 		full:   make([]bool, n),
 		remain: make([]atomic.Int32, n),
 		ready:  make(chan int32, n),
 		fin:    make(chan struct{}, 1),
-	}
-	if p.cost <= 0 {
-		p.cost = defaultAnalysisCost
 	}
 	// Index launches are analysed once, with their first task: the tasks of a
 	// call marked IndexLaunch, and the fused groups Fuse produced from one
@@ -235,7 +231,7 @@ func (p *regentPrepared) Run(ctx context.Context) error {
 		if p.full[issued] && !replay {
 			// Dependence analysis: hash over the task's region set, repeated
 			// to model Legion's region-tree walk.
-			work := p.cost * (1 + len(t.Reads) + len(t.Writes))
+			work := analysisCost * (1 + len(t.Reads) + len(t.Writes))
 			for k := 0; k < work; k++ {
 				sink = sink*0x9E3779B97F4A7C15 + uint64(t.ID) + uint64(k)
 			}

@@ -41,11 +41,6 @@ type Options struct {
 	Workers int
 	// Recorder, when non-nil, receives one event per executed task.
 	Recorder *trace.Recorder
-	// AnalysisCost is the Regent dependence-analysis work per task, in
-	// spin-loop iterations. 0 selects a default calibrated to make analysis
-	// visible but not dominant at small task counts — the paper's observed
-	// Regent behavior.
-	AnalysisCost int
 	// DynamicTracing enables Regent's memoized task-graph replay (Lee et
 	// al., SC18): repeated executions of the same TDG skip most analysis.
 	DynamicTracing bool
@@ -89,11 +84,10 @@ type PreparedRun interface {
 	Close()
 }
 
-// LocalityReporter is implemented by the runtimes and prepared runs built on
-// sched.Executor (DeepSparse and HPX), which keep its counters. A runtime's Locality is its lifetime
-// aggregate (folded in as executions close); a PreparedRun's is the live
-// count for that handle. Safe to call concurrently with runs on the runtime
-// form; on a PreparedRun only between Run calls.
+// LocalityReporter is implemented by the runtimes built on sched.Executor
+// (DeepSparse and HPX), which keep its counters. Locality is the runtime's
+// lifetime aggregate, folded in as prepared runs close; it is safe to call
+// concurrently with runs.
 type LocalityReporter interface {
 	Locality() sched.LocalityStats
 }

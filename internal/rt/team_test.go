@@ -44,7 +44,7 @@ func lifecycleProblem(t *testing.T, step func(*program.Store)) (*graph.TDG, *pro
 // leaves no goroutine behind on any backend.
 func TestCloseLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, r := range allRuntimes(Options{Workers: 3, AnalysisCost: 1}) {
+	for _, r := range allRuntimes(Options{Workers: 3}) {
 		for _, mode := range []string{"clean", "cancel", "panic"} {
 			for _, fuse := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/fused=%v", r.Name(), mode, fuse)
@@ -95,7 +95,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 // execute the graph correctly after a cancelled or panicking Run — the team
 // is dismissed or drained, never left holding half a run.
 func TestPreparedRunSurvivesAShortRun(t *testing.T) {
-	for _, r := range allRuntimes(Options{Workers: 3, AnalysisCost: 1}) {
+	for _, r := range allRuntimes(Options{Workers: 3}) {
 		for _, mode := range []string{"cancel", "panic"} {
 			ctx, cancel := context.WithCancel(context.Background())
 			armed := true

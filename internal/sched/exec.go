@@ -99,7 +99,7 @@ const haltedTotal = math.MinInt64 / 2
 // a cache line. Written only by the owning worker during a run; reading is
 // safe once Run has returned (the helpers' check-out orders the writes).
 type worker struct {
-	LocalityStats       // cumulative over runs until ResetStats
+	LocalityStats       // cumulative over runs
 	ran           int64 // tasks executed in the current run
 	folded        int64 // of those, already subtracted from total
 	rng           uint64

@@ -44,13 +44,17 @@ func TestFlatStealStress(t *testing.T) {
 	}
 }
 
-// TestStatsResetAndFlatMode checks the counter plumbing: a flat execution
-// counts every task as local or stolen, never remote, and ResetStats zeroes.
+// TestStatsResetAndFlatMode checks the counter plumbing: a new executor's
+// counters read zero, and a flat execution counts every task as local or
+// stolen, never remote.
 func TestStatsResetAndFlatMode(t *testing.T) {
 	n, indeg, succs, roots := chainGraph(6, 20)
 	e := NewExecutor(n, indeg, func(i int32) []int32 { return succs[i] }, roots,
 		func(w int, task int32) {}, Options{Workers: 4})
 	defer e.Close()
+	if s := e.Stats(); s != (LocalityStats{}) {
+		t.Fatalf("before any run: %+v", s)
+	}
 	if err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +67,6 @@ func TestStatsResetAndFlatMode(t *testing.T) {
 	}
 	if s.DomainLocalShare() != 1 {
 		t.Fatalf("flat DomainLocalShare = %v, want 1", s.DomainLocalShare())
-	}
-	e.ResetStats()
-	if s := e.Stats(); s.Tasks() != 0 {
-		t.Fatalf("after reset: %+v", s)
 	}
 
 	var acc LocalityAccumulator

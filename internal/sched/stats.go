@@ -4,7 +4,7 @@ import "sync"
 
 // LocalityStats is the exported snapshot of the executor's per-worker
 // counters, aggregated over workers and (for a live Executor) over every Run
-// since construction or the last ResetStats.
+// since construction.
 //
 // Each executed task is counted once by where it came from: the worker's own
 // deque (Local, includes inline-chained successors) or another worker's
@@ -86,12 +86,4 @@ func (e *Executor) Stats() LocalityStats {
 		s.Add(e.ws[i].LocalityStats)
 	}
 	return s
-}
-
-// ResetStats zeroes the locality counters. Same concurrency contract as
-// Stats: only between runs.
-func (e *Executor) ResetStats() {
-	for i := range e.ws {
-		e.ws[i].LocalityStats = LocalityStats{}
-	}
 }

@@ -59,7 +59,7 @@ func TestIdleProtocolCounters(t *testing.T) {
 	if s.Tasks() != 4 {
 		t.Fatalf("ran %d tasks, want 4", s.Tasks())
 	}
-	// They accumulate like the locality counters and reset with them.
+	// They accumulate like the locality counters.
 	var acc LocalityAccumulator
 	acc.Add(s)
 	acc.Add(s)
@@ -70,10 +70,6 @@ func TestIdleProtocolCounters(t *testing.T) {
 	sum.Add(s)
 	if sum != s {
 		t.Fatalf("LocalityStats.Add dropped a field: %+v != %+v", sum, s)
-	}
-	e.ResetStats()
-	if s := e.Stats(); s != (LocalityStats{}) {
-		t.Fatalf("after reset: %+v", s)
 	}
 }
 

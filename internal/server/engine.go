@@ -22,13 +22,6 @@ type Config struct {
 	// RTWorkers is the default per-job runtime worker count (0 =
 	// GOMAXPROCS). Jobs may override with JobSpec.Workers.
 	RTWorkers int
-	// PlanCacheSize bounds the autotune plan LRU. Default 128.
-	PlanCacheSize int
-	// OperatorCacheBytes is the byte budget of the operator cache: the LRU,
-	// keyed by matrix identity, that holds each matrix's COO, tiled storage
-	// per block size, and (for pcg) IC(0) factors and level analyses.
-	// Default 256 MiB.
-	OperatorCacheBytes int64
 	// CoalesceMax caps how many same-matrix cg/pcg jobs the dispatcher may
 	// merge into one multi-RHS batched solve. Values <= 1 disable coalescing:
 	// the dispatcher hands every job to the pool as a group of one. Default 1
@@ -47,12 +40,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 128
-	}
-	if c.OperatorCacheBytes <= 0 {
-		c.OperatorCacheBytes = 256 << 20
-	}
 	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 1
 	}
@@ -61,6 +48,23 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The capacities of the engine's two caches, fixed because no deployment
+// needs other values.
+const (
+	// planCacheSize bounds the autotune plan LRU, in entries.
+	planCacheSize = 128
+	// operatorCacheBytes is the byte budget of the operator cache: the LRU,
+	// keyed by matrix identity, that holds each matrix's COO, tiled storage
+	// per block size, and (for pcg) IC(0) factors and level analyses.
+	operatorCacheBytes = 256 << 20
+)
+
+// maxTrackedJobs bounds how many jobs the engine remembers. Past it, Submit
+// retires the oldest terminal jobs, so a long-lived shard's memory and the
+// walks of GET /jobs and /metrics stop growing with every job it ever
+// accepted. A retired job's ID answers 404.
+const maxTrackedJobs = 1024
 
 // Admission errors returned by Engine.Submit. The HTTP skin maps them to 503,
 // 429 and 400; other transports (internal/route proxies them verbatim) do the
@@ -112,8 +116,8 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		metrics:    &Metrics{},
-		plans:      NewPlanCache(cfg.PlanCacheSize),
-		operators:  NewOperatorCache(cfg.OperatorCacheBytes),
+		plans:      NewPlanCache(planCacheSize),
+		operators:  NewOperatorCache(operatorCacheBytes),
 		queue:      make(chan *Job, cfg.QueueSize),
 		groups:     make(chan []*Job),
 		jobs:       make(map[string]*Job),
@@ -127,9 +131,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Config returns the engine's resolved (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Drain performs a graceful shutdown: stop admitting jobs (Submit returns
 // ErrDraining, /healthz flips to draining), let queued and running jobs
@@ -268,8 +269,8 @@ func (e *Engine) dispatch() {
 // before it; a suite matrix, whose generation cost no request bounds, is
 // built by the worker that runs the job. Once admitted, the job lets go of
 // the document: its operator is job.admitted and coalescing keys on
-// job.identity, so nothing reads the text again, and the engine tracks the
-// job for its whole life.
+// job.identity, so nothing reads the text again. The engine tracks the job
+// until it is terminal and maxTrackedJobs newer jobs have been submitted.
 //
 // The view Submit returns is the job as admitted, taken before the job
 // reaches the queue: a worker may claim it before Submit returns.
@@ -301,8 +302,21 @@ func (e *Engine) Submit(spec JobSpec) (*Job, JobView, error) {
 	}
 	e.jobs[job.ID] = job
 	e.order = append(e.order, job.ID)
+	e.retire()
 	e.metrics.Submitted.Add(1)
 	return job, view, nil
+}
+
+// retire forgets the oldest jobs while more than maxTrackedJobs are tracked,
+// stopping at the first that is not terminal: submission order is kept, and
+// a queued or running job stays reachable. Callers hold e.mu.
+func (e *Engine) retire() {
+	n := 0
+	for len(e.order)-n > maxTrackedJobs && e.jobs[e.order[n]].StateNow().terminal() {
+		delete(e.jobs, e.order[n])
+		n++
+	}
+	e.order = e.order[n:]
 }
 
 // JobByID returns a tracked job, or nil.

@@ -189,8 +189,6 @@ type Metrics struct {
 	Failed    atomic.Int64
 	Canceled  atomic.Int64 // explicit DELETE or deadline expiry
 
-	PlanHits       atomic.Int64
-	PlanMisses     atomic.Int64
 	AutotuneSweeps atomic.Int64 // six-bin block-size searches actually run
 	AutotuneTrials atomic.Int64 // candidates those searches evaluated (tiled + graph built)
 	AutotunePruned atomic.Int64 // candidates they skipped on their lower bound

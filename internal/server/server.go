@@ -201,7 +201,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.PlanCache.Misses = misses
 	snap.PlanCache.Evictions = evictions
 	snap.PlanCache.Size = s.plans.Len()
-	snap.PlanCache.Capacity = s.cfg.PlanCacheSize
+	snap.PlanCache.Capacity = planCacheSize
 	snap.PlanCache.AutotuneSweeps = m.AutotuneSweeps.Load()
 	snap.PlanCache.AutotuneTrials = m.AutotuneTrials.Load()
 	snap.PlanCache.AutotunePruned = m.AutotunePruned.Load()

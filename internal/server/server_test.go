@@ -688,6 +688,74 @@ func TestListJobs(t *testing.T) {
 	}
 }
 
+// TestRetiresOldestTerminalJobs: past maxTrackedJobs, Submit forgets the
+// oldest terminal jobs, stopping at the first one still live, and a
+// forgotten ID answers 404.
+func TestRetiresOldestTerminalJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: maxTrackedJobs + 8, RTWorkers: 1})
+	blocker, status := postJob(t, ts, blockerSpec(""))
+	if status != http.StatusAccepted {
+		t.Fatalf("blocker status = %d", status)
+	}
+	if v, _ := waitState(t, ts, blocker.ID, StateRunning, 10*time.Second); v.State != StateRunning {
+		t.Fatalf("blocker reached %s, want running", v.State)
+	}
+	// The blocker holds the one pool worker, so each of these is still
+	// queued when it is cancelled, and terminal from then on.
+	spec := JobSpec{Solver: "cg", Backend: "bsp", Matrix: MatrixSpec{Suite: "inline1", Preset: "tiny"}}
+	submitCanceled := func() string {
+		t.Helper()
+		j, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		s.Cancel(j)
+		return j.ID
+	}
+	var ids []string
+	for i := 0; i < maxTrackedJobs; i++ {
+		ids = append(ids, submitCanceled())
+	}
+	if n := len(s.Views()); n != maxTrackedJobs+1 {
+		t.Fatalf("%d jobs tracked behind a running one, want all %d", n, maxTrackedJobs+1)
+	}
+
+	cancelJob(t, ts, blocker.ID)
+	if v, _ := waitState(t, ts, blocker.ID, StateCanceled, 10*time.Second); v.State != StateCanceled {
+		t.Fatalf("blocker state after cancel = %s, want canceled", v.State)
+	}
+	ids = append(ids, submitCanceled())
+	if views := s.Views(); len(views) != maxTrackedJobs || views[0].ID != ids[1] {
+		t.Fatalf("%d jobs tracked from %s, want %d from %s", len(views), views[0].ID, maxTrackedJobs, ids[1])
+	}
+	for _, id := range []string{blocker.ID, ids[0]} {
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("retired job %s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if v := getJob(t, ts, ids[1]); v.State != StateCanceled {
+		t.Errorf("job %s is %s, want canceled", ids[1], v.State)
+	}
+}
+
+// TestDefaultCacheCapacities: the caches run at fixed capacities, which
+// /metrics reports.
+func TestDefaultCacheCapacities(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	m := getMetrics(t, ts)
+	if m.PlanCache.Capacity != 128 {
+		t.Errorf("plan_cache.capacity = %d, want 128", m.PlanCache.Capacity)
+	}
+	if m.OperatorCache.CapacityBytes != 268435456 {
+		t.Errorf("operator_cache.capacity_bytes = %d, want 268435456", m.OperatorCache.CapacityBytes)
+	}
+}
+
 // --------------------------------------------------------------- unit tests
 
 func TestPlanCacheLRU(t *testing.T) {

@@ -106,7 +106,7 @@ func TestKrylovSteadyIterationAllocs(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, m := range []*precond.IC0{nil, ic} {
 			for _, tc := range allocWorkerCases() {
-				opt := rt.Options{Workers: tc.workers, AnalysisCost: 1}
+				opt := rt.Options{Workers: tc.workers}
 				for _, r := range allBackends(opt) {
 					t.Run(fmt.Sprintf("k=%d/pcg=%v/%s/%s", k, m != nil, r.Name(), tc.name), func(t *testing.T) {
 						c, err := newKrylov("test", a, m, k, nil, nil)

@@ -80,7 +80,7 @@ func TestBatchCGAllRuntimesAgree(t *testing.T) {
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
 		rt.NewHPX(rt.Options{Workers: 3}),
-		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
+		rt.NewRegent(rt.Options{Workers: 2}),
 	} {
 		c, err := NewBatchCG(coo.ToCSB(10), k)
 		if err != nil {

@@ -72,7 +72,7 @@ func TestCGAllRuntimesAgree(t *testing.T) {
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
 		rt.NewHPX(rt.Options{Workers: 3}),
-		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
+		rt.NewRegent(rt.Options{Workers: 2}),
 	} {
 		cg, err := NewCG(coo.ToCSB(10))
 		if err != nil {

@@ -100,7 +100,7 @@ func TestFusedSolversBitIdentical(t *testing.T) {
 				t.Fatalf("%s on %T, unfused: %v", c.name, a, err)
 			}
 			for _, w := range []int{1, 2, 4} {
-				opt := rt.Options{Workers: w, AnalysisCost: 1}
+				opt := rt.Options{Workers: w}
 				for _, r := range allBackends(opt) {
 					name := fmt.Sprintf("%s on %T, %s, %d workers", c.name, a, r.Name(), w)
 					got, err := c.run(r, false)

@@ -582,10 +582,3 @@ func denseRayleighRitz(psi, r, q, hpsi, hr, hq []float64, m, n int) (cp, cr, cq,
 	}
 	return cp, cr, cq, evals[:n], true
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

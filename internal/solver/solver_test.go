@@ -121,7 +121,7 @@ func TestLanczosAllRuntimesAgree(t *testing.T) {
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 2}),
 		rt.NewHPX(rt.Options{Workers: 2}),
-		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5}),
+		rt.NewRegent(rt.Options{Workers: 2}),
 	}
 	var first []float64
 	for _, r := range runtimes {
@@ -228,7 +228,7 @@ func TestLOBPCGAllRuntimesAgree(t *testing.T) {
 		rt.NewBSP(rt.Options{Workers: 2}),
 		rt.NewDeepSparse(rt.Options{Workers: 3}),
 		rt.NewHPX(rt.Options{Workers: 3}),
-		rt.NewRegent(rt.Options{Workers: 2, AnalysisCost: 5, DynamicTracing: true}),
+		rt.NewRegent(rt.Options{Workers: 2, DynamicTracing: true}),
 	}
 	var first []float64
 	for _, r := range runtimes {

@@ -130,7 +130,7 @@ func TestWidthIndependence(t *testing.T) {
 					v.name, s.name, want[2].Iterations, want[4].Iterations, want[0].Iterations)
 			}
 			for _, w := range []int{1, 2, 4} {
-				opt := rt.Options{Workers: w, AnalysisCost: 1}
+				opt := rt.Options{Workers: w}
 				for _, r := range []rt.Runtime{rt.NewBSP(opt), rt.NewDeepSparse(opt), rt.NewHPX(opt), rt.NewRegent(opt)} {
 					for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
 						for j, got := range solve(r, pool[:k]) {

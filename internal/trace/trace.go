@@ -254,17 +254,3 @@ func (r *Recorder) RenderASCII(w io.Writer, cols int) error {
 	}
 	return nil
 }
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
