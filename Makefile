@@ -9,8 +9,8 @@ check: build lint test race benchcheck benchsmoke examples
 
 # Static analysis: gofmt, go vet (also at GOARCH=arm64, which type-checks
 # the build that has only the Go kernel bodies), and sparselint
-# (internal/lint — the repo-specific hot-path/locking/ownership/taint/
-# errflow/determinism analyzers).
+# (internal/lint — the repo-specific hot-path/locking/ownership/errflow/
+# determinism/atomic-field analyzers).
 lint:
 	./scripts/lint.sh
 

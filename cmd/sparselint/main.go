@@ -2,15 +2,14 @@
 // whole module: hot paths (propagated over the call graph) held to a
 // per-function budget of the heap escapes and loop bounds checks the
 // compiler reports, internal/lint/hotpath_budget.txt, and kept free of
-// append growth, fmt and string concatenation; lock discipline, deque
-// ownership, context-first APIs, determinism of graph/kernel packages,
-// typed atomics only, goroutine exit paths, untrusted-input taint tracking
-// on the serving path (flow-sensitive, over per-function CFGs with
-// interprocedural summaries), and all-paths error-handling discipline in
-// server/route/cmd. Copied locks and atomics are go vet's, which `make lint`
-// runs first. It is stdlib-only (go/parser + go/types, the standard library
-// read from the export data `go list -export` builds) and is wired into
-// `make lint` / `make check`. It needs the go command on PATH: the loader
+// append growth, fmt and string concatenation; lock discipline and
+// all-paths error-handling discipline in server/route/cmd (both
+// flow-sensitive, over per-function CFGs); deque ownership; determinism of
+// graph/kernel packages; and typed atomics only. Copied locks and atomics
+// are go vet's, which `make lint` runs first. It is stdlib-only (go/parser
+// + go/types, the standard library read from the export data
+// `go list -export` builds) and is wired into `make lint` / `make check`.
+// It needs the go command on PATH: the loader
 // runs `go list`, and the hotpath analyzer one `go build` with the
 // compiler's escape and bounds-check reports, at the release the budget's
 // first line names.

@@ -19,7 +19,7 @@ func TestReportSchemaGolden(t *testing.T) {
 		Total:   1,
 		Analyzers: []lint.AnalyzerStat{
 			{Name: "hotpath", Findings: 1, WallMS: 2.5},
-			{Name: "taint", Findings: 0, WallMS: 8.25},
+			{Name: "lockdiscipline", Findings: 0, WallMS: 8.25},
 			{Name: "errflow", Findings: 0, WallMS: 1.75},
 			{Name: "directive", Findings: 0, WallMS: 0},
 		},
@@ -49,7 +49,7 @@ func TestReportSchemaGolden(t *testing.T) {
       "wall_ms": 2.5
     },
     {
-      "name": "taint",
+      "name": "lockdiscipline",
       "findings": 0,
       "wall_ms": 8.25
     },
@@ -110,9 +110,9 @@ func TestSelectAnalyzers(t *testing.T) {
 	}{
 		{"", nil, ""},
 		{"errflow", []string{"errflow"}, ""},
-		{"hotpath, taint", []string{"hotpath", "taint"}, ""},
+		{"hotpath, lockdiscipline", []string{"hotpath", "lockdiscipline"}, ""},
 		{"errflow,errflow", nil, `"errflow" is named twice`},
-		{"hotpath,taint,hotpath", nil, `"hotpath" is named twice`},
+		{"hotpath,lockdiscipline,hotpath", nil, `"hotpath" is named twice`},
 		{"bce", nil, `unknown analyzer "bce"`},
 		{"errflow,", nil, `unknown analyzer ""`},
 	} {

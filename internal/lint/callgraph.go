@@ -258,119 +258,6 @@ func (g *CallGraph) ReachableFrom(roots []*types.Func, boundary func(*types.Func
 	return reached, via
 }
 
-// SCCs returns the strongly connected components of the module subgraph in
-// callee-first (reverse topological) order: every edge leaving a component
-// points into an earlier one. Summary-based interprocedural analyses
-// (taint) process components in this order so a callee's summary exists
-// before its callers consult it; mutually recursive functions share a
-// component and are iterated to a local fixpoint. Only module-declared
-// functions are nodes; edges to imported functions are ignored. The order is
-// deterministic: roots are visited in Funcs() order and edges in their
-// stored (position-sorted) order.
-func (g *CallGraph) SCCs() [][]*types.Func {
-	index := make(map[*types.Func]int)
-	low := make(map[*types.Func]int)
-	onStack := make(map[*types.Func]bool)
-	var stack []*types.Func
-	var sccs [][]*types.Func
-	next := 0
-
-	var strongconnect func(f *types.Func)
-	strongconnect = func(f *types.Func) {
-		index[f] = next
-		low[f] = next
-		next++
-		stack = append(stack, f)
-		onStack[f] = true
-		for _, e := range g.out[f] {
-			c := e.Callee
-			if _, declared := g.decls[c]; !declared {
-				continue
-			}
-			if _, seen := index[c]; !seen {
-				strongconnect(c)
-				if low[c] < low[f] {
-					low[f] = low[c]
-				}
-			} else if onStack[c] && index[c] < low[f] {
-				low[f] = index[c]
-			}
-		}
-		if low[f] == index[f] {
-			var comp []*types.Func
-			for {
-				n := len(stack) - 1
-				w := stack[n]
-				stack = stack[:n]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == f {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, f := range g.Funcs() {
-		if _, seen := index[f]; !seen {
-			strongconnect(f)
-		}
-	}
-	return sccs
-}
-
-// ------------------------------------------------- interprocedural summaries
-//
-// A funcSummary condenses what the dataflow engine learned about one module
-// function, so callers can apply the effect of a call without re-walking the
-// callee. Three facts are kept, all in terms of the callee's flattened
-// parameter list (receiver first, index 0, when present):
-//
-//   - sinkParams: parameter i reaches a resource sink inside the callee (or
-//     transitively inside its callees) without passing a clamp. A caller
-//     handing an untrusted value to such a parameter has completed a
-//     source→sink flow.
-//   - results: per result value, whether it carries taint originating
-//     *inside* the callee (an ingress field read, a parse call) and which
-//     parameters flow through to it unclamped (pass-through).
-//
-// Hop slices record the call path for provenance chains, mirroring
-// hotpath's chain rendering.
-
-// sinkVia describes how a parameter reaches a sink: what the sink is and the
-// call chain (outermost first) leading to it.
-type sinkVia struct {
-	desc string
-	hops []string
-}
-
-// taintSource identifies where a tainted value was born, with the call chain
-// (outermost first) it traveled through summaries to get here.
-type taintSource struct {
-	pos  token.Pos
-	desc string
-	hops []string
-}
-
-// resultFlow is the taint character of one result value.
-type resultFlow struct {
-	src    *taintSource // taint originating inside the callee, or nil
-	params uint64       // bitmask of parameters flowing through unclamped
-}
-
-// funcSummary is the condensed interprocedural fact set for one function.
-type funcSummary struct {
-	sinkParams map[int]*sinkVia
-	results    []resultFlow
-	sig        *types.Signature
-}
-
-// summaryTable maps module functions to their computed summaries. Functions
-// absent from the table (imported functions, bodiless declarations) are
-// treated as clamping everything: their results are clean and their
-// parameters reach no sink, which bounds false positives at the module edge.
-type summaryTable map[*types.Func]*funcSummary
-
 // Chain renders the provenance path from a root to f, e.g.
 // "runWorker → take → rngNext". It follows via edges backwards, capped so a
 // cycle cannot loop forever.

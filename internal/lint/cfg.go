@@ -10,11 +10,10 @@ import (
 // plain expressions (conditions, case expressions) and simple statements
 // (assignments, sends, go/defer, returns) — never composite statements, so a
 // transfer function can walk a node without re-entering nested control flow.
-// Three wrapper nodes mark spots where the surrounding construct matters to an
-// analyzer: rangeBind (the per-iteration key/value binding of a range loop),
-// loopCond (a for-loop condition, which is a resource sink for taint when
-// the bound is untrusted) and selectOp (a select head, and each comm clause's
-// send or receive, which only fires once ready).
+// Two wrapper nodes mark spots where the surrounding construct matters to an
+// analyzer: rangeBind (the per-iteration key/value binding of a range loop)
+// and selectOp (a select head, and each comm clause's send or receive, which
+// only fires once ready).
 
 // CFGEdge is one successor edge. When Cond is non-nil the edge is taken
 // exactly when Cond evaluates to true (Negated false) or false (Negated
@@ -52,18 +51,6 @@ type rangeBind struct {
 
 func (r *rangeBind) Pos() token.Pos { return r.Range.Pos() }
 func (r *rangeBind) End() token.Pos { return r.Range.TokPos }
-
-// loopCond wraps a for-statement condition so analyses can tell a loop bound
-// apart from an ordinary branch. SpawnsGo records whether the loop body
-// contains a go statement — an untrusted bound on such a loop is an
-// unbounded goroutine spawn.
-type loopCond struct {
-	Cond     ast.Expr
-	SpawnsGo bool
-}
-
-func (l *loopCond) Pos() token.Pos { return l.Cond.Pos() }
-func (l *loopCond) End() token.Pos { return l.Cond.End() }
 
 // selectOp wraps one piece of a select statement. With Comm nil it is the
 // head, where the goroutine waits for a ready clause — which can block only
@@ -182,17 +169,6 @@ func isPanicStmt(s *ast.ExprStmt) bool {
 	return ok && id.Name == "panic"
 }
 
-func containsGoStmt(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func (b *cfgBuilder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case nil, *ast.EmptyStmt:
@@ -243,7 +219,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		body := b.newBlock()
 		after := b.newBlock()
 		if s.Cond != nil {
-			b.add(&loopCond{Cond: s.Cond, SpawnsGo: containsGoStmt(s.Body)})
+			b.add(s.Cond)
 			b.edge(head, body, s.Cond, false)
 			b.edge(head, after, s.Cond, true)
 		} else {

@@ -8,11 +8,11 @@ import (
 // The dataflow engine: a forward worklist solver over the CFG of one
 // function. An analysis supplies an abstract state (flowState) and two
 // operations (flowTransfers); the solver computes the fixpoint of block
-// entry states. Every lattice used here (held locks, taint marks,
-// error-check facts) is finite per function, so the fixpoint terminates; a
-// step cap turns a non-monotone transfer bug into a "did not converge"
-// finding instead of a hang. The clients are lockdiscipline, taint and
-// errflow, and funcBodies is the walk they share.
+// entry states. Every lattice used here (held locks, error-check facts) is
+// finite per function, so the fixpoint terminates; a step cap turns a
+// non-monotone transfer bug into a "did not converge" finding instead of a
+// hang. The clients are lockdiscipline and errflow, and funcBodies is the
+// walk they share.
 
 // flowState is one analysis' abstract state at a program point.
 type flowState interface {

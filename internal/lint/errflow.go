@@ -187,8 +187,6 @@ func (fl *errflowFlow) transfer(st flowState, n ast.Node) {
 		}
 	case *rangeBind:
 		fl.consume(s, n.Range.X)
-	case *loopCond:
-		fl.consume(s, n.Cond)
 	case *selectOp:
 		if n.Comm != nil {
 			fl.transfer(s, n.Comm)

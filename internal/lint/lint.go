@@ -1,12 +1,12 @@
 // Package lint implements sparselint, the repo-specific static-analysis
 // pass. It turns the discipline rules the sparse-solver stack only enforced
 // by convention — zero-allocation hot paths, lock hygiene in the scheduler
-// and serving layer, deque ownership, untrusted-input bounds, checked errors
-// and deterministic task bodies — into machine-checked gates (see
-// cmd/sparselint and `make lint`). What `go vet` already checks (copied locks
-// and atomics) is left to vet, which scripts/lint.sh runs first. Goroutine
-// lifecycles are checked by running them: the leakcheck gate in the TestMain
-// of server, route, sched and rt.
+// and serving layer, deque ownership, checked errors and deterministic task
+// bodies — into machine-checked gates (see cmd/sparselint and `make lint`).
+// What `go vet` already checks (copied locks and atomics) is left to vet,
+// which scripts/lint.sh runs first. Goroutine lifecycles are checked by
+// running them: the leakcheck gate in the TestMain of server, route, sched
+// and rt.
 //
 // The loader is stdlib-only, no x/tools. It loads what the go tool builds:
 // one `go list -deps -export` per module names each package's files, in
@@ -20,12 +20,17 @@
 // # Engines
 //
 // Rules that depend on the path taken are clients of one CFG + worklist
-// dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks),
-// taint (untrusted values) and errflow (unchecked errors), each over every
-// function body from funcBodies. hotpath's three AST rules stay AST walks
-// on purpose: they are flow-insensitive, so a port would only add code.
-// hotpath asks the compiler, in one `go build`, which heap escapes and bounds
-// checks it keeps. Per-function summaries stay inside taint, their only user.
+// dataflow engine (cfg.go, dataflow.go): lockdiscipline (held locks) and
+// errflow (unchecked errors), each over every function body from
+// funcBodies. hotpath's three AST rules stay AST walks on purpose: they are
+// flow-insensitive, so a port would only add code. hotpath asks the
+// compiler, in one `go build`, which heap escapes and bounds checks it
+// keeps. The call graph (callgraph.go) serves the two whole-module rules,
+// hotpath's propagation and dequeowner's reachability.
+//
+// Request admission is not a lint rule: the server package's
+// TestSpecCeilings walks JobSpec and holds every numeric field to a ceiling
+// in its validate, or names it as unbounded.
 //
 // # What it sees
 //
@@ -53,10 +58,6 @@
 //	//                              reachable from an owner loop (dequeowner)
 //	//sparselint:ownerloop        — function is an owning worker loop: the
 //	//                              root set for dequeowner reachability
-//	//sparselint:validator        — function is a sanctioned admission check:
-//	//                              ingress fields it upper-bounds (or
-//	//                              switch-validates) are clean module-wide
-//	//                              for the taint analyzer
 //
 // # Suppression
 //
@@ -129,7 +130,6 @@ func Analyzers() []*Analyzer {
 		dequeOwnerAnalyzer(),
 		determinismAnalyzer(),
 		atomicFieldAnalyzer(),
-		taintAnalyzer(),
 		errflowAnalyzer(),
 	}
 }
@@ -163,7 +163,8 @@ type Report struct {
 }
 
 // ReportVersion is the current Report schema version. Version 2 added the
-// taint and errflow analyzers to the stats block.
+// dataflow analyzers to the stats block; which analyzers it lists is not part
+// of the schema.
 const ReportVersion = 2
 
 // Run executes the analyzers over prog, applies //lint:ignore suppressions,

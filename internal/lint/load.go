@@ -193,7 +193,7 @@ func LoadModule(root string) (*Program, error) {
 
 // LoadFixture loads a single directory of fixture files as one package under
 // the given import path (the path decides which package-scoped analyzers
-// apply, e.g. "fixture/internal/server" for taint).
+// apply, e.g. "fixture/internal/server" for errflow).
 func LoadFixture(dir, asPath string) (*Program, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

@@ -191,8 +191,6 @@ func (lf *lockFlow) scan(st *lockState, n ast.Node) {
 	switch w := n.(type) {
 	case *rangeBind:
 		return // Range.X is its own node, evaluated once before the loop
-	case *loopCond:
-		n = w.Cond
 	case *selectOp:
 		lf.blocking(w, key)
 		return

@@ -94,6 +94,8 @@ type JobSpec struct {
 // straight from the request body, so every field that sizes an allocation, a
 // loop, a pool, or a deadline gets an explicit upper bound here — the one
 // place requests are admitted — instead of ad-hoc clamps at use sites.
+// TestSpecCeilings fails on a numeric field with no ceiling here and no
+// stated reason to have none.
 const (
 	maxSpecK          = 4096          // eigenpair count / LOBPCG block size
 	maxSpecIters      = 1 << 20       // fixed-iteration benchmarking mode
@@ -107,8 +109,6 @@ func (s *JobSpec) Validate() error { return s.validate(s.Matrix.MM != "") }
 
 // validate is Validate for a spec whose inline document may be held apart
 // from it: inline reports whether there is one.
-//
-//sparselint:validator
 func (s *JobSpec) validate(inline bool) error {
 	switch s.Solver {
 	case "lanczos", "lobpcg", "cg", "pcg":

@@ -10,7 +10,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +237,85 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSpecCeilings walks JobSpec, nested structs included: every numeric
+// field is either held to its maxSpec* ceiling by Validate or named as
+// deliberately unbounded, so a field added without an admission bound fails
+// here. Limits are checked through Validate only: a job at maxSpecWorkers or
+// maxSpecIters would really start that many goroutines or iterations.
+func TestSpecCeilings(t *testing.T) {
+	ceilings := map[string]int64{
+		"K":          maxSpecK,
+		"Iters":      maxSpecIters,
+		"Workers":    maxSpecWorkers,
+		"Block":      maxSpecBlock,
+		"DeadlineMS": maxSpecDeadlineMS,
+	}
+	unbounded := map[string]string{
+		"Seed":        "picks the solver's starting vector; every value is valid",
+		"Matrix.Seed": "picks the suite matrix's values; every value is valid",
+	}
+	base := JobSpec{Solver: "cg", Backend: "bsp", Matrix: MatrixSpec{Suite: "inline1"}}
+	check := func(name string, index []int, limit int64) {
+		for _, c := range []struct {
+			v    int64
+			pass bool
+		}{{limit, true}, {limit + 1, false}, {math.MaxInt64, false}} {
+			s := base
+			f := reflect.ValueOf(&s).Elem().FieldByIndex(index)
+			switch {
+			case f.CanInt() && !f.OverflowInt(c.v):
+				f.SetInt(c.v)
+			case f.CanUint() && !f.OverflowUint(uint64(c.v)):
+				f.SetUint(uint64(c.v))
+			case f.CanFloat():
+				f.SetFloat(float64(c.v))
+			default:
+				continue // not representable in the field's type
+			}
+			if err := s.Validate(); (err == nil) != c.pass {
+				t.Errorf("%s = %d: Validate() = %v, want accepted %v", name, c.v, err, c.pass)
+			}
+		}
+	}
+	seen := map[string]bool{}
+	var walk func(typ reflect.Type, prefix string, index []int)
+	walk = func(typ reflect.Type, prefix string, index []int) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			name, idx := prefix+f.Name, append(slices.Clone(index), i)
+			switch k := f.Type.Kind(); {
+			case k == reflect.Struct:
+				walk(f.Type, name+".", idx)
+				continue
+			case k < reflect.Int || k > reflect.Float64:
+				continue // not a number
+			}
+			seen[name] = true
+			limit, bounded := ceilings[name]
+			_, exempt := unbounded[name]
+			switch {
+			case bounded && exempt:
+				t.Errorf("%s is both bounded and unbounded", name)
+			case bounded:
+				check(name, idx, limit)
+			case !exempt:
+				t.Errorf("%s: numeric spec field has no admission ceiling", name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[JobSpec](), "", nil)
+	for name := range ceilings {
+		if !seen[name] {
+			t.Errorf("ceiling for %s, which is no numeric JobSpec field", name)
+		}
+	}
+	for name := range unbounded {
+		if !seen[name] {
+			t.Errorf("%s is exempt but no numeric JobSpec field", name)
+		}
 	}
 }
 
