@@ -365,11 +365,13 @@ func BenchmarkExecutorTaskOverhead(b *testing.B) {
 // natural order: three entries per factor row, one dependency chain) and on a
 // 27-point FEM factor (no chain, ~13 entries per row), 32 tiles/dim: the CSR
 // oracles against the segment kernels run serially over all segments in
-// SegOrder at widths 1, 4 and 8, in ns per row and column (kernel/w=n is
-// the dispatched path, the AVX2 passes on a CPU that has them; kernel-go/w=n
-// is the Go body, frozen in solveSegNGo), and the two-solve
-// task graph run by rt.NewDeepSparse at 1 and 2 workers (graph/w=P, ms per
-// pair: the figure that shows the segments pipelining). build is what the
+// SegOrder at widths 1, 2, 3, 4 and 8, in ns per row and column (kernel/w=n
+// is the dispatched path, the assembly passes on a CPU with AVX2;
+// kernel-go/w=n is a frozen Go body: at w = 1 solveSegGo, the loop SolveSeg
+// ran before it became SolveSegN at n = 1, and at wider widths
+// solveSegNGo), and the two-solve task graph run by rt.NewDeepSparse at 1
+// and 2 workers (graph/w=P, ms per pair: the figure that shows the segments
+// pipelining). build is what the
 // kernel's storage costs once per (factor, block size) — the level analyses
 // of both directions — beside the factorization it rides on.
 func BenchmarkTrsvPair(b *testing.B) {
@@ -436,7 +438,8 @@ func BenchmarkTrsvPair(b *testing.B) {
 			}
 		}
 		b.Run(mc.name+"/kernel/w=1", kernel(1, (*sparse.BlockTri).SolveSeg))
-		for _, w := range []int{4, 8} {
+		b.Run(mc.name+"/kernel-go/w=1", kernel(1, solveSegGo))
+		for _, w := range []int{2, 3, 4, 8} {
 			b.Run(fmt.Sprintf("%s/kernel/w=%d", mc.name, w), kernel(w, func(t *sparse.BlockTri, x, b []float64, s int) {
 				t.SolveSegN(x, b, w, s)
 			}))
@@ -473,9 +476,29 @@ func BenchmarkTrsvPair(b *testing.B) {
 	}
 }
 
+// solveSegGo is the width-1 Go loop BlockTri.SolveSeg ran before the scalar
+// assembly pass, frozen: one row at a time, its entries in CSR order. It is
+// the baseline the 1-wide pass is timed against.
+func solveSegGo(t *sparse.BlockTri, x, b []float64, si int) {
+	lo, hi := t.Seg[si], t.Seg[si+1]
+	rows := t.Row[lo:hi]
+	diag, beg, end := t.Diag[lo:hi], t.Ptr[lo:hi], t.Ptr[lo+1:hi+1]
+	diag, beg, end = diag[:len(rows)], beg[:len(rows)], end[:len(rows)]
+	for k, i := range rows {
+		s := b[i]
+		cs := t.Col[beg[k]:end[k]]
+		vs := t.Val[beg[k]:end[k]]
+		vs = vs[:len(cs)]
+		for e, c := range cs {
+			s -= vs[e] * x[c]
+		}
+		x[i] = s / diag[k]
+	}
+}
+
 // solveSegNGo is BlockTri.SolveSegN's Go body, frozen: per row, four
 // columns at a time in registers, then one at a time. It is the baseline the
-// AVX2 passes are timed against.
+// 8-, 4- and 2-wide passes, and a tail's 1-wide pass, are timed against.
 func solveSegNGo(t *sparse.BlockTri, x, b []float64, n, si int) {
 	lo, hi := t.Seg[si], t.Seg[si+1]
 	rows := t.Row[lo:hi]

@@ -193,11 +193,7 @@ func execPart(g *graph.TDG, kind graph.TaskKind, call, tp, tq int32, first, firs
 		b := st.Vec[c.B]
 		// Out and B are full-length vectors; the segment's rows (Q) read
 		// entries of x that dependency-predecessor tasks wrote.
-		if n := p.Op(c.Out).Cols; n == 1 {
-			tri.SolveSeg(x, b, int(t.Q))
-		} else {
-			tri.SolveSegN(x, b, n, int(t.Q))
-		}
+		tri.SolveSegN(x, b, p.Op(c.Out).Cols, int(t.Q))
 
 	case graph.TSymTile:
 		// Symmetric tile: scatter both halves straight into y. First/FirstQ

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,11 +92,18 @@ type Engine struct {
 	metrics   *Metrics
 	plans     *PlanCache
 	operators *OperatorCache
-	queue     chan *Job
+	// wake tells the dispatcher that the queue gained a job or the engine
+	// began draining. It holds one token, so a signal sent while the
+	// dispatcher is busy waits for it.
+	wake chan struct{}
 	// groups carries dispatcher groups to the pool.
 	groups chan []*Job
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// queue is the FIFO admission queue: admitted jobs the dispatcher has not
+	// taken yet, none of them canceled (Cancel removes a queued job at once,
+	// freeing its slot). Submit refuses once it holds QueueSize jobs.
+	queue    []*Job
 	jobs     map[string]*Job
 	order    []string // submission order, for GET /jobs
 	seq      int64
@@ -118,7 +126,7 @@ func NewEngine(cfg Config) *Engine {
 		metrics:    &Metrics{},
 		plans:      NewPlanCache(planCacheSize),
 		operators:  NewOperatorCache(operatorCacheBytes),
-		queue:      make(chan *Job, cfg.QueueSize),
+		wake:       make(chan struct{}, 1),
 		groups:     make(chan []*Job),
 		jobs:       make(map[string]*Job),
 		baseCtx:    ctx,
@@ -139,11 +147,9 @@ func NewEngine(cfg Config) *Engine {
 // the pool exits.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
-	if !e.draining {
-		e.draining = true
-		close(e.queue) // senders hold mu and check draining first
-	}
+	e.draining = true // Submit checks it under mu
 	e.mu.Unlock()
+	e.signal()
 
 	done := make(chan struct{})
 	go func() {
@@ -204,6 +210,29 @@ func coalesceKeyFor(job *Job) (coalesceKey, bool) {
 	}, true
 }
 
+// signal wakes the dispatcher, or leaves it a token if it is busy.
+func (e *Engine) signal() {
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take removes and returns the oldest queued job. With the queue empty it
+// returns nil, and drained reports that the engine is draining, so no job
+// will come.
+func (e *Engine) take() (job *Job, drained bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.queue) == 0 {
+		return nil, e.draining
+	}
+	job = e.queue[0]
+	e.queue[0] = nil
+	e.queue = e.queue[1:]
+	return job, false
+}
+
 // dispatch sits between the admission queue and the pool and hands the pool
 // groups: consecutive batchable jobs that share a coalesceKey become one
 // multi-RHS solve. A group closes when it reaches CoalesceMax, when the
@@ -218,10 +247,13 @@ func (e *Engine) dispatch() {
 	for {
 		job := pending
 		pending = nil
-		if job == nil {
-			var ok bool
-			if job, ok = <-e.queue; !ok {
+		for job == nil {
+			var drained bool
+			if job, drained = e.take(); drained {
 				return
+			}
+			if job == nil {
+				<-e.wake
 			}
 		}
 		group := []*Job{job}
@@ -230,20 +262,24 @@ func (e *Engine) dispatch() {
 			timer := time.NewTimer(e.cfg.CoalesceWindow)
 		collect:
 			for len(group) < e.cfg.CoalesceMax {
-				select {
-				case next, ok := <-e.queue:
-					if !ok {
-						closed = true
+				next, drained := e.take()
+				if drained {
+					closed = true
+					break
+				}
+				if next == nil {
+					select {
+					case <-e.wake:
+						continue
+					case <-timer.C:
 						break collect
 					}
-					if nkey, nb := coalesceKeyFor(next); nb && nkey == key {
-						group = append(group, next)
-					} else {
-						pending = next
-						break collect
-					}
-				case <-timer.C:
-					break collect
+				}
+				if nkey, nb := coalesceKeyFor(next); nb && nkey == key {
+					group = append(group, next)
+				} else {
+					pending = next
+					break
 				}
 			}
 			timer.Stop()
@@ -292,14 +328,14 @@ func (e *Engine) Submit(spec JobSpec) (*Job, JobView, error) {
 	e.seq++
 	job.ID = fmt.Sprintf("job-%d", e.seq)
 	job.submitted = time.Now()
-	view := job.View()
-	select {
-	case e.queue <- job:
-	default:
+	if len(e.queue) >= e.cfg.QueueSize {
 		e.seq-- // never existed
 		e.metrics.Rejected.Add(1)
-		return nil, JobView{}, fmt.Errorf("%w (%d jobs)", ErrQueueFull, cap(e.queue))
+		return nil, JobView{}, fmt.Errorf("%w (%d jobs)", ErrQueueFull, e.cfg.QueueSize)
 	}
+	view := job.View()
+	e.queue = append(e.queue, job)
+	e.signal()
 	e.jobs[job.ID] = job
 	e.order = append(e.order, job.ID)
 	e.retire()
@@ -337,16 +373,22 @@ func (e *Engine) Views() []JobView {
 	return views
 }
 
-// Cancel cancels a job: queued jobs flip to canceled immediately (the pool
-// and the dispatcher skip them); a running job registers its vote with its
-// group — the shared solve aborts once every member has voted (see
-// groupCancel), at once for a job that runs alone — and reaches canceled when
-// the group finishes. Terminal jobs are left alone.
+// Cancel cancels a job: a queued job flips to canceled immediately and leaves
+// the admission queue, so its slot takes a new job at once (one the
+// dispatcher already holds is skipped by the pool); a running job registers
+// its vote with its group — the shared solve aborts once every member has
+// voted (see groupCancel), at once for a job that runs alone — and reaches
+// canceled when the group finishes. Terminal jobs are left alone.
 func (e *Engine) Cancel(j *Job) {
+	e.mu.Lock() // before j.mu, the order retire and /metrics take them in
+	defer e.mu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateQueued:
+		if i := slices.Index(e.queue, j); i >= 0 {
+			e.queue = slices.Delete(e.queue, i, i+1)
+		}
 		j.state = StateCanceled
 		j.err = "canceled while queued"
 		j.admitted = nil

@@ -265,7 +265,7 @@ func TestRefusedSubmissionLeavesOperatorCached(t *testing.T) {
 			t.Fatalf("blocker %d: %v", i, err)
 		}
 		waiting = append(waiting, j)
-		for deadline := time.Now().Add(10 * time.Second); i < 2 && len(e.queue) != 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); i < 2 && queueDepth(e) != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("the dispatcher never took a job off the queue")
 			}
@@ -288,6 +288,13 @@ func TestRefusedSubmissionLeavesOperatorCached(t *testing.T) {
 	if st, _ := e.operators.Stats(); st.Builds != 2 || e.metrics.Submitted.Load() != 4 || e.metrics.Rejected.Load() != 1 {
 		t.Errorf("%d builds, %d submitted, %d rejected; want 2, 4, 1", st.Builds, e.metrics.Submitted.Load(), e.metrics.Rejected.Load())
 	}
+}
+
+// queueDepth is how many admitted jobs the dispatcher has not taken yet.
+func queueDepth(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.queue)
 }
 
 // An explicit block override reuses the matrix's operator and adds a second

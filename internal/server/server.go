@@ -169,8 +169,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var snap MetricsSnapshot
-	snap.Queue.Depth = len(s.queue)
-	snap.Queue.Capacity = cap(s.queue)
+	snap.Queue.Capacity = s.cfg.QueueSize
 
 	m := s.metrics
 	snap.Jobs.Submitted = m.Submitted.Load()
@@ -179,6 +178,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Jobs.Failed = m.Failed.Load()
 	snap.Jobs.Canceled = m.Canceled.Load()
 	s.mu.Lock()
+	snap.Queue.Depth = len(s.queue)
 	for _, j := range s.jobs {
 		switch j.StateNow() {
 		case StateQueued:
@@ -229,9 +229,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // /metrics, to keep the health path cheap).
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	draining := s.draining
+	draining, depth := s.draining, len(s.queue)
 	s.mu.Unlock()
-	queue := map[string]int{"depth": len(s.queue), "capacity": cap(s.queue)}
+	queue := map[string]int{"depth": depth, "capacity": s.cfg.QueueSize}
 	if draining {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining",

@@ -414,6 +414,56 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
+// Canceling the queued jobs behind a busy pool frees their slots at once:
+// with every queued job canceled, QueueSize new jobs are admitted while the
+// blocker still runs and the dispatcher still holds the job it took.
+func TestCanceledQueuedJobsFreeTheQueue(t *testing.T) {
+	const queueSize = 2
+	e := newTestEngine(t, Config{Workers: 1, QueueSize: queueSize, RTWorkers: 1})
+	blocker := JobSpec{Solver: "lobpcg", Backend: "deepsparse", Iters: 500000, Matrix: MatrixSpec{MM: diag4}}
+	running, _, err := e.Submit(blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); running.StateNow() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker stuck in %s", running.StateNow())
+		}
+	}
+	// Fill the queue: one job in the dispatcher's hand, queueSize queued.
+	var waiting []*Job
+	for {
+		j, _, err := e.Submit(blocker)
+		if errors.Is(err, ErrQueueFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(waiting) > queueSize {
+			t.Fatalf("%d jobs admitted behind one running job and a queue of %d", len(waiting)+1, queueSize)
+		}
+		waiting = append(waiting, j)
+	}
+	for _, j := range waiting {
+		e.Cancel(j)
+	}
+	for i := 0; i < queueSize; i++ {
+		j, _, err := e.Submit(blocker)
+		if err != nil {
+			t.Fatalf("submit %d after canceling every queued job: %v", i+1, err)
+		}
+		waiting = append(waiting, j)
+	}
+	if running.StateNow() != StateRunning {
+		t.Errorf("blocker is %s, want still running", running.StateNow())
+	}
+	for _, j := range append(waiting, running) {
+		e.Cancel(j)
+		waitTerminal(t, j, 30*time.Second)
+	}
+}
+
 func TestDeadlineCancelsRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, RTWorkers: 1})
 	v, status := postJob(t, ts, blockerSpec(`"deadline_ms":300`))
@@ -734,12 +784,17 @@ func TestHealthz(t *testing.T) {
 	var body struct {
 		Status  string `json:"status"`
 		Workers int    `json:"workers"`
+		Queue   struct {
+			Depth    int `json:"depth"`
+			Capacity int `json:"capacity"`
+		} `json:"queue"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ok" || body.Workers != 3 {
-		t.Errorf("healthz = %+v, want ok/3", body)
+	// The router's spill heuristic reads the queue's occupancy from here.
+	if body.Status != "ok" || body.Workers != 3 || body.Queue.Depth != 0 || body.Queue.Capacity != 64 {
+		t.Errorf("healthz = %+v, want ok/3 and an empty queue of the default 64", body)
 	}
 }
 

@@ -346,21 +346,9 @@ func (t *BlockTri) seg(s int) (rows []int32, diag []float64, beg, end []int64) {
 // in CSR order. x and b are full-length vectors; the entries of x the
 // segment reads from other segments must already hold their solution (the
 // task graph orders segments by SegDeps). x and b may alias only when
-// x == b.
-//
-//sparselint:hotpath
+// x == b. It is SolveSegN at width 1.
 func (t *BlockTri) SolveSeg(x, b []float64, si int) {
-	rows, diag, beg, end := t.seg(si)
-	for k, i := range rows {
-		s := b[i]
-		cs := t.Col[beg[k]:end[k]]
-		vs := t.Val[beg[k]:end[k]]
-		vs = vs[:len(cs)]
-		for e, c := range cs {
-			s -= vs[e] * x[c]
-		}
-		x[i] = s / diag[k]
-	}
+	t.SolveSegN(x, b, 1, si)
 }
 
 // SolveSegN is the width-n substitution of segment si: x and b are row-major
@@ -369,20 +357,18 @@ func (t *BlockTri) SolveSeg(x, b []float64, si int) {
 // bit-identical to a width-1 solve of column j.
 //
 // Columns are independent, so they may be solved in passes over the segment.
-// With AVX2 (simd) 8-wide passes, then one 4-wide pass, run as assembly that
-// holds a row's columns as the lanes of YMM registers (trsv_amd64.s); the
-// last 1–3 columns, and every column on other builds, run the Go body below,
-// which holds four columns of a row in registers. A lane is one column and
-// does the Go body's multiply, subtract and divide in the same order, so
-// both paths give the same bits.
+// With AVX2 (simd) every column runs assembly (trsv_amd64.s): 8-wide passes,
+// then at most one pass each of 4, 2 and 1 columns, holding a row's columns
+// as the lanes of YMM or XMM registers. Other builds run the Go body below,
+// which holds four columns of a row in registers and then takes the last 1–3
+// one at a time. A lane is one column and does the Go body's multiply,
+// subtract and divide in the same order, so both paths give the same bits.
 //
 //sparselint:hotpath
 func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
-	j0 := 0
 	if simd {
-		if j0 = t.solveSegAVX2(x, b, n, si); j0 == n {
-			return
-		}
+		t.solveSegAsm(x, b, n, si)
+		return
 	}
 	rows, diag, beg, end := t.seg(si)
 	for k, r := range rows {
@@ -394,7 +380,7 @@ func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
 		vs := t.Val[beg[k]:end[k]]
 		vs = vs[:len(cs)]
 		d := diag[k]
-		j := j0
+		j := 0
 		for ; j+4 <= len(xr); j += 4 {
 			bq := br[j : j+4]
 			s0, s1, s2, s3 := bq[0], bq[1], bq[2], bq[3]
@@ -419,11 +405,13 @@ func (t *BlockTri) SolveSegN(x, b []float64, n, si int) {
 	}
 }
 
-// solveSegAVX2 runs SolveSegN's assembly passes over segment si: 8 columns at
-// a time, then 4 if four or more remain. It returns the first column left to
-// the Go body. The assembly checks every offset it follows and reports the
+// solveSegAsm runs SolveSegN's assembly passes over segment si: 8 columns at
+// a time, then 4, 2 and 1 as the remaining count needs, so every column runs
+// assembly. The assembly checks every offset it follows and reports the
 // first out of range; inRange then panics, as the Go body would.
-func (t *BlockTri) solveSegAVX2(x, b []float64, n, si int) int {
+//
+//sparselint:hotpath
+func (t *BlockTri) solveSegAsm(x, b []float64, n, si int) {
 	lo, hi := t.Seg[si], t.Seg[si+1]
 	row, ptr, diag := t.Row[lo:hi], t.Ptr[lo:hi+1], t.Diag[lo:hi]
 	col, val := t.Col, t.Val[:len(t.Col)]
@@ -435,5 +423,11 @@ func (t *BlockTri) solveSegAVX2(x, b []float64, n, si int) int {
 		inRange(trsv4AVX2(x[j:], b[j:], row, ptr, col, val, diag, n))
 		j += 4
 	}
-	return j
+	if n-j >= 2 {
+		inRange(trsv2SSE2(x[j:], b[j:], row, ptr, col, val, diag, n))
+		j += 2
+	}
+	if n-j == 1 {
+		inRange(trsv1SSE2(x[j:], b[j:], row, ptr, col, val, diag, n))
+	}
 }

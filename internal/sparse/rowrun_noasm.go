@@ -21,5 +21,11 @@ func trsv8AVX2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag 
 func trsv4AVX2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) bool {
 	panic(noAsm)
 }
+func trsv2SSE2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) bool {
+	panic(noAsm)
+}
+func trsv1SSE2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) bool {
+	panic(noAsm)
+}
 
 const noAsm = "sparse: this build has no assembly bodies"

@@ -2,12 +2,14 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the 8- and 4-wide passes of BlockTri.SolveSegN
-// (blocktri.go). Each YMM lane is one column: a row loads its right-hand
-// side, then per entry broadcasts v, multiplies it by x[c] (VMULPD) and
-// subtracts the product (VSUBPD), and finally divides by the broadcast
-// diagonal (VDIVPD). No FMA: every lane does the Go body's multiply,
-// subtract and divide in the same order, so the results are its bits.
+// The four passes of BlockTri.SolveSegN (blocktri.go): 8- and 4-wide on
+// AVX2, 2-wide on SSE2 and a scalar (1-wide) pass on SSE2's scalar
+// instructions. Each lane is one column: a row loads its right-hand side,
+// then per entry broadcasts v, multiplies it by x[c] (VMULPD, MULPD, MULSD)
+// and subtracts the product (VSUBPD, SUBPD, SUBSD), and finally divides by
+// the broadcast diagonal (VDIVPD, DIVPD, DIVSD). No FMA and no reciprocal:
+// every lane does the Go body's multiply, subtract and divide in the same
+// order, so the results are its bits.
 //
 // Nothing here trusts the layout. The row offset r·n of a row is checked
 // against both x and b, the window [ptr[k], ptr[k+1]) against col, and the
@@ -21,7 +23,7 @@
 // R9 the last column offset that fits in x, R10 row, R12 ptr, R13 col,
 // R14 val, R15 len(col), CX the position k, DX the entry index, BX the end
 // of the row's entries, AX the row offset, R11 an entry's column offset or
-// the diagonal's address.
+// the diagonal's address. BP is left alone.
 
 // LOAD sets up the arguments and returns true at once for an empty segment,
 // or false when x or b is shorter than w.
@@ -52,11 +54,14 @@
 	CMPQ reg, lim; \
 	JHI bad
 
-// ROW starts position k = CX: AX = its row offset, DX and BX its entries'
-// window, checked 0 <= DX <= BX <= len(col).
-#define ROW \
-	MOVLQSX (R10)(CX*4), AX; \
-	OFFSET(AX, R8); \
+// UNIT fails unless 0 <= reg <= lim: OFFSET at n = 1, without the multiply.
+#define UNIT(reg, lim) \
+	CMPQ reg, lim; \
+	JHI bad
+
+// WINDOW sets DX and BX to the entries' window of position k = CX, checked
+// 0 <= DX <= BX <= len(col).
+#define WINDOW \
 	MOVQ (R12)(CX*8), DX; \
 	MOVQ 8(R12)(CX*8), BX; \
 	CMPQ BX, R15; \
@@ -64,10 +69,31 @@
 	CMPQ DX, BX; \
 	JHI bad
 
+// ROW starts position k = CX: AX = its row offset, DX and BX its entries'
+// window. UROW is ROW at n = 1.
+#define ROW \
+	MOVLQSX (R10)(CX*4), AX; \
+	OFFSET(AX, R8); \
+	WINDOW
+
+#define UROW \
+	MOVLQSX (R10)(CX*4), AX; \
+	UNIT(AX, R8); \
+	WINDOW
+
+// COLUMN sets R11 to the column offset of entry DX. UCOLUMN is COLUMN at
+// n = 1.
+#define COLUMN \
+	MOVLQSX (R13)(DX*4), R11; \
+	OFFSET(R11, R9)
+
+#define UCOLUMN \
+	MOVLQSX (R13)(DX*4), R11; \
+	UNIT(R11, R9)
+
 // ENTRY starts entry DX: R11 = its column offset, Y2 = its value broadcast.
 #define ENTRY \
-	MOVLQSX (R13)(DX*4), R11; \
-	OFFSET(R11, R9); \
+	COLUMN; \
 	VBROADCASTSD (R14)(DX*8), Y2
 
 // DIAG broadcasts the diagonal of position k into Y2.
@@ -149,5 +175,106 @@ done:
 
 bad:
 	VZEROUPPER
+	MOVB $0, ok+176(FP)
+	RET
+
+// func trsv2SSE2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) (ok bool)
+TEXT ·trsv2SSE2(SB), NOSPLIT, $0-177
+	LOAD(2)
+
+row:
+	ROW
+	MOVUPD (SI)(AX*8), X0
+	CMPQ DX, BX
+	JEQ div
+
+entry:
+	COLUMN
+	MOVSD (R14)(DX*8), X2
+	UNPCKLPD X2, X2
+	MOVUPD (DI)(R11*8), X3
+	MULPD X2, X3
+	SUBPD X3, X0
+	INCQ DX
+	CMPQ DX, BX
+	JNE entry
+
+div:
+	MOVQ diag_base+144(FP), R11
+	MOVSD (R11)(CX*8), X2
+	UNPCKLPD X2, X2
+	DIVPD X2, X0
+	MOVUPD X0, (DI)(AX*8)
+	INCQ CX
+	CMPQ CX, row_len+56(FP)
+	JNE row
+
+done:
+	MOVB $1, ok+176(FP)
+	RET
+
+bad:
+	MOVB $0, ok+176(FP)
+	RET
+
+// func trsv1SSE2(x, b []float64, row []int32, ptr []int64, col []int32, val, diag []float64, n int) (ok bool)
+TEXT ·trsv1SSE2(SB), NOSPLIT, $0-177
+	LOAD(1)
+	CMPQ n+168(FP), $1
+	JEQ urow
+
+row:
+	ROW
+	MOVSD (SI)(AX*8), X0
+	CMPQ DX, BX
+	JEQ div
+
+entry:
+	COLUMN
+	MOVSD (R14)(DX*8), X2
+	MULSD (DI)(R11*8), X2
+	SUBSD X2, X0
+	INCQ DX
+	CMPQ DX, BX
+	JNE entry
+
+div:
+	MOVQ diag_base+144(FP), R11
+	DIVSD (R11)(CX*8), X0
+	MOVSD X0, (DI)(AX*8)
+	INCQ CX
+	CMPQ CX, row_len+56(FP)
+	JNE row
+	JMP done
+
+	// n = 1, the k = 1 solve: the same loop, with every offset an index.
+urow:
+	UROW
+	MOVSD (SI)(AX*8), X0
+	CMPQ DX, BX
+	JEQ udiv
+
+uentry:
+	UCOLUMN
+	MOVSD (R14)(DX*8), X2
+	MULSD (DI)(R11*8), X2
+	SUBSD X2, X0
+	INCQ DX
+	CMPQ DX, BX
+	JNE uentry
+
+udiv:
+	MOVQ diag_base+144(FP), R11
+	DIVSD (R11)(CX*8), X0
+	MOVSD X0, (DI)(AX*8)
+	INCQ CX
+	CMPQ CX, row_len+56(FP)
+	JNE urow
+
+done:
+	MOVB $1, ok+176(FP)
+	RET
+
+bad:
 	MOVB $0, ok+176(FP)
 	RET

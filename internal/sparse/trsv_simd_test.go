@@ -47,9 +47,8 @@ func solveBothPaths(tri *sparse.BlockTri, b []float64, n int) error {
 // The assembly passes of SolveSegN give the Go body's bits: over the IC(0)
 // factors of a grid, a 27-point FEM matrix and random SPD matrices (banded
 // and with dense rows), both directions, block sizes giving one and several
-// segments per block, and every width from 1 to 9 (no pass, one 4-wide pass,
-// one 8-wide, both, each with and without a Go tail), with x and b separate
-// and aliased.
+// segments per block, and every width from 1 to 9 (every mix of the 8-, 4-,
+// 2- and 1-wide passes, each alone too), with x and b separate and aliased.
 func TestSolveSegNPathsAgree(t *testing.T) {
 	if !sparse.SIMD {
 		t.Skip(noAsm)
@@ -91,8 +90,9 @@ func TestSolveSegNPathsAgree(t *testing.T) {
 // A factor whose Col entry lies outside the matrix, whose Ptr window runs
 // past Col or backwards, or whose Row entry puts a row's offset outside x
 // must panic, on both paths, and write nothing outside the x it was given,
-// at widths covering the Go body alone (2, 3), the 4- and 8-wide passes and
-// their mixes with a tail (5, 9). The outputs sit between canaries in spare
+// at widths covering each pass alone (1, 2, 4, 8: the 1-wide pass at n = 1
+// takes its unit-stride loop) and mixes of them (3, 5, 9: a 1-wide tail at
+// a stride). The outputs sit between canaries in spare
 // capacity, the room a body that trusted the layout would write into. As
 // with the tiles (TestCorruptTilePanicsInRange), no factor the package
 // builds looks like this — NewBlockTri validates every row — but the fields
@@ -151,7 +151,7 @@ func checkCorruptTrsv(t *testing.T) {
 		{"Row < 0", setRow(-1)},
 	}
 	for _, c := range corruptions {
-		for _, n := range []int{2, 3, 4, 5, 8, 9} {
+		for _, n := range []int{1, 2, 3, 4, 5, 8, 9} {
 			buf := make([]float64, rows*n+2*pad)
 			for i := range buf {
 				buf[i] = canary
@@ -194,6 +194,11 @@ func FuzzSolveSegN(f *testing.F) {
 	f.Add([]byte{40, 39, 0, 7, 39, 1, 250, 20, 19, 128, 5, 4, 1}, true, uint8(7), uint8(8))
 	f.Add([]byte{1}, false, uint8(1), uint8(9))
 	f.Add([]byte{64, 63, 62, 100, 62, 61, 100, 61, 60, 100}, true, uint8(200), uint8(5))
+	// Widths 1 and 2, the scalar and 2-wide passes alone, both directions.
+	f.Add([]byte{30, 5, 1, 90, 9, 5, 200, 20, 3, 40, 29, 28, 7}, false, uint8(6), uint8(0))
+	f.Add([]byte{30, 1, 5, 90, 5, 9, 200, 3, 20, 40, 28, 29, 7}, true, uint8(6), uint8(0))
+	f.Add([]byte{25, 7, 2, 150, 11, 7, 60, 24, 0, 99}, false, uint8(3), uint8(1))
+	f.Add([]byte{25, 2, 7, 150, 7, 11, 60, 0, 24, 99}, true, uint8(3), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, upper bool, block, width uint8) {
 		if !sparse.SIMD || len(data) == 0 {
 			return
@@ -223,4 +228,57 @@ func FuzzSolveSegN(f *testing.F) {
 			t.Fatalf("rows=%d upper=%v block=%d n=%d: %v", rows, upper, tri.Block, n, err)
 		}
 	})
+}
+
+// SolveSeg is SolveSegN at width 1, and both give the Go body's bits: over
+// the IC(0) factors of a grid and a 27-point FEM matrix, both directions,
+// with x and b separate and aliased.
+func TestSolveSegIsWidthOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, mc := range []struct {
+		name string
+		coo  *sparse.COO
+	}{
+		{"grid-4096", matgen.SPDLaplacian(4096, 1)},
+		{"fem3d-1000", matgen.FEM3D(10, 10, 10, 1, 27, 1)},
+	} {
+		l, u := icFactors(t, mc.coo)
+		for _, upper := range []bool{false, true} {
+			f := l
+			if upper {
+				f = u
+			}
+			tri, err := sparse.NewBlockTri(f, 3*sparse.SegmentRows, upper)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := filled(rng, tri.Rows)
+			solve := func(seg func(x, b []float64, s int)) (x, inPlace []float64) {
+				x, inPlace = make([]float64, len(b)), append([]float64(nil), b...)
+				for _, s := range tri.SegOrder {
+					seg(x, b, int(s))
+					seg(inPlace, inPlace, int(s))
+				}
+				return x, inPlace
+			}
+			oneX, oneIn := solve(tri.SolveSeg)
+			nX, nIn := solve(func(x, b []float64, s int) { tri.SolveSegN(x, b, 1, s) })
+			was := sparse.UseSIMD(false)
+			goX, goIn := solve(tri.SolveSeg)
+			sparse.UseSIMD(was)
+			for _, c := range []struct {
+				what      string
+				got, want []float64
+			}{
+				{"SolveSeg vs SolveSegN, x != b", oneX, nX},
+				{"SolveSeg vs SolveSegN, x == b", oneIn, nIn},
+				{"SolveSeg vs the Go body, x != b", oneX, goX},
+				{"SolveSeg vs the Go body, x == b", oneIn, goIn},
+			} {
+				if err := sameBits(c.got, c.want); err != nil {
+					t.Errorf("%s upper=%v: %s: %v", mc.name, upper, c.what, err)
+				}
+			}
+		}
+	}
 }
