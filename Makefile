@@ -9,8 +9,8 @@ check: build lint test race benchcheck benchsmoke examples
 
 # Static analysis: gofmt, go vet (also at GOARCH=arm64, which type-checks
 # the build that has only the Go kernel bodies), and sparselint
-# (internal/lint — the repo-specific hot-path/locking/ownership/errflow/
-# determinism/atomic-field analyzers).
+# (internal/lint — the repo-specific hot-path/locking/errflow/atomic-field
+# analyzers).
 lint:
 	./scripts/lint.sh
 
@@ -37,8 +37,8 @@ test:
 # especially).
 # sparse is here for one guarantee the engine leans on: conversions of an
 # already compact COO only read it, so concurrent jobs may share one.
-# sparselint runs its analyzers concurrently over shared ASTs and one call
-# graph; TestDirectiveValidation runs the full set at once. The -run filter
+# sparselint runs its analyzers concurrently over shared ASTs;
+# TestDirectiveValidation runs the full set at once. The -run filter
 # keeps the whole-module load of TestRepoIsClean out of the race build.
 # The race detector does not see memory accesses made from assembly, so a
 # -race build compiles the Go bodies of the sparse and dense kernels instead

@@ -4,10 +4,11 @@
 // compiler reports, internal/lint/hotpath_budget.txt, and kept free of
 // append growth, fmt and string concatenation; lock discipline and
 // all-paths error-handling discipline in server/route/cmd (both
-// flow-sensitive, over per-function CFGs); deque ownership; determinism of
-// graph/kernel packages; and typed atomics only. Copied locks and atomics
-// are go vet's, which `make lint` runs first. It is stdlib-only (go/parser
-// + go/types, the standard library read from the export data
+// flow-sensitive, over per-function CFGs); and typed atomics only. Copied
+// locks and atomics are go vet's, which `make lint` runs first; deque
+// ownership and the determinism of what is built from a matrix are held by
+// tests (TestStealPathsRunEveryTaskOnce, TestBuiltTwice). It is stdlib-only
+// (go/parser + go/types, the standard library read from the export data
 // `go list -export` builds) and is wired into `make lint` / `make check`.
 // It needs the go command on PATH: the loader
 // runs `go list`, and the hotpath analyzer one `go build` with the
@@ -23,8 +24,8 @@
 //
 // The package-pattern argument is accepted for familiarity but the tool
 // always analyzes the full module containing the working directory, and the
-// modules nested in it (benchmark/) — the ownership, hot-path, and lock
-// rules are whole-program properties.
+// modules nested in it (benchmark/) — hot-path propagation is a
+// whole-program property.
 //
 // -json emits the versioned lint.Report schema (findings plus per-analyzer
 // counts and wall times); lint.sh redirects it to lint-report.json.

@@ -55,10 +55,10 @@ type declSite struct {
 	Pkg  *Package
 }
 
-// CallGraph is the whole-module static call graph the interprocedural
-// analyzers (hotpath, dequeowner) share. Nodes are *types.Func
-// objects; only functions declared in the module carry bodies and outgoing
-// edges, but edges may point at imported functions (those are leaves).
+// CallGraph is the whole-module static call graph hotpath propagates its
+// obligations over. Nodes are *types.Func objects; only functions declared
+// in the module carry bodies and outgoing edges, but edges may point at
+// imported functions (those are leaves).
 type CallGraph struct {
 	decls map[*types.Func]declSite
 	out   map[*types.Func][]CallEdge
@@ -225,11 +225,11 @@ func (g *CallGraph) Funcs() []*types.Func {
 }
 
 // ReachableFrom computes the set of functions reachable from roots over
-// every edge kind. boundary, when non-nil, marks functions whose bodies are
-// not entered: they join the reachable frontier (so callers can validate
-// them) but their outgoing edges are not followed. The returned via map
-// records, for each non-root reached function, the edge that first reached
-// it — provenance for diagnostics.
+// every edge kind. boundary marks functions whose bodies are not entered:
+// they join the reachable frontier (so callers can validate them) but their
+// outgoing edges are not followed. The returned via map records, for each
+// non-root reached function, the edge that first reached it — provenance
+// for diagnostics.
 func (g *CallGraph) ReachableFrom(roots []*types.Func, boundary func(*types.Func) bool) (map[*types.Func]bool, map[*types.Func]CallEdge) {
 	reached := make(map[*types.Func]bool)
 	via := make(map[*types.Func]CallEdge)
@@ -243,7 +243,7 @@ func (g *CallGraph) ReachableFrom(roots []*types.Func, boundary func(*types.Func
 	for len(queue) > 0 {
 		f := queue[0]
 		queue = queue[1:]
-		if boundary != nil && boundary(f) {
+		if boundary(f) {
 			continue
 		}
 		for _, e := range g.out[f] {

@@ -35,7 +35,9 @@ var hotpathBudget = "internal/lint/hotpath_budget.txt"
 // and the `… escapes to heap` and `moved to heap: x` lines anywhere in its
 // declaration. Reports inside panic arguments or nested func literals do not
 // count: the first run only on the failure path, the second are another
-// function's.
+// function's. Nor does a string literal that escapes (an inlined
+// `panic("…")` helper's message): a constant converted to an interface
+// points at static data and allocates nothing.
 //
 // What the report does not attribute stays an AST rule: append without a
 // capacity preallocated in the same function, fmt calls and string
@@ -62,7 +64,7 @@ func hotpathAnalyzer() *Analyzer {
 		Doc:  "bounds checks and heap escapes the compiler reports in hot functions match internal/lint/hotpath_budget.txt; no append growth, fmt or string concatenation (coldcall bounds the walk)",
 	}
 	a.Run = func(pass *Pass) {
-		g := pass.Graph
+		g := BuildCallGraph(pass.Prog)
 		cold := coldBoundaries(g, pass)
 		reached, via := hotClosure(g, cold)
 		var hot []*hotFunc
@@ -430,6 +432,12 @@ type compilerLine struct {
 // leaking parameters) does not match.
 var compilerLineRe = regexp.MustCompile(`^(.+):(\d+):(\d+): (Found Is(?:Slice)?InBounds|.+ escapes to heap|moved to heap: .+)$`)
 
+// isStringLit reports whether s is a quoted Go string literal.
+func isStringLit(s string) bool {
+	_, err := strconv.Unquote(s)
+	return err == nil && strings.HasPrefix(s, `"`)
+}
+
 // compilerReport builds dirs, directories of the module at root, for
 // linux/amd64 with the compiler's escape and bounds-check reports and
 // returns every line it counts, grouped by file and sorted by position. A
@@ -467,6 +475,8 @@ func compilerReport(root string, dirs []string) (map[string][]compilerLine, erro
 		c := compilerLine{token.Position{Filename: file, Line: line, Column: col}, m[4], 1}
 		if strings.HasPrefix(c.text, "Found ") {
 			c.column = 0
+		} else if lit, ok := strings.CutSuffix(c.text, " escapes to heap"); ok && isStringLit(lit) {
+			continue
 		}
 		byFile[file] = append(byFile[file], c)
 	}

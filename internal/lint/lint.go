@@ -1,12 +1,14 @@
 // Package lint implements sparselint, the repo-specific static-analysis
 // pass. It turns the discipline rules the sparse-solver stack only enforced
 // by convention — zero-allocation hot paths, lock hygiene in the scheduler
-// and serving layer, deque ownership, checked errors and deterministic task
-// bodies — into machine-checked gates (see cmd/sparselint and `make lint`).
-// What `go vet` already checks (copied locks and atomics) is left to vet,
-// which scripts/lint.sh runs first. Goroutine lifecycles are checked by
-// running them: the leakcheck gate in the TestMain of server, route, sched
-// and rt.
+// and serving layer, typed atomics and checked errors — into machine-checked
+// gates (see cmd/sparselint and `make lint`). What `go vet` already checks
+// (copied locks and atomics) is left to vet, which scripts/lint.sh runs
+// first. What a test catches by running the code is left to the tests:
+// goroutine lifecycles to the leakcheck gate in the TestMain of server,
+// route, sched and rt; deque ownership to sched's steal-path stress test
+// (TestStealPathsRunEveryTaskOnce); the determinism of every builder to the
+// module's built-twice test (TestBuiltTwice).
 //
 // The loader is stdlib-only, no x/tools. It loads what the go tool builds:
 // one `go list -deps -export` per module names each package's files, in
@@ -14,8 +16,7 @@
 // packages are parsed with go/parser and type-checked with go/types; their
 // imports from outside the module (the standard library) are read from that
 // export data. Each analyzer walks the typed ASTs of the whole module at
-// once, so whole-program rules (deque ownership reachability) see every call
-// site.
+// once, so a whole-program rule (hot-path propagation) sees every call site.
 //
 // # Engines
 //
@@ -25,8 +26,8 @@
 // funcBodies. hotpath's three AST rules stay AST walks on purpose: they are
 // flow-insensitive, so a port would only add code. hotpath asks the
 // compiler, in one `go build`, which heap escapes and bounds checks it
-// keeps. The call graph (callgraph.go) serves the two whole-module rules,
-// hotpath's propagation and dequeowner's reachability.
+// keeps. The call graph (callgraph.go) serves the one whole-module rule,
+// hotpath's propagation.
 //
 // Request admission is not a lint rule: the server package's
 // TestSpecCeilings walks JobSpec and holds every numeric field to a ceiling
@@ -54,10 +55,6 @@
 //	//sparselint:coldcall <reason> — reachable from hot code by design, e.g.
 //	//                              a grow or error path; stops hot-path
 //	//                              propagation, must be called conditionally
-//	//sparselint:owner            — method may only be called from functions
-//	//                              reachable from an owner loop (dequeowner)
-//	//sparselint:ownerloop        — function is an owning worker loop: the
-//	//                              root set for dequeowner reachability
 //
 // # Suppression
 //
@@ -99,11 +96,9 @@ type Analyzer struct {
 	Run  func(pass *Pass)
 }
 
-// Pass gives an analyzer access to the loaded program, the shared
-// whole-module call graph, and a reporting sink.
+// Pass gives an analyzer access to the loaded program and a reporting sink.
 type Pass struct {
 	Prog     *Program
-	Graph    *CallGraph
 	analyzer *Analyzer
 	findings *[]Finding
 }
@@ -127,8 +122,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		hotpathAnalyzer(),
 		lockDisciplineAnalyzer(),
-		dequeOwnerAnalyzer(),
-		determinismAnalyzer(),
 		atomicFieldAnalyzer(),
 		errflowAnalyzer(),
 	}
@@ -182,11 +175,10 @@ func lintWorkers() int {
 // RunStats is Run plus per-analyzer surviving-finding counts and wall times
 // (in analyzer order, with a trailing "directive" entry for the suppression
 // machinery's own findings). Analyzers run concurrently on a bounded worker
-// pool — the typed ASTs and call graph are read-only by contract — and each
+// pool — the typed ASTs are read-only by contract — and each
 // writes to its own finding slice; concatenation in registration order plus
 // the final position sort keep the output byte-identical to a serial run.
 func RunStats(prog *Program, analyzers []*Analyzer) ([]Finding, []AnalyzerStat) {
-	graph := BuildCallGraph(prog)
 	perAnalyzer := make([][]Finding, len(analyzers))
 	walls := make([]float64, len(analyzers))
 	sem := make(chan struct{}, lintWorkers())
@@ -198,7 +190,7 @@ func RunStats(prog *Program, analyzers []*Analyzer) ([]Finding, []AnalyzerStat) 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			a.Run(&Pass{Prog: prog, Graph: graph, analyzer: a, findings: &perAnalyzer[i]})
+			a.Run(&Pass{Prog: prog, analyzer: a, findings: &perAnalyzer[i]})
 			walls[i] = float64(time.Since(start)) / float64(time.Millisecond)
 		}(i, a)
 	}

@@ -74,8 +74,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"hotpath", "fixture/hotpath"},
 		{"lockdiscipline", "fixture/lockdiscipline"},
-		{"dequeowner", "fixture/dequeowner"},
-		{"determinism", "fixture/internal/kernels"},
 		{"atomicfield", "fixture/atomicfield"},
 		{"errflow", "fixture/internal/server"},
 	}
@@ -157,7 +155,7 @@ func TestRepoIsClean(t *testing.T) {
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}
-	if want := []string{"hotpath", "lockdiscipline", "dequeowner", "determinism", "atomicfield", "errflow"}; !slices.Equal(names, want) {
+	if want := []string{"hotpath", "lockdiscipline", "atomicfield", "errflow"}; !slices.Equal(names, want) {
 		t.Fatalf("analyzer set is %v, want %v — update this meta-test when adding or removing analyzers", names, want)
 	}
 	prog, err := LoadModule(filepath.Join("..", ".."))
@@ -188,13 +186,13 @@ func TestRepoIsClean(t *testing.T) {
 // suppression only covers its own line and the line directly below.
 func TestSuppressionRequiresAdjacency(t *testing.T) {
 	sup := suppressions{
-		{file: "f.go", line: 10, analyzer: "determinism"}: &suppression{
-			analyzer: "determinism",
+		{file: "f.go", line: 10, analyzer: "errflow"}: &suppression{
+			analyzer: "errflow",
 			pos:      tokenPosition("f.go", 10),
 		},
 	}
 	at := func(line int) Finding {
-		return Finding{Analyzer: "determinism", Pos: tokenPosition("f.go", line)}
+		return Finding{Analyzer: "errflow", Pos: tokenPosition("f.go", line)}
 	}
 	if sup.matches(at(10)) == nil || sup.matches(at(11)) == nil {
 		t.Error("directive must cover its own line and the next")

@@ -7,10 +7,10 @@ package directive
 //lint:ignore sparselint/nosuchanalyzer bogus target // want `not a sparselint analyzer`
 var a = 1
 
-//lint:ignore sparselint/determinism
+//lint:ignore sparselint/atomicfield
 var b = 2
 
 var _ = a + b
 
-//lint:ignore sparselint/determinism fixture: nothing on this line produces a finding
+//lint:ignore sparselint/atomicfield fixture: nothing on this line produces a finding
 var c = 3

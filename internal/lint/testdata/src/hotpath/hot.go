@@ -69,3 +69,31 @@ func cold(xs []int) string {
 	}
 	return fmt.Sprint(out)
 }
+
+// mustFit panics with a constant message. Inlined into its callers, the
+// message's conversion to an interface is an escape in the compiler's report
+// at each call site, but it points at static data and allocates nothing.
+func mustFit(ok bool) {
+	if !ok {
+		panic("hot: index out of range")
+	}
+}
+
+// hotConstPanic checks its index through mustFit, which counts for nothing.
+//
+//sparselint:hotpath
+func hotConstPanic(xs []int, i int) int {
+	mustFit(i < len(xs))
+	return xs[i]
+}
+
+// hotConstPanicEscape also checks through mustFit, and its own new(int)
+// escapes: that one escape is still reported.
+//
+//sparselint:hotpath
+func hotConstPanicEscape(xs []int, i int) *int { // want `hotConstPanicEscape keeps 0 bounds check\(s\) in hot loops and 1 heap escape\(s\) and has no budget`
+	mustFit(i < len(xs))
+	p := new(int)
+	*p = xs[i]
+	return p
+}

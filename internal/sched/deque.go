@@ -51,7 +51,6 @@ func NewDeque() *Deque {
 
 // Push adds v at the bottom. Only the owner goroutine may call Push.
 //
-//sparselint:owner
 //sparselint:hotpath
 func (d *Deque) Push(v int32) {
 	b := d.bottom.Load()
@@ -67,7 +66,6 @@ func (d *Deque) Push(v int32) {
 
 // Pop removes and returns the bottom element. Only the owner may call Pop.
 //
-//sparselint:owner
 //sparselint:hotpath
 func (d *Deque) Pop() (int32, bool) {
 	b := d.bottom.Load() - 1

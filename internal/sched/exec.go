@@ -226,7 +226,6 @@ func (e *Executor) reset() {
 	// balanced (directly onto the workers' deques — safe here, no worker is
 	// running yet). The stealing protocol handles the rest.
 	for k, t := range e.roots {
-		//lint:ignore sparselint/dequeowner root seeding happens before any worker starts; no owner exists yet
 		e.deques[k%e.nw].Push(t)
 	}
 }
@@ -333,10 +332,10 @@ func (e *Executor) recoverAbort() {
 
 // runWorker participates in the current run as worker w until the run
 // completes, is cancelled, or panics. It is the owning loop for worker w's
-// deque: all Push/Pop traffic happens on code reachable from here.
+// deque: all Push/Pop traffic on it happens on code reachable from here
+// (TestStealPathsRunEveryTaskOnce fails when it does not).
 //
 //sparselint:hotpath
-//sparselint:ownerloop
 func (e *Executor) runWorker(w int) {
 	defer e.recoverAbort()
 	ws := &e.ws[w]

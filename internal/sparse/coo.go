@@ -196,7 +196,6 @@ func (a *COO) IsSymmetric() bool {
 	for k := range a.V {
 		m[key{a.I[k], a.J[k]}] += a.V[k]
 	}
-	//lint:ignore sparselint/determinism order-independent predicate: the result is a conjunction over all entries
 	for k, v := range m {
 		if m[key{k.j, k.i}] != v {
 			return false
